@@ -9,20 +9,12 @@
 //	pboxbench -exp fig16 -duration 500ms # longer runs
 //
 // Experiments: fig1 fig2 fig3 fig10 table3 fig11 fig12 fig13 fig14 table4
-// fig15 fig16 table5 mistakes. Four extra ids are opt-in (never part of
-// -exp all) and write files instead of printing: cases-json writes the
-// per-case victim-p95 records to BENCH_cases.json, core-json writes the
-// manager hot-path throughput grid (sharded vs. emulated global lock,
-// disjoint vs. contended keys, 1/4/NumCPU goroutines) to BENCH_core.json,
-// scale-json sweeps GOMAXPROCS × goroutines × shard count × spool size ×
-// padding × adaptive topology to BENCH_scale.json (with per-row host
-// provenance and scaling-efficiency summaries), daemon-json measures the
-// daemon's two network front doors — minikv text protocol vs. the batched
-// binary wire protocol — plus resident-vs-hibernated bytes per pBox, writing
-// BENCH_daemon.json (exit 1 if the wire speedup or hibernation bounds fail),
-// and record-cases runs cases with a capture recorder attached and writes one
-// replayable event-log directory per case (pboxreplay consumes them). -out
-// overrides the default output path of all five.
+// fig15 fig16 table5 mistakes ablate. One extra id is opt-in (never part of
+// -exp all) and writes files instead of printing: record-cases runs cases
+// with a capture recorder attached and writes one replayable event-log
+// directory per case under -out (pboxreplay consumes them). Performance
+// numbers are not this command's job: benchmark/ is the repo's one
+// performance harness (see benchmark/README.md).
 package main
 
 import (
@@ -39,14 +31,12 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id (fig1..fig16, table3..table5, mistakes, ablate, cases-json, core-json, scale-json, daemon-json, record-cases, all)")
+	exp := flag.String("exp", "all", "experiment id (fig1..fig16, table3..table5, mistakes, ablate, record-cases, all)")
 	caseList := flag.String("cases", "", "comma-separated case ids to restrict to")
 	duration := flag.Duration("duration", 0, "per-run measurement duration (default 300ms)")
-	caseDuration := flag.Duration("caseduration", 0, "pin every case's run length exactly, overriding -duration and per-case variance adjustments; recorded in BENCH_cases.json")
+	caseDuration := flag.Duration("caseduration", 0, "pin every case's run length exactly, overriding -duration and per-case variance adjustments")
 	quick := flag.Bool("quick", false, "smoke-test scale")
-	out := flag.String("out", "", "output path for -exp cases-json / core-json / scale-json / record-cases (default BENCH_cases.json / BENCH_core.json / BENCH_scale.json / capture-logs)")
-	baseline := flag.String("baseline", "", "with -exp core-json / scale-json: committed BENCH_core.json / BENCH_scale.json to compare against; exit 1 on hot-path ns/op regressions beyond tolerance at matching configurations")
-	corebaseline := flag.String("corebaseline", "", "with -exp scale-json: committed BENCH_core.json; exit 1 if the sweep's single-goroutine fastpath row regresses >25% against the core bench's disjoint/fastpath/1 row on a matching host")
+	out := flag.String("out", "capture-logs", "output directory for -exp record-cases")
 	flag.Parse()
 
 	cfg := experiments.Config{Duration: *duration, CaseDuration: *caseDuration, Quick: *quick}
@@ -235,27 +225,10 @@ func main() {
 		}
 	})
 
-	// cases-json and core-json write files rather than printing, so they
-	// are opt-in only (never part of -exp all).
-	if *exp == "cases-json" {
-		path := *out
-		if path == "" {
-			path = "BENCH_cases.json"
-		}
-		rows := experiments.BenchCases(cfg, ids)
-		if err := experiments.WriteBenchCases(path, cfg, rows); err != nil {
-			fmt.Fprintln(os.Stderr, "cases-json:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s (%d cases)\n", path, len(rows))
-		return
-	}
+	// record-cases writes files rather than printing, so it is opt-in only
+	// (never part of -exp all).
 	if *exp == "record-cases" {
-		dir := *out
-		if dir == "" {
-			dir = "capture-logs"
-		}
-		traces, err := experiments.RecordCases(cfg, ids, dir)
+		traces, err := experiments.RecordCases(cfg, ids, *out)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "record-cases:", err)
 			os.Exit(1)
@@ -263,156 +236,6 @@ func main() {
 		for _, tr := range traces {
 			fmt.Printf("%-4s %-10s %8d records %10d bytes dropped=%d  %s\n",
 				tr.CaseID, tr.Duration, tr.Records, tr.Bytes, tr.Dropped, tr.Dir)
-		}
-		return
-	}
-	if *exp == "core-json" {
-		path := *out
-		if path == "" {
-			path = "BENCH_core.json"
-		}
-		doc := experiments.CoreBench(cfg)
-		if err := experiments.WriteCoreBench(path, doc); err != nil {
-			fmt.Fprintln(os.Stderr, "core-json:", err)
-			os.Exit(1)
-		}
-		for _, r := range doc.Rows {
-			fmt.Printf("%-9s %-8s g=%-3d %12.0f ops/s %10.1f ns/op\n",
-				r.Scenario, r.Variant, r.Goroutines, r.OpsPerSec, r.NsPerOp)
-		}
-		for g, s := range doc.DisjointSpeedup {
-			fmt.Printf("disjoint speedup @%s goroutines: %.2fx\n", g, s)
-		}
-		for g, s := range doc.FastpathSpeedup {
-			fmt.Printf("fastpath speedup @%s goroutines: %.2fx\n", g, s)
-		}
-		for v, s := range doc.ReaderInterference {
-			fmt.Printf("reader interference %s: %.3fx ns/op vs unpolled\n", v, s)
-		}
-		fmt.Printf("wrote %s\n", path)
-		if *baseline != "" {
-			base, err := experiments.ReadCoreBench(*baseline)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "baseline:", err)
-				os.Exit(1)
-			}
-			if err := experiments.CompareCoreBench(base, doc); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Printf("baseline %s: within tolerance\n", *baseline)
-		}
-		return
-	}
-	if *exp == "daemon-json" {
-		path := *out
-		if path == "" {
-			path = "BENCH_daemon.json"
-		}
-		doc := experiments.DaemonBench(cfg)
-		if err := experiments.WriteDaemonBench(path, doc); err != nil {
-			fmt.Fprintln(os.Stderr, "daemon-json:", err)
-			os.Exit(1)
-		}
-		for _, r := range doc.Rows {
-			fmt.Printf("%-5s conns=%-3d %12.0f events/s  p99=%-12v batch=%d events\n",
-				r.Protocol, r.Conns, r.EventsPerSec, time.Duration(r.P99IngestNs), r.BatchEvents)
-		}
-		fmt.Printf("wire speedup: %.2fx\n", doc.WireSpeedup)
-		fmt.Printf("bytes/pBox (%d pboxes): resident %.0f, hibernated %.0f\n",
-			doc.HibernatePBoxes, doc.ResidentBytesPerPBox, doc.HibernatedBytesPerPBox)
-		fmt.Printf("wrote %s\n", path)
-		failed := false
-		if err := experiments.CheckDaemonBench(doc); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			failed = true
-		}
-		if *baseline != "" {
-			base, err := experiments.ReadDaemonBench(*baseline)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "baseline:", err)
-				os.Exit(1)
-			}
-			if err := experiments.CompareDaemonBench(base, doc); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				failed = true
-			} else {
-				fmt.Printf("baseline %s: within tolerance\n", *baseline)
-			}
-		}
-		if failed {
-			os.Exit(1)
-		}
-		return
-	}
-	if *exp == "scale-json" {
-		path := *out
-		if path == "" {
-			path = "BENCH_scale.json"
-		}
-		doc := experiments.ScaleBench(cfg)
-		if err := experiments.WriteScaleBench(path, doc); err != nil {
-			fmt.Fprintln(os.Stderr, "scale-json:", err)
-			os.Exit(1)
-		}
-		for _, r := range doc.Rows {
-			pad, ad := "padded", "fixed"
-			if !r.Padded {
-				pad = "unpadded"
-			}
-			if r.Adaptive {
-				ad = "adaptive"
-			}
-			fmt.Printf("%-9s gmp=%-3d g=%-3d shards=%-4d spool=%-5d %-8s %-8s %12.0f ops/s %10.1f ns/op\n",
-				r.Scenario, r.Gomaxprocs, r.Goroutines, r.Shards, r.SpoolSize, pad, ad,
-				r.OpsPerSec, r.NsPerOp)
-		}
-		printScaleMap := func(name string, m map[string]float64) {
-			keys := make([]string, 0, len(m))
-			for k := range m {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				fmt.Printf("%s %s: %.3f\n", name, k, m[k])
-			}
-		}
-		printScaleMap("scaling_efficiency", doc.ScalingEfficiency)
-		printScaleMap("padding_speedup", doc.PaddingSpeedup)
-		printScaleMap("adaptive_overhead", doc.AdaptiveOverhead)
-		fmt.Printf("wrote %s\n", path)
-		notice := func(format string, args ...any) {
-			fmt.Printf("NOTICE: "+format+"\n", args...)
-		}
-		failed := false
-		if *baseline != "" {
-			base, err := experiments.ReadScaleBench(*baseline)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "baseline:", err)
-				os.Exit(1)
-			}
-			if err := experiments.CompareScaleBench(base, doc, notice); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				failed = true
-			} else {
-				fmt.Printf("baseline %s: within tolerance\n", *baseline)
-			}
-		}
-		if *corebaseline != "" {
-			base, err := experiments.ReadCoreBench(*corebaseline)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "corebaseline:", err)
-				os.Exit(1)
-			}
-			if err := experiments.CheckScaleAgainstCore(base, doc, notice); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				failed = true
-			} else {
-				fmt.Printf("core baseline %s: within tolerance\n", *corebaseline)
-			}
-		}
-		if failed {
-			os.Exit(1)
 		}
 		return
 	}

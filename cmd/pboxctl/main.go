@@ -255,21 +255,12 @@ func cmdSelf(args []string) error {
 	fmt.Printf("snapshot    epoch=%d age=%s interval=%s builds=%d cache_hits=%d last_build=%s build_total=%s\n",
 		st.SnapshotEpoch, st.SnapshotAge, st.SnapshotInterval,
 		st.SnapshotBuilds, st.SnapshotCacheHits, st.SnapshotLastBuild, st.SnapshotBuildTotal)
-	fmt.Printf("spools      flushes=%d flushed_events=%d sweeps=%d overflows=%d\n",
-		st.SpoolFlushes, st.SpoolFlushedEvents, st.SpoolSweeps, st.SpoolOverflows)
+	fmt.Printf("spools      flushes=%d flushed_events=%d sweeps=%d overflows=%d capacity=%d\n",
+		st.SpoolFlushes, st.SpoolFlushedEvents, st.SpoolSweeps, st.SpoolOverflows, st.SpoolCapacity)
 	fmt.Printf("contention  claims=%d revocations=%d sticky_slots=%d\n",
 		st.ContentionClaims, st.ContentionRevocations, st.ContentionStickySlots)
 	fmt.Printf("shard locks acquisitions=%d hottest=%d shards=%d\n",
 		st.ShardLockAcquisitions, st.ShardLockMax, st.Shards)
-	mode := "fixed"
-	if st.AdaptiveTopology {
-		mode = "adaptive"
-	}
-	fmt.Printf("topology    mode=%s shards=%d spool_capacity=%d ticks=%d shard_resizes=%d spool_resizes=%d\n",
-		mode, st.Shards, st.SpoolCapacity, st.TopologyTicks, st.ShardResizes, st.SpoolResizes)
-	for _, d := range st.TopologyDecisions {
-		fmt.Printf("  at=%-12d %-6s %4d -> %-4d %s\n", d.AtNs, d.Kind, d.From, d.To, d.Reason)
-	}
 	fmt.Printf("hibernation hibernations=%d wakes=%d hibernated=%d\n",
 		st.Hibernations, st.Wakes, st.Hibernated)
 	if st.Wire != nil {

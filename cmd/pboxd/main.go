@@ -50,7 +50,6 @@ func main() {
 		evictScan = flag.Int("evict-scan", 192, "LRU entries scanned per eviction (lock hold length)")
 		shards    = flag.Int("shards", 0, "manager lock stripes for resource state (0 = 4×GOMAXPROCS)")
 		spool     = flag.Int("spool", 0, "per-worker event-spool capacity for the uncontended fast path (0 = default 256, negative disables)")
-		adaptive  = flag.Bool("adaptive", false, "let the manager retune shard count and spool capacity from its own telemetry (DESIGN.md §13); -shards/-spool set the starting point")
 		demo      = flag.Duration("demo", 0, "run a built-in noisy+victim client demo for this long, then exit")
 		victims   = flag.Int("victims", 2, "victim get-clients in -demo mode")
 		incidents = flag.String("incidents", "incidents", "flight-recorder incidents directory (empty disables)")
@@ -81,7 +80,7 @@ func main() {
 		capRec *capture.Recorder
 		obs    core.Observer
 	)
-	opts := core.Options{TraceSize: *traceSize, Attribution: true, Shards: *shards, SpoolSize: *spool, AdaptiveTopology: *adaptive}
+	opts := core.Options{TraceSize: *traceSize, Attribution: true, Shards: *shards, SpoolSize: *spool}
 	if !*noTelem {
 		reg = telemetry.NewRegistry()
 		col = telemetry.NewCollector(reg)
@@ -128,12 +127,8 @@ func main() {
 	if err != nil {
 		log.Fatalf("pboxd: listen %s: %v", *addr, err)
 	}
-	topoMode := "fixed"
-	if *adaptive {
-		topoMode = "adaptive"
-	}
-	log.Printf("pboxd: serving minikv on %s (capacity=%d evict-scan=%d goal=%.2f shards=%d spool=%d topology=%s)",
-		ln.Addr(), cfg.Capacity, cfg.EvictScanItems, rule.Level, mgr.ShardCount(), mgr.SpoolCapacity(), topoMode)
+	log.Printf("pboxd: serving minikv on %s (capacity=%d evict-scan=%d goal=%.2f shards=%d spool=%d)",
+		ln.Addr(), cfg.Capacity, cfg.EvictScanItems, rule.Level, mgr.ShardCount(), mgr.SpoolCapacity())
 
 	// The wire front door: the batched binary ingestion protocol for
 	// external feeders (DESIGN.md §15), served alongside minikv on its own
@@ -336,18 +331,6 @@ func report(snaps []core.Snapshot, mgr *core.Manager, reg *telemetry.Registry, r
 			fmt.Printf("%-12s → %-12s on %-12s blocked=%-12v detections=%-4d actions=%-3d served=%v\n",
 				culprit, victim, a.Resource, a.Blocked, a.Detections, a.Actions, a.PenaltyServed)
 		}
-	}
-	// Topology line: where the stripe/spool sizing ended up (and, under
-	// -adaptive, which decisions the sizer took along the way).
-	st := mgr.SelfStats()
-	mode := "fixed"
-	if st.AdaptiveTopology {
-		mode = "adaptive"
-	}
-	fmt.Printf("--- topology ---\nmode=%s shards=%d spool_capacity=%d ticks=%d shard_resizes=%d spool_resizes=%d\n",
-		mode, st.Shards, st.SpoolCapacity, st.TopologyTicks, st.ShardResizes, st.SpoolResizes)
-	for _, d := range st.TopologyDecisions {
-		fmt.Printf("decision %-6s %4d -> %-4d %s\n", d.Kind, d.From, d.To, d.Reason)
 	}
 	if rec != nil {
 		if ids, err := rec.Incidents(); err == nil && len(ids) > 0 {

@@ -20,9 +20,7 @@
 // every pBox's isolation-rule level — the detection threshold),
 // threshold=<f> (pBox-level monitor trigger fraction), alpha=<f>,
 // gapfactor=<f>, minpen/maxpen/fixed=<duration>, shards=<n>, spool=<n>,
-// nodetect (pure tracing), nopboxlevel (Algorithm 1 only), adaptive (let the
-// sizer retune shard/spool topology during the replay — verdict-neutral,
-// DESIGN.md §13).
+// nodetect (pure tracing), nopboxlevel (Algorithm 1 only).
 package main
 
 import (
@@ -84,7 +82,7 @@ func usage() {
 config spec: comma-separated knobs, e.g. 'level=2,fixed=1ms,nopboxlevel'
 grid: config specs joined by ';'
 knobs: name= level= threshold= alpha= gapfactor= minpen= maxpen= fixed=
-       shards= spool= nodetect nopboxlevel adaptive
+       shards= spool= nodetect nopboxlevel
 `)
 }
 
@@ -127,16 +125,14 @@ func parseConfig(spec string) (capture.Config, error) {
 			cfg.Options.DisableDetection = true
 		case "nopboxlevel":
 			cfg.Options.DisablePBoxLevel = true
-		case "adaptive":
-			cfg.Options.AdaptiveTopology = true
 		default:
 			return cfg, fmt.Errorf("unknown config knob %q (see pboxreplay -h)", key)
 		}
+		if !hasVal && key != "nodetect" && key != "nopboxlevel" {
+			return cfg, fmt.Errorf("config knob %q needs a value", key)
+		}
 		if err != nil {
 			return cfg, fmt.Errorf("config knob %q: %w", tok, err)
-		}
-		if !hasVal && key != "nodetect" && key != "nopboxlevel" && key != "adaptive" {
-			return cfg, fmt.Errorf("config knob %q needs a value", key)
 		}
 	}
 	return cfg, nil

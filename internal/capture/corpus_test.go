@@ -50,12 +50,12 @@ func TestCorpusReplayDeterministic(t *testing.T) {
 }
 
 // TestCorpusCharacterizationNearZeroEfficacy pins the current — wrong —
-// behavior on c1/c2 that motivated this subsystem (BENCH_cases.json shows
-// them at ~0% p95 reduction while c3–c5 land 56–99%): the detector fires
-// plenty and the noisy pBox serves a large share of the run in penalties,
-// yet the modeled victim-tail relief stays under 40% (c2: under 1%). A
-// future detector fix should flip these expectations deliberately, not
-// silently.
+// behavior on c1/c2 that motivated this subsystem (the benchmark's
+// cases.relief_p95.c1/c2 metrics show them flat while c3–c5 are relieved):
+// the detector fires plenty and the noisy pBox serves a large share of the
+// run in penalties, yet the modeled victim-tail relief stays under 40% (c2:
+// under 1%). A future detector fix should flip these expectations
+// deliberately, not silently.
 func TestCorpusCharacterizationNearZeroEfficacy(t *testing.T) {
 	for _, id := range corpusCases {
 		log := corpusLog(t, id)

@@ -37,10 +37,7 @@ type Worker struct {
 // records, and workers have no destroy call to unregister at.
 func (m *Manager) NewWorker() *Worker {
 	w := &Worker{mgr: m}
-	// Capacity comes from the live (possibly sizer-retuned) value, not the
-	// construction-time option — a worker created after the sizer grew the
-	// spools should not start at the stale size.
-	if n := int(m.spoolCap.Load()); n > 0 {
+	if n := m.SpoolCapacity(); n > 0 {
 		w.spool = newEventSpool(m, n)
 		m.spools.Lock()
 		m.spools.list = append(m.spools.list, w.spool)

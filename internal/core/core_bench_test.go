@@ -7,10 +7,8 @@ import (
 )
 
 // Benchmarks for the manager's event hot path. Run with -cpu=1,4,N to see
-// the scaling the sharded design exists for; BENCH_core.json (written by
-// `pboxbench -exp core-json`) records the same scenarios against an
-// emulated single-global-mutex baseline so regressions are visible across
-// PRs.
+// the scaling the sharded design exists for; the fastpath_events and
+// contended_events workloads of benchmark/ carry the committed numbers.
 
 // benchManager returns a manager configured for benchmarking: penalties are
 // swallowed (a real sleep would measure the clock, not the manager) and

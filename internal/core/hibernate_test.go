@@ -269,8 +269,8 @@ func TestHibernateWakeRaces(t *testing.T) {
 
 // TestHibernate100kMemoryBound is the memory-bound acceptance check: 100k
 // registered pBoxes that each ran a real activity must compact below 512
-// bytes apiece once hibernated (BENCH_daemon.json reports the same figure
-// from the daemon benchmark).
+// bytes apiece once hibernated (the benchmark reports the same figure as
+// core.hibernated_bytes_per_pbox).
 func TestHibernate100kMemoryBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("memory-bound sweep skipped in -short")

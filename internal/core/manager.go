@@ -98,22 +98,6 @@ type Options struct {
 	// value disables view caching, making every StatusView call a precise
 	// rebuild.
 	SnapshotInterval time.Duration
-
-	// AdaptiveTopology enables the background topology sizer (DESIGN.md
-	// §13): piggybacked on snapshot rebuilds, it reads the manager's own
-	// contention and shard-lock telemetry and resizes the shard stripe set
-	// and per-worker spool capacity within fixed bounds. Off (the default)
-	// the topology chosen at construction is fixed for the manager's life.
-	// Resizes are verdict-neutral: detection output is identical to a
-	// fixed-topology run over the same event stream.
-	AdaptiveTopology bool
-
-	// NoCachePad selects the unpadded (adjacent-slot) contention-table
-	// layout. Benchmark-only: it exists so the scalability sweep can
-	// measure the false-sharing cost of the old layout from one binary
-	// (BENCH_scale.json's padded/unpadded rows). Production code should
-	// never set it.
-	NoCachePad bool
 }
 
 func (o Options) withDefaults() Options {
@@ -165,7 +149,7 @@ func (o Options) withDefaults() Options {
 // serializes on verdictMu, which also guards the action history and the
 // attribution ledger. The documented lock order is
 //
-//	snap → topo → spools → flushMu → registry → pbox.mu → shard.mu →
+//	snap → spools → flushMu → registry → pbox.mu → shard.mu →
 //	verdictMu → leaves (actMu, penMu, …)
 //
 // and a shard lock is never held while acquiring the registry lock.
@@ -185,10 +169,9 @@ type Manager struct {
 		bindings map[uintptr]*PBox
 	}
 
-	// shards is the live stripe topology for resource-side state, one
-	// immutable shardSet swapped whole by the adaptive sizer (topology.go).
-	// Lock sites revalidate with the per-shard moved flag via lockShard.
-	shards atomic.Pointer[shardSet]
+	// shards is the stripe topology for resource-side state, built by
+	// NewManager from Options.Shards and immutable afterwards.
+	shards shardSet
 
 	// contention is the per-resource claim/contended slot table of the
 	// two-tier ingestion path (see spool.go): 0 untouched, >0 the id of
@@ -197,24 +180,6 @@ type Manager struct {
 	// path indexes it straight off the manager pointer (see
 	// contentionTable in spool.go).
 	contention contentionTable
-
-	// spoolCap is the capacity newly created Worker spools are sized to;
-	// the adaptive sizer retunes it (and live spools) within bounds.
-	spoolCap atomic.Int64
-
-	// topo serializes topology resizes (manual and sizer-driven) and holds
-	// the sizer's tick state. It ranks between snap and spools in the §8
-	// order: the sizer runs under it from the snapshot rebuild (which holds
-	// snap), and a resize sweeps spools and takes every shard lock under it.
-	topo struct {
-		sync.Mutex
-		sizer sizerState
-	}
-
-	// topoStats is the lock-free telemetry of the adaptive sizer: resize
-	// counters and the copy-on-write decision log behind atomics, so
-	// SelfStats stays a no-lock reader.
-	topoStats topologyStats
 
 	// spools registers every Worker's event spool so slow-path events and
 	// consistent reads can drain them (flush-on-read). The list only
@@ -284,9 +249,7 @@ func NewManager(opts Options) *Manager {
 	}
 	m.reg.pboxes = make(map[int]*PBox)
 	m.reg.bindings = make(map[uintptr]*PBox)
-	m.shards.Store(newShardSet(opts.Shards))
-	m.contention.unpadded = opts.NoCachePad
-	m.spoolCap.Store(int64(opts.SpoolSize))
+	m.shards = newShardSet(opts.Shards)
 	if ao, ok := opts.Observer.(AttributionObserver); ok {
 		m.attrObs = ao
 	}
@@ -305,14 +268,13 @@ func NewManager(opts Options) *Manager {
 	return m
 }
 
-// ShardCount returns the current number of resource-side lock stripes (which
-// the adaptive sizer may change over the manager's life).
-func (m *Manager) ShardCount() int { return len(m.shards.Load().shards) }
+// ShardCount returns the number of resource-side lock stripes, fixed at
+// NewManager (Options.Shards rounded up to a power of two).
+func (m *Manager) ShardCount() int { return len(m.shards.shards) }
 
-// SpoolCapacity returns the capacity new Worker spools are sized to (which
-// the adaptive sizer may change over the manager's life). Non-positive means
-// spooling is disabled.
-func (m *Manager) SpoolCapacity() int { return int(m.spoolCap.Load()) }
+// SpoolCapacity returns the capacity every Worker spool is sized to, fixed at
+// NewManager (Options.SpoolSize). Non-positive means spooling is disabled.
+func (m *Manager) SpoolCapacity() int { return m.opts.SpoolSize }
 
 // ErrReleased is returned when an operation references a destroyed pBox.
 var ErrReleased = errors.New("pbox: operation on released pBox")
@@ -957,28 +919,17 @@ func (m *Manager) Live() int {
 // dedicated name lock, so ResourceName is safe to call from Observer hook
 // callbacks.
 func (m *Manager) NameResource(key ResourceKey, name string) {
-	for {
-		s := m.shardFor(key)
-		s.namesMu.Lock()
-		if s.moved.Load() {
-			// A topology resize migrated this stripe's names to the new
-			// shard set (under namesMu, with moved set before release):
-			// retry against the live topology so the write cannot land in
-			// an orphaned map.
-			s.namesMu.Unlock()
-			continue
-		}
-		if name == "" {
-			delete(s.names, key)
-		} else {
-			if s.names == nil {
-				s.names = make(map[ResourceKey]string)
-			}
-			s.names[key] = name
-		}
-		s.namesMu.Unlock()
+	s := m.shardFor(key)
+	s.namesMu.Lock()
+	defer s.namesMu.Unlock()
+	if name == "" {
+		delete(s.names, key)
 		return
 	}
+	if s.names == nil {
+		s.names = make(map[ResourceKey]string)
+	}
+	s.names[key] = name
 }
 
 // ResourceName returns the registered name for key ("" when unnamed).
@@ -989,19 +940,13 @@ func (m *Manager) ResourceName(key ResourceKey) string {
 }
 
 // resourceName looks up a registered resource name under the shard's name
-// lock, retrying across topology resizes like NameResource.
+// lock.
 func (m *Manager) resourceName(key ResourceKey) string {
-	for {
-		s := m.shardFor(key)
-		s.namesMu.RLock()
-		if s.moved.Load() {
-			s.namesMu.RUnlock()
-			continue
-		}
-		name := s.names[key]
-		s.namesMu.RUnlock()
-		return name
-	}
+	s := m.shardFor(key)
+	s.namesMu.RLock()
+	name := s.names[key]
+	s.namesMu.RUnlock()
+	return name
 }
 
 // SetLabel attaches a diagnostic label to the pBox (connection name,

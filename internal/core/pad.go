@@ -12,9 +12,7 @@ package core
 //
 // The cost is memory only: padding the 1024-slot contention table grows it
 // from 8 KiB to 64 KiB per manager, and each shard/spool grows by at most
-// two lines. BENCH_scale.json carries padded-versus-unpadded rows (the
-// benchmark-only Options.NoCachePad switch selects the old adjacent layout)
-// so the win is measured, not assumed.
+// two lines.
 
 // cacheLineSize is the assumed coherence granularity. 64 bytes is correct
 // for every amd64 and the common arm64 server parts; on the rare 128-byte

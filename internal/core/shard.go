@@ -12,18 +12,14 @@ import (
 // unrelated resources never touches the same lock. See DESIGN.md §8 for the
 // full lock-order contract:
 //
-//	snap → topo → spools → flushMu → registry → pbox.mu → shard.mu →
+//	snap → spools → flushMu → registry → pbox.mu → shard.mu →
 //	verdictMu → leaf locks (actMu, penMu, shard.namesMu, trace ring)
 //
 // with two extra rules: a shard lock is never held while acquiring the
 // registry lock, and at most one pBox's actMu (or penMu) is held at a time.
 //
-// The stripe set itself is no longer fixed for the manager's lifetime: the
-// adaptive-topology sizer (topology.go, DESIGN.md §13) may grow or shrink
-// it at runtime. The live topology is one immutable shardSet behind an
-// atomic pointer, and every lock site revalidates with the per-shard moved
-// flag (see lockShard) so a resize can migrate state without a reader-side
-// lock on the hot path.
+// The stripe set is fixed at NewManager (Options.Shards) and immutable for
+// the manager's lifetime.
 
 // shard is one stripe of the resource-side state. Field groups are spaced
 // by cache-line pads (pad.go): the stripe mutex + maps that one event
@@ -39,14 +35,6 @@ type shard struct {
 	// holdersByKey indexes current holders per resource so UNHOLD can
 	// attribute blame and tests can inspect contention.
 	holdersByKey map[ResourceKey]map[*PBox]int64
-
-	// moved marks a stripe whose state has migrated to a newer shardSet
-	// (set under mu by the topology resize, before the old locks are
-	// released). Any path that locked this shard via a stale topology
-	// pointer observes the flag and retries against the current set; the
-	// stale maps are never mutated again. Atomic because the namesMu-only
-	// paths read it without holding mu.
-	moved atomic.Bool
 
 	_ cacheLinePad
 
@@ -69,11 +57,8 @@ type shard struct {
 	_ cacheLinePad // keep the counter off the next allocation's line
 }
 
-// shardSet is one immutable shard topology: the stripe array plus the
-// matching index shift. The manager publishes the live set through one
-// atomic pointer (Manager.shards); a resize builds a fresh set, migrates
-// state under every old stripe lock, and swaps the pointer whole, so
-// shardFor stays a single load on the hot path.
+// shardSet is the shard topology: the stripe array plus the matching index
+// shift, built once by NewManager and never changed.
 type shardSet struct {
 	shards []*shard
 	// shift is 64 - log2(len(shards)); a shift of 64 (single shard) yields
@@ -94,36 +79,27 @@ func (ss *shardSet) shardOf(key ResourceKey) *shard {
 // then shifts down.
 const fibMix = 0x9e3779b97f4a7c15
 
-// shardFor returns the shard owning key in the current topology. The result
-// is advisory until locked and revalidated — see lockShard.
+// shardFor returns the shard owning key.
 //
 //pbox:hotpath
 func (m *Manager) shardFor(key ResourceKey) *shard {
-	return m.shards.Load().shardOf(key)
+	return m.shards.shardOf(key)
 }
 
-// lockShard returns key's shard with its stripe lock held, retrying across
-// topology swaps: a shard locked through a stale set pointer carries the
-// moved flag (set by the resize before it released the old locks), in which
-// case its maps have migrated and the current set must be consulted again.
-// Every event-side shard acquisition goes through here so a resize is
-// invisible to correctness and costs stale lockers one extra lock/unlock.
+// lockShard returns key's shard with its stripe lock held. Every event-side
+// shard acquisition goes through here so the per-stripe acquisition counter
+// stays exact.
 //
 //pbox:hotpath
 func (m *Manager) lockShard(key ResourceKey) *shard {
-	for {
-		s := m.shardFor(key)
-		s.mu.Lock()
-		if !s.moved.Load() {
-			s.locks.Add(1)
-			return s
-		}
-		s.mu.Unlock()
-	}
+	s := m.shardFor(key)
+	s.mu.Lock()
+	s.locks.Add(1)
+	return s
 }
 
 // newShardSet allocates a set of n shards (n must be a power of two).
-func newShardSet(n int) *shardSet {
+func newShardSet(n int) shardSet {
 	shards := make([]*shard, n)
 	for i := range shards {
 		shards[i] = &shard{
@@ -135,7 +111,7 @@ func newShardSet(n int) *shardSet {
 	for 1<<bits < n {
 		bits++
 	}
-	return &shardSet{shards: shards, shift: 64 - bits}
+	return shardSet{shards: shards, shift: 64 - bits}
 }
 
 // defaultShardCount sizes the stripe set when Options.Shards is zero.
@@ -163,10 +139,9 @@ func defaultShardCountFor(parallelism int) int {
 	return n
 }
 
-// minShards and maxShards bound the stripe count, for both the static
-// default and the adaptive sizer (topology.go). The floor keeps birthday
-// collisions rare even at GOMAXPROCS=1; the ceiling caps the stop-the-world
-// sweep cost of Status() and the per-manager memory.
+// minShards and maxShards bound the default stripe count. The floor keeps
+// birthday collisions rare even at GOMAXPROCS=1; the ceiling caps the
+// stop-the-world sweep cost of Status() and the per-manager memory.
 const (
 	minShards = 8
 	maxShards = 256
@@ -181,36 +156,22 @@ func nextPow2(n int) int {
 	return p
 }
 
-// lockAllShards acquires every stripe lock of the current topology in index
-// order (the only order in which more than one shard lock may ever be held)
-// and returns the matching reverse-order unlock. It is the stop-the-world
-// half of Status(): with all shards held, no event can move a waiter or
-// holder, so the combined snapshot can never pair a pBox list from one
-// instant with resource-side state from another. If a topology resize wins
-// the race (the pointer moved while this sweep was acquiring the old set),
-// the old locks are dropped and the sweep restarts on the new set — the
-// resize holds every old lock across its migration, so a completed sweep
-// over an unchanged pointer is guaranteed un-migrated.
+// lockAllShards acquires every stripe lock in index order (the only order
+// in which more than one shard lock may ever be held) and returns the
+// matching reverse-order unlock. It is the stop-the-world half of Status():
+// with all shards held, no event can move a waiter or holder, so the combined
+// snapshot can never pair a pBox list from one instant with resource-side
+// state from another.
 func (m *Manager) lockAllShards() func() {
-	for {
-		ss := m.shards.Load()
-		for _, s := range ss.shards {
-			//pboxlint:ignore lockorder stop-the-world sweep: shard locks are taken in ascending index order, the one sanctioned multi-shard hold (DESIGN.md §8)
-			s.mu.Lock()
-			s.locks.Add(1)
-		}
-		if m.shards.Load() == ss {
-			return func() {
-				for i := len(ss.shards) - 1; i >= 0; i-- {
-					ss.shards[i].mu.Unlock()
-				}
-			}
-		}
-		// A resize published a new set while this sweep held none-to-some
-		// of the old locks; the old stripes are (or are about to be)
-		// migrated. Release and restart against the live topology.
-		for i := len(ss.shards) - 1; i >= 0; i-- {
-			ss.shards[i].mu.Unlock()
+	shards := m.shards.shards
+	for _, s := range shards {
+		//pboxlint:ignore lockorder stop-the-world sweep: shard locks are taken in ascending index order, the one sanctioned multi-shard hold (DESIGN.md §8)
+		s.mu.Lock()
+		s.locks.Add(1)
+	}
+	return func() {
+		for i := len(shards) - 1; i >= 0; i-- {
+			shards[i].mu.Unlock()
 		}
 	}
 }

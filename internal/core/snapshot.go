@@ -131,11 +131,6 @@ func (m *Manager) rebuildView(now int64, force bool) *StatusView {
 	m.self.snapshotBuilds.Add(1)
 	m.self.snapshotLastBuildNs.Store(int64(v.BuildDuration))
 	m.self.snapshotBuildTotalNs.Add(int64(v.BuildDuration))
-	// The adaptive sizer ticks on the rebuild cadence (DESIGN.md §13): the
-	// rebuild already runs on the manager clock, off the event hot path, at
-	// a bounded rate — exactly the properties a background tuner needs, at
-	// the cost of no extra goroutine. snap (held here) ranks before topo.
-	m.maybeAdaptTopology(now)
 	return v
 }
 
@@ -182,7 +177,7 @@ func (m *Manager) resourceViewsShardsLocked() []ResourceView {
 		}
 		return i
 	}
-	for _, s := range m.shards.Load().shards {
+	for _, s := range m.shards.shards {
 		for key, cl := range s.competitors {
 			if len(cl.waiters) == 0 {
 				continue
@@ -309,22 +304,11 @@ type SelfStats struct {
 	ContentionRevocations int64 // slow-path revocations of a live claim
 	ContentionStickySlots int   // slots currently stuck at the contended value
 
-	// Shard locks. Acquisitions are monotone across topology resizes
-	// (retired stripe sets fold into the total); Max covers live stripes
-	// only.
-	ShardLockAcquisitions int64 // total shard-lock acquisitions, all stripes ever
-	ShardLockMax          int64 // acquisitions on the hottest live stripe
-	Shards                int
-
-	// Adaptive topology (DESIGN.md §13). Zero-valued when the sizer is off,
-	// except SpoolCapacity which always reports the current new-worker
-	// capacity (≤0 = spooling disabled).
-	AdaptiveTopology  bool
-	SpoolCapacity     int
-	TopologyTicks     int64              // sizer ticks run
-	ShardResizes      int64              // stripe-set migrations performed
-	SpoolResizes      int64              // spool-capacity retunes performed
-	TopologyDecisions []TopologyDecision // bounded recent decision log
+	// Shard locks and the construction-time topology.
+	ShardLockAcquisitions int64 // total shard-lock acquisitions, all stripes
+	ShardLockMax          int64 // acquisitions on the hottest stripe
+	Shards                int   // lock stripes (Options.Shards)
+	SpoolCapacity         int   // per-worker spool capacity (≤0 = spooling disabled)
 
 	// Hibernation (DESIGN.md §15): registered-but-idle pBoxes compacted to
 	// their minimal footprint by Manager.Hibernate and woken transparently
@@ -362,29 +346,20 @@ func (m *Manager) SelfStats() SelfStats {
 		Hibernated:            m.self.hibernated.Load(),
 		VerdictLatency:        m.self.verdictLatency.snapshot(),
 		Crossings:             m.crossings.Load(),
-		AdaptiveTopology:      m.opts.AdaptiveTopology,
-		SpoolCapacity:         int(m.spoolCap.Load()),
-		TopologyTicks:         m.topoStats.ticks.Load(),
-		ShardResizes:          m.topoStats.shardResizes.Load(),
-		SpoolResizes:          m.topoStats.spoolResizes.Load(),
+		Shards:                m.ShardCount(),
+		SpoolCapacity:         m.SpoolCapacity(),
 	}
 	if v := m.snap.view.Load(); v != nil {
 		st.SnapshotEpoch = v.Epoch
 		st.SnapshotAge = time.Duration(m.opts.Now() - v.BuiltAt)
 	}
 	st.ContentionStickySlots = m.contention.stickySlots()
-	ss := m.shards.Load()
-	st.Shards = len(ss.shards)
-	st.ShardLockAcquisitions = m.topoStats.shardLocksRetired.Load()
-	for _, s := range ss.shards {
+	for _, s := range m.shards.shards {
 		n := s.locks.Load()
 		st.ShardLockAcquisitions += n
 		if n > st.ShardLockMax {
 			st.ShardLockMax = n
 		}
-	}
-	if d := m.topoStats.decisions.Load(); d != nil {
-		st.TopologyDecisions = *d
 	}
 	return st
 }

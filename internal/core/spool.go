@@ -47,7 +47,7 @@ import (
 //
 // Lock order (extends DESIGN.md §8; the lint lockorder table enforces it):
 //
-//	Manager.snap → Manager.topo → Manager.spools → eventSpool.flushMu →
+//	Manager.snap → Manager.spools → eventSpool.flushMu →
 //	registry → pbox.mu → shard.mu → verdictMu → leaves (eventSpool.mu
 //	joins actMu, penMu, …)
 //
@@ -69,37 +69,19 @@ const (
 // the Manager so Worker.Update resolves a slot with one offset computation
 // from the manager pointer — no table-pointer chase, slice-header load, or
 // runtime stride multiply, each of which measurably taxes the ~50 ns
-// uncontended op. Storage is always the padded size; the layout switch only
-// changes index arithmetic. Padded (the default), consecutive slots sit on
-// distinct cache lines — 64 KiB per manager — because adjacent 8-byte
-// atomics hammered by different workers' CAS/Load traffic false-share
-// catastrophically on multicore (pad.go). The benchmark-only
-// Options.NoCachePad packs the slots adjacently into the first 8 KiB (the
-// old layout) so BENCH_scale.json can carry before/after rows from one
-// binary.
+// uncontended op. Consecutive slots sit on distinct cache lines — 64 KiB per
+// manager — because adjacent 8-byte atomics hammered by different workers'
+// CAS/Load traffic false-share catastrophically on multicore (pad.go).
 type contentionTable struct {
-	slots    [contentionSlots * padWords]atomic.Int64
-	unpadded bool
+	slots [contentionSlots * padWords]atomic.Int64
 }
 
-// stride is the slot spacing, in 8-byte words, of the active layout.
-func (t *contentionTable) stride() uint64 {
-	if t.unpadded {
-		return 1
-	}
-	return padWords
-}
-
-// slot returns the contention slot owning key. Each arm indexes with a
-// compile-time-constant stride into a fixed-size array, so the shift-bounded
-// index needs no bounds check.
+// slot returns the contention slot owning key. The constant stride into a
+// fixed-size array means the shift-bounded index needs no bounds check.
 //
 //pbox:hotpath
 func (t *contentionTable) slot(key ResourceKey) *atomic.Int64 {
 	idx := (uint64(key) * fibMix) >> contentionShift
-	if t.unpadded {
-		return &t.slots[idx]
-	}
 	return &t.slots[idx*padWords]
 }
 
@@ -107,9 +89,9 @@ func (t *contentionTable) slot(key ResourceKey) *atomic.Int64 {
 //
 //pbox:snapshotreader
 func (t *contentionTable) stickySlots() int {
-	n, stride := 0, t.stride()
-	for i := uint64(0); i < contentionSlots; i++ {
-		if t.slots[i*stride].Load() == contendedSlot {
+	n := 0
+	for i := 0; i < contentionSlots; i++ {
+		if t.slots[i*padWords].Load() == contendedSlot {
 			n++
 		}
 	}
@@ -267,27 +249,6 @@ func (m *Manager) contentionSlot(key ResourceKey) *atomic.Int64 {
 	return m.contention.slot(key)
 }
 
-// setCapacity reallocates the spool buffers to n records. It succeeds only
-// when the spool is empty and no flush is replaying — the adaptive sizer
-// (topology.go) flushes first, and a racing append simply defers the resize
-// to the next tick. Buffered records are never dropped or copied across a
-// capacity change.
-func (sp *eventSpool) setCapacity(n int) bool {
-	sp.flushMu.Lock()
-	defer sp.flushMu.Unlock()
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if sp.n > 0 || sp.draining {
-		return false
-	}
-	if len(sp.recs) == n {
-		return true
-	}
-	sp.recs = make([]spoolRec, n)
-	sp.drain = make([]spoolRec, n)
-	return true
-}
-
 // markContended revokes any fast-path claim on key's slot before a slow-path
 // event is applied. If a claim was present, every registered spool is
 // drained first, so spooled records — which logically precede the triggering
@@ -414,8 +375,7 @@ func (m *Manager) replayQuiet(p *PBox, recs []spoolRec) {
 			}
 			// The held shard is always released above before the next one is
 			// taken (the same blind spot as lockAllShards' index-ordered
-			// sweep); lockShard revalidates the topology after acquiring, so
-			// a resize racing the batch is retried, never mutated-through.
+			// sweep).
 			s = m.lockShard(r.key)
 		}
 		if paired && r.ev == Hold && recs[i+1].ev == Unhold {

@@ -20,9 +20,8 @@ type Config struct {
 	Duration time.Duration
 	// CaseDuration, when set, pins every case's run length exactly —
 	// overriding both Duration and the per-case variance adjustments
-	// (pboxbench -caseduration). The length used is recorded in
-	// BENCH_cases.json so the suspected duration-sensitivity of the c1/c2
-	// efficacy gap can be investigated from the committed numbers.
+	// (pboxbench -caseduration), so the suspected duration-sensitivity of
+	// the c1/c2 efficacy gap can be investigated at a fixed length.
 	CaseDuration time.Duration
 	// Quick trims case sets and durations for smoke tests.
 	Quick bool

@@ -1,8 +1,8 @@
 // Package lockorder statically enforces the manager's lock-acquisition
-// order (DESIGN.md §8, extended by the §10 spool ranks, the §12 snapshot
-// rank, and the §13 topology rank):
+// order (DESIGN.md §8, extended by the §10 spool ranks and the §12 snapshot
+// rank):
 //
-//	Manager.snap → Manager.topo → Manager.spools → eventSpool.flushMu →
+//	Manager.snap → Manager.spools → eventSpool.flushMu →
 //	registry → pbox.mu → shard.mu → verdictMu → leaves (actMu, penMu,
 //	shard.namesMu, trace ring, eventSpool.mu)
 //
@@ -52,12 +52,9 @@ var Analyzer = &analysis.Analyzer{
 // precede everything the replay acquires, and nothing may take them while
 // holding any manager lock. The snapshot build mutex ranks before even the
 // spool registry: a rebuild sweeps every spool and then takes the whole
-// read path under it. The topology mutex (the §13 adaptive sizer) sits
-// between them: the sizer ticks under snap, and a resize sweeps spools and
-// takes every shard lock under topo.
+// read path under it.
 const (
 	rankSnap       = -30
-	rankTopo       = -25
 	rankSpoolList  = -20
 	rankSpoolFlush = -10
 	rankRegistry   = 0
@@ -78,7 +75,6 @@ type classSpec struct {
 // exercise.
 var lockTable = map[classSpec]int{
 	{"Manager", "snap"}:       rankSnap,
-	{"Manager", "topo"}:       rankTopo,
 	{"Manager", "spools"}:     rankSpoolList,
 	{"eventSpool", "flushMu"}: rankSpoolFlush,
 	{"Manager", "reg"}:        rankRegistry,
@@ -93,7 +89,7 @@ var lockTable = map[classSpec]int{
 }
 
 // orderDoc is appended to order-violation messages.
-const orderDoc = "DESIGN.md §8/§10/§12/§13 order: snap → topo → spools → flushMu → registry → pbox.mu → shard.mu → verdictMu → leaves"
+const orderDoc = "DESIGN.md §8/§10/§12 order: snap → spools → flushMu → registry → pbox.mu → shard.mu → verdictMu → leaves"
 
 // lockClass is one recognized lock class.
 type lockClass struct {

@@ -7,7 +7,6 @@ import "sync"
 
 type Manager struct {
 	snap      sync.Mutex
-	topo      sync.Mutex
 	spools    sync.Mutex
 	reg       sync.Mutex
 	verdictMu sync.Mutex
@@ -222,50 +221,6 @@ func badShardThenSnap(m *Manager, s *shard) {
 	s.mu.Lock()
 	m.snap.Lock() // want `acquires Manager\.snap while holding shard\.mu`
 	m.snap.Unlock()
-	s.mu.Unlock()
-}
-
-// goodSizerTick is the §13 adaptive-sizer shape: the topology mutex is taken
-// under snap (the rebuild hook) and a resize descends into the spool sweep
-// and the all-shard migration under it. Clean.
-func goodSizerTick(m *Manager, sp *eventSpool, s *shard) {
-	m.snap.Lock()
-	m.topo.Lock()
-	m.spools.Lock()
-	sp.flushMu.Lock()
-	sp.flushMu.Unlock()
-	m.spools.Unlock()
-	s.mu.Lock()
-	s.namesMu.Lock()
-	s.namesMu.Unlock()
-	s.mu.Unlock()
-	m.topo.Unlock()
-	m.snap.Unlock()
-}
-
-// badSpoolListThenTopo: the topology mutex precedes the spool registry — a
-// resize started mid-sweep would deadlock against a sweep started
-// mid-resize.
-func badSpoolListThenTopo(m *Manager) {
-	m.spools.Lock()
-	m.topo.Lock() // want `acquires Manager\.topo while holding Manager\.spools`
-	m.topo.Unlock()
-	m.spools.Unlock()
-}
-
-// badTopoThenSnap: a sizer tick never escalates to a snapshot rebuild.
-func badTopoThenSnap(m *Manager) {
-	m.topo.Lock()
-	m.snap.Lock() // want `acquires Manager\.snap while holding Manager\.topo`
-	m.snap.Unlock()
-	m.topo.Unlock()
-}
-
-// badShardThenTopo: no event-path lock may be held when a resize starts.
-func badShardThenTopo(m *Manager, s *shard) {
-	s.mu.Lock()
-	m.topo.Lock() // want `acquires Manager\.topo while holding shard\.mu`
-	m.topo.Unlock()
 	s.mu.Unlock()
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,7 +15,9 @@ import (
 // TestFlightRecorderEndpoints wires the full observer chain — recorder in
 // front of the collector — and exercises dump/list/fetch over HTTP.
 func TestFlightRecorderEndpoints(t *testing.T) {
-	var now int64
+	// Atomic: the recorder's capture goroutine reads the manager clock while
+	// this goroutine advances it.
+	var now atomic.Int64
 	reg := NewRegistry()
 	col := NewCollector(reg)
 	rec := flightrec.New(flightrec.Config{
@@ -28,8 +31,8 @@ func TestFlightRecorderEndpoints(t *testing.T) {
 	opts := core.Options{
 		Observer:    rec,
 		Attribution: true,
-		Now:         func() int64 { return now },
-		Sleep:       func(d time.Duration) { now += int64(d) },
+		Now:         now.Load,
+		Sleep:       func(d time.Duration) { now.Add(int64(d)) },
 		MinPenalty:  10 * time.Microsecond,
 		MaxPenalty:  100 * time.Millisecond,
 	}
@@ -48,7 +51,7 @@ func TestFlightRecorderEndpoints(t *testing.T) {
 	m.Activate(victim)
 	m.Update(noisy, key, core.Hold)
 	m.Update(victim, key, core.Prepare)
-	now += int64(5 * time.Millisecond)
+	now.Add(int64(5 * time.Millisecond))
 	m.Update(noisy, key, core.Unhold)
 	m.Update(victim, key, core.Enter)
 

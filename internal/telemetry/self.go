@@ -132,13 +132,7 @@ type SelfResponse struct {
 	ShardLockAcquisitions int64 `json:"shard_lock_acquisitions"`
 	ShardLockMax          int64 `json:"shard_lock_max"`
 	Shards                int   `json:"shards"`
-
-	AdaptiveTopology  bool               `json:"adaptive_topology"`
-	SpoolCapacity     int                `json:"spool_capacity"`
-	TopologyTicks     int64              `json:"topology_ticks"`
-	ShardResizes      int64              `json:"shard_resizes"`
-	SpoolResizes      int64              `json:"spool_resizes"`
-	TopologyDecisions []TopologyDecision `json:"topology_decisions,omitempty"`
+	SpoolCapacity         int   `json:"spool_capacity"`
 
 	Hibernations int64 `json:"hibernations"`
 	Wakes        int64 `json:"wakes"`
@@ -151,16 +145,6 @@ type SelfResponse struct {
 	// Wire is the attached wire-ingestion server's counters (absent when no
 	// wire server is attached).
 	Wire *WireSelf `json:"wire,omitempty"`
-}
-
-// TopologyDecision is the wire form of one adaptive-sizer (or manual)
-// resize decision.
-type TopologyDecision struct {
-	AtNs   int64  `json:"at_ns"`
-	Kind   string `json:"kind"`
-	From   int    `json:"from"`
-	To     int    `json:"to"`
-	Reason string `json:"reason"`
 }
 
 // selfResponse converts SelfStats to wire form.
@@ -187,12 +171,7 @@ func selfResponse(st core.SelfStats) SelfResponse {
 		ShardLockAcquisitions: st.ShardLockAcquisitions,
 		ShardLockMax:          st.ShardLockMax,
 		Shards:                st.Shards,
-
-		AdaptiveTopology: st.AdaptiveTopology,
-		SpoolCapacity:    st.SpoolCapacity,
-		TopologyTicks:    st.TopologyTicks,
-		ShardResizes:     st.ShardResizes,
-		SpoolResizes:     st.SpoolResizes,
+		SpoolCapacity:         st.SpoolCapacity,
 
 		Hibernations: st.Hibernations,
 		Wakes:        st.Wakes,
@@ -204,11 +183,6 @@ func selfResponse(st core.SelfStats) SelfResponse {
 			Count: st.VerdictLatency.Count,
 			Sum:   st.VerdictLatency.Sum.String(),
 		},
-	}
-	for _, d := range st.TopologyDecisions {
-		resp.TopologyDecisions = append(resp.TopologyDecisions, TopologyDecision{
-			AtNs: d.AtNs, Kind: d.Kind, From: d.From, To: d.To, Reason: d.Reason,
-		})
 	}
 	h := st.VerdictLatency
 	for i, c := range h.Counts {
@@ -259,16 +233,6 @@ func writeSelfMetrics(w io.Writer, st core.SelfStats) {
 	writeSelfCounter(w, "pbox_self_shard_lock_acquisitions_total", "Shard-lock acquisitions across all stripes.", st.ShardLockAcquisitions)
 	writeSelfCounter(w, "pbox_self_shard_lock_max_total", "Shard-lock acquisitions on the hottest single stripe.", st.ShardLockMax)
 	writeSelfGauge(w, "pbox_self_shards", "Configured resource-state lock stripes.", int64(st.Shards))
-
-	adaptive := int64(0)
-	if st.AdaptiveTopology {
-		adaptive = 1
-	}
-	writeSelfGauge(w, "pbox_self_topology_adaptive", "1 when the adaptive topology sizer is enabled.", adaptive)
-	writeSelfGauge(w, "pbox_self_topology_spool_capacity", "Capacity new worker spools are sized to (sizer-retuned).", int64(st.SpoolCapacity))
-	writeSelfCounter(w, "pbox_self_topology_ticks_total", "Adaptive-sizer evaluation ticks.", st.TopologyTicks)
-	writeSelfCounter(w, "pbox_self_topology_shard_resizes_total", "Shard stripe-set migrations (adaptive or manual).", st.ShardResizes)
-	writeSelfCounter(w, "pbox_self_topology_spool_resizes_total", "Spool-capacity retunes (adaptive or manual).", st.SpoolResizes)
 
 	writeSelfCounter(w, "pbox_self_hibernations_total", "pBoxes compacted by Manager.Hibernate.", st.Hibernations)
 	writeSelfCounter(w, "pbox_self_wakes_total", "Hibernated pBoxes transparently woken by Activate.", st.Wakes)
