@@ -33,19 +33,21 @@ func (t TraceEntry) String() string {
 }
 
 // traceRing is a fixed-capacity concurrent ring buffer of trace entries.
-// Every entry carries a sequence number, and adds signal a notification
-// channel, so readers can snapshot incrementally and long-poll for new
-// entries (the /trace streaming endpoint). The ring has its own mutex (a
-// leaf in the manager's lock order); the sequence counter is an atomic so
-// long-poll readers can check for progress without touching the lock the
-// event path appends under.
+// Every entry carries a sequence number, and an add wakes the long-pollers
+// parked on the notification channel, so readers can snapshot incrementally
+// and long-poll for new entries (the /trace streaming endpoint). The channel
+// exists only while somebody waits on it: an add with no waiter allocates
+// nothing, so a traced event stream produces no garbage. The ring has its
+// own mutex (a leaf in the manager's lock order); the sequence counter is an
+// atomic so long-poll readers can check for progress without touching the
+// lock the event path appends under.
 type traceRing struct {
 	mu      sync.Mutex
 	entries []TraceEntry
 	pos     int
 	full    bool
 	seq     atomic.Uint64 // total entries ever added
-	notify  chan struct{} // closed and replaced on every add
+	notify  chan struct{} // made by a waiter (waitCh), closed and cleared by the next add
 }
 
 func newTraceRing(n int) *traceRing {
@@ -55,10 +57,7 @@ func newTraceRing(n int) *traceRing {
 		// holds one entry.
 		n = 1
 	}
-	return &traceRing{
-		entries: make([]TraceEntry, 0, n),
-		notify:  make(chan struct{}),
-	}
+	return &traceRing{entries: make([]TraceEntry, 0, n)}
 }
 
 func (r *traceRing) add(e TraceEntry) {
@@ -72,8 +71,10 @@ func (r *traceRing) add(e TraceEntry) {
 		r.pos = (r.pos + 1) % cap(r.entries)
 		r.full = true
 	}
-	close(r.notify)
-	r.notify = make(chan struct{})
+	if r.notify != nil {
+		close(r.notify)
+		r.notify = nil
+	}
 }
 
 // orderedLocked returns the ring contents oldest first. Caller holds r.mu;
@@ -127,6 +128,9 @@ func (r *traceRing) waitCh(since uint64) <-chan struct{} {
 		ch := make(chan struct{})
 		close(ch)
 		return ch
+	}
+	if r.notify == nil {
+		r.notify = make(chan struct{})
 	}
 	return r.notify
 }

@@ -155,6 +155,31 @@ func TestTraceSinceAndNotify(t *testing.T) {
 	}
 }
 
+// TestTraceAddAllocatesOnlyForWaiters pins the ring's garbage-free append: the
+// notification channel is made by a long-poller, never by the event path, and
+// every waiter parked on it is released by the next add.
+func TestTraceAddAllocatesOnlyForWaiters(t *testing.T) {
+	r := newTraceRing(8)
+	e := TraceEntry{PBox: 1, What: "PREPARE"}
+	if allocs := testing.AllocsPerRun(1000, func() { r.add(e) }); allocs != 0 {
+		t.Fatalf("traceRing.add with no waiter = %v allocs/op, want 0", allocs)
+	}
+	a, b := r.waitCh(r.seq.Load()), r.waitCh(r.seq.Load())
+	select {
+	case <-a:
+		t.Fatal("waitCh(tail) is closed before any new entry")
+	default:
+	}
+	r.add(e)
+	for _, ch := range []<-chan struct{}{a, b} {
+		select {
+		case <-ch:
+		default:
+			t.Fatal("an add left a waiter parked")
+		}
+	}
+}
+
 func TestTraceDisabledSinceNotify(t *testing.T) {
 	m := NewManager(Options{})
 	if entries, next := m.TraceSince(0); entries != nil || next != 0 {
