@@ -5,10 +5,8 @@
 //
 // It is a front-end over the same loading and reporting stack as
 // cmd/pboxlint: arguments are package patterns resolved by the pboxlint
-// loader, and the analysis itself is the waitloop pass. Analysis is
-// per-package (each package is parsed and type-checked on its own), where
-// earlier versions parsed whole directory trees as one soup; for a single
-// package the output is identical, and a regression test pins that.
+// loader, and the analysis itself is the waitloop pass, run per package
+// (each package is parsed and type-checked on its own).
 //
 // Usage:
 //
@@ -20,13 +18,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 
-	"pbox/internal/analyzer"
-	"pbox/internal/lint/analysis"
-	"pbox/internal/lint/driver"
-	"pbox/internal/lint/loader"
 	"pbox/internal/lint/waitloop"
 )
 
@@ -51,7 +44,7 @@ func main() {
 
 	exit := 0
 	for _, dir := range dirs {
-		res, err := analyzePattern(cwd, dir)
+		res, err := waitloop.AnalyzePattern(cwd, dir)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "pboxanalyze: %v\n", err)
 			exit = 1
@@ -68,43 +61,4 @@ func main() {
 		}
 	}
 	os.Exit(exit)
-}
-
-// analyzePattern loads every package the pattern matches through the shared
-// loader, runs the waitloop pass through the shared driver, and merges the
-// per-package results into the legacy aggregate shape.
-func analyzePattern(cwd, pattern string) (*analyzer.Result, error) {
-	pkgs, err := loader.Load(cwd, pattern)
-	if err != nil {
-		return nil, err
-	}
-	res, err := driver.Run(pkgs, []*analysis.Analyzer{waitloop.Analyzer})
-	if err != nil {
-		return nil, err
-	}
-	merged := &analyzer.Result{}
-	wrappers := map[string]bool{}
-	for _, ret := range res.Returns {
-		r, ok := ret.Value.(*analyzer.Result)
-		if !ok {
-			continue
-		}
-		merged.Files += r.Files
-		merged.InspectedFuncs += r.InspectedFuncs
-		merged.Locations = append(merged.Locations, r.Locations...)
-		for _, w := range r.Wrappers {
-			wrappers[w] = true
-		}
-	}
-	for w := range wrappers {
-		merged.Wrappers = append(merged.Wrappers, w)
-	}
-	sort.Strings(merged.Wrappers)
-	sort.Slice(merged.Locations, func(i, j int) bool {
-		if merged.Locations[i].File != merged.Locations[j].File {
-			return merged.Locations[i].File < merged.Locations[j].File
-		}
-		return merged.Locations[i].Line < merged.Locations[j].Line
-	})
-	return merged, nil
 }

@@ -10,7 +10,6 @@
 //	pboxctl incidents list         # flight-recorder bundles on the server
 //	pboxctl incidents show <id>    # one bundle: verdict, events, matrix
 //	pboxctl dump -reason "..."     # freeze a bundle right now
-//	pboxctl dump -precise          # ...with the exact flush-on-read capture
 //	pboxctl trace -follow          # stream manager events (long-poll)
 //
 // top and pboxes read the manager's epoch-published snapshot (/status), so
@@ -81,8 +80,7 @@ commands:
              shows only hibernated pBoxes; the footer always counts them)
   self       manager self-telemetry: snapshot, spool, contention, lock rates
   incidents  list | show <id> — flight-recorder bundles
-  dump       freeze an incident bundle now (-reason "...", -precise for an
-             exact flush-on-read capture)
+  dump       freeze an incident bundle now (-reason "...")
   trace      print the manager event trace (-follow to stream)
 
 common flags:
@@ -419,15 +417,10 @@ func renderIncident(w io.Writer, inc flightrec.Incident) {
 func cmdDump(args []string) error {
 	fs, addr := flagSet("dump")
 	reason := fs.String("reason", "pboxctl dump", "reason recorded in the bundle")
-	precise := fs.Bool("precise", false, "exact flush-on-read capture instead of the epoch snapshot")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	path := "/flightrec/dump?reason=" + url.QueryEscape(*reason)
-	if *precise {
-		path += "&precise=1"
-	}
-	resp, err := http.Post("http://"+*addr+path, "", nil)
+	resp, err := http.Post("http://"+*addr+"/flightrec/dump?reason="+url.QueryEscape(*reason), "", nil)
 	if err != nil {
 		return err
 	}

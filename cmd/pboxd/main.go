@@ -210,7 +210,7 @@ func main() {
 	// events still buffered at shutdown are replayed into the manager — and
 	// through it into the capture recorder — before the recorders flush and
 	// close. Without this, SIGTERM could drop spooled events on the floor.
-	_ = mgr.Snapshots()
+	mgr.Status()
 	if rec != nil {
 		rec.Close()
 	}

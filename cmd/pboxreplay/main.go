@@ -19,8 +19,9 @@
 // Knobs: name=<label> (defaults to the spec itself), level=<f> (override
 // every pBox's isolation-rule level — the detection threshold),
 // threshold=<f> (pBox-level monitor trigger fraction), alpha=<f>,
-// gapfactor=<f>, minpen/maxpen/fixed=<duration>, shards=<n>, spool=<n>,
-// nodetect (pure tracing), nopboxlevel (Algorithm 1 only).
+// gapfactor=<f>, minpen/maxpen/fixed=<duration>, nodetect (pure tracing),
+// nopboxlevel (Algorithm 1 only). There is no shard or spool knob: replay is
+// single-threaded through Manager.Update, so neither can change a digest.
 package main
 
 import (
@@ -82,7 +83,7 @@ func usage() {
 config spec: comma-separated knobs, e.g. 'level=2,fixed=1ms,nopboxlevel'
 grid: config specs joined by ';'
 knobs: name= level= threshold= alpha= gapfactor= minpen= maxpen= fixed=
-       shards= spool= nodetect nopboxlevel
+       nodetect nopboxlevel
 `)
 }
 
@@ -117,10 +118,6 @@ func parseConfig(spec string) (capture.Config, error) {
 			cfg.Options.MaxPenalty, err = time.ParseDuration(val)
 		case "fixed":
 			cfg.Options.FixedPenalty, err = time.ParseDuration(val)
-		case "shards":
-			cfg.Options.Shards, err = strconv.Atoi(val)
-		case "spool":
-			cfg.Options.SpoolSize, err = strconv.Atoi(val)
 		case "nodetect":
 			cfg.Options.DisableDetection = true
 		case "nopboxlevel":

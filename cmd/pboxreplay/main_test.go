@@ -26,8 +26,6 @@ var configCases = []struct {
 	{spec: "minpen=50us", want: capture.Config{Name: "minpen=50us", Options: core.Options{MinPenalty: 50 * time.Microsecond}}},
 	{spec: "maxpen=5ms", want: capture.Config{Name: "maxpen=5ms", Options: core.Options{MaxPenalty: 5 * time.Millisecond}}},
 	{spec: "fixed=1ms", want: capture.Config{Name: "fixed=1ms", Options: core.Options{FixedPenalty: time.Millisecond}}},
-	{spec: "shards=16", want: capture.Config{Name: "shards=16", Options: core.Options{Shards: 16}}},
-	{spec: "spool=-1", want: capture.Config{Name: "spool=-1", Options: core.Options{SpoolSize: -1}}},
 	{spec: "nodetect", want: capture.Config{Name: "nodetect", Options: core.Options{DisableDetection: true}}},
 	{spec: "nopboxlevel", want: capture.Config{Name: "nopboxlevel", Options: core.Options{DisablePBoxLevel: true}}},
 	{
@@ -37,9 +35,11 @@ var configCases = []struct {
 	},
 	{spec: "level", wantErr: `config knob "level" needs a value`},
 	{spec: "name", wantErr: `config knob "name" needs a value`},
-	{spec: "level=2,shards", wantErr: `config knob "shards" needs a value`},
+	{spec: "level=2,fixed", wantErr: `config knob "fixed" needs a value`},
 	{spec: "level=abc", wantErr: `config knob "level=abc"`},
-	{spec: "shards=1.5", wantErr: `config knob "shards=1.5"`},
+	{spec: "shards=16", wantErr: `unknown config knob "shards"`},
+	{spec: "level=2,spool=-1", wantErr: `unknown config knob "spool"`},
+	{spec: "shards=99999999999", wantErr: `unknown config knob "shards"`},
 	{spec: "fixed=10", wantErr: `config knob "fixed=10"`},
 	{spec: "adaptive", wantErr: `unknown config knob "adaptive"`},
 	{spec: "level=2,adaptive", wantErr: `unknown config knob "adaptive"`},

@@ -37,7 +37,8 @@ func main() {
 		withPBox.Mean, withPBox.P95, mgr.TotalActions())
 
 	fmt.Println("\nlast trace entries:")
-	tr := mgr.Trace()
+	mgr.Status() // precise read: spooled events reach the ring first
+	tr, _ := mgr.TraceView(0)
 	for _, e := range tr[max(0, len(tr)-8):] {
 		fmt.Println(" ", e)
 	}

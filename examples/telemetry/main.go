@@ -92,11 +92,11 @@ func main() {
 			case <-tick.C:
 			}
 			fmt.Println("--- live pboxes ---")
-			for _, s := range mgr.Snapshots() {
+			for _, s := range mgr.StatusView().Snapshots {
 				fmt.Printf("  pbox %-3d %-9s defer_ratio=%.3f penalties=%-4d served=%v\n",
 					s.ID, s.Label, s.InterferenceLevel, s.PenaltiesReceived, s.PenaltyTotal)
 			}
-			entries, next := mgr.TraceSince(cursor)
+			entries, next := mgr.TraceView(cursor)
 			cursor = next
 			if n := len(entries); n > 3 {
 				entries = entries[n-3:] // just the newest few

@@ -23,8 +23,6 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 )
@@ -43,6 +41,7 @@ func DefaultWaitFuncs() []string {
 
 // Location is one candidate program point for state-event annotation.
 type Location struct {
+	Pos  token.Pos // of the wait call, in the FileSet the files were parsed into
 	File string
 	Line int
 	// Func is the enclosing function.
@@ -90,30 +89,6 @@ func New(waitFuncs []string) *Analyzer {
 	return &Analyzer{waitFuncs: m}
 }
 
-// AnalyzeDir analyzes every .go file under dir (excluding _test.go files).
-func (a *Analyzer) AnalyzeDir(dir string) (*Result, error) {
-	fset := token.NewFileSet()
-	var files []*ast.File
-	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return fmt.Errorf("analyzer: parse %s: %w", path, err)
-		}
-		files = append(files, f)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return a.analyze(fset, files), nil
-}
-
 // AnalyzeSource analyzes a single in-memory source file (tests, examples).
 func (a *Analyzer) AnalyzeSource(filename, src string) (*Result, error) {
 	fset := token.NewFileSet()
@@ -121,18 +96,14 @@ func (a *Analyzer) AnalyzeSource(filename, src string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return a.analyze(fset, []*ast.File{f}), nil
+	return a.AnalyzeFiles(fset, []*ast.File{f}), nil
 }
 
 // AnalyzeFiles analyzes already-parsed files against fset — the entry point
-// used by the pboxlint waitloop pass, so the hand-rolled Algorithm 2
-// implementation and the go/analysis-style passes share one loading and
-// reporting stack.
+// used by the pboxlint waitloop pass, through which every source tree is
+// analyzed (one loading and reporting stack for Algorithm 2 and the
+// go/analysis-style passes).
 func (a *Analyzer) AnalyzeFiles(fset *token.FileSet, files []*ast.File) *Result {
-	return a.analyze(fset, files)
-}
-
-func (a *Analyzer) analyze(fset *token.FileSet, files []*ast.File) *Result {
 	res := &Result{Files: len(files)}
 
 	// Pass 1: collect function declarations and identify wrappers
@@ -193,6 +164,7 @@ func (a *Analyzer) analyze(fset *token.FileSet, files []*ast.File) *Result {
 			}
 			pos := fset.Position(call.Pos())
 			res.Locations = append(res.Locations, Location{
+				Pos:        call.Pos(),
 				File:       pos.Filename,
 				Line:       pos.Line,
 				Func:       f.name,

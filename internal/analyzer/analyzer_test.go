@@ -1,8 +1,6 @@
 package analyzer
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -186,53 +184,6 @@ func wait() {
 	vars := res.Locations[0].SharedVars
 	if !containsVar(vars, "counter") || !containsVar(vars, "limit") {
 		t.Fatalf("shared vars = %v", vars)
-	}
-}
-
-func TestAnalyzeDirSkipsTests(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name, src string) {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write("a.go", `package p
-import "time"
-var ready bool
-func wait() {
-	for !ready {
-		time.Sleep(time.Millisecond)
-	}
-}
-`)
-	write("a_test.go", `package p
-import "time"
-var tready bool
-func twait() {
-	for !tready {
-		time.Sleep(time.Millisecond)
-	}
-}
-`)
-	res, err := New(nil).AnalyzeDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Files != 1 {
-		t.Fatalf("files = %d, want 1 (tests skipped)", res.Files)
-	}
-	if len(res.Locations) != 1 {
-		t.Fatalf("locations = %d, want 1", len(res.Locations))
-	}
-}
-
-func TestAnalyzeDirParseError(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "bad.go"), []byte("package\n!!!"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(nil).AnalyzeDir(dir); err == nil {
-		t.Fatal("expected parse error")
 	}
 }
 

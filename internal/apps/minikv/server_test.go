@@ -79,13 +79,13 @@ func TestServerProtocol(t *testing.T) {
 
 	// The connection's pBox carries the hello label.
 	var labeled bool
-	for _, s := range mgr.Snapshots() {
+	for _, s := range mgr.Status().Snapshots {
 		if s.Label == "tester" {
 			labeled = true
 		}
 	}
 	if !labeled {
-		t.Fatalf("no pBox labeled tester in %+v", mgr.Snapshots())
+		t.Fatalf("no pBox labeled tester in %+v", mgr.Status().Snapshots)
 	}
 
 	if got := send("quit"); got != "BYE" {
@@ -177,7 +177,7 @@ poll:
 		if penalties.Value() == 0 {
 			continue
 		}
-		for _, s := range mgr.Snapshots() {
+		for _, s := range mgr.Status().Snapshots {
 			if s.Label == "noisy" && s.PenaltiesReceived > 0 && s.PenaltyTotal > 0 {
 				noisyPenalized = true
 				break poll
@@ -191,6 +191,6 @@ poll:
 		t.Fatal("pbox_penalties_total stayed zero: no penalty was ever scheduled")
 	}
 	if !noisyPenalized {
-		t.Fatalf("noisy pBox never showed served penalty time; snapshots: %+v", mgr.Snapshots())
+		t.Fatalf("noisy pBox never showed served penalty time; snapshots: %+v", mgr.Status().Snapshots)
 	}
 }

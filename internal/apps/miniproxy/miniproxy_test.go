@@ -116,9 +116,11 @@ func TestStatsFlusherContendsOnSumStat(t *testing.T) {
 
 	c := p.Connect(ctrl, "c")
 	defer c.Close()
-	// Some request should observe SumStat contention; sample a few.
+	// Some request should observe SumStat contention. Sample until one does
+	// (bounded by a deadline, not a count: on a loaded host the flusher
+	// goroutine may not have been scheduled into its first hold yet).
 	var worst time.Duration
-	for i := 0; i < 10; i++ {
+	for deadline := time.Now().Add(2 * time.Second); worst < time.Millisecond && time.Now().Before(deadline); {
 		if lat := c.Small(10 * time.Microsecond); lat > worst {
 			worst = lat
 		}

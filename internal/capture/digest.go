@@ -215,7 +215,7 @@ func (c *collector) PenaltyServedFor(culpritID, victimID int, key core.ResourceK
 }
 
 // Blocked implements core.AttributionObserver (the ledger totals come from
-// Manager.Attribution at finalize time instead).
+// Manager.Status at finalize time instead).
 func (c *collector) Blocked(culpritID, victimID int, key core.ResourceKey, deferNs int64) {}
 
 // finalize computes percentiles, folds in the manager's attribution ledger,
@@ -245,7 +245,7 @@ func (c *collector) finalize(m *core.Manager) *Digest {
 	_, d.VictimRawP95, _ = percentiles(vicRaw)
 	_, d.VictimAdjP95, _ = percentiles(vicAdj)
 	if m != nil {
-		for _, rec := range m.Attribution() {
+		for _, rec := range m.Status().Attribution {
 			d.Attribution = append(d.Attribution, AttrCell{
 				Noisy:       rec.CulpritID,
 				Victim:      rec.VictimID,

@@ -1,0 +1,79 @@
+package capture
+
+import (
+	"bytes"
+	"errors"
+	"io"
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+// FuzzSegmentDecoder feeds the PBOXCAP segment decoder arbitrary bytes — a
+// capture log is read back from disk long after it was written, possibly by
+// another process. It must never panic; reject a header only with
+// ErrCorrupt and a record only with ErrTruncated or ErrCorrupt, leaving the
+// offset at the start of the rejected record; yield at most one record per
+// two bytes (the decoder allocates nothing per record, so that bounds the
+// caller's allocation); and whatever it accepts must survive a re-encode:
+// decoding the canonical encoding of the decoded records gives the same
+// encoding again.
+//
+//	go test -run NONE -fuzz FuzzSegmentDecoder -fuzztime 15s ./internal/capture
+func FuzzSegmentDecoder(f *testing.F) {
+	for _, seg := range []string{
+		filepath.Join("testdata", "golden", "v1.pblog"),
+		filepath.Join("testdata", "corpus", "c1", "seg-000001.pblog"),
+		filepath.Join("testdata", "corpus", "c2", "seg-000001.pblog"),
+	} {
+		data, err := os.ReadFile(seg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+		f.Add(data[:len(data)/2]) // torn tail
+	}
+	f.Add([]byte("NOTALOG\x01rest"))
+	f.Add([]byte(segMagic + "\x07"))
+	f.Add([]byte(segMagic + "\x01\x00"))                                             // zero kind
+	f.Add([]byte(segMagic + "\x01\x02\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff")) // uvarint overflow
+
+	decode := func(t *testing.T, data []byte) []Record {
+		dec, err := newDecoder(data)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("header rejected with %v, want ErrCorrupt", err)
+			}
+			return nil
+		}
+		var recs []Record
+		for {
+			at := dec.off
+			r, err := dec.next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				if !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("record %d rejected with %v, want ErrTruncated or ErrCorrupt", len(recs), err)
+				}
+				if errors.Is(err, ErrTruncated) && dec.off != at {
+					t.Fatalf("torn record at %d left the offset at %d", at, dec.off)
+				}
+				break
+			}
+			if dec.off < at+2 {
+				t.Fatalf("record %d consumed %d bytes", len(recs), dec.off-at)
+			}
+			recs = append(recs, r)
+		}
+		return recs
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		canon := encodeSegment(decode(t, data))
+		if again := encodeSegment(decode(t, canon)); !bytes.Equal(again, canon) {
+			t.Fatalf("re-encoding is not a fixed point:\n first %x\nsecond %x", canon, again)
+		}
+	})
+}

@@ -14,7 +14,7 @@ type Config struct {
 	// Options configures the replay manager. Observer, Now, Sleep, and
 	// Attribution are overwritten by Replay (they are the replay
 	// mechanism); everything else — detection thresholds, penalty policy
-	// bounds, shard count, spool size — is the caller's what-if knob.
+	// bounds — is the caller's what-if knob.
 	Options core.Options
 	// RuleLevel, when > 0, overrides the recorded isolation-rule level of
 	// every replayed pBox: the per-pBox detection-threshold knob.

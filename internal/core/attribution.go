@@ -137,11 +137,10 @@ type AttributionRecord struct {
 	PenaltyServed    time.Duration
 }
 
-// attributionVerdict builds the report. Caller holds m.verdictMu; lookup
-// resolves a pBox id to its live handle (or nil) and is supplied by the
-// caller because the registry lock, which guards the live table, is ordered
-// before verdictMu and must already be held.
-func (m *Manager) attributionVerdict(lookup func(id int) *PBox) []AttributionRecord {
+// attributionVerdict builds the report, most-blocking triple first (nil when
+// Options.Attribution was not set). Caller holds the registry lock — the
+// live table resolves current labels — and m.verdictMu.
+func (m *Manager) attributionVerdict() []AttributionRecord {
 	if m.attr == nil {
 		return nil
 	}
@@ -154,7 +153,7 @@ func (m *Manager) attributionVerdict(lookup func(id int) *PBox) []AttributionRec
 			VictimID:         k.victim,
 			VictimLabel:      e.victimLabel,
 			Key:              k.key,
-			Resource:         m.resourceName(k.key),
+			Resource:         m.ResourceName(k.key),
 			Blocked:          time.Duration(e.blockedNs),
 			Detections:       e.detections,
 			Actions:          e.actions,
@@ -162,12 +161,12 @@ func (m *Manager) attributionVerdict(lookup func(id int) *PBox) []AttributionRec
 			PenaltyServed:    time.Duration(e.servedNs),
 		}
 		// Live pBoxes may have been relabeled since the last ledger touch.
-		if p := lookup(k.culprit); p != nil {
+		if p := m.reg.pboxes[k.culprit]; p != nil {
 			if l := p.labelString(); l != "" {
 				rec.CulpritLabel = l
 			}
 		}
-		if p := lookup(k.victim); p != nil {
+		if p := m.reg.pboxes[k.victim]; p != nil {
 			if l := p.labelString(); l != "" {
 				rec.VictimLabel = l
 			}
@@ -189,32 +188,6 @@ func (m *Manager) attributionVerdict(lookup func(id int) *PBox) []AttributionRec
 	return out
 }
 
-// lookupPBoxRegLocked resolves an id in the live table. Caller holds the
-// registry lock.
-func (m *Manager) lookupPBoxRegLocked(id int) *PBox { return m.reg.pboxes[id] }
-
-// Attribution returns the culprit↔victim ledger, most-blocking triple first.
-// It returns nil when Options.Attribution was not set.
-func (m *Manager) Attribution() []AttributionRecord {
-	m.sweepSpools() // flush-on-read: spooled blocking must reach the ledger
-	m.reg.Lock()
-	defer m.reg.Unlock()
-	m.verdictMu.Lock()
-	defer m.verdictMu.Unlock()
-	return m.attributionVerdict(m.lookupPBoxRegLocked)
-}
-
-// AttributionDropped returns how many triples were not recorded because the
-// ledger hit its size cap.
-func (m *Manager) AttributionDropped() int64 {
-	m.verdictMu.Lock()
-	defer m.verdictMu.Unlock()
-	if m.attr == nil {
-		return 0
-	}
-	return m.attr.dropped
-}
-
 // Status is a consistent combined view of the manager: the per-pBox
 // snapshots and the attribution ledger, read under one stop-the-world
 // acquisition so an exporter (or incident dump) never pairs a pBox list
@@ -228,25 +201,15 @@ type Status struct {
 	// counts), ordered by key.
 	Resources []ResourceView
 	// TraceSeq is the trace ring's latest sequence number at snapshot time
-	// (0 when tracing is disabled): the cursor a reader passes to
-	// TraceView/TraceSince to stream events newer than this view.
+	// (0 when tracing is disabled): the cursor a reader passes to TraceView
+	// to stream events newer than this view.
 	TraceSeq uint64
 }
 
-// Status returns the combined snapshot, built precisely: spools are swept
-// first (flush-on-read), so every event issued before the call is visible.
-// Most consumers should use StatusView instead (the epoch-published view,
-// DESIGN.md §12), which costs readers one atomic load; Status remains for
-// consumers that need exactness — `pboxctl dump -precise`, differential
-// tests, and the snapshot rebuild itself.
-//
-// With the sharded manager there is no single lock whose acquisition makes
-// the view consistent, so the assembly briefly stops the world: it takes
-// the registry lock (no pBox can appear or vanish), then every shard lock
-// in index order (no event can move a waiter or holder or reach a verdict,
-// since verdicts are only reached from event paths that hold a shard lock),
-// then the verdict lock (the ledger cannot move). The combined view is
-// therefore exactly as consistent as the old single-mutex one.
+// Status is the precise read: RefreshStatusView's freshly built contents,
+// so every event issued before the call is visible. Most consumers should
+// use StatusView (one atomic load); this is for the ones that need
+// exactness — differential tests, replay digests, shutdown drains.
 func (m *Manager) Status() Status {
-	return m.collectStatus()
+	return m.RefreshStatusView().Status
 }

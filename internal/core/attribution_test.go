@@ -56,7 +56,7 @@ func TestAttributionLedgerAccumulates(t *testing.T) {
 	h.m.Freeze(victim)
 	h.m.Freeze(noisy)
 
-	recs := h.m.Attribution()
+	recs := h.m.Status().Attribution
 	if len(recs) == 0 {
 		t.Fatal("attribution ledger is empty after an overlapping hold")
 	}
@@ -119,7 +119,7 @@ func TestAttributionSurvivesRelease(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recs := h.m.Attribution()
+	recs := h.m.Status().Attribution
 	if len(recs) == 0 {
 		t.Fatal("ledger lost its entries after release")
 	}
@@ -135,7 +135,7 @@ func TestAttributionDisabledReturnsNil(t *testing.T) {
 	h.m.Activate(noisy)
 	h.m.Activate(victim)
 	driveNoisyVictim(h, noisy, victim, ResourceKey(1), 3*time.Millisecond)
-	if recs := h.m.Attribution(); recs != nil {
+	if recs := h.m.Status().Attribution; recs != nil {
 		t.Fatalf("Attribution() = %v with attribution disabled, want nil", recs)
 	}
 	st := h.m.Status()
@@ -201,11 +201,11 @@ func TestAttributionLedgerCap(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	recs := h.m.Attribution()
+	recs := h.m.Status().Attribution
 	if len(recs) != maxAttrEntries {
 		t.Fatalf("ledger holds %d entries, want capped at %d", len(recs), maxAttrEntries)
 	}
-	if d := h.m.AttributionDropped(); d != 50 {
+	if d := h.m.Status().AttributionDropped; d != 50 {
 		t.Fatalf("dropped = %d, want 50", d)
 	}
 }
@@ -290,7 +290,7 @@ func TestVerdictPathNoRecorderAllocFree(t *testing.T) {
 	if h.m.TotalActions() == 0 {
 		t.Fatal("warmup never scheduled an action; benchmark scenario is broken")
 	}
-	recs := h.m.Attribution()
+	recs := h.m.Status().Attribution
 	if len(recs) == 0 || recs[0].Detections < 50 {
 		t.Fatalf("verdicts not firing every cycle: %+v", recs)
 	}

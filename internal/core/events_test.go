@@ -144,7 +144,7 @@ func TestTailMetricUsesPerActivityHistory(t *testing.T) {
 		h.m.Freeze(p)
 	}
 
-	snap := p.Snapshot()
+	snap := p.snapshot()
 	// Each bad activity has ratio 400/100 = 4; the average over 20 would
 	// be ≈0.36, but the tail metric reports ≈4.
 	if snap.InterferenceLevel < 3 {

@@ -64,9 +64,6 @@ func (m *Manager) Hibernate(p *PBox) error {
 	return nil
 }
 
-// Hibernated returns the number of currently hibernated pBoxes.
-func (m *Manager) Hibernated() int64 { return m.self.hibernated.Load() }
-
 // compactHistoryLocked rewrites the activity-history ring as an exact-size,
 // oldest-first slice, shedding the slack capacity append growth left behind.
 // Verdict-neutral: every history consumer (the totalDefer/totalExec sums,

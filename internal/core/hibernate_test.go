@@ -42,16 +42,16 @@ func TestHibernateLifecycleAndRefusals(t *testing.T) {
 	if got := p.State().String(); got != "hibernated" {
 		t.Fatalf("state string = %q", got)
 	}
-	if got := h.m.Hibernated(); got != 1 {
+	if got := h.m.SelfStats().Hibernated; got != 1 {
 		t.Fatalf("Hibernated() = %d, want 1", got)
 	}
 	// Accounting survives compaction.
-	if s := p.Snapshot(); s.Activities != 2 || s.State != StateHibernated {
+	if s := p.snapshot(); s.Activities != 2 || s.State != StateHibernated {
 		t.Fatalf("snapshot after hibernate: %+v", s)
 	}
 	// Events against a hibernated pBox are dropped, like frozen.
 	h.m.Update(p, ResourceKey(2), Hold)
-	if n := h.m.Holders(ResourceKey(2)); n != 0 {
+	if n := contention(h.m, ResourceKey(2)).Holders; n != 0 {
 		t.Fatalf("hibernated pBox acquired a hold: %d", n)
 	}
 	// Activate wakes transparently.
@@ -59,7 +59,7 @@ func TestHibernateLifecycleAndRefusals(t *testing.T) {
 	if got := p.State(); got != StateActive {
 		t.Fatalf("state after wake = %v", got)
 	}
-	if got := h.m.Hibernated(); got != 0 {
+	if got := h.m.SelfStats().Hibernated; got != 0 {
 		t.Fatalf("Hibernated() after wake = %d, want 0", got)
 	}
 	st := h.m.SelfStats()
@@ -76,7 +76,7 @@ func TestHibernateLifecycleAndRefusals(t *testing.T) {
 	if err := h.m.Release(p); err != nil {
 		t.Fatalf("Release: %v", err)
 	}
-	if got := h.m.Hibernated(); got != 0 {
+	if got := h.m.SelfStats().Hibernated; got != 0 {
 		t.Fatalf("Hibernated() after release = %d, want 0", got)
 	}
 	if err := h.m.Hibernate(p); err != ErrReleased {
@@ -240,7 +240,7 @@ func TestHibernateWakeRaces(t *testing.T) {
 						t.Error("ErrReleased on live pBox")
 					}
 				case 5:
-					_ = p.Snapshot()
+					_ = p.snapshot()
 					_ = m.SelfStats()
 				case 6:
 					if w.BindDirect(p) == nil {
@@ -262,7 +262,7 @@ func TestHibernateWakeRaces(t *testing.T) {
 			t.Fatalf("Release: %v", err)
 		}
 	}
-	if got := m.Hibernated(); got != 0 {
+	if got := m.SelfStats().Hibernated; got != 0 {
 		t.Fatalf("hibernated gauge after releasing everything = %d, want 0", got)
 	}
 }
@@ -327,7 +327,7 @@ func TestHibernate100kMemoryBound(t *testing.T) {
 	h.m.Update(p, ResourceKey(1), Hold)
 	h.m.Update(p, ResourceKey(1), Unhold)
 	h.m.Freeze(p)
-	if s := p.Snapshot(); s.Activities != 2 {
+	if s := p.snapshot(); s.Activities != 2 {
 		t.Fatalf("woken pBox activities = %d, want 2", s.Activities)
 	}
 }

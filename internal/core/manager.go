@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -90,14 +89,6 @@ type Options struct {
 	// (256); a negative value disables spooling entirely, making
 	// Worker.Update equivalent to Manager.Update.
 	SpoolSize int
-
-	// SnapshotInterval is the bounded-staleness budget of the epoch
-	// snapshot read path (DESIGN.md §12): StatusView returns the published
-	// view as long as its manager-clock age is within the interval, and
-	// rebuilds otherwise. Zero selects the default (100ms); a negative
-	// value disables view caching, making every StatusView call a precise
-	// rebuild.
-	SnapshotInterval time.Duration
 }
 
 func (o Options) withDefaults() Options {
@@ -130,9 +121,6 @@ func (o Options) withDefaults() Options {
 	if o.SpoolSize == 0 {
 		o.SpoolSize = defaultSpoolSize
 	}
-	if o.SnapshotInterval == 0 {
-		o.SnapshotInterval = defaultSnapshotInterval
-	}
 	return o
 }
 
@@ -153,8 +141,8 @@ func (o Options) withDefaults() Options {
 //	verdictMu → leaves (actMu, penMu, …)
 //
 // and a shard lock is never held while acquiring the registry lock.
-// Consistent reads go through the epoch snapshot (StatusView, DESIGN.md
-// §12); only the precise APIs and the view rebuild itself stop the world.
+// Manager state is read through the epoch snapshot (StatusView, DESIGN.md
+// §12); only the view rebuild stops the world.
 type Manager struct {
 	opts Options
 
@@ -182,7 +170,7 @@ type Manager struct {
 	contention contentionTable
 
 	// spools registers every Worker's event spool so slow-path events and
-	// consistent reads can drain them (flush-on-read). The list only
+	// view rebuilds can drain them (flush-on-read). The list only
 	// grows — workers are per-thread state and live as long as their
 	// threads. Its lock is the outermost in the §8 order.
 	spools struct {
@@ -235,7 +223,11 @@ type Manager struct {
 
 	// crossings counts conceptual user/kernel boundary crossings: every
 	// manager entry point increments it. The lazy-unbind optimization
-	// (Section 5) is validated by this counter going down.
+	// (Section 5) is validated by this counter going down. Every event from
+	// every thread writes it, so it gets a line of its own: sharing one with
+	// the observer pointers above, read on every event, doubles the cost of
+	// a direct Update on two CPUs (BenchmarkManagerDisjointResources).
+	_         cacheLinePad
 	crossings atomic.Int64
 }
 
@@ -887,32 +879,6 @@ func (m *Manager) setSharedLocked(p *PBox, shared bool) {
 // Crossings returns the number of conceptual kernel crossings so far.
 func (m *Manager) Crossings() int64 { return m.crossings.Load() }
 
-// Waiters returns how many pBoxes currently wait on key (tests/diagnostics).
-func (m *Manager) Waiters(key ResourceKey) int {
-	m.sweepSpools() // flush-on-read: spooled records must be visible
-	s := m.lockShard(key)
-	defer s.mu.Unlock()
-	if cl := s.competitors[key]; cl != nil {
-		return len(cl.waiters)
-	}
-	return 0
-}
-
-// Holders returns how many pBoxes currently hold key (tests/diagnostics).
-func (m *Manager) Holders(key ResourceKey) int {
-	m.sweepSpools() // flush-on-read: spooled records must be visible
-	s := m.lockShard(key)
-	defer s.mu.Unlock()
-	return len(s.holdersByKey[key])
-}
-
-// Live returns the number of non-destroyed pBoxes.
-func (m *Manager) Live() int {
-	m.reg.Lock()
-	defer m.reg.Unlock()
-	return len(m.reg.pboxes)
-}
-
 // NameResource registers a human-readable name for a virtual-resource key,
 // so traces and telemetry print "bufpool" instead of a raw pointer value.
 // An empty name removes the registration. Names live under their shard's
@@ -936,12 +902,6 @@ func (m *Manager) NameResource(key ResourceKey, name string) {
 // It takes only the owning shard's name lock, so Observer implementations
 // may call it from inside hook callbacks.
 func (m *Manager) ResourceName(key ResourceKey) string {
-	return m.resourceName(key)
-}
-
-// resourceName looks up a registered resource name under the shard's name
-// lock.
-func (m *Manager) resourceName(key ResourceKey) string {
 	s := m.shardFor(key)
 	s.namesMu.RLock()
 	name := s.names[key]
@@ -950,27 +910,7 @@ func (m *Manager) resourceName(key ResourceKey) string {
 }
 
 // SetLabel attaches a diagnostic label to the pBox (connection name,
-// background-task name). Labels appear in Snapshots and telemetry.
+// background-task name). Labels appear in StatusView snapshots and telemetry.
 func (m *Manager) SetLabel(p *PBox, label string) {
 	p.label.Store(&label)
-}
-
-// Snapshots returns the accounting of every live pBox, ordered by id. It is
-// the data source of the telemetry exporter's /pboxes endpoint.
-func (m *Manager) Snapshots() []Snapshot {
-	m.sweepSpools() // flush-on-read: spooled records must be visible
-	m.reg.Lock()
-	defer m.reg.Unlock()
-	return m.snapshotsRegLocked()
-}
-
-// snapshotsRegLocked builds the ordered snapshot list. Caller holds the
-// registry lock; per-pBox accounting is read under each pBox's leaf locks.
-func (m *Manager) snapshotsRegLocked() []Snapshot {
-	out := make([]Snapshot, 0, len(m.reg.pboxes))
-	for _, p := range m.reg.pboxes {
-		out = append(out, p.snapshot())
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }

@@ -36,6 +36,25 @@ func newHarness(t *testing.T, mutate ...func(*Options)) *harness {
 
 func (h *harness) advance(d time.Duration) { h.now += int64(d) }
 
+// contention returns key's live waiter/holder counts from a precise Status
+// (the zero counts when nobody waits on or holds it).
+func contention(m *Manager, key ResourceKey) ResourceView {
+	for _, r := range m.Status().Resources {
+		if r.Key == key {
+			return r
+		}
+	}
+	return ResourceView{Key: key}
+}
+
+// preciseTrace returns the whole trace ring after a precise Status, so
+// spooled events have reached it.
+func preciseTrace(m *Manager) []TraceEntry {
+	m.Status()
+	tr, _ := m.TraceView(0)
+	return tr
+}
+
 func (h *harness) pbox(level float64) *PBox {
 	h.t.Helper()
 	p, err := h.m.Create(IsolationRule{Type: Relative, Level: level, Metric: MetricAverage})
@@ -78,7 +97,7 @@ func TestLifecycle(t *testing.T) {
 	if got := p.State(); got != StateFrozen {
 		t.Fatalf("state after freeze = %v, want frozen", got)
 	}
-	snap := p.Snapshot()
+	snap := p.snapshot()
 	if snap.Activities != 1 {
 		t.Fatalf("activities = %d, want 1", snap.Activities)
 	}
@@ -91,8 +110,8 @@ func TestLifecycle(t *testing.T) {
 	if err := h.m.Release(p); !errors.Is(err, ErrReleased) {
 		t.Fatalf("double release err = %v, want ErrReleased", err)
 	}
-	if h.m.Live() != 0 {
-		t.Fatalf("live = %d, want 0", h.m.Live())
+	if len(h.m.Status().Snapshots) != 0 {
+		t.Fatalf("live = %d, want 0", len(h.m.Status().Snapshots))
 	}
 }
 
@@ -103,18 +122,18 @@ func TestDeferAccounting(t *testing.T) {
 	key := ResourceKey(7)
 
 	h.m.Update(p, key, Prepare)
-	if h.m.Waiters(key) != 1 {
-		t.Fatalf("waiters = %d, want 1", h.m.Waiters(key))
+	if contention(h.m, key).Waiters != 1 {
+		t.Fatalf("waiters = %d, want 1", contention(h.m, key).Waiters)
 	}
 	h.advance(300 * time.Microsecond)
 	h.m.Update(p, key, Enter)
-	if h.m.Waiters(key) != 0 {
-		t.Fatalf("waiters after enter = %d, want 0", h.m.Waiters(key))
+	if contention(h.m, key).Waiters != 0 {
+		t.Fatalf("waiters after enter = %d, want 0", contention(h.m, key).Waiters)
 	}
 	h.advance(700 * time.Microsecond)
 	h.m.Freeze(p)
 
-	snap := p.Snapshot()
+	snap := p.snapshot()
 	if snap.TotalDefer != 300*time.Microsecond {
 		t.Fatalf("defer = %v, want 300µs", snap.TotalDefer)
 	}
@@ -130,13 +149,13 @@ func TestEventsIgnoredOutsideActiveWindow(t *testing.T) {
 	p := h.pbox(0.5)
 	key := ResourceKey(1)
 	h.m.Update(p, key, Prepare) // not active yet
-	if h.m.Waiters(key) != 0 {
+	if contention(h.m, key).Waiters != 0 {
 		t.Fatal("event before activate should be ignored")
 	}
 	h.m.Activate(p)
 	h.m.Freeze(p)
 	h.m.Update(p, key, Prepare) // frozen
-	if h.m.Waiters(key) != 0 {
+	if contention(h.m, key).Waiters != 0 {
 		t.Fatal("event after freeze should be ignored")
 	}
 }
@@ -176,7 +195,7 @@ func TestAlgorithm1Detection(t *testing.T) {
 	if h.m.TotalActions() != 1 {
 		t.Fatalf("actions = %d, want 1", h.m.TotalActions())
 	}
-	snap := noisy.Snapshot()
+	snap := noisy.snapshot()
 	if snap.PenaltiesReceived != 1 || snap.PenaltyTotal <= 0 {
 		t.Fatalf("noisy snapshot = %+v, want 1 penalty", snap)
 	}
@@ -555,11 +574,11 @@ func TestEventFilterDropsEvents(t *testing.T) {
 	p := h.pbox(0.5)
 	h.m.Activate(p)
 	h.m.Update(p, dropped, Prepare)
-	if h.m.Waiters(dropped) != 0 {
+	if contention(h.m, dropped).Waiters != 0 {
 		t.Fatal("filtered event reached the manager")
 	}
 	h.m.Update(p, ResourceKey(1), Prepare)
-	if h.m.Waiters(ResourceKey(1)) != 1 {
+	if contention(h.m, ResourceKey(1)).Waiters != 1 {
 		t.Fatal("unfiltered event dropped")
 	}
 }
@@ -573,8 +592,8 @@ func TestFreezeClearsStalePrepares(t *testing.T) {
 	h.m.Activate(p)
 	h.m.Update(p, key, Prepare)
 	h.m.Freeze(p)
-	if h.m.Waiters(key) != 0 {
-		t.Fatalf("stale waiter left after freeze: %d", h.m.Waiters(key))
+	if contention(h.m, key).Waiters != 0 {
+		t.Fatalf("stale waiter left after freeze: %d", contention(h.m, key).Waiters)
 	}
 }
 
@@ -587,16 +606,16 @@ func TestNestedHolds(t *testing.T) {
 	h.m.Activate(p)
 	h.m.Update(p, key, Hold)
 	h.m.Update(p, key, Hold)
-	if h.m.Holders(key) != 1 {
-		t.Fatalf("holders = %d, want 1", h.m.Holders(key))
+	if contention(h.m, key).Holders != 1 {
+		t.Fatalf("holders = %d, want 1", contention(h.m, key).Holders)
 	}
 	h.m.Update(p, key, Unhold)
-	if h.m.Holders(key) != 1 {
-		t.Fatalf("holders after inner unhold = %d, want 1", h.m.Holders(key))
+	if contention(h.m, key).Holders != 1 {
+		t.Fatalf("holders after inner unhold = %d, want 1", contention(h.m, key).Holders)
 	}
 	h.m.Update(p, key, Unhold)
-	if h.m.Holders(key) != 0 {
-		t.Fatalf("holders after outer unhold = %d, want 0", h.m.Holders(key))
+	if contention(h.m, key).Holders != 0 {
+		t.Fatalf("holders after outer unhold = %d, want 0", contention(h.m, key).Holders)
 	}
 }
 
@@ -621,7 +640,7 @@ func TestPenaltyLowersNoisyInterferenceLevel(t *testing.T) {
 	}
 	pen := h.sleeps[0]
 	h.m.Freeze(noisy)
-	snap := noisy.Snapshot()
+	snap := noisy.snapshot()
 	// Total exec includes the penalty, and defer stays zero, so the
 	// noisy pBox's own level is 0 — it can never accuse others because
 	// it was penalized.
@@ -643,7 +662,7 @@ func TestTraceRecordsEvents(t *testing.T) {
 	h.m.Update(p, ResourceKey(1), Hold)
 	h.m.Update(p, ResourceKey(1), Unhold)
 	h.m.Freeze(p)
-	tr := h.m.Trace()
+	tr := preciseTrace(h.m)
 	if len(tr) < 5 {
 		t.Fatalf("trace entries = %d, want >= 5", len(tr))
 	}
@@ -697,7 +716,7 @@ func TestDetectionDisabled(t *testing.T) {
 		t.Fatalf("actions = %d, want 0 with detection disabled", h.m.TotalActions())
 	}
 	// Accounting still happens.
-	if victim.Snapshot().TotalDefer == 0 {
+	if victim.snapshot().TotalDefer == 0 {
 		t.Fatal("defer accounting lost with detection disabled")
 	}
 }
@@ -714,9 +733,9 @@ func TestReleaseWhileHoldingCleansUp(t *testing.T) {
 	if err := h.m.Release(p); err != nil {
 		t.Fatalf("Release: %v", err)
 	}
-	if h.m.Holders(keyH) != 0 || h.m.Waiters(keyW) != 0 {
+	if contention(h.m, keyH).Holders != 0 || contention(h.m, keyW).Waiters != 0 {
 		t.Fatalf("dangling bookkeeping after release: holders=%d waiters=%d",
-			h.m.Holders(keyH), h.m.Waiters(keyW))
+			contention(h.m, keyH).Holders, contention(h.m, keyW).Waiters)
 	}
 }
 
@@ -753,7 +772,7 @@ func TestMaxMetricRule(t *testing.T) {
 	if h.m.TotalActions() < before {
 		t.Fatal("impossible")
 	}
-	snapLevel := victim.Snapshot().InterferenceLevel
+	snapLevel := victim.snapshot().InterferenceLevel
 	if snapLevel < 3.9 {
 		t.Fatalf("max-metric level = %v, want ≈4", snapLevel)
 	}
@@ -786,7 +805,7 @@ func TestReleaseClearsBookkeepingInPlace(t *testing.T) {
 		t.Fatal("release should clear the maps in place, not nil them")
 	}
 	for _, key := range []ResourceKey{1, 2, 3} {
-		if h.m.Waiters(key) != 0 || h.m.Holders(key) != 0 {
+		if c := contention(h.m, key); c.Waiters != 0 || c.Holders != 0 {
 			t.Fatalf("dangling shard bookkeeping on key %v after release", key)
 		}
 	}

@@ -162,8 +162,8 @@ func (p *PBox) labelString() string {
 	return ""
 }
 
-// Snapshot is a read-only view of a pBox's accounting, used by tests, the
-// experiment harness, and the telemetry exporter's /pboxes endpoint.
+// Snapshot is a read-only view of a pBox's accounting: one entry of a
+// StatusView's Snapshots.
 type Snapshot struct {
 	ID                int
 	Label             string
@@ -177,9 +177,6 @@ type Snapshot struct {
 	PenaltiesReceived int
 	PenaltyTotal      time.Duration // served penalty time
 }
-
-// Snapshot returns the pBox's current accounting.
-func (p *PBox) Snapshot() Snapshot { return p.snapshot() }
 
 // snapshot builds the snapshot under the pBox's leaf locks (taken one at a
 // time); it needs no manager-wide lock.

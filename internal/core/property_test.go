@@ -68,12 +68,12 @@ func TestPropDeferNeverNegative(t *testing.T) {
 			h.advance(time.Duration(op%7) * time.Microsecond)
 		}
 		h.m.Freeze(p)
-		snap := p.Snapshot()
+		snap := p.snapshot()
 		if snap.TotalDefer < 0 || snap.TotalDefer > snap.TotalExec {
 			return false
 		}
 		for _, key := range keys {
-			if h.m.Waiters(key) != 0 {
+			if contention(h.m, key).Waiters != 0 {
 				return false // freeze must clear stale waiters
 			}
 		}
@@ -140,11 +140,11 @@ func TestPropManagerSurvivesRandomMultiPBoxTraffic(t *testing.T) {
 			}
 		}
 		for _, key := range keys {
-			if h.m.Waiters(key) != 0 || h.m.Holders(key) != 0 {
+			if c := contention(h.m, key); c.Waiters != 0 || c.Holders != 0 {
 				return false
 			}
 		}
-		return h.m.Live() == 0
+		return len(h.m.Status().Snapshots) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

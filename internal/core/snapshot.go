@@ -8,31 +8,31 @@ import (
 	"pbox/internal/exec"
 )
 
-// Epoch-based snapshot reads (DESIGN.md §12). The precise read path
-// (Status, Snapshots, Attribution, Trace, Waiters, Holders) stops the
-// world: it sweeps every worker spool and takes every shard lock in index
-// order, so a 1 Hz dashboard poller against a manager ingesting millions of
-// events per second is itself a source of cross-pBox interference — exactly
-// the effect the isolation layer exists to prevent. This file is the
-// zero-interference alternative: the manager publishes an immutable
-// StatusView through one atomic pointer, readers load it with no locks and
-// no flushes, and the view is rebuilt at most once per SnapshotInterval
-// (bounded staleness, default 100ms). Only consumers that ask for precision
-// (`pboxctl dump -precise`, the differential tests) still pay the
-// stop-the-world flush-on-read cost.
+// Epoch-based snapshot reads (DESIGN.md §12): the immutable StatusView is
+// the only way manager state leaves this package. Assembling one stops the
+// world — it sweeps every worker spool and takes every shard lock in index
+// order — so a dashboard poller doing that per request against a manager
+// ingesting millions of events per second would itself be a source of
+// cross-pBox interference, exactly the effect the isolation layer exists to
+// prevent. Instead the manager publishes the view through one atomic
+// pointer, readers load it with no locks and no flushes, and it is rebuilt
+// at most once per SnapshotInterval (bounded staleness). A consumer that
+// needs every event issued so far to be visible asks for the rebuild
+// explicitly (RefreshStatusView, or Status for just the contents).
 //
 // Epoch protocol: a reader that finds the published view older than the
 // interval escalates to rebuildView, which single-flights concurrent
 // escalations on Manager.snap (the outermost lock in the §8 order — the
 // rebuild sweeps spools and stops the world under it), double-checks the
-// view age, runs the same collectStatus assembly Status() uses, and
-// publishes the result with Epoch = previous+1. Readers therefore observe a
-// strictly monotonic epoch sequence of internally-consistent views, and a
-// returned view's manager-clock age never exceeds the interval.
+// view age, runs collectStatus, and publishes the result with Epoch =
+// previous+1. Readers therefore observe a strictly monotonic epoch sequence
+// of internally-consistent views, and a returned view's manager-clock age
+// never exceeds the interval.
 
-// defaultSnapshotInterval is the bounded-staleness budget when
-// Options.SnapshotInterval is zero.
-const defaultSnapshotInterval = 100 * time.Millisecond
+// SnapshotInterval is the bounded-staleness budget of the snapshot read
+// path: StatusView returns the published view while its manager-clock age is
+// within the interval and rebuilds otherwise.
+const SnapshotInterval = 100 * time.Millisecond
 
 // ResourceView is the per-resource contention summary of a snapshot: how
 // many pBoxes wait on and hold one virtual resource.
@@ -61,7 +61,7 @@ type StatusView struct {
 }
 
 // StatusView returns the current published snapshot, rebuilding it first if
-// it is older than Options.SnapshotInterval (or absent). The common case is
+// it is older than SnapshotInterval (or absent). The common case is
 // one atomic pointer load and one clock read: no shard locks, no spool
 // flushes, no allocation — a poller at any frequency costs the event hot
 // path nothing beyond one rebuild per interval.
@@ -69,19 +69,18 @@ type StatusView struct {
 //pbox:snapshotreader
 func (m *Manager) StatusView() *StatusView {
 	now := m.opts.Now()
-	if v := m.snap.view.Load(); v != nil {
-		if iv := m.opts.SnapshotInterval; iv > 0 && now-v.BuiltAt <= int64(iv) {
-			m.self.snapshotHits.Add(1)
-			return v
-		}
+	if v := m.snap.view.Load(); v != nil && now-v.BuiltAt <= int64(SnapshotInterval) {
+		m.self.snapshotHits.Add(1)
+		return v
 	}
 	return m.rebuildView(now, false)
 }
 
-// RefreshStatusView forces a rebuild and returns the fresh view: every
-// event applied before the call is visible in the result. It is the
-// epoch-published equivalent of Status() — the flight recorder uses it for
-// detection-triggered captures, where the verdict that fired must appear.
+// RefreshStatusView forces a rebuild and returns the fresh view: every event
+// issued before the call — including records still sitting in worker spools
+// — is visible in the result. It is the one precise escalation of the read
+// path; the flight recorder builds every incident bundle from it, so the
+// verdict that fired is in the bundle.
 func (m *Manager) RefreshStatusView() *StatusView {
 	return m.rebuildView(m.opts.Now(), true)
 }
@@ -109,11 +108,9 @@ func (m *Manager) rebuildView(now int64, force bool) *StatusView {
 	if !force {
 		// Double-check: a rebuild that raced this one may have published a
 		// fresh view while this caller waited on snap.
-		if v := m.snap.view.Load(); v != nil {
-			if iv := m.opts.SnapshotInterval; iv > 0 && now-v.BuiltAt <= int64(iv) {
-				m.self.snapshotHits.Add(1)
-				return v
-			}
+		if v := m.snap.view.Load(); v != nil && now-v.BuiltAt <= int64(SnapshotInterval) {
+			m.self.snapshotHits.Add(1)
+			return v
 		}
 	}
 	t0 := exec.Now()
@@ -134,12 +131,14 @@ func (m *Manager) rebuildView(now int64, force bool) *StatusView {
 	return v
 }
 
-// collectStatus is the precise stop-the-world assembly shared by Status()
-// and the snapshot rebuild: sweep the spools (flush-on-read), then hold the
-// registry, every shard in index order, and the verdict lock while reading
-// the pBox list, the attribution ledger, and the resource-side
-// waiter/holder sets, so the combined view never pairs state from two
-// instants.
+// collectStatus is the stop-the-world assembly behind every view rebuild.
+// With the sharded manager there is no single lock whose acquisition makes
+// the view consistent, so it sweeps the spools (flush-on-read), then takes
+// the registry lock (no pBox can appear or vanish), every shard lock in
+// index order (no event can move a waiter or holder or reach a verdict,
+// since verdicts are only reached from event paths that hold a shard lock),
+// and the verdict lock (the ledger cannot move). The combined view therefore
+// never pairs state from two instants. Caller holds m.snap.
 func (m *Manager) collectStatus() Status {
 	m.sweepSpools() // flush-on-read: spooled events must be visible (§10)
 	m.reg.Lock()
@@ -149,10 +148,14 @@ func (m *Manager) collectStatus() Status {
 	m.verdictMu.Lock()
 	defer m.verdictMu.Unlock()
 	st := Status{
-		Snapshots:   m.snapshotsRegLocked(),
-		Attribution: m.attributionVerdict(m.lookupPBoxRegLocked),
+		Snapshots:   make([]Snapshot, 0, len(m.reg.pboxes)),
+		Attribution: m.attributionVerdict(),
 		Resources:   m.resourceViewsShardsLocked(),
 	}
+	for _, p := range m.reg.pboxes {
+		st.Snapshots = append(st.Snapshots, p.snapshot())
+	}
+	sort.Slice(st.Snapshots, func(i, j int) bool { return st.Snapshots[i].ID < st.Snapshots[j].ID })
 	if m.attr != nil {
 		st.AttributionDropped = m.attr.dropped
 	}
@@ -173,7 +176,7 @@ func (m *Manager) resourceViewsShardsLocked() []ResourceView {
 		if !ok {
 			i = len(out)
 			idx[key] = i
-			out = append(out, ResourceView{Key: key, Name: m.resourceName(key)})
+			out = append(out, ResourceView{Key: key, Name: m.ResourceName(key)})
 		}
 		return i
 	}
@@ -195,10 +198,11 @@ func (m *Manager) resourceViewsShardsLocked() []ResourceView {
 	return out
 }
 
-// TraceView returns trace entries with sequence number greater than since
-// straight from the ring — no spool sweep, unlike TraceSince, so spooled
-// events not yet flushed by a write-side trigger are not visible. Pair it
-// with a StatusView's TraceSeq cursor to stream events newer than the
+// TraceView returns the trace entries with sequence number greater than
+// since that are still in the ring, plus the latest sequence number, straight
+// from the ring — no spool sweep, so spooled events not yet flushed by a
+// write-side trigger are not visible; call Status first when they must be.
+// Pair it with a view's TraceSeq cursor to stream events newer than the
 // snapshot. Returns (nil, 0) when tracing was not enabled.
 //
 //pbox:snapshotreader
@@ -287,7 +291,6 @@ type SelfStats struct {
 	// Snapshot read path.
 	SnapshotEpoch      uint64        // epoch of the published view (0 = none yet)
 	SnapshotAge        time.Duration // manager-clock age of the published view
-	SnapshotInterval   time.Duration // configured staleness budget
 	SnapshotBuilds     int64         // stop-the-world view rebuilds
 	SnapshotCacheHits  int64         // reads served by the published view
 	SnapshotLastBuild  time.Duration // wall-clock cost of the latest rebuild
@@ -296,7 +299,7 @@ type SelfStats struct {
 	// Spool / two-tier ingestion.
 	SpoolFlushes       int64 // non-empty spool flushes
 	SpoolFlushedEvents int64 // events replayed out of spools
-	SpoolSweeps        int64 // all-spool sweeps (contended hand-offs + precise reads)
+	SpoolSweeps        int64 // all-spool sweeps (contended hand-offs + view rebuilds)
 	SpoolOverflows     int64 // appends that failed (full or foreign buffer), forcing a flush
 
 	// Contention-slot table.
@@ -330,7 +333,6 @@ type SelfStats struct {
 //pbox:snapshotreader
 func (m *Manager) SelfStats() SelfStats {
 	st := SelfStats{
-		SnapshotInterval:      m.opts.SnapshotInterval,
 		SnapshotBuilds:        m.self.snapshotBuilds.Load(),
 		SnapshotCacheHits:     m.self.snapshotHits.Load(),
 		SnapshotLastBuild:     time.Duration(m.self.snapshotLastBuildNs.Load()),

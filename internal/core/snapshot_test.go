@@ -70,20 +70,10 @@ func TestSnapshotRefreshForcesRebuild(t *testing.T) {
 	}
 }
 
-// TestSnapshotIntervalDisabled: a negative SnapshotInterval turns caching
-// off — every read rebuilds.
-func TestSnapshotIntervalDisabled(t *testing.T) {
-	h := newHarness(t, func(o *Options) { o.SnapshotInterval = -1 })
-	v1 := h.m.StatusView()
-	v2 := h.m.StatusView()
-	if v2.Epoch != v1.Epoch+1 {
-		t.Fatalf("disabled caching still served epoch %d after %d", v2.Epoch, v1.Epoch)
-	}
-}
-
-// TestSnapshotDifferentialQuiesced: with no concurrent writers, a forced
-// snapshot equals the precise flush-on-read Status() dump field for field —
-// the epoch path loses only freshness, never content.
+// TestSnapshotDifferentialQuiesced: with no concurrent writers, two
+// consecutive rebuilds agree field for field, and Status() is exactly the
+// refreshed view's contents — the epoch path loses only freshness, never
+// content.
 func TestSnapshotDifferentialQuiesced(t *testing.T) {
 	h := newHarness(t, func(o *Options) { o.Attribution = true })
 	noisy := h.pbox(0.5)
@@ -124,9 +114,8 @@ func TestSnapshotDifferentialQuiesced(t *testing.T) {
 
 // TestSnapshotCachedViewMissesSpooledEvents pins the staleness trade
 // explicitly: events still sitting in a worker spool are invisible to the
-// cached view but visible to the precise flush-on-read Status() — and the
-// precise read does not republish, so the cached view stays stale until the
-// interval expires or a refresh is forced.
+// cached view until the interval expires or a precise read — Status() or
+// RefreshStatusView(), one path — sweeps the spool and republishes.
 func TestSnapshotCachedViewMissesSpooledEvents(t *testing.T) {
 	h := newHarness(t)
 	p := h.pbox(0.5)
@@ -148,15 +137,10 @@ func TestSnapshotCachedViewMissesSpooledEvents(t *testing.T) {
 		t.Fatalf("precise Status missed the spooled hold: %+v", precise.Resources)
 	}
 
-	// Status() must not have republished: the cached view is still epoch 1
-	// without the holder.
-	if v3 := h.m.StatusView(); v3 != v1 {
-		t.Fatalf("precise read republished the view: epoch %d", v3.Epoch)
-	}
-
-	v4 := h.m.RefreshStatusView()
-	if len(v4.Resources) != 1 || v4.Resources[0].Holders != 1 {
-		t.Fatalf("refreshed view missed the flushed hold: %+v", v4.Resources)
+	// Status() is a refresh: the next cached read is that view, epoch 2.
+	v3 := h.m.StatusView()
+	if v3.Epoch != v1.Epoch+1 || len(v3.Resources) != 1 || v3.Resources[0].Holders != 1 {
+		t.Fatalf("view after precise read: epoch %d resources %+v, want epoch %d with the hold", v3.Epoch, v3.Resources, v1.Epoch+1)
 	}
 }
 
@@ -166,10 +150,9 @@ func TestSnapshotCachedViewMissesSpooledEvents(t *testing.T) {
 // every view is internally non-torn (BuiltAt set, epoch > 0).
 func TestConcurrentSnapshotReadersWriters(t *testing.T) {
 	m := NewManager(Options{
-		Sleep:            func(time.Duration) {},
-		SnapshotInterval: time.Millisecond,
-		TraceSize:        256,
-		Attribution:      true,
+		Sleep:       func(time.Duration) {},
+		TraceSize:   256,
+		Attribution: true,
 	})
 	const writers, readers = 4, 3
 	var quit atomic.Bool

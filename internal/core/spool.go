@@ -53,9 +53,8 @@ import (
 //
 // Flush triggers: the spool fills, a slow-path event arrives on the worker
 // (own spool first, so per-pBox order holds), the worker rebinds or unbinds,
-// the pBox is Activated/Frozen/Released, or a consistent read needs the
-// spooled state (Status, Snapshots, Attribution, Trace, Waiters, Holders —
-// flush-on-read via the registered-spool sweep).
+// the pBox is Activated/Frozen/Released/Hibernated, or a StatusView rebuild
+// needs the spooled state (flush-on-read via the registered-spool sweep).
 
 // contentionSlots is the fixed size of the contention-slot table (power of
 // two). More slots mean fewer aliasing collisions, and a collision costs
@@ -269,9 +268,10 @@ func (m *Manager) markContended(key ResourceKey) {
 // contendedSlot is the sticky "slow path only" slot value.
 const contendedSlot = -1
 
-// sweepSpools flushes every registered spool (flush-on-read, and the drain
-// half of markContended). Flushes run with serve=false: the sweep may be a
-// diagnostics reader, which must never sleep a penalty on a pBox's behalf.
+// sweepSpools flushes every registered spool: the drain half of
+// markContended and the flush-on-read of collectStatus, its only two callers.
+// Flushes run with serve=false: the sweep may be a diagnostics reader, which
+// must never sleep a penalty on a pBox's behalf.
 func (m *Manager) sweepSpools() {
 	m.self.spoolSweeps.Add(1)
 	m.spools.Lock()

@@ -191,8 +191,8 @@ func runSpoolDiffScript(t *testing.T, spooled, withObserver bool) diffResult {
 		res.attr[diffTriple{r.CulpritID, r.VictimID, r.Key}] = r
 	}
 	for _, key := range []ResourceKey{coldN, coldV, shared} {
-		if w, hd := h.m.Waiters(key), h.m.Holders(key); w != 0 || hd != 0 {
-			t.Fatalf("dangling bookkeeping on key %#x: waiters=%d holders=%d", uintptr(key), w, hd)
+		if c := contention(h.m, key); c.Waiters != 0 || c.Holders != 0 {
+			t.Fatalf("dangling bookkeeping on key %#x: waiters=%d holders=%d", uintptr(key), c.Waiters, c.Holders)
 		}
 	}
 	return res
@@ -335,15 +335,15 @@ func TestSpoolFlushOnReadStatus(t *testing.T) {
 	hd, _, _ := run(false)
 
 	// Holders/Waiters sweep the registered spools before reading shard state.
-	if got, want := hs.m.Holders(9), hd.m.Holders(9); got != want || got != 1 {
+	if got, want := contention(hs.m, 9).Holders, contention(hd.m, 9).Holders; got != want || got != 1 {
 		t.Fatalf("Holders(9): spooled %d, direct %d, want 1", got, want)
 	}
-	if got, want := hs.m.Waiters(7), hd.m.Waiters(7); got != want || got != 0 {
+	if got, want := contention(hs.m, 7).Waiters, contention(hd.m, 7).Waiters; got != want || got != 0 {
 		t.Fatalf("Waiters(7): spooled %d, direct %d, want 0", got, want)
 	}
 	// Trace flushes on read too, and replayed entries carry the recorded
 	// event times, so the traces agree event for event.
-	ts, td := hs.m.Trace(), hd.m.Trace()
+	ts, td := preciseTrace(hs.m), preciseTrace(hd.m)
 	if len(ts) != len(td) {
 		t.Fatalf("trace length: spooled %d, direct %d", len(ts), len(td))
 	}
@@ -380,7 +380,7 @@ func TestSpoolEdgeCapacities(t *testing.T) {
 		h.advance(20 * time.Microsecond)
 		upd(5, Unhold)
 		upd(6, Hold)
-		if got := h.m.Holders(6); got != 1 {
+		if got := contention(h.m, 6).Holders; got != 1 {
 			t.Fatalf("Holders(6) mid-script = %d, want 1", got)
 		}
 		upd(6, Unhold)
@@ -388,7 +388,7 @@ func TestSpoolEdgeCapacities(t *testing.T) {
 	}
 	finish := func(h *harness, p *PBox) Snapshot {
 		h.m.Freeze(p)
-		return p.Snapshot()
+		return p.snapshot()
 	}
 
 	// Reference: direct updates.
@@ -498,7 +498,7 @@ func TestEventFilterSpoolOrdering(t *testing.T) {
 	if got := h.m.contentionSlot(key).Load(); got != int64(p.id) {
 		t.Fatalf("slot after filtered Unholds = %d, want claim %d intact", got, p.id)
 	}
-	if got := h.m.Holders(key); got != 1 {
+	if got := contention(h.m, key).Holders; got != 1 {
 		t.Fatalf("Holders = %d, want 1 (the accepted Hold, Unholds filtered)", got)
 	}
 	// No competitor-list entry may have been created for the filtered
@@ -512,7 +512,7 @@ func TestEventFilterSpoolOrdering(t *testing.T) {
 	if leaked {
 		t.Fatal("filtered events leaked competitor-list waiter entries")
 	}
-	if got := h.m.Waiters(key); got != 0 {
+	if got := contention(h.m, key).Waiters; got != 0 {
 		t.Fatalf("Waiters = %d, want 0", got)
 	}
 }
@@ -550,9 +550,9 @@ func TestSpoolFlushRacesLifecycle(t *testing.T) {
 			default:
 			}
 			_ = m.Status()
-			_ = m.Trace()
-			_ = m.Attribution()
-			_ = m.Holders(hot)
+			_ = preciseTrace(m)
+			_ = m.Status().Attribution
+			_ = contention(m, hot).Holders
 		}
 	}()
 
@@ -612,21 +612,21 @@ func TestSpoolFlushRacesLifecycle(t *testing.T) {
 	close(stopReaders)
 	readers.Wait()
 
-	if live := m.Live(); live != 0 {
+	if live := len(m.Status().Snapshots); live != 0 {
 		t.Fatalf("live pboxes after race = %d", live)
 	}
 	// Release tears down every shard-side record regardless of which events
 	// the races dropped, so nothing may dangle.
-	if w, hd := m.Waiters(hot), m.Holders(hot); w != 0 || hd != 0 {
-		t.Fatalf("dangling bookkeeping on hot key: waiters=%d holders=%d", w, hd)
+	if c := contention(m, hot); c.Waiters != 0 || c.Holders != 0 {
+		t.Fatalf("dangling bookkeeping on hot key: waiters=%d holders=%d", c.Waiters, c.Holders)
 	}
 	for g := 0; g < workers; g++ {
 		for r := 0; r < rounds; r++ {
 			for i := 0; i < 8; i++ {
 				key := ResourceKey(0x10000 + g*0x1000 + r*0x100 + i)
-				if w, hd := m.Waiters(key), m.Holders(key); w != 0 || hd != 0 {
+				if c := contention(m, key); c.Waiters != 0 || c.Holders != 0 {
 					t.Fatalf("dangling bookkeeping on cold key %#x: waiters=%d holders=%d",
-						uintptr(key), w, hd)
+						uintptr(key), c.Waiters, c.Holders)
 				}
 			}
 		}

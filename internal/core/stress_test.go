@@ -47,11 +47,11 @@ func TestConcurrentManagerStress(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if m.Live() != 0 {
-		t.Fatalf("live pboxes after stress = %d", m.Live())
+	if len(m.Status().Snapshots) != 0 {
+		t.Fatalf("live pboxes after stress = %d", len(m.Status().Snapshots))
 	}
 	for _, key := range keys {
-		if m.Waiters(key) != 0 || m.Holders(key) != 0 {
+		if c := contention(m, key); c.Waiters != 0 || c.Holders != 0 {
 			t.Fatalf("dangling bookkeeping on key %v", key)
 		}
 	}
@@ -126,7 +126,7 @@ func TestPenaltySleepRunsOffManagerLock(t *testing.T) {
 		t.Fatalf("manager blocked for %v during a penalty sleep", el)
 	}
 	<-done
-	if noisy.Snapshot().PenaltiesReceived != 1 {
+	if noisy.snapshot().PenaltiesReceived != 1 {
 		t.Fatal("penalty was not served")
 	}
 }
@@ -199,10 +199,10 @@ func TestConcurrentStressReconciles(t *testing.T) {
 			default:
 			}
 			_ = m.Status()
-			_ = m.Snapshots()
+			_ = m.Status().Snapshots
 			_ = m.ActionReport()
-			_ = m.Trace()
-			_ = m.Attribution()
+			_ = preciseTrace(m)
+			_ = m.Status().Attribution
 		}
 	}()
 
@@ -253,7 +253,7 @@ func TestConcurrentStressReconciles(t *testing.T) {
 	readers.Wait()
 
 	// Quiescent: the books must balance.
-	if live := m.Live(); live != 0 {
+	if live := len(m.Status().Snapshots); live != 0 {
 		t.Fatalf("live pboxes after stress = %d", live)
 	}
 	if obs.created.Load() != int64(workers*rounds) || obs.released.Load() != int64(workers*rounds) {
@@ -262,21 +262,21 @@ func TestConcurrentStressReconciles(t *testing.T) {
 	}
 	for g := 0; g < workers; g++ {
 		for i := 0; i < 8; i++ {
-			if key := ResourceKey(0x1000 + g*8 + i); m.Waiters(key) != 0 || m.Holders(key) != 0 {
+			if key := ResourceKey(0x1000 + g*8 + i); contention(m, key) != (ResourceView{Key: key}) {
 				t.Fatalf("dangling bookkeeping on cold key %#x", uintptr(key))
 			}
 		}
 	}
 	for _, key := range hotKeys {
-		if m.Waiters(key) != 0 || m.Holders(key) != 0 {
+		if c := contention(m, key); c.Waiters != 0 || c.Holders != 0 {
 			t.Fatalf("dangling bookkeeping on hot key %#x", uintptr(key))
 		}
 	}
-	if d := m.AttributionDropped(); d != 0 {
+	if d := m.Status().AttributionDropped; d != 0 {
 		t.Fatalf("attribution ledger dropped %d triples; totals would not reconcile", d)
 	}
 	var ledgerBlocked, ledgerServed time.Duration
-	for _, rec := range m.Attribution() {
+	for _, rec := range m.Status().Attribution {
 		ledgerBlocked += rec.Blocked
 		ledgerServed += rec.PenaltyServed
 	}
@@ -291,7 +291,7 @@ func TestConcurrentStressReconciles(t *testing.T) {
 	}
 	var snapshotServed time.Duration
 	for _, p := range handles {
-		snapshotServed += p.Snapshot().PenaltyTotal
+		snapshotServed += p.snapshot().PenaltyTotal
 	}
 	if got, want := int64(snapshotServed), obs.servedNs.Load(); got != want {
 		t.Fatalf("served time: per-pbox snapshots=%d observer=%d", got, want)

@@ -77,39 +77,32 @@ func (r *traceRing) add(e TraceEntry) {
 	}
 }
 
-// orderedLocked returns the ring contents oldest first. Caller holds r.mu;
-// the result aliases nothing.
-func (r *traceRing) orderedLocked() []TraceEntry {
-	if !r.full {
-		out := make([]TraceEntry, len(r.entries))
-		copy(out, r.entries)
-		return out
-	}
-	out := make([]TraceEntry, 0, cap(r.entries))
-	out = append(out, r.entries[r.pos:]...)
-	out = append(out, r.entries[:r.pos]...)
-	return out
-}
-
-func (r *traceRing) snapshot() []TraceEntry {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.orderedLocked()
-}
-
 // snapshotSince returns the entries with sequence number > since that are
 // still in the ring (older ones have been overwritten), plus the current
-// tail sequence to pass to the next call.
+// tail sequence to pass to the next call. A caught-up caller returns on the
+// atomic alone; otherwise only the new tail is copied under the mutex the
+// event path appends under.
 func (r *traceRing) snapshotSince(since uint64) ([]TraceEntry, uint64) {
+	if seq := r.seq.Load(); seq <= since {
+		return nil, seq
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	all := r.orderedLocked()
-	for i, e := range all {
-		if e.Seq > since {
-			return all[i:], r.seq.Load()
-		}
+	// Entries carry consecutive sequence numbers ending at seq, so the
+	// wanted ones are the newest min(seq-since, len). They end at r.pos once
+	// the ring has wrapped (the slot the next add overwrites), at len before.
+	seq := r.seq.Load()
+	n := int(min(seq-since, uint64(len(r.entries))))
+	end := len(r.entries)
+	if r.full {
+		end = r.pos
 	}
-	return nil, r.seq.Load()
+	out := make([]TraceEntry, 0, n)
+	if n > end {
+		out = append(out, r.entries[len(r.entries)-(n-end):]...)
+		n = end
+	}
+	return append(out, r.entries[end-n:end]...), seq
 }
 
 // waitCh returns a channel that is closed once the ring's sequence advances
@@ -162,32 +155,10 @@ func (m *Manager) traceEventAt(p *PBox, key ResourceKey, what string, extra time
 		At:    time.Duration(atNs),
 		PBox:  p.id,
 		Key:   key,
-		Name:  m.resourceName(key),
+		Name:  m.ResourceName(key),
 		What:  what,
 		Extra: extra,
 	})
-}
-
-// Trace returns the trace entries recorded so far, oldest first. It returns
-// nil when tracing was not enabled.
-func (m *Manager) Trace() []TraceEntry {
-	if m.trace == nil {
-		return nil
-	}
-	m.sweepSpools() // flush-on-read: spooled events must reach the ring
-	return m.trace.snapshot()
-}
-
-// TraceSince returns the trace entries with sequence number greater than
-// since that are still in the ring, plus the latest sequence number. With
-// since == 0 it behaves like Trace. It returns (nil, 0) when tracing was not
-// enabled.
-func (m *Manager) TraceSince(since uint64) ([]TraceEntry, uint64) {
-	if m.trace == nil {
-		return nil, 0
-	}
-	m.sweepSpools() // flush-on-read: spooled events must reach the ring
-	return m.trace.snapshotSince(since)
 }
 
 // TraceNotify returns a channel that is closed once an entry with sequence

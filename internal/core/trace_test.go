@@ -11,9 +11,9 @@ func TestTraceRingWraparound(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		r.add(TraceEntry{PBox: i})
 	}
-	got := r.snapshot()
-	if len(got) != 4 {
-		t.Fatalf("snapshot length = %d, want 4", len(got))
+	got, next := r.snapshotSince(0)
+	if len(got) != 4 || next != 10 {
+		t.Fatalf("snapshot length = %d next = %d, want 4, 10", len(got), next)
 	}
 	// Oldest-first: entries 6,7,8,9.
 	for i, e := range got {
@@ -21,13 +21,31 @@ func TestTraceRingWraparound(t *testing.T) {
 			t.Fatalf("entry %d = pbox %d, want %d", i, e.PBox, 6+i)
 		}
 	}
+	// Every cursor at every ring phase returns exactly the entries newer
+	// than it that the ring still holds: only the tail is copied, whether it
+	// straddles the wrap point or not.
+	for adds := 10; adds < 15; adds++ {
+		for since := uint64(0); since <= uint64(adds)+1; since++ {
+			got, next := r.snapshotSince(since)
+			first := max(since, uint64(adds)-4) // PBox of the oldest wanted entry
+			if next != uint64(adds) || len(got) != int(uint64(adds)-min(first, uint64(adds))) {
+				t.Fatalf("adds=%d since=%d: %d entries next=%d", adds, since, len(got), next)
+			}
+			for i, e := range got {
+				if e.PBox != int(first)+i || e.Seq != first+uint64(i)+1 {
+					t.Fatalf("adds=%d since=%d: entry %d = pbox %d seq %d", adds, since, i, e.PBox, e.Seq)
+				}
+			}
+		}
+		r.add(TraceEntry{PBox: adds})
+	}
 }
 
 func TestTraceRingPartialFill(t *testing.T) {
 	r := newTraceRing(8)
 	r.add(TraceEntry{PBox: 1})
 	r.add(TraceEntry{PBox: 2})
-	got := r.snapshot()
+	got, _ := r.snapshotSince(0)
 	if len(got) != 2 || got[0].PBox != 1 || got[1].PBox != 2 {
 		t.Fatalf("snapshot = %+v", got)
 	}
@@ -38,7 +56,7 @@ func TestTraceDisabledByDefault(t *testing.T) {
 	p, _ := m.Create(DefaultRule())
 	m.Activate(p)
 	m.Freeze(p)
-	if tr := m.Trace(); tr != nil {
+	if tr := preciseTrace(m); tr != nil {
 		t.Fatalf("trace = %v with tracing disabled", tr)
 	}
 }
@@ -69,7 +87,7 @@ func TestTraceCapturesActions(t *testing.T) {
 	h.m.Update(noisy, ResourceKey(1), Unhold)
 
 	var sawAction, sawPenalty bool
-	for _, e := range h.m.Trace() {
+	for _, e := range preciseTrace(h.m) {
 		if strings.HasPrefix(e.What, "action:") {
 			sawAction = true
 			if e.Extra <= 0 {
@@ -93,7 +111,7 @@ func TestTraceRingZeroCapacity(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			r.add(TraceEntry{What: "e", PBox: i})
 		}
-		got := r.snapshot()
+		got, _ := r.snapshotSince(0)
 		if len(got) != 1 || got[0].PBox != 2 {
 			t.Fatalf("newTraceRing(%d): snapshot = %+v, want the single latest entry", n, got)
 		}
@@ -105,9 +123,9 @@ func TestTraceSinceAndNotify(t *testing.T) {
 	p := h.pbox(0.5)
 	h.m.Activate(p)
 
-	all, next := h.m.TraceSince(0)
+	all, next := h.m.TraceView(0)
 	if len(all) == 0 || next == 0 {
-		t.Fatalf("TraceSince(0) = %d entries, next=%d; want the create/activate entries", len(all), next)
+		t.Fatalf("TraceView(0) = %d entries, next=%d; want the create/activate entries", len(all), next)
 	}
 	for i := 1; i < len(all); i++ {
 		if all[i].Seq <= all[i-1].Seq {
@@ -119,9 +137,9 @@ func TestTraceSinceAndNotify(t *testing.T) {
 	}
 
 	// Caught up: nothing new, and the notify channel must block.
-	more, next2 := h.m.TraceSince(next)
+	more, next2 := h.m.TraceView(next)
 	if len(more) != 0 || next2 != next {
-		t.Fatalf("TraceSince(tail) = %d entries, next=%d; want 0, %d", len(more), next2, next)
+		t.Fatalf("TraceView(tail) = %d entries, next=%d; want 0, %d", len(more), next2, next)
 	}
 	select {
 	case <-h.m.TraceNotify(next):
@@ -137,9 +155,9 @@ func TestTraceSinceAndNotify(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("TraceNotify did not fire after a new event")
 	}
-	fresh, next3 := h.m.TraceSince(next)
+	fresh, next3 := h.m.TraceView(next)
 	if len(fresh) == 0 || next3 <= next {
-		t.Fatalf("TraceSince(%d) after event = %d entries, next=%d", next, len(fresh), next3)
+		t.Fatalf("TraceView(%d) after event = %d entries, next=%d", next, len(fresh), next3)
 	}
 	for _, e := range fresh {
 		if e.Seq <= next {
@@ -182,8 +200,8 @@ func TestTraceAddAllocatesOnlyForWaiters(t *testing.T) {
 
 func TestTraceDisabledSinceNotify(t *testing.T) {
 	m := NewManager(Options{})
-	if entries, next := m.TraceSince(0); entries != nil || next != 0 {
-		t.Fatalf("TraceSince on disabled tracing = %v, %d; want nil, 0", entries, next)
+	if entries, next := m.TraceView(0); entries != nil || next != 0 {
+		t.Fatalf("TraceView on disabled tracing = %v, %d; want nil, 0", entries, next)
 	}
 	if ch := m.TraceNotify(0); ch != nil {
 		t.Fatal("TraceNotify on disabled tracing should be nil")
@@ -209,7 +227,7 @@ func TestNameResourceFlowsIntoTrace(t *testing.T) {
 	h.m.Activate(p)
 	h.m.Update(p, key, Prepare)
 	var found bool
-	for _, e := range h.m.Trace() {
+	for _, e := range preciseTrace(h.m) {
 		if e.Key == key && e.What == "PREPARE" {
 			found = true
 			if e.Name != "bufpool" {

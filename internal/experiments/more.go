@@ -10,7 +10,6 @@ import (
 	"strings"
 	"time"
 
-	"pbox/internal/analyzer"
 	"pbox/internal/apps/minidb"
 	"pbox/internal/apps/minikv"
 	"pbox/internal/apps/minipg"
@@ -19,6 +18,7 @@ import (
 	"pbox/internal/cases"
 	"pbox/internal/core"
 	"pbox/internal/isolation"
+	"pbox/internal/lint/waitloop"
 	"pbox/internal/stats"
 	"pbox/internal/workload"
 )
@@ -397,15 +397,13 @@ func Table5(root string) ([]Table5Row, error) {
 		"internal/apps/miniproxy",
 		"internal/apps/minikv",
 	}
-	a := analyzer.New(nil)
 	var rows []Table5Row
 	for _, pkg := range pkgs {
-		dir := filepath.Join(root, pkg)
-		res, err := a.AnalyzeDir(dir)
+		res, err := waitloop.AnalyzePattern(root, "./"+pkg)
 		if err != nil {
 			return nil, err
 		}
-		manual, sloc, err := countManualEvents(dir)
+		manual, sloc, err := countManualEvents(filepath.Join(root, pkg))
 		if err != nil {
 			return nil, err
 		}

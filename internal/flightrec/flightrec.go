@@ -15,12 +15,12 @@
 // recording an event writes one preallocated ring slot under a short
 // recorder-local mutex and never allocates; a verdict capture is a
 // per-culprit cooldown check plus a non-blocking channel send. Bundles are
-// built and written by a background goroutine that reads the manager's
-// epoch-published snapshot (refreshed for detection captures, so the
-// verdict that fired is visible) outside any hook, so a dump can never
-// block the penalty path. Only DumpPrecise — `pboxctl dump -precise` —
-// still uses the exact flush-on-read Status path, which guarantees spooled
-// events issued before the dump appear in the bundle.
+// built and written by a background goroutine that refreshes the manager's
+// epoch-published snapshot (so the verdict that fired, and every spooled
+// event issued before the capture, is visible) outside any hook, so a dump
+// can never block the penalty path. Captures are cooldown-limited and manual
+// dumps operator-rate, so the stop-the-world rebuild each one costs stays
+// rare.
 package flightrec
 
 import (
@@ -139,7 +139,6 @@ func (r *ring) tail() []event {
 type capture struct {
 	trigger   string // "detection" or "manual"
 	reason    string // operator-supplied, for manual dumps
-	precise   bool   // build from the exact flush-on-read Status, not the snapshot view
 	culprit   int
 	victim    int
 	key       core.ResourceKey
@@ -189,6 +188,7 @@ type Recorder struct {
 	ring     *ring
 	next     core.Observer
 	nextAttr core.AttributionObserver
+	nextTime core.EventTimeObserver
 
 	mgr    atomic.Pointer[core.Manager]
 	capPos atomic.Value // CapturePosition, set by AttachCapture
@@ -226,6 +226,9 @@ func New(cfg Config) *Recorder {
 	}
 	if ao, ok := cfg.Next.(core.AttributionObserver); ok {
 		r.nextAttr = ao
+	}
+	if to, ok := cfg.Next.(core.EventTimeObserver); ok {
+		r.nextTime = to
 	}
 	go r.writer()
 	return r
@@ -269,22 +272,10 @@ func (r *Recorder) Dropped() int64 { return r.dropped.Load() }
 
 // Dump requests a manual incident bundle (the /flightrec/dump endpoint and
 // pboxctl's dump path) and returns the incident id. It blocks until the
-// bundle is written or the timeout elapses. The bundle's manager state
-// comes from the epoch snapshot view (bounded staleness); use DumpPrecise
-// when un-flushed spooled events must be visible.
+// bundle is written or the timeout elapses. Like every bundle it is built
+// from a refreshed view, so events still sitting in worker spools when the
+// dump was requested are reflected.
 func (r *Recorder) Dump(reason string, timeout time.Duration) (string, error) {
-	return r.dump(reason, false, timeout)
-}
-
-// DumpPrecise is Dump on the exact flush-on-read path: the bundle is built
-// from Status(), which sweeps every worker spool first, so every event
-// issued before the call — including records still sitting in spools — is
-// reflected. This is the one reader that keeps the stop-the-world cost.
-func (r *Recorder) DumpPrecise(reason string, timeout time.Duration) (string, error) {
-	return r.dump(reason, true, timeout)
-}
-
-func (r *Recorder) dump(reason string, precise bool, timeout time.Duration) (string, error) {
 	if r.closed.Load() {
 		return "", errClosed
 	}
@@ -292,7 +283,6 @@ func (r *Recorder) dump(reason string, precise bool, timeout time.Duration) (str
 	job := capture{
 		trigger: "manual",
 		reason:  reason,
-		precise: precise,
 		atUnix:  time.Now().UnixNano(),
 		reply:   reply,
 	}
@@ -351,12 +341,10 @@ func (r *Recorder) StateEvent(pboxID int, key core.ResourceKey, ev core.EventTyp
 // timed when the next observer understands event time, plain otherwise.
 func (r *Recorder) StateEventAt(pboxID int, key core.ResourceKey, ev core.EventType, atNs int64) {
 	r.record(event{kind: KindState, state: ev, pbox: pboxID, key: key, atMgr: atNs})
-	if r.next != nil {
-		if to, ok := r.next.(core.EventTimeObserver); ok {
-			to.StateEventAt(pboxID, key, ev, atNs)
-		} else {
-			r.next.StateEvent(pboxID, key, ev)
-		}
+	if r.nextTime != nil {
+		r.nextTime.StateEventAt(pboxID, key, ev, atNs)
+	} else if r.next != nil {
+		r.next.StateEvent(pboxID, key, ev)
 	}
 }
 

@@ -1,6 +1,7 @@
 package flightrec
 
 import (
+	"encoding/json"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -32,6 +33,17 @@ func newWorld(t *testing.T, cfg Config) (*core.Manager, *Recorder, func(time.Dur
 	m := core.NewManager(opts)
 	rec.AttachManager(m)
 	return m, rec, func(d time.Duration) { now.Add(int64(d)) }
+}
+
+// loadIncident decodes one bundle as the /flightrec/incident endpoint serves
+// it.
+func loadIncident(rec *Recorder, id string) (*Incident, error) {
+	data, err := rec.IncidentJSON(id)
+	if err != nil {
+		return nil, err
+	}
+	inc := new(Incident)
+	return inc, json.Unmarshal(data, inc)
 }
 
 // newPair creates a labeled noisy/victim pBox pair with a 0.5 goal.
@@ -74,7 +86,7 @@ func TestDetectionCaptureWritesBundle(t *testing.T) {
 	if err != nil || len(ids) == 0 {
 		t.Fatalf("no incident bundles written (ids=%v, err=%v)", ids, err)
 	}
-	inc, err := rec.Incident(ids[0])
+	inc, err := loadIncident(rec, ids[0])
 	if err != nil {
 		t.Fatalf("load incident %s: %v", ids[0], err)
 	}
@@ -140,7 +152,7 @@ func TestBundleReferencesCapturePosition(t *testing.T) {
 	if err != nil || len(ids) == 0 {
 		t.Fatalf("no incident bundles written (ids=%v, err=%v)", ids, err)
 	}
-	inc, err := rec.Incident(ids[0])
+	inc, err := loadIncident(rec, ids[0])
 	if err != nil {
 		t.Fatalf("load incident: %v", err)
 	}
@@ -183,7 +195,7 @@ func TestCooldownIsPerCulprit(t *testing.T) {
 	}
 	var culprits []string
 	for _, id := range ids {
-		inc, err := rec.Incident(id)
+		inc, err := loadIncident(rec, id)
 		if err != nil {
 			t.Fatalf("load %s: %v", id, err)
 		}
@@ -204,7 +216,7 @@ func TestManualDump(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Dump: %v", err)
 	}
-	inc, err := rec.Incident(id)
+	inc, err := loadIncident(rec, id)
 	if err != nil {
 		t.Fatalf("load manual dump %s: %v", id, err)
 	}
@@ -239,9 +251,10 @@ func TestRetentionPrunesOldest(t *testing.T) {
 }
 
 func TestReadIncidentRejectsPathEscape(t *testing.T) {
+	_, rec, _ := newWorld(t, Config{})
 	for _, id := range []string{"../etc/passwd", "a/b", `a\b`} {
-		if _, err := ReadIncident(t.TempDir(), id); err == nil {
-			t.Fatalf("ReadIncident accepted malicious id %q", id)
+		if _, err := rec.IncidentJSON(id); err == nil || !strings.Contains(err.Error(), "invalid incident id") {
+			t.Fatalf("IncidentJSON(%q) = %v, want an invalid-id rejection", id, err)
 		}
 	}
 }
@@ -285,14 +298,13 @@ func TestRecordPathAllocFree(t *testing.T) {
 	}
 }
 
-// TestPreciseDumpSeesSpooledEvents pins the one consumer that keeps the
-// exact flush-on-read path: a manual Dump serves the cached epoch snapshot
-// (spooled events invisible, provenance recorded), while DumpPrecise sweeps
-// the spools and reflects events no published view has seen yet.
-func TestPreciseDumpSeesSpooledEvents(t *testing.T) {
+// TestEveryDumpSeesSpooledEventsAndRecordsEpoch: every bundle is built from
+// a refreshed view, so a manual Dump reflects an event that was still
+// sitting in a worker spool — one no published view had seen — and records
+// the epoch of the view it forced.
+func TestEveryDumpSeesSpooledEventsAndRecordsEpoch(t *testing.T) {
 	m, rec, _ := newWorld(t, Config{})
-	rule := core.DefaultRule()
-	p, err := m.Create(rule)
+	p, err := m.Create(core.DefaultRule())
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
@@ -307,44 +319,24 @@ func TestPreciseDumpSeesSpooledEvents(t *testing.T) {
 	v := m.RefreshStatusView() // publish a view BEFORE the spooled event
 	w.Update(key, core.Hold)   // Tier A: sits in the worker spool
 
-	cachedID, err := rec.Dump("cached capture", 5*time.Second)
+	id, err := rec.Dump("operator dump", 5*time.Second)
 	if err != nil {
 		t.Fatalf("Dump: %v", err)
 	}
-	cached, err := rec.Incident(cachedID)
+	inc, err := loadIncident(rec, id)
 	if err != nil {
-		t.Fatalf("load %s: %v", cachedID, err)
+		t.Fatalf("load %s: %v", id, err)
 	}
-	if cached.Precise {
-		t.Fatal("plain Dump marked precise")
-	}
-	if cached.SnapshotEpoch != v.Epoch {
-		t.Fatalf("cached dump epoch = %d, want published epoch %d", cached.SnapshotEpoch, v.Epoch)
-	}
-	for _, res := range cached.Resources {
-		if res.Key == uint64(key) && res.Holders > 0 {
-			t.Fatalf("cached dump sees the spooled hold: %+v", res)
-		}
-	}
-
-	preciseID, err := rec.DumpPrecise("exact capture", 5*time.Second)
-	if err != nil {
-		t.Fatalf("DumpPrecise: %v", err)
-	}
-	precise, err := rec.Incident(preciseID)
-	if err != nil {
-		t.Fatalf("load %s: %v", preciseID, err)
-	}
-	if !precise.Precise || precise.SnapshotEpoch != 0 {
-		t.Fatalf("precise dump provenance wrong: precise=%v epoch=%d", precise.Precise, precise.SnapshotEpoch)
+	if inc.SnapshotEpoch != v.Epoch+1 || inc.SnapshotAge == "" {
+		t.Fatalf("dump provenance: epoch %d age %q, want the refreshed epoch %d", inc.SnapshotEpoch, inc.SnapshotAge, v.Epoch+1)
 	}
 	var found bool
-	for _, res := range precise.Resources {
+	for _, res := range inc.Resources {
 		if res.Key == uint64(key) && res.Holders == 1 && res.Name == "spooled_lock" {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("precise dump missed the spooled hold: %+v", precise.Resources)
+		t.Fatalf("dump missed the spooled hold: %+v", inc.Resources)
 	}
 }

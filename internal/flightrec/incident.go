@@ -10,7 +10,7 @@ import (
 	"strings"
 	"time"
 
-	"pbox/internal/core"
+	"pbox/internal/telemetry"
 )
 
 var (
@@ -37,48 +37,12 @@ type Event struct {
 	Level  float64 `json:"level,omitempty"`
 }
 
-// PBoxInfo is the wire form of one pBox snapshot in a bundle: the Algorithm 1
-// inputs (defer ratio against the rule's goal) at capture time.
-type PBoxInfo struct {
-	ID                int     `json:"id"`
-	Label             string  `json:"label,omitempty"`
-	State             string  `json:"state"`
-	Goal              float64 `json:"goal"`
-	Activities        int     `json:"activities"`
-	TotalDefer        string  `json:"total_defer"`
-	TotalExec         string  `json:"total_exec"`
-	DeferRatio        float64 `json:"defer_ratio"`
-	PenaltiesReceived int     `json:"penalties_received"`
-	PenaltyServed     string  `json:"penalty_served"`
-}
-
-// ResourceInfo is the wire form of one per-resource contention summary in a
-// bundle: who-waits/who-holds counts at capture time.
-type ResourceInfo struct {
-	Key     uint64 `json:"key"`
-	Name    string `json:"resource,omitempty"`
-	Waiters int    `json:"waiters,omitempty"`
-	Holders int    `json:"holders,omitempty"`
-}
-
-// AttributionInfo is the wire form of one ledger record in a bundle.
-type AttributionInfo struct {
-	CulpritID        int    `json:"culprit_id"`
-	CulpritLabel     string `json:"culprit_label,omitempty"`
-	VictimID         int    `json:"victim_id"`
-	VictimLabel      string `json:"victim_label,omitempty"`
-	Key              uint64 `json:"key"`
-	Resource         string `json:"resource,omitempty"`
-	Blocked          string `json:"blocked"`
-	Detections       int64  `json:"detections"`
-	Actions          int64  `json:"actions"`
-	PenaltyScheduled string `json:"penalty_scheduled"`
-	PenaltyServed    string `json:"penalty_served"`
-}
-
 // Incident is one frozen bundle: the verdict (or manual dump) that triggered
 // it, the culprit/victim pair with the Algorithm 1 inputs behind the verdict,
-// the recent event ring, and the attribution matrix at capture time.
+// the recent event ring, and the manager state at capture time — pBoxes (the
+// Algorithm 1 inputs: defer ratio against the rule's goal), per-resource
+// who-waits/who-holds counts and the attribution matrix, in the same JSON
+// forms the telemetry endpoints print.
 type Incident struct {
 	ID         string `json:"id"`
 	CapturedAt string `json:"captured_at"`
@@ -115,20 +79,16 @@ type Incident struct {
 	CaptureOffset  int64  `json:"capture_offset,omitempty"`
 	CaptureQueued  int    `json:"capture_queued,omitempty"`
 
-	// Snapshot provenance: the epoch and age of the manager view the
-	// bundle's state sections were built from. Precise marks a bundle built
-	// from the exact flush-on-read Status() (DumpPrecise) — spooled events
-	// issued before the dump are guaranteed visible; snapshot-built bundles
-	// instead carry the epoch metadata of the view used.
+	// Snapshot provenance: the epoch and age of the refreshed manager view
+	// the bundle's state sections were built from.
 	SnapshotEpoch uint64 `json:"snapshot_epoch,omitempty"`
 	SnapshotAge   string `json:"snapshot_age,omitempty"`
-	Precise       bool   `json:"precise,omitempty"`
 
-	Events             []Event           `json:"events"`
-	PBoxes             []PBoxInfo        `json:"pboxes,omitempty"`
-	Resources          []ResourceInfo    `json:"resources,omitempty"`
-	Attribution        []AttributionInfo `json:"attribution,omitempty"`
-	AttributionDropped int64             `json:"attribution_dropped,omitempty"`
+	Events             []Event                      `json:"events"`
+	PBoxes             []telemetry.PBoxStatus       `json:"pboxes,omitempty"`
+	Resources          []telemetry.ResourceStatus   `json:"resources,omitempty"`
+	Attribution        []telemetry.AttributionEntry `json:"attribution,omitempty"`
+	AttributionDropped int64                        `json:"attribution_dropped,omitempty"`
 }
 
 // writer is the background goroutine draining capture jobs into bundles.
@@ -159,9 +119,8 @@ func (r *Recorder) nextID(atUnix int64) string {
 // on the writer goroutine, outside every manager hook; reading the manager
 // state here (not at verdict time) means the bundle also sees the penalty
 // action that the verdict scheduled, since that happens under the same
-// manager lock hold that queued the job. Detection captures force a
-// snapshot refresh (the verdict must be visible); manual dumps take the
-// published view unless the job asks for the precise flush-on-read Status.
+// manager lock hold that queued the job. Every bundle forces a snapshot
+// refresh: the verdict, and any event still spooled, must be visible.
 func (r *Recorder) buildAndWrite(job capture) (string, error) {
 	inc := Incident{
 		ID:         r.nextID(job.atUnix),
@@ -182,60 +141,26 @@ func (r *Recorder) buildAndWrite(job capture) (string, error) {
 			inc.Resource = mgr.ResourceName(job.key)
 		}
 	}
-	var status core.Status
 	if mgr != nil {
-		switch {
-		case job.precise:
-			status = mgr.Status()
-			inc.Precise = true
-		case job.trigger == "detection":
-			v := mgr.RefreshStatusView()
-			status = v.Status
-			inc.SnapshotEpoch = v.Epoch
-			inc.SnapshotAge = mgr.ViewAge(v).String()
-		default:
-			v := mgr.StatusView()
-			status = v.Status
-			inc.SnapshotEpoch = v.Epoch
-			inc.SnapshotAge = mgr.ViewAge(v).String()
-		}
-		for _, s := range status.Snapshots {
-			inc.PBoxes = append(inc.PBoxes, PBoxInfo{
-				ID:                s.ID,
-				Label:             s.Label,
-				State:             s.State.String(),
-				Goal:              s.Goal,
-				Activities:        s.Activities,
-				TotalDefer:        s.TotalDefer.String(),
-				TotalExec:         s.TotalExec.String(),
-				DeferRatio:        s.InterferenceLevel,
-				PenaltiesReceived: s.PenaltiesReceived,
-				PenaltyServed:     s.PenaltyTotal.String(),
-			})
-			if s.ID == inc.VictimID {
-				inc.VictimLabel = s.Label
-				inc.Goal = s.Goal
+		v := mgr.RefreshStatusView()
+		inc.SnapshotEpoch = v.Epoch
+		inc.SnapshotAge = mgr.ViewAge(v).String()
+		inc.PBoxes = telemetry.PBoxStatuses(v.Snapshots)
+		inc.Resources = telemetry.ResourceStatuses(v.Resources)
+		inc.Attribution = telemetry.AttributionEntries(v.Attribution)
+		inc.AttributionDropped = v.AttributionDropped
+		for _, p := range inc.PBoxes {
+			if p.ID == inc.VictimID {
+				inc.VictimLabel = p.Label
+				inc.Goal = p.Goal
 			}
-			if s.ID == inc.CulpritID {
-				inc.CulpritLabel = s.Label
+			if p.ID == inc.CulpritID {
+				inc.CulpritLabel = p.Label
 			}
 		}
-		for _, a := range status.Attribution {
-			inc.Attribution = append(inc.Attribution, AttributionInfo{
-				CulpritID:        a.CulpritID,
-				CulpritLabel:     a.CulpritLabel,
-				VictimID:         a.VictimID,
-				VictimLabel:      a.VictimLabel,
-				Key:              uint64(a.Key),
-				Resource:         a.Resource,
-				Blocked:          a.Blocked.String(),
-				Detections:       a.Detections,
-				Actions:          a.Actions,
-				PenaltyScheduled: a.PenaltyScheduled.String(),
-				PenaltyServed:    a.PenaltyServed.String(),
-			})
-			// Labels for a culprit/victim already released at capture time
-			// survive in the ledger.
+		// Labels for a culprit/victim already released at capture time
+		// survive in the ledger.
+		for _, a := range inc.Attribution {
 			if inc.CulpritLabel == "" && a.CulpritID == inc.CulpritID {
 				inc.CulpritLabel = a.CulpritLabel
 			}
@@ -243,15 +168,6 @@ func (r *Recorder) buildAndWrite(job capture) (string, error) {
 				inc.VictimLabel = a.VictimLabel
 			}
 		}
-		for _, res := range status.Resources {
-			inc.Resources = append(inc.Resources, ResourceInfo{
-				Key:     uint64(res.Key),
-				Name:    res.Name,
-				Waiters: res.Waiters,
-				Holders: res.Holders,
-			})
-		}
-		inc.AttributionDropped = status.AttributionDropped
 	}
 	if inc.Goal > 0 || inc.ProjectedLevel > 0 {
 		inc.ProjectedSpeedup = (1 + inc.ProjectedLevel) / (1 + inc.Goal)
@@ -357,30 +273,12 @@ func (r *Recorder) Incidents() ([]string, error) {
 	return listIDs(r.cfg.Dir)
 }
 
-// Incident loads one bundle by id.
-func (r *Recorder) Incident(id string) (*Incident, error) {
-	return ReadIncident(r.cfg.Dir, id)
-}
-
-// ReadIncident loads incident-<id>.json from dir. It rejects ids that try to
-// escape the directory.
-func ReadIncident(dir, id string) (*Incident, error) {
+// IncidentJSON returns one bundle's bytes as written (what the
+// /flightrec/incident endpoint serves). It rejects ids that try to escape
+// the incidents directory.
+func (r *Recorder) IncidentJSON(id string) ([]byte, error) {
 	if strings.ContainsAny(id, "/\\") || strings.Contains(id, "..") {
 		return nil, fmt.Errorf("flightrec: invalid incident id %q", id)
 	}
-	data, err := os.ReadFile(filepath.Join(dir, "incident-"+id+".json"))
-	if err != nil {
-		return nil, err
-	}
-	var inc Incident
-	if err := json.Unmarshal(data, &inc); err != nil {
-		return nil, err
-	}
-	return &inc, nil
-}
-
-// ListIncidents lists bundle ids in dir, oldest first — the directory-level
-// twin of Recorder.Incidents for tools that only have the path.
-func ListIncidents(dir string) ([]string, error) {
-	return listIDs(dir)
+	return os.ReadFile(r.bundlePath(id))
 }

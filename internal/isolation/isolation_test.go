@@ -44,8 +44,8 @@ func TestPBoxControllerLifecycleMapping(t *testing.T) {
 		t.Fatalf("state after Begin = %v, want active", p.State())
 	}
 	act.Event(7, core.Prepare)
-	if mgr.Waiters(7) != 1 {
-		t.Fatal("event not forwarded to manager")
+	if res := mgr.Status().Resources; len(res) != 1 || res[0].Key != 7 || res[0].Waiters != 1 {
+		t.Fatalf("event not forwarded to manager: resources %+v", res)
 	}
 	act.Event(7, core.Enter)
 	act.End(time.Millisecond)
@@ -56,8 +56,8 @@ func TestPBoxControllerLifecycleMapping(t *testing.T) {
 	if p.State() != core.StateDestroyed {
 		t.Fatalf("state after Close = %v, want destroyed", p.State())
 	}
-	if mgr.Live() != 0 {
-		t.Fatalf("live pboxes = %d", mgr.Live())
+	if live := len(mgr.Status().Snapshots); live != 0 {
+		t.Fatalf("live pboxes = %d", live)
 	}
 }
 

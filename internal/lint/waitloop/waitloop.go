@@ -12,10 +12,14 @@
 package waitloop
 
 import (
-	"go/token"
+	"slices"
+	"sort"
+	"strings"
 
 	"pbox/internal/analyzer"
 	"pbox/internal/lint/analysis"
+	"pbox/internal/lint/driver"
+	"pbox/internal/lint/loader"
 )
 
 // Analyzer is the waitloop pass.
@@ -35,37 +39,44 @@ func run(pass *analysis.Pass) (any, error) {
 	a := analyzer.New(WaitFuncs)
 	res := a.AnalyzeFiles(pass.Fset, pass.Files)
 	for _, loc := range res.Locations {
-		// Re-derive the token position from the file/line the legacy
-		// analyzer reports: scan the pass files for the matching position.
-		pos := findPos(pass, loc.File, loc.Line)
-		pass.Reportf(pos, "wait via %s inside loop gated on shared vars (%s): candidate pbox state-event location in %s",
-			loc.WaitCall, join(loc.SharedVars), loc.Func)
+		pass.Reportf(loc.Pos, "wait via %s inside loop gated on shared vars (%s): candidate pbox state-event location in %s",
+			loc.WaitCall, strings.Join(loc.SharedVars, ", "), loc.Func)
 	}
 	return res, nil
 }
 
-func join(ss []string) string {
-	out := ""
-	for i, s := range ss {
-		if i > 0 {
-			out += ", "
-		}
-		out += s
+// AnalyzePattern is the structured front door of the pass, shared by
+// cmd/pboxanalyze and the Table 5 experiment: it loads every package the
+// pattern matches (relative to module directory dir) through the pboxlint
+// loader, runs the pass through the driver, and merges the per-package
+// results into one aggregate, locations ordered by file and line.
+func AnalyzePattern(dir, pattern string) (*analyzer.Result, error) {
+	pkgs, err := loader.Load(dir, pattern)
+	if err != nil {
+		return nil, err
 	}
-	return out
-}
-
-// findPos maps a file:line back to a token.Pos within the pass's files.
-func findPos(pass *analysis.Pass, file string, line int) token.Pos {
-	var pos token.Pos
-	pass.Fset.Iterate(func(f *token.File) bool {
-		if f.Name() != file {
-			return true
+	res, err := driver.Run(pkgs, []*analysis.Analyzer{Analyzer})
+	if err != nil {
+		return nil, err
+	}
+	merged := &analyzer.Result{}
+	for _, ret := range res.Returns {
+		r, ok := ret.Value.(*analyzer.Result)
+		if !ok {
+			continue
 		}
-		if line >= 1 && line <= f.LineCount() {
-			pos = f.LineStart(line)
+		merged.Files += r.Files
+		merged.InspectedFuncs += r.InspectedFuncs
+		merged.Locations = append(merged.Locations, r.Locations...)
+		merged.Wrappers = append(merged.Wrappers, r.Wrappers...)
+	}
+	sort.Strings(merged.Wrappers)
+	merged.Wrappers = slices.Compact(merged.Wrappers)
+	sort.Slice(merged.Locations, func(i, j int) bool {
+		if merged.Locations[i].File != merged.Locations[j].File {
+			return merged.Locations[i].File < merged.Locations[j].File
 		}
-		return false
+		return merged.Locations[i].Line < merged.Locations[j].Line
 	})
-	return pos
+	return merged, nil
 }

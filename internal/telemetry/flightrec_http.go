@@ -3,24 +3,32 @@ package telemetry
 import (
 	"net/http"
 	"time"
-
-	"pbox/internal/flightrec"
 )
 
 // dumpTimeout bounds how long a /flightrec/dump request waits for the
 // recorder's writer goroutine.
 const dumpTimeout = 10 * time.Second
 
+// FlightRecorder is the slice of *flightrec.Recorder the HTTP API serves.
+// Declared here because flightrec builds its bundles from this package's
+// JSON forms, so the import runs flightrec → telemetry.
+type FlightRecorder interface {
+	// Incidents lists the bundle ids, oldest first.
+	Incidents() ([]string, error)
+	// IncidentJSON returns one bundle as written to disk.
+	IncidentJSON(id string) ([]byte, error)
+	// Dump freezes a bundle now and returns its id.
+	Dump(reason string, timeout time.Duration) (string, error)
+}
+
 // AttachFlightRecorder mounts the flight-recorder API on the exporter:
 //
 //	/flightrec/incidents      JSON list of incident bundle ids, oldest first
 //	/flightrec/incident?id=X  one bundle
-//	/flightrec/dump           POST: freeze a bundle now (operator dump);
-//	                          ?precise=1 forces the exact flush-on-read
-//	                          capture instead of the epoch snapshot
+//	/flightrec/dump           POST: freeze a bundle now (operator dump)
 //
 // Call once during wiring, before the exporter starts serving.
-func (e *Exporter) AttachFlightRecorder(rec *flightrec.Recorder) {
+func (e *Exporter) AttachFlightRecorder(rec FlightRecorder) {
 	e.mux.HandleFunc("/flightrec/incidents", func(w http.ResponseWriter, r *http.Request) {
 		ids, err := rec.Incidents()
 		if err != nil {
@@ -38,12 +46,13 @@ func (e *Exporter) AttachFlightRecorder(rec *flightrec.Recorder) {
 			http.Error(w, "missing id parameter", http.StatusBadRequest)
 			return
 		}
-		inc, err := rec.Incident(id)
+		data, err := rec.IncidentJSON(id)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusNotFound)
 			return
 		}
-		writeJSON(w, inc)
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = w.Write(data)
 	})
 	e.mux.HandleFunc("/flightrec/dump", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -54,13 +63,7 @@ func (e *Exporter) AttachFlightRecorder(rec *flightrec.Recorder) {
 		if reason == "" {
 			reason = "operator dump"
 		}
-		var id string
-		var err error
-		if r.URL.Query().Get("precise") != "" {
-			id, err = rec.DumpPrecise(reason, dumpTimeout)
-		} else {
-			id, err = rec.Dump(reason, dumpTimeout)
-		}
+		id, err := rec.Dump(reason, dumpTimeout)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusServiceUnavailable)
 			return

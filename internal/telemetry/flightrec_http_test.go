@@ -1,7 +1,10 @@
-package telemetry
+// An external test package: flightrec imports telemetry (for the shared
+// JSON forms), so a test wiring a real Recorder cannot live inside it.
+package telemetry_test
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -10,7 +13,22 @@ import (
 
 	"pbox/internal/core"
 	"pbox/internal/flightrec"
+	"pbox/internal/telemetry"
 )
+
+func get(t *testing.T, srv *httptest.Server, path string) (int, string) {
+	t.Helper()
+	resp, err := http.Get(srv.URL + path)
+	if err != nil {
+		t.Fatalf("GET %s: %v", path, err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("GET %s: read body: %v", path, err)
+	}
+	return resp.StatusCode, string(body)
+}
 
 // TestFlightRecorderEndpoints wires the full observer chain — recorder in
 // front of the collector — and exercises dump/list/fetch over HTTP.
@@ -18,8 +36,8 @@ func TestFlightRecorderEndpoints(t *testing.T) {
 	// Atomic: the recorder's capture goroutine reads the manager clock while
 	// this goroutine advances it.
 	var now atomic.Int64
-	reg := NewRegistry()
-	col := NewCollector(reg)
+	reg := telemetry.NewRegistry()
+	col := telemetry.NewCollector(reg)
 	rec := flightrec.New(flightrec.Config{
 		Dir: t.TempDir(),
 		// The first verdict captures (the cooldown window starts empty);
@@ -55,7 +73,7 @@ func TestFlightRecorderEndpoints(t *testing.T) {
 	m.Update(noisy, key, core.Unhold)
 	m.Update(victim, key, core.Enter)
 
-	exp := NewExporter(reg, m)
+	exp := telemetry.NewExporter(reg, m)
 	exp.AttachFlightRecorder(rec)
 	srv := httptest.NewServer(exp)
 	defer srv.Close()

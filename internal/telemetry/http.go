@@ -14,10 +14,11 @@ import (
 // maxTraceWait bounds how long a /trace long-poll may block.
 const maxTraceWait = 30 * time.Second
 
-// PBoxStatus is the wire form of one pBox in the /pboxes response:
-// the live defer ratio, isolation goal, and penalty totals of
-// core.Snapshot, with durations as Go duration strings so the JSON stays
-// readable in curl output and round-trips exactly.
+// PBoxStatus is the JSON form of one pBox wherever one is printed — /pboxes,
+// /status, /attribution and flight-recorder incident bundles: the live defer
+// ratio, isolation goal, and penalty totals of core.Snapshot, with durations
+// as Go duration strings so the JSON stays readable in curl output and
+// round-trips exactly.
 type PBoxStatus struct {
 	ID                int     `json:"id"`
 	Label             string  `json:"label,omitempty"`
@@ -32,25 +33,30 @@ type PBoxStatus struct {
 	PenaltyServed     string  `json:"penalty_served"`
 }
 
-// statusFromSnapshot converts a manager snapshot to its wire form.
-func statusFromSnapshot(s core.Snapshot) PBoxStatus {
-	return PBoxStatus{
-		ID:                s.ID,
-		Label:             s.Label,
-		State:             s.State.String(),
-		Goal:              s.Goal,
-		Metric:            s.Metric.String(),
-		Activities:        s.Activities,
-		TotalDefer:        s.TotalDefer.String(),
-		TotalExec:         s.TotalExec.String(),
-		DeferRatio:        s.InterferenceLevel,
-		PenaltiesReceived: s.PenaltiesReceived,
-		PenaltyServed:     s.PenaltyTotal.String(),
+// PBoxStatuses converts a view's snapshots to their JSON form (never nil, so
+// an empty list prints as []).
+func PBoxStatuses(snaps []core.Snapshot) []PBoxStatus {
+	out := make([]PBoxStatus, 0, len(snaps))
+	for _, s := range snaps {
+		out = append(out, PBoxStatus{
+			ID:                s.ID,
+			Label:             s.Label,
+			State:             s.State.String(),
+			Goal:              s.Goal,
+			Metric:            s.Metric.String(),
+			Activities:        s.Activities,
+			TotalDefer:        s.TotalDefer.String(),
+			TotalExec:         s.TotalExec.String(),
+			DeferRatio:        s.InterferenceLevel,
+			PenaltiesReceived: s.PenaltiesReceived,
+			PenaltyServed:     s.PenaltyTotal.String(),
+		})
 	}
+	return out
 }
 
-// AttributionEntry is the wire form of one culprit↔victim ledger record in
-// the /attribution response.
+// AttributionEntry is the JSON form of one culprit↔victim ledger record, in
+// /attribution, /status and incident bundles alike.
 type AttributionEntry struct {
 	CulpritID        int    `json:"culprit_id"`
 	CulpritLabel     string `json:"culprit_label,omitempty"`
@@ -66,22 +72,50 @@ type AttributionEntry struct {
 	PenaltyServed    string `json:"penalty_served"`
 }
 
-// attributionEntry converts a ledger record to its wire form.
-func attributionEntry(r core.AttributionRecord) AttributionEntry {
-	return AttributionEntry{
-		CulpritID:        r.CulpritID,
-		CulpritLabel:     r.CulpritLabel,
-		VictimID:         r.VictimID,
-		VictimLabel:      r.VictimLabel,
-		Key:              uint64(r.Key),
-		Resource:         r.Resource,
-		Blocked:          r.Blocked.String(),
-		BlockedNs:        int64(r.Blocked),
-		Detections:       r.Detections,
-		Actions:          r.Actions,
-		PenaltyScheduled: r.PenaltyScheduled.String(),
-		PenaltyServed:    r.PenaltyServed.String(),
+// AttributionEntries converts a view's ledger to its JSON form (never nil).
+func AttributionEntries(recs []core.AttributionRecord) []AttributionEntry {
+	out := make([]AttributionEntry, 0, len(recs))
+	for _, r := range recs {
+		out = append(out, AttributionEntry{
+			CulpritID:        r.CulpritID,
+			CulpritLabel:     r.CulpritLabel,
+			VictimID:         r.VictimID,
+			VictimLabel:      r.VictimLabel,
+			Key:              uint64(r.Key),
+			Resource:         r.Resource,
+			Blocked:          r.Blocked.String(),
+			BlockedNs:        int64(r.Blocked),
+			Detections:       r.Detections,
+			Actions:          r.Actions,
+			PenaltyScheduled: r.PenaltyScheduled.String(),
+			PenaltyServed:    r.PenaltyServed.String(),
+		})
 	}
+	return out
+}
+
+// ResourceStatus is the JSON form of one per-resource contention summary, in
+// /status and incident bundles.
+type ResourceStatus struct {
+	Key     uint64 `json:"key"`
+	Name    string `json:"name,omitempty"`
+	Waiters int    `json:"waiters"`
+	Holders int    `json:"holders"`
+}
+
+// ResourceStatuses converts a view's resource summaries to their JSON form
+// (nil when there are none: every field holding one is omitempty).
+func ResourceStatuses(views []core.ResourceView) []ResourceStatus {
+	var out []ResourceStatus
+	for _, res := range views {
+		out = append(out, ResourceStatus{
+			Key:     uint64(res.Key),
+			Name:    res.Name,
+			Waiters: res.Waiters,
+			Holders: res.Holders,
+		})
+	}
+	return out
 }
 
 // AttributionResponse is the /attribution payload: the combined consistent
@@ -145,12 +179,24 @@ func NewExporter(reg *Registry, mgr *core.Manager) *Exporter {
 	e := &Exporter{reg: reg, mgr: mgr, mux: http.NewServeMux()}
 	e.mux.HandleFunc("/", e.handleIndex)
 	e.mux.HandleFunc("/metrics", e.handleMetrics)
-	e.mux.HandleFunc("/status", e.handleStatus)
-	e.mux.HandleFunc("/self", e.handleSelf)
-	e.mux.HandleFunc("/pboxes", e.handlePBoxes)
-	e.mux.HandleFunc("/attribution", e.handleAttribution)
-	e.mux.HandleFunc("/trace", e.handleTrace)
+	e.mux.HandleFunc("/status", e.withManager(e.handleStatus))
+	e.mux.HandleFunc("/self", e.withManager(e.handleSelf))
+	e.mux.HandleFunc("/pboxes", e.withManager(e.handlePBoxes))
+	e.mux.HandleFunc("/attribution", e.withManager(e.handleAttribution))
+	e.mux.HandleFunc("/trace", e.withManager(e.handleTrace))
 	return e
+}
+
+// withManager guards a handler that reads the manager: 404 when the exporter
+// was built without one.
+func (e *Exporter) withManager(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if e.mgr == nil {
+			http.Error(w, "manager not attached", http.StatusNotFound)
+			return
+		}
+		h(w, r)
+	}
 }
 
 // Handler returns the HTTP handler serving the telemetry API.
@@ -196,45 +242,21 @@ func (e *Exporter) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 func (e *Exporter) handlePBoxes(w http.ResponseWriter, r *http.Request) {
-	if e.mgr == nil {
-		http.Error(w, "manager not attached", http.StatusNotFound)
-		return
-	}
-	snaps := e.mgr.StatusView().Snapshots
-	out := make([]PBoxStatus, 0, len(snaps))
-	for _, s := range snaps {
-		out = append(out, statusFromSnapshot(s))
-	}
-	writeJSON(w, out)
+	writeJSON(w, PBoxStatuses(e.mgr.StatusView().Snapshots))
 }
 
 func (e *Exporter) handleAttribution(w http.ResponseWriter, r *http.Request) {
-	if e.mgr == nil {
-		http.Error(w, "manager not attached", http.StatusNotFound)
-		return
-	}
 	st := e.mgr.StatusView()
-	resp := AttributionResponse{
-		PBoxes:        make([]PBoxStatus, 0, len(st.Snapshots)),
-		Matrix:        make([]AttributionEntry, 0, len(st.Attribution)),
+	writeJSON(w, AttributionResponse{
+		PBoxes:        PBoxStatuses(st.Snapshots),
+		Matrix:        AttributionEntries(st.Attribution),
 		Dropped:       st.AttributionDropped,
 		SnapshotEpoch: st.Epoch,
 		SnapshotAge:   e.mgr.ViewAge(st).String(),
-	}
-	for _, s := range st.Snapshots {
-		resp.PBoxes = append(resp.PBoxes, statusFromSnapshot(s))
-	}
-	for _, rec := range st.Attribution {
-		resp.Matrix = append(resp.Matrix, attributionEntry(rec))
-	}
-	writeJSON(w, resp)
+	})
 }
 
 func (e *Exporter) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if e.mgr == nil {
-		http.Error(w, "manager not attached", http.StatusNotFound)
-		return
-	}
 	q := r.URL.Query()
 	var since uint64
 	if v := q.Get("since"); v != "" {
@@ -258,10 +280,10 @@ func (e *Exporter) handleTrace(w http.ResponseWriter, r *http.Request) {
 		wait = d
 	}
 
-	// TraceView reads the ring without the flush-on-read spool sweep
-	// TraceSince performs: a tailing client must not flush other workers'
-	// spools on every poll. Spooled events appear once a write-side flush
-	// trigger lands them in the ring (bounded by the spool capacity).
+	// TraceView reads the ring without a flush-on-read spool sweep: a
+	// tailing client must not flush other workers' spools on every poll.
+	// Spooled events appear once a write-side flush trigger lands them in
+	// the ring (bounded by the spool capacity).
 	entries, next := e.mgr.TraceView(since)
 	if len(entries) == 0 && wait > 0 {
 		// Long poll: block until a newer entry lands, the client leaves,

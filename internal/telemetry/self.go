@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"pbox/internal/core"
+	"pbox/internal/wire"
 )
 
 // This file serves the snapshot read path and the manager's self-telemetry:
@@ -23,19 +24,10 @@ import (
 // Prometheus series (rendered from atomics — scraping them costs the event
 // path nothing).
 
-// ResourceStatus is the wire form of one per-resource contention summary in
-// the /status response.
-type ResourceStatus struct {
-	Key     uint64 `json:"key"`
-	Name    string `json:"name,omitempty"`
-	Waiters int    `json:"waiters"`
-	Holders int    `json:"holders"`
-}
-
 // StatusResponse is the /status payload: the published snapshot's contents
 // plus its epoch metadata. Age is the view's manager-clock age at serve
 // time — by the bounded-staleness contract it never exceeds Interval unless
-// the manager clock is frozen (tests) or caching is disabled.
+// the manager clock is frozen (tests).
 type StatusResponse struct {
 	Epoch         uint64             `json:"epoch"`
 	Age           string             `json:"age"`
@@ -53,46 +45,22 @@ type StatusResponse struct {
 // form.
 func statusResponse(mgr *core.Manager, v *core.StatusView) StatusResponse {
 	age := mgr.ViewAge(v)
-	resp := StatusResponse{
+	return StatusResponse{
 		Epoch:         v.Epoch,
 		Age:           age.String(),
 		AgeNs:         int64(age),
 		BuildDuration: v.BuildDuration.String(),
-		Interval:      mgr.SelfStats().SnapshotInterval.String(),
+		Interval:      core.SnapshotInterval.String(),
 		TraceSeq:      v.TraceSeq,
-		PBoxes:        make([]PBoxStatus, 0, len(v.Snapshots)),
-		Matrix:        make([]AttributionEntry, 0, len(v.Attribution)),
+		PBoxes:        PBoxStatuses(v.Snapshots),
+		Resources:     ResourceStatuses(v.Resources),
+		Matrix:        AttributionEntries(v.Attribution),
 		Dropped:       v.AttributionDropped,
 	}
-	for _, s := range v.Snapshots {
-		resp.PBoxes = append(resp.PBoxes, statusFromSnapshot(s))
-	}
-	for _, rec := range v.Attribution {
-		resp.Matrix = append(resp.Matrix, attributionEntry(rec))
-	}
-	for _, res := range v.Resources {
-		resp.Resources = append(resp.Resources, ResourceStatus{
-			Key:     uint64(res.Key),
-			Name:    res.Name,
-			Waiters: res.Waiters,
-			Holders: res.Holders,
-		})
-	}
-	return resp
 }
 
 func (e *Exporter) handleStatus(w http.ResponseWriter, r *http.Request) {
-	if e.mgr == nil {
-		http.Error(w, "manager not attached", http.StatusNotFound)
-		return
-	}
-	var v *core.StatusView
-	if r.URL.Query().Get("refresh") != "" {
-		v = e.mgr.RefreshStatusView()
-	} else {
-		v = e.mgr.StatusView()
-	}
-	writeJSON(w, statusResponse(e.mgr, v))
+	writeJSON(w, statusResponse(e.mgr, e.mgr.StatusView()))
 }
 
 // LatencyBucket is one verdict-latency histogram bucket in the /self
@@ -144,7 +112,7 @@ type SelfResponse struct {
 
 	// Wire is the attached wire-ingestion server's counters (absent when no
 	// wire server is attached).
-	Wire *WireSelf `json:"wire,omitempty"`
+	Wire *wire.Stats `json:"wire,omitempty"`
 }
 
 // selfResponse converts SelfStats to wire form.
@@ -153,7 +121,7 @@ func selfResponse(st core.SelfStats) SelfResponse {
 		SnapshotEpoch:      st.SnapshotEpoch,
 		SnapshotAge:        st.SnapshotAge.String(),
 		SnapshotAgeNs:      int64(st.SnapshotAge),
-		SnapshotInterval:   st.SnapshotInterval.String(),
+		SnapshotInterval:   core.SnapshotInterval.String(),
 		SnapshotBuilds:     st.SnapshotBuilds,
 		SnapshotCacheHits:  st.SnapshotCacheHits,
 		SnapshotLastBuild:  st.SnapshotLastBuild.String(),
@@ -196,13 +164,10 @@ func selfResponse(st core.SelfStats) SelfResponse {
 }
 
 func (e *Exporter) handleSelf(w http.ResponseWriter, r *http.Request) {
-	if e.mgr == nil {
-		http.Error(w, "manager not attached", http.StatusNotFound)
-		return
-	}
 	resp := selfResponse(e.mgr.SelfStats())
 	if e.wireSrv != nil {
-		resp.Wire = wireSelf(e.wireSrv.Stats())
+		st := e.wireSrv.Stats()
+		resp.Wire = &st
 	}
 	writeJSON(w, resp)
 }
@@ -215,7 +180,7 @@ func (e *Exporter) handleSelf(w http.ResponseWriter, r *http.Request) {
 func writeSelfMetrics(w io.Writer, st core.SelfStats) {
 	writeSelfGauge(w, "pbox_self_snapshot_epoch", "Epoch of the published status snapshot (0 = none yet).", int64(st.SnapshotEpoch))
 	writeSelfGaugeSeconds(w, "pbox_self_snapshot_age_seconds", "Manager-clock age of the published status snapshot.", st.SnapshotAge)
-	writeSelfGaugeSeconds(w, "pbox_self_snapshot_interval_seconds", "Configured bounded-staleness budget of the snapshot read path.", st.SnapshotInterval)
+	writeSelfGaugeSeconds(w, "pbox_self_snapshot_interval_seconds", "Configured bounded-staleness budget of the snapshot read path.", core.SnapshotInterval)
 	writeSelfCounter(w, "pbox_self_snapshot_builds_total", "Stop-the-world snapshot view rebuilds.", st.SnapshotBuilds)
 	writeSelfCounter(w, "pbox_self_snapshot_cache_hits_total", "Snapshot reads served by the published view without a rebuild.", st.SnapshotCacheHits)
 	writeSelfGaugeSeconds(w, "pbox_self_snapshot_build_seconds", "Wall-clock cost of the latest snapshot rebuild.", st.SnapshotLastBuild)

@@ -12,36 +12,6 @@ import (
 // Call once during wiring, before the exporter starts serving.
 func (e *Exporter) AttachWire(s *wire.Server) { e.wireSrv = s }
 
-// WireSelf is the wire-tier section of the /self response: admission and
-// shed counters of the batched binary ingestion front door (DESIGN.md §15).
-type WireSelf struct {
-	ConnsTotal  int64 `json:"conns_total"`
-	ConnsActive int64 `json:"conns_active"`
-	Frames      int64 `json:"frames"`
-	Events      int64 `json:"events"`
-	ShedConn    int64 `json:"shed_conn"`
-	ShedGlobal  int64 `json:"shed_global"`
-	Registers   int64 `json:"registers"`
-	Pings       int64 `json:"pings"`
-	BindRefused int64 `json:"bind_refused"`
-	Errors      int64 `json:"errors"`
-}
-
-func wireSelf(st wire.Stats) *WireSelf {
-	return &WireSelf{
-		ConnsTotal:  st.ConnsTotal,
-		ConnsActive: st.ConnsActive,
-		Frames:      st.Frames,
-		Events:      st.Events,
-		ShedConn:    st.ShedConn,
-		ShedGlobal:  st.ShedGlobal,
-		Registers:   st.Registers,
-		Pings:       st.Pings,
-		BindRefused: st.BindRefused,
-		Errors:      st.Errors,
-	}
-}
-
 // writeWireMetrics renders the wire server's counters as the
 // pbox_self_wire_* Prometheus series.
 func writeWireMetrics(w io.Writer, st wire.Stats) {

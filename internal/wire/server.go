@@ -34,18 +34,19 @@ type Config struct {
 }
 
 // Stats is a point-in-time snapshot of the server's counters, exported on
-// /metrics as the pbox_self_wire_* series and printed by `pboxctl self`.
+// /metrics as the pbox_self_wire_* series and, in this JSON form, as the
+// "wire" section of /self that `pboxctl self` prints.
 type Stats struct {
-	ConnsTotal  int64 // connections accepted over the server's life
-	ConnsActive int64 // connections currently open (gauge)
-	Frames      int64 // frames decoded
-	Events      int64 // event ops admitted and applied
-	ShedConn    int64 // event ops shed by a per-connection bucket
-	ShedGlobal  int64 // event ops shed by the global ceiling
-	Registers   int64 // tenants registered
-	Pings       int64 // ping ops answered
-	BindRefused int64 // tenant selects refused by a shared-thread penalty
-	Errors      int64 // protocol errors (connection torn down)
+	ConnsTotal  int64 `json:"conns_total"`  // connections accepted over the server's life
+	ConnsActive int64 `json:"conns_active"` // connections currently open (gauge)
+	Frames      int64 `json:"frames"`       // frames decoded
+	Events      int64 `json:"events"`       // event ops admitted and applied
+	ShedConn    int64 `json:"shed_conn"`    // event ops shed by a per-connection bucket
+	ShedGlobal  int64 `json:"shed_global"`  // event ops shed by the global ceiling
+	Registers   int64 `json:"registers"`    // tenants registered
+	Pings       int64 `json:"pings"`        // ping ops answered
+	BindRefused int64 `json:"bind_refused"` // tenant selects refused by a shared-thread penalty
+	Errors      int64 `json:"errors"`       // protocol errors (connection torn down)
 }
 
 // Server accepts wire-protocol connections and fans their batched events
@@ -249,6 +250,8 @@ type connState struct {
 	wrotePong bool
 }
 
+// errProto is the one reason applyFrame rejects a frame: every decode or
+// semantic failure wraps it, and the connection is torn down.
 var errProto = errors.New("wire: protocol error")
 
 // applyFrame decodes and applies one frame payload. The event-key delta
@@ -312,7 +315,7 @@ func (s *Server) applyFrame(frame []byte, w *core.Worker, tenants map[uint64]*co
 			label := string(frame[off : off+int(labelLen)])
 			off += int(labelLen)
 			if _, dup := tenants[tenant]; dup {
-				return fmt.Errorf("wire: tenant %d already registered", tenant)
+				return fmt.Errorf("%w: tenant %d already registered", errProto, tenant)
 			}
 			rule := core.IsolationRule{
 				Type:   core.RuleType(rt),
@@ -321,7 +324,7 @@ func (s *Server) applyFrame(frame []byte, w *core.Worker, tenants map[uint64]*co
 			}
 			p, err := s.mgr.Create(rule)
 			if err != nil {
-				return err
+				return fmt.Errorf("%w: %v", errProto, err)
 			}
 			if label != "" {
 				s.mgr.SetLabel(p, label)
@@ -430,7 +433,7 @@ func tenantArg(u func() (uint64, bool), tenants map[uint64]*core.PBox) (*core.PB
 	}
 	p := tenants[t]
 	if p == nil {
-		return nil, fmt.Errorf("wire: unknown tenant %d", t)
+		return nil, fmt.Errorf("%w: unknown tenant %d", errProto, t)
 	}
 	return p, nil
 }

@@ -83,10 +83,10 @@ func TestWireRoundTrip(t *testing.T) {
 		t.Fatalf("ping: %v", err)
 	}
 
-	if got := mgr.Hibernated(); got != 1 {
+	if got := mgr.SelfStats().Hibernated; got != 1 {
 		t.Fatalf("hibernated = %d, want 1", got)
 	}
-	snaps := mgr.Snapshots()
+	snaps := mgr.Status().Snapshots
 	if len(snaps) != 2 {
 		t.Fatalf("snapshots = %d, want 2", len(snaps))
 	}
@@ -107,7 +107,7 @@ func TestWireRoundTrip(t *testing.T) {
 
 	// Closing the connection releases its tenants and drains its spool.
 	c.Close()
-	waitFor(t, "tenant release", func() bool { return mgr.Live() == 0 })
+	waitFor(t, "tenant release", func() bool { return len(mgr.Status().Snapshots) == 0 })
 	waitFor(t, "conn gauge", func() bool { return s.Stats().ConnsActive == 0 })
 }
 
