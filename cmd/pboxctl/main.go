@@ -391,24 +391,9 @@ func renderIncident(w io.Writer, inc flightrec.Incident) {
 	}
 	fmt.Fprintf(w, "\nevents (%d):\n", len(inc.Events))
 	for _, e := range inc.Events {
-		line := fmt.Sprintf("  %s pbox=%d", e.Kind, e.PBox)
-		if e.State != "" {
-			line += " " + e.State
-		}
-		if e.Victim != 0 {
-			line += fmt.Sprintf(" victim=%d", e.Victim)
-		}
+		line := "  " + e.Text
 		if e.Name != "" {
 			line += " res=" + e.Name
-		}
-		if e.Policy != "" {
-			line += " policy=" + e.Policy
-		}
-		if e.Extra != "" {
-			line += " " + e.Extra
-		}
-		if e.Level != 0 {
-			line += fmt.Sprintf(" level=%.3f", e.Level)
 		}
 		fmt.Fprintln(w, line)
 	}

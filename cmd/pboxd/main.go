@@ -48,8 +48,6 @@ func main() {
 		noTelem   = flag.Bool("no-telemetry", false, "disable the metrics observer (overhead baseline)")
 		capacity  = flag.Int("capacity", 512, "KV store capacity (items)")
 		evictScan = flag.Int("evict-scan", 192, "LRU entries scanned per eviction (lock hold length)")
-		shards    = flag.Int("shards", 0, "manager lock stripes for resource state (0 = 4×GOMAXPROCS)")
-		spool     = flag.Int("spool", 0, "per-worker event-spool capacity for the uncontended fast path (0 = default 256, negative disables)")
 		demo      = flag.Duration("demo", 0, "run a built-in noisy+victim client demo for this long, then exit")
 		victims   = flag.Int("victims", 2, "victim get-clients in -demo mode")
 		incidents = flag.String("incidents", "incidents", "flight-recorder incidents directory (empty disables)")
@@ -68,11 +66,10 @@ func main() {
 	cfg.EvictScanItems = *evictScan
 
 	// Observer chain, front to back: capture recorder → flight recorder →
-	// metrics collector → manager. The capture recorder sits first so the
-	// event log sees the exact stream the manager emitted (including the
-	// timestamped and lifecycle callbacks the downstream elements may not
-	// implement). Attribution stays on — the ledger is the daemon's
-	// who-hurt-whom diagnosis surface.
+	// metrics collector. Every link forwards every callback
+	// (core.RecordObserver), so each sees the exact stream the manager
+	// emitted whatever the order. Attribution stays on — the ledger is the
+	// daemon's who-hurt-whom diagnosis surface.
 	var (
 		reg    *telemetry.Registry
 		col    *telemetry.Collector
@@ -80,7 +77,7 @@ func main() {
 		capRec *capture.Recorder
 		obs    core.Observer
 	)
-	opts := core.Options{TraceSize: *traceSize, Attribution: true, Shards: *shards, SpoolSize: *spool}
+	opts := core.Options{TraceSize: *traceSize, Attribution: true}
 	if !*noTelem {
 		reg = telemetry.NewRegistry()
 		col = telemetry.NewCollector(reg)

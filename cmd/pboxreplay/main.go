@@ -211,41 +211,12 @@ func runCat(args []string) error {
 		recs = recs[:*n]
 	}
 	for i := range recs {
-		fmt.Println(formatRecord(&recs[i]))
+		fmt.Println(recs[i])
 	}
 	if len(recs) < len(log.Records) {
 		fmt.Printf("... %d more records\n", len(log.Records)-len(recs))
 	}
 	return nil
-}
-
-// formatRecord renders one record as a `cat` line, printing only the fields
-// its kind uses.
-func formatRecord(r *capture.Record) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-12s pbox=%d", r.Kind, r.PBox)
-	switch r.Kind {
-	case capture.KindCreate:
-		rule := r.Rule()
-		fmt.Fprintf(&b, " rule={type=%v level=%g metric=%v}", rule.Type, rule.Level, rule.Metric)
-	case capture.KindActivate, capture.KindFreeze:
-		fmt.Fprintf(&b, " at=%d", r.At)
-	case capture.KindState:
-		fmt.Fprintf(&b, " key=%#x ev=%v at=%d", uint64(r.Key), r.Ev, r.At)
-	case capture.KindDetection:
-		fmt.Fprintf(&b, " victim=%d key=%#x projected=%.3f", r.Victim, uint64(r.Key), r.Level)
-	case capture.KindAction:
-		fmt.Fprintf(&b, " victim=%d key=%#x policy=%v length=%v", r.Victim, uint64(r.Key), r.Policy, time.Duration(r.Dur))
-	case capture.KindServed:
-		fmt.Fprintf(&b, " slept=%v", time.Duration(r.Dur))
-	case capture.KindActivityEnd:
-		fmt.Fprintf(&b, " defer=%v exec=%v", time.Duration(r.Dur), time.Duration(r.Exec))
-	case capture.KindBlocked:
-		fmt.Fprintf(&b, " victim=%d key=%#x blocked=%v", r.Victim, uint64(r.Key), time.Duration(r.Dur))
-	case capture.KindShared:
-		fmt.Fprintf(&b, " shared=%v", r.Dur != 0)
-	}
-	return b.String()
 }
 
 func runReplay(args []string) error {

@@ -4,10 +4,10 @@
 //
 // The pipeline has three parts:
 //
-//   - Recorder (writer.go) — an observer-chain sink that streams the full
-//     event log (state events with manager-clock timestamps, lifecycle
-//     transitions, verdicts) to disk in a compact varint/delta-encoded
-//     binary format, with an async double-buffered writer, a bounded queue
+//   - Recorder (writer.go) — a core.RecordSink on the observer chain that
+//     streams the full event log (state events with manager-clock
+//     timestamps, lifecycle transitions, verdicts) to disk in a compact
+//     varint/delta-encoded binary format, with an async double-buffered writer, a bounded queue
 //     (overflow increments a drop counter instead of blocking the hot
 //     path), and crash-safe segment rotation.
 //
@@ -24,9 +24,9 @@
 //     tuning into an offline search.
 //
 // Determinism contract: the manager derives every piece of bookkeeping from
-// Options.Now values, and an EventTimeObserver receives exactly those values
-// (core.Manager.applyLocked). Replaying the inputs at the recorded
-// timestamps with the same Options therefore reproduces the live run's
+// Options.Now values, and core.Observer's timestamped callbacks carry exactly
+// those values (core.Manager.applyLocked). Replaying the inputs at the
+// recorded timestamps with the same Options therefore reproduces the live run's
 // verdict stream bit for bit when the live run was itself deterministic
 // (single-threaded, injected clock) — the differential test in
 // replay_test.go holds digests identical. For concurrent real-clock
@@ -37,117 +37,24 @@ package capture
 
 import "pbox/internal/core"
 
-// Kind discriminates record types in the log. The numeric values are the
-// on-disk format (testdata/golden pins them); never renumber, only append.
-type Kind byte
-
-const (
-	// KindCreate records create_pbox: pBox id and its isolation rule.
-	KindCreate Kind = 1
-	// KindRelease records release_pbox.
-	KindRelease Kind = 2
-	// KindActivate records activate_pbox at a manager-clock timestamp.
-	KindActivate Kind = 3
-	// KindFreeze records freeze_pbox at a manager-clock timestamp.
-	KindFreeze Kind = 4
-	// KindState records one accepted update_pbox event at the
-	// manager-clock timestamp its bookkeeping used.
-	KindState Kind = 5
-	// KindDetection is an annotation: the live run's Algorithm 1 (or
-	// pBox-level monitor) verdict. Skipped as input during replay.
-	KindDetection Kind = 6
-	// KindAction is an annotation: the live run's scheduled penalty.
-	KindAction Kind = 7
-	// KindServed is an annotation: a penalty delay actually slept.
-	KindServed Kind = 8
-	// KindActivityEnd is an annotation: the finished activity's deferring
-	// and execution time as the live run measured them.
-	KindActivityEnd Kind = 9
-	// KindBlocked is an annotation: one victim-blocking interval from the
-	// attribution stream.
-	KindBlocked Kind = 10
-	// KindShared records a shared-thread marking flip (replayed as input).
-	KindShared Kind = 11
-
-	maxKind = KindShared
-)
-
-// Record is one decoded log entry. Field use depends on Kind; unused fields
-// are zero.
-type Record struct {
-	Kind Kind
-	// PBox is the acting pBox (the culprit for detection/action/blocked).
-	PBox int
-	// Victim is the deferred pBox for detection/action/blocked records.
-	Victim int
-	// Key is the contended virtual resource for state/verdict records.
-	Key core.ResourceKey
-	// Ev is the state-event type for KindState.
-	Ev core.EventType
-	// Policy is the penalty policy for KindAction.
-	Policy core.PolicyKind
-	// At is the manager-clock timestamp (ns) for activate/freeze/state.
-	At int64
-	// Dur carries the kind-specific duration or magnitude (ns): penalty
-	// length (action), slept delay (served), deferring time
-	// (activityEnd/blocked), or the shared flag (0/1) for KindShared.
-	Dur int64
-	// Exec is the activity's execution time (ns) for KindActivityEnd.
-	Exec int64
-	// Level is the rule level for KindCreate and the projected
-	// interference level for KindDetection.
-	Level float64
-	// RuleType and Metric complete the isolation rule for KindCreate.
-	RuleType core.RuleType
-	Metric   core.Metric
-}
-
-// Rule reconstructs a KindCreate record's isolation rule.
-func (r Record) Rule() core.IsolationRule {
-	return core.IsolationRule{Type: r.RuleType, Level: r.Level, Metric: r.Metric}
-}
+// maxKind is the highest record kind the on-disk format stores (the numbering
+// is core.Kind's). core.KindServedFor is not logged: KindServed already
+// carries the slept duration.
+const maxKind = core.KindShared
 
 // timestamped reports whether the record kind carries an At field on disk
 // (these participate in the delta chain).
-func (k Kind) timestamped() bool {
-	return k == KindActivate || k == KindFreeze || k == KindState
+func timestamped(k core.Kind) bool {
+	return k == core.KindActivate || k == core.KindFreeze || k == core.KindState
 }
 
-// input reports whether the record is replayed as manager input (as opposed
-// to an annotation of what the live run decided).
-func (k Kind) input() bool {
+// isInput reports whether the record is replayed as manager input (as opposed
+// to an annotation of what the live run decided: detection, action, served,
+// activity_end, blocked).
+func isInput(k core.Kind) bool {
 	switch k {
-	case KindCreate, KindRelease, KindActivate, KindFreeze, KindState, KindShared:
+	case core.KindCreate, core.KindRelease, core.KindActivate, core.KindFreeze, core.KindState, core.KindShared:
 		return true
 	}
 	return false
-}
-
-// String names the kind for `pboxreplay cat` and diagnostics.
-func (k Kind) String() string {
-	switch k {
-	case KindCreate:
-		return "create"
-	case KindRelease:
-		return "release"
-	case KindActivate:
-		return "activate"
-	case KindFreeze:
-		return "freeze"
-	case KindState:
-		return "state"
-	case KindDetection:
-		return "detection"
-	case KindAction:
-		return "action"
-	case KindServed:
-		return "served"
-	case KindActivityEnd:
-		return "activity_end"
-	case KindBlocked:
-		return "blocked"
-	case KindShared:
-		return "shared"
-	}
-	return "unknown"
 }

@@ -71,9 +71,9 @@ func (e *encoder) header() {
 	e.buf = append(e.buf, formatVersion)
 }
 
-func (e *encoder) u(v uint64)  { e.buf = binary.AppendUvarint(e.buf, v) }
-func (e *encoder) s(v int64)   { e.buf = binary.AppendVarint(e.buf, v) }
-func (e *encoder) id(v int)    { e.u(uint64(v)) }
+func (e *encoder) u(v uint64)             { e.buf = binary.AppendUvarint(e.buf, v) }
+func (e *encoder) s(v int64)              { e.buf = binary.AppendVarint(e.buf, v) }
+func (e *encoder) id(v int)               { e.u(uint64(v)) }
 func (e *encoder) key(k core.ResourceKey) { e.u(uint64(k)) }
 
 // at appends a timestamp as a zigzag delta and advances the chain.
@@ -83,48 +83,48 @@ func (e *encoder) at(v int64) {
 }
 
 // record appends one record.
-func (e *encoder) record(r *Record) {
+func (e *encoder) record(r *core.Record) {
 	e.buf = append(e.buf, byte(r.Kind))
 	switch r.Kind {
-	case KindCreate:
+	case core.KindCreate:
 		e.id(r.PBox)
 		e.u(uint64(r.RuleType))
 		e.u(uint64(r.Metric))
 		e.u(math.Float64bits(r.Level))
-	case KindRelease:
+	case core.KindRelease:
 		e.id(r.PBox)
-	case KindActivate, KindFreeze:
+	case core.KindActivate, core.KindFreeze:
 		e.id(r.PBox)
 		e.at(r.At)
-	case KindState:
+	case core.KindState:
 		e.id(r.PBox)
 		e.u(uint64(r.Ev))
 		e.key(r.Key)
 		e.at(r.At)
-	case KindDetection:
+	case core.KindDetection:
 		e.id(r.PBox)
 		e.id(r.Victim)
 		e.key(r.Key)
 		e.u(math.Float64bits(r.Level))
-	case KindAction:
+	case core.KindAction:
 		e.id(r.PBox)
 		e.id(r.Victim)
 		e.key(r.Key)
 		e.u(uint64(r.Policy))
 		e.s(r.Dur)
-	case KindServed:
+	case core.KindServed:
 		e.id(r.PBox)
 		e.s(r.Dur)
-	case KindActivityEnd:
+	case core.KindActivityEnd:
 		e.id(r.PBox)
 		e.s(r.Dur)
 		e.s(r.Exec)
-	case KindBlocked:
+	case core.KindBlocked:
 		e.id(r.PBox)
 		e.id(r.Victim)
 		e.key(r.Key)
 		e.s(r.Dur)
-	case KindShared:
+	case core.KindShared:
 		e.id(r.PBox)
 		e.s(r.Dur)
 	}
@@ -156,23 +156,23 @@ func newDecoder(data []byte) (*decoder, error) {
 // next decodes the next record. It returns io.EOF at a clean segment end,
 // ErrTruncated when the segment tears mid-record, and ErrCorrupt for bytes
 // that cannot be a record.
-func (d *decoder) next() (Record, error) {
+func (d *decoder) next() (core.Record, error) {
 	if d.off >= len(d.data) {
-		return Record{}, io.EOF
+		return core.Record{}, io.EOF
 	}
 	start := d.off
-	k := Kind(d.data[d.off])
+	k := core.Kind(d.data[d.off])
 	d.off++
 	if k == 0 || k > maxKind {
-		return Record{}, fmt.Errorf("%w: unknown record kind %d at offset %d", ErrCorrupt, k, start)
+		return core.Record{}, fmt.Errorf("%w: unknown record kind %d at offset %d", ErrCorrupt, k, start)
 	}
-	r := Record{Kind: k}
+	r := core.Record{Kind: k}
 	var err error
-	fail := func() (Record, error) {
+	fail := func() (core.Record, error) {
 		if errors.Is(err, io.ErrUnexpectedEOF) {
-			return Record{}, fmt.Errorf("%w (offset %d)", ErrTruncated, start)
+			return core.Record{}, fmt.Errorf("%w (offset %d)", ErrTruncated, start)
 		}
-		return Record{}, fmt.Errorf("%w: %v at offset %d", ErrCorrupt, err, start)
+		return core.Record{}, fmt.Errorf("%w: %v at offset %d", ErrCorrupt, err, start)
 	}
 	u := func() uint64 {
 		if err != nil {
@@ -214,45 +214,45 @@ func (d *decoder) next() (Record, error) {
 		return v
 	}
 	switch k {
-	case KindCreate:
+	case core.KindCreate:
 		r.PBox = int(u())
 		r.RuleType = core.RuleType(u())
 		r.Metric = core.Metric(u())
 		r.Level = math.Float64frombits(u())
-	case KindRelease:
+	case core.KindRelease:
 		r.PBox = int(u())
-	case KindActivate, KindFreeze:
+	case core.KindActivate, core.KindFreeze:
 		r.PBox = int(u())
 		r.At = at()
-	case KindState:
+	case core.KindState:
 		r.PBox = int(u())
 		r.Ev = core.EventType(u())
 		r.Key = core.ResourceKey(u())
 		r.At = at()
-	case KindDetection:
+	case core.KindDetection:
 		r.PBox = int(u())
 		r.Victim = int(u())
 		r.Key = core.ResourceKey(u())
 		r.Level = math.Float64frombits(u())
-	case KindAction:
+	case core.KindAction:
 		r.PBox = int(u())
 		r.Victim = int(u())
 		r.Key = core.ResourceKey(u())
 		r.Policy = core.PolicyKind(u())
 		r.Dur = s()
-	case KindServed:
+	case core.KindServed:
 		r.PBox = int(u())
 		r.Dur = s()
-	case KindActivityEnd:
+	case core.KindActivityEnd:
 		r.PBox = int(u())
 		r.Dur = s()
 		r.Exec = s()
-	case KindBlocked:
+	case core.KindBlocked:
 		r.PBox = int(u())
 		r.Victim = int(u())
 		r.Key = core.ResourceKey(u())
 		r.Dur = s()
-	case KindShared:
+	case core.KindShared:
 		r.PBox = int(u())
 		r.Dur = s()
 	}

@@ -16,55 +16,55 @@ import (
 // randomRecord generates one record with kind-appropriate fields. lastAt
 // threads the (mostly increasing, occasionally regressing — spool flushes
 // interleave old timestamps) manager clock through the stream.
-func randomRecord(rng *rand.Rand, lastAt *int64) Record {
-	kinds := []Kind{
-		KindCreate, KindRelease, KindActivate, KindFreeze, KindState,
-		KindDetection, KindAction, KindServed, KindActivityEnd,
-		KindBlocked, KindShared,
+func randomRecord(rng *rand.Rand, lastAt *int64) core.Record {
+	kinds := []core.Kind{
+		core.KindCreate, core.KindRelease, core.KindActivate, core.KindFreeze, core.KindState,
+		core.KindDetection, core.KindAction, core.KindServed, core.KindActivityEnd,
+		core.KindBlocked, core.KindShared,
 	}
 	k := kinds[rng.Intn(len(kinds))]
-	r := Record{Kind: k, PBox: rng.Intn(64) + 1}
+	r := core.Record{Kind: k, PBox: rng.Intn(64) + 1}
 	stamp := func() {
 		*lastAt += rng.Int63n(5_000_000) - 1_000_000
 		r.At = *lastAt
 	}
 	switch k {
-	case KindCreate:
+	case core.KindCreate:
 		r.RuleType = core.Relative
 		r.Metric = core.Metric(rng.Intn(3))
 		r.Level = math.Trunc(rng.Float64()*1000) / 100
-	case KindActivate, KindFreeze:
+	case core.KindActivate, core.KindFreeze:
 		stamp()
-	case KindState:
+	case core.KindState:
 		r.Ev = core.EventType(rng.Intn(4))
 		r.Key = core.ResourceKey(rng.Uint64() >> 16)
 		stamp()
-	case KindDetection:
+	case core.KindDetection:
 		r.Victim = rng.Intn(64) + 1
 		r.Key = core.ResourceKey(rng.Uint64() >> 16)
 		r.Level = rng.Float64() * 10
-	case KindAction:
+	case core.KindAction:
 		r.Victim = rng.Intn(64) + 1
 		r.Key = core.ResourceKey(rng.Uint64() >> 16)
 		r.Policy = core.PolicyKind(rng.Intn(4))
 		r.Dur = rng.Int63n(20_000_000)
-	case KindServed:
+	case core.KindServed:
 		r.Dur = rng.Int63n(20_000_000)
-	case KindActivityEnd:
+	case core.KindActivityEnd:
 		r.Dur = rng.Int63n(1_000_000)
 		r.Exec = r.Dur + rng.Int63n(10_000_000)
-	case KindBlocked:
+	case core.KindBlocked:
 		r.Victim = rng.Intn(64) + 1
 		r.Key = core.ResourceKey(rng.Uint64() >> 16)
 		r.Dur = rng.Int63n(1_000_000)
-	case KindShared:
+	case core.KindShared:
 		r.Dur = int64(rng.Intn(2))
 	}
 	return r
 }
 
 // encodeSegment serializes records as one complete segment.
-func encodeSegment(recs []Record) []byte {
+func encodeSegment(recs []core.Record) []byte {
 	var e encoder
 	e.reset()
 	e.header()
@@ -75,13 +75,13 @@ func encodeSegment(recs []Record) []byte {
 }
 
 // decodeSegment decodes a full segment, failing the test on any error.
-func decodeSegment(t *testing.T, data []byte) []Record {
+func decodeSegment(t *testing.T, data []byte) []core.Record {
 	t.Helper()
 	dec, err := newDecoder(data)
 	if err != nil {
 		t.Fatalf("newDecoder: %v", err)
 	}
-	var out []Record
+	var out []core.Record
 	for {
 		r, err := dec.next()
 		if errors.Is(err, io.EOF) {
@@ -100,7 +100,7 @@ func TestCodecRoundTripProperty(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		var lastAt int64
-		recs := make([]Record, rng.Intn(500)+1)
+		recs := make([]core.Record, rng.Intn(500)+1)
 		for i := range recs {
 			recs[i] = randomRecord(rng, &lastAt)
 		}
@@ -122,7 +122,7 @@ func TestCodecRoundTripProperty(t *testing.T) {
 func TestCodecTruncatedTail(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	var lastAt int64
-	recs := make([]Record, 60)
+	recs := make([]core.Record, 60)
 	for i := range recs {
 		recs[i] = randomRecord(rng, &lastAt)
 	}
@@ -132,7 +132,7 @@ func TestCodecTruncatedTail(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut %d: header rejected: %v", cut, err)
 		}
-		var got []Record
+		var got []core.Record
 		for {
 			r, err := dec.next()
 			if err != nil {
@@ -164,7 +164,7 @@ func TestCodecCorrupt(t *testing.T) {
 		t.Fatalf("bad version: err = %v, want ErrCorrupt", err)
 	}
 	// A zero kind byte mid-stream is corruption (kinds start at 1).
-	seg := encodeSegment([]Record{{Kind: KindRelease, PBox: 3}})
+	seg := encodeSegment([]core.Record{{Kind: core.KindRelease, PBox: 3}})
 	seg = append(seg, 0x00)
 	dec, err := newDecoder(seg)
 	if err != nil {
@@ -180,27 +180,27 @@ func TestCodecCorrupt(t *testing.T) {
 
 // goldenRecords is a fixed stream covering every kind; the committed golden
 // file pins its encoded bytes as format v1.
-func goldenRecords() []Record {
-	return []Record{
-		{Kind: KindCreate, PBox: 1, RuleType: core.Relative, Metric: core.MetricAverage, Level: 0.5},
-		{Kind: KindCreate, PBox: 2, RuleType: core.Relative, Metric: core.MetricAverage, Level: 20},
-		{Kind: KindShared, PBox: 2, Dur: 1},
-		{Kind: KindActivate, PBox: 1, At: 1_000},
-		{Kind: KindActivate, PBox: 2, At: 2_500},
-		{Kind: KindState, PBox: 2, Key: 42, Ev: core.Hold, At: 3_000},
-		{Kind: KindState, PBox: 1, Key: 42, Ev: core.Prepare, At: 4_000},
-		{Kind: KindState, PBox: 2, Key: 42, Ev: core.Unhold, At: 900_000},
-		{Kind: KindDetection, PBox: 2, Victim: 1, Key: 42, Level: 8.9},
-		{Kind: KindAction, PBox: 2, Victim: 1, Key: 42, Policy: core.PolicyInitial, Dur: 250_000},
-		{Kind: KindBlocked, PBox: 2, Victim: 1, Key: 42, Dur: 896_000},
-		{Kind: KindServed, PBox: 2, Dur: 250_000},
-		{Kind: KindState, PBox: 1, Key: 42, Ev: core.Enter, At: 901_000},
-		{Kind: KindFreeze, PBox: 1, At: 950_000},
-		{Kind: KindActivityEnd, PBox: 1, Dur: 896_000, Exec: 949_000},
-		{Kind: KindFreeze, PBox: 2, At: 1_200_000},
-		{Kind: KindActivityEnd, PBox: 2, Dur: 0, Exec: 1_197_500},
-		{Kind: KindRelease, PBox: 1},
-		{Kind: KindRelease, PBox: 2},
+func goldenRecords() []core.Record {
+	return []core.Record{
+		{Kind: core.KindCreate, PBox: 1, RuleType: core.Relative, Metric: core.MetricAverage, Level: 0.5},
+		{Kind: core.KindCreate, PBox: 2, RuleType: core.Relative, Metric: core.MetricAverage, Level: 20},
+		{Kind: core.KindShared, PBox: 2, Dur: 1},
+		{Kind: core.KindActivate, PBox: 1, At: 1_000},
+		{Kind: core.KindActivate, PBox: 2, At: 2_500},
+		{Kind: core.KindState, PBox: 2, Key: 42, Ev: core.Hold, At: 3_000},
+		{Kind: core.KindState, PBox: 1, Key: 42, Ev: core.Prepare, At: 4_000},
+		{Kind: core.KindState, PBox: 2, Key: 42, Ev: core.Unhold, At: 900_000},
+		{Kind: core.KindDetection, PBox: 2, Victim: 1, Key: 42, Level: 8.9},
+		{Kind: core.KindAction, PBox: 2, Victim: 1, Key: 42, Policy: core.PolicyInitial, Dur: 250_000},
+		{Kind: core.KindBlocked, PBox: 2, Victim: 1, Key: 42, Dur: 896_000},
+		{Kind: core.KindServed, PBox: 2, Dur: 250_000},
+		{Kind: core.KindState, PBox: 1, Key: 42, Ev: core.Enter, At: 901_000},
+		{Kind: core.KindFreeze, PBox: 1, At: 950_000},
+		{Kind: core.KindActivityEnd, PBox: 1, Dur: 896_000, Exec: 949_000},
+		{Kind: core.KindFreeze, PBox: 2, At: 1_200_000},
+		{Kind: core.KindActivityEnd, PBox: 2, Dur: 0, Exec: 1_197_500},
+		{Kind: core.KindRelease, PBox: 1},
+		{Kind: core.KindRelease, PBox: 2},
 	}
 }
 

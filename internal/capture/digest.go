@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"sort"
-	"time"
 
 	"pbox/internal/core"
 )
@@ -85,7 +84,7 @@ type BoxDigest struct {
 	// activities: each activity's adjusted latency is its execution time
 	// minus min(accumulated penalty credit, its deferring time), where
 	// penalties served by the pBoxes that interfered with this one accrue
-	// credit (PenaltyServedFor). The replay is open loop — a penalty
+	// credit (core.KindServedFor). The replay is open loop — a penalty
 	// cannot un-defer an already-recorded wait — so the credit model is
 	// how a config's would-be victim relief shows up in the digest.
 	CreditNs int64 `json:"credit_ns,omitempty"`
@@ -98,13 +97,14 @@ type BoxDigest struct {
 	AdjP99 int64 `json:"adj_p99_ns"`
 }
 
-// collector accumulates a Digest from the observer stream. It implements
-// every observer extension so it can sit directly on a replay manager or at
-// the end of a live chain (behind a Recorder) and see the identical stream
-// in both positions — that symmetry is what makes live and replay digests
+// collector accumulates a Digest from the record stream. Through the embedded
+// core.RecordObserver it sits directly on a replay manager; LogSummary feeds
+// it a log's records without a manager. Either way it sees the same values
+// a Recorder logs — that symmetry is what makes live and replay digests
 // comparable. It must only be used from deterministic single-threaded runs;
 // it takes no locks of its own.
 type collector struct {
+	core.RecordObserver
 	boxes map[int]*boxAcc
 	d     Digest
 }
@@ -114,15 +114,17 @@ type boxAcc struct {
 	lats []int64
 	adj  []int64
 	// credit is the un-spent penalty credit accrued from culprits'
-	// served penalties (PenaltyServedFor with this box as victim).
+	// served penalties (KindServedFor with this box as victim).
 	credit int64
 }
 
 func newCollector() *collector {
-	return &collector{
+	c := &collector{
 		boxes: make(map[int]*boxAcc),
 		d:     Digest{ActionsByPolicy: make(map[string]int64)},
 	}
+	c.Sink = c
+	return c
 }
 
 func (c *collector) box(id int) *boxAcc {
@@ -134,89 +136,53 @@ func (c *collector) box(id int) *boxAcc {
 	return a
 }
 
-// PBoxCreated implements core.Observer.
-func (c *collector) PBoxCreated(id int, rule core.IsolationRule) {
-	c.box(id)
-	c.d.PBoxes++
-}
-
-// PBoxReleased implements core.Observer.
-func (c *collector) PBoxReleased(id int) {}
-
-// StateEvent implements core.Observer.
-func (c *collector) StateEvent(pboxID int, key core.ResourceKey, ev core.EventType) {
-	c.d.Events++
-	c.box(pboxID).b.Events++
-}
-
-// StateEventAt implements core.EventTimeObserver.
-func (c *collector) StateEventAt(pboxID int, key core.ResourceKey, ev core.EventType, atNs int64) {
-	c.StateEvent(pboxID, key, ev)
-}
-
-// PBoxActivated implements core.LifecycleObserver.
-func (c *collector) PBoxActivated(pboxID int, atNs int64) {}
-
-// PBoxFrozen implements core.LifecycleObserver.
-func (c *collector) PBoxFrozen(pboxID int, atNs int64) {}
-
-// PBoxSharedChanged implements core.LifecycleObserver.
-func (c *collector) PBoxSharedChanged(pboxID int, shared bool) {}
-
-// ActivityEnd implements core.Observer: fold the finished activity into the
-// latency series, spending accrued penalty credit against its deferring
-// time for the adjusted series.
-func (c *collector) ActivityEnd(pboxID int, deferNs, execNs int64) {
-	a := c.box(pboxID)
-	a.b.Activities++
-	c.d.Activities++
-	a.b.DeferNs += deferNs
-	a.b.ExecNs += execNs
-	credit := a.credit
-	if credit > deferNs {
-		credit = deferNs
-	}
-	a.credit -= credit
-	a.b.CreditNs += credit
-	a.lats = append(a.lats, execNs)
-	a.adj = append(a.adj, execNs-credit)
-}
-
-// Detection implements core.Observer.
-func (c *collector) Detection(noisyID, victimID int, key core.ResourceKey, projected float64) {
-	c.d.Detections++
-	c.box(noisyID).b.DetectionsAsNoisy++
-	c.box(victimID).b.DetectionsAsVictim++
-}
-
-// PenaltyAction implements core.Observer.
-func (c *collector) PenaltyAction(noisyID, victimID int, key core.ResourceKey, policy core.PolicyKind, length time.Duration) {
-	c.d.Actions++
-	c.d.ActionsByPolicy[policy.String()]++
-	c.d.PenaltyScheduledNs += int64(length)
-	c.box(noisyID).b.ActionsAsNoisy++
-}
-
-// PenaltyServed implements core.Observer.
-func (c *collector) PenaltyServed(pboxID int, d time.Duration) {
-	c.d.PenaltiesServed++
-	c.d.PenaltyServedNs += int64(d)
-	a := c.box(pboxID)
-	a.b.PenaltiesServed++
-	a.b.ServedNs += int64(d)
-}
-
-// PenaltyServedFor implements core.AttributionObserver: the victim accrues
-// latency credit for the culprit's served delay.
-func (c *collector) PenaltyServedFor(culpritID, victimID int, key core.ResourceKey, d time.Duration) {
-	if victimID != 0 {
-		c.box(victimID).credit += int64(d)
+// Record implements core.RecordSink. Kinds without an arm (release,
+// activate, freeze, shared, blocked) leave the digest alone: the ledger
+// totals come from Manager.Status at finalize time instead.
+func (c *collector) Record(rec core.Record) {
+	switch rec.Kind {
+	case core.KindCreate:
+		c.box(rec.PBox)
+		c.d.PBoxes++
+	case core.KindState:
+		c.d.Events++
+		c.box(rec.PBox).b.Events++
+	case core.KindActivityEnd:
+		// Fold the finished activity into the latency series, spending
+		// accrued penalty credit against its deferring time for the
+		// adjusted series.
+		a := c.box(rec.PBox)
+		a.b.Activities++
+		c.d.Activities++
+		a.b.DeferNs += rec.Dur
+		a.b.ExecNs += rec.Exec
+		credit := min(a.credit, rec.Dur)
+		a.credit -= credit
+		a.b.CreditNs += credit
+		a.lats = append(a.lats, rec.Exec)
+		a.adj = append(a.adj, rec.Exec-credit)
+	case core.KindDetection:
+		c.d.Detections++
+		c.box(rec.PBox).b.DetectionsAsNoisy++
+		c.box(rec.Victim).b.DetectionsAsVictim++
+	case core.KindAction:
+		c.d.Actions++
+		c.d.ActionsByPolicy[rec.Policy.String()]++
+		c.d.PenaltyScheduledNs += rec.Dur
+		c.box(rec.PBox).b.ActionsAsNoisy++
+	case core.KindServed:
+		c.d.PenaltiesServed++
+		c.d.PenaltyServedNs += rec.Dur
+		a := c.box(rec.PBox)
+		a.b.PenaltiesServed++
+		a.b.ServedNs += rec.Dur
+	case core.KindServedFor:
+		// The victim accrues latency credit for the culprit's served delay.
+		if rec.Victim != 0 {
+			c.box(rec.Victim).credit += rec.Dur
+		}
 	}
 }
-
-// Blocked implements core.AttributionObserver (the ledger totals come from
-// Manager.Status at finalize time instead).
-func (c *collector) Blocked(culpritID, victimID int, key core.ResourceKey, deferNs int64) {}
 
 // finalize computes percentiles, folds in the manager's attribution ledger,
 // and stamps the hash.

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"pbox/internal/core"
 )
 
 // FuzzSegmentDecoder feeds the PBOXCAP segment decoder arbitrary bytes — a
@@ -38,7 +40,7 @@ func FuzzSegmentDecoder(f *testing.F) {
 	f.Add([]byte(segMagic + "\x01\x00"))                                             // zero kind
 	f.Add([]byte(segMagic + "\x01\x02\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff")) // uvarint overflow
 
-	decode := func(t *testing.T, data []byte) []Record {
+	decode := func(t *testing.T, data []byte) []core.Record {
 		dec, err := newDecoder(data)
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
@@ -46,7 +48,7 @@ func FuzzSegmentDecoder(f *testing.F) {
 			}
 			return nil
 		}
-		var recs []Record
+		var recs []core.Record
 		for {
 			at := dec.off
 			r, err := dec.next()

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+
+	"pbox/internal/core"
 )
 
 // Info summarizes a loaded log.
@@ -28,7 +30,7 @@ type Info struct {
 
 // Log is a fully loaded capture log.
 type Log struct {
-	Records []Record
+	Records []core.Record
 	Info    Info
 }
 
@@ -82,14 +84,14 @@ func ReadLog(path string) (*Log, error) {
 }
 
 // add appends one record and folds it into the summary.
-func (l *Log) add(r Record) {
+func (l *Log) add(r core.Record) {
 	l.Records = append(l.Records, r)
 	l.Info.Records++
 	l.Info.ByKind[r.Kind.String()]++
-	if r.Kind == KindCreate {
+	if r.Kind == core.KindCreate {
 		l.Info.PBoxes++
 	}
-	if r.Kind.timestamped() {
+	if timestamped(r.Kind) {
 		if l.Info.FirstAt == 0 || r.At < l.Info.FirstAt {
 			l.Info.FirstAt = r.At
 		}

@@ -42,7 +42,7 @@ type ReplayResult struct {
 // returns the At of the input record currently being applied, and
 // Options.Sleep is a no-op (a penalty "serves" instantly but is fully
 // accounted). Because the live manager derived all bookkeeping from the
-// same values (see core.EventTimeObserver), a replay with the options of a
+// same values (see core.Observer's StateEventAt), a replay with the options of a
 // deterministic live run reproduces its decisions exactly; with different
 // options it answers what the manager would have decided. Verdict records
 // in the log (detection/action/served/activity_end/blocked) are annotations
@@ -65,10 +65,10 @@ func Replay(log *Log, cfg Config) (*ReplayResult, error) {
 	boxes := make(map[int]*core.PBox, log.Info.PBoxes)
 	for i := range log.Records {
 		rec := &log.Records[i]
-		if !rec.Kind.input() {
+		if !isInput(rec.Kind) {
 			continue
 		}
-		if rec.Kind == KindCreate {
+		if rec.Kind == core.KindCreate {
 			rule := rec.Rule()
 			if cfg.RuleLevel > 0 {
 				rule.Level = cfg.RuleLevel
@@ -89,19 +89,19 @@ func Replay(log *Log, cfg Config) (*ReplayResult, error) {
 			continue
 		}
 		switch rec.Kind {
-		case KindRelease:
+		case core.KindRelease:
 			_ = m.Release(p)
 			delete(boxes, rec.PBox)
-		case KindActivate:
+		case core.KindActivate:
 			clock = rec.At
 			m.Activate(p)
-		case KindFreeze:
+		case core.KindFreeze:
 			clock = rec.At
 			m.Freeze(p)
-		case KindState:
+		case core.KindState:
 			clock = rec.At
 			m.Update(p, rec.Key, rec.Ev)
-		case KindShared:
+		case core.KindShared:
 			m.SetShared(p, rec.Dur != 0)
 		}
 	}
@@ -117,21 +117,7 @@ func Replay(log *Log, cfg Config) (*ReplayResult, error) {
 func LogSummary(log *Log) *Digest {
 	col := newCollector()
 	for i := range log.Records {
-		rec := &log.Records[i]
-		switch rec.Kind {
-		case KindCreate:
-			col.PBoxCreated(rec.PBox, rec.Rule())
-		case KindState:
-			col.StateEventAt(rec.PBox, rec.Key, rec.Ev, rec.At)
-		case KindActivityEnd:
-			col.ActivityEnd(rec.PBox, rec.Dur, rec.Exec)
-		case KindDetection:
-			col.Detection(rec.PBox, rec.Victim, rec.Key, rec.Level)
-		case KindAction:
-			col.PenaltyAction(rec.PBox, rec.Victim, rec.Key, rec.Policy, time.Duration(rec.Dur))
-		case KindServed:
-			col.PenaltyServed(rec.PBox, time.Duration(rec.Dur))
-		}
+		col.Record(log.Records[i])
 	}
 	d := col.finalize(nil)
 	d.Hash = ""

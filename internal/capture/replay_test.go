@@ -1,10 +1,12 @@
 package capture
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"pbox/internal/core"
+	"pbox/internal/flightrec"
 )
 
 // liveOptions is the option set the scripted live run uses; replays that
@@ -24,6 +26,13 @@ func liveOptions() core.Options {
 // the live run's digest and the capture log.
 func runScripted(t *testing.T, dir string) (*Digest, *Log) {
 	t.Helper()
+	return runScriptedBehind(t, dir, func(rec core.Observer) core.Observer { return rec })
+}
+
+// runScriptedBehind is runScripted with the manager's observer chosen by
+// front, which is handed the Recorder to chain to.
+func runScriptedBehind(t *testing.T, dir string, front func(rec core.Observer) core.Observer) (*Digest, *Log) {
+	t.Helper()
 	col := newCollector()
 	rec, err := NewRecorder(RecorderConfig{Dir: dir, Next: col})
 	if err != nil {
@@ -31,7 +40,7 @@ func runScripted(t *testing.T, dir string) (*Digest, *Log) {
 	}
 	var now int64
 	opts := liveOptions()
-	opts.Observer = rec
+	opts.Observer = front(rec)
 	opts.Attribution = true
 	opts.Now = func() int64 { return now }
 	opts.Sleep = func(d time.Duration) { now += int64(d) }
@@ -113,6 +122,35 @@ func TestReplayDifferentialIdentical(t *testing.T) {
 	if rr.Digest.Hash != live.Hash {
 		t.Fatalf("replay digest diverges from live run:\nlive   %s\nreplay %s\ndiff:\n%v",
 			live.Hash, rr.Digest.Hash, Diff(live, rr.Digest))
+	}
+}
+
+// TestRecorderBehindFlightRecorderReplaysIdentical: a log must not depend on
+// who else is listening. The same scripted run recorded with the Recorder
+// chained behind a flight recorder yields the same records, and so the same
+// replay digest, as with the Recorder in front: every link forwards every
+// callback, lifecycle and attribution included.
+func TestRecorderBehindFlightRecorderReplaysIdentical(t *testing.T) {
+	_, inFront := runScripted(t, t.TempDir())
+	_, behind := runScriptedBehind(t, t.TempDir(), func(rec core.Observer) core.Observer {
+		fr := flightrec.New(flightrec.Config{Dir: t.TempDir(), Next: rec})
+		t.Cleanup(fr.Close)
+		return fr
+	})
+	if !slices.Equal(behind.Records, inFront.Records) {
+		t.Fatalf("log recorded behind a flight recorder has %d records (%v), in front %d (%v)",
+			len(behind.Records), behind.Info.ByKind, len(inFront.Records), inFront.Info.ByKind)
+	}
+	a, err := Replay(inFront, Config{Options: liveOptions()})
+	if err != nil {
+		t.Fatalf("Replay (in front): %v", err)
+	}
+	b, err := Replay(behind, Config{Options: liveOptions()})
+	if err != nil {
+		t.Fatalf("Replay (behind): %v", err)
+	}
+	if a.Digest.Detections == 0 || a.Digest.Hash != b.Digest.Hash {
+		t.Fatalf("replay digests differ (detections %d):\n%v", a.Digest.Detections, Diff(a.Digest, b.Digest))
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"pbox/internal/core"
 )
@@ -29,29 +28,29 @@ type RecorderConfig struct {
 	// exceeds it (checked at batch boundaries), the segment is synced,
 	// closed, and a new one started. Default 4 MiB.
 	SegmentBytes int
-	// Next is the downstream observer the Recorder forwards every callback
-	// to (the usual chain pattern, like flightrec's).
+	// Next is the downstream observer every callback is forwarded to after
+	// it is logged (the usual chain pattern, like flightrec's). May be nil.
 	Next core.Observer
 }
 
-// Recorder is the capture sink: a core.Observer (plus the EventTimeObserver,
-// LifecycleObserver, and AttributionObserver extensions) that streams every
-// callback to disk as a binary log Replay can consume.
+// Recorder is the capture sink: the embedded core.RecordObserver makes it a
+// core.Observer and core.AttributionObserver whose every callback arrives at
+// Record as one value and is then forwarded to Config.Next, and Record
+// streams those values to disk as a binary log Replay can consume. Because
+// the adapter forwards every callback, the log is the same wherever the
+// Recorder sits in an observer chain.
 //
-// The hot path (state-event callbacks, fired under manager locks) only
-// copies a Record value into a preallocated buffer under a private mutex and
-// pokes a notification channel — no allocation, no I/O, no manager re-entry
-// (pboxlint's hotpathalloc and reentry passes check this). A background
-// goroutine swaps the double buffers, encodes the batch, and appends it to
-// the current segment file.
+// The hot path (Record, called under manager locks) only copies the value
+// into a preallocated buffer under a private mutex and pokes a notification
+// channel — no allocation, no I/O, no manager re-entry (pboxlint's
+// hotpathalloc and reentry passes check this). A background goroutine swaps
+// the double buffers, encodes the batch, and appends it to the current
+// segment file.
 type Recorder struct {
-	next     core.Observer
-	nextAttr core.AttributionObserver
-	nextTime core.EventTimeObserver
-	nextLife core.LifecycleObserver
+	core.RecordObserver
 
 	mu     sync.Mutex
-	active []Record // enqueue side of the double buffer
+	active []core.Record // enqueue side of the double buffer
 	n      int
 
 	dropped atomic.Int64
@@ -68,7 +67,7 @@ type Recorder struct {
 	done chan struct{}
 
 	// Writer-goroutine state (no locking: only the writer touches these).
-	spare      []Record
+	spare      []core.Record
 	enc        encoder
 	dir        string
 	segBytes   int
@@ -93,9 +92,8 @@ func NewRecorder(cfg RecorderConfig) (*Recorder, error) {
 		return nil, err
 	}
 	r := &Recorder{
-		next:     cfg.Next,
-		active:   make([]Record, cfg.QueueSize),
-		spare:    make([]Record, cfg.QueueSize),
+		active:   make([]core.Record, cfg.QueueSize),
+		spare:    make([]core.Record, cfg.QueueSize),
 		wake:     make(chan struct{}, 1),
 		quit:     make(chan struct{}),
 		done:     make(chan struct{}),
@@ -103,15 +101,7 @@ func NewRecorder(cfg RecorderConfig) (*Recorder, error) {
 		segBytes: cfg.SegmentBytes,
 		segIndex: last,
 	}
-	if ao, ok := cfg.Next.(core.AttributionObserver); ok {
-		r.nextAttr = ao
-	}
-	if to, ok := cfg.Next.(core.EventTimeObserver); ok {
-		r.nextTime = to
-	}
-	if lo, ok := cfg.Next.(core.LifecycleObserver); ok {
-		r.nextLife = lo
-	}
+	r.RecordObserver = core.RecordObserver{Sink: r, Next: cfg.Next}
 	if err := r.rotate(); err != nil {
 		return nil, err
 	}
@@ -156,11 +146,13 @@ func (r *Recorder) Err() error {
 	return nil
 }
 
-// enqueue copies rec into the active buffer, or counts a drop when full.
+// Record implements core.RecordSink: it copies rec into the active buffer,
+// or counts a drop when full. KindServedFor is not part of the on-disk
+// format (the KindServed record before it carries the same duration).
 //
 //pbox:hotpath
-func (r *Recorder) enqueue(rec Record) {
-	if r.closed.Load() {
+func (r *Recorder) Record(rec core.Record) {
+	if r.closed.Load() || rec.Kind > maxKind {
 		return
 	}
 	r.mu.Lock()
@@ -310,137 +302,4 @@ func segmentNames(dir string) ([]string, error) {
 	}
 	sort.Strings(names)
 	return names, nil
-}
-
-// --- Observer chain ---------------------------------------------------------
-
-// PBoxCreated implements core.Observer.
-func (r *Recorder) PBoxCreated(id int, rule core.IsolationRule) {
-	r.enqueue(Record{Kind: KindCreate, PBox: id, RuleType: rule.Type, Metric: rule.Metric, Level: rule.Level})
-	if r.next != nil {
-		r.next.PBoxCreated(id, rule)
-	}
-}
-
-// PBoxReleased implements core.Observer.
-func (r *Recorder) PBoxReleased(id int) {
-	r.enqueue(Record{Kind: KindRelease, PBox: id})
-	if r.next != nil {
-		r.next.PBoxReleased(id)
-	}
-}
-
-// StateEvent implements core.Observer. The manager prefers StateEventAt
-// (the Recorder is an EventTimeObserver); this arm only fires when some
-// upstream chain element downgrades the delivery, and records At 0.
-//
-//pbox:hotpath
-func (r *Recorder) StateEvent(pboxID int, key core.ResourceKey, ev core.EventType) {
-	r.enqueue(Record{Kind: KindState, PBox: pboxID, Key: key, Ev: ev})
-	if r.next != nil {
-		r.next.StateEvent(pboxID, key, ev)
-	}
-}
-
-// StateEventAt implements core.EventTimeObserver: the capture hot path. The
-// recorded timestamp is the manager-clock value the event's bookkeeping
-// used, which is what makes the log replayable.
-//
-//pbox:hotpath
-func (r *Recorder) StateEventAt(pboxID int, key core.ResourceKey, ev core.EventType, atNs int64) {
-	r.enqueue(Record{Kind: KindState, PBox: pboxID, Key: key, Ev: ev, At: atNs})
-	if r.nextTime != nil {
-		r.nextTime.StateEventAt(pboxID, key, ev, atNs)
-	} else if r.next != nil {
-		r.next.StateEvent(pboxID, key, ev)
-	}
-}
-
-// PBoxActivated implements core.LifecycleObserver.
-//
-//pbox:hotpath
-func (r *Recorder) PBoxActivated(pboxID int, atNs int64) {
-	r.enqueue(Record{Kind: KindActivate, PBox: pboxID, At: atNs})
-	if r.nextLife != nil {
-		r.nextLife.PBoxActivated(pboxID, atNs)
-	}
-}
-
-// PBoxFrozen implements core.LifecycleObserver.
-//
-//pbox:hotpath
-func (r *Recorder) PBoxFrozen(pboxID int, atNs int64) {
-	r.enqueue(Record{Kind: KindFreeze, PBox: pboxID, At: atNs})
-	if r.nextLife != nil {
-		r.nextLife.PBoxFrozen(pboxID, atNs)
-	}
-}
-
-// PBoxSharedChanged implements core.LifecycleObserver.
-func (r *Recorder) PBoxSharedChanged(pboxID int, shared bool) {
-	flag := int64(0)
-	if shared {
-		flag = 1
-	}
-	r.enqueue(Record{Kind: KindShared, PBox: pboxID, Dur: flag})
-	if r.nextLife != nil {
-		r.nextLife.PBoxSharedChanged(pboxID, shared)
-	}
-}
-
-// ActivityEnd implements core.Observer.
-//
-//pbox:hotpath
-func (r *Recorder) ActivityEnd(pboxID int, deferNs, execNs int64) {
-	r.enqueue(Record{Kind: KindActivityEnd, PBox: pboxID, Dur: deferNs, Exec: execNs})
-	if r.next != nil {
-		r.next.ActivityEnd(pboxID, deferNs, execNs)
-	}
-}
-
-// Detection implements core.Observer.
-//
-//pbox:hotpath
-func (r *Recorder) Detection(noisyID, victimID int, key core.ResourceKey, projected float64) {
-	r.enqueue(Record{Kind: KindDetection, PBox: noisyID, Victim: victimID, Key: key, Level: projected})
-	if r.next != nil {
-		r.next.Detection(noisyID, victimID, key, projected)
-	}
-}
-
-// PenaltyAction implements core.Observer.
-//
-//pbox:hotpath
-func (r *Recorder) PenaltyAction(noisyID, victimID int, key core.ResourceKey, policy core.PolicyKind, length time.Duration) {
-	r.enqueue(Record{Kind: KindAction, PBox: noisyID, Victim: victimID, Key: key, Policy: policy, Dur: int64(length)})
-	if r.next != nil {
-		r.next.PenaltyAction(noisyID, victimID, key, policy, length)
-	}
-}
-
-// PenaltyServed implements core.Observer (fires outside manager locks).
-func (r *Recorder) PenaltyServed(pboxID int, d time.Duration) {
-	r.enqueue(Record{Kind: KindServed, PBox: pboxID, Dur: int64(d)})
-	if r.next != nil {
-		r.next.PenaltyServed(pboxID, d)
-	}
-}
-
-// Blocked implements core.AttributionObserver.
-//
-//pbox:hotpath
-func (r *Recorder) Blocked(culpritID, victimID int, key core.ResourceKey, overlapNs int64) {
-	r.enqueue(Record{Kind: KindBlocked, PBox: culpritID, Victim: victimID, Key: key, Dur: overlapNs})
-	if r.nextAttr != nil {
-		r.nextAttr.Blocked(culpritID, victimID, key, overlapNs)
-	}
-}
-
-// PenaltyServedFor implements core.AttributionObserver (outside locks; the
-// served duration is already captured by PenaltyServed, so this only
-// forwards).
-func (r *Recorder) PenaltyServedFor(culpritID, victimID int, key core.ResourceKey, d time.Duration) {
-	if r.nextAttr != nil {
-		r.nextAttr.PenaltyServedFor(culpritID, victimID, key, d)
-	}
 }

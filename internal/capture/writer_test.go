@@ -89,7 +89,7 @@ func TestRecorderWritesAndRotates(t *testing.T) {
 		t.Fatal("clean close must not leave a truncated tail")
 	}
 	// Records decode in enqueue order; spot-check the stream shape.
-	if log.Records[0].Kind != KindCreate || log.Records[0].PBox != 1 {
+	if log.Records[0].Kind != core.KindCreate || log.Records[0].PBox != 1 {
 		t.Fatalf("first record = %+v, want create pbox 1", log.Records[0])
 	}
 	// Position points at the end of the newest segment after a clean close.

@@ -26,7 +26,7 @@ import (
 // AttributionObserver is an optional extension of Observer. If the Observer
 // passed in Options also implements this interface, the manager delivers the
 // per-triple attribution stream: Blocked fires (under manager locks, like
-// StateEvent) whenever a culprit's hold is found to have overlapped a
+// StateEventAt) whenever a culprit's hold is found to have overlapped a
 // victim's wait, and PenaltyServedFor fires (outside the locks, like
 // PenaltyServed) when a served penalty is attributable to a specific
 // (victim, resource) — which it always is, because the manager never stacks

@@ -6,25 +6,30 @@ import (
 	"time"
 )
 
-// attrRecorder records the AttributionObserver stream alongside the base
-// Observer callbacks (which it ignores).
+// attrRecorder keeps the attribution side of the record stream (Blocked and
+// PenaltyServedFor) and ignores the rest.
 type attrRecorder struct {
-	nopObserver
+	RecordObserver
 	mu      sync.Mutex
-	blocked []obsEvent
-	served  []obsEvent
+	blocked []Record
+	served  []Record
 }
 
-func (a *attrRecorder) Blocked(culprit, victim int, key ResourceKey, deferNs int64) {
-	a.mu.Lock()
-	a.blocked = append(a.blocked, obsEvent{kind: "blocked", pbox: culprit, victim: victim, d: time.Duration(deferNs)})
-	a.mu.Unlock()
+func newAttrRecorder() *attrRecorder {
+	a := &attrRecorder{}
+	a.Sink = a
+	return a
 }
 
-func (a *attrRecorder) PenaltyServedFor(culprit, victim int, key ResourceKey, d time.Duration) {
+func (a *attrRecorder) Record(rec Record) {
 	a.mu.Lock()
-	a.served = append(a.served, obsEvent{kind: "servedfor", pbox: culprit, victim: victim, d: d})
-	a.mu.Unlock()
+	defer a.mu.Unlock()
+	switch rec.Kind {
+	case KindBlocked:
+		a.blocked = append(a.blocked, rec)
+	case KindServedFor:
+		a.served = append(a.served, rec)
+	}
 }
 
 // driveNoisyVictim runs one hold-overlapping-wait cycle: noisy holds key,
@@ -38,7 +43,7 @@ func driveNoisyVictim(h *harness, noisy, victim *PBox, key ResourceKey, d time.D
 }
 
 func TestAttributionLedgerAccumulates(t *testing.T) {
-	obs := &attrRecorder{}
+	obs := newAttrRecorder()
 	h := newHarness(t, func(o *Options) {
 		o.Attribution = true
 		o.Observer = obs
@@ -89,13 +94,13 @@ func TestAttributionLedgerAccumulates(t *testing.T) {
 	if len(obs.blocked) == 0 {
 		t.Fatal("Blocked callback never fired")
 	}
-	if obs.blocked[0].pbox != noisy.ID() || obs.blocked[0].victim != victim.ID() {
+	if obs.blocked[0].PBox != noisy.ID() || obs.blocked[0].Victim != victim.ID() {
 		t.Fatalf("Blocked reported %+v", obs.blocked[0])
 	}
 	if len(obs.served) == 0 {
 		t.Fatal("PenaltyServedFor callback never fired")
 	}
-	if obs.served[0].pbox != noisy.ID() || obs.served[0].victim != victim.ID() {
+	if obs.served[0].PBox != noisy.ID() || obs.served[0].Victim != victim.ID() {
 		t.Fatalf("PenaltyServedFor reported %+v", obs.served[0])
 	}
 }
@@ -233,7 +238,7 @@ func TestAttributionDisabledAllocFree(t *testing.T) {
 // attrNop is the cheapest AttributionObserver, for hook-path benchmarks.
 type attrNop struct{ nopObserver }
 
-func (attrNop) Blocked(int, int, ResourceKey, int64)                    {}
+func (attrNop) Blocked(int, int, ResourceKey, int64)                  {}
 func (attrNop) PenaltyServedFor(int, int, ResourceKey, time.Duration) {}
 
 // verdictCycle is the full attribution hook path: an overlapping hold, a

@@ -88,9 +88,9 @@ func TestHibernateLifecycleAndRefusals(t *testing.T) {
 // enough rounds to wrap the 64-entry history ring; when hibernate is set,
 // both pBoxes hibernate between every pair of activities. The recorded
 // observer stream is returned for differential comparison.
-func interferenceScript(t *testing.T, metric Metric, hibernate bool) []obsEvent {
+func interferenceScript(t *testing.T, metric Metric, hibernate bool) []Record {
 	t.Helper()
-	obs := &recordingObserver{}
+	obs := newRecordingObserver()
 	h := newHarness(t, func(o *Options) { o.Observer = obs })
 	mk := func() *PBox {
 		p, err := h.m.Create(IsolationRule{Type: Relative, Level: 0.5, Metric: metric})
@@ -142,7 +142,7 @@ func TestHibernateWakeDifferentialVerdicts(t *testing.T) {
 	}
 }
 
-func tail(ev []obsEvent) []obsEvent {
+func tail(ev []Record) []Record {
 	if len(ev) > 12 {
 		return ev[len(ev)-12:]
 	}
@@ -150,7 +150,7 @@ func tail(ev []obsEvent) []obsEvent {
 }
 
 func TestHibernateCarriesPendingPenalty(t *testing.T) {
-	obs := &recordingObserver{}
+	obs := newRecordingObserver()
 	h := newHarness(t, func(o *Options) { o.Observer = obs })
 	noisy := h.pbox(0.5)
 	victim := h.pbox(0.5)

@@ -75,13 +75,6 @@ type Options struct {
 	// costs one nil check per site and zero allocations.
 	Attribution bool
 
-	// Shards is the number of lock stripes for resource-side state
-	// (waiter lists, holder indexes, resource names). It is rounded up to
-	// a power of two; zero selects 4×GOMAXPROCS clamped to [8, 256].
-	// More shards mean less contention between events on unrelated
-	// resources at a fixed small memory cost per shard.
-	Shards int
-
 	// SpoolSize is the per-Worker event-spool capacity of the uncontended
 	// fast path (DESIGN.md §10): events on resources with no cross-pBox
 	// competition are buffered in the worker's spool and batch-replayed
@@ -112,11 +105,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.GapPolicyFactor <= 0 {
 		o.GapPolicyFactor = 2
-	}
-	if o.Shards <= 0 {
-		o.Shards = defaultShardCount()
-	} else {
-		o.Shards = nextPow2(o.Shards)
 	}
 	if o.SpoolSize == 0 {
 		o.SpoolSize = defaultSpoolSize
@@ -158,7 +146,7 @@ type Manager struct {
 	}
 
 	// shards is the stripe topology for resource-side state, built by
-	// NewManager from Options.Shards and immutable afterwards.
+	// NewManager (defaultShardCount stripes) and immutable afterwards.
 	shards shardSet
 
 	// contention is the per-resource claim/contended slot table of the
@@ -211,15 +199,6 @@ type Manager struct {
 	// attrObs is opts.Observer's AttributionObserver side, cached at
 	// construction so hook sites pay a nil check instead of a type assert.
 	attrObs AttributionObserver
-	// timeObs is opts.Observer's EventTimeObserver side, likewise cached:
-	// state events are delivered through it with the manager-clock
-	// timestamp their bookkeeping used, so an observer that cares (the
-	// flight recorder, the capture recorder) sees event time, not callback
-	// time.
-	timeObs EventTimeObserver
-	// lifeObs is opts.Observer's LifecycleObserver side: activity-window
-	// boundary timestamps and shared-marking flips, for capture logs.
-	lifeObs LifecycleObserver
 
 	// crossings counts conceptual user/kernel boundary crossings: every
 	// manager entry point increments it. The lazy-unbind optimization
@@ -241,15 +220,9 @@ func NewManager(opts Options) *Manager {
 	}
 	m.reg.pboxes = make(map[int]*PBox)
 	m.reg.bindings = make(map[uintptr]*PBox)
-	m.shards = newShardSet(opts.Shards)
+	m.shards = newShardSet(defaultShardCount())
 	if ao, ok := opts.Observer.(AttributionObserver); ok {
 		m.attrObs = ao
-	}
-	if to, ok := opts.Observer.(EventTimeObserver); ok {
-		m.timeObs = to
-	}
-	if lo, ok := opts.Observer.(LifecycleObserver); ok {
-		m.lifeObs = lo
 	}
 	if opts.Attribution {
 		m.attr = newAttributionLedger()
@@ -261,7 +234,7 @@ func NewManager(opts Options) *Manager {
 }
 
 // ShardCount returns the number of resource-side lock stripes, fixed at
-// NewManager (Options.Shards rounded up to a power of two).
+// NewManager (see defaultShardCount).
 func (m *Manager) ShardCount() int { return len(m.shards.shards) }
 
 // SpoolCapacity returns the capacity every Worker spool is sized to, fixed at
@@ -398,8 +371,8 @@ func (m *Manager) Activate(p *PBox) {
 	p.blame = nil
 	p.actMu.Unlock()
 	m.traceEvent(p, 0, "activate", 0)
-	if m.lifeObs != nil {
-		m.lifeObs.PBoxActivated(p.id, now)
+	if m.obs != nil {
+		m.obs.PBoxActivated(p.id, now)
 	}
 }
 
@@ -421,8 +394,8 @@ func (m *Manager) Freeze(p *PBox) {
 	}
 	p.setState(StateFrozen)
 	te := now - p.activityStart.Load()
-	if m.lifeObs != nil {
-		m.lifeObs.PBoxFrozen(p.id, now)
+	if m.obs != nil {
+		m.obs.PBoxFrozen(p.id, now)
 	}
 
 	// Fold the activity into the history and, in the same actMu hold,
@@ -550,19 +523,15 @@ func (m *Manager) updateSlow(p *PBox, key ResourceKey, ev EventType) {
 // applyLocked delivers one event to the trace ring, the observer, and the
 // Algorithm 1 arms, at manager-clock time now — the same now the arms use
 // for their bookkeeping, whether the event arrives directly (now = issue
-// time) or via a spool replay (now = recorded event time). An observer that
-// implements EventTimeObserver receives every event through StateEventAt
-// with that timestamp, so a capture log of StateEventAt calls replayed at
-// the recorded times reproduces the arms' arithmetic exactly. Caller holds
-// p.mu.
+// time) or via a spool replay (now = recorded event time). The observer's
+// StateEventAt carries that timestamp, so a capture log replayed at the
+// recorded times reproduces the arms' arithmetic exactly. Caller holds p.mu.
 //
 //pbox:hotpath
 func (m *Manager) applyLocked(p *PBox, key ResourceKey, ev EventType, now int64) {
 	m.traceEventAt(p, key, ev.String(), 0, now)
-	if m.timeObs != nil {
-		m.timeObs.StateEventAt(p.id, key, ev, now)
-	} else if m.obs != nil {
-		m.obs.StateEvent(p.id, key, ev)
+	if m.obs != nil {
+		m.obs.StateEventAt(p.id, key, ev, now)
 	}
 	s := m.lockShard(key)
 	m.applyArmLocked(p, s, key, ev, now)
@@ -863,16 +832,16 @@ func (m *Manager) SetShared(p *PBox, shared bool) {
 	p.penMu.Unlock()
 }
 
-// setSharedLocked flips the shared-thread flag and notifies the lifecycle
-// observer on a change. Caller holds p.penMu; the callback runs under that
+// setSharedLocked flips the shared-thread flag and notifies the observer on
+// a change. Caller holds p.penMu; the callback runs under that
 // leaf lock, so the usual no-reentry rules apply.
 func (m *Manager) setSharedLocked(p *PBox, shared bool) {
 	if p.sharedThread == shared {
 		return
 	}
 	p.sharedThread = shared
-	if m.lifeObs != nil {
-		m.lifeObs.PBoxSharedChanged(p.id, shared)
+	if m.obs != nil {
+		m.obs.PBoxSharedChanged(p.id, shared)
 	}
 }
 

@@ -1,65 +1,42 @@
 package core
 
 import (
-	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 )
 
-// obsEvent is one recorded Observer callback.
-type obsEvent struct {
-	kind   string // "create", "release", "event", "activity", "detect", "action", "served"
-	pbox   int    // subject pBox (noisy for detect/action)
-	victim int
-	ev     EventType
-	d      time.Duration
-}
-
-// recordingObserver captures every callback in order. Callbacks fire under
-// the manager lock (except PenaltyServed), so the recorder takes its own
-// lock to stay race-clean either way.
+// recordingObserver captures every callback in order, as the Records the
+// adapter builds. Callbacks fire under the manager lock (except
+// PenaltyServed), so the recorder takes its own lock to stay race-clean
+// either way.
 type recordingObserver struct {
+	RecordObserver
 	mu     sync.Mutex
-	events []obsEvent
+	events []Record
 }
 
-func (r *recordingObserver) append(e obsEvent) {
+func newRecordingObserver() *recordingObserver {
+	r := &recordingObserver{}
+	r.Sink = r
+	return r
+}
+
+func (r *recordingObserver) Record(rec Record) {
 	r.mu.Lock()
-	r.events = append(r.events, e)
+	r.events = append(r.events, rec)
 	r.mu.Unlock()
 }
 
-func (r *recordingObserver) PBoxCreated(id int, rule IsolationRule) {
-	r.append(obsEvent{kind: "create", pbox: id})
-}
-func (r *recordingObserver) PBoxReleased(id int) {
-	r.append(obsEvent{kind: "release", pbox: id})
-}
-func (r *recordingObserver) StateEvent(id int, key ResourceKey, ev EventType) {
-	r.append(obsEvent{kind: "event", pbox: id, ev: ev})
-}
-func (r *recordingObserver) ActivityEnd(id int, deferNs, execNs int64) {
-	r.append(obsEvent{kind: "activity", pbox: id, d: time.Duration(execNs)})
-}
-func (r *recordingObserver) Detection(noisy, victim int, key ResourceKey, projected float64) {
-	r.append(obsEvent{kind: "detect", pbox: noisy, victim: victim})
-}
-func (r *recordingObserver) PenaltyAction(noisy, victim int, key ResourceKey, policy PolicyKind, length time.Duration) {
-	r.append(obsEvent{kind: "action", pbox: noisy, victim: victim, d: length})
-}
-func (r *recordingObserver) PenaltyServed(id int, d time.Duration) {
-	r.append(obsEvent{kind: "served", pbox: id, d: d})
-}
-
-func (r *recordingObserver) snapshot() []obsEvent {
+func (r *recordingObserver) snapshot() []Record {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]obsEvent(nil), r.events...)
+	return append([]Record(nil), r.events...)
 }
 
 func TestObserverLifecycleAndPenaltyOrdering(t *testing.T) {
-	obs := &recordingObserver{}
+	obs := newRecordingObserver()
 	h := newHarness(t, func(o *Options) { o.Observer = obs })
 	noisy := h.pbox(0.5)
 	victim := h.pbox(0.5)
@@ -76,9 +53,9 @@ func TestObserverLifecycleAndPenaltyOrdering(t *testing.T) {
 	h.m.Release(noisy)
 
 	got := obs.snapshot()
-	idx := func(kind string, pbox int) int {
+	idx := func(kind Kind, pbox int) int {
 		for i, e := range got {
-			if e.kind == kind && e.pbox == pbox {
+			if e.Kind == kind && e.PBox == pbox {
 				return i
 			}
 		}
@@ -86,19 +63,19 @@ func TestObserverLifecycleAndPenaltyOrdering(t *testing.T) {
 	}
 	// Lifecycle brackets everything.
 	for _, p := range []*PBox{noisy, victim} {
-		c, r := idx("create", p.ID()), idx("release", p.ID())
+		c, r := idx(KindCreate, p.ID()), idx(KindRelease, p.ID())
 		if c < 0 || r < 0 || c >= r {
 			t.Fatalf("pbox %d: create at %d, release at %d", p.ID(), c, r)
 		}
 		for i, e := range got {
-			if e.pbox == p.ID() && (i < c || i > r) {
+			if e.PBox == p.ID() && (i < c || i > r) {
 				t.Fatalf("pbox %d: callback %+v outside create/release window", p.ID(), e)
 			}
 		}
 	}
 	// The detection verdict precedes the penalty action, which precedes the
 	// served penalty, all against the noisy pBox.
-	d, a, s := idx("detect", noisy.ID()), idx("action", noisy.ID()), idx("served", noisy.ID())
+	d, a, s := idx(KindDetection, noisy.ID()), idx(KindAction, noisy.ID()), idx(KindServed, noisy.ID())
 	if d < 0 || a < 0 || s < 0 {
 		t.Fatalf("missing detect/action/served for noisy: %d %d %d (events %+v)", d, a, s, got)
 	}
@@ -106,13 +83,138 @@ func TestObserverLifecycleAndPenaltyOrdering(t *testing.T) {
 		t.Fatalf("ordering detect=%d action=%d served=%d, want detect < action < served", d, a, s)
 	}
 	for _, e := range got {
-		if e.kind == "action" && e.d <= 0 {
+		if e.Kind == KindAction && e.Dur <= 0 {
 			t.Fatalf("action with non-positive length: %+v", e)
 		}
-		if e.kind == "served" && e.d <= 0 {
+		if e.Kind == KindServed && e.Dur <= 0 {
 			t.Fatalf("served with non-positive length: %+v", e)
 		}
 	}
+}
+
+// handObserver is the hand-written twelve-callback observer the adapter is
+// checked against: it builds each Record itself, sharing no code with
+// RecordObserver.
+type handObserver struct {
+	mu   sync.Mutex
+	recs []Record
+}
+
+func (h *handObserver) add(r Record) {
+	h.mu.Lock()
+	h.recs = append(h.recs, r)
+	h.mu.Unlock()
+}
+
+func (h *handObserver) PBoxCreated(id int, rule IsolationRule) {
+	h.add(Record{Kind: 1, PBox: id, RuleType: rule.Type, Level: rule.Level, Metric: rule.Metric})
+}
+func (h *handObserver) PBoxReleased(id int)            { h.add(Record{Kind: 2, PBox: id}) }
+func (h *handObserver) PBoxActivated(id int, at int64) { h.add(Record{Kind: 3, PBox: id, At: at}) }
+func (h *handObserver) PBoxFrozen(id int, at int64)    { h.add(Record{Kind: 4, PBox: id, At: at}) }
+func (h *handObserver) PBoxSharedChanged(id int, shared bool) {
+	var flag int64
+	if shared {
+		flag = 1
+	}
+	h.add(Record{Kind: 11, PBox: id, Dur: flag})
+}
+func (h *handObserver) StateEventAt(id int, key ResourceKey, ev EventType, at int64) {
+	h.add(Record{Kind: 5, PBox: id, Key: key, Ev: ev, At: at})
+}
+func (h *handObserver) ActivityEnd(id int, deferNs, execNs int64) {
+	h.add(Record{Kind: 9, PBox: id, Dur: deferNs, Exec: execNs})
+}
+func (h *handObserver) Detection(noisy, victim int, key ResourceKey, projected float64) {
+	h.add(Record{Kind: 6, PBox: noisy, Victim: victim, Key: key, Level: projected})
+}
+func (h *handObserver) PenaltyAction(noisy, victim int, key ResourceKey, policy PolicyKind, length time.Duration) {
+	h.add(Record{Kind: 7, PBox: noisy, Victim: victim, Key: key, Policy: policy, Dur: int64(length)})
+}
+func (h *handObserver) PenaltyServed(id int, d time.Duration) {
+	h.add(Record{Kind: 8, PBox: id, Dur: int64(d)})
+}
+func (h *handObserver) Blocked(culprit, victim int, key ResourceKey, deferNs int64) {
+	h.add(Record{Kind: 10, PBox: culprit, Victim: victim, Key: key, Dur: deferNs})
+}
+func (h *handObserver) PenaltyServedFor(culprit, victim int, key ResourceKey, d time.Duration) {
+	h.add(Record{Kind: 12, PBox: culprit, Victim: victim, Key: key, Dur: int64(d)})
+}
+
+// adapterScript is one deterministic run that produces every record kind:
+// two pBoxes, spooled events on private keys, direct events on a shared key
+// that end in a verdict with a served penalty, and a shared-thread flip.
+func adapterScript(t *testing.T, obs Observer) {
+	t.Helper()
+	h := newHarness(t, func(o *Options) {
+		o.Attribution = true
+		o.SpoolSize = 4
+		o.Observer = obs
+	})
+	noisy, victim := h.pbox(0.5), h.pbox(0.5)
+	h.m.Activate(noisy)
+	h.m.Activate(victim)
+	w := h.m.NewWorker()
+	if err := w.BindDirect(victim); err != nil {
+		t.Fatalf("BindDirect: %v", err)
+	}
+	for i := 0; i < 6; i++ { // spooled: crosses a fill-flush and leaves a remainder
+		w.Update(ResourceKey(0x200), Hold)
+		h.advance(time.Microsecond)
+		w.Update(ResourceKey(0x200), Unhold)
+		h.advance(time.Microsecond)
+	}
+	if got := h.m.contentionSlot(ResourceKey(0x200)).Load(); got != int64(victim.id) {
+		t.Fatalf("private key's slot = %d, want the worker's fast-path claim %d", got, victim.id)
+	}
+	h.m.Update(noisy, ResourceKey(42), Hold) // direct
+	h.m.Update(victim, ResourceKey(42), Prepare)
+	h.advance(5 * time.Millisecond)
+	h.m.Update(noisy, ResourceKey(42), Unhold) // blocked, detection, action, served
+	h.m.Update(victim, ResourceKey(42), Enter)
+	h.m.Freeze(victim)
+	h.m.Freeze(noisy)
+	h.m.SetShared(noisy, true)
+	h.m.SetShared(noisy, false)
+	h.m.Release(victim)
+	h.m.Release(noisy)
+}
+
+// TestRecordObserverMatchesCallbacks pins the adapter: the Record stream its
+// sink sees is field for field the stream a hand-written observer on the
+// bare manager sees, and Next receives every callback exactly once —
+// attribution included — at every position of a two-link chain.
+func TestRecordObserverMatchesCallbacks(t *testing.T) {
+	want := &handObserver{}
+	adapterScript(t, want)
+	seen := make(map[Kind]bool)
+	for _, r := range want.recs {
+		seen[r.Kind] = true
+	}
+	for k := KindCreate; k <= KindServedFor; k++ {
+		if !seen[k] {
+			t.Fatalf("script never produced a %v record", k)
+		}
+	}
+
+	front, back, next := newRecordingObserver(), newRecordingObserver(), &handObserver{}
+	front.Next, back.Next = back, next
+	adapterScript(t, front)
+	for name, got := range map[string][]Record{"front sink": front.events, "back sink": back.events, "next": next.recs} {
+		if !slices.Equal(got, want.recs) {
+			t.Fatalf("%s saw %d records, bare observer %d; first difference at %d",
+				name, len(got), len(want.recs), firstDiff(got, want.recs))
+		}
+	}
+}
+
+func firstDiff(a, b []Record) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return min(len(a), len(b))
 }
 
 // TestObserverConcurrentEvents hammers one manager from many goroutines and
@@ -120,7 +222,7 @@ func TestObserverLifecycleAndPenaltyOrdering(t *testing.T) {
 // created before any other callback, nothing after released, and state-event
 // counts matching what each goroutine issued.
 func TestObserverConcurrentEvents(t *testing.T) {
-	obs := &recordingObserver{}
+	obs := newRecordingObserver()
 	m := NewManager(Options{Observer: obs, DisableDetection: true})
 	const goroutines = 8
 	const rounds = 50
@@ -160,30 +262,30 @@ func TestObserverConcurrentEvents(t *testing.T) {
 	}
 	perBox := make(map[int]*state)
 	for _, e := range got {
-		st := perBox[e.pbox]
+		st := perBox[e.PBox]
 		if st == nil {
 			st = &state{}
-			perBox[e.pbox] = st
+			perBox[e.PBox] = st
 		}
-		switch e.kind {
-		case "create":
+		switch e.Kind {
+		case KindCreate:
 			if st.created {
-				t.Fatalf("pbox %d created twice", e.pbox)
+				t.Fatalf("pbox %d created twice", e.PBox)
 			}
 			st.created = true
-		case "release":
+		case KindRelease:
 			if !st.created || st.released {
-				t.Fatalf("pbox %d released out of order", e.pbox)
+				t.Fatalf("pbox %d released out of order", e.PBox)
 			}
 			st.released = true
 		default:
 			if !st.created || st.released {
-				t.Fatalf("pbox %d: %q outside lifecycle window", e.pbox, e.kind)
+				t.Fatalf("pbox %d: %v outside lifecycle window", e.PBox, e.Kind)
 			}
-			if e.kind == "event" {
+			if e.Kind == KindState {
 				st.events++
 			}
-			if e.kind == "activity" {
+			if e.Kind == KindActivityEnd {
 				st.activities++
 			}
 		}
@@ -271,12 +373,13 @@ func BenchmarkObserverEnabled(b *testing.B) {
 // nopObserver is the cheapest possible Observer, for overhead benchmarks.
 type nopObserver struct{}
 
-func (nopObserver) PBoxCreated(int, IsolationRule)                              {}
-func (nopObserver) PBoxReleased(int)                                            {}
-func (nopObserver) StateEvent(int, ResourceKey, EventType)                      {}
-func (nopObserver) ActivityEnd(int, int64, int64)                               {}
-func (nopObserver) Detection(int, int, ResourceKey, float64)                    {}
+func (nopObserver) PBoxCreated(int, IsolationRule)                                 {}
+func (nopObserver) PBoxReleased(int)                                               {}
+func (nopObserver) PBoxActivated(int, int64)                                       {}
+func (nopObserver) PBoxFrozen(int, int64)                                          {}
+func (nopObserver) PBoxSharedChanged(int, bool)                                    {}
+func (nopObserver) StateEventAt(int, ResourceKey, EventType, int64)                {}
+func (nopObserver) ActivityEnd(int, int64, int64)                                  {}
+func (nopObserver) Detection(int, int, ResourceKey, float64)                       {}
 func (nopObserver) PenaltyAction(int, int, ResourceKey, PolicyKind, time.Duration) {}
-func (nopObserver) PenaltyServed(int, time.Duration)                            {}
-
-var _ = fmt.Sprintf // keep fmt imported for debugging helpers
+func (nopObserver) PenaltyServed(int, time.Duration)                               {}

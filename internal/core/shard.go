@@ -18,7 +18,7 @@ import (
 // with two extra rules: a shard lock is never held while acquiring the
 // registry lock, and at most one pBox's actMu (or penMu) is held at a time.
 //
-// The stripe set is fixed at NewManager (Options.Shards) and immutable for
+// The stripe set is fixed at NewManager (defaultShardCount) and immutable for
 // the manager's lifetime.
 
 // shard is one stripe of the resource-side state. Field groups are spaced
@@ -114,7 +114,7 @@ func newShardSet(n int) shardSet {
 	return shardSet{shards: shards, shift: 64 - bits}
 }
 
-// defaultShardCount sizes the stripe set when Options.Shards is zero.
+// defaultShardCount sizes every manager's stripe set.
 func defaultShardCount() int {
 	return defaultShardCountFor(runtime.GOMAXPROCS(0))
 }

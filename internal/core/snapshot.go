@@ -310,7 +310,7 @@ type SelfStats struct {
 	// Shard locks and the construction-time topology.
 	ShardLockAcquisitions int64 // total shard-lock acquisitions, all stripes
 	ShardLockMax          int64 // acquisitions on the hottest stripe
-	Shards                int   // lock stripes (Options.Shards)
+	Shards                int   // lock stripes (ShardCount)
 	SpoolCapacity         int   // per-worker spool capacity (≤0 = spooling disabled)
 
 	// Hibernation (DESIGN.md §15): registered-but-idle pBoxes compacted to

@@ -13,7 +13,7 @@ import (
 // penalty sequences, attribution totals, per-pBox snapshots, observer
 // streams — must come out identical.
 
-// diffEvent is one recorded StateEvent callback.
+// diffEvent is one recorded state event.
 type diffEvent struct {
 	key ResourceKey
 	ev  EventType
@@ -38,9 +38,10 @@ type diffAction struct {
 // pBox: the spooled run batches per worker, so the global interleaving of
 // *uncontended* events across pBoxes legitimately differs; the per-pBox
 // order and content, and the global order of verdicts and actions, may not.
-// It deliberately implements only Observer (not EventTimeObserver) so
-// replayed events arrive through the same StateEvent arm as direct ones.
+// Event timestamps are not compared: a replayed event carries its spool
+// time, a direct one its issue time.
 type diffObserver struct {
+	RecordObserver
 	events map[int][]diffEvent
 	dets   []diffDetection
 	acts   []diffAction
@@ -48,23 +49,22 @@ type diffObserver struct {
 }
 
 func newDiffObserver() *diffObserver {
-	return &diffObserver{events: make(map[int][]diffEvent)}
+	o := &diffObserver{events: make(map[int][]diffEvent)}
+	o.Sink = o
+	return o
 }
 
-func (o *diffObserver) PBoxCreated(int, IsolationRule) {}
-func (o *diffObserver) PBoxReleased(int)               {}
-func (o *diffObserver) StateEvent(id int, key ResourceKey, ev EventType) {
-	o.events[id] = append(o.events[id], diffEvent{key, ev})
-}
-func (o *diffObserver) ActivityEnd(int, int64, int64) {}
-func (o *diffObserver) Detection(noisy, victim int, key ResourceKey, projected float64) {
-	o.dets = append(o.dets, diffDetection{noisy, victim, key, projected})
-}
-func (o *diffObserver) PenaltyAction(noisy, victim int, key ResourceKey, policy PolicyKind, length time.Duration) {
-	o.acts = append(o.acts, diffAction{noisy, victim, key, policy, length})
-}
-func (o *diffObserver) PenaltyServed(_ int, d time.Duration) {
-	o.served = append(o.served, d)
+func (o *diffObserver) Record(rec Record) {
+	switch rec.Kind {
+	case KindState:
+		o.events[rec.PBox] = append(o.events[rec.PBox], diffEvent{rec.Key, rec.Ev})
+	case KindDetection:
+		o.dets = append(o.dets, diffDetection{rec.PBox, rec.Victim, rec.Key, rec.Level})
+	case KindAction:
+		o.acts = append(o.acts, diffAction{rec.PBox, rec.Victim, rec.Key, rec.Policy, time.Duration(rec.Dur)})
+	case KindServed:
+		o.served = append(o.served, time.Duration(rec.Dur))
+	}
 }
 
 // diffResult captures everything a differential run is compared on.

@@ -135,22 +135,32 @@ func TestPenaltySleepRunsOffManagerLock(t *testing.T) {
 // atomics only (the callbacks fire under manager locks and must not call
 // back into the Manager).
 type reconcileObserver struct {
+	RecordObserver
 	created, released atomic.Int64
 	blockedNs         atomic.Int64
 	servedNs          atomic.Int64
 	servedForNs       atomic.Int64
 }
 
-func (o *reconcileObserver) PBoxCreated(int, IsolationRule)                  { o.created.Add(1) }
-func (o *reconcileObserver) PBoxReleased(int)                                { o.released.Add(1) }
-func (o *reconcileObserver) StateEvent(int, ResourceKey, EventType)          {}
-func (o *reconcileObserver) ActivityEnd(int, int64, int64)                   {}
-func (o *reconcileObserver) Detection(int, int, ResourceKey, float64)        {}
-func (o *reconcileObserver) PenaltyAction(int, int, ResourceKey, PolicyKind, time.Duration) {}
-func (o *reconcileObserver) PenaltyServed(_ int, d time.Duration)            { o.servedNs.Add(int64(d)) }
-func (o *reconcileObserver) Blocked(_, _ int, _ ResourceKey, deferNs int64)  { o.blockedNs.Add(deferNs) }
-func (o *reconcileObserver) PenaltyServedFor(_, _ int, _ ResourceKey, d time.Duration) {
-	o.servedForNs.Add(int64(d))
+func newReconcileObserver() *reconcileObserver {
+	o := &reconcileObserver{}
+	o.Sink = o
+	return o
+}
+
+func (o *reconcileObserver) Record(rec Record) {
+	switch rec.Kind {
+	case KindCreate:
+		o.created.Add(1)
+	case KindRelease:
+		o.released.Add(1)
+	case KindServed:
+		o.servedNs.Add(rec.Dur)
+	case KindBlocked:
+		o.blockedNs.Add(rec.Dur)
+	case KindServedFor:
+		o.servedForNs.Add(rec.Dur)
+	}
 }
 
 // TestConcurrentStressReconciles runs the full lifecycle mix — concurrent
@@ -167,7 +177,7 @@ func (o *reconcileObserver) PenaltyServedFor(_, _ int, _ ResourceKey, d time.Dur
 // under -race this exercises the sharded lock order and the spool's flush
 // serialization end to end.
 func TestConcurrentStressReconciles(t *testing.T) {
-	obs := &reconcileObserver{}
+	obs := newReconcileObserver()
 	m := NewManager(Options{
 		MinPenalty:  20 * time.Microsecond,
 		MaxPenalty:  100 * time.Microsecond,

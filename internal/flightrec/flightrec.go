@@ -9,9 +9,11 @@
 // subscription open (the post-hoc half of the paper's Section 8 diagnosis
 // story).
 //
-// The Recorder implements core.Observer (and core.AttributionObserver) and
-// chains to a next Observer, so it stacks in front of the telemetry
-// Collector. Hook-path discipline matches the rest of the reproduction:
+// The Recorder embeds core.RecordObserver — which makes it a core.Observer
+// and core.AttributionObserver that forwards every callback to a next
+// Observer, so it stacks anywhere in a chain — and is the adapter's
+// core.RecordSink: the ring stores the same core.Record values the capture
+// log does. Hook-path discipline matches the rest of the reproduction:
 // recording an event writes one preallocated ring slot under a short
 // recorder-local mutex and never allocates; a verdict capture is a
 // per-culprit cooldown check plus a non-blocking channel send. Bundles are
@@ -31,87 +33,34 @@ import (
 	"pbox/internal/core"
 )
 
-// EventKind classifies a ring entry.
-type EventKind uint8
-
-const (
-	// KindState is an update_pbox state event (PREPARE/ENTER/HOLD/UNHOLD).
-	KindState EventKind = iota
-	// KindActivityEnd is a freeze_pbox with the activity's defer/exec time.
-	KindActivityEnd
-	// KindDetection is an Algorithm 1 (or pBox-level monitor) verdict.
-	KindDetection
-	// KindAction is a scheduled penalty.
-	KindAction
-	// KindServed is a served penalty delay.
-	KindServed
-	// KindBlocked is an attributed hold-over-wait overlap.
-	KindBlocked
-	// KindCreated and KindReleased are pBox lifecycle events.
-	KindCreated
-	// KindReleased marks release_pbox.
-	KindReleased
-)
-
-// String returns the wire name of the kind.
-func (k EventKind) String() string {
-	switch k {
-	case KindState:
-		return "state"
-	case KindActivityEnd:
-		return "activity_end"
-	case KindDetection:
-		return "detection"
-	case KindAction:
-		return "action"
-	case KindServed:
-		return "served"
-	case KindBlocked:
-		return "blocked"
-	case KindCreated:
-		return "created"
-	case KindReleased:
-		return "released"
-	default:
-		return "unknown"
-	}
-}
-
-// event is one compact ring slot. Fields are overloaded per kind; the wire
-// form (incident.go) renders only the meaningful ones. No pointers, no
-// strings — recording must not allocate.
-type event struct {
+// entry is one ring slot: the record as the adapter built it, plus the
+// ring's own sequence number and the wall-clock delivery stamp (for a
+// spooled event that is flush time; rec.At is when it happened). No
+// pointers, no strings — recording must not allocate.
+type entry struct {
 	seq    uint64
-	atUnix int64 // wall-clock ns, stamped at delivery (for a spooled event: flush time)
-	atMgr  int64 // manager-clock ns of the event itself (state events via StateEventAt)
-	kind   EventKind
-	state  core.EventType
-	pbox   int // acting pBox (culprit for detection/action/blocked)
-	victim int
-	key    core.ResourceKey
-	extra  int64 // defer/penalty/blocked ns, per kind
-	policy core.PolicyKind
-	level  float64 // projected interference level (detection)
+	atUnix int64
+	rec    core.Record
 }
 
 // ring is a fixed-capacity event buffer with preallocated slots.
 type ring struct {
 	mu     sync.Mutex
-	events []event
+	events []entry
 	pos    int
 	full   bool
 	seq    uint64
 }
 
 func newRing(n int) *ring {
-	return &ring{events: make([]event, n)}
+	return &ring{events: make([]entry, n)}
 }
 
-func (r *ring) add(e event) {
+func (r *ring) add(rec *core.Record, atUnix int64) {
 	r.mu.Lock()
 	r.seq++
-	e.seq = r.seq
-	r.events[r.pos] = e
+	e := &r.events[r.pos]
+	e.seq, e.atUnix, e.rec = r.seq, atUnix, *rec
 	r.pos = (r.pos + 1) % len(r.events)
 	if r.pos == 0 {
 		r.full = true
@@ -121,15 +70,15 @@ func (r *ring) add(e event) {
 
 // tail returns the ring contents oldest first. Called off the hook path;
 // the copy is O(ring size) and aliases nothing.
-func (r *ring) tail() []event {
+func (r *ring) tail() []entry {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if !r.full {
-		out := make([]event, r.pos)
+		out := make([]entry, r.pos)
 		copy(out, r.events[:r.pos])
 		return out
 	}
-	out := make([]event, 0, len(r.events))
+	out := make([]entry, 0, len(r.events))
 	out = append(out, r.events[r.pos:]...)
 	out = append(out, r.events[:r.pos]...)
 	return out
@@ -165,7 +114,7 @@ type Config struct {
 	// oldest are pruned after each write.
 	Retention int
 	// Next is the downstream observer (typically the telemetry Collector);
-	// every hook is forwarded to it after recording. May be nil.
+	// every callback is forwarded to it after recording. May be nil.
 	Next core.Observer
 }
 
@@ -184,11 +133,11 @@ const (
 // core.Options.Observer (or chain via Config.Next), then AttachManager once
 // the manager exists, and Close when done.
 type Recorder struct {
-	cfg      Config
-	ring     *ring
-	next     core.Observer
-	nextAttr core.AttributionObserver
-	nextTime core.EventTimeObserver
+	core.RecordObserver
+	cfg  Config
+	ring *ring
+	// start anchors the delivery stamps (see now).
+	start time.Time
 
 	mgr    atomic.Pointer[core.Manager]
 	capPos atomic.Value // CapturePosition, set by AttachCapture
@@ -219,17 +168,12 @@ func New(cfg Config) *Recorder {
 	r := &Recorder{
 		cfg:         cfg,
 		ring:        newRing(cfg.RingSize),
-		next:        cfg.Next,
+		start:       time.Now(),
 		lastCapture: make(map[int]int64),
 		jobs:        make(chan capture, 8),
 		done:        make(chan struct{}),
 	}
-	if ao, ok := cfg.Next.(core.AttributionObserver); ok {
-		r.nextAttr = ao
-	}
-	if to, ok := cfg.Next.(core.EventTimeObserver); ok {
-		r.nextTime = to
-	}
+	r.RecordObserver = core.RecordObserver{Sink: r, Next: cfg.Next}
 	go r.writer()
 	return r
 }
@@ -283,7 +227,7 @@ func (r *Recorder) Dump(reason string, timeout time.Duration) (string, error) {
 	job := capture{
 		trigger: "manual",
 		reason:  reason,
-		atUnix:  time.Now().UnixNano(),
+		atUnix:  r.now(),
 		reply:   reply,
 	}
 	select {
@@ -302,57 +246,36 @@ func (r *Recorder) Dump(reason string, timeout time.Duration) (string, error) {
 	}
 }
 
-// record stores an event. Alloc-free: the slot is preallocated and the
-// struct carries no heap references.
-func (r *Recorder) record(e event) {
-	e.atUnix = time.Now().UnixNano()
-	r.ring.add(e)
-}
+// now is the wall-clock stamp in unix ns, derived from the recorder's start
+// with one monotonic clock read: time.Now reads two clocks, and the stamp is
+// taken once per record, under manager locks.
+func (r *Recorder) now() int64 { return r.start.UnixNano() + int64(time.Since(r.start)) }
 
-// PBoxCreated implements core.Observer.
-func (r *Recorder) PBoxCreated(id int, rule core.IsolationRule) {
-	r.record(event{kind: KindCreated, pbox: id})
-	if r.next != nil {
-		r.next.PBoxCreated(id, rule)
+// Record implements core.RecordSink: it stores the record in the ring.
+// Alloc-free: the slot is preallocated and the record carries no heap
+// references. Beyond recording, a detection verdict is the capture trigger:
+// if the culprit's cooldown has passed, a build job is queued for the writer
+// goroutine. That is a map check under a recorder-local mutex and a
+// non-blocking send — it cannot block the manager lock or the penalty path.
+//
+//pbox:hotpath
+func (r *Recorder) Record(rec core.Record) {
+	now := r.now()
+	r.ring.add(&rec, now)
+	if rec.Kind != core.KindDetection || !r.shouldCapture(rec.PBox, now) || r.closed.Load() {
+		return
 	}
-}
-
-// PBoxReleased implements core.Observer.
-func (r *Recorder) PBoxReleased(id int) {
-	r.record(event{kind: KindReleased, pbox: id})
-	if r.next != nil {
-		r.next.PBoxReleased(id)
-	}
-}
-
-// StateEvent implements core.Observer.
-func (r *Recorder) StateEvent(pboxID int, key core.ResourceKey, ev core.EventType) {
-	r.record(event{kind: KindState, state: ev, pbox: pboxID, key: key})
-	if r.next != nil {
-		r.next.StateEvent(pboxID, key, ev)
-	}
-}
-
-// StateEventAt implements core.EventTimeObserver: every state event —
-// direct or spool-replayed — arrives here carrying the manager-clock
-// timestamp its bookkeeping used. The wall-clock stamp (record's atUnix)
-// still marks delivery; the event time rides along so incident bundles
-// distinguish when an event happened from when its batch drained. Forwarded
-// timed when the next observer understands event time, plain otherwise.
-func (r *Recorder) StateEventAt(pboxID int, key core.ResourceKey, ev core.EventType, atNs int64) {
-	r.record(event{kind: KindState, state: ev, pbox: pboxID, key: key, atMgr: atNs})
-	if r.nextTime != nil {
-		r.nextTime.StateEventAt(pboxID, key, ev, atNs)
-	} else if r.next != nil {
-		r.next.StateEvent(pboxID, key, ev)
-	}
-}
-
-// ActivityEnd implements core.Observer.
-func (r *Recorder) ActivityEnd(pboxID int, deferNs, execNs int64) {
-	r.record(event{kind: KindActivityEnd, pbox: pboxID, extra: deferNs})
-	if r.next != nil {
-		r.next.ActivityEnd(pboxID, deferNs, execNs)
+	select {
+	case r.jobs <- capture{
+		trigger:   "detection",
+		culprit:   rec.PBox,
+		victim:    rec.Victim,
+		key:       rec.Key,
+		projected: rec.Level,
+		atUnix:    now,
+	}:
+	default:
+		r.dropped.Add(1)
 	}
 }
 
@@ -372,68 +295,3 @@ func (r *Recorder) shouldCapture(culprit int, now int64) bool {
 	r.lastCapture[culprit] = now
 	return true
 }
-
-// Detection implements core.Observer. Beyond recording, a verdict is the
-// capture trigger: if the culprit's cooldown has passed, a build job is
-// queued for the writer goroutine. The hook itself does a map check under a
-// recorder-local mutex and a non-blocking send — it cannot block the manager
-// lock or the penalty path.
-func (r *Recorder) Detection(noisyID, victimID int, key core.ResourceKey, projected float64) {
-	now := time.Now().UnixNano()
-	r.record(event{kind: KindDetection, pbox: noisyID, victim: victimID, key: key, level: projected})
-	if r.shouldCapture(noisyID, now) && !r.closed.Load() {
-		select {
-		case r.jobs <- capture{
-			trigger:   "detection",
-			culprit:   noisyID,
-			victim:    victimID,
-			key:       key,
-			projected: projected,
-			atUnix:    now,
-		}:
-		default:
-			r.dropped.Add(1)
-		}
-	}
-	if r.next != nil {
-		r.next.Detection(noisyID, victimID, key, projected)
-	}
-}
-
-// PenaltyAction implements core.Observer.
-func (r *Recorder) PenaltyAction(noisyID, victimID int, key core.ResourceKey, policy core.PolicyKind, length time.Duration) {
-	r.record(event{kind: KindAction, pbox: noisyID, victim: victimID, key: key, policy: policy, extra: int64(length)})
-	if r.next != nil {
-		r.next.PenaltyAction(noisyID, victimID, key, policy, length)
-	}
-}
-
-// PenaltyServed implements core.Observer.
-func (r *Recorder) PenaltyServed(pboxID int, d time.Duration) {
-	r.record(event{kind: KindServed, pbox: pboxID, extra: int64(d)})
-	if r.next != nil {
-		r.next.PenaltyServed(pboxID, d)
-	}
-}
-
-// Blocked implements core.AttributionObserver.
-func (r *Recorder) Blocked(culpritID, victimID int, key core.ResourceKey, deferNs int64) {
-	r.record(event{kind: KindBlocked, pbox: culpritID, victim: victimID, key: key, extra: deferNs})
-	if r.nextAttr != nil {
-		r.nextAttr.Blocked(culpritID, victimID, key, deferNs)
-	}
-}
-
-// PenaltyServedFor implements core.AttributionObserver. The served delay is
-// already recorded via PenaltyServed; only forwarding happens here.
-func (r *Recorder) PenaltyServedFor(culpritID, victimID int, key core.ResourceKey, d time.Duration) {
-	if r.nextAttr != nil {
-		r.nextAttr.PenaltyServedFor(culpritID, victimID, key, d)
-	}
-}
-
-// compile-time interface checks
-var (
-	_ core.Observer            = (*Recorder)(nil)
-	_ core.AttributionObserver = (*Recorder)(nil)
-)

@@ -112,17 +112,20 @@ func TestDetectionCaptureWritesBundle(t *testing.T) {
 		t.Fatalf("bundle missing sections: events=%d pboxes=%d attribution=%d",
 			len(inc.Events), len(inc.PBoxes), len(inc.Attribution))
 	}
-	var sawDetection, sawNamed bool
+	var sawDetection, sawNamed, sawActivate bool
 	for _, e := range inc.Events {
-		if e.Kind == "detection" {
+		if e.Kind == "detection" && strings.HasPrefix(e.Text, "detection") && strings.Contains(e.Text, "projected=") {
 			sawDetection = true
 		}
 		if e.Name == "row_lock" {
 			sawNamed = true
 		}
+		if e.Kind == "activate" {
+			sawActivate = true
+		}
 	}
-	if !sawDetection || !sawNamed {
-		t.Fatalf("events missing detection (%v) or resource name (%v)", sawDetection, sawNamed)
+	if !sawDetection || !sawNamed || !sawActivate {
+		t.Fatalf("events missing detection (%v), resource name (%v) or lifecycle rows (%v)", sawDetection, sawNamed, sawActivate)
 	}
 	top := inc.Attribution[0]
 	if top.CulpritLabel != "noisy" {
@@ -282,9 +285,9 @@ func TestRecordPathAllocFree(t *testing.T) {
 	rec.Detection(1, 2, key, 0.9)
 
 	if allocs := testing.AllocsPerRun(1000, func() {
-		rec.StateEvent(1, key, core.Prepare)
+		rec.StateEventAt(1, key, core.Prepare, 100)
 	}); allocs != 0 {
-		t.Fatalf("StateEvent record allocates %.2f objects per op, want 0", allocs)
+		t.Fatalf("StateEventAt record allocates %.2f objects per op, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(1000, func() {
 		rec.Detection(1, 2, key, 0.9)

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"pbox/internal/core"
 	"pbox/internal/telemetry"
 )
 
@@ -19,22 +20,21 @@ var (
 	errWrite  = errors.New("flightrec: bundle write failed")
 )
 
-// Event is the wire form of one ring entry inside an incident bundle.
+// Event is the wire form of one ring entry inside an incident bundle. Text is
+// the record rendered by core.Record.String — the line `pboxreplay cat`
+// prints for the same record in a capture log, manager-clock timestamp
+// included — and the fields before it are straight copies for filtering.
 type Event struct {
 	Seq uint64 `json:"seq"`
-	At  string `json:"at"`
-	// EventAt is the manager-clock offset at which a state event was
-	// issued; At is its delivery time (flush time for spooled events).
-	EventAt string  `json:"event_at,omitempty"`
-	Kind    string  `json:"kind"`
-	State  string  `json:"state,omitempty"`
-	PBox   int     `json:"pbox"`
-	Victim int     `json:"victim,omitempty"`
-	Key    uint64  `json:"key,omitempty"`
-	Name   string  `json:"resource,omitempty"`
-	Extra  string  `json:"extra,omitempty"`
-	Policy string  `json:"policy,omitempty"`
-	Level  float64 `json:"level,omitempty"`
+	// At is the wall-clock delivery time (flush time for a spooled event;
+	// Text's at= is the manager-clock time it happened).
+	At     string `json:"at"`
+	Kind   string `json:"kind"`
+	PBox   int    `json:"pbox"`
+	Victim int    `json:"victim,omitempty"`
+	Key    uint64 `json:"key,omitempty"`
+	Name   string `json:"resource,omitempty"`
+	Text   string `json:"text"`
 }
 
 // Incident is one frozen bundle: the verdict (or manual dump) that triggered
@@ -174,37 +174,26 @@ func (r *Recorder) buildAndWrite(job capture) (string, error) {
 	}
 
 	for _, e := range r.ring.tail() {
+		rec := e.rec
 		we := Event{
 			Seq:    e.seq,
 			At:     time.Unix(0, e.atUnix).UTC().Format(time.RFC3339Nano),
-			Kind:   e.kind.String(),
-			PBox:   e.pbox,
-			Victim: e.victim,
-			Key:    uint64(e.key),
-			Level:  e.level,
+			Kind:   rec.Kind.String(),
+			PBox:   rec.PBox,
+			Victim: rec.Victim,
+			Key:    uint64(rec.Key),
+			Text:   rec.String(),
 		}
-		if e.kind == KindState {
-			we.State = e.state.String()
-		}
-		if e.atMgr != 0 {
-			we.EventAt = time.Duration(e.atMgr).String()
-		}
-		if e.kind == KindAction {
-			we.Policy = e.policy.String()
-		}
-		if e.extra != 0 {
-			we.Extra = time.Duration(e.extra).String()
-		}
-		if mgr != nil && e.key != 0 {
-			we.Name = mgr.ResourceName(e.key)
+		if mgr != nil && rec.Key != 0 {
+			we.Name = mgr.ResourceName(rec.Key)
 		}
 		inc.Events = append(inc.Events, we)
 		// The action the verdict scheduled, if any, lands in the ring right
 		// after the triggering detection (same culprit and victim).
-		if job.trigger == "detection" && e.kind == KindAction &&
-			e.pbox == job.culprit && e.victim == job.victim && e.key == job.key {
-			inc.PenaltyPolicy = e.policy.String()
-			inc.PenaltyLength = time.Duration(e.extra).String()
+		if job.trigger == "detection" && rec.Kind == core.KindAction &&
+			rec.PBox == job.culprit && rec.Victim == job.victim && rec.Key == job.key {
+			inc.PenaltyPolicy = rec.Policy.String()
+			inc.PenaltyLength = time.Duration(rec.Dur).String()
 		}
 	}
 

@@ -2,14 +2,17 @@
 // AttributionObserver callbacks fire while manager locks are held
 // (internal/core/observer.go documents the contract), so a callback that
 // calls back into a Manager method that takes those locks deadlocks — or,
-// with RLock, silently reorders the §8 lock graph.
+// with RLock, silently reorders the §8 lock graph. A RecordSink's Record
+// method runs inside those callbacks (core.RecordObserver calls it), so it
+// is held to the same rule.
 //
 // The pass finds every concrete type in the package that implements an
-// interface named Observer, AttributionObserver, EventTimeObserver, or
-// LifecycleObserver (looked up in the package itself and its direct
-// imports), takes each callback method as an entry
-// point — except PenaltyServed and PenaltyServedFor, which the contract
-// runs outside all locks — and walks the static call closure. Within the
+// interface named Observer, AttributionObserver, or RecordSink (looked up in
+// the package itself and its direct imports), takes each of the interface's
+// methods the type declares itself as an entry point — except PenaltyServed
+// and PenaltyServedFor, which the contract runs outside all locks; methods
+// promoted from an embedded adapter are checked once, where the adapter
+// declares them — and walks the static call closure. Within the
 // package the walk is direct; at a call that crosses into another program
 // package it consults the whole-program reach summary (DESIGN.md §14):
 // every function's set of transitively reachable Manager lock-taking
@@ -47,8 +50,7 @@ var Analyzer = &analysis.Analyzer{
 var observerInterfaces = map[string]bool{
 	"Observer":            true,
 	"AttributionObserver": true,
-	"EventTimeObserver":   true,
-	"LifecycleObserver":   true,
+	"RecordSink":          true,
 }
 
 // lockFree are the Manager methods observers may call: documented to take
@@ -111,8 +113,8 @@ func run(pass *analysis.Pass) (any, error) {
 				if !ok {
 					continue
 				}
-				if _, have := decls[entry]; !have {
-					continue // promoted from an embedded external type
+				if recvNamed(entry) != named {
+					continue // promoted from an embedded type: checked where it is declared
 				}
 				check(pass, decls, reachSummaries(pass.Prog), entry, named.Obj().Name()+"."+m.Name())
 			}
@@ -121,8 +123,7 @@ func run(pass *analysis.Pass) (any, error) {
 	return nil, nil
 }
 
-// observerIfaces collects interface types named Observer/AttributionObserver
-// visible to the package (its own scope and its direct imports).
+// observerIfaces collects the observerInterfaces visible to the package (its own scope and its direct imports).
 func observerIfaces(pkg *types.Package) []*types.Interface {
 	var out []*types.Interface
 	collect := func(p *types.Package) {
@@ -274,20 +275,27 @@ func calleeFunc(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
 // Manager type (interface methods don't count: calling through an
 // abstraction like ResourceNamer is the sanctioned pattern).
 func isManagerMethod(fn *types.Func) bool {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
+	named := recvNamed(fn)
+	if named == nil {
 		return false
 	}
 	if _, isIface := named.Underlying().(*types.Interface); isIface {
 		return false
 	}
 	return named.Obj().Name() == managerTypeName
+}
+
+// recvNamed returns the named type fn is declared on (through a pointer
+// receiver too), or nil when fn is not a method of a named type.
+func recvNamed(fn *types.Func) *types.Named {
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return nil
+	}
+	t := sig.Recv().Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, _ := t.(*types.Named)
+	return named
 }

@@ -4,7 +4,7 @@
 package reentry
 
 type Observer interface {
-	StateEvent(id int)
+	StateEventAt(id int, at int64)
 	PenaltyServed(id int)
 }
 
@@ -20,8 +20,8 @@ type badCollector struct {
 	mgr *Manager
 }
 
-func (c *badCollector) StateEvent(id int) {
-	_ = c.mgr.Status() // want `observer callback badCollector\.StateEvent calls Manager\.Status`
+func (c *badCollector) StateEventAt(id int, at int64) {
+	_ = c.mgr.Status() // want `observer callback badCollector\.StateEventAt calls Manager\.Status`
 }
 
 func (c *badCollector) PenaltyServed(id int) {
@@ -34,12 +34,12 @@ type indirectCollector struct {
 	mgr *Manager
 }
 
-func (c *indirectCollector) StateEvent(id int) {
+func (c *indirectCollector) StateEventAt(id int, at int64) {
 	c.helper()
 }
 
 func (c *indirectCollector) helper() {
-	_ = c.mgr.Status() // want `observer callback indirectCollector\.StateEvent \(via helper\) calls Manager\.Status`
+	_ = c.mgr.Status() // want `observer callback indirectCollector\.StateEventAt \(via helper\) calls Manager\.Status`
 }
 
 func (c *indirectCollector) PenaltyServed(id int) {}
@@ -49,7 +49,7 @@ type goodCollector struct {
 	mgr *Manager
 }
 
-func (c *goodCollector) StateEvent(id int) {
+func (c *goodCollector) StateEventAt(id int, at int64) {
 	_ = c.mgr.ResourceName(0)
 	_ = c.mgr.Crossings()
 	_ = c.mgr.ShardCount()
@@ -67,53 +67,58 @@ func (p *plainUser) poll() {
 	_ = p.mgr.Status()
 }
 
-// The timestamped/lifecycle observer extensions (the capture recorder's
-// surface) run under the same manager locks as the base callbacks.
+// The record adapter (core.RecordObserver's stand-in): it turns callbacks
+// into Record values for a RecordSink. The sink method runs inside the
+// callbacks, under the same manager locks, so it is an entry point too.
 
-type EventTimeObserver interface {
-	Observer
-	StateEventAt(id int, at int64)
+type Record struct {
+	PBox int
+	At   int64
 }
 
-type LifecycleObserver interface {
-	Observer
-	PBoxActivated(id int, at int64)
-	PBoxFrozen(id int, at int64)
+type RecordSink interface {
+	Record(rec Record)
 }
 
-// badRecorderSink re-enters the manager from the timestamped hot-path
-// callback and from a lifecycle callback.
+type RecordObserver struct {
+	Sink RecordSink
+	Next Observer
+}
+
+func (o *RecordObserver) StateEventAt(id int, at int64) {
+	o.Sink.Record(Record{PBox: id, At: at})
+	if o.Next != nil {
+		o.Next.StateEventAt(id, at)
+	}
+}
+
+func (o *RecordObserver) PenaltyServed(id int) {
+	o.Sink.Record(Record{PBox: id})
+}
+
+// badRecorderSink re-enters the manager from its sink method. The adapter
+// methods it promotes are checked once, at RecordObserver, not again here.
 type badRecorderSink struct {
+	RecordObserver
 	mgr *Manager
 }
 
-func (s *badRecorderSink) StateEvent(id int)    {}
-func (s *badRecorderSink) PenaltyServed(id int) {}
-
-func (s *badRecorderSink) StateEventAt(id int, at int64) {
-	_ = s.mgr.Status() // want `observer callback badRecorderSink\.StateEventAt calls Manager\.Status`
+func (s *badRecorderSink) Record(rec Record) {
+	_ = s.mgr.Status() // want `observer callback badRecorderSink\.Record calls Manager\.Status`
 }
 
-func (s *badRecorderSink) PBoxActivated(id int, at int64) {
-	_ = s.mgr.Status() // want `observer callback badRecorderSink\.PBoxActivated calls Manager\.Status`
-}
-
-func (s *badRecorderSink) PBoxFrozen(id int, at int64) {}
-
-// goodRecorderSink is the sanctioned shape: copy the callback into a
-// buffer, poke a wake channel, touch only lock-free accessors.
+// goodRecorderSink is the sanctioned shape: copy the record into a buffer,
+// poke a wake channel, touch only lock-free accessors.
 type goodRecorderSink struct {
+	RecordObserver
 	mgr  *Manager
-	buf  [8]int64
+	buf  [8]Record
 	n    int
 	wake chan struct{}
 }
 
-func (s *goodRecorderSink) StateEvent(id int)    {}
-func (s *goodRecorderSink) PenaltyServed(id int) {}
-
-func (s *goodRecorderSink) StateEventAt(id int, at int64) {
-	s.buf[s.n&7] = at
+func (s *goodRecorderSink) Record(rec Record) {
+	s.buf[s.n&7] = rec
 	s.n++
 	select {
 	case s.wake <- struct{}{}:
@@ -121,6 +126,3 @@ func (s *goodRecorderSink) StateEventAt(id int, at int64) {
 	}
 	_ = s.mgr.ResourceName(0)
 }
-
-func (s *goodRecorderSink) PBoxActivated(id int, at int64) {}
-func (s *goodRecorderSink) PBoxFrozen(id int, at int64)    {}

@@ -8,7 +8,7 @@ package xreentry
 import "xreentrydeps"
 
 type Observer interface {
-	StateEvent(id int)
+	StateEventAt(id int, at int64)
 	PenaltyServed(id int)
 }
 
@@ -17,8 +17,8 @@ type badCollector struct {
 	mgr *xreentrydeps.Manager
 }
 
-func (c *badCollector) StateEvent(id int) {
-	_ = xreentrydeps.Collect(c.mgr) // want `observer callback badCollector\.StateEvent calls Collect, which reaches Manager\.Status`
+func (c *badCollector) StateEventAt(id int, at int64) {
+	_ = xreentrydeps.Collect(c.mgr) // want `observer callback badCollector\.StateEventAt calls Collect, which reaches Manager\.Status`
 }
 
 func (c *badCollector) PenaltyServed(id int) {
@@ -30,8 +30,8 @@ type deepCollector struct {
 	mgr *xreentrydeps.Manager
 }
 
-func (c *deepCollector) StateEvent(id int) {
-	_ = xreentrydeps.CollectAll(c.mgr) // want `observer callback deepCollector\.StateEvent calls CollectAll, which reaches Manager\.Status`
+func (c *deepCollector) StateEventAt(id int, at int64) {
+	_ = xreentrydeps.CollectAll(c.mgr) // want `observer callback deepCollector\.StateEventAt calls CollectAll, which reaches Manager\.Status`
 }
 
 func (c *deepCollector) PenaltyServed(id int) {}
@@ -42,7 +42,7 @@ type goodCollector struct {
 	mgr *xreentrydeps.Manager
 }
 
-func (c *goodCollector) StateEvent(id int) {
+func (c *goodCollector) StateEventAt(id int, at int64) {
 	_ = xreentrydeps.SafeName(c.mgr)
 }
 

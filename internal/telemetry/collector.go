@@ -95,8 +95,14 @@ func (c *Collector) PBoxReleased(id int) {
 	c.live.Dec()
 }
 
-// StateEvent implements core.Observer.
-func (c *Collector) StateEvent(pboxID int, key core.ResourceKey, ev core.EventType) {
+// PBoxActivated, PBoxFrozen and PBoxSharedChanged implement core.Observer;
+// no metric is derived from them (ActivityEnd counts activities).
+func (c *Collector) PBoxActivated(pboxID int, atNs int64)      {}
+func (c *Collector) PBoxFrozen(pboxID int, atNs int64)         {}
+func (c *Collector) PBoxSharedChanged(pboxID int, shared bool) {}
+
+// StateEventAt implements core.Observer.
+func (c *Collector) StateEventAt(pboxID int, key core.ResourceKey, ev core.EventType, atNs int64) {
 	if ev >= 0 && int(ev) < len(c.events) {
 		c.events[ev].Inc()
 	}

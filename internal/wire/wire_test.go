@@ -197,52 +197,30 @@ func TestWireProtocolErrors(t *testing.T) {
 	waitFor(t, "conn teardown", func() bool { return s.Stats().ConnsActive == 0 })
 }
 
-// wireObs records the full observer callback stream for the differential
+// wireObs records the full observer record stream for the differential
 // test (the wire twin of core's recordingObserver).
 type wireObs struct {
+	core.RecordObserver
 	mu     sync.Mutex
-	events []wireObsEvent
+	events []core.Record
 }
 
-type wireObsEvent struct {
-	kind          string
-	pbox, victim  int
-	key           core.ResourceKey
-	ev            core.EventType
-	d             time.Duration
-	defer_, exec_ int64
+func newWireObs() *wireObs {
+	r := &wireObs{}
+	r.Sink = r
+	return r
 }
 
-func (r *wireObs) add(e wireObsEvent) {
+func (r *wireObs) Record(rec core.Record) {
 	r.mu.Lock()
-	r.events = append(r.events, e)
+	r.events = append(r.events, rec)
 	r.mu.Unlock()
 }
 
-func (r *wireObs) PBoxCreated(id int, rule core.IsolationRule) {
-	r.add(wireObsEvent{kind: "create", pbox: id})
-}
-func (r *wireObs) PBoxReleased(id int) { r.add(wireObsEvent{kind: "release", pbox: id}) }
-func (r *wireObs) StateEvent(id int, key core.ResourceKey, ev core.EventType) {
-	r.add(wireObsEvent{kind: "event", pbox: id, key: key, ev: ev})
-}
-func (r *wireObs) ActivityEnd(id int, deferNs, execNs int64) {
-	r.add(wireObsEvent{kind: "activity", pbox: id, defer_: deferNs, exec_: execNs})
-}
-func (r *wireObs) Detection(noisy, victim int, key core.ResourceKey, projected float64) {
-	r.add(wireObsEvent{kind: "detect", pbox: noisy, victim: victim, key: key})
-}
-func (r *wireObs) PenaltyAction(noisy, victim int, key core.ResourceKey, policy core.PolicyKind, length time.Duration) {
-	r.add(wireObsEvent{kind: "action", pbox: noisy, victim: victim, key: key, d: length})
-}
-func (r *wireObs) PenaltyServed(id int, d time.Duration) {
-	r.add(wireObsEvent{kind: "served", pbox: id, d: d})
-}
-
-func (r *wireObs) snapshot() []wireObsEvent {
+func (r *wireObs) snapshot() []core.Record {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]wireObsEvent(nil), r.events...)
+	return append([]core.Record(nil), r.events...)
 }
 
 // feeder abstracts the two ingestion paths so one script drives both: the
@@ -374,7 +352,7 @@ func TestWireVsInProcessDifferentialVerdicts(t *testing.T) {
 	}
 	advance := func(d time.Duration) { now.Add(int64(d)) }
 
-	wobs := &wireObs{}
+	wobs := newWireObs()
 	wmgr := core.NewManager(opts(wobs))
 	addr, _, stop := startServer(t, wmgr, Config{})
 	c, err := Dial(addr)
@@ -386,7 +364,7 @@ func TestWireVsInProcessDifferentialVerdicts(t *testing.T) {
 	stop()
 
 	now.Store(1)
-	iobs := &wireObs{}
+	iobs := newWireObs()
 	imgr := core.NewManager(opts(iobs))
 	differentialScript(&inprocFeeder{
 		t: t, mgr: imgr, w: imgr.NewWorker(), tenants: map[uint64]*core.PBox{},
@@ -410,7 +388,7 @@ func TestWireVsInProcessDifferentialVerdicts(t *testing.T) {
 	}
 	var detections int
 	for _, e := range wire {
-		if e.kind == "detect" {
+		if e.Kind == core.KindDetection {
 			detections++
 		}
 	}
