@@ -391,12 +391,18 @@ func renderIncident(w io.Writer, inc flightrec.Incident) {
 	}
 	fmt.Fprintf(w, "\nevents (%d):\n", len(inc.Events))
 	for _, e := range inc.Events {
-		line := "  " + e.Text
-		if e.Name != "" {
-			line += " res=" + e.Name
-		}
-		fmt.Fprintln(w, line)
+		fmt.Fprintln(w, traceRow(e))
 	}
+}
+
+// traceRow prints one trace-ring row, from /trace or from a bundle: sequence
+// number, manager-clock stamp, the record's own line, the resource's name.
+func traceRow(e telemetry.TraceEvent) string {
+	line := fmt.Sprintf("%8d %12s %s", e.Seq, e.At, e.Text)
+	if e.Name != "" {
+		line += " res=" + e.Name
+	}
+	return line
 }
 
 func cmdDump(args []string) error {
@@ -440,18 +446,7 @@ func cmdTrace(args []string) error {
 			return err
 		}
 		for _, e := range tr.Entries {
-			res := e.Name
-			if res == "" && e.Key != 0 {
-				res = fmt.Sprintf("key-0x%x", e.Key)
-			}
-			line := fmt.Sprintf("%8d %12s pbox=%-4d %-12s", e.Seq, e.At, e.PBox, e.What)
-			if res != "" {
-				line += " " + res
-			}
-			if e.Extra != "" {
-				line += " " + e.Extra
-			}
-			fmt.Println(line)
+			fmt.Println(traceRow(e))
 		}
 		cursor = tr.Next
 		if !*follow {

@@ -65,7 +65,8 @@ func main() {
 	cfg.Capacity = *capacity
 	cfg.EvictScanItems = *evictScan
 
-	// Observer chain, front to back: capture recorder → flight recorder →
+	// Observer chain, front to back: the manager's own trace ring (the one
+	// in-memory copy of the stream) → capture recorder → flight recorder →
 	// metrics collector. Every link forwards every callback
 	// (core.RecordObserver), so each sees the exact stream the manager
 	// emitted whatever the order. Attribution stays on — the ledger is the
@@ -105,6 +106,9 @@ func main() {
 	if rec != nil {
 		rec.AttachManager(mgr)
 		log.Printf("pboxd: flight recorder writing incident bundles to %s/", *incidents)
+		if *traceSize <= 0 {
+			log.Printf("pboxd: -trace 0: no trace ring, so incident bundles carry state sections only (no events)")
+		}
 	}
 	if capRec != nil {
 		if rec != nil {

@@ -40,7 +40,7 @@ func main() {
 	mgr.Status() // precise read: spooled events reach the ring first
 	tr, _ := mgr.TraceView(0)
 	for _, e := range tr[max(0, len(tr)-8):] {
-		fmt.Println(" ", e)
+		fmt.Println(" ", e.String()) // the record's own line, as `pboxreplay cat` prints it
 	}
 }
 

@@ -102,7 +102,7 @@ func main() {
 				entries = entries[n-3:] // just the newest few
 			}
 			for _, e := range entries {
-				fmt.Printf("  trace %v\n", e)
+				fmt.Printf("  trace %6d %s\n", e.Seq, e.String())
 			}
 		}
 	}()

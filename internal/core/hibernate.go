@@ -60,7 +60,6 @@ func (m *Manager) Hibernate(p *PBox) error {
 	p.setState(StateHibernated)
 	m.self.hibernations.Add(1)
 	m.self.hibernated.Add(1)
-	m.traceEvent(p, 0, "hibernate", 0)
 	return nil
 }
 

@@ -60,7 +60,7 @@ type Options struct {
 	EventFilter func(key ResourceKey, ev EventType) bool
 
 	// TraceSize, when positive, enables the in-memory trace ring of that
-	// capacity.
+	// capacity: the observer stream as Records, read with TraceView.
 	TraceSize int
 
 	// Observer, when non-nil, receives live notifications of manager
@@ -194,9 +194,9 @@ type Manager struct {
 	// claims, shard-lock traffic, verdict latency). See SelfStats.
 	self selfCounters
 
-	trace *traceRing
+	trace *traceRing // when enabled, the first sink of the obs chain
 	obs   Observer
-	// attrObs is opts.Observer's AttributionObserver side, cached at
+	// attrObs is obs's AttributionObserver side, cached at
 	// construction so hook sites pay a nil check instead of a type assert.
 	attrObs AttributionObserver
 
@@ -221,14 +221,16 @@ func NewManager(opts Options) *Manager {
 	m.reg.pboxes = make(map[int]*PBox)
 	m.reg.bindings = make(map[uintptr]*PBox)
 	m.shards = newShardSet(defaultShardCount())
-	if ao, ok := opts.Observer.(AttributionObserver); ok {
+	if opts.TraceSize > 0 {
+		// The ring is fed like every other sink: by the one adapter.
+		m.trace = newTraceRing(opts.TraceSize, opts.Now)
+		m.obs = &RecordObserver{Sink: m.trace, Next: opts.Observer}
+	}
+	if ao, ok := m.obs.(AttributionObserver); ok {
 		m.attrObs = ao
 	}
 	if opts.Attribution {
 		m.attr = newAttributionLedger()
-	}
-	if opts.TraceSize > 0 {
-		m.trace = newTraceRing(opts.TraceSize)
 	}
 	return m
 }
@@ -261,7 +263,6 @@ func (m *Manager) Create(rule IsolationRule) (*PBox, error) {
 	p.id = m.reg.nextID
 	m.reg.pboxes[p.id] = p
 	m.reg.Unlock()
-	m.traceEvent(p, 0, "create", 0)
 	if m.obs != nil {
 		m.obs.PBoxCreated(p.id, rule)
 	}
@@ -314,7 +315,6 @@ func (m *Manager) Release(p *PBox) error {
 	}
 	delete(m.reg.pboxes, p.id)
 	m.reg.Unlock()
-	m.traceEvent(p, 0, "release", 0)
 	if m.obs != nil {
 		m.obs.PBoxReleased(p.id)
 	}
@@ -355,7 +355,6 @@ func (m *Manager) Activate(p *PBox) {
 		// everything Hibernate compacted before tracing resumes.
 		m.self.wakes.Add(1)
 		m.self.hibernated.Add(-1)
-		m.traceEvent(p, 0, "wake", 0)
 	}
 	if p.holders == nil {
 		p.holders = make(map[ResourceKey]holdInfo)
@@ -370,7 +369,6 @@ func (m *Manager) Activate(p *PBox) {
 	p.deferTime = 0
 	p.blame = nil
 	p.actMu.Unlock()
-	m.traceEvent(p, 0, "activate", 0)
 	if m.obs != nil {
 		m.obs.PBoxActivated(p.id, now)
 	}
@@ -439,7 +437,6 @@ func (m *Manager) Freeze(p *PBox) {
 		}
 		clear(p.preparing)
 	}
-	m.traceEvent(p, 0, "freeze", time.Duration(td))
 
 	if noisy != nil {
 		t0 := exec.Now()
@@ -520,16 +517,16 @@ func (m *Manager) updateSlow(p *PBox, key ResourceKey, ev EventType) {
 	}
 }
 
-// applyLocked delivers one event to the trace ring, the observer, and the
-// Algorithm 1 arms, at manager-clock time now — the same now the arms use
-// for their bookkeeping, whether the event arrives directly (now = issue
-// time) or via a spool replay (now = recorded event time). The observer's
-// StateEventAt carries that timestamp, so a capture log replayed at the
-// recorded times reproduces the arms' arithmetic exactly. Caller holds p.mu.
+// applyLocked delivers one event to the observer (the trace ring is its
+// first sink) and the Algorithm 1 arms, at manager-clock time now — the same
+// now the arms use for their bookkeeping, whether the event arrives directly
+// (now = issue time) or via a spool replay (now = recorded event time). The
+// observer's StateEventAt carries that timestamp, so a capture log replayed
+// at the recorded times reproduces the arms' arithmetic exactly. Caller holds
+// p.mu.
 //
 //pbox:hotpath
 func (m *Manager) applyLocked(p *PBox, key ResourceKey, ev EventType, now int64) {
-	m.traceEventAt(p, key, ev.String(), 0, now)
 	if m.obs != nil {
 		m.obs.StateEventAt(p.id, key, ev, now)
 	}
@@ -799,7 +796,6 @@ func (m *Manager) sleepPenalty(p *PBox, d time.Duration) {
 		}
 		m.verdictMu.Unlock()
 	}
-	m.traceEvent(p, 0, "penalty", d)
 	m.opts.Sleep(d)
 	p.penMu.Lock()
 	p.penaltySleeping = false

@@ -668,7 +668,7 @@ func TestTraceRecordsEvents(t *testing.T) {
 	}
 	var sawHold bool
 	for _, e := range tr {
-		if e.What == "HOLD" {
+		if e.Kind == KindState && e.Ev == Hold {
 			sawHold = true
 		}
 	}

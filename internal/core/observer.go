@@ -132,7 +132,7 @@ func (k Kind) String() string {
 }
 
 // Record is one observer callback as a value: the single record type the
-// capture log, the flight recorder's ring and the replay digest all store.
+// capture log, the manager's trace ring and the replay digest all store.
 // Field use depends on Kind; unused fields are zero. It holds no pointers,
 // so passing and storing one never allocates.
 type Record struct {
@@ -170,8 +170,8 @@ func (r Record) Rule() IsolationRule {
 }
 
 // String renders the record as one line, printing only the fields its kind
-// uses: the `pboxreplay cat` line and the text of an incident-bundle event,
-// so the two can be matched verbatim.
+// uses: the `pboxreplay cat` line and the text of a /trace row and of an
+// incident-bundle event, so the three can be matched verbatim.
 func (r Record) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-12s pbox=%d", r.Kind, r.PBox)

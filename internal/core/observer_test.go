@@ -143,8 +143,9 @@ func (h *handObserver) PenaltyServedFor(culprit, victim int, key ResourceKey, d 
 
 // adapterScript is one deterministic run that produces every record kind:
 // two pBoxes, spooled events on private keys, direct events on a shared key
-// that end in a verdict with a served penalty, and a shared-thread flip.
-func adapterScript(t *testing.T, obs Observer) {
+// that end in a verdict with a served penalty, and a shared-thread flip. It
+// returns what the manager's own trace ring stored.
+func adapterScript(t *testing.T, obs Observer) []Record {
 	t.Helper()
 	h := newHarness(t, func(o *Options) {
 		o.Attribution = true
@@ -178,12 +179,22 @@ func adapterScript(t *testing.T, obs Observer) {
 	h.m.SetShared(noisy, false)
 	h.m.Release(victim)
 	h.m.Release(noisy)
+	rows, next := h.m.TraceView(0)
+	if int(next) != len(rows) {
+		t.Fatalf("ring wrapped: %d rows of %d", len(rows), next)
+	}
+	ring := make([]Record, len(rows))
+	for i, e := range rows {
+		ring[i] = e.Record
+	}
+	return ring
 }
 
 // TestRecordObserverMatchesCallbacks pins the adapter: the Record stream its
 // sink sees is field for field the stream a hand-written observer on the
 // bare manager sees, and Next receives every callback exactly once —
-// attribution included — at every position of a two-link chain.
+// attribution included — at every position of the chain: the manager's own
+// trace ring (its first link), then two sinks, then a bare observer.
 func TestRecordObserverMatchesCallbacks(t *testing.T) {
 	want := &handObserver{}
 	adapterScript(t, want)
@@ -199,8 +210,8 @@ func TestRecordObserverMatchesCallbacks(t *testing.T) {
 
 	front, back, next := newRecordingObserver(), newRecordingObserver(), &handObserver{}
 	front.Next, back.Next = back, next
-	adapterScript(t, front)
-	for name, got := range map[string][]Record{"front sink": front.events, "back sink": back.events, "next": next.recs} {
+	ring := adapterScript(t, front)
+	for name, got := range map[string][]Record{"trace ring": ring, "front sink": front.events, "back sink": back.events, "next": next.recs} {
 		if !slices.Equal(got, want.recs) {
 			t.Fatalf("%s saw %d records, bare observer %d; first difference at %d",
 				name, len(got), len(want.recs), firstDiff(got, want.recs))

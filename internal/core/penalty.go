@@ -180,7 +180,6 @@ func (m *Manager) takeActionVerdict(noisy, victim *PBox, key ResourceKey, now, t
 		e.actions++
 		e.scheduledNs += int64(penalty)
 	}
-	m.traceEvent(noisy, key, "action:"+kind.String(), time.Duration(penalty))
 	if m.obs != nil {
 		m.obs.PenaltyAction(noisy.id, victim.id, key, kind, time.Duration(penalty))
 	}

@@ -203,7 +203,8 @@ func (m *Manager) resourceViewsShardsLocked() []ResourceView {
 // from the ring — no spool sweep, so spooled events not yet flushed by a
 // write-side trigger are not visible; call Status first when they must be.
 // Pair it with a view's TraceSeq cursor to stream events newer than the
-// snapshot. Returns (nil, 0) when tracing was not enabled.
+// snapshot, or to cut the window that ends at it (the flight recorder).
+// Returns (nil, 0) when tracing was not enabled.
 //
 //pbox:snapshotreader
 func (m *Manager) TraceView(since uint64) ([]TraceEntry, uint64) {

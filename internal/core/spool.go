@@ -296,8 +296,8 @@ func (m *Manager) flushSpoolsFor(p *PBox) {
 }
 
 // replay applies a drained batch under p's mutex with the recorded
-// timestamps as the event clock, so the slow-path bookkeeping — trace
-// entries, observer callbacks, Algorithm 1 arms — sees the stream the
+// timestamps as the event clock, so the slow-path bookkeeping —
+// observer callbacks, Algorithm 1 arms — sees the stream the
 // unspooled manager would have seen. Records of a pBox that left its active
 // window (frozen or released while the batch was buffered) are dropped,
 // mirroring the unspooled drop of events outside activate…freeze. Returns a
@@ -309,12 +309,12 @@ func (m *Manager) replay(p *PBox, recs []spoolRec, serve bool) time.Duration {
 		p.mu.Unlock()
 		return 0
 	}
-	if m.trace == nil && m.obs == nil {
+	if m.obs == nil {
 		m.replayQuiet(p, recs)
 	} else {
-		// An attached observer or trace ring must see the per-event stream
-		// exactly as the slow path delivers it, so each record goes through
-		// the full delivery path (with its recorded timestamp).
+		// An attached observer (the trace ring is one) must see the per-event
+		// stream exactly as the slow path delivers it, so each record goes
+		// through the full delivery path (with its recorded timestamp).
 		for i := range recs {
 			r := &recs[i]
 			m.applyLocked(p, r.key, r.ev, r.at)
@@ -328,7 +328,7 @@ func (m *Manager) replay(p *PBox, recs []spoolRec, serve bool) time.Duration {
 	return pen
 }
 
-// replayQuiet applies a batch with no observer and no trace ring attached —
+// replayQuiet applies a batch with no observer attached (so no trace ring) —
 // the perf configuration the fast path exists for. With p.mu held for the
 // whole batch and each key's shard lock held across every record that
 // touches it, no intermediate state is observable, which licenses two

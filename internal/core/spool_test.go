@@ -348,7 +348,7 @@ func TestSpoolFlushOnReadStatus(t *testing.T) {
 		t.Fatalf("trace length: spooled %d, direct %d", len(ts), len(td))
 	}
 	for i := range td {
-		if ts[i].What != td[i].What || ts[i].Key != td[i].Key || ts[i].At != td[i].At {
+		if ts[i] != td[i] {
 			t.Fatalf("trace entry %d: spooled %+v, direct %+v", i, ts[i], td[i])
 		}
 	}

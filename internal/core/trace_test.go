@@ -7,9 +7,9 @@ import (
 )
 
 func TestTraceRingWraparound(t *testing.T) {
-	r := newTraceRing(4)
+	r := newTraceRing(4, func() int64 { return 0 })
 	for i := 0; i < 10; i++ {
-		r.add(TraceEntry{PBox: i})
+		r.Record(Record{PBox: i})
 	}
 	got, next := r.snapshotSince(0)
 	if len(got) != 4 || next != 10 {
@@ -37,14 +37,14 @@ func TestTraceRingWraparound(t *testing.T) {
 				}
 			}
 		}
-		r.add(TraceEntry{PBox: adds})
+		r.Record(Record{PBox: adds})
 	}
 }
 
 func TestTraceRingPartialFill(t *testing.T) {
-	r := newTraceRing(8)
-	r.add(TraceEntry{PBox: 1})
-	r.add(TraceEntry{PBox: 2})
+	r := newTraceRing(8, func() int64 { return 0 })
+	r.Record(Record{PBox: 1})
+	r.Record(Record{PBox: 2})
 	got, _ := r.snapshotSince(0)
 	if len(got) != 2 || got[0].PBox != 1 || got[1].PBox != 2 {
 		t.Fatalf("snapshot = %+v", got)
@@ -61,17 +61,22 @@ func TestTraceDisabledByDefault(t *testing.T) {
 	}
 }
 
+// TestTraceEntryString pins that a row's text is the Record's line, and the
+// ring's one manager-clock stamp: the record's own At for the kinds that
+// carry one (event time, not delivery time), the ring's clock for the rest.
 func TestTraceEntryString(t *testing.T) {
-	e := TraceEntry{At: time.Millisecond, PBox: 3, Key: 0x10, What: "HOLD"}
-	s := e.String()
-	for _, part := range []string{"pbox=3", "0x10", "HOLD"} {
-		if !strings.Contains(s, part) {
-			t.Fatalf("entry string %q missing %q", s, part)
-		}
+	r := newTraceRing(4, func() int64 { return int64(7 * time.Millisecond) })
+	r.Record(Record{Kind: KindState, PBox: 3, Key: 0x10, Ev: Hold, At: int64(time.Millisecond)})
+	r.Record(Record{Kind: KindServed, PBox: 3, Dur: int64(2 * time.Millisecond)})
+	got, _ := r.snapshotSince(0)
+	if got[0].At != time.Millisecond || got[1].At != 7*time.Millisecond {
+		t.Fatalf("stamps = %v, %v; want the record's 1ms, then the clock's 7ms", got[0].At, got[1].At)
 	}
-	withExtra := TraceEntry{At: time.Millisecond, PBox: 3, What: "penalty", Extra: 2 * time.Millisecond}
-	if !strings.Contains(withExtra.String(), "2ms") {
-		t.Fatalf("entry string %q missing penalty length", withExtra.String())
+	if s := got[0].String(); s != got[0].Record.String() || !strings.Contains(s, "key=0x10 ev=HOLD") {
+		t.Fatalf("row text %q is not the record's line", s)
+	}
+	if s := got[1].String(); !strings.Contains(s, "slept=2ms") {
+		t.Fatalf("row text %q missing the served length", s)
 	}
 }
 
@@ -86,20 +91,22 @@ func TestTraceCapturesActions(t *testing.T) {
 	h.advance(5 * time.Millisecond)
 	h.m.Update(noisy, ResourceKey(1), Unhold)
 
-	var sawAction, sawPenalty bool
+	var sawDetection, sawAction, sawServed bool
 	for _, e := range preciseTrace(h.m) {
-		if strings.HasPrefix(e.What, "action:") {
+		switch e.Kind {
+		case KindDetection:
+			sawDetection = true
+		case KindAction:
 			sawAction = true
-			if e.Extra <= 0 {
-				t.Fatal("action entry missing penalty length")
+			if e.Dur <= 0 || e.Victim != victim.ID() {
+				t.Fatalf("action entry %v missing penalty length or victim", e)
 			}
-		}
-		if e.What == "penalty" {
-			sawPenalty = true
+		case KindServed:
+			sawServed = true
 		}
 	}
-	if !sawAction || !sawPenalty {
-		t.Fatalf("trace missing action/penalty entries: action=%v penalty=%v", sawAction, sawPenalty)
+	if !sawDetection || !sawAction || !sawServed {
+		t.Fatalf("trace missing verdict entries: detection=%v action=%v served=%v", sawDetection, sawAction, sawServed)
 	}
 }
 
@@ -107,9 +114,9 @@ func TestTraceRingZeroCapacity(t *testing.T) {
 	// A zero or negative requested capacity must clamp to a usable ring
 	// instead of dividing by cap()==0 on the wraparound path.
 	for _, n := range []int{0, -4} {
-		r := newTraceRing(n)
+		r := newTraceRing(n, func() int64 { return 0 })
 		for i := 0; i < 3; i++ {
-			r.add(TraceEntry{What: "e", PBox: i})
+			r.Record(Record{Kind: KindState, PBox: i})
 		}
 		got, _ := r.snapshotSince(0)
 		if len(got) != 1 || got[0].PBox != 2 {
@@ -175,12 +182,12 @@ func TestTraceSinceAndNotify(t *testing.T) {
 
 // TestTraceAddAllocatesOnlyForWaiters pins the ring's garbage-free append: the
 // notification channel is made by a long-poller, never by the event path, and
-// every waiter parked on it is released by the next add.
+// every waiter parked on it is released by the next Record.
 func TestTraceAddAllocatesOnlyForWaiters(t *testing.T) {
-	r := newTraceRing(8)
-	e := TraceEntry{PBox: 1, What: "PREPARE"}
-	if allocs := testing.AllocsPerRun(1000, func() { r.add(e) }); allocs != 0 {
-		t.Fatalf("traceRing.add with no waiter = %v allocs/op, want 0", allocs)
+	r := newTraceRing(8, func() int64 { return 0 })
+	e := Record{Kind: KindState, PBox: 1, Ev: Prepare}
+	if allocs := testing.AllocsPerRun(1000, func() { r.Record(e) }); allocs != 0 {
+		t.Fatalf("traceRing.Record with no waiter = %v allocs/op, want 0", allocs)
 	}
 	a, b := r.waitCh(r.seq.Load()), r.waitCh(r.seq.Load())
 	select {
@@ -188,12 +195,12 @@ func TestTraceAddAllocatesOnlyForWaiters(t *testing.T) {
 		t.Fatal("waitCh(tail) is closed before any new entry")
 	default:
 	}
-	r.add(e)
+	r.Record(e)
 	for _, ch := range []<-chan struct{}{a, b} {
 		select {
 		case <-ch:
 		default:
-			t.Fatal("an add left a waiter parked")
+			t.Fatal("a Record left a waiter parked")
 		}
 	}
 }
@@ -205,14 +212,6 @@ func TestTraceDisabledSinceNotify(t *testing.T) {
 	}
 	if ch := m.TraceNotify(0); ch != nil {
 		t.Fatal("TraceNotify on disabled tracing should be nil")
-	}
-}
-
-func TestTraceEntryStringUsesName(t *testing.T) {
-	e := TraceEntry{At: time.Millisecond, PBox: 3, Key: ResourceKey(0xbeef), Name: "bufpool", What: "ENTER"}
-	s := e.String()
-	if !strings.Contains(s, "bufpool") || strings.Contains(s, "0xbeef") {
-		t.Fatalf("String() = %q; want the registered name, not the raw key", s)
 	}
 }
 
@@ -228,10 +227,11 @@ func TestNameResourceFlowsIntoTrace(t *testing.T) {
 	h.m.Update(p, key, Prepare)
 	var found bool
 	for _, e := range preciseTrace(h.m) {
-		if e.Key == key && e.What == "PREPARE" {
+		// The ring stores the key; the reader resolves the name.
+		if e.Key == key && e.Kind == KindState && e.Ev == Prepare {
 			found = true
-			if e.Name != "bufpool" {
-				t.Fatalf("trace entry Name = %q, want bufpool", e.Name)
+			if name := h.m.ResourceName(e.Key); name != "bufpool" {
+				t.Fatalf("ResourceName(entry.Key) = %q, want bufpool", name)
 			}
 		}
 	}

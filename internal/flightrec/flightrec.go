@@ -1,28 +1,27 @@
-// Package flightrec is the flight recorder of the pBox reproduction: a
-// bounded in-memory ring of recent manager events that freezes into a JSON
-// incident bundle when a detection verdict fires (or when an operator asks).
-// Metrics say interference is happening and the attribution ledger says who
-// is doing it; the flight recorder preserves the moments around a specific
-// verdict — the event sequence, the culprit/victim accounting, and the
-// Algorithm 1 inputs (defer ratios, projected interference vs. goal) — so an
-// incident can be diagnosed after the fact without having had a trace
-// subscription open (the post-hoc half of the paper's Section 8 diagnosis
-// story).
+// Package flightrec is the flight recorder of the pBox reproduction: when a
+// detection verdict fires (or when an operator asks) it freezes the recent
+// window of the manager's trace ring, with the manager state around it, into
+// a JSON incident bundle. Metrics say interference is happening and the
+// attribution ledger says who is doing it; the flight recorder preserves the
+// moments around a specific verdict — the event sequence, the culprit/victim
+// accounting, and the Algorithm 1 inputs (defer ratios, projected
+// interference vs. goal) — so an incident can be diagnosed after the fact
+// without having had a trace subscription open (the post-hoc half of the
+// paper's Section 8 diagnosis story).
 //
 // The Recorder embeds core.RecordObserver — which makes it a core.Observer
 // and core.AttributionObserver that forwards every callback to a next
 // Observer, so it stacks anywhere in a chain — and is the adapter's
-// core.RecordSink: the ring stores the same core.Record values the capture
-// log does. Hook-path discipline matches the rest of the reproduction:
-// recording an event writes one preallocated ring slot under a short
-// recorder-local mutex and never allocates; a verdict capture is a
-// per-culprit cooldown check plus a non-blocking channel send. Bundles are
-// built and written by a background goroutine that refreshes the manager's
-// epoch-published snapshot (so the verdict that fired, and every spooled
-// event issued before the capture, is visible) outside any hook, so a dump
-// can never block the penalty path. Captures are cooldown-limited and manual
-// dumps operator-rate, so the stop-the-world rebuild each one costs stays
-// rare.
+// core.RecordSink. It keeps no copy of the stream: the manager's trace ring
+// (core.Options.TraceSize) is the one store, and a bundle's events are the
+// rows cut out of it by sequence number. On the hook path a record that is
+// not a detection costs one comparison; a detection is a per-culprit cooldown
+// check plus a non-blocking channel send. Bundles are built and written by a
+// background goroutine that refreshes the manager's epoch-published snapshot
+// (so the verdict that fired, and every spooled event issued before the
+// capture, is visible) outside any hook, so a dump can never block the
+// penalty path. Captures are cooldown-limited and manual dumps operator-rate,
+// so the stop-the-world rebuild each one costs stays rare.
 package flightrec
 
 import (
@@ -32,57 +31,6 @@ import (
 
 	"pbox/internal/core"
 )
-
-// entry is one ring slot: the record as the adapter built it, plus the
-// ring's own sequence number and the wall-clock delivery stamp (for a
-// spooled event that is flush time; rec.At is when it happened). No
-// pointers, no strings — recording must not allocate.
-type entry struct {
-	seq    uint64
-	atUnix int64
-	rec    core.Record
-}
-
-// ring is a fixed-capacity event buffer with preallocated slots.
-type ring struct {
-	mu     sync.Mutex
-	events []entry
-	pos    int
-	full   bool
-	seq    uint64
-}
-
-func newRing(n int) *ring {
-	return &ring{events: make([]entry, n)}
-}
-
-func (r *ring) add(rec *core.Record, atUnix int64) {
-	r.mu.Lock()
-	r.seq++
-	e := &r.events[r.pos]
-	e.seq, e.atUnix, e.rec = r.seq, atUnix, *rec
-	r.pos = (r.pos + 1) % len(r.events)
-	if r.pos == 0 {
-		r.full = true
-	}
-	r.mu.Unlock()
-}
-
-// tail returns the ring contents oldest first. Called off the hook path;
-// the copy is O(ring size) and aliases nothing.
-func (r *ring) tail() []entry {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.full {
-		out := make([]entry, r.pos)
-		copy(out, r.events[:r.pos])
-		return out
-	}
-	out := make([]entry, 0, len(r.events))
-	out = append(out, r.events[r.pos:]...)
-	out = append(out, r.events[:r.pos]...)
-	return out
-}
 
 // capture is one queued incident-build job.
 type capture struct {
@@ -102,8 +50,6 @@ type Config struct {
 	// Dir is the incidents directory; bundles are written as
 	// incident-<id>.json inside it. Created on first write if missing.
 	Dir string
-	// RingSize is the event-ring capacity (default 1024).
-	RingSize int
 	// Cooldown is the minimum spacing between verdict-triggered captures
 	// blaming the same culprit (default 2s). A detection storm produces one
 	// bundle per culprit per cooldown window, not one per verdict — and a
@@ -119,7 +65,9 @@ type Config struct {
 }
 
 const (
-	defaultRingSize  = 1024
+	// window is how many of the trace ring's newest rows a bundle carries.
+	window = 1024
+
 	defaultCooldown  = 2 * time.Second
 	defaultRetention = 32
 
@@ -134,10 +82,7 @@ const (
 // the manager exists, and Close when done.
 type Recorder struct {
 	core.RecordObserver
-	cfg  Config
-	ring *ring
-	// start anchors the delivery stamps (see now).
-	start time.Time
+	cfg Config
 
 	mgr    atomic.Pointer[core.Manager]
 	capPos atomic.Value // CapturePosition, set by AttachCapture
@@ -156,9 +101,6 @@ type Recorder struct {
 
 // New builds a Recorder and starts its writer goroutine.
 func New(cfg Config) *Recorder {
-	if cfg.RingSize <= 0 {
-		cfg.RingSize = defaultRingSize
-	}
 	if cfg.Cooldown <= 0 {
 		cfg.Cooldown = defaultCooldown
 	}
@@ -167,8 +109,6 @@ func New(cfg Config) *Recorder {
 	}
 	r := &Recorder{
 		cfg:         cfg,
-		ring:        newRing(cfg.RingSize),
-		start:       time.Now(),
 		lastCapture: make(map[int]int64),
 		jobs:        make(chan capture, 8),
 		done:        make(chan struct{}),
@@ -178,8 +118,9 @@ func New(cfg Config) *Recorder {
 	return r
 }
 
-// AttachManager supplies the manager whose Status the incident builder
-// snapshots. Until it is called, bundles carry events only.
+// AttachManager supplies the manager whose trace ring and Status the incident
+// builder reads. Until it is called, bundles carry the trigger only; a
+// manager built without Options.TraceSize yields bundles with no events.
 func (r *Recorder) AttachManager(m *core.Manager) {
 	r.mgr.Store(m)
 }
@@ -200,9 +141,9 @@ func (r *Recorder) AttachCapture(p CapturePosition) {
 	r.capPos.Store(p)
 }
 
-// Close stops the writer after draining queued captures. The Recorder keeps
-// recording events after Close (hooks may still fire), but no further
-// bundles are written.
+// Close stops the writer after draining queued captures. Hooks may still
+// fire after Close (and are still forwarded), but no further bundles are
+// written.
 func (r *Recorder) Close() {
 	if r.closed.CompareAndSwap(false, true) {
 		close(r.jobs)
@@ -227,7 +168,7 @@ func (r *Recorder) Dump(reason string, timeout time.Duration) (string, error) {
 	job := capture{
 		trigger: "manual",
 		reason:  reason,
-		atUnix:  r.now(),
+		atUnix:  time.Now().UnixNano(),
 		reply:   reply,
 	}
 	select {
@@ -246,23 +187,20 @@ func (r *Recorder) Dump(reason string, timeout time.Duration) (string, error) {
 	}
 }
 
-// now is the wall-clock stamp in unix ns, derived from the recorder's start
-// with one monotonic clock read: time.Now reads two clocks, and the stamp is
-// taken once per record, under manager locks.
-func (r *Recorder) now() int64 { return r.start.UnixNano() + int64(time.Since(r.start)) }
-
-// Record implements core.RecordSink: it stores the record in the ring.
-// Alloc-free: the slot is preallocated and the record carries no heap
-// references. Beyond recording, a detection verdict is the capture trigger:
-// if the culprit's cooldown has passed, a build job is queued for the writer
-// goroutine. That is a map check under a recorder-local mutex and a
-// non-blocking send — it cannot block the manager lock or the penalty path.
+// Record implements core.RecordSink. The stream itself is stored once, by the
+// manager's trace ring; the recorder only watches it for the capture trigger:
+// a detection verdict whose culprit's cooldown has passed queues a build job
+// for the writer goroutine. That is a map check under a recorder-local mutex
+// and a non-blocking send — it cannot block the manager lock or the penalty
+// path — and every other record returns on the first comparison.
 //
 //pbox:hotpath
 func (r *Recorder) Record(rec core.Record) {
-	now := r.now()
-	r.ring.add(&rec, now)
-	if rec.Kind != core.KindDetection || !r.shouldCapture(rec.PBox, now) || r.closed.Load() {
+	if rec.Kind != core.KindDetection || r.closed.Load() {
+		return
+	}
+	now := time.Now().UnixNano()
+	if !r.shouldCapture(rec.PBox, now) {
 		return
 	}
 	select {

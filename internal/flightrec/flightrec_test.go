@@ -2,12 +2,14 @@ package flightrec
 
 import (
 	"encoding/json"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"pbox/internal/core"
+	"pbox/internal/telemetry"
 )
 
 // newWorld builds a fake-clock manager observed by a fresh Recorder and
@@ -25,6 +27,7 @@ func newWorld(t *testing.T, cfg Config) (*core.Manager, *Recorder, func(time.Dur
 	opts := core.Options{
 		Observer:    rec,
 		Attribution: true,
+		TraceSize:   2 * window, // the one store a bundle's events are cut from
 		Now:         now.Load,
 		Sleep:       func(d time.Duration) { now.Add(int64(d)) },
 		MinPenalty:  10 * time.Microsecond,
@@ -272,7 +275,7 @@ func TestDumpAfterCloseFails(t *testing.T) {
 }
 
 // TestRecordPathAllocFree is the flight-recorder half of the hook-path
-// discipline: recording an event into the ring, and a verdict arriving
+// discipline: passing an event through the recorder, and a verdict arriving
 // while the capture cooldown is active, allocate nothing.
 func TestRecordPathAllocFree(t *testing.T) {
 	if raceEnabled {
@@ -304,7 +307,8 @@ func TestRecordPathAllocFree(t *testing.T) {
 // TestEveryDumpSeesSpooledEventsAndRecordsEpoch: every bundle is built from
 // a refreshed view, so a manual Dump reflects an event that was still
 // sitting in a worker spool — one no published view had seen — and records
-// the epoch of the view it forced.
+// the epoch of the view it forced. Its events are cut from the manager's
+// ring after that refresh: exactly the rows (TraceSeq-window, TraceSeq].
 func TestEveryDumpSeesSpooledEventsAndRecordsEpoch(t *testing.T) {
 	m, rec, _ := newWorld(t, Config{})
 	p, err := m.Create(core.DefaultRule())
@@ -312,6 +316,10 @@ func TestEveryDumpSeesSpooledEventsAndRecordsEpoch(t *testing.T) {
 		t.Fatalf("Create: %v", err)
 	}
 	m.Activate(p)
+	for i := 0; i < window; i++ { // more rows than one bundle carries
+		m.Update(p, core.ResourceKey(0x501), core.Hold)
+		m.Update(p, core.ResourceKey(0x501), core.Unhold)
+	}
 	w := m.NewWorker()
 	if err := w.BindDirect(p); err != nil {
 		t.Fatalf("BindDirect: %v", err)
@@ -341,5 +349,35 @@ func TestEveryDumpSeesSpooledEventsAndRecordsEpoch(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("dump missed the spooled hold: %+v", inc.Resources)
+	}
+	seq := m.StatusView().TraceSeq // nothing has happened since the dump's refresh
+	rows, _ := m.TraceView(seq - window)
+	if want := telemetry.TraceEvents(m, rows); seq <= window || !slices.Equal(inc.Events, want) {
+		t.Fatalf("bundle events: %d rows ending at seq %d, want the ring's %d rows ending at %d",
+			len(inc.Events), inc.Events[len(inc.Events)-1].Seq, len(want), seq)
+	}
+	if last := inc.Events[len(inc.Events)-1]; last.Kind != "state" || last.Name != "spooled_lock" || !strings.Contains(last.Text, "ev=HOLD") {
+		t.Fatalf("bundle's newest event is %+v, want the spooled hold", last)
+	}
+}
+
+// TestBundleWithoutRingHasEmptyEvents: the recorder keeps no copy of the
+// stream, so on a manager built without a trace ring a bundle carries the
+// state sections and an empty (never null) events list.
+func TestBundleWithoutRingHasEmptyEvents(t *testing.T) {
+	rec := New(Config{Dir: t.TempDir()})
+	defer rec.Close()
+	m := core.NewManager(core.Options{Observer: rec})
+	rec.AttachManager(m)
+	if _, err := m.Create(core.DefaultRule()); err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	id, err := rec.Dump("no ring", 5*time.Second)
+	if err != nil {
+		t.Fatalf("Dump: %v", err)
+	}
+	data, _ := rec.IncidentJSON(id)
+	if !strings.Contains(string(data), `"events": []`) || !strings.Contains(string(data), `"pboxes": [`) {
+		t.Fatalf("ringless bundle should carry pboxes and an empty events list:\n%s", data)
 	}
 }

@@ -20,27 +20,11 @@ var (
 	errWrite  = errors.New("flightrec: bundle write failed")
 )
 
-// Event is the wire form of one ring entry inside an incident bundle. Text is
-// the record rendered by core.Record.String — the line `pboxreplay cat`
-// prints for the same record in a capture log, manager-clock timestamp
-// included — and the fields before it are straight copies for filtering.
-type Event struct {
-	Seq uint64 `json:"seq"`
-	// At is the wall-clock delivery time (flush time for a spooled event;
-	// Text's at= is the manager-clock time it happened).
-	At     string `json:"at"`
-	Kind   string `json:"kind"`
-	PBox   int    `json:"pbox"`
-	Victim int    `json:"victim,omitempty"`
-	Key    uint64 `json:"key,omitempty"`
-	Name   string `json:"resource,omitempty"`
-	Text   string `json:"text"`
-}
-
 // Incident is one frozen bundle: the verdict (or manual dump) that triggered
 // it, the culprit/victim pair with the Algorithm 1 inputs behind the verdict,
-// the recent event ring, and the manager state at capture time — pBoxes (the
-// Algorithm 1 inputs: defer ratio against the rule's goal), per-resource
+// the newest rows of the manager's trace ring, and the manager state at
+// capture time — pBoxes (the Algorithm 1 inputs: defer ratio against the
+// rule's goal), per-resource
 // who-waits/who-holds counts and the attribution matrix, in the same JSON
 // forms the telemetry endpoints print.
 type Incident struct {
@@ -84,7 +68,7 @@ type Incident struct {
 	SnapshotEpoch uint64 `json:"snapshot_epoch,omitempty"`
 	SnapshotAge   string `json:"snapshot_age,omitempty"`
 
-	Events             []Event                      `json:"events"`
+	Events             []telemetry.TraceEvent       `json:"events"`
 	PBoxes             []telemetry.PBoxStatus       `json:"pboxes,omitempty"`
 	Resources          []telemetry.ResourceStatus   `json:"resources,omitempty"`
 	Attribution        []telemetry.AttributionEntry `json:"attribution,omitempty"`
@@ -141,8 +125,14 @@ func (r *Recorder) buildAndWrite(job capture) (string, error) {
 			inc.Resource = mgr.ResourceName(job.key)
 		}
 	}
+	var events []core.TraceEntry
 	if mgr != nil {
 		v := mgr.RefreshStatusView()
+		// The event window is the ring's rows (TraceSeq-window, TraceSeq],
+		// read after the refresh so the spooled events it swept are in it;
+		// rows that landed since (up to next) are cut off the end.
+		rows, next := mgr.TraceView(v.TraceSeq - min(v.TraceSeq, window))
+		events = rows[:max(0, len(rows)-int(next-v.TraceSeq))]
 		inc.SnapshotEpoch = v.Epoch
 		inc.SnapshotAge = mgr.ViewAge(v).String()
 		inc.PBoxes = telemetry.PBoxStatuses(v.Snapshots)
@@ -173,29 +163,16 @@ func (r *Recorder) buildAndWrite(job capture) (string, error) {
 		inc.ProjectedSpeedup = (1 + inc.ProjectedLevel) / (1 + inc.Goal)
 	}
 
-	for _, e := range r.ring.tail() {
-		rec := e.rec
-		we := Event{
-			Seq:    e.seq,
-			At:     time.Unix(0, e.atUnix).UTC().Format(time.RFC3339Nano),
-			Kind:   rec.Kind.String(),
-			PBox:   rec.PBox,
-			Victim: rec.Victim,
-			Key:    uint64(rec.Key),
-			Text:   rec.String(),
-		}
-		if mgr != nil && rec.Key != 0 {
-			we.Name = mgr.ResourceName(rec.Key)
-		}
-		inc.Events = append(inc.Events, we)
+	for _, e := range events {
 		// The action the verdict scheduled, if any, lands in the ring right
 		// after the triggering detection (same culprit and victim).
-		if job.trigger == "detection" && rec.Kind == core.KindAction &&
-			rec.PBox == job.culprit && rec.Victim == job.victim && rec.Key == job.key {
-			inc.PenaltyPolicy = rec.Policy.String()
-			inc.PenaltyLength = time.Duration(rec.Dur).String()
+		if job.trigger == "detection" && e.Kind == core.KindAction &&
+			e.PBox == job.culprit && e.Victim == job.victim && e.Key == job.key {
+			inc.PenaltyPolicy = e.Policy.String()
+			inc.PenaltyLength = time.Duration(e.Dur).String()
 		}
 	}
+	inc.Events = telemetry.TraceEvents(mgr, events)
 
 	if err := r.writeBundle(inc); err != nil {
 		return "", err

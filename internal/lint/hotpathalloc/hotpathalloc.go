@@ -9,7 +9,7 @@
 //
 //   - make/new calls and map, slice, and function literals
 //   - &CompositeLit (escaping composite allocation; plain value literals
-//     such as TraceEntry{...} stay on the stack and are allowed)
+//     such as Record{...} stay on the stack and are allowed)
 //   - append calls (may grow the backing array)
 //   - fmt.* calls (allocate for boxing and formatting)
 //   - non-constant string concatenation and string↔[]byte conversions

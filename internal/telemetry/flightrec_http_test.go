@@ -49,6 +49,7 @@ func TestFlightRecorderEndpoints(t *testing.T) {
 	opts := core.Options{
 		Observer:    rec,
 		Attribution: true,
+		TraceSize:   256,
 		Now:         now.Load,
 		Sleep:       func(d time.Duration) { now.Add(int64(d)) },
 		MinPenalty:  10 * time.Microsecond,

@@ -131,16 +131,42 @@ type AttributionResponse struct {
 	SnapshotAge   string `json:"snapshot_age,omitempty"`
 }
 
-// TraceEvent is the wire form of one trace-ring entry in the /trace
-// response.
+// TraceEvent is the JSON form of one trace-ring row, in /trace entries[] and
+// incident-bundle events[] alike. Text is the record rendered by
+// core.Record.String — the line `pboxreplay cat` prints for the same record
+// in a capture log — and the fields before it are copies for filtering.
 type TraceEvent struct {
-	Seq   uint64 `json:"seq"`
-	At    string `json:"at"`
-	PBox  int    `json:"pbox"`
-	Key   uint64 `json:"key"`
-	Name  string `json:"name,omitempty"`
-	What  string `json:"what"`
-	Extra string `json:"extra,omitempty"`
+	Seq uint64 `json:"seq"`
+	// At is the row's manager-clock stamp (core.TraceEntry.At).
+	At     string `json:"at"`
+	Kind   string `json:"kind"`
+	PBox   int    `json:"pbox"`
+	Victim int    `json:"victim,omitempty"`
+	Key    uint64 `json:"key"`
+	Name   string `json:"resource,omitempty"`
+	Text   string `json:"text"`
+}
+
+// TraceEvents converts ring rows to their JSON form (never nil), resolving
+// resource names here, on the reader's side.
+func TraceEvents(mgr *core.Manager, rows []core.TraceEntry) []TraceEvent {
+	out := make([]TraceEvent, 0, len(rows))
+	for _, t := range rows {
+		ev := TraceEvent{
+			Seq:    t.Seq,
+			At:     t.At.String(),
+			Kind:   t.Kind.String(),
+			PBox:   t.PBox,
+			Victim: t.Victim,
+			Key:    uint64(t.Key),
+			Text:   t.String(),
+		}
+		if t.Key != 0 {
+			ev.Name = mgr.ResourceName(t.Key)
+		}
+		out = append(out, ev)
+	}
+	return out
 }
 
 // TraceResponse is the /trace payload: the entries after the requested
@@ -287,7 +313,9 @@ func (e *Exporter) handleTrace(w http.ResponseWriter, r *http.Request) {
 	entries, next := e.mgr.TraceView(since)
 	if len(entries) == 0 && wait > 0 {
 		// Long poll: block until a newer entry lands, the client leaves,
-		// or the wait expires, then re-read.
+		// or the wait expires, then re-read. A cursor ahead of the ring
+		// (the daemon restarted under a follower) waits from the tail.
+		since = min(since, next)
 		notify := e.mgr.TraceNotify(since)
 		if notify != nil {
 			timer := time.NewTimer(wait)
@@ -303,22 +331,7 @@ func (e *Exporter) handleTrace(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	resp := TraceResponse{Next: next, Entries: make([]TraceEvent, 0, len(entries))}
-	for _, t := range entries {
-		ev := TraceEvent{
-			Seq:  t.Seq,
-			At:   t.At.String(),
-			PBox: t.PBox,
-			Key:  uint64(t.Key),
-			Name: t.Name,
-			What: t.What,
-		}
-		if t.Extra != 0 {
-			ev.Extra = t.Extra.String()
-		}
-		resp.Entries = append(resp.Entries, ev)
-	}
-	writeJSON(w, resp)
+	writeJSON(w, TraceResponse{Next: next, Entries: TraceEvents(e.mgr, entries)})
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -141,7 +141,7 @@ func TestPBoxesEndpointJSONRoundTrips(t *testing.T) {
 }
 
 func TestTraceEndpointSnapshotAndCursor(t *testing.T) {
-	_, exp, _ := newTestWorld(t)
+	m, exp, _ := newTestWorld(t)
 	srv := httptest.NewServer(exp)
 	defer srv.Close()
 
@@ -161,7 +161,7 @@ func TestTraceEndpointSnapshotAndCursor(t *testing.T) {
 		if e.Name == "bufpool" {
 			sawName = true
 		}
-		if strings.HasPrefix(e.What, "action:") {
+		if e.Kind == "action" && e.Victim != 0 && strings.HasPrefix(e.Text, "action ") {
 			sawAction = true
 		}
 	}
@@ -180,6 +180,25 @@ func TestTraceEndpointSnapshotAndCursor(t *testing.T) {
 	}
 	if len(tr2.Entries) != 0 || tr2.Next != tr.Next {
 		t.Fatalf("caught-up poll returned %d entries, next=%d (want 0, %d)", len(tr2.Entries), tr2.Next, tr.Next)
+	}
+
+	// A cursor ahead of the ring (the daemon restarted under a follower)
+	// long-polls from the ring's tail, not for a sequence number that is a
+	// whole ring's history away.
+	go func() {
+		time.Sleep(50 * time.Millisecond)
+		p, _ := m.Create(core.DefaultRule())
+		m.Activate(p)
+	}()
+	start := time.Now()
+	_, body = get(t, srv, "/trace?since="+uintStr(tr.Next+1000)+"&wait=5s")
+	var tr3 TraceResponse
+	if err := json.Unmarshal([]byte(body), &tr3); err != nil {
+		t.Fatalf("ahead-of-ring poll JSON: %v", err)
+	}
+	if len(tr3.Entries) == 0 || tr3.Entries[0].Seq != tr.Next+1 || time.Since(start) >= 5*time.Second {
+		t.Fatalf("ahead-of-ring poll returned %d entries after %v; want the first new entry (seq %d) at once:\n%s",
+			len(tr3.Entries), time.Since(start), tr.Next+1, body)
 	}
 }
 
