@@ -253,8 +253,8 @@ func cmdSelf(args []string) error {
 	fmt.Printf("snapshot    epoch=%d age=%s interval=%s builds=%d cache_hits=%d last_build=%s build_total=%s\n",
 		st.SnapshotEpoch, st.SnapshotAge, st.SnapshotInterval,
 		st.SnapshotBuilds, st.SnapshotCacheHits, st.SnapshotLastBuild, st.SnapshotBuildTotal)
-	fmt.Printf("spools      flushes=%d flushed_events=%d sweeps=%d overflows=%d capacity=%d\n",
-		st.SpoolFlushes, st.SpoolFlushedEvents, st.SpoolSweeps, st.SpoolOverflows, st.SpoolCapacity)
+	fmt.Printf("spools      registered=%d flushes=%d flushed_events=%d sweeps=%d overflows=%d capacity=%d\n",
+		st.Spools, st.SpoolFlushes, st.SpoolFlushedEvents, st.SpoolSweeps, st.SpoolOverflows, st.SpoolCapacity)
 	fmt.Printf("contention  claims=%d revocations=%d sticky_slots=%d\n",
 		st.ContentionClaims, st.ContentionRevocations, st.ContentionStickySlots)
 	fmt.Printf("shard locks acquisitions=%d hottest=%d shards=%d\n",

@@ -15,6 +15,13 @@ import (
 // user-level library state. It implements the lazy-unbind optimization of
 // Section 5: an unbind immediately followed by a bind of the same pBox costs
 // no manager crossing at all.
+//
+// A Worker owns one event spool (spool.go), registered with the manager from
+// NewWorker until Worker.Close. Every hand-off of a pBox from one worker to
+// another passes through a flush on the giving side (Unbind, Bind or
+// BindDirect over a live binding, Close), which also withdraws the pBox's
+// spool hint — so a pBox that migrates between workers is never mistaken for
+// one that two workers feed at once.
 
 // Worker is the per-worker-thread shim of the user-level pBox library.
 // It is not safe for concurrent use — exactly like thread-local state.
@@ -27,21 +34,20 @@ type Worker struct {
 	detached    bool
 	detachedKey uintptr
 	// spool is this worker's Tier A event buffer (spool.go), nil when
-	// spooling is disabled (Options.SpoolSize < 0).
+	// spooling is disabled (Options.SpoolSize < 0) or the worker is closed.
 	spool *eventSpool
 }
 
 // NewWorker returns the library state for one worker thread. When spooling is
-// enabled the worker's spool is registered with the manager for the life of
-// the manager — flush-on-read sweeps must reach every spool that may hold
-// records, and workers have no destroy call to unregister at.
+// enabled the worker's spool is registered with the manager — flush-on-read
+// sweeps must reach every spool that may hold records — until Worker.Close
+// (spool.go) unregisters it; a worker that lives as long as the manager need
+// not be closed.
 func (m *Manager) NewWorker() *Worker {
 	w := &Worker{mgr: m}
 	if n := m.SpoolCapacity(); n > 0 {
 		w.spool = newEventSpool(m, n)
-		m.spools.Lock()
-		m.spools.list = append(m.spools.list, w.spool)
-		m.spools.Unlock()
+		m.registerSpool(w.spool)
 	}
 	return w
 }

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -162,4 +165,86 @@ func BenchmarkUpdateHotPathAllocs(b *testing.B) {
 			w.Update(key, Unhold)
 		}
 	})
+}
+
+// BenchmarkActivityCycle is the benchmark that crosses the activity boundary:
+// every goroutine runs whole activities — Activate, the 16 events of four
+// private keys through its Worker, Freeze — on its own pBox, b.N times, so
+// ns/op is what one goroutine pays per activity and a boundary that scales
+// reads the same at g=1 and g=GOMAXPROCS. (The event benchmarks above never
+// leave an activity, which is how a manager-wide lock on Activate/Freeze went
+// unseen by them.) It fails if any key left the fast path, and gates the
+// cycle at zero allocations.
+func BenchmarkActivityCycle(b *testing.B) {
+	for _, g := range []int{1, runtime.GOMAXPROCS(0)} {
+		b.Run(fmt.Sprintf("g=%d", g), func(b *testing.B) { benchActivityCycle(b, g) })
+	}
+}
+
+func benchActivityCycle(b *testing.B, g int) {
+	type tenant struct {
+		p    *PBox
+		w    *Worker
+		keys [4]ResourceKey
+	}
+	m := benchManager()
+	// Keys are drawn so that no two share a contention slot: an alias between
+	// tenants would push both onto the slow path and measure that instead.
+	taken := make(map[*atomic.Int64]bool)
+	next := ResourceKey(0xac7)
+	tenants := make([]*tenant, g)
+	for i := range tenants {
+		p, err := m.Create(DefaultRule())
+		if err != nil {
+			b.Fatal(err)
+		}
+		tn := &tenant{p: p, w: m.NewWorker()}
+		if err := tn.w.BindDirect(p); err != nil {
+			b.Fatal(err)
+		}
+		for k := range tn.keys {
+			for taken[m.contentionSlot(next)] {
+				next += 0x9e5
+			}
+			taken[m.contentionSlot(next)] = true
+			tn.keys[k] = next
+		}
+		tenants[i] = tn
+	}
+	cycle := func(tn *tenant) {
+		m.Activate(tn.p)
+		for _, k := range tn.keys {
+			tn.w.Update(k, Prepare)
+			tn.w.Update(k, Enter)
+			tn.w.Update(k, Hold)
+			tn.w.Update(k, Unhold)
+		}
+		m.Freeze(tn.p)
+	}
+	for _, tn := range tenants {
+		cycle(tn) // first-touch set-up: pBox maps, shard entries, slot claims
+	}
+	if !raceEnabled {
+		// 100 cycles cross the history ring's growth to its fixed size.
+		if allocs := testing.AllocsPerRun(100, func() { cycle(tenants[0]) }); allocs != 0 {
+			b.Fatalf("an activity cycle allocates %.1f times; want 0", allocs)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for _, tn := range tenants {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < b.N; i++ {
+				cycle(tn)
+			}
+		}()
+	}
+	wg.Wait()
+	b.StopTimer()
+	if st := m.SelfStats(); st.ContentionStickySlots != 0 {
+		b.Fatalf("%d sticky contention slots: private keys fell onto the slow path", st.ContentionStickySlots)
+	}
 }

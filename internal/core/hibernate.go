@@ -31,7 +31,6 @@ import "fmt"
 // the pBox is mid-activity (StateActive), destroyed, or holds resources or
 // waits across activities.
 func (m *Manager) Hibernate(p *PBox) error {
-	m.crossings.Add(1)
 	// Stragglers spooled against this pBox must reach the books (or be
 	// dropped by the replay's state check) before its structures go away.
 	m.flushSpoolsFor(p)

@@ -1,0 +1,416 @@
+package core
+
+import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+)
+
+// Tests for the local activity boundary (spool.go): the pBox's spool hint,
+// the shared-flag fallback, the lock-free spool set, the per-spool sums and
+// Worker.Close. Scripts that compute something are run twice — through
+// Worker.Update and through Manager.Update — and compared with the
+// spooled-vs-direct harness of spool_test.go.
+
+// hintDiffResult collects what compareDiffResults compares.
+func hintDiffResult(h *harness) diffResult {
+	res := diffResult{
+		sleeps:    h.sleeps,
+		snapshots: make(map[int]Snapshot),
+		attr:      make(map[diffTriple]AttributionRecord),
+		crossings: h.m.Crossings(),
+	}
+	st := h.m.Status()
+	for _, s := range st.Snapshots {
+		res.snapshots[s.ID] = s
+	}
+	for _, r := range st.Attribution {
+		res.attr[diffTriple{r.CulpritID, r.VictimID, r.Key}] = r
+	}
+	return res
+}
+
+// quietHarness is a harness without observer or trace ring: the
+// configuration whose lifecycle path the hint makes lock-free.
+func quietHarness(t *testing.T) *harness {
+	return newHarness(t, func(o *Options) {
+		o.Attribution = true
+		o.TraceSize = 0
+	})
+}
+
+// TestHintSequentialMigration: a pBox handed from worker A to worker B
+// (Unbind flushes on A, Bind appends on B) and frozen from a third goroutine
+// is never marked shared, and the migrating run books exactly what the direct
+// run books.
+func TestHintSequentialMigration(t *testing.T) {
+	run := func(spooled bool) (diffResult, *PBox) {
+		h := quietHarness(t)
+		p := h.pbox(0.5)
+		const conn = uintptr(0xc0)
+		h.m.Associate(p, conn)
+		a, b := h.m.NewWorker(), h.m.NewWorker()
+		upd := func(w *Worker, key ResourceKey, ev EventType) {
+			if spooled {
+				w.Update(key, ev)
+			} else {
+				h.m.Update(p, key, ev)
+			}
+		}
+		slice := func(w *Worker, key ResourceKey) {
+			if _, err := w.Bind(conn, BindShared); err != nil {
+				t.Fatalf("Bind: %v", err)
+			}
+			upd(w, key, Prepare)
+			h.advance(30 * time.Microsecond)
+			upd(w, key, Enter)
+			upd(w, key, Hold)
+			h.advance(10 * time.Microsecond)
+			upd(w, key, Unhold)
+		}
+		for round := 0; round < 3; round++ {
+			h.m.Activate(p)
+			slice(a, 0x100)
+			if spooled && p.spool.Load() != a.spool {
+				t.Fatalf("round %d: hint does not name worker A's spool", round)
+			}
+			if _, err := a.Unbind(conn, BindShared); err != nil {
+				t.Fatalf("Unbind: %v", err)
+			}
+			if p.spool.Load() != nil {
+				t.Fatalf("round %d: hint survived the unbind flush", round)
+			}
+			slice(b, 0x200)
+			if spooled && p.spool.Load() != b.spool {
+				t.Fatalf("round %d: hint does not name worker B's spool", round)
+			}
+			// B's slice is still buffered; the freeze comes from elsewhere.
+			done := make(chan struct{})
+			go func() { defer close(done); h.m.Freeze(p) }()
+			<-done
+			if _, err := b.Unbind(conn, BindShared); err != nil {
+				t.Fatalf("Unbind: %v", err)
+			}
+			h.advance(5 * time.Microsecond)
+		}
+		if p.spoolShared.Load() {
+			t.Fatal("sequential hand-off marked the pBox shared")
+		}
+		return hintDiffResult(h), p
+	}
+	spooled, p := run(true)
+	direct, _ := run(false)
+	compareDiffResults(t, spooled, direct)
+	if got := spooled.snapshots[p.ID()]; got.Activities != 3 || got.TotalDefer != 6*30*time.Microsecond {
+		t.Fatalf("migrating run booked %+v, want 3 activities and 180µs deferred", got)
+	}
+}
+
+// TestHintSharedByTwoWorkers: two Workers BindDirect one pBox and both buffer
+// records for it. The hint can name only one spool, so the pBox is marked
+// shared and Freeze, Release and Hibernate fold both by walking the list.
+func TestHintSharedByTwoWorkers(t *testing.T) {
+	for _, end := range []string{"freeze", "release", "hibernate"} {
+		t.Run(end, func(t *testing.T) {
+			run := func(spooled bool) diffResult {
+				h := quietHarness(t)
+				p := h.pbox(0.5)
+				a, b := h.m.NewWorker(), h.m.NewWorker()
+				for _, w := range []*Worker{a, b} {
+					if err := w.BindDirect(p); err != nil {
+						t.Fatalf("BindDirect: %v", err)
+					}
+				}
+				upd := func(w *Worker, key ResourceKey, ev EventType) {
+					if spooled {
+						w.Update(key, ev)
+					} else {
+						h.m.Update(p, key, ev)
+					}
+				}
+				h.m.Activate(p)
+				// Distinct keys per worker: each spool replays on its own, so
+				// only per-key order is defined across the two.
+				upd(a, 0x100, Hold)
+				upd(b, 0x200, Prepare)
+				h.advance(40 * time.Microsecond)
+				upd(b, 0x200, Enter)
+				upd(a, 0x100, Unhold)
+				upd(a, 0x101, Hold) // still held at the transition
+				if spooled {
+					if !p.spoolShared.Load() {
+						t.Fatal("two spools hold the pBox's records and it is not marked shared")
+					}
+					if got := h.m.SelfStats().SpoolFlushedEvents; got != 0 {
+						t.Fatalf("%d events flushed before the transition; the script must leave both spools full", got)
+					}
+				}
+				switch end {
+				case "freeze":
+					h.m.Freeze(p)
+				case "release":
+					if err := h.m.Release(p); err != nil {
+						t.Fatalf("Release: %v", err)
+					}
+				case "hibernate":
+					// Refused mid-activity, but only after the flush.
+					if err := h.m.Hibernate(p); err == nil {
+						t.Fatal("Hibernate accepted an active pBox")
+					}
+				}
+				if spooled {
+					if got := h.m.SelfStats().SpoolFlushedEvents; got != 5 {
+						t.Fatalf("%s folded %d of 5 spooled events", end, got)
+					}
+					if a.spool.pending(p) || b.spool.pending(p) {
+						t.Fatalf("%s left records behind in a spool", end)
+					}
+				}
+				if end == "hibernate" {
+					h.m.Freeze(p)
+				}
+				if end != "release" {
+					if c := contention(h.m, 0x101); c.Holders != 1 {
+						t.Fatalf("hold across the transition: holders = %d, want 1", c.Holders)
+					}
+				}
+				return hintDiffResult(h)
+			}
+			compareDiffResults(t, run(true), run(false))
+		})
+	}
+}
+
+// TestHintInvariantUnderSweep: a sweep (RefreshStatusView) racing the owner's
+// first append of the next batch leaves the hint and the spool's owner field
+// agreeing — p.spool == sp ⇔ sp.pbox == p once both have finished — never
+// marks the pBox shared, and loses no event. Run under -race.
+func TestHintInvariantUnderSweep(t *testing.T) {
+	m := NewManager(Options{Sleep: func(time.Duration) {}})
+	p, err := m.Create(DefaultRule())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := m.NewWorker()
+	if err := w.BindDirect(p); err != nil {
+		t.Fatal(err)
+	}
+	m.Activate(p)
+	sp := w.spool
+	const (
+		iters  = 10_000
+		perHit = 8 // events the owner issues against each sweep
+	)
+	// The owner waits until the sweeper is running before it appends, so the
+	// batch starts while the sweep's flush of the previous one is in flight.
+	var sweeping atomic.Int64
+	overtaken := 0 // sweeps whose copy-out came before the owner's last append
+	kick, swept := make(chan struct{}), make(chan struct{})
+	go func() {
+		for range kick {
+			sweeping.Add(1)
+			m.RefreshStatusView()
+			swept <- struct{}{}
+		}
+	}()
+	for i := 1; i <= iters; i++ {
+		kick <- struct{}{}
+		for sweeping.Load() != int64(i) {
+			runtime.Gosched()
+		}
+		for k := 0; k < perHit/2; k++ {
+			w.Update(0x77, Hold)
+			w.Update(0x77, Unhold)
+		}
+		<-swept
+		sp.mu.Lock()
+		named, owns := p.spool.Load() == sp, sp.pbox == p
+		sp.mu.Unlock()
+		if named != owns {
+			t.Fatalf("iteration %d: hint names the spool = %v, spool buffers the pBox = %v", i, named, owns)
+		}
+		if owns {
+			overtaken++
+		}
+	}
+	close(kick)
+	if p.spoolShared.Load() {
+		t.Fatal("a sweep racing the owner marked the pBox shared")
+	}
+	m.Freeze(p)
+	if p.spool.Load() != nil {
+		t.Fatal("hint survived the freeze")
+	}
+	st := m.SelfStats()
+	if st.SpoolFlushedEvents != perHit*iters || st.ContentionStickySlots != 0 {
+		t.Fatalf("flushed %d of %d events, %d sticky slots", st.SpoolFlushedEvents, perHit*iters, st.ContentionStickySlots)
+	}
+	t.Logf("%d of %d sweeps left part of the owner's batch behind", overtaken, iters)
+}
+
+// TestLifecycleTakesNoManagerLock is the structural proof of the local
+// boundary: with every avoidable manager-wide mutex held by the test, a
+// tenant of a quiet manager (no observer, no trace ring) registers a worker,
+// runs activities, hibernates, wakes and closes without blocking. Release is
+// left out of the locked part only because it takes the registry lock to
+// unregister, as it always has; it runs after.
+func TestLifecycleTakesNoManagerLock(t *testing.T) {
+	m := NewManager(Options{Sleep: func(time.Duration) {}})
+	p, err := m.Create(DefaultRule())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.snap.Lock()
+	m.deliver.Lock()
+	m.reg.Lock()
+	m.verdictMu.Lock()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		w := m.NewWorker()
+		if err := w.BindDirect(p); err != nil {
+			t.Error(err)
+			return
+		}
+		for i := 0; i < 3; i++ {
+			m.Activate(p)
+			for k := ResourceKey(1); k <= 4; k++ {
+				w.Update(k, Prepare)
+				w.Update(k, Enter)
+				w.Update(k, Hold)
+				w.Update(k, Unhold)
+			}
+			if i == 0 {
+				w.Flush()
+			}
+			m.Freeze(p)
+			if err := m.Hibernate(p); err != nil {
+				t.Error(err)
+			}
+		}
+		w.Close()
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a lifecycle call of a quiet manager blocked on a manager-wide mutex")
+	}
+	m.verdictMu.Unlock()
+	m.reg.Unlock()
+	m.deliver.Unlock()
+	m.snap.Unlock()
+	if err := m.Release(p); err != nil {
+		t.Fatal(err)
+	}
+	if st := m.SelfStats(); st.SpoolFlushedEvents != 3*16 || st.Spools != 0 {
+		t.Fatalf("flushed %d of %d events, %d spools registered", st.SpoolFlushedEvents, 3*16, st.Spools)
+	}
+}
+
+// TestSpoolSumsExact: the per-spool counters sum to exactly the calls issued
+// — with eight workers running at once, after every worker is closed (the
+// sums move into the set's closed term), and after the pBoxes are released.
+func TestSpoolSumsExact(t *testing.T) {
+	m := NewManager(Options{Sleep: func(time.Duration) {}})
+	const (
+		workers    = 8
+		activities = 200
+		perAct     = 16
+	)
+	ps := make([]*PBox, workers)
+	ws := make([]*Worker, workers)
+	for g := range ps {
+		p, err := m.Create(DefaultRule())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps[g], ws[g] = p, m.NewWorker()
+		if err := ws[g].BindDirect(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := range ps {
+		wg.Add(1)
+		go func(p *PBox, w *Worker, base ResourceKey) {
+			defer wg.Done()
+			for i := 0; i < activities; i++ {
+				m.Activate(p)
+				for k := base; k < base+4; k++ {
+					w.Update(k, Prepare)
+					w.Update(k, Enter)
+					w.Update(k, Hold)
+					w.Update(k, Unhold)
+				}
+				m.Freeze(p)
+			}
+		}(ps[g], ws[g], ResourceKey(0x1000*(g+1)))
+	}
+	wg.Wait()
+	check := func(when string, crossings int64, spools int) {
+		t.Helper()
+		st := m.SelfStats()
+		if st.ContentionStickySlots != 0 {
+			t.Fatalf("%s: %d sticky slots: the private keys collided and the count below means nothing", when, st.ContentionStickySlots)
+		}
+		if st.SpoolFlushes != workers*activities || st.SpoolFlushedEvents != workers*activities*perAct {
+			t.Fatalf("%s: %d flushes of %d events, want %d of %d", when,
+				st.SpoolFlushes, st.SpoolFlushedEvents, workers*activities, workers*activities*perAct)
+		}
+		if got := m.Crossings(); got != crossings || st.Crossings != crossings {
+			t.Fatalf("%s: Crossings() = %d, SelfStats().Crossings = %d, issued %d", when, got, st.Crossings, crossings)
+		}
+		if st.Spools != spools {
+			t.Fatalf("%s: %d spools registered, want %d", when, st.Spools, spools)
+		}
+	}
+	issued := int64(workers * (1 + activities*(perAct+2))) // Create, then Activate + 16 events + Freeze
+	check("after the run", issued, workers)
+	for _, w := range ws {
+		w.Close()
+		w.Close() // idempotent
+	}
+	check("after Worker.Close", issued, 0)
+	for _, p := range ps {
+		if err := m.Release(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("after Release", issued+workers, 0)
+}
+
+// TestWorkerCloseFallsToSlowPath: a closed worker stays usable; its events
+// take the slow path (applied at once, one crossing each, nothing spooled).
+func TestWorkerCloseFallsToSlowPath(t *testing.T) {
+	h := quietHarness(t)
+	p := h.pbox(0.5)
+	w := h.m.NewWorker()
+	if err := w.BindDirect(p); err != nil {
+		t.Fatal(err)
+	}
+	h.m.Activate(p)
+	w.Update(0x10, Hold) // spooled
+	w.Close()
+	if w.spool != nil || p.spool.Load() != nil {
+		t.Fatal("Close left the spool attached or the hint set")
+	}
+	before := h.m.SelfStats()
+	if before.SpoolFlushedEvents != 1 || before.Spools != 0 {
+		t.Fatalf("Close flushed %d events and left %d spools, want 1 and 0", before.SpoolFlushedEvents, before.Spools)
+	}
+	w.Update(0x11, Hold)
+	p.mu.Lock()
+	_, held10 := p.holders[0x10]
+	_, held11 := p.holders[0x11]
+	p.mu.Unlock()
+	if !held10 || !held11 {
+		t.Fatalf("holds on the books: spooled-then-closed %v, after Close %v; want both", held10, held11)
+	}
+	after := h.m.SelfStats()
+	if after.SpoolFlushedEvents != 1 || after.Crossings != before.Crossings+1 {
+		t.Fatalf("Update after Close: flushed events %d → %d, crossings %d → %d; want the slow path",
+			before.SpoolFlushedEvents, after.SpoolFlushedEvents, before.Crossings, after.Crossings)
+	}
+}

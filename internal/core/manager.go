@@ -125,10 +125,15 @@ func (o Options) withDefaults() Options {
 // serializes on verdictMu, which also guards the action history and the
 // attribution ledger. The documented lock order is
 //
-//	snap → spools → flushMu → registry → pbox.mu → shard.mu →
+//	snap → flushMu → deliver → registry → pbox.mu → shard.mu →
 //	verdictMu → leaves (actMu, penMu, …)
 //
-// and a shard lock is never held while acquiring the registry lock.
+// and a shard lock is never held while acquiring the registry lock. On a
+// manager with no observer and no trace ring, the calls an application
+// goroutine makes per activity — Activate, Freeze, Worker.Update,
+// Worker.Flush — and Hibernate take no manager-wide lock (Release takes only
+// the registry's, to unregister), and the only manager-wide line they write
+// is crossings, on the hint-less path of flushSpoolsFor (spool.go).
 // Manager state is read through the epoch snapshot (StatusView, DESIGN.md
 // §12); only the view rebuild stops the world.
 type Manager struct {
@@ -157,14 +162,21 @@ type Manager struct {
 	// contentionTable in spool.go).
 	contention contentionTable
 
-	// spools registers every Worker's event spool so slow-path events and
-	// view rebuilds can drain them (flush-on-read). The list only
-	// grows — workers are per-thread state and live as long as their
-	// threads. Its lock is the outermost in the §8 order.
-	spools struct {
-		sync.Mutex
-		list []*eventSpool
-	}
+	// spools publishes the registered Worker spools (and the sums of the
+	// closed ones) so slow-path events and view rebuilds can drain them
+	// (flush-on-read) and SelfStats can total them: an immutable spoolSet,
+	// never nil, swapped whole by NewWorker and Worker.Close and read with
+	// one atomic load — no lock (spool.go).
+	spools atomic.Pointer[spoolSet]
+
+	// deliver is held by a spool flush for the length of its replay when —
+	// and only when — an observer is attached (the trace ring is one). The
+	// replay hands the observer one record per event through the ring's leaf
+	// mutex; two flushing goroutines would otherwise fight over that mutex
+	// once per record, where this costs them one acquisition per batch. A
+	// manager without an observer never touches it. It ranks after
+	// eventSpool.flushMu and before the registry in the §8 order.
+	deliver sync.Mutex
 
 	// verdictMu is the cold-path epoch lock: it serializes detection
 	// verdicts and penalty scheduling so the multi-pBox view Algorithm 1
@@ -201,11 +213,13 @@ type Manager struct {
 	attrObs AttributionObserver
 
 	// crossings counts conceptual user/kernel boundary crossings: every
-	// manager entry point increments it. The lazy-unbind optimization
-	// (Section 5) is validated by this counter going down. Every event from
-	// every thread writes it, so it gets a line of its own: sharing one with
-	// the observer pointers above, read on every event, doubles the cost of
-	// a direct Update on two CPUs (BenchmarkManagerDisjointResources).
+	// manager entry point increments it, except that spooled events and the
+	// lifecycle calls that flush them count on their spool (Crossings sums
+	// both). The lazy-unbind optimization (Section 5) is validated by this
+	// counter going down. Every direct event from every thread writes it, so
+	// it gets a line of its own: sharing one with the observer pointers
+	// above, read on every event, doubles the cost of a direct Update on two
+	// CPUs (BenchmarkManagerDisjointResources).
 	_         cacheLinePad
 	crossings atomic.Int64
 }
@@ -221,6 +235,7 @@ func NewManager(opts Options) *Manager {
 	m.reg.pboxes = make(map[int]*PBox)
 	m.reg.bindings = make(map[uintptr]*PBox)
 	m.shards = newShardSet(defaultShardCount())
+	m.spools.Store(&spoolSet{})
 	if opts.TraceSize > 0 {
 		// The ring is fed like every other sink: by the one adapter.
 		m.trace = newTraceRing(opts.TraceSize, opts.Now)
@@ -273,7 +288,6 @@ func (m *Manager) Create(rule IsolationRule) (*PBox, error) {
 // bookkeeping structure. Pending penalties are discarded: the activity they
 // would have delayed no longer exists.
 func (m *Manager) Release(p *PBox) error {
-	m.crossings.Add(1)
 	// Drain spooled records first: events buffered before the release must
 	// reach the books (or be dropped by the replay's state check) before
 	// the pBox's shard-side state is torn down.
@@ -326,7 +340,6 @@ func (m *Manager) Release(p *PBox) error {
 // applied in time, it is served now, before the activity clock starts, so
 // the penalty delays the noisy pBox without polluting its own metrics.
 func (m *Manager) Activate(p *PBox) {
-	m.crossings.Add(1)
 	// Stragglers spooled after the previous freeze belong to no active
 	// window; drain them now (the replay drops them) so the new activity
 	// starts with an empty spool.
@@ -380,7 +393,6 @@ func (m *Manager) Activate(p *PBox) {
 // PBoxLevelThreshold of the goal, the manager takes action against the most
 // recent blocker at the end of the activity.
 func (m *Manager) Freeze(p *PBox) {
-	m.crossings.Add(1)
 	// Fold spooled events into the activity before it closes: the
 	// pBox-level monitor below must see the full deferring time.
 	m.flushSpoolsFor(p)
@@ -841,8 +853,13 @@ func (m *Manager) setSharedLocked(p *PBox, shared bool) {
 	}
 }
 
-// Crossings returns the number of conceptual kernel crossings so far.
-func (m *Manager) Crossings() int64 { return m.crossings.Load() }
+// Crossings returns the number of conceptual kernel crossings so far: the
+// manager's own counter plus the crossings flushes folded on each spool.
+//
+//pbox:snapshotreader
+func (m *Manager) Crossings() int64 {
+	return m.crossings.Load() + m.spools.Load().sums().crossings
+}
 
 // NameResource registers a human-readable name for a virtual-resource key,
 // so traces and telemetry print "bufpool" instead of a raw pointer value.

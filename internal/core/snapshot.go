@@ -222,8 +222,6 @@ type selfCounters struct {
 	snapshotHits         atomic.Int64
 	snapshotLastBuildNs  atomic.Int64
 	snapshotBuildTotalNs atomic.Int64
-	spoolFlushes         atomic.Int64
-	spoolFlushedEvents   atomic.Int64
 	spoolSweeps          atomic.Int64
 	spoolOverflows       atomic.Int64
 	contentionClaims     atomic.Int64
@@ -302,6 +300,7 @@ type SelfStats struct {
 	SpoolFlushedEvents int64 // events replayed out of spools
 	SpoolSweeps        int64 // all-spool sweeps (contended hand-offs + view rebuilds)
 	SpoolOverflows     int64 // appends that failed (full or foreign buffer), forcing a flush
+	Spools             int   // worker spools currently registered (NewWorker minus Worker.Close)
 
 	// Contention-slot table.
 	ContentionClaims      int64 // successful fast-path slot claims (CAS 0→id)
@@ -329,26 +328,30 @@ type SelfStats struct {
 }
 
 // SelfStats assembles the self-telemetry report from atomics alone — no
-// locks, no flushes; safe to poll at any frequency.
+// locks, no flushes; safe to poll at any frequency. The spool counters and
+// the spooled share of Crossings are sums over the published spool set.
 //
 //pbox:snapshotreader
 func (m *Manager) SelfStats() SelfStats {
+	spools := m.spools.Load()
+	sums := spools.sums()
 	st := SelfStats{
 		SnapshotBuilds:        m.self.snapshotBuilds.Load(),
 		SnapshotCacheHits:     m.self.snapshotHits.Load(),
 		SnapshotLastBuild:     time.Duration(m.self.snapshotLastBuildNs.Load()),
 		SnapshotBuildTotal:    time.Duration(m.self.snapshotBuildTotalNs.Load()),
-		SpoolFlushes:          m.self.spoolFlushes.Load(),
-		SpoolFlushedEvents:    m.self.spoolFlushedEvents.Load(),
+		SpoolFlushes:          sums.flushes,
+		SpoolFlushedEvents:    sums.flushedEvents,
 		SpoolSweeps:           m.self.spoolSweeps.Load(),
 		SpoolOverflows:        m.self.spoolOverflows.Load(),
+		Spools:                len(spools.list),
 		ContentionClaims:      m.self.contentionClaims.Load(),
 		ContentionRevocations: m.self.contentionRevokes.Load(),
 		Hibernations:          m.self.hibernations.Load(),
 		Wakes:                 m.self.wakes.Load(),
 		Hibernated:            m.self.hibernated.Load(),
 		VerdictLatency:        m.self.verdictLatency.snapshot(),
-		Crossings:             m.crossings.Load(),
+		Crossings:             m.crossings.Load() + sums.crossings,
 		Shards:                m.ShardCount(),
 		SpoolCapacity:         m.SpoolCapacity(),
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,14 +48,34 @@ import (
 //
 // Lock order (extends DESIGN.md §8; the lint lockorder table enforces it):
 //
-//	Manager.snap → Manager.spools → eventSpool.flushMu →
+//	Manager.snap → eventSpool.flushMu → Manager.deliver →
 //	registry → pbox.mu → shard.mu → verdictMu → leaves (eventSpool.mu
 //	joins actMu, penMu, …)
 //
 // Flush triggers: the spool fills, a slow-path event arrives on the worker
-// (own spool first, so per-pBox order holds), the worker rebinds or unbinds,
-// the pBox is Activated/Frozen/Released/Hibernated, or a StatusView rebuild
-// needs the spooled state (flush-on-read via the registered-spool sweep).
+// (own spool first, so per-pBox order holds), the worker rebinds, unbinds or
+// closes, the pBox is Activated/Frozen/Released/Hibernated, or a StatusView
+// rebuild needs the spooled state (flush-on-read via the registered-spool
+// sweep).
+//
+// The activity boundary is as local as the event it brackets: a lifecycle
+// call finds the spool to drain through the pBox's own hint (PBox.spool), so
+// on a manager with no observer Activate/Freeze/Release/Hibernate take no
+// manager-wide lock and walk no list. The registered-spool list is an
+// immutable slice behind an atomic pointer (copy-on-write at NewWorker and
+// Worker.Close), read lock-free by the two sweeps; the flush counters and the
+// crossings a flush folds live on the spool and are summed on read.
+//
+// Hint invariant, maintained inside eventSpool.mu: sp.pbox == p ⇒ p.spool ==
+// sp, and p.spool == sp ⇒ sp buffers p's records or a flush is still
+// replaying them. The append that takes an empty spool over for p publishes
+// the hint; the flush that drained p's batch withdraws it once the replay is
+// done (so a lifecycle call racing a sweep waits on flushMu for the replay
+// instead of overtaking it), unless the owner has started p's next batch
+// meanwhile. A second spool taking records for p while the first still names
+// it (two Workers BindDirect one pBox) sets the sticky PBox.spoolShared, which
+// sends that pBox's lifecycle flushes back to the list walk; a sequential
+// hand-off (Unbind flushes on A, Bind appends on B) never does.
 
 // contentionSlots is the fixed size of the contention-slot table (power of
 // two). More slots mean fewer aliasing collisions, and a collision costs
@@ -121,7 +142,10 @@ type spoolRec struct {
 // owning worker appends while a sweep flushes — separated by cache-line pads
 // (pad.go) so a sweep on one core does not invalidate the append header's
 // line on the worker's core. Spool headers are the per-worker hot state; one
-// line of padding per worker is the whole cost.
+// line of padding per worker is the whole cost. The spool's share of the
+// manager's sums (flushes, flushedEvents, crossingsSum) sits in the
+// flush-side group: a flush writes them while it holds flushMu, so they cost
+// the flusher no further line, and no core but the flusher's writes them.
 type eventSpool struct {
 	m *Manager
 
@@ -132,6 +156,14 @@ type eventSpool struct {
 
 	// drain is the flush-side copy buffer, touched only under flushMu.
 	drain []spoolRec
+
+	// This spool's terms of SelfStats.SpoolFlushes / SpoolFlushedEvents and
+	// Crossings(): added by flushes under flushMu (and by the lifecycle call
+	// about to take it), summed lock-free over the registered list by the
+	// readers, carried over into spoolSet.closed by Worker.Close.
+	flushes       atomic.Int64
+	flushedEvents atomic.Int64
+	crossingsSum  atomic.Int64
 
 	_ cacheLinePad
 
@@ -173,20 +205,26 @@ func (sp *eventSpool) append(p *PBox, key ResourceKey, ev EventType, now int64) 
 		sp.mu.Unlock()
 		return false
 	}
+	takeover := sp.pbox != p // once per batch: the buffer was empty
 	sp.pbox = p
 	sp.recs[sp.n] = spoolRec{key: key, ev: ev, at: now}
 	sp.n++
 	sp.crossings++
+	if takeover {
+		p.nameSpool(sp)
+	}
 	sp.mu.Unlock()
 	return true
 }
 
-// pending reports whether the spool currently buffers records for p
-// (flushSpoolsFor's cheap pre-check).
+// pending reports whether a lifecycle flush of p has business with this
+// spool: it buffers records for p, or a flush is still replaying a batch
+// (possibly p's — the walk cannot tell, and waiting on flushMu for a foreign
+// batch costs time only). The list walk's cheap pre-check.
 func (sp *eventSpool) pending(p *PBox) bool {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
-	return sp.n > 0 && sp.pbox == p
+	return (sp.n > 0 && sp.pbox == p) || sp.draining
 }
 
 // mustFlush reports whether a slow-path hand-off has anything to wait for:
@@ -223,14 +261,30 @@ func (sp *eventSpool) flush(serve bool) {
 
 	var pen time.Duration
 	if crossings > 0 {
-		sp.m.crossings.Add(crossings)
+		sp.crossingsSum.Add(crossings)
 	}
 	if n > 0 {
-		sp.m.self.spoolFlushes.Add(1)
-		sp.m.self.spoolFlushedEvents.Add(int64(n))
-		pen = sp.m.replay(p, sp.drain[:n], serve)
+		sp.flushes.Add(1)
+		sp.flushedEvents.Add(int64(n))
+		m := sp.m
+		observed := m.obs != nil
+		if observed {
+			// One acquisition per batch instead of a fight over the trace
+			// ring's mutex per record (see Manager.deliver).
+			m.deliver.Lock()
+		}
+		pen = m.replay(p, sp.drain[:n], serve)
+		if observed {
+			m.deliver.Unlock()
+		}
 		sp.mu.Lock()
 		sp.draining = false
+		if sp.pbox != p {
+			// The batch is on the books and the owner has not started p's
+			// next one: withdraw the hint, so a sequential hand-off to
+			// another worker's spool does not read as sharing.
+			p.unnameSpool(sp)
+		}
 		sp.mu.Unlock()
 	}
 	sp.flushMu.Unlock()
@@ -274,25 +328,104 @@ const contendedSlot = -1
 // must never sleep a penalty on a pBox's behalf.
 func (m *Manager) sweepSpools() {
 	m.self.spoolSweeps.Add(1)
-	m.spools.Lock()
-	for _, sp := range m.spools.list {
+	for _, sp := range m.spools.Load().list {
 		sp.flush(false)
 	}
-	m.spools.Unlock()
 }
 
-// flushSpoolsFor drains the spools buffering records for p — the lifecycle
-// flush of Activate/Freeze/Release, which must observe every event the
-// pBox's worker recorded before the transition. Caller holds no manager
-// locks (the flush acquires p.mu itself).
+// flushSpoolsFor is the entry of Activate/Freeze/Release/Hibernate: it counts
+// the call's crossing and drains the spool buffering records for p, so the
+// transition observes every event the pBox's worker recorded before it. The
+// spool is the one p's hint names — no list, no manager-wide lock, and the
+// crossing lands on that spool's line; a hint-less pBox (nothing spooled
+// since the last flush) has nothing to drain and counts on the manager.
+// Only a pBox that two spools have held at once walks the list. Caller holds
+// no manager locks (the flush acquires p.mu itself).
+//
+//pbox:hotpath
 func (m *Manager) flushSpoolsFor(p *PBox) {
-	m.spools.Lock()
-	for _, sp := range m.spools.list {
+	if !p.spoolShared.Load() {
+		sp := p.spool.Load()
+		if sp == nil {
+			m.crossings.Add(1)
+			return
+		}
+		sp.crossingsSum.Add(1)
+		sp.flush(false)
+		return
+	}
+	m.crossings.Add(1)
+	for _, sp := range m.spools.Load().list {
 		if sp.pending(p) {
 			sp.flush(false)
 		}
 	}
-	m.spools.Unlock()
+}
+
+// spoolSet is the published registry of worker spools: immutable, replaced
+// whole by registerSpool / unregisterSpool (copy-on-write, CAS loop) and read
+// lock-free by the sweeps and the sum readers.
+type spoolSet struct {
+	list []*eventSpool
+	// closed carries the sums of the spools Worker.Close removed, so the
+	// totals stay exact; it changes in the same swap that drops the spool,
+	// so a reader never counts a spool twice or not at all.
+	closed spoolSums
+}
+
+// spoolSums are the per-spool terms of the manager's totals.
+type spoolSums struct {
+	flushes, flushedEvents, crossings int64
+}
+
+// add folds one spool's counters into t.
+//
+//pbox:snapshotreader
+func (t *spoolSums) add(sp *eventSpool) {
+	t.flushes += sp.flushes.Load()
+	t.flushedEvents += sp.flushedEvents.Load()
+	t.crossings += sp.crossingsSum.Load()
+}
+
+// sums totals the per-spool counters over the set.
+//
+//pbox:snapshotreader
+func (set *spoolSet) sums() spoolSums {
+	t := set.closed
+	for _, sp := range set.list {
+		t.add(sp)
+	}
+	return t
+}
+
+// registerSpool publishes a set that includes sp.
+func (m *Manager) registerSpool(sp *eventSpool) {
+	for {
+		old := m.spools.Load()
+		n := len(old.list)
+		// The capped slice expression makes append copy: old stays as it was.
+		next := &spoolSet{closed: old.closed, list: append(old.list[:n:n], sp)}
+		if m.spools.CompareAndSwap(old, next) {
+			return
+		}
+	}
+}
+
+// unregisterSpool publishes a set without sp, its sums moved into closed.
+// The caller has flushed sp and will append to it no more, so the sums are
+// final.
+func (m *Manager) unregisterSpool(sp *eventSpool) {
+	for {
+		old := m.spools.Load()
+		next := &spoolSet{
+			closed: old.closed,
+			list:   slices.DeleteFunc(slices.Clone(old.list), func(s *eventSpool) bool { return s == sp }),
+		}
+		next.closed.add(sp)
+		if m.spools.CompareAndSwap(old, next) {
+			return
+		}
+	}
 }
 
 // replay applies a drained batch under p's mutex with the recorded
@@ -468,4 +601,20 @@ func (w *Worker) Flush() {
 	if w.spool != nil {
 		w.spool.flush(true)
 	}
+}
+
+// Close ends the worker's life as a spool owner: it drains the spool on the
+// caller's goroutine (like Flush) and removes it from the manager's
+// registered list, so sweeps and view rebuilds stop visiting it and its
+// buffers can be collected. Idempotent. The worker stays usable — Update
+// after Close takes the slow path, as with spooling disabled. Like every
+// Worker method it belongs to the worker's own goroutine.
+func (w *Worker) Close() {
+	sp := w.spool
+	if sp == nil {
+		return
+	}
+	w.spool = nil
+	sp.flush(true)
+	w.mgr.unregisterSpool(sp)
 }

@@ -443,9 +443,7 @@ func TestSpoolEdgeCapacities(t *testing.T) {
 		// A zero-capacity spool can never accept an append; Worker.Update
 		// must fall back to the slow path rather than drop the event.
 		w.spool = newEventSpool(h.m, 0)
-		h.m.spools.Lock()
-		h.m.spools.list = append(h.m.spools.list, w.spool)
-		h.m.spools.Unlock()
+		h.m.registerSpool(w.spool)
 		script(h, w.Update)
 		w.Flush()
 		if got := finish(h, p); got.TotalDefer != want.TotalDefer || got.TotalExec != want.TotalExec ||

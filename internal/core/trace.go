@@ -51,22 +51,25 @@ func newTraceRing(n int, now func() int64) *traceRing {
 //
 //pbox:hotpath
 func (r *traceRing) Record(rec Record) {
-	e := TraceEntry{Record: rec}
+	var at time.Duration
 	switch rec.Kind {
 	case KindActivate, KindFreeze, KindState:
-		e.At = time.Duration(rec.At)
+		at = time.Duration(rec.At)
 	default:
-		e.At = time.Duration(r.now())
+		at = time.Duration(r.now())
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	e.Seq = r.seq.Load() + 1
-	r.entries[(e.Seq-1)%uint64(len(r.entries))] = e
-	r.seq.Store(e.Seq)
+	// The slot is written in place (one copy of the record) and the unlock
+	// is not deferred: this runs once per event of every traced manager.
+	seq := r.seq.Load() + 1
+	e := &r.entries[(seq-1)%uint64(len(r.entries))]
+	e.Seq, e.At, e.Record = seq, at, rec
+	r.seq.Store(seq)
 	if r.notify != nil {
 		close(r.notify)
 		r.notify = nil
 	}
+	r.mu.Unlock()
 }
 
 // snapshotSince returns the entries with sequence number > since that are

@@ -2,7 +2,7 @@
 // order (DESIGN.md §8, extended by the §10 spool ranks and the §12 snapshot
 // rank):
 //
-//	Manager.snap → Manager.spools → eventSpool.flushMu →
+//	Manager.snap → eventSpool.flushMu → Manager.deliver →
 //	registry → pbox.mu → shard.mu → verdictMu → leaves (actMu, penMu,
 //	shard.namesMu, trace ring, eventSpool.mu)
 //
@@ -15,7 +15,7 @@
 //
 // The pass extracts the static lock graph: every Lock/RLock/Unlock/RUnlock
 // call on a sync.Mutex or sync.RWMutex field is classified by the named
-// type that owns the field (Manager.spools, eventSpool.flushMu, Manager.reg,
+// type that owns the field (eventSpool.flushMu, Manager.deliver, Manager.reg,
 // PBox.mu, shard.mu, Manager.verdictMu, PBox.actMu, PBox.penMu,
 // shard.namesMu, traceRing.mu, eventSpool.mu).
 // A linear abstract interpretation tracks the held-set through each
@@ -48,15 +48,17 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // Rank positions in the documented order. Leaves share leafRank and are
-// terminal. The spool ranks are negative: the spool registry and a flush
-// precede everything the replay acquires, and nothing may take them while
-// holding any manager lock. The snapshot build mutex ranks before even the
-// spool registry: a rebuild sweeps every spool and then takes the whole
-// read path under it.
+// terminal. The spool ranks are negative: a flush precedes everything its
+// replay acquires, and nothing may start one while holding any manager lock.
+// The delivery mutex is taken inside a flush, around the replay, so it sits
+// between flushMu and the registry (the registered-spool list is an atomic
+// pointer and has no lock to order). The snapshot build mutex ranks before
+// all of them: a rebuild sweeps every spool and then takes the whole read
+// path under it.
 const (
 	rankSnap       = -30
-	rankSpoolList  = -20
-	rankSpoolFlush = -10
+	rankSpoolFlush = -20
+	rankDeliver    = -10
 	rankRegistry   = 0
 	rankPBoxMu     = 10
 	rankShardMu    = 20
@@ -75,8 +77,8 @@ type classSpec struct {
 // exercise.
 var lockTable = map[classSpec]int{
 	{"Manager", "snap"}:       rankSnap,
-	{"Manager", "spools"}:     rankSpoolList,
 	{"eventSpool", "flushMu"}: rankSpoolFlush,
+	{"Manager", "deliver"}:    rankDeliver,
 	{"Manager", "reg"}:        rankRegistry,
 	{"PBox", "mu"}:            rankPBoxMu,
 	{"shard", "mu"}:           rankShardMu,
@@ -89,7 +91,7 @@ var lockTable = map[classSpec]int{
 }
 
 // orderDoc is appended to order-violation messages.
-const orderDoc = "DESIGN.md §8/§10/§12 order: snap → spools → flushMu → registry → pbox.mu → shard.mu → verdictMu → leaves"
+const orderDoc = "DESIGN.md §8/§10/§12 order: snap → flushMu → deliver → registry → pbox.mu → shard.mu → verdictMu → leaves"
 
 // lockClass is one recognized lock class.
 type lockClass struct {

@@ -7,7 +7,7 @@ import "sync"
 
 type Manager struct {
 	snap      sync.Mutex
-	spools    sync.Mutex
+	deliver   sync.Mutex
 	reg       sync.Mutex
 	verdictMu sync.Mutex
 	shards    []*shard
@@ -146,20 +146,20 @@ func badRLockUnderLeaf(s *shard) {
 	s.namesMu.RUnlock()
 }
 
-// goodFlushDescent is the spool flush shape: the registered-spool list and
-// the flush lock rank before every manager lock, the buffer leaf is taken
-// and released before the replay descends. Clean.
+// goodFlushDescent is the spool flush shape: the flush lock ranks before
+// every manager lock, the buffer leaf is taken and released before the
+// replay descends, and the delivery mutex brackets the replay. Clean.
 func goodFlushDescent(m *Manager, sp *eventSpool, p *PBox, s *shard) {
-	m.spools.Lock()
 	sp.flushMu.Lock()
 	sp.mu.Lock()
 	sp.mu.Unlock()
+	m.deliver.Lock()
 	p.mu.Lock()
 	s.mu.Lock()
 	s.mu.Unlock()
 	p.mu.Unlock()
+	m.deliver.Unlock()
 	sp.flushMu.Unlock()
-	m.spools.Unlock()
 }
 
 // badSpoolAppendTakesShard: the spool buffer is a terminal leaf owned by its
@@ -180,23 +180,32 @@ func badFlushUnderPBox(sp *eventSpool, p *PBox) {
 	p.mu.Unlock()
 }
 
-// badRegistryThenSpoolList: the spool registry precedes even the manager
-// registry (a sweep holds it across whole flushes).
-func badRegistryThenSpoolList(m *Manager) {
+// badRegistryInsideDelivery: the delivery mutex is held across a whole
+// replay, so taking it under the registry (or any lock the replay acquires)
+// inverts the order.
+func badRegistryInsideDelivery(m *Manager) {
 	m.reg.Lock()
-	m.spools.Lock() // want `acquires Manager\.spools while holding Manager\.reg`
-	m.spools.Unlock()
+	m.deliver.Lock() // want `acquires Manager\.deliver while holding Manager\.reg`
+	m.deliver.Unlock()
 	m.reg.Unlock()
+}
+
+// badDeliveryThenFlush: the delivery mutex is taken inside a flush, never
+// around one — a second flush started under it would deadlock against a
+// flusher waiting for delivery.
+func badDeliveryThenFlush(m *Manager, sp *eventSpool) {
+	m.deliver.Lock()
+	sp.flushMu.Lock() // want `acquires eventSpool\.flushMu while holding Manager\.deliver`
+	sp.flushMu.Unlock()
+	m.deliver.Unlock()
 }
 
 // goodSnapRebuild is the §12 snapshot-rebuild shape: the build mutex is the
 // outermost rank, held across the spool sweep and the full descent. Clean.
 func goodSnapRebuild(m *Manager, sp *eventSpool, s *shard) {
 	m.snap.Lock()
-	m.spools.Lock()
 	sp.flushMu.Lock()
 	sp.flushMu.Unlock()
-	m.spools.Unlock()
 	m.reg.Lock()
 	s.mu.Lock()
 	m.verdictMu.Lock()
@@ -206,14 +215,14 @@ func goodSnapRebuild(m *Manager, sp *eventSpool, s *shard) {
 	m.snap.Unlock()
 }
 
-// badSpoolListThenSnap: the snapshot build mutex precedes even the spool
-// registry — a rebuild started mid-sweep would deadlock against a sweep
-// started mid-rebuild.
-func badSpoolListThenSnap(m *Manager) {
-	m.spools.Lock()
-	m.snap.Lock() // want `acquires Manager\.snap while holding Manager\.spools`
+// badFlushThenSnap: the snapshot build mutex precedes even a spool flush — a
+// rebuild started mid-flush would deadlock against the flush its own sweep
+// starts.
+func badFlushThenSnap(m *Manager, sp *eventSpool) {
+	sp.flushMu.Lock()
+	m.snap.Lock() // want `acquires Manager\.snap while holding eventSpool\.flushMu`
 	m.snap.Unlock()
-	m.spools.Unlock()
+	sp.flushMu.Unlock()
 }
 
 // badShardThenSnap: no manager lock may be held when a rebuild starts.

@@ -92,6 +92,7 @@ type SelfResponse struct {
 	SpoolFlushedEvents int64 `json:"spool_flushed_events"`
 	SpoolSweeps        int64 `json:"spool_sweeps"`
 	SpoolOverflows     int64 `json:"spool_overflows"`
+	Spools             int   `json:"spools"`
 
 	ContentionClaims      int64 `json:"contention_claims"`
 	ContentionRevocations int64 `json:"contention_revocations"`
@@ -131,6 +132,7 @@ func selfResponse(st core.SelfStats) SelfResponse {
 		SpoolFlushedEvents: st.SpoolFlushedEvents,
 		SpoolSweeps:        st.SpoolSweeps,
 		SpoolOverflows:     st.SpoolOverflows,
+		Spools:             st.Spools,
 
 		ContentionClaims:      st.ContentionClaims,
 		ContentionRevocations: st.ContentionRevocations,
@@ -190,6 +192,7 @@ func writeSelfMetrics(w io.Writer, st core.SelfStats) {
 	writeSelfCounter(w, "pbox_self_spool_flushed_events_total", "Events replayed out of worker spools.", st.SpoolFlushedEvents)
 	writeSelfCounter(w, "pbox_self_spool_sweeps_total", "All-spool sweeps (contended hand-offs and precise reads).", st.SpoolSweeps)
 	writeSelfCounter(w, "pbox_self_spool_overflows_total", "Spool appends that failed (full or foreign buffer), forcing a flush.", st.SpoolOverflows)
+	writeSelfGauge(w, "pbox_self_spools", "Worker spools currently registered (one per live worker; a number that only grows is a Worker.Close leak).", int64(st.Spools))
 
 	writeSelfCounter(w, "pbox_self_contention_claims_total", "Successful fast-path contention-slot claims.", st.ContentionClaims)
 	writeSelfCounter(w, "pbox_self_contention_revocations_total", "Slow-path revocations of a live contention-slot claim.", st.ContentionRevocations)

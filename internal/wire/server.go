@@ -196,8 +196,11 @@ func (s *Server) serveConn(nc net.Conn) {
 	tenants := make(map[uint64]*core.PBox)
 	defer func() {
 		// Teardown drains before it tears down: spooled tail events reach
-		// the books, then every tenant this connection registered goes away.
-		w.Flush()
+		// the books and the connection's spool leaves the manager's
+		// registered list (or every sweep and view rebuild would visit the
+		// spools of dead connections forever), then every tenant this
+		// connection registered goes away.
+		w.Close()
 		for _, p := range tenants {
 			s.mgr.Release(p)
 		}

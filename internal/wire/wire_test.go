@@ -396,3 +396,82 @@ func TestWireVsInProcessDifferentialVerdicts(t *testing.T) {
 		t.Fatal("script produced no detections; differential is vacuous")
 	}
 }
+
+// TestWireConnectionChurnLeavesNoSpools: every connection owns a Worker, and
+// a daemon lives through many connections. A thousand connect / register /
+// one activity / disconnect cycles must leave no spool registered (each sweep
+// and view rebuild would otherwise visit the spools of dead connections
+// forever), every call on the books — the closed spools' sums included — and
+// a view rebuild as cheap as on a manager that served one connection.
+func TestWireConnectionChurnLeavesNoSpools(t *testing.T) {
+	keys := []core.ResourceKey{7, 1 << 40, 9, 1 << 32}
+	cycle := func(addr string, i int) {
+		c, err := Dial(addr)
+		if err != nil {
+			t.Fatalf("dial %d: %v", i, err)
+		}
+		c.Register(1, core.DefaultRule(), "churn")
+		c.Activate(1)
+		c.Select(1)
+		for _, k := range keys {
+			c.Event(k, core.Hold)
+			c.Event(k, core.Unhold)
+		}
+		if i%2 == 0 {
+			c.Freeze(1) // odd cycles leave the tail to the teardown's Close
+		}
+		if err := c.Flush(); err != nil {
+			t.Fatalf("flush %d: %v", i, err)
+		}
+		c.Close()
+	}
+	serve := func(cycles int) *core.Manager {
+		mgr := core.NewManager(core.Options{Sleep: func(time.Duration) {}})
+		addr, s, stop := startServer(t, mgr, Config{})
+		defer stop()
+		for i := 0; i < cycles; i++ {
+			cycle(addr, i)
+			if i%100 == 99 || i == cycles-1 {
+				// Also bounds the connections open at once.
+				waitFor(t, "connections to drain", func() bool {
+					st := s.Stats()
+					return st.ConnsTotal == int64(i+1) && st.ConnsActive == 0
+				})
+			}
+		}
+		if st := s.Stats(); st.Events != int64(cycles*2*len(keys)) || st.Errors != 0 {
+			t.Fatalf("server stats after %d cycles: %+v", cycles, st)
+		}
+		return mgr
+	}
+	// rebuild is the cheapest of many precise rebuilds: the floor is what the
+	// registered-spool sweep adds to, and it does not move with scheduling.
+	rebuild := func(mgr *core.Manager) time.Duration {
+		best := time.Duration(1 << 62)
+		for i := 0; i < 200; i++ {
+			if d := mgr.RefreshStatusView().BuildDuration; d < best {
+				best = d
+			}
+		}
+		return best
+	}
+
+	const cycles = 1000
+	churned, fresh := serve(cycles), serve(1)
+	st := churned.SelfStats()
+	if st.Spools != 0 {
+		t.Fatalf("%d spools still registered after %d connections closed", st.Spools, cycles)
+	}
+	// Create, Activate, eight events and Release per cycle, Freeze on the
+	// even ones — whether an event was spooled or took the slow path, and
+	// whether its spool is still registered or closed, it is one crossing.
+	if want := int64(cycles*(3+2*len(keys)) + cycles/2); st.Crossings != want {
+		t.Fatalf("crossings = %d after %d cycles, want %d", st.Crossings, cycles, want)
+	}
+	if st.SpoolFlushedEvents == 0 {
+		t.Fatal("no event was ever spooled: the churn did not exercise Close's flush")
+	}
+	if c, f := rebuild(churned), rebuild(fresh); c > 2*f+time.Microsecond {
+		t.Fatalf("view rebuild takes %v after %d connections, %v after one", c, cycles, f)
+	}
+}
