@@ -470,13 +470,19 @@ func (m *Manager) replay(p *PBox, recs []spoolRec, serve bool) time.Duration {
 //   - one shard lock acquisition covers a run of same-shard records, and
 //   - an adjacent balanced pair that provably changes nothing collapses:
 //     HOLD+UNHOLD on an already-held key is a hold-count up/down; HOLD+UNHOLD
-//     on an unheld key with no waiters inserts and removes the same holder
-//     entries with nothing watching; PREPARE+ENTER is exactly a deferTime
-//     contribution of the recorded interval (the waiter the PREPARE would
-//     register is removed by the very next record, so no UNHOLD between them
-//     can blame it).
+//     on an unheld key still private to p (privateTo) inserts and removes
+//     the same holder entries with nothing watching; PREPARE+ENTER is exactly
+//     a deferTime contribution of the recorded interval (the waiter the
+//     PREPARE would register is removed by the very next record, so no UNHOLD
+//     between them can blame it).
 //
-// Anything else — unpaired records, pairs with waiters present — runs the
+// None of the three looks at a stripe, so a batch of balanced pairs on
+// private keys — the whole of an uninterfered activity — takes no shard lock
+// at all: which stripe a private key hashes to, and which other tenant's keys
+// share it, costs such a tenant nothing.
+//
+// Anything else — unpaired records, pairs on a key p itself waits for or
+// whose claim was revoked while the batch sat in the spool — runs the
 // ordinary Algorithm 1 arm, so verdicts, blame, and penalties come out
 // exactly as the unspooled manager's. Caller holds p.mu.
 //
@@ -500,6 +506,10 @@ func (m *Manager) replayQuiet(p *PBox, recs []spoolRec) {
 					i++ // hold-count up then down: nothing changes
 					continue
 				}
+				if m.privateTo(p, r.key) {
+					i++ // transient hold nobody can be waiting on: nothing changes
+					continue
+				}
 			}
 		}
 		if ns := m.shardFor(r.key); ns != s {
@@ -511,14 +521,6 @@ func (m *Manager) replayQuiet(p *PBox, recs []spoolRec) {
 			// sweep).
 			s = m.lockShard(r.key)
 		}
-		if paired && r.ev == Hold && recs[i+1].ev == Unhold {
-			if _, held := p.holders[r.key]; !held {
-				if cl := s.competitors[r.key]; cl == nil || len(cl.waiters) == 0 {
-					i++ // transient hold nobody waited on: nothing changes
-					continue
-				}
-			}
-		}
 		m.applyArmLocked(p, s, r.key, r.ev, r.at)
 	}
 	if s != nil {
@@ -529,6 +531,25 @@ func (m *Manager) replayQuiet(p *PBox, recs []spoolRec) {
 		p.deferTime += deferSum
 		p.actMu.Unlock()
 	}
+}
+
+// privateTo reports whether no pBox but p can have a waiter registered on
+// key, read off the key's contention slot instead of its stripe. A slot only
+// ever moves 0 → claimant's id → contended, and every slow-path event swaps in
+// contended before it touches a stripe (updateSlow → markContended), so while
+// the slot still reads p's id every waiter on the slot's keys was registered
+// by p itself — and p's own are counted in p.preparing. It stays true for the
+// length of the replay that asks: an event that revokes the claim sweeps the
+// spools before it applies, and the sweep waits on the flushMu this replay
+// runs under. Caller holds p.mu and the replaying spool's flushMu.
+//
+//pbox:hotpath
+func (m *Manager) privateTo(p *PBox, key ResourceKey) bool {
+	if m.contentionSlot(key).Load() != int64(p.id) {
+		return false
+	}
+	_, waiting := p.preparing[key]
+	return !waiting
 }
 
 // Update is the Worker-side update_pbox of the two-tier path: the filter

@@ -303,6 +303,75 @@ func TestSpoolDifferentialQuiet(t *testing.T) {
 	compareDiffResults(t, spooled, direct)
 }
 
+// TestReplayQuietPrivateKeysSkipShards: a batch of balanced pairs on keys only
+// its pBox has touched replays without one shard lock (so which stripe the
+// keys hash to, and who else uses it, cannot cost the tenant anything), and
+// the shortcut stands down exactly where the stripe could hold a waiter: the
+// pBox's own outstanding PREPARE, and a slot another pBox has contended. Each
+// script books what the same script through Manager.Update books.
+func TestReplayQuietPrivateKeysSkipShards(t *testing.T) {
+	const k1, k2, other = ResourceKey(0x1100), ResourceKey(0x2200), ResourceKey(0x3300)
+	type step struct {
+		key    ResourceKey
+		ev     EventType
+		byPeer bool // issued by a second pBox through Manager.Update
+	}
+	pair := func(k ResourceKey) []step {
+		return []step{{k, Prepare, false}, {k, Enter, false}, {k, Hold, false}, {k, Unhold, false}}
+	}
+	scripts := []struct {
+		name      string
+		steps     []step
+		wantLocks int64 // shard locks the final Freeze's replay may take
+	}{
+		{"balanced pairs on private keys", append(pair(k1), pair(k2)...), 0},
+		// PREPARE stays outstanding across the HOLD+UNHOLD: p waits on k1
+		// itself, so the pair must run the UNHOLD arm under the stripe.
+		{"own waiter outstanding", []step{{k1, Prepare, false}, {k1, Hold, false}, {k1, Unhold, false}, {k1, Enter, false}}, 1},
+		// The peer's event revokes k1's claim and sweeps p's batch in: k1 is
+		// slow path for good, what p spools on k2 afterwards is still private.
+		{"peer contends one key", append(append(pair(k1), step{k1, Prepare, true}, step{k1, Enter, true}), append(pair(k1), pair(k2)...)...), 0},
+	}
+	for _, sc := range scripts {
+		t.Run(sc.name, func(t *testing.T) {
+			run := func(spooled bool) (diffResult, int64) {
+				h := quietHarness(t)
+				p, peer := h.pbox(0.5), h.pbox(0.5)
+				w := h.m.NewWorker()
+				if err := w.BindDirect(p); err != nil {
+					t.Fatalf("BindDirect: %v", err)
+				}
+				h.m.Activate(p)
+				h.m.Activate(peer)
+				h.m.Update(peer, other, Hold) // the peer is live on the stripes throughout
+				for _, s := range sc.steps {
+					switch {
+					case s.byPeer:
+						h.m.Update(peer, s.key, s.ev)
+					case spooled:
+						w.Update(s.key, s.ev)
+					default:
+						h.m.Update(p, s.key, s.ev)
+					}
+					h.advance(10 * time.Microsecond)
+				}
+				before := h.m.SelfStats().ShardLockAcquisitions
+				h.m.Freeze(p)
+				locks := h.m.SelfStats().ShardLockAcquisitions - before
+				h.m.Update(peer, other, Unhold)
+				h.m.Freeze(peer)
+				return hintDiffResult(h), locks
+			}
+			spooled, locks := run(true)
+			direct, _ := run(false)
+			compareDiffResults(t, spooled, direct)
+			if locks != sc.wantLocks {
+				t.Fatalf("the freeze's replay took %d shard locks, want %d", locks, sc.wantLocks)
+			}
+		})
+	}
+}
+
 // TestSpoolFlushOnReadStatus: spooled events that no trigger has flushed yet
 // must still be visible to every consistent read — Waiters, Holders, Trace,
 // and Status must equal what an unspooled manager reports mid-script, with
