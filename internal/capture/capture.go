@@ -25,7 +25,7 @@
 //
 // Determinism contract: the manager derives every piece of bookkeeping from
 // Options.Now values, and core.Observer's timestamped callbacks carry exactly
-// those values (core.Manager.applyLocked). Replaying the inputs at the
+// those values (core.Manager.emitStates). Replaying the inputs at the
 // recorded timestamps with the same Options therefore reproduces the live run's
 // verdict stream bit for bit when the live run was itself deterministic
 // (single-threaded, injected clock) — the differential test in

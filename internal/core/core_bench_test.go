@@ -177,17 +177,55 @@ func BenchmarkUpdateHotPathAllocs(b *testing.B) {
 // cycle at zero allocations.
 func BenchmarkActivityCycle(b *testing.B) {
 	for _, g := range []int{1, runtime.GOMAXPROCS(0)} {
-		b.Run(fmt.Sprintf("g=%d", g), func(b *testing.B) { benchActivityCycle(b, g) })
+		b.Run(fmt.Sprintf("g=%d", g), func(b *testing.B) { benchActivityCycle(b, benchManager(), g) })
 	}
 }
 
-func benchActivityCycle(b *testing.B, g int) {
+// BenchmarkActivityCycleObserved is the same cycle on a manager built with
+// pboxd's options — trace ring, attribution, an observer behind the ring — the
+// configuration every daemon runs: the replay owes each event a state row, in
+// the ring and to the observer, and still collapses the pairs and allocates
+// nothing. It fails if the observer did not see every event.
+func BenchmarkActivityCycleObserved(b *testing.B) {
+	for _, g := range []int{1, runtime.GOMAXPROCS(0)} {
+		b.Run(fmt.Sprintf("g=%d", g), func(b *testing.B) {
+			obs := &countingObserver{}
+			m := NewManager(Options{Sleep: func(time.Duration) {}, TraceSize: 4096, Attribution: true, Observer: obs})
+			benchActivityCycle(b, m, g)
+			var states int64
+			for i := range obs.states {
+				states += obs.states[i].n.Load()
+			}
+			// Counted from the rows, not from b.N: the set-up and alloc-gate
+			// cycles are in both.
+			rows, seq := m.TraceView(0)
+			if got, want := int64(seq)-states, states/16*3+int64(g); len(rows) == 0 || got != want {
+				b.Fatalf("the ring numbered %d rows for %d state events; want %d lifecycle rows beside them", seq, states, want)
+			}
+		})
+	}
+}
+
+// countingObserver counts state events per pBox, each count on a line of its
+// own so that the tenants share nothing the manager does not make them share.
+type countingObserver struct {
+	nopObserver
+	states [64]struct {
+		n atomic.Int64
+		_ cacheLinePad
+	}
+}
+
+func (o *countingObserver) StateEventAt(id int, _ ResourceKey, _ EventType, _ int64) {
+	o.states[id%len(o.states)].n.Add(1)
+}
+
+func benchActivityCycle(b *testing.B, m *Manager, g int) {
 	type tenant struct {
 		p    *PBox
 		w    *Worker
 		keys [4]ResourceKey
 	}
-	m := benchManager()
 	// Keys are drawn so that no two share a contention slot: an alias between
 	// tenants would push both onto the slow path and measure that instead.
 	taken := make(map[*atomic.Int64]bool)
@@ -244,6 +282,7 @@ func benchActivityCycle(b *testing.B, g int) {
 	}
 	wg.Wait()
 	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/16, "ns/event")
 	if st := m.SelfStats(); st.ContentionStickySlots != 0 {
 		b.Fatalf("%d sticky contention slots: private keys fell onto the slow path", st.ContentionStickySlots)
 	}

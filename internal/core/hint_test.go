@@ -251,61 +251,86 @@ func TestHintInvariantUnderSweep(t *testing.T) {
 }
 
 // TestLifecycleTakesNoManagerLock is the structural proof of the local
-// boundary: with every avoidable manager-wide mutex held by the test, a
-// tenant of a quiet manager (no observer, no trace ring) registers a worker,
-// runs activities, hibernates, wakes and closes without blocking. Release is
-// left out of the locked part only because it takes the registry lock to
-// unregister, as it always has; it runs after.
+// boundary: with every manager-wide mutex but the registry's at Release held
+// by the test, a tenant registers a worker, runs activities, hibernates, wakes
+// and closes without blocking — on a quiet manager (no observer, no trace
+// ring), and on one built with pboxd's options, where the one shared lock left
+// on the path is the trace ring's leaf (taken per lifecycle row and per run of
+// state rows, never across a replay). Release is left out of the locked part
+// only because it takes the registry lock to unregister, as it always has; it
+// runs after.
 func TestLifecycleTakesNoManagerLock(t *testing.T) {
-	m := NewManager(Options{Sleep: func(time.Duration) {}})
-	p, err := m.Create(DefaultRule())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.snap.Lock()
-	m.deliver.Lock()
-	m.reg.Lock()
-	m.verdictMu.Lock()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		w := m.NewWorker()
-		if err := w.BindDirect(p); err != nil {
-			t.Error(err)
-			return
-		}
-		for i := 0; i < 3; i++ {
-			m.Activate(p)
-			for k := ResourceKey(1); k <= 4; k++ {
-				w.Update(k, Prepare)
-				w.Update(k, Enter)
-				w.Update(k, Hold)
-				w.Update(k, Unhold)
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"quiet", Options{}},
+		{"pboxd options", Options{TraceSize: 4096, Attribution: true, Observer: nopObserver{}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.opts.Sleep = func(time.Duration) {}
+			m := NewManager(tc.opts)
+			p, err := m.Create(DefaultRule())
+			if err != nil {
+				t.Fatal(err)
 			}
-			if i == 0 {
-				w.Flush()
+			m.snap.Lock()
+			m.reg.Lock()
+			m.verdictMu.Lock()
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				w := m.NewWorker()
+				if err := w.BindDirect(p); err != nil {
+					t.Error(err)
+					return
+				}
+				for i := 0; i < 3; i++ {
+					m.Activate(p)
+					for k := ResourceKey(1); k <= 4; k++ {
+						w.Update(k, Prepare)
+						w.Update(k, Enter)
+						w.Update(k, Hold)
+						w.Update(k, Unhold)
+					}
+					if i == 0 {
+						w.Flush()
+					}
+					m.Freeze(p)
+					if err := m.Hibernate(p); err != nil {
+						t.Error(err)
+					}
+				}
+				w.Close()
+			}()
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatal("a lifecycle call blocked on a manager-wide mutex")
 			}
-			m.Freeze(p)
-			if err := m.Hibernate(p); err != nil {
-				t.Error(err)
+			m.verdictMu.Unlock()
+			m.reg.Unlock()
+			m.snap.Unlock()
+			if err := m.Release(p); err != nil {
+				t.Fatal(err)
 			}
-		}
-		w.Close()
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("a lifecycle call of a quiet manager blocked on a manager-wide mutex")
-	}
-	m.verdictMu.Unlock()
-	m.reg.Unlock()
-	m.deliver.Unlock()
-	m.snap.Unlock()
-	if err := m.Release(p); err != nil {
-		t.Fatal(err)
-	}
-	if st := m.SelfStats(); st.SpoolFlushedEvents != 3*16 || st.Spools != 0 {
-		t.Fatalf("flushed %d of %d events, %d spools registered", st.SpoolFlushedEvents, 3*16, st.Spools)
+			if st := m.SelfStats(); st.SpoolFlushedEvents != 3*16 || st.Spools != 0 {
+				t.Fatalf("flushed %d of %d events, %d spools registered", st.SpoolFlushedEvents, 3*16, st.Spools)
+			}
+			if tc.opts.TraceSize > 0 {
+				// The replays delivered every state row: 3 × 16 of them.
+				rows, _ := m.TraceView(0)
+				states := 0
+				for _, e := range rows {
+					if e.Kind == KindState {
+						states++
+					}
+				}
+				if states != 3*16 {
+					t.Fatalf("the ring holds %d state rows, want %d", states, 3*16)
+				}
+			}
+		})
 	}
 }
 

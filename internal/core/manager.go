@@ -125,15 +125,16 @@ func (o Options) withDefaults() Options {
 // serializes on verdictMu, which also guards the action history and the
 // attribution ledger. The documented lock order is
 //
-//	snap → flushMu → deliver → registry → pbox.mu → shard.mu →
-//	verdictMu → leaves (actMu, penMu, …)
+//	snap → flushMu → registry → pbox.mu → shard.mu → verdictMu →
+//	leaves (actMu, penMu, the trace ring's mutex, …)
 //
-// and a shard lock is never held while acquiring the registry lock. On a
-// manager with no observer and no trace ring, the calls an application
-// goroutine makes per activity — Activate, Freeze, Worker.Update,
-// Worker.Flush — and Hibernate take no manager-wide lock (Release takes only
-// the registry's, to unregister), and the only manager-wide line they write
-// is crossings, on the hint-less path of flushSpoolsFor (spool.go).
+// and a shard lock is never held while acquiring the registry lock. The calls
+// an application goroutine makes per activity — Activate, Freeze,
+// Worker.Update, Worker.Flush — and Hibernate take no manager-wide lock
+// (Release takes only the registry's, to unregister) except, on a traced
+// manager, the ring's leaf: once per lifecycle row and once per run of state
+// rows (emitStates), not once per event. Without a ring the only manager-wide
+// line they write is crossings, on flushSpoolsFor's hint-less path (spool.go).
 // Manager state is read through the epoch snapshot (StatusView, DESIGN.md
 // §12); only the view rebuild stops the world.
 type Manager struct {
@@ -168,15 +169,6 @@ type Manager struct {
 	// never nil, swapped whole by NewWorker and Worker.Close and read with
 	// one atomic load — no lock (spool.go).
 	spools atomic.Pointer[spoolSet]
-
-	// deliver is held by a spool flush for the length of its replay when —
-	// and only when — an observer is attached (the trace ring is one). The
-	// replay hands the observer one record per event through the ring's leaf
-	// mutex; two flushing goroutines would otherwise fight over that mutex
-	// once per record, where this costs them one acquisition per batch. A
-	// manager without an observer never touches it. It ranks after
-	// eventSpool.flushMu and before the registry in the §8 order.
-	deliver sync.Mutex
 
 	// verdictMu is the cold-path epoch lock: it serializes detection
 	// verdicts and penalty scheduling so the multi-pBox view Algorithm 1
@@ -529,22 +521,39 @@ func (m *Manager) updateSlow(p *PBox, key ResourceKey, ev EventType) {
 	}
 }
 
-// applyLocked delivers one event to the observer (the trace ring is its
-// first sink) and the Algorithm 1 arms, at manager-clock time now — the same
-// now the arms use for their bookkeeping, whether the event arrives directly
-// (now = issue time) or via a spool replay (now = recorded event time). The
-// observer's StateEventAt carries that timestamp, so a capture log replayed
-// at the recorded times reproduces the arms' arithmetic exactly. Caller holds
-// p.mu.
+// applyLocked delivers one event to the observers (a one-record run) and the
+// Algorithm 1 arms, at manager-clock time now — the same now the arms use for
+// their bookkeeping. Caller holds p.mu.
 //
 //pbox:hotpath
 func (m *Manager) applyLocked(p *PBox, key ResourceKey, ev EventType, now int64) {
 	if m.obs != nil {
-		m.obs.StateEventAt(p.id, key, ev, now)
+		one := [1]spoolRec{{key: key, ev: ev, at: now}}
+		m.emitStates(p, one[:])
 	}
 	s := m.lockShard(key)
 	m.applyArmLocked(p, s, key, ev, now)
 	s.mu.Unlock()
+}
+
+// emitStates is the one state-event delivery: a non-empty run of p's events,
+// in order, to the trace ring under one acquisition of its mutex, then to the
+// user's observer, one StateEventAt each (m.obs, the ring's adapter, would take
+// the ring lock per event; it carries every other kind). Each carries the time
+// its arm uses — issue time for a direct Update, recorded time for a replay —
+// so a capture log replayed at those times reproduces the arms' arithmetic.
+// Called before the arm of the run's last event; caller holds p.mu.
+//
+//pbox:hotpath
+func (m *Manager) emitStates(p *PBox, run []spoolRec) {
+	if m.trace != nil {
+		m.trace.recordStates(p.id, run)
+	}
+	if o := m.opts.Observer; o != nil {
+		for i := range run {
+			o.StateEventAt(p.id, run[i].key, run[i].ev, run[i].at)
+		}
+	}
 }
 
 // applyArmLocked dispatches one event to its Algorithm 1 arm. Caller holds

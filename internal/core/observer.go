@@ -17,12 +17,13 @@ import (
 //
 // All callbacks except PenaltyServed are invoked synchronously while manager
 // locks are held (the calling pBox's mutex, on verdict callbacks the shard
-// and verdict locks too, and for PBoxSharedChanged the pBox's penalty lock,
-// a leaf — see DESIGN.md §8), so they observe a consistent per-pBox
-// ordering: PBoxCreated precedes every other callback for an id, nothing
-// follows PBoxReleased for it, and a PenaltyAction is always preceded by its
-// Detection. In exchange, implementations must be fast, must not block, and
-// must not call back into the Manager (doing so deadlocks) — the one
+// and verdict locks too, on a StateEventAt replayed from a spool possibly the
+// shard lock its batch holds across records, and for PBoxSharedChanged the
+// pBox's penalty lock, a leaf — see DESIGN.md §8), so they observe a
+// consistent per-pBox ordering: PBoxCreated precedes every other callback for
+// an id, nothing follows PBoxReleased for it, and a PenaltyAction is always
+// preceded by its Detection. In exchange, implementations must be fast, must
+// not block, and must not call back into the Manager (doing so deadlocks) — the one
 // exception is ResourceName, which uses a dedicated per-shard name lock
 // precisely so observers can resolve resource names for labels. Counter
 // bumps and other atomic updates are the intended use. PenaltyServed is

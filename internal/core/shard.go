@@ -12,8 +12,8 @@ import (
 // unrelated resources never touches the same lock. See DESIGN.md §8 for the
 // full lock-order contract:
 //
-//	snap → flushMu → deliver → registry → pbox.mu → shard.mu →
-//	verdictMu → leaf locks (actMu, penMu, shard.namesMu, trace ring)
+//	snap → flushMu → registry → pbox.mu → shard.mu → verdictMu →
+//	leaf locks (actMu, penMu, shard.namesMu, trace ring)
 //
 // with two extra rules: a shard lock is never held while acquiring the
 // registry lock, and at most one pBox's actMu (or penMu) is held at a time.

@@ -48,9 +48,8 @@ import (
 //
 // Lock order (extends DESIGN.md §8; the lint lockorder table enforces it):
 //
-//	Manager.snap → eventSpool.flushMu → Manager.deliver →
-//	registry → pbox.mu → shard.mu → verdictMu → leaves (eventSpool.mu
-//	joins actMu, penMu, …)
+//	Manager.snap → eventSpool.flushMu → registry → pbox.mu → shard.mu →
+//	verdictMu → leaves (eventSpool.mu joins actMu, penMu, the trace ring, …)
 //
 // Flush triggers: the spool fills, a slow-path event arrives on the worker
 // (own spool first, so per-pBox order holds), the worker rebinds, unbinds or
@@ -60,8 +59,9 @@ import (
 //
 // The activity boundary is as local as the event it brackets: a lifecycle
 // call finds the spool to drain through the pBox's own hint (PBox.spool), so
-// on a manager with no observer Activate/Freeze/Release/Hibernate take no
-// manager-wide lock and walk no list. The registered-spool list is an
+// Activate/Freeze/Release/Hibernate walk no list and take no manager-wide lock
+// but the trace ring's leaf, and that once per run of state rows (replayBatch),
+// however many events the run carries. The registered-spool list is an
 // immutable slice behind an atomic pointer (copy-on-write at NewWorker and
 // Worker.Close), read lock-free by the two sweeps; the flush counters and the
 // crossings a flush folds live on the spool and are summed on read.
@@ -266,17 +266,7 @@ func (sp *eventSpool) flush(serve bool) {
 	if n > 0 {
 		sp.flushes.Add(1)
 		sp.flushedEvents.Add(int64(n))
-		m := sp.m
-		observed := m.obs != nil
-		if observed {
-			// One acquisition per batch instead of a fight over the trace
-			// ring's mutex per record (see Manager.deliver).
-			m.deliver.Lock()
-		}
-		pen = m.replay(p, sp.drain[:n], serve)
-		if observed {
-			m.deliver.Unlock()
-		}
+		pen = sp.m.replay(p, sp.drain[:n], serve)
 		sp.mu.Lock()
 		sp.draining = false
 		if sp.pbox != p {
@@ -442,17 +432,7 @@ func (m *Manager) replay(p *PBox, recs []spoolRec, serve bool) time.Duration {
 		p.mu.Unlock()
 		return 0
 	}
-	if m.obs == nil {
-		m.replayQuiet(p, recs)
-	} else {
-		// An attached observer (the trace ring is one) must see the per-event
-		// stream exactly as the slow path delivers it, so each record goes
-		// through the full delivery path (with its recorded timestamp).
-		for i := range recs {
-			r := &recs[i]
-			m.applyLocked(p, r.key, r.ev, r.at)
-		}
-	}
+	m.replayBatch(p, recs)
 	var pen time.Duration
 	if serve && p.pendingPenalty.Load() > 0 && len(p.holders) == 0 && len(p.preparing) == 0 {
 		pen = m.takePending(p)
@@ -461,11 +441,10 @@ func (m *Manager) replay(p *PBox, recs []spoolRec, serve bool) time.Duration {
 	return pen
 }
 
-// replayQuiet applies a batch with no observer attached (so no trace ring) —
-// the perf configuration the fast path exists for. With p.mu held for the
-// whole batch and each key's shard lock held across every record that
-// touches it, no intermediate state is observable, which licenses two
-// batch-local reductions the per-event path cannot make:
+// replayBatch applies a batch, observed or not. With p.mu held for the whole
+// batch and each key's shard lock held across every record that touches it,
+// no intermediate state is observable, which licenses two batch-local
+// reductions the per-event path cannot make:
 //
 //   - one shard lock acquisition covers a run of same-shard records, and
 //   - an adjacent balanced pair that provably changes nothing collapses:
@@ -479,17 +458,25 @@ func (m *Manager) replay(p *PBox, recs []spoolRec, serve bool) time.Duration {
 // None of the three looks at a stripe, so a batch of balanced pairs on
 // private keys — the whole of an uninterfered activity — takes no shard lock
 // at all: which stripe a private key hashes to, and which other tenant's keys
-// share it, costs such a tenant nothing.
+// share it, costs such a tenant nothing. A collapse is a statement about
+// manager state, not about who listens: the pair's two state rows still go out.
 //
 // Anything else — unpaired records, pairs on a key p itself waits for or
 // whose claim was revoked while the batch sat in the spool — runs the
 // ordinary Algorithm 1 arm, so verdicts, blame, and penalties come out
-// exactly as the unspooled manager's. Caller holds p.mu.
+// exactly as the unspooled manager's.
+//
+// State rows go out lazily, as runs (emitStates): recs[sent:i+1] immediately
+// before record i's arm executes, the rest at the end of the batch. Only arms
+// emit verdict rows, so every sink sees the slow path's order, and a batch of
+// collapsed pairs is one run: one trace-ring lock for all of it. Caller holds
+// p.mu.
 //
 //pbox:hotpath
-func (m *Manager) replayQuiet(p *PBox, recs []spoolRec) {
+func (m *Manager) replayBatch(p *PBox, recs []spoolRec) {
 	var s *shard
 	var deferSum int64
+	observed, sent := m.obs != nil, 0
 	for i := 0; i < len(recs); i++ {
 		r := &recs[i]
 		paired := i+1 < len(recs) && recs[i+1].key == r.key
@@ -512,6 +499,10 @@ func (m *Manager) replayQuiet(p *PBox, recs []spoolRec) {
 				}
 			}
 		}
+		if observed {
+			m.emitStates(p, recs[sent:i+1])
+			sent = i + 1
+		}
 		if ns := m.shardFor(r.key); ns != s {
 			if s != nil {
 				s.mu.Unlock()
@@ -525,6 +516,9 @@ func (m *Manager) replayQuiet(p *PBox, recs []spoolRec) {
 	}
 	if s != nil {
 		s.mu.Unlock()
+	}
+	if observed && sent < len(recs) {
+		m.emitStates(p, recs[sent:])
 	}
 	if deferSum > 0 {
 		p.actMu.Lock()

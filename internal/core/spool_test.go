@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -84,8 +85,8 @@ type diffTriple struct {
 // runSpoolDiffScript runs the interference script and returns the artifacts.
 // spooled selects per-worker Worker.Update (Tier A) vs direct Manager.Update
 // (Tier B only); withObserver attaches the recording observer and the trace
-// ring (per-event replay), while the quiet variant runs with both off so the
-// flush takes the replayQuiet batch path.
+// ring (the replay owes them every state row), while the quiet variant runs
+// with both off.
 func runSpoolDiffScript(t *testing.T, spooled, withObserver bool) diffResult {
 	t.Helper()
 	var obs *diffObserver
@@ -96,7 +97,7 @@ func runSpoolDiffScript(t *testing.T, spooled, withObserver bool) diffResult {
 			obs = newDiffObserver()
 			o.Observer = obs
 		} else {
-			o.TraceSize = 0 // no trace, no observer: replayQuiet
+			o.TraceSize = 0 // no trace, no observer
 		}
 	})
 	noisy := h.pbox(0.5)
@@ -289,11 +290,10 @@ func TestSpoolDifferentialDetection(t *testing.T) {
 }
 
 // TestSpoolDifferentialQuiet is the same differential with no observer and no
-// trace ring — the configuration where flushes take the replayQuiet batch
-// path with its shard-lock batching and balanced-pair coalescing. Sleeps,
-// snapshots (including defer accounting from coalesced PREPARE/ENTER pairs),
-// attribution totals, and the crossings count must still match the direct
-// run exactly.
+// trace ring — the replay's shard-lock batching and balanced-pair coalescing
+// with no state row to deliver. Sleeps, snapshots (including defer accounting
+// from coalesced PREPARE/ENTER pairs), attribution totals, and the crossings
+// count must still match the direct run exactly.
 func TestSpoolDifferentialQuiet(t *testing.T) {
 	spooled := runSpoolDiffScript(t, true, false)
 	direct := runSpoolDiffScript(t, false, false)
@@ -333,9 +333,124 @@ func TestReplayQuietPrivateKeysSkipShards(t *testing.T) {
 		{"peer contends one key", append(append(pair(k1), step{k1, Prepare, true}, step{k1, Enter, true}), append(pair(k1), pair(k2)...)...), 0},
 	}
 	for _, sc := range scripts {
+		for _, observed := range []bool{false, true} {
+			name := sc.name
+			if observed {
+				// Collapse and privateTo do not ask who listens: the observed
+				// batch (trace ring and an observer) takes the same locks.
+				name += ", observed"
+			}
+			t.Run(name, func(t *testing.T) {
+				run := func(spooled bool) (diffResult, int64) {
+					h := newHarness(t, func(o *Options) {
+						o.Attribution = true
+						if observed {
+							o.Observer = newRecordingObserver()
+						} else {
+							o.TraceSize = 0
+						}
+					})
+					p, peer := h.pbox(0.5), h.pbox(0.5)
+					w := h.m.NewWorker()
+					if err := w.BindDirect(p); err != nil {
+						t.Fatalf("BindDirect: %v", err)
+					}
+					h.m.Activate(p)
+					h.m.Activate(peer)
+					h.m.Update(peer, other, Hold) // the peer is live on the stripes throughout
+					for _, s := range sc.steps {
+						switch {
+						case s.byPeer:
+							h.m.Update(peer, s.key, s.ev)
+						case spooled:
+							w.Update(s.key, s.ev)
+						default:
+							h.m.Update(p, s.key, s.ev)
+						}
+						h.advance(10 * time.Microsecond)
+					}
+					before := h.m.SelfStats().ShardLockAcquisitions
+					h.m.Freeze(p)
+					locks := h.m.SelfStats().ShardLockAcquisitions - before
+					h.m.Update(peer, other, Unhold)
+					h.m.Freeze(peer)
+					return hintDiffResult(h), locks
+				}
+				spooled, locks := run(true)
+				direct, _ := run(false)
+				compareDiffResults(t, spooled, direct)
+				if locks != sc.wantLocks {
+					t.Fatalf("the freeze's replay took %d shard locks, want %d", locks, sc.wantLocks)
+				}
+			})
+		}
+	}
+}
+
+// TestReplayObservedMatchesDirect is the stream differential of the one
+// replay loop: each script runs once through a spooling Worker and once
+// through Manager.Update, on managers with a trace ring and a record-collecting
+// observer, and both sinks must see the same records in the same order — the
+// state rows a collapsed pair still owes, every verdict row after the state
+// row of the event that caused it — with the ring's rows numbered without a gap
+// and stamped with the recorded event time.
+func TestReplayObservedMatchesDirect(t *testing.T) {
+	const k1, k2, k3 = ResourceKey(0x1100), ResourceKey(0x2200), ResourceKey(0x3300)
+	type step struct {
+		op     byte // 'e' event, 'f' Freeze(p), 'a' Activate(p), 'w' Worker.Flush
+		key    ResourceKey
+		ev     EventType
+		byPeer bool // the event is the peer's, through Manager.Update in both runs
+		// late appends the record to the spool behind the slot check, as an
+		// Update that lost the race with a revocation does (the straggler of
+		// Worker.Update): the only way a batch meets another pBox's waiter.
+		late bool
+	}
+	ev := func(k ResourceKey, e EventType) step { return step{op: 'e', key: k, ev: e} }
+	pair := func(k ResourceKey) []step {
+		return []step{ev(k, Prepare), ev(k, Enter), ev(k, Hold), ev(k, Unhold)}
+	}
+	late := func(steps []step) []step {
+		out := slices.Clone(steps)
+		for i := range out {
+			out[i].late = true
+		}
+		return out
+	}
+	cat := slices.Concat[[]step]
+	scripts := []struct {
+		name  string
+		steps []step
+		want  []Kind // kinds that must appear strictly between two of p's state rows
+	}{
+		{"uninterfered batch", cat(pair(k1), pair(k2), pair(k1)), nil},
+		// p waits on k1 itself across its own HOLD+UNHOLD: the UNHOLD arm
+		// runs and blames the wait on the hold, mid-batch.
+		{"own outstanding PREPARE", cat(pair(k2), []step{ev(k1, Prepare), ev(k1, Hold), ev(k1, Unhold), ev(k1, Enter)}, pair(k2)), []Kind{KindBlocked}},
+		// The peer's PREPARE revokes k1's claim while p's batch (with the HOLD)
+		// is buffered: the sweep replays it first, p's UNHOLD then takes the
+		// slow path and is detected; k2 stays private. k3 is held throughout so
+		// the penalty waits for the explicit flush.
+		{"peer contends one key mid-batch", cat([]step{ev(k3, Hold)}, pair(k1), []step{ev(k1, Hold), {op: 'e', key: k1, ev: Prepare, byPeer: true}}, pair(k2), []step{ev(k1, Unhold)}, pair(k2), []step{ev(k3, Unhold), {op: 'w'}}),
+			[]Kind{KindBlocked, KindDetection, KindAction}},
+		// The same meeting inside one batch: p's records after the revocation
+		// reach the spool late, so one replay carries collapsed pairs, the
+		// UNHOLD whose arm finds the peer waiting, and more pairs behind it.
+		{"verdict inside one batch", cat([]step{ev(k3, Hold), ev(k1, Hold), {op: 'e', key: k1, ev: Prepare, byPeer: true}}, late(cat(pair(k2), []step{ev(k1, Unhold)}, pair(k2))), []step{ev(k3, Unhold), {op: 'w'}}),
+			[]Kind{KindBlocked, KindDetection, KindAction}},
+		// Freeze drains the buffered batch before it closes the window; what
+		// reaches the spool after it belongs to no window and is dropped by the
+		// next Activate's drain.
+		{"freeze while buffered", cat(pair(k1), []step{ev(k2, Hold), {op: 'f'}}, late(pair(k1)), []step{{op: 'a'}}, pair(k1), []step{ev(k2, Unhold)}), nil},
+	}
+	for _, sc := range scripts {
 		t.Run(sc.name, func(t *testing.T) {
-			run := func(spooled bool) (diffResult, int64) {
-				h := quietHarness(t)
+			run := func(spooled bool) ([]Record, []TraceEntry) {
+				obs := newRecordingObserver()
+				h := newHarness(t, func(o *Options) {
+					o.Attribution = true
+					o.Observer = obs
+				})
 				p, peer := h.pbox(0.5), h.pbox(0.5)
 				w := h.m.NewWorker()
 				if err := w.BindDirect(p); err != nil {
@@ -343,33 +458,74 @@ func TestReplayQuietPrivateKeysSkipShards(t *testing.T) {
 				}
 				h.m.Activate(p)
 				h.m.Activate(peer)
-				h.m.Update(peer, other, Hold) // the peer is live on the stripes throughout
 				for _, s := range sc.steps {
 					switch {
+					case s.op == 'f':
+						h.m.Freeze(p)
+					case s.op == 'a':
+						h.m.Activate(p)
+					case s.op == 'w':
+						if spooled {
+							w.Flush()
+						}
 					case s.byPeer:
 						h.m.Update(peer, s.key, s.ev)
+					case spooled && s.late:
+						if !w.spool.append(p, s.key, s.ev, h.now) {
+							t.Fatal("the spool refused a late record")
+						}
 					case spooled:
 						w.Update(s.key, s.ev)
 					default:
 						h.m.Update(p, s.key, s.ev)
 					}
-					h.advance(10 * time.Microsecond)
+					h.advance(100 * time.Microsecond)
 				}
-				before := h.m.SelfStats().ShardLockAcquisitions
 				h.m.Freeze(p)
-				locks := h.m.SelfStats().ShardLockAcquisitions - before
-				h.m.Update(peer, other, Unhold)
 				h.m.Freeze(peer)
-				return hintDiffResult(h), locks
+				rows, _ := h.m.TraceView(0)
+				return obs.snapshot(), rows
 			}
-			spooled, locks := run(true)
-			direct, _ := run(false)
-			compareDiffResults(t, spooled, direct)
-			if locks != sc.wantLocks {
-				t.Fatalf("the freeze's replay took %d shard locks, want %d", locks, sc.wantLocks)
+			spooled, rows := run(true)
+			direct, directRows := run(false)
+			if i := firstDiff(spooled, direct); !slices.Equal(spooled, direct) {
+				t.Fatalf("record %d differs (of %d spooled, %d direct):\n spooled %v\n direct  %v",
+					i, len(spooled), len(direct), at(spooled, i), at(direct, i))
+			}
+			if len(rows) != len(spooled) || len(directRows) != len(direct) {
+				t.Fatalf("the ring holds %d rows (direct %d) of %d records", len(rows), len(directRows), len(spooled))
+			}
+			for i, e := range rows {
+				if e.Record != spooled[i] || e.Seq != uint64(i)+1 {
+					t.Fatalf("ring row %d = seq %d %v, the observer's record %d is %v", i, e.Seq, e.Record, i, spooled[i])
+				}
+				if e.Kind == KindState && e.At != time.Duration(e.Record.At) {
+					t.Fatalf("ring row %d stamped %v, recorded at %v", i, e.At, time.Duration(e.Record.At))
+				}
+			}
+			// The script exercised what it names: the verdict rows sit between
+			// two state rows of p (created first: pBox 1).
+			for _, k := range sc.want {
+				i := slices.IndexFunc(spooled, func(r Record) bool { return r.Kind == k })
+				if i < 0 {
+					t.Fatalf("no %v row in the stream", k)
+				}
+				before := slices.ContainsFunc(spooled[:i], func(r Record) bool { return r.Kind == KindState && r.PBox == 1 })
+				after := slices.ContainsFunc(spooled[i:], func(r Record) bool { return r.Kind == KindState && r.PBox == 1 })
+				if !before || !after {
+					t.Fatalf("the %v row (record %d) is not between state rows of pBox 1", k, i)
+				}
 			}
 		})
 	}
+}
+
+// at is s[i] for a diagnostic, nil past the end.
+func at(s []Record, i int) any {
+	if i < len(s) {
+		return s[i]
+	}
+	return nil
 }
 
 // TestSpoolFlushOnReadStatus: spooled events that no trigger has flushed yet

@@ -37,7 +37,7 @@ type traceRing struct {
 	mu      sync.Mutex
 	entries []TraceEntry  // preallocated slots: entry seq lives at (seq-1) % len
 	seq     atomic.Uint64 // total entries ever added
-	notify  chan struct{} // made by a waiter (waitCh), closed and cleared by the next Record
+	notify  chan struct{} // made by a waiter (waitCh), closed and cleared by the next append
 }
 
 func newTraceRing(n int, now func() int64) *traceRing {
@@ -47,7 +47,7 @@ func newTraceRing(n int, now func() int64) *traceRing {
 
 // Record implements RecordSink: one slot write under the ring's leaf mutex —
 // no name lookup, no formatting, and for the kinds that carry their own
-// timestamp (the per-event path) no clock read.
+// timestamp no clock read. State events come a run at a time (recordStates).
 //
 //pbox:hotpath
 func (r *traceRing) Record(rec Record) {
@@ -60,16 +60,51 @@ func (r *traceRing) Record(rec Record) {
 	}
 	r.mu.Lock()
 	// The slot is written in place (one copy of the record) and the unlock
-	// is not deferred: this runs once per event of every traced manager.
+	// is not deferred: this runs on every lifecycle call of a traced manager.
 	seq := r.seq.Load() + 1
 	e := &r.entries[(seq-1)%uint64(len(r.entries))]
 	e.Seq, e.At, e.Record = seq, at, rec
+	r.publishLocked(seq)
+	r.mu.Unlock()
+}
+
+// recordStates appends a run of one pBox's state events — the rows Record
+// would write for each, in order — under one acquisition of the mutex: slots
+// written in place, the sequence advanced once by the length of the run, the
+// long-pollers woken once. A spool replay hands over whole batches this way,
+// so two flushing goroutines meet on the ring once per run, not per event.
+//
+//pbox:hotpath
+func (r *traceRing) recordStates(pbox int, recs []spoolRec) {
+	r.mu.Lock()
+	seq, size := r.seq.Load(), uint64(len(r.entries))
+	i := seq % size
+	for k := range recs {
+		rec, e := &recs[k], &r.entries[i]
+		seq++
+		// Zeroed, then the five fields a state row uses: assigning a Record
+		// literal would build it aside and copy it in.
+		e.Record = Record{}
+		e.Seq, e.At = seq, time.Duration(rec.at)
+		e.Kind, e.PBox, e.Key, e.Ev, e.Record.At = KindState, pbox, rec.key, rec.ev, rec.at
+		if i++; i == size {
+			i = 0
+		}
+	}
+	r.publishLocked(seq)
+	r.mu.Unlock()
+}
+
+// publishLocked makes the rows up to seq visible and releases the parked
+// long-pollers. Caller holds r.mu.
+//
+//pbox:hotpath
+func (r *traceRing) publishLocked(seq uint64) {
 	r.seq.Store(seq)
 	if r.notify != nil {
 		close(r.notify)
 		r.notify = nil
 	}
-	r.mu.Unlock()
 }
 
 // snapshotSince returns the entries with sequence number > since that are

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -180,6 +181,63 @@ func TestTraceSinceAndNotify(t *testing.T) {
 	}
 }
 
+// TestTraceRingRuns holds the run append against the row-at-a-time append it
+// stands for: the same state events through recordStates, in runs of every
+// shape — inside the slice, straddling its end, exactly the ring, longer than
+// it — and through one Record each must leave two rings indistinguishable, to
+// a reader that follows along (snapshotSince from its last cursor after every
+// run) as much as to one that reads everything at the end. Every long-poller
+// parked before a run is released by it, once, with the whole run visible.
+func TestTraceRingRuns(t *testing.T) {
+	const size = 8
+	runs, ref := newTraceRing(size, nil), newTraceRing(size, nil) // state rows never read the clock
+	var cursor uint64
+	at := int64(0)
+	for i, n := range []int{3, 4, 6, size, 1, 3 * size, 2*size + 3, 5} {
+		pbox := i + 1
+		recs := make([]spoolRec, n)
+		for k := range recs {
+			at += 10
+			recs[k] = spoolRec{key: ResourceKey(0x100 + k), ev: EventType(k % 4), at: at}
+		}
+		a, b := runs.waitCh(cursor), runs.waitCh(cursor)
+		select {
+		case <-a:
+			t.Fatalf("run %d: the waiter's channel is closed before the run", i)
+		default:
+		}
+		runs.recordStates(pbox, recs)
+		for _, r := range recs {
+			ref.Record(Record{Kind: KindState, PBox: pbox, Key: r.key, Ev: r.ev, At: r.at})
+		}
+		for _, ch := range []<-chan struct{}{a, b} {
+			select {
+			case <-ch:
+			default:
+				t.Fatalf("run %d left a waiter parked", i)
+			}
+		}
+		if runs.notify != nil {
+			t.Fatalf("run %d left the notification channel behind", i)
+		}
+		got, next := runs.snapshotSince(cursor)
+		want, wantNext := ref.snapshotSince(cursor)
+		if next != cursor+uint64(n) || next != wantNext {
+			t.Fatalf("run %d of %d rows: cursor %d → %d, row-at-a-time ring → %d", i, n, cursor, next, wantNext)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("run %d of %d rows, read from cursor %d:\n run ring %v\n row ring %v", i, n, cursor, got, want)
+		}
+		if len(got) != min(n, size) || got[len(got)-1].Seq != next || got[len(got)-1].At != time.Duration(at) {
+			t.Fatalf("run %d of %d rows: %d rows back, the last one %+v; want seq %d at %d", i, n, len(got), got[len(got)-1], next, at)
+		}
+		cursor = next
+	}
+	if !slices.Equal(runs.entries, ref.entries) {
+		t.Fatalf("the rings' slots differ:\n run ring %v\n row ring %v", runs.entries, ref.entries)
+	}
+}
+
 // TestTraceAddAllocatesOnlyForWaiters pins the ring's garbage-free append: the
 // notification channel is made by a long-poller, never by the event path, and
 // every waiter parked on it is released by the next Record.
@@ -188,6 +246,10 @@ func TestTraceAddAllocatesOnlyForWaiters(t *testing.T) {
 	e := Record{Kind: KindState, PBox: 1, Ev: Prepare}
 	if allocs := testing.AllocsPerRun(1000, func() { r.Record(e) }); allocs != 0 {
 		t.Fatalf("traceRing.Record with no waiter = %v allocs/op, want 0", allocs)
+	}
+	run := make([]spoolRec, 12) // longer than the ring: wraps, and skips the rows it would overwrite
+	if allocs := testing.AllocsPerRun(1000, func() { r.recordStates(1, run) }); allocs != 0 {
+		t.Fatalf("traceRing.recordStates with no waiter = %v allocs/op, want 0", allocs)
 	}
 	a, b := r.waitCh(r.seq.Load()), r.waitCh(r.seq.Load())
 	select {

@@ -2,9 +2,9 @@
 // order (DESIGN.md §8, extended by the §10 spool ranks and the §12 snapshot
 // rank):
 //
-//	Manager.snap → eventSpool.flushMu → Manager.deliver →
-//	registry → pbox.mu → shard.mu → verdictMu → leaves (actMu, penMu,
-//	shard.namesMu, trace ring, eventSpool.mu)
+//	Manager.snap → eventSpool.flushMu → registry → pbox.mu → shard.mu →
+//	verdictMu → leaves (actMu, penMu, shard.namesMu, trace ring,
+//	eventSpool.mu)
 //
 // plus the extra rules: a shard lock is never held while acquiring the
 // registry lock (subsumed by the rank order), at most one lock of a class
@@ -15,7 +15,7 @@
 //
 // The pass extracts the static lock graph: every Lock/RLock/Unlock/RUnlock
 // call on a sync.Mutex or sync.RWMutex field is classified by the named
-// type that owns the field (eventSpool.flushMu, Manager.deliver, Manager.reg,
+// type that owns the field (eventSpool.flushMu, Manager.reg,
 // PBox.mu, shard.mu, Manager.verdictMu, PBox.actMu, PBox.penMu,
 // shard.namesMu, traceRing.mu, eventSpool.mu).
 // A linear abstract interpretation tracks the held-set through each
@@ -50,15 +50,12 @@ var Analyzer = &analysis.Analyzer{
 // Rank positions in the documented order. Leaves share leafRank and are
 // terminal. The spool ranks are negative: a flush precedes everything its
 // replay acquires, and nothing may start one while holding any manager lock.
-// The delivery mutex is taken inside a flush, around the replay, so it sits
-// between flushMu and the registry (the registered-spool list is an atomic
-// pointer and has no lock to order). The snapshot build mutex ranks before
-// all of them: a rebuild sweeps every spool and then takes the whole read
-// path under it.
+// (The registered-spool list is an atomic pointer and has no lock to order.)
+// The snapshot build mutex ranks before all of them: a rebuild sweeps every
+// spool and then takes the whole read path under it.
 const (
 	rankSnap       = -30
 	rankSpoolFlush = -20
-	rankDeliver    = -10
 	rankRegistry   = 0
 	rankPBoxMu     = 10
 	rankShardMu    = 20
@@ -78,7 +75,6 @@ type classSpec struct {
 var lockTable = map[classSpec]int{
 	{"Manager", "snap"}:       rankSnap,
 	{"eventSpool", "flushMu"}: rankSpoolFlush,
-	{"Manager", "deliver"}:    rankDeliver,
 	{"Manager", "reg"}:        rankRegistry,
 	{"PBox", "mu"}:            rankPBoxMu,
 	{"shard", "mu"}:           rankShardMu,
@@ -91,7 +87,7 @@ var lockTable = map[classSpec]int{
 }
 
 // orderDoc is appended to order-violation messages.
-const orderDoc = "DESIGN.md §8/§10/§12 order: snap → flushMu → deliver → registry → pbox.mu → shard.mu → verdictMu → leaves"
+const orderDoc = "DESIGN.md §8/§10/§12 order: snap → flushMu → registry → pbox.mu → shard.mu → verdictMu → leaves"
 
 // lockClass is one recognized lock class.
 type lockClass struct {

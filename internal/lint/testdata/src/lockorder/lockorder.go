@@ -7,7 +7,6 @@ import "sync"
 
 type Manager struct {
 	snap      sync.Mutex
-	deliver   sync.Mutex
 	reg       sync.Mutex
 	verdictMu sync.Mutex
 	shards    []*shard
@@ -147,18 +146,16 @@ func badRLockUnderLeaf(s *shard) {
 }
 
 // goodFlushDescent is the spool flush shape: the flush lock ranks before
-// every manager lock, the buffer leaf is taken and released before the
-// replay descends, and the delivery mutex brackets the replay. Clean.
-func goodFlushDescent(m *Manager, sp *eventSpool, p *PBox, s *shard) {
+// every manager lock, and the buffer leaf is taken and released before the
+// replay descends. Clean.
+func goodFlushDescent(sp *eventSpool, p *PBox, s *shard) {
 	sp.flushMu.Lock()
 	sp.mu.Lock()
 	sp.mu.Unlock()
-	m.deliver.Lock()
 	p.mu.Lock()
 	s.mu.Lock()
 	s.mu.Unlock()
 	p.mu.Unlock()
-	m.deliver.Unlock()
 	sp.flushMu.Unlock()
 }
 
@@ -178,26 +175,6 @@ func badFlushUnderPBox(sp *eventSpool, p *PBox) {
 	sp.flushMu.Lock() // want `acquires eventSpool\.flushMu while holding PBox\.mu`
 	sp.flushMu.Unlock()
 	p.mu.Unlock()
-}
-
-// badRegistryInsideDelivery: the delivery mutex is held across a whole
-// replay, so taking it under the registry (or any lock the replay acquires)
-// inverts the order.
-func badRegistryInsideDelivery(m *Manager) {
-	m.reg.Lock()
-	m.deliver.Lock() // want `acquires Manager\.deliver while holding Manager\.reg`
-	m.deliver.Unlock()
-	m.reg.Unlock()
-}
-
-// badDeliveryThenFlush: the delivery mutex is taken inside a flush, never
-// around one — a second flush started under it would deadlock against a
-// flusher waiting for delivery.
-func badDeliveryThenFlush(m *Manager, sp *eventSpool) {
-	m.deliver.Lock()
-	sp.flushMu.Lock() // want `acquires eventSpool\.flushMu while holding Manager\.deliver`
-	sp.flushMu.Unlock()
-	m.deliver.Unlock()
 }
 
 // goodSnapRebuild is the §12 snapshot-rebuild shape: the build mutex is the

@@ -263,6 +263,11 @@ func (s *Server) applyFrame(frame []byte, w *core.Worker, tenants map[uint64]*co
 	nowNs := s.cfg.Now()
 	var lastKey int64
 	off := 0
+	// Admitted events are counted here and folded into s.events — a line
+	// every connection writes — once per frame: on every return path, and
+	// before a ping in the frame builds its pong, which reports the total.
+	var admitted int64
+	defer func() { s.events.Add(admitted) }()
 	// Local uvarint reader against the frame buffer (no allocation).
 	u := func() (uint64, bool) {
 		v, n := binary.Uvarint(frame[off:])
@@ -301,7 +306,7 @@ func (s *Server) applyFrame(frame []byte, w *core.Worker, tenants map[uint64]*co
 				}
 				c.reserve--
 			}
-			s.events.Add(1)
+			admitted++
 			w.Update(core.ResourceKey(lastKey), core.EventType(op-opEventBase))
 			continue
 		}
@@ -402,6 +407,8 @@ func (s *Server) applyFrame(frame []byte, w *core.Worker, tenants map[uint64]*co
 			// ingestion barrier.
 			w.Flush()
 			s.pings.Add(1)
+			s.events.Add(admitted)
+			admitted = 0
 			var pong [6 * binary.MaxVarintLen64]byte
 			body := pong[binary.MaxVarintLen64:binary.MaxVarintLen64]
 			body = append(body, opPong)
