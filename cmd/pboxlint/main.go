@@ -1,19 +1,19 @@
 // Command pboxlint is the multichecker for the pbox static-analysis suite:
 // it loads packages, builds the whole-program view, runs the enforcing
 // passes (atomicpublish, eventpair, hotpathalloc, lockorder, reentry,
-// snapshotreader, viewimmut), applies //pboxlint:ignore suppressions and the
-// committed baseline, and renders findings.
+// snapshotreader, viewimmut), applies //pboxlint:ignore suppressions, and
+// prints the findings, one file:line:col line each.
 //
 // Usage:
 //
 //	pboxlint [flags] [packages]
 //
 // Packages default to ./... relative to the current directory. Exit status
-// is 0 when the tree is clean (or every finding is baselined), 1 when any
-// new finding survives suppression, and 2 on loading or internal errors —
-// the same convention as go vet, so CI can gate on it directly:
+// is 0 when the tree is clean, 1 when any finding survives suppression, and 2
+// on loading or internal errors — the same convention as go vet, so CI gates
+// on it directly:
 //
-//	go run ./cmd/pboxlint -format sarif -baseline .pboxlint-baseline.json ./...
+//	go run ./cmd/pboxlint ./...
 //
 // Flags:
 //
@@ -21,10 +21,6 @@
 //	                  empty selections are an error, never a silent no-op
 //	-list             print every registered pass with its doc and exit
 //	-suppressed       also report the count of suppressed findings
-//	-format f         output format: text (default), json, or sarif
-//	-baseline file    treat findings recorded in file as known: they do not
-//	                  fail the run and are marked suppressed in SARIF
-//	-writebaseline f  write the current findings to f as a baseline and exit 0
 package main
 
 import (
@@ -50,9 +46,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	passes := fs.String("passes", "", "comma-separated pass names to run (default: all enforcing passes)")
 	list := fs.Bool("list", false, "list registered passes and exit")
 	showSuppressed := fs.Bool("suppressed", false, "report the number of suppressed findings")
-	format := fs.String("format", "text", "output format: text, json, or sarif")
-	baselinePath := fs.String("baseline", "", "baseline file of known findings (see -writebaseline)")
-	writeBaseline := fs.String("writebaseline", "", "write current findings to this baseline file and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -62,13 +55,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "%-14s %s\n", a.Name, a.Doc)
 		}
 		return 0
-	}
-
-	switch *format {
-	case "text", "json", "sarif":
-	default:
-		fmt.Fprintf(stderr, "pboxlint: unknown -format %q (want text, json, or sarif)\n", *format)
-		return 2
 	}
 
 	selected, err := selectPasses(*passes)
@@ -95,55 +81,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	if *writeBaseline != "" {
-		b := driver.NewBaseline(res, cwd)
-		if err := b.WriteFile(*writeBaseline); err != nil {
-			fmt.Fprintf(stderr, "pboxlint: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "pboxlint: wrote %d finding(s) to %s\n", len(b.Findings), *writeBaseline)
-		return 0
-	}
-
-	baselined := map[int]bool{}
-	if *baselinePath != "" {
-		b, err := driver.LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintf(stderr, "pboxlint: %v\n", err)
-			return 2
-		}
-		baselined = b.Match(res, cwd)
-	}
-
 	if *showSuppressed {
 		fmt.Fprintf(stderr, "pboxlint: %d finding(s) suppressed by //pboxlint:ignore\n", res.Suppressed)
 	}
 
-	newFindings := len(res.Diagnostics) - len(baselined)
-	switch *format {
-	case "sarif":
-		if err := driver.RenderSARIF(stdout, res, selected, cwd, baselined); err != nil {
-			fmt.Fprintf(stderr, "pboxlint: %v\n", err)
-			return 2
-		}
-	case "json":
-		if err := driver.RenderJSON(stdout, res, baselined); err != nil {
-			fmt.Fprintf(stderr, "pboxlint: %v\n", err)
-			return 2
-		}
-	default:
-		for i, d := range res.Diagnostics {
-			if baselined[i] {
-				continue
-			}
-			pos := res.Fset.Position(d.Pos)
-			fmt.Fprintf(stdout, "%s:%d:%d: [%s] %s\n", pos.Filename, pos.Line, pos.Column, d.Analyzer, d.Message)
-		}
-		if n := len(baselined); n > 0 {
-			fmt.Fprintf(stderr, "pboxlint: %d known finding(s) hidden by baseline %s\n", n, *baselinePath)
-		}
-	}
-	if newFindings > 0 {
+	if driver.Render(stdout, res) {
 		return 1
 	}
 	return 0

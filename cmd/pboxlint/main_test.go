@@ -2,9 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -39,18 +36,6 @@ func TestEmptySelectionRejected(t *testing.T) {
 	}
 }
 
-// TestUnknownFormatRejected.
-func TestUnknownFormatRejected(t *testing.T) {
-	var out, errb bytes.Buffer
-	code := run([]string{"-format", "xml"}, &out, &errb)
-	if code != 2 {
-		t.Fatalf("exit = %d, want 2; stderr: %s", code, errb.String())
-	}
-	if !strings.Contains(errb.String(), `unknown -format "xml"`) {
-		t.Errorf("stderr missing format diagnostic: %s", errb.String())
-	}
-}
-
 // TestListPasses prints every registered pass.
 func TestListPasses(t *testing.T) {
 	var out, errb bytes.Buffer
@@ -65,78 +50,11 @@ func TestListPasses(t *testing.T) {
 	}
 }
 
-// TestSARIFOutput runs the real driver over this package and checks the
-// output is well-formed SARIF 2.1.0 with the pboxlint driver and a rules
-// table.
-func TestSARIFOutput(t *testing.T) {
+// TestCleanPackage runs the real driver over this package: no finding, no
+// output, exit 0.
+func TestCleanPackage(t *testing.T) {
 	var out, errb bytes.Buffer
-	code := run([]string{"-format", "sarif", "."}, &out, &errb)
-	if code != 0 {
-		t.Fatalf("exit = %d, want 0 (this package is clean); stderr: %s", code, errb.String())
-	}
-	var log struct {
-		Version string `json:"version"`
-		Schema  string `json:"$schema"`
-		Runs    []struct {
-			Tool struct {
-				Driver struct {
-					Name  string `json:"name"`
-					Rules []struct {
-						ID string `json:"id"`
-					} `json:"rules"`
-				} `json:"driver"`
-			} `json:"tool"`
-			Results []json.RawMessage `json:"results"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal(out.Bytes(), &log); err != nil {
-		t.Fatalf("SARIF output is not valid JSON: %v\n%s", err, out.String())
-	}
-	if log.Version != "2.1.0" {
-		t.Errorf("version = %q, want 2.1.0", log.Version)
-	}
-	if len(log.Runs) != 1 || log.Runs[0].Tool.Driver.Name != "pboxlint" {
-		t.Fatalf("want one run with driver pboxlint, got %+v", log.Runs)
-	}
-	if len(log.Runs[0].Tool.Driver.Rules) == 0 {
-		t.Errorf("rules table is empty")
-	}
-	if len(log.Runs[0].Results) != 0 {
-		t.Errorf("expected no findings on this package, got %d", len(log.Runs[0].Results))
-	}
-}
-
-// TestBaselineRoundTrip: -writebaseline then -baseline must hide the same
-// findings it recorded, and the file must be byte-stable when regenerated —
-// the property the CI drift gate enforces.
-func TestBaselineRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "baseline.json")
-
-	var out, errb bytes.Buffer
-	if code := run([]string{"-writebaseline", path, "."}, &out, &errb); code != 0 {
-		t.Fatalf("writebaseline exit = %d; stderr: %s", code, errb.String())
-	}
-	first, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	out.Reset()
-	errb.Reset()
-	if code := run([]string{"-baseline", path, "."}, &out, &errb); code != 0 {
-		t.Fatalf("baseline run exit = %d; stderr: %s", code, errb.String())
-	}
-
-	path2 := filepath.Join(dir, "baseline2.json")
-	if code := run([]string{"-writebaseline", path2, "."}, &out, &errb); code != 0 {
-		t.Fatalf("second writebaseline exit = %d; stderr: %s", code, errb.String())
-	}
-	second, err := os.ReadFile(path2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(first, second) {
-		t.Errorf("regenerated baseline differs byte-for-byte:\n--- first\n%s\n--- second\n%s", first, second)
+	if code := run([]string{"."}, &out, &errb); code != 0 || out.Len() != 0 {
+		t.Fatalf("exit = %d, want 0 and no findings (this package is clean); stdout: %s stderr: %s", code, out.String(), errb.String())
 	}
 }

@@ -20,8 +20,8 @@ import (
 // NewWorker until Worker.Close. Every hand-off of a pBox from one worker to
 // another passes through a flush on the giving side (Unbind, Bind or
 // BindDirect over a live binding, Close), which also withdraws the pBox's
-// spool hint — so a pBox that migrates between workers is never mistaken for
-// one that two workers feed at once.
+// spool hint — so the receiving worker's first append takes its own spool over
+// without meeting the giver's.
 
 // Worker is the per-worker-thread shim of the user-level pBox library.
 // It is not safe for concurrent use — exactly like thread-local state.
@@ -33,22 +33,18 @@ type Worker struct {
 	// manager still considers it bound to this thread.
 	detached    bool
 	detachedKey uintptr
-	// spool is this worker's Tier A event buffer (spool.go), nil when
-	// spooling is disabled (Options.SpoolSize < 0) or the worker is closed.
+	// spool is this worker's Tier A event buffer (spool.go), nil once the
+	// worker is closed.
 	spool *eventSpool
 }
 
-// NewWorker returns the library state for one worker thread. When spooling is
-// enabled the worker's spool is registered with the manager — flush-on-read
-// sweeps must reach every spool that may hold records — until Worker.Close
-// (spool.go) unregisters it; a worker that lives as long as the manager need
-// not be closed.
+// NewWorker returns the library state for one worker thread. The worker's
+// spool is registered with the manager — flush-on-read sweeps must reach every
+// spool that may hold records — until Worker.Close (spool.go) unregisters it;
+// a worker that lives as long as the manager need not be closed.
 func (m *Manager) NewWorker() *Worker {
-	w := &Worker{mgr: m}
-	if n := m.SpoolCapacity(); n > 0 {
-		w.spool = newEventSpool(m, n)
-		m.registerSpool(w.spool)
-	}
+	w := &Worker{mgr: m, spool: newEventSpool(m)}
+	m.registerSpool(w.spool)
 	return w
 }
 
@@ -109,7 +105,7 @@ func (w *Worker) Bind(k uintptr, flags BindFlags) (*PBox, error) {
 	if err := w.checkPenalty(p); err != nil {
 		return nil, err
 	}
-	// Rebinding to a different pBox: drain any records still buffered for
+	// Rebinding to a different pBox: flush any records still buffered for
 	// the previous one (Unbind flushed already on that path, but Bind may
 	// also be called over a live binding).
 	if w.spool != nil && w.cur != nil && w.cur != p {
@@ -137,13 +133,15 @@ func (w *Worker) checkPenalty(p *PBox) error {
 // lookup; used when the application still has the handle (e.g. dedicated
 // threads in a hybrid architecture).
 func (w *Worker) BindDirect(p *PBox) error {
+	// The penalty check comes first: a refused bind changes nothing — the
+	// worker stays lazily detached and no unbind is published.
+	if err := w.checkPenalty(p); err != nil {
+		return err
+	}
 	if w.detached && w.cur != nil && w.cur != p {
 		w.mgr.publishUnbind(w.cur, w.detachedKey)
 	}
 	w.detached = false
-	if err := w.checkPenalty(p); err != nil {
-		return err
-	}
 	if w.spool != nil && w.cur != nil && w.cur != p {
 		w.spool.flush(true)
 	}

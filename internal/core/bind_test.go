@@ -142,6 +142,54 @@ func TestBindPenalizedSharedPBox(t *testing.T) {
 	}
 }
 
+// TestBindDirectPenalizedChangesNothing: a BindDirect refused with
+// ErrPenalized leaves the worker as it was — still lazily detached from the
+// pBox it unbound (no events traced into it) and with no unbind published.
+func TestBindDirectPenalizedChangesNothing(t *testing.T) {
+	h := newHarness(t)
+	noisy := h.pbox(0.5)
+	victim := h.pbox(0.5)
+	other := h.pbox(0.5)
+	h.m.MarkShared(noisy)
+	key := ResourceKey(5)
+
+	h.m.Activate(noisy)
+	h.m.Activate(victim)
+	h.m.Activate(other)
+	h.m.Update(noisy, key, Hold)
+	h.m.Update(victim, key, Prepare)
+	h.advance(4 * time.Millisecond)
+	h.m.Update(noisy, key, Unhold) // penalty -> penaltyUntil
+
+	w := h.m.NewWorker()
+	if err := w.BindDirect(other); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Unbind(uintptr(0x8), BindDedicated); err != nil {
+		t.Fatal(err)
+	}
+	before := h.m.Crossings()
+	var pe *ErrPenalized
+	if err := w.BindDirect(noisy); !errors.As(err, &pe) {
+		t.Fatalf("BindDirect err = %v, want ErrPenalized", err)
+	}
+	if cur := w.Current(); cur != nil {
+		t.Fatalf("refused BindDirect re-attached pBox %d", cur.ID())
+	}
+	w.Update(ResourceKey(0x77), Hold)
+	w.Flush()
+	if c := contention(h.m, 0x77); c.Holders != 0 {
+		t.Fatal("an event after the refused BindDirect was traced into the unbound pBox")
+	}
+	if got := h.m.Crossings(); got != before {
+		t.Fatalf("refused BindDirect cost %d crossings: the lazy unbind was published", got-before)
+	}
+	// The lazy unbind is still pending: the same key binds back locally.
+	if p, err := w.Bind(uintptr(0x8), BindDedicated); err != nil || p != other {
+		t.Fatalf("Bind after the refused BindDirect = %v, %v; want the unbound pBox back", p, err)
+	}
+}
+
 // TestReleaseDropsBinding: releasing an associated pBox removes the key.
 func TestReleaseDropsBinding(t *testing.T) {
 	h := newHarness(t)

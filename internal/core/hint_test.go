@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -9,8 +10,8 @@ import (
 )
 
 // Tests for the local activity boundary (spool.go): the pBox's spool hint,
-// the shared-flag fallback, the lock-free spool set, the per-spool sums and
-// Worker.Close. Scripts that compute something are run twice — through
+// single ownership of a pBox's records, the lock-free spool set, the per-spool
+// sums and Worker.Close. Scripts that compute something are run twice — through
 // Worker.Update and through Manager.Update — and compared with the
 // spooled-vs-direct harness of spool_test.go.
 
@@ -43,8 +44,8 @@ func quietHarness(t *testing.T) *harness {
 
 // TestHintSequentialMigration: a pBox handed from worker A to worker B
 // (Unbind flushes on A, Bind appends on B) and frozen from a third goroutine
-// is never marked shared, and the migrating run books exactly what the direct
-// run books.
+// never meets the giver's spool (no append is refused), and the migrating run
+// books exactly what the direct run books.
 func TestHintSequentialMigration(t *testing.T) {
 	run := func(spooled bool) (diffResult, *PBox) {
 		h := quietHarness(t)
@@ -95,8 +96,8 @@ func TestHintSequentialMigration(t *testing.T) {
 			}
 			h.advance(5 * time.Microsecond)
 		}
-		if p.spoolShared.Load() {
-			t.Fatal("sequential hand-off marked the pBox shared")
+		if got := h.m.SelfStats().SpoolOverflows; got != 0 {
+			t.Fatalf("sequential hand-off: %d appends refused, want none", got)
 		}
 		return hintDiffResult(h), p
 	}
@@ -108,14 +109,40 @@ func TestHintSequentialMigration(t *testing.T) {
 	}
 }
 
-// TestHintSharedByTwoWorkers: two Workers BindDirect one pBox and both buffer
-// records for it. The hint can name only one spool, so the pBox is marked
-// shared and Freeze, Release and Hibernate fold both by walking the list.
-func TestHintSharedByTwoWorkers(t *testing.T) {
+// spoolBuffered is the number of records sp holds for p.
+func spoolBuffered(sp *eventSpool, p *PBox) int {
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	if sp.pbox != p {
+		return 0
+	}
+	return sp.n
+}
+
+// TestSpoolSingleOwner: two Workers BindDirect one pBox and feed it in turn.
+// A pBox's records sit in one spool at a time — the worker that finds the
+// other's spool named flushes it before taking its own over — so at no point
+// do both buffer p's records, the hint always names the one that does, the
+// script's global issue order reaches the record stream, and Freeze, Release
+// and a refused Hibernate fold what is left through the hint alone. Every
+// ending books what the same script through Manager.Update books.
+func TestSpoolSingleOwner(t *testing.T) {
+	type step struct {
+		byB bool
+		key ResourceKey
+		ev  EventType
+	}
+	script := []step{
+		{false, 0x100, Hold},
+		{true, 0x200, Prepare},
+		{true, 0x200, Enter},
+		{false, 0x100, Unhold},
+		{false, 0x101, Hold}, // still held at the transition
+	}
 	for _, end := range []string{"freeze", "release", "hibernate"} {
 		t.Run(end, func(t *testing.T) {
-			run := func(spooled bool) diffResult {
-				h := quietHarness(t)
+			run := func(spooled bool) (diffResult, []diffEvent) {
+				h := newHarness(t, func(o *Options) { o.Attribution = true })
 				p := h.pbox(0.5)
 				a, b := h.m.NewWorker(), h.m.NewWorker()
 				for _, w := range []*Worker{a, b} {
@@ -123,28 +150,29 @@ func TestHintSharedByTwoWorkers(t *testing.T) {
 						t.Fatalf("BindDirect: %v", err)
 					}
 				}
-				upd := func(w *Worker, key ResourceKey, ev EventType) {
-					if spooled {
-						w.Update(key, ev)
-					} else {
-						h.m.Update(p, key, ev)
-					}
-				}
 				h.m.Activate(p)
-				// Distinct keys per worker: each spool replays on its own, so
-				// only per-key order is defined across the two.
-				upd(a, 0x100, Hold)
-				upd(b, 0x200, Prepare)
-				h.advance(40 * time.Microsecond)
-				upd(b, 0x200, Enter)
-				upd(a, 0x100, Unhold)
-				upd(a, 0x101, Hold) // still held at the transition
-				if spooled {
-					if !p.spoolShared.Load() {
-						t.Fatal("two spools hold the pBox's records and it is not marked shared")
+				for i, st := range script {
+					w, other := a, b
+					if st.byB {
+						w, other = b, a
 					}
-					if got := h.m.SelfStats().SpoolFlushedEvents; got != 0 {
-						t.Fatalf("%d events flushed before the transition; the script must leave both spools full", got)
+					if !spooled {
+						h.m.Update(p, st.key, st.ev)
+					} else {
+						w.Update(st.key, st.ev)
+						if got := spoolBuffered(other.spool, p); got != 0 {
+							t.Fatalf("step %d: both spools buffer the pBox's records (%d in the other worker's)", i, got)
+						}
+						if spoolBuffered(w.spool, p) == 0 || p.spool.Load() != w.spool {
+							t.Fatalf("step %d: the issuing worker's spool does not hold the record under the hint", i)
+						}
+					}
+					h.advance(20 * time.Microsecond)
+				}
+				if spooled {
+					// Each change of feeder flushed the other's batch: 1 + 2.
+					if got := h.m.SelfStats().SpoolFlushedEvents; got != 3 {
+						t.Fatalf("%d events flushed before the transition, want 3", got)
 					}
 				}
 				switch end {
@@ -161,11 +189,11 @@ func TestHintSharedByTwoWorkers(t *testing.T) {
 					}
 				}
 				if spooled {
-					if got := h.m.SelfStats().SpoolFlushedEvents; got != 5 {
-						t.Fatalf("%s folded %d of 5 spooled events", end, got)
+					if got := h.m.SelfStats().SpoolFlushedEvents; got != int64(len(script)) {
+						t.Fatalf("%s folded %d of %d spooled events", end, got, len(script))
 					}
-					if a.spool.pending(p) || b.spool.pending(p) {
-						t.Fatalf("%s left records behind in a spool", end)
+					if spoolBuffered(a.spool, p)+spoolBuffered(b.spool, p) != 0 || p.spool.Load() != nil {
+						t.Fatalf("%s left records behind in a spool, or the hint set", end)
 					}
 				}
 				if end == "hibernate" {
@@ -176,17 +204,178 @@ func TestHintSharedByTwoWorkers(t *testing.T) {
 						t.Fatalf("hold across the transition: holders = %d, want 1", c.Holders)
 					}
 				}
-				return hintDiffResult(h)
+				var stream []diffEvent
+				rows, _ := h.m.TraceView(0)
+				for _, e := range rows {
+					if e.Kind == KindState {
+						stream = append(stream, diffEvent{e.Key, e.Ev})
+					}
+				}
+				return hintDiffResult(h), stream
 			}
-			compareDiffResults(t, run(true), run(false))
+			spooled, stream := run(true)
+			direct, directStream := run(false)
+			compareDiffResults(t, spooled, direct)
+			var issued []diffEvent
+			for _, st := range script {
+				issued = append(issued, diffEvent{st.key, st.ev})
+			}
+			if !slices.Equal(stream, issued) || !slices.Equal(directStream, issued) {
+				t.Fatalf("record stream out of issue order:\n spooled %v\n direct  %v\n issued  %v", stream, directStream, issued)
+			}
 		})
+	}
+}
+
+// TestSpoolTwoFeedersRace: two goroutines, each with its own Worker
+// BindDirected to the same pBox, issue events at once — private keys that
+// spool, and a contended key that hands off to the slow path — while a third
+// goroutine sweeps and makes refused Hibernate calls, through the Freeze that
+// ends each activity. Nothing deadlocks, every issued event reaches the record
+// stream exactly once with each feeder's events in its issue order, and
+// Crossings() reconciles: one per call, so spooled plus slow-path events are
+// the events issued. A last activity is frozen under the feeders' feet. Run
+// under -race.
+func TestSpoolTwoFeedersRace(t *testing.T) {
+	obs := newRecordingObserver()
+	m := NewManager(Options{Sleep: func(time.Duration) {}, Observer: obs})
+	p, _ := m.Create(DefaultRule())
+	peer, _ := m.Create(DefaultRule())
+	const hot = ResourceKey(0x999)
+	m.Activate(peer)
+	m.Update(peer, hot, Hold) // hot's slot is contended for good
+	m.Update(peer, hot, Unhold)
+	calls := int64(5) // the manager calls so far, one crossing each
+	ws := [2]*Worker{m.NewWorker(), m.NewWorker()}
+	for _, w := range ws {
+		if err := w.BindDirect(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const (
+		rounds    = 20
+		cycles    = 150 // per feeder and activity
+		hotEvents = cycles / 5 * 2
+		perFeeder = cycles*4 + hotEvents
+	)
+	feed := func(g int, wg *sync.WaitGroup) {
+		defer wg.Done()
+		base := ResourceKey(0x1000 * (g + 1))
+		for i := 0; i < cycles; i++ {
+			k := base + ResourceKey(i%4)
+			ws[g].Update(k, Prepare)
+			ws[g].Update(k, Enter)
+			ws[g].Update(k, Hold)
+			ws[g].Update(k, Unhold)
+			if i%5 == 0 {
+				ws[g].Update(hot, Hold)
+				ws[g].Update(hot, Unhold)
+			}
+		}
+	}
+	within := func(what string, f func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() { defer close(done); f() }()
+		select {
+		case <-done:
+		case <-time.After(60 * time.Second):
+			t.Fatalf("%s: two feeders of one pBox deadlocked", what)
+		}
+	}
+	stateRows := func() (rows []Record) {
+		for _, r := range obs.snapshot() {
+			if r.Kind == KindState && r.PBox == p.id {
+				rows = append(rows, r)
+			}
+		}
+		return rows
+	}
+
+	within("feeders, a sweeper and a freeze", func() {
+		for r := 0; r < rounds; r++ {
+			m.Activate(p)
+			var feeders, flusher sync.WaitGroup
+			stop := make(chan struct{})
+			flusher.Add(1)
+			go func() {
+				defer flusher.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if m.Hibernate(p) == nil {
+						t.Error("Hibernate accepted an active pBox")
+					}
+					calls++
+					m.RefreshStatusView()
+				}
+			}()
+			feeders.Add(2)
+			go feed(0, &feeders)
+			go feed(1, &feeders)
+			feeders.Wait()
+			close(stop)
+			flusher.Wait()
+			m.Freeze(p)
+			calls += 2 + 2*perFeeder
+		}
+	})
+	const issued = rounds * 2 * perFeeder
+	rows := stateRows()
+	if len(rows) != issued {
+		t.Fatalf("%d state rows for %d issued events", len(rows), issued)
+	}
+	cycle := map[EventType]EventType{Prepare: Enter, Enter: Hold, Hold: Unhold, Unhold: Prepare}
+	next := map[ResourceKey]EventType{}
+	for i, r := range rows {
+		if r.Key == hot {
+			continue // both feeders nest holds on it: only the count is defined
+		}
+		if want, seen := next[r.Key]; seen && r.Ev != want || !seen && r.Ev != Prepare {
+			t.Fatalf("row %d: key %#x saw %v out of its feeder's issue order", i, uintptr(r.Key), r.Ev)
+		}
+		next[r.Key] = cycle[r.Ev]
+	}
+	st := m.SelfStats()
+	if st.Crossings != calls || m.Crossings() != calls {
+		t.Fatalf("Crossings() = %d after %d calls", st.Crossings, calls)
+	}
+	if spooled := st.SpoolFlushedEvents; spooled == 0 || spooled > issued-rounds*2*hotEvents {
+		t.Fatalf("%d of %d events spooled, %d of them on the contended key", spooled, issued, rounds*2*hotEvents)
+	}
+	t.Logf("%d events: %d spooled, %d slow path, %d refused appends, %d sticky slots",
+		issued, st.SpoolFlushedEvents, issued-st.SpoolFlushedEvents, st.SpoolOverflows, st.ContentionStickySlots)
+
+	// One more activity, frozen and re-activated while the feeders run: events
+	// that meet a frozen window are dropped, so only the end state is defined.
+	within("freezes under the feeders' feet", func() {
+		m.Activate(p)
+		var feeders sync.WaitGroup
+		feeders.Add(2)
+		go feed(0, &feeders)
+		go feed(1, &feeders)
+		for i := 0; i < 50; i++ {
+			m.Freeze(p)
+			m.Activate(p)
+		}
+		feeders.Wait()
+		m.Freeze(p)
+	})
+	if p.spool.Load() != nil || spoolBuffered(ws[0].spool, p)+spoolBuffered(ws[1].spool, p) != 0 {
+		t.Fatal("the last freeze left records in a spool, or the hint set")
+	}
+	if extra := len(stateRows()) - issued; extra > 2*perFeeder {
+		t.Fatalf("the last activity delivered %d rows for %d events", extra, 2*perFeeder)
 	}
 }
 
 // TestHintInvariantUnderSweep: a sweep (RefreshStatusView) racing the owner's
 // first append of the next batch leaves the hint and the spool's owner field
-// agreeing — p.spool == sp ⇔ sp.pbox == p once both have finished — never
-// marks the pBox shared, and loses no event. Run under -race.
+// agreeing — p.spool == sp ⇔ sp.pbox == p, exactly, whenever the spool's
+// mutex is free — refuses no append, and loses no event. Run under -race.
 func TestHintInvariantUnderSweep(t *testing.T) {
 	m := NewManager(Options{Sleep: func(time.Duration) {}})
 	p, err := m.Create(DefaultRule())
@@ -236,16 +425,14 @@ func TestHintInvariantUnderSweep(t *testing.T) {
 		}
 	}
 	close(kick)
-	if p.spoolShared.Load() {
-		t.Fatal("a sweep racing the owner marked the pBox shared")
-	}
 	m.Freeze(p)
 	if p.spool.Load() != nil {
 		t.Fatal("hint survived the freeze")
 	}
 	st := m.SelfStats()
-	if st.SpoolFlushedEvents != perHit*iters || st.ContentionStickySlots != 0 {
-		t.Fatalf("flushed %d of %d events, %d sticky slots", st.SpoolFlushedEvents, perHit*iters, st.ContentionStickySlots)
+	if st.SpoolFlushedEvents != perHit*iters || st.ContentionStickySlots != 0 || st.SpoolOverflows != 0 {
+		t.Fatalf("flushed %d of %d events, %d sticky slots, %d refused appends",
+			st.SpoolFlushedEvents, perHit*iters, st.ContentionStickySlots, st.SpoolOverflows)
 	}
 	t.Logf("%d of %d sweeps left part of the owner's batch behind", overtaken, iters)
 }

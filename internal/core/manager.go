@@ -11,6 +11,8 @@ import (
 )
 
 // Options configures a Manager. The zero value selects the paper's defaults.
+// The two-tier ingestion path (DESIGN.md §10) has no knob: every Worker spools
+// into a 256-record buffer (SpoolCapacity).
 type Options struct {
 	// Now supplies the monotonic clock (ns). Defaults to exec.Now. Tests
 	// inject a fake clock to drive the detection logic deterministically.
@@ -74,14 +76,6 @@ type Options struct {
 	// resource) interference ledger (see AttributionRecord). Disabled it
 	// costs one nil check per site and zero allocations.
 	Attribution bool
-
-	// SpoolSize is the per-Worker event-spool capacity of the uncontended
-	// fast path (DESIGN.md §10): events on resources with no cross-pBox
-	// competition are buffered in the worker's spool and batch-replayed
-	// into shard state at the flush triggers. Zero selects the default
-	// (256); a negative value disables spooling entirely, making
-	// Worker.Update equivalent to Manager.Update.
-	SpoolSize int
 }
 
 func (o Options) withDefaults() Options {
@@ -106,9 +100,6 @@ func (o Options) withDefaults() Options {
 	if o.GapPolicyFactor <= 0 {
 		o.GapPolicyFactor = 2
 	}
-	if o.SpoolSize == 0 {
-		o.SpoolSize = defaultSpoolSize
-	}
 	return o
 }
 
@@ -125,7 +116,7 @@ func (o Options) withDefaults() Options {
 // serializes on verdictMu, which also guards the action history and the
 // attribution ledger. The documented lock order is
 //
-//	snap → flushMu → registry → pbox.mu → shard.mu → verdictMu →
+//	snap → eventSpool.mu → registry → pbox.mu → shard.mu → verdictMu →
 //	leaves (actMu, penMu, the trace ring's mutex, …)
 //
 // and a shard lock is never held while acquiring the registry lock. The calls
@@ -164,7 +155,7 @@ type Manager struct {
 	contention contentionTable
 
 	// spools publishes the registered Worker spools (and the sums of the
-	// closed ones) so slow-path events and view rebuilds can drain them
+	// closed ones) so slow-path events and view rebuilds can flush them
 	// (flush-on-read) and SelfStats can total them: an immutable spoolSet,
 	// never nil, swapped whole by NewWorker and Worker.Close and read with
 	// one atomic load — no lock (spool.go).
@@ -246,9 +237,9 @@ func NewManager(opts Options) *Manager {
 // NewManager (see defaultShardCount).
 func (m *Manager) ShardCount() int { return len(m.shards.shards) }
 
-// SpoolCapacity returns the capacity every Worker spool is sized to, fixed at
-// NewManager (Options.SpoolSize). Non-positive means spooling is disabled.
-func (m *Manager) SpoolCapacity() int { return m.opts.SpoolSize }
+// SpoolCapacity returns the capacity every Worker spool is sized to: a
+// constant, reported so operators can read flush counts against it.
+func (m *Manager) SpoolCapacity() int { return spoolCapacity }
 
 // ErrReleased is returned when an operation references a destroyed pBox.
 var ErrReleased = errors.New("pbox: operation on released pBox")
@@ -280,7 +271,7 @@ func (m *Manager) Create(rule IsolationRule) (*PBox, error) {
 // bookkeeping structure. Pending penalties are discarded: the activity they
 // would have delayed no longer exists.
 func (m *Manager) Release(p *PBox) error {
-	// Drain spooled records first: events buffered before the release must
+	// Flush spooled records first: events buffered before the release must
 	// reach the books (or be dropped by the replay's state check) before
 	// the pBox's shard-side state is torn down.
 	m.flushSpoolsFor(p)
@@ -333,7 +324,7 @@ func (m *Manager) Release(p *PBox) error {
 // the penalty delays the noisy pBox without polluting its own metrics.
 func (m *Manager) Activate(p *PBox) {
 	// Stragglers spooled after the previous freeze belong to no active
-	// window; drain them now (the replay drops them) so the new activity
+	// window; flush them now (the replay drops them) so the new activity
 	// starts with an empty spool.
 	m.flushSpoolsFor(p)
 	p.mu.Lock()
@@ -499,41 +490,16 @@ func (m *Manager) updateSlow(p *PBox, key ResourceKey, ev EventType) {
 	// overlap, so any fast-path claim on this key's slot is revoked and
 	// every spooled record replayed before this event lands (spool.go).
 	m.markContended(key)
-	now := m.opts.Now()
-	p.mu.Lock()
-	if !p.stateIs(StateActive) {
-		p.mu.Unlock()
-		return
-	}
-	m.applyLocked(p, key, ev, now)
-	// Safe-point check: a penalty scheduled for p (by this event's
+	// From here the event is a batch of one: replay emits its state row at
+	// the time its arm uses, runs the arm under the key's stripe, and makes
+	// the safe-point check — a penalty scheduled for p (by this event's
 	// detection pass or an earlier one) can run only when p holds nothing
 	// and waits for nothing, so delaying it cannot defer anyone else or
-	// inflate p's own deferring time. The pending amount is an atomic so
-	// the common no-penalty case is a single load.
-	var pen time.Duration
-	if p.pendingPenalty.Load() > 0 && len(p.holders) == 0 && len(p.preparing) == 0 {
-		pen = m.takePending(p)
-	}
-	p.mu.Unlock()
-	if pen > 0 {
+	// inflate p's own deferring time.
+	one := [1]spoolRec{{key: key, ev: ev, at: m.opts.Now()}}
+	if pen := m.replay(p, one[:], true); pen > 0 {
 		m.sleepPenalty(p, pen)
 	}
-}
-
-// applyLocked delivers one event to the observers (a one-record run) and the
-// Algorithm 1 arms, at manager-clock time now — the same now the arms use for
-// their bookkeeping. Caller holds p.mu.
-//
-//pbox:hotpath
-func (m *Manager) applyLocked(p *PBox, key ResourceKey, ev EventType, now int64) {
-	if m.obs != nil {
-		one := [1]spoolRec{{key: key, ev: ev, at: now}}
-		m.emitStates(p, one[:])
-	}
-	s := m.lockShard(key)
-	m.applyArmLocked(p, s, key, ev, now)
-	s.mu.Unlock()
 }
 
 // emitStates is the one state-event delivery: a non-empty run of p's events,

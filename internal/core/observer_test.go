@@ -149,13 +149,12 @@ func adapterScript(t *testing.T, obs Observer) []Record {
 	t.Helper()
 	h := newHarness(t, func(o *Options) {
 		o.Attribution = true
-		o.SpoolSize = 4
 		o.Observer = obs
 	})
 	noisy, victim := h.pbox(0.5), h.pbox(0.5)
 	h.m.Activate(noisy)
 	h.m.Activate(victim)
-	w := h.m.NewWorker()
+	w := smallWorker(h.m, 4)
 	if err := w.BindDirect(victim); err != nil {
 		t.Fatalf("BindDirect: %v", err)
 	}

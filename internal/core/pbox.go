@@ -33,15 +33,13 @@ type PBox struct {
 	// outside an active window — the dominant disabled/idle case — with a
 	// single load and zero locks. Writes happen with mu held (setState),
 	// so mu holders see a stable value.
-	state atomic.Int32
-	// spoolShared is set, for good, when a second spool took records for
-	// this pBox while another still named it: spool can name only one, so
-	// lifecycle flushes fall back to walking the registered list.
-	spoolShared   atomic.Bool
+	state         atomic.Int32
 	activityStart atomic.Int64 // manager-clock ns; valid while StateActive
-	// spool is the hint that makes lifecycle flushes local (spool.go): the
-	// worker spool buffering (or still replaying) this pBox's records, nil
-	// when none does. Written only inside that spool's leaf mutex.
+	// spool is the hint that makes lifecycle flushes local (spool.go): the one
+	// worker spool buffering this pBox's records, nil when none does. Written
+	// only inside that spool's mutex — CAS(nil → sp) by the append that takes
+	// sp over, nil by the flush that replayed the batch — so p.spool == sp
+	// exactly when sp.pbox == p.
 	spool atomic.Pointer[eventSpool]
 
 	// mu guards the pBox's event-structural state (holders, preparing)
@@ -135,22 +133,6 @@ func (p *PBox) stateIs(s State) bool { return State(p.state.Load()) == s }
 
 // setState publishes a lifecycle transition. Caller holds p.mu.
 func (p *PBox) setState(s State) { p.state.Store(int32(s)) }
-
-// nameSpool publishes sp as the spool holding p's records: the last write of
-// the append that took sp over for p. Finding another spool still named means
-// two hold p's records at once. Caller holds sp.mu.
-//
-//pbox:hotpath
-func (p *PBox) nameSpool(sp *eventSpool) {
-	if old := p.spool.Swap(sp); old != nil && old != sp {
-		p.spoolShared.Store(true)
-	}
-}
-
-// unnameSpool withdraws the hint if it still names sp. Caller holds sp.mu.
-//
-//pbox:hotpath
-func (p *PBox) unnameSpool(sp *eventSpool) { p.spool.CompareAndSwap(sp, nil) }
 
 type holdInfo struct {
 	count int

@@ -12,7 +12,7 @@ import (
 // unrelated resources never touches the same lock. See DESIGN.md §8 for the
 // full lock-order contract:
 //
-//	snap → flushMu → registry → pbox.mu → shard.mu → verdictMu →
+//	snap → eventSpool.mu → registry → pbox.mu → shard.mu → verdictMu →
 //	leaf locks (actMu, penMu, shard.namesMu, trace ring)
 //
 // with two extra rules: a shard lock is never held while acquiring the

@@ -299,7 +299,7 @@ type SelfStats struct {
 	SpoolFlushes       int64 // non-empty spool flushes
 	SpoolFlushedEvents int64 // events replayed out of spools
 	SpoolSweeps        int64 // all-spool sweeps (contended hand-offs + view rebuilds)
-	SpoolOverflows     int64 // appends that failed (full or foreign buffer), forcing a flush
+	SpoolOverflows     int64 // appends refused (buffer full, or the pBox's records sit in another worker's spool), forcing a flush
 	Spools             int   // worker spools currently registered (NewWorker minus Worker.Close)
 
 	// Contention-slot table.
@@ -311,7 +311,7 @@ type SelfStats struct {
 	ShardLockAcquisitions int64 // total shard-lock acquisitions, all stripes
 	ShardLockMax          int64 // acquisitions on the hottest stripe
 	Shards                int   // lock stripes (ShardCount)
-	SpoolCapacity         int   // per-worker spool capacity (≤0 = spooling disabled)
+	SpoolCapacity         int   // per-worker spool capacity in records (a constant)
 
 	// Hibernation (DESIGN.md §15): registered-but-idle pBoxes compacted to
 	// their minimal footprint by Manager.Hibernate and woken transparently

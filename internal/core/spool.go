@@ -16,14 +16,13 @@ import (
 //
 // Tier A (fast path): when a resource's contention slot shows no cross-pBox
 // competition, Worker.Update records the event in the worker's own fixed
-// capacity spool — (key, event, timestamp) plus a locally accumulated
-// crossing count — under a single worker-local leaf lock, touching no shard
-// and no pBox mutex. Tier B (slow path): any event on a contended slot — or
-// any direct Manager.Update, which by definition may create cross-pBox
-// overlap — flips the slot, drains every registered spool, and then runs the
-// full Algorithm 1 bookkeeping, so detection verdicts, penalties,
-// attribution, flight-recorder captures, and observer callbacks see exactly
-// the event stream the unspooled manager produces: batched events are
+// capacity spool — (key, event, timestamp) — under the spool's own mutex,
+// touching no shard and no pBox mutex. Tier B (slow path): any event on a
+// contended slot — or any direct Manager.Update, which by definition may
+// create cross-pBox overlap — flips the slot, flushes every registered spool,
+// and then runs the full Algorithm 1 bookkeeping, so detection verdicts,
+// penalties, attribution, flight-recorder captures, and observer callbacks see
+// exactly the event stream the unspooled manager produces: batched events are
 // replayed in order with their recorded timestamps.
 //
 // Contention-slot state machine (one atomic.Int64 per slot, keys hashed onto
@@ -39,7 +38,7 @@ import (
 // Y, first PREPARE while a holder exists" both reduce to this, because any
 // shard-side state for the slot's keys was created by the claimant alone).
 // The slow path revokes claims with markContended: swap in -1 and, if a
-// claim was present, drain every spool before applying the triggering event.
+// claim was present, flush every spool before applying the triggering event.
 // The -1 is sticky: distinct keys alias the same slot, so "the key's state
 // emptied" never proves the slot is reclaimable — resetting could hand a
 // fast-path claim to a key whose alias still has live shard state. Stickiness
@@ -48,17 +47,21 @@ import (
 //
 // Lock order (extends DESIGN.md §8; the lint lockorder table enforces it):
 //
-//	Manager.snap → eventSpool.flushMu → registry → pbox.mu → shard.mu →
-//	verdictMu → leaves (eventSpool.mu joins actMu, penMu, the trace ring, …)
+//	Manager.snap → eventSpool.mu → registry → pbox.mu → shard.mu →
+//	verdictMu → leaves (actMu, penMu, the trace ring, …)
+//
+// A spool has one lock and one buffer: an append holds eventSpool.mu for a few
+// stores, a flush holds it across the in-place replay of the buffer. Nothing
+// may take it while holding any manager lock, and no path holds two.
 //
 // Flush triggers: the spool fills, a slow-path event arrives on the worker
-// (own spool first, so per-pBox order holds), the worker rebinds, unbinds or
-// closes, the pBox is Activated/Frozen/Released/Hibernated, or a StatusView
-// rebuild needs the spooled state (flush-on-read via the registered-spool
-// sweep).
+// (the spool holding the pBox's records first, so per-pBox order holds), the
+// worker rebinds, unbinds or closes, the pBox is
+// Activated/Frozen/Released/Hibernated, or a StatusView rebuild needs the
+// spooled state (flush-on-read via the registered-spool sweep).
 //
 // The activity boundary is as local as the event it brackets: a lifecycle
-// call finds the spool to drain through the pBox's own hint (PBox.spool), so
+// call finds the spool to flush through the pBox's own hint (PBox.spool), so
 // Activate/Freeze/Release/Hibernate walk no list and take no manager-wide lock
 // but the trace ring's leaf, and that once per run of state rows (replayBatch),
 // however many events the run carries. The registered-spool list is an
@@ -66,16 +69,13 @@ import (
 // Worker.Close), read lock-free by the two sweeps; the flush counters and the
 // crossings a flush folds live on the spool and are summed on read.
 //
-// Hint invariant, maintained inside eventSpool.mu: sp.pbox == p ⇒ p.spool ==
-// sp, and p.spool == sp ⇒ sp buffers p's records or a flush is still
-// replaying them. The append that takes an empty spool over for p publishes
-// the hint; the flush that drained p's batch withdraws it once the replay is
-// done (so a lifecycle call racing a sweep waits on flushMu for the replay
-// instead of overtaking it), unless the owner has started p's next batch
-// meanwhile. A second spool taking records for p while the first still names
-// it (two Workers BindDirect one pBox) sets the sticky PBox.spoolShared, which
-// sends that pBox's lifecycle flushes back to the list walk; a sequential
-// hand-off (Unbind flushes on A, Bind appends on B) never does.
+// Hint invariant, maintained inside eventSpool.mu: sp.pbox == p ⇔ p.spool ==
+// sp — a pBox's records sit in one spool at a time. The append that takes an
+// empty spool over for p publishes the hint with CAS(nil → sp) and is refused
+// while another spool is named; the flush that replayed p's batch withdraws it
+// before it unlocks. A refused worker flushes the named spool itself and
+// retries (Worker.Update), so a hand-off between workers — sequential (Unbind
+// flushes on A, Bind appends on B) or not — keeps the pBox's issue order.
 
 // contentionSlots is the fixed size of the contention-slot table (power of
 // two). More slots mean fewer aliasing collisions, and a collision costs
@@ -118,9 +118,8 @@ func (t *contentionTable) stickySlots() int {
 	return n
 }
 
-// defaultSpoolSize is the per-worker spool capacity when Options.SpoolSize
-// is zero.
-const defaultSpoolSize = 256
+// spoolCapacity is the size of every worker spool, in records.
+const spoolCapacity = 256
 
 // spoolRec is one spooled event. No pointers: the spool buffer is reused for
 // the life of the worker and must hold nothing alive.
@@ -130,156 +129,81 @@ type spoolRec struct {
 	at  int64 // manager-clock ns recorded at append time
 }
 
-// eventSpool is one worker's Tier A buffer. Two locks split the roles:
-// flushMu serializes whole flushes (copy-out plus replay), so two concurrent
-// flushers — the owning worker racing a flush-on-read sweep — can never
-// replay the same batch out of order; mu is a terminal leaf guarding the
-// buffer itself, so the append path is a leaf-only operation ("the spool is
-// a leaf owned by its Worker"). The buffers are preallocated at construction
-// and the append/flush cycle allocates nothing.
-// The flush-side fields (flushMu, drain) and the append-side fields (mu and
-// the buffer header) form two groups touched by different goroutines — the
-// owning worker appends while a sweep flushes — separated by cache-line pads
-// (pad.go) so a sweep on one core does not invalidate the append header's
-// line on the worker's core. Spool headers are the per-worker hot state; one
-// line of padding per worker is the whole cost. The spool's share of the
-// manager's sums (flushes, flushedEvents, crossingsSum) sits in the
-// flush-side group: a flush writes them while it holds flushMu, so they cost
-// the flusher no further line, and no core but the flusher's writes them.
+// eventSpool is one worker's Tier A buffer: one mutex, one buffer preallocated
+// at construction, and an append/flush cycle that allocates nothing. mu guards
+// the buffer and its header and is held across a flush's replay, so two
+// flushers — the owning worker racing a sweep or a lifecycle call — can never
+// replay the same batch twice or out of order, and the owner's next append
+// waits for a replay in flight (at most one buffer's worth; DESIGN.md §10).
 type eventSpool struct {
 	m *Manager
 
-	// flushMu serializes flushes end to end. It ranks before the registry
-	// in the lock order: replay acquires pbox/shard/verdict locks under it,
-	// and nothing may acquire it while holding any manager lock.
-	flushMu sync.Mutex
-
-	// drain is the flush-side copy buffer, touched only under flushMu.
-	drain []spoolRec
-
 	// This spool's terms of SelfStats.SpoolFlushes / SpoolFlushedEvents and
-	// Crossings(): added by flushes under flushMu (and by the lifecycle call
-	// about to take it), summed lock-free over the registered list by the
-	// readers, carried over into spoolSet.closed by Worker.Close.
+	// Crossings(): added by flushes under mu (and by the lifecycle call about
+	// to take it), summed lock-free over the registered list by the readers,
+	// carried over into spoolSet.closed by Worker.Close.
 	flushes       atomic.Int64
 	flushedEvents atomic.Int64
 	crossingsSum  atomic.Int64
 
-	_ cacheLinePad
-
-	// mu is the buffer leaf. Held only for the few stores of an append or
-	// the copy-out of a flush; nothing is ever acquired under it.
+	// mu ranks before the registry in the lock order: replay acquires
+	// pbox/shard/verdict locks under it, and nothing may acquire it while
+	// holding any manager lock.
 	mu   sync.Mutex
 	pbox *PBox // owner of the buffered records (nil when empty)
 	recs []spoolRec
 	n    int
-	// draining is set while a flush replays records copied out of the
-	// buffer; mustFlush treats an in-flight replay like buffered records so
-	// a slow-path hand-off always orders after the events that preceded it.
-	draining bool
-	// crossings accumulates the conceptual kernel crossings of spooled
-	// events locally, folded into the manager counter at flush — the
-	// "locally-accumulated sums" half of the spool, kept off the shared
-	// atomic the fast path would otherwise contend on.
-	crossings int64
 
 	_ cacheLinePad // keep the header off the next allocation's line
 }
 
-func newEventSpool(m *Manager, capacity int) *eventSpool {
-	return &eventSpool{
-		m:     m,
-		recs:  make([]spoolRec, capacity),
-		drain: make([]spoolRec, capacity),
-	}
+func newEventSpool(m *Manager) *eventSpool {
+	return &eventSpool{m: m, recs: make([]spoolRec, spoolCapacity)}
 }
 
 // append records one event for p, returning false when the caller must
-// flush first (buffer full, or the buffer holds another pBox's records
-// after a rebind).
+// flush first: the buffer is full, holds another pBox's records after a
+// rebind, or is empty while another spool still holds p's (the takeover
+// publishes the hint, and only over nil).
 //
 //pbox:hotpath
 func (sp *eventSpool) append(p *PBox, key ResourceKey, ev EventType, now int64) bool {
 	sp.mu.Lock()
-	if sp.n >= len(sp.recs) || (sp.n > 0 && sp.pbox != p) {
+	if sp.n >= len(sp.recs) || (sp.n > 0 && sp.pbox != p) ||
+		(sp.n == 0 && !p.spool.CompareAndSwap(nil, sp)) {
 		sp.mu.Unlock()
 		return false
 	}
-	takeover := sp.pbox != p // once per batch: the buffer was empty
 	sp.pbox = p
 	sp.recs[sp.n] = spoolRec{key: key, ev: ev, at: now}
 	sp.n++
-	sp.crossings++
-	if takeover {
-		p.nameSpool(sp)
-	}
 	sp.mu.Unlock()
 	return true
 }
 
-// pending reports whether a lifecycle flush of p has business with this
-// spool: it buffers records for p, or a flush is still replaying a batch
-// (possibly p's — the walk cannot tell, and waiting on flushMu for a foreign
-// batch costs time only). The list walk's cheap pre-check.
-func (sp *eventSpool) pending(p *PBox) bool {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	return (sp.n > 0 && sp.pbox == p) || sp.draining
-}
-
-// mustFlush reports whether a slow-path hand-off has anything to wait for:
-// buffered records, or a concurrent flush still replaying records it copied
-// out (the hand-off's event must apply after them, which flush's flushMu
-// guarantees). False means the hand-off may proceed straight to the slow
-// path — the common case once a slot has gone contended, where paying two
-// mutexes per event to flush an empty spool would erase the point of the
-// check.
-//
-//pbox:hotpath
-func (sp *eventSpool) mustFlush() bool {
-	sp.mu.Lock()
-	v := sp.n > 0 || sp.draining
-	sp.mu.Unlock()
-	return v
-}
-
-// flush drains the spool into manager state: the buffered records are copied
-// out under the leaf lock, then replayed in order with their recorded
-// timestamps under flushMu. serve selects whether a penalty that became
-// servable by the replay is slept here — true only when the flush runs on
-// the owning worker's goroutine (its own fills and slow-path hand-offs);
-// sweep flushes pass false so a diagnostics reader never serves another
-// pBox's delay.
+// flush replays the buffered records in place, in order and with their
+// recorded timestamps, and hands the spool back empty — all under mu. Each
+// spooled event is one conceptual kernel crossing, folded into the spool's sum
+// here instead of on a shared atomic per event. serve selects whether a
+// penalty that became servable by the replay is slept here — true only when
+// the flush runs on the owning worker's goroutine (its own fills and slow-path
+// hand-offs); sweep and lifecycle flushes pass false so a diagnostics reader
+// never serves another pBox's delay.
 func (sp *eventSpool) flush(serve bool) {
-	sp.flushMu.Lock()
 	sp.mu.Lock()
-	p, n, crossings := sp.pbox, sp.n, sp.crossings
-	copy(sp.drain[:n], sp.recs[:n])
-	sp.n, sp.pbox, sp.crossings = 0, nil, 0
-	sp.draining = n > 0
-	sp.mu.Unlock()
-
+	p, n := sp.pbox, sp.n
 	var pen time.Duration
-	if crossings > 0 {
-		sp.crossingsSum.Add(crossings)
-	}
 	if n > 0 {
 		sp.flushes.Add(1)
 		sp.flushedEvents.Add(int64(n))
-		pen = sp.m.replay(p, sp.drain[:n], serve)
-		sp.mu.Lock()
-		sp.draining = false
-		if sp.pbox != p {
-			// The batch is on the books and the owner has not started p's
-			// next one: withdraw the hint, so a sequential hand-off to
-			// another worker's spool does not read as sharing.
-			p.unnameSpool(sp)
-		}
-		sp.mu.Unlock()
+		sp.crossingsSum.Add(int64(n))
+		pen = sp.m.replay(p, sp.recs[:n], serve)
+		p.spool.Store(nil)
+		sp.n, sp.pbox = 0, nil
 	}
-	sp.flushMu.Unlock()
-	// The penalty sleep runs after flushMu is released so a concurrent
-	// Status sweep never stalls behind a millisecond-scale delay.
+	sp.mu.Unlock()
+	// The penalty sleep runs after mu is released so a concurrent sweep never
+	// stalls behind a millisecond-scale delay.
 	if pen > 0 {
 		sp.m.sleepPenalty(p, pen)
 	}
@@ -294,7 +218,7 @@ func (m *Manager) contentionSlot(key ResourceKey) *atomic.Int64 {
 
 // markContended revokes any fast-path claim on key's slot before a slow-path
 // event is applied. If a claim was present, every registered spool is
-// drained first, so spooled records — which logically precede the triggering
+// flushed first, so spooled records — which logically precede the triggering
 // event — reach the shard state before it. Caller holds no manager locks.
 //
 //pbox:hotpath
@@ -312,8 +236,9 @@ func (m *Manager) markContended(key ResourceKey) {
 // contendedSlot is the sticky "slow path only" slot value.
 const contendedSlot = -1
 
-// sweepSpools flushes every registered spool: the drain half of
-// markContended and the flush-on-read of collectStatus, its only two callers.
+// sweepSpools flushes every registered spool, one lock at a time: the
+// revocation half of markContended and the flush-on-read of collectStatus, its
+// only two callers.
 // Flushes run with serve=false: the sweep may be a diagnostics reader, which
 // must never sleep a penalty on a pBox's behalf.
 func (m *Manager) sweepSpools() {
@@ -324,32 +249,22 @@ func (m *Manager) sweepSpools() {
 }
 
 // flushSpoolsFor is the entry of Activate/Freeze/Release/Hibernate: it counts
-// the call's crossing and drains the spool buffering records for p, so the
+// the call's crossing and flushes the spool buffering records for p, so the
 // transition observes every event the pBox's worker recorded before it. The
 // spool is the one p's hint names — no list, no manager-wide lock, and the
 // crossing lands on that spool's line; a hint-less pBox (nothing spooled
-// since the last flush) has nothing to drain and counts on the manager.
-// Only a pBox that two spools have held at once walks the list. Caller holds
-// no manager locks (the flush acquires p.mu itself).
+// since the last flush) has nothing to flush and counts on the manager.
+// Caller holds no manager locks (the flush acquires p.mu itself).
 //
 //pbox:hotpath
 func (m *Manager) flushSpoolsFor(p *PBox) {
-	if !p.spoolShared.Load() {
-		sp := p.spool.Load()
-		if sp == nil {
-			m.crossings.Add(1)
-			return
-		}
-		sp.crossingsSum.Add(1)
-		sp.flush(false)
+	sp := p.spool.Load()
+	if sp == nil {
+		m.crossings.Add(1)
 		return
 	}
-	m.crossings.Add(1)
-	for _, sp := range m.spools.Load().list {
-		if sp.pending(p) {
-			sp.flush(false)
-		}
-	}
+	sp.crossingsSum.Add(1)
+	sp.flush(false)
 }
 
 // spoolSet is the published registry of worker spools: immutable, replaced
@@ -418,14 +333,14 @@ func (m *Manager) unregisterSpool(sp *eventSpool) {
 	}
 }
 
-// replay applies a drained batch under p's mutex with the recorded
-// timestamps as the event clock, so the slow-path bookkeeping —
-// observer callbacks, Algorithm 1 arms — sees the stream the
+// replay applies a batch — a spool's buffer, or updateSlow's one event —
+// under p's mutex with the recorded timestamps as the event clock, so the
+// bookkeeping (observer callbacks, Algorithm 1 arms) sees the stream the
 // unspooled manager would have seen. Records of a pBox that left its active
 // window (frozen or released while the batch was buffered) are dropped,
 // mirroring the unspooled drop of events outside activate…freeze. Returns a
 // penalty to serve (only when serve is set and the safe-point check passes);
-// the caller sleeps it after releasing flushMu.
+// the caller sleeps it with no lock held.
 func (m *Manager) replay(p *PBox, recs []spoolRec, serve bool) time.Duration {
 	p.mu.Lock()
 	if !p.stateIs(StateActive) {
@@ -534,8 +449,8 @@ func (m *Manager) replayBatch(p *PBox, recs []spoolRec) {
 // the slot still reads p's id every waiter on the slot's keys was registered
 // by p itself — and p's own are counted in p.preparing. It stays true for the
 // length of the replay that asks: an event that revokes the claim sweeps the
-// spools before it applies, and the sweep waits on the flushMu this replay
-// runs under. Caller holds p.mu and the replaying spool's flushMu.
+// spools before it applies, and the sweep waits on the spool mutex this replay
+// runs under. Caller holds p.mu and, for a spooled batch, the spool's mu.
 //
 //pbox:hotpath
 func (m *Manager) privateTo(p *PBox, key ResourceKey) bool {
@@ -552,6 +467,11 @@ func (m *Manager) privateTo(p *PBox, key ResourceKey) bool {
 // claim) the key's contention slot, and the slow path otherwise. A lazily
 // detached worker has tracing paused, exactly like Manager.Update on a
 // non-active pBox, so the call is a no-op.
+//
+// Either way the event orders after everything spooled for p before it: the
+// hint names the one spool that can hold such records — this worker's, or
+// another's when a second Worker feeds the same pBox — and whoever is refused
+// by it flushes it first, holding one spool lock at a time.
 //
 //pbox:hotpath
 func (w *Worker) Update(key ResourceKey, ev EventType) {
@@ -575,10 +495,11 @@ func (w *Worker) Update(key ResourceKey, ev EventType) {
 	if v := slot.Load(); v != id {
 		if v != 0 || !slot.CompareAndSwap(0, id) {
 			// Cross-pBox overlap (another claim) or known contention: hand
-			// off to the slow path, draining our own spool first so this
-			// pBox's events apply in issue order.
-			if w.spool.mustFlush() {
-				w.spool.flush(true)
+			// off to the slow path, flushing the spool that holds p's records
+			// first so this pBox's events apply in issue order. A nil hint —
+			// the common case once a slot has gone contended — costs one load.
+			if sp := p.spool.Load(); sp != nil {
+				sp.flush(sp == w.spool)
 			}
 			m.updateSlow(p, key, ev)
 			return
@@ -589,17 +510,21 @@ func (w *Worker) Update(key ResourceKey, ev EventType) {
 	if !w.spool.append(p, key, ev, now) {
 		m.self.spoolOverflows.Add(1)
 		w.spool.flush(true)
+		if sp := p.spool.Load(); sp != nil {
+			// Another worker's spool holds p's records; ours is unlocked.
+			sp.flush(false)
+		}
 		if !w.spool.append(p, key, ev, now) {
-			// Degenerate capacity (a zero-slot spool can never hold the
-			// record): apply directly. The claim is already ours, so the
-			// slow path just runs the bookkeeping.
+			// The takeover lost a race with the other feeder (or the spool
+			// can hold nothing): apply directly. updateSlow revokes the
+			// claim and sweeps, so the event still lands after p's records.
 			m.updateSlow(p, key, ev)
 			return
 		}
 	}
 	// Straggler self-healing: if the slot changed between the claim check
 	// and the append landing, a concurrent slow-path event has already
-	// swept the spools — drain our own again so the late record cannot sit
+	// swept the spools — flush our own again so the late record cannot sit
 	// past the revocation. Replay guards (monotonic re-arm, clamped
 	// overlaps) keep an out-of-order late record detection-neutral.
 	if slot.Load() != id {
@@ -607,7 +532,7 @@ func (w *Worker) Update(key ResourceKey, ev EventType) {
 	}
 }
 
-// Flush drains this worker's spool into manager state on the worker's own
+// Flush replays this worker's spool into manager state on the worker's own
 // goroutine (a penalty that becomes servable is slept here). Applications
 // call it at natural batching boundaries — end of a request, before
 // blocking — when they want spooled state visible without waiting for a
@@ -618,12 +543,12 @@ func (w *Worker) Flush() {
 	}
 }
 
-// Close ends the worker's life as a spool owner: it drains the spool on the
+// Close ends the worker's life as a spool owner: it flushes the spool on the
 // caller's goroutine (like Flush) and removes it from the manager's
 // registered list, so sweeps and view rebuilds stop visiting it and its
-// buffers can be collected. Idempotent. The worker stays usable — Update
-// after Close takes the slow path, as with spooling disabled. Like every
-// Worker method it belongs to the worker's own goroutine.
+// buffer can be collected. Idempotent. The worker stays usable — Update
+// after Close takes the slow path. Like every Worker method it belongs to the
+// worker's own goroutine.
 func (w *Worker) Close() {
 	sp := w.spool
 	if sp == nil {

@@ -14,6 +14,14 @@ import (
 // penalty sequences, attribution totals, per-pBox snapshots, observer
 // streams — must come out identical.
 
+// smallWorker is NewWorker with the spool's buffer cut to capacity records
+// (len(recs) is the capacity), for scripts that need fill-flushes.
+func smallWorker(m *Manager, capacity int) *Worker {
+	w := m.NewWorker()
+	w.spool.recs = w.spool.recs[:capacity]
+	return w
+}
+
 // diffEvent is one recorded state event.
 type diffEvent struct {
 	key ResourceKey
@@ -92,7 +100,6 @@ func runSpoolDiffScript(t *testing.T, spooled, withObserver bool) diffResult {
 	var obs *diffObserver
 	h := newHarness(t, func(o *Options) {
 		o.Attribution = true
-		o.SpoolSize = 16 // small: phase 1 crosses many fill-flushes
 		if withObserver {
 			obs = newDiffObserver()
 			o.Observer = obs
@@ -105,8 +112,9 @@ func runSpoolDiffScript(t *testing.T, spooled, withObserver bool) diffResult {
 	h.m.Activate(noisy)
 	h.m.Activate(victim)
 
-	nw := h.m.NewWorker()
-	vw := h.m.NewWorker()
+	// Small spools: phase 1 crosses many fill-flushes.
+	nw := smallWorker(h.m, 16)
+	vw := smallWorker(h.m, 16)
 	if err := nw.BindDirect(noisy); err != nil {
 		t.Fatalf("BindDirect(noisy): %v", err)
 	}
@@ -440,7 +448,7 @@ func TestReplayObservedMatchesDirect(t *testing.T) {
 			[]Kind{KindBlocked, KindDetection, KindAction}},
 		// Freeze drains the buffered batch before it closes the window; what
 		// reaches the spool after it belongs to no window and is dropped by the
-		// next Activate's drain.
+		// next Activate's flush.
 		{"freeze while buffered", cat(pair(k1), []step{ev(k2, Hold), {op: 'f'}}, late(pair(k1)), []step{{op: 'a'}}, pair(k1), []step{ev(k2, Unhold)}), nil},
 	}
 	for _, sc := range scripts {
@@ -589,11 +597,10 @@ func TestSpoolFlushOnReadStatus(t *testing.T) {
 	}
 }
 
-// TestSpoolEdgeCapacities covers the degenerate spool sizes of satellite 3:
-// a one-slot spool (every second append triggers a fill-flush), disabled
-// spooling (Worker.Update must be exactly Manager.Update), and a zero-slot
-// spool (append can never succeed; Worker.Update's double-failure fallback
-// applies the event directly).
+// TestSpoolEdgeCapacities covers the degenerate spool sizes: a one-slot spool
+// (every second append triggers a fill-flush) and a zero-slot spool (append
+// can never succeed, like a takeover that keeps losing to another feeder;
+// Worker.Update's double-failure fallback applies the event directly).
 func TestSpoolEdgeCapacities(t *testing.T) {
 	script := func(h *harness, upd func(ResourceKey, EventType)) {
 		t.Helper()
@@ -624,10 +631,10 @@ func TestSpoolEdgeCapacities(t *testing.T) {
 	want := finish(hd, pd)
 
 	t.Run("one-slot", func(t *testing.T) {
-		h := newHarness(t, func(o *Options) { o.SpoolSize = 1 })
+		h := newHarness(t)
 		p := h.pbox(0.5)
 		h.m.Activate(p)
-		w := h.m.NewWorker()
+		w := smallWorker(h.m, 1)
 		if err := w.BindDirect(p); err != nil {
 			t.Fatal(err)
 		}
@@ -639,38 +646,21 @@ func TestSpoolEdgeCapacities(t *testing.T) {
 		}
 	})
 
-	t.Run("disabled", func(t *testing.T) {
-		h := newHarness(t, func(o *Options) { o.SpoolSize = -1 })
-		p := h.pbox(0.5)
-		h.m.Activate(p)
-		w := h.m.NewWorker()
-		if w.spool != nil {
-			t.Fatal("negative SpoolSize must disable the spool")
-		}
-		if err := w.BindDirect(p); err != nil {
-			t.Fatal(err)
-		}
-		script(h, w.Update)
-		if got := finish(h, p); got.TotalDefer != want.TotalDefer || got.TotalExec != want.TotalExec ||
-			got.Activities != want.Activities {
-			t.Fatalf("disabled snapshot %+v, direct %+v", got, want)
-		}
-	})
-
 	t.Run("zero-slot", func(t *testing.T) {
-		h := newHarness(t, func(o *Options) { o.SpoolSize = -1 })
+		h := newHarness(t)
 		p := h.pbox(0.5)
 		h.m.Activate(p)
-		w := h.m.NewWorker()
-		if err := w.BindDirect(p); err != nil {
-			t.Fatal(err)
-		}
 		// A zero-capacity spool can never accept an append; Worker.Update
 		// must fall back to the slow path rather than drop the event.
-		w.spool = newEventSpool(h.m, 0)
-		h.m.registerSpool(w.spool)
+		w := smallWorker(h.m, 0)
+		if err := w.BindDirect(p); err != nil {
+			t.Fatal(err)
+		}
 		script(h, w.Update)
 		w.Flush()
+		if st := h.m.SelfStats(); st.SpoolFlushedEvents != 0 || st.SpoolOverflows == 0 {
+			t.Fatalf("zero-slot run spooled %d events over %d refused appends; want none, some", st.SpoolFlushedEvents, st.SpoolOverflows)
+		}
 		if got := finish(h, p); got.TotalDefer != want.TotalDefer || got.TotalExec != want.TotalExec ||
 			got.Activities != want.Activities {
 			t.Fatalf("zero-slot snapshot %+v, direct %+v", got, want)
@@ -753,7 +743,6 @@ func TestSpoolFlushRacesLifecycle(t *testing.T) {
 		MaxPenalty:  100 * time.Microsecond,
 		Attribution: true,
 		TraceSize:   256,
-		SpoolSize:   8, // small: fill-flushes constantly
 	})
 	const (
 		workers = 4
@@ -784,7 +773,7 @@ func TestSpoolFlushRacesLifecycle(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			w := m.NewWorker()
+			w := smallWorker(m, 8) // small: fill-flushes constantly
 			for r := 0; r < rounds; r++ {
 				p, err := m.Create(DefaultRule())
 				if err != nil {

@@ -2,22 +2,22 @@
 // order (DESIGN.md §8, extended by the §10 spool ranks and the §12 snapshot
 // rank):
 //
-//	Manager.snap → eventSpool.flushMu → registry → pbox.mu → shard.mu →
-//	verdictMu → leaves (actMu, penMu, shard.namesMu, trace ring,
-//	eventSpool.mu)
+//	Manager.snap → eventSpool.mu → registry → pbox.mu → shard.mu →
+//	verdictMu → leaves (actMu, penMu, shard.namesMu, trace ring)
 //
 // plus the extra rules: a shard lock is never held while acquiring the
 // registry lock (subsumed by the rank order), at most one lock of a class
-// is held at a time (no second PBox.mu, no second shard.mu outside the
-// index-ordered stop-the-world sweep, no two actMus), and leaves are
+// is held at a time (no second eventSpool.mu, no second PBox.mu, no second
+// shard.mu outside the index-ordered stop-the-world sweep, no two actMus), and
+// leaves are
 // terminal — nothing is acquired while holding a leaf, which subsumes "no
 // leaf is held while acquiring verdictMu".
 //
 // The pass extracts the static lock graph: every Lock/RLock/Unlock/RUnlock
 // call on a sync.Mutex or sync.RWMutex field is classified by the named
-// type that owns the field (eventSpool.flushMu, Manager.reg,
+// type that owns the field (eventSpool.mu, Manager.reg,
 // PBox.mu, shard.mu, Manager.verdictMu, PBox.actMu, PBox.penMu,
-// shard.namesMu, traceRing.mu, eventSpool.mu).
+// shard.namesMu, traceRing.mu).
 // A linear abstract interpretation tracks the held-set through each
 // function body (branches merge by union, early returns leave the merge),
 // and a whole-program fixpoint over the call graph (SCC-ordered, DESIGN.md
@@ -48,7 +48,7 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // Rank positions in the documented order. Leaves share leafRank and are
-// terminal. The spool ranks are negative: a flush precedes everything its
+// terminal. The spool rank is negative: a flush precedes everything its
 // replay acquires, and nothing may start one while holding any manager lock.
 // (The registered-spool list is an atomic pointer and has no lock to order.)
 // The snapshot build mutex ranks before all of them: a rebuild sweeps every
@@ -73,21 +73,20 @@ type classSpec struct {
 // the same names are ranked identically, which is what the golden tests
 // exercise.
 var lockTable = map[classSpec]int{
-	{"Manager", "snap"}:       rankSnap,
-	{"eventSpool", "flushMu"}: rankSpoolFlush,
-	{"Manager", "reg"}:        rankRegistry,
-	{"PBox", "mu"}:            rankPBoxMu,
-	{"shard", "mu"}:           rankShardMu,
-	{"Manager", "verdictMu"}:  rankVerdict,
-	{"PBox", "actMu"}:         leafRank,
-	{"PBox", "penMu"}:         leafRank,
-	{"shard", "namesMu"}:      leafRank,
-	{"traceRing", "mu"}:       leafRank,
-	{"eventSpool", "mu"}:      leafRank,
+	{"Manager", "snap"}:      rankSnap,
+	{"eventSpool", "mu"}:     rankSpoolFlush,
+	{"Manager", "reg"}:       rankRegistry,
+	{"PBox", "mu"}:           rankPBoxMu,
+	{"shard", "mu"}:          rankShardMu,
+	{"Manager", "verdictMu"}: rankVerdict,
+	{"PBox", "actMu"}:        leafRank,
+	{"PBox", "penMu"}:        leafRank,
+	{"shard", "namesMu"}:     leafRank,
+	{"traceRing", "mu"}:      leafRank,
 }
 
 // orderDoc is appended to order-violation messages.
-const orderDoc = "DESIGN.md §8/§10/§12 order: snap → flushMu → registry → pbox.mu → shard.mu → verdictMu → leaves"
+const orderDoc = "DESIGN.md §8/§10/§12 order: snap → eventSpool.mu → registry → pbox.mu → shard.mu → verdictMu → leaves"
 
 // lockClass is one recognized lock class.
 type lockClass struct {

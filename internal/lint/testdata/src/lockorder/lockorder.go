@@ -13,8 +13,7 @@ type Manager struct {
 }
 
 type eventSpool struct {
-	flushMu sync.Mutex
-	mu      sync.Mutex
+	mu sync.Mutex
 }
 
 type PBox struct {
@@ -145,35 +144,53 @@ func badRLockUnderLeaf(s *shard) {
 	s.namesMu.RUnlock()
 }
 
-// goodFlushDescent is the spool flush shape: the flush lock ranks before
-// every manager lock, and the buffer leaf is taken and released before the
-// replay descends. Clean.
+// goodFlushDescent is the spool flush shape: the spool's one lock ranks
+// before every manager lock and is held across the in-place replay's descent.
+// Clean.
 func goodFlushDescent(sp *eventSpool, p *PBox, s *shard) {
-	sp.flushMu.Lock()
 	sp.mu.Lock()
-	sp.mu.Unlock()
 	p.mu.Lock()
 	s.mu.Lock()
 	s.mu.Unlock()
 	p.mu.Unlock()
-	sp.flushMu.Unlock()
+	sp.mu.Unlock()
 }
 
-// badSpoolAppendTakesShard: the spool buffer is a terminal leaf owned by its
-// Worker — an append-path method reaching for shard state is a finding.
-func badSpoolAppendTakesShard(sp *eventSpool, s *shard) {
-	sp.mu.Lock()
-	s.mu.Lock() // want `acquires shard\.mu while holding leaf lock eventSpool\.mu`
+// replayUnderPBox is a helper whose summary contains PBox.mu, shard.mu,
+// Manager.verdictMu and a leaf.
+func replayUnderPBox(m *Manager, p *PBox, s *shard) {
+	p.mu.Lock()
+	s.mu.Lock()
+	takeVerdict(m)
+	p.actMu.Lock()
+	p.actMu.Unlock()
 	s.mu.Unlock()
+	p.mu.Unlock()
+}
+
+// goodReplayUnderSpool reaches the whole replay interprocedurally with the
+// spool lock held: clean, the spool lock is not a leaf.
+func goodReplayUnderSpool(m *Manager, sp *eventSpool, p *PBox, s *shard) {
+	sp.mu.Lock()
+	replayUnderPBox(m, p, s)
 	sp.mu.Unlock()
+}
+
+// badTwoSpools: a worker that finds another spool named flushes it after its
+// own lock is released — never two spool locks at once.
+func badTwoSpools(own, other *eventSpool) {
+	own.mu.Lock()
+	other.mu.Lock() // want `while a eventSpool\.mu is already held`
+	other.mu.Unlock()
+	own.mu.Unlock()
 }
 
 // badFlushUnderPBox: a flush started while holding any manager lock inverts
 // the order (flushes must happen before the caller descends).
 func badFlushUnderPBox(sp *eventSpool, p *PBox) {
 	p.mu.Lock()
-	sp.flushMu.Lock() // want `acquires eventSpool\.flushMu while holding PBox\.mu`
-	sp.flushMu.Unlock()
+	sp.mu.Lock() // want `acquires eventSpool\.mu while holding PBox\.mu`
+	sp.mu.Unlock()
 	p.mu.Unlock()
 }
 
@@ -181,8 +198,8 @@ func badFlushUnderPBox(sp *eventSpool, p *PBox) {
 // outermost rank, held across the spool sweep and the full descent. Clean.
 func goodSnapRebuild(m *Manager, sp *eventSpool, s *shard) {
 	m.snap.Lock()
-	sp.flushMu.Lock()
-	sp.flushMu.Unlock()
+	sp.mu.Lock()
+	sp.mu.Unlock()
 	m.reg.Lock()
 	s.mu.Lock()
 	m.verdictMu.Lock()
@@ -196,10 +213,10 @@ func goodSnapRebuild(m *Manager, sp *eventSpool, s *shard) {
 // rebuild started mid-flush would deadlock against the flush its own sweep
 // starts.
 func badFlushThenSnap(m *Manager, sp *eventSpool) {
-	sp.flushMu.Lock()
-	m.snap.Lock() // want `acquires Manager\.snap while holding eventSpool\.flushMu`
+	sp.mu.Lock()
+	m.snap.Lock() // want `acquires Manager\.snap while holding eventSpool\.mu`
 	m.snap.Unlock()
-	sp.flushMu.Unlock()
+	sp.mu.Unlock()
 }
 
 // badShardThenSnap: no manager lock may be held when a rebuild starts.

@@ -191,7 +191,7 @@ func writeSelfMetrics(w io.Writer, st core.SelfStats) {
 	writeSelfCounter(w, "pbox_self_spool_flushes_total", "Non-empty event-spool flushes.", st.SpoolFlushes)
 	writeSelfCounter(w, "pbox_self_spool_flushed_events_total", "Events replayed out of worker spools.", st.SpoolFlushedEvents)
 	writeSelfCounter(w, "pbox_self_spool_sweeps_total", "All-spool sweeps (contended hand-offs and precise reads).", st.SpoolSweeps)
-	writeSelfCounter(w, "pbox_self_spool_overflows_total", "Spool appends that failed (full or foreign buffer), forcing a flush.", st.SpoolOverflows)
+	writeSelfCounter(w, "pbox_self_spool_overflows_total", "Spool appends refused (buffer full, or the pBox spooled on another worker), forcing a flush.", st.SpoolOverflows)
 	writeSelfGauge(w, "pbox_self_spools", "Worker spools currently registered (one per live worker; a number that only grows is a Worker.Close leak).", int64(st.Spools))
 
 	writeSelfCounter(w, "pbox_self_contention_claims_total", "Successful fast-path contention-slot claims.", st.ContentionClaims)
