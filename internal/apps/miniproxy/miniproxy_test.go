@@ -1,6 +1,8 @@
 package miniproxy
 
 import (
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -28,47 +30,112 @@ func TestSmallRequestCompletes(t *testing.T) {
 	}
 }
 
-func TestWorkersProcessConcurrently(t *testing.T) {
-	p := New(testConfig()) // 2 workers
-	defer p.Stop()
-	ctrl := isolation.NewNull()
-	a := p.Connect(ctrl, "a")
-	b := p.Connect(ctrl, "b")
-	defer a.Close()
-	defer b.Close()
+// poolWatch is a no-isolation controller whose activities log their
+// worker-pool HOLD/UNHOLD events and park their backend fetch on gate, so a
+// test decides how long a worker stays occupied and asserts the structure —
+// who was busy at once, who ran after whom — instead of the wall clock.
+type poolWatch struct {
+	isolation.Null
+	key  core.ResourceKey
+	gate chan struct{} // closed to let the fetches finish
 
-	var wg sync.WaitGroup
-	t0 := time.Now()
-	wg.Add(2)
-	go func() { defer wg.Done(); a.Big(10*time.Microsecond, 10*time.Millisecond) }()
-	go func() { defer wg.Done(); b.Big(10*time.Microsecond, 10*time.Millisecond) }()
-	wg.Wait()
-	if el := time.Since(t0); el > 18*time.Millisecond {
-		t.Fatalf("two fetches on two workers took %v, want parallel", el)
+	mu         sync.Mutex
+	log        []string // "<connection> HOLD", "<connection> UNHOLD", in order
+	busy, peak int
+}
+
+type watched struct {
+	isolation.Activity
+	w    *poolWatch
+	name string
+}
+
+func (w *poolWatch) ConnStart(name string, kind isolation.Kind) isolation.Activity {
+	return &watched{w.Null.ConnStart(name, kind), w, name}
+}
+
+func (a *watched) IO(time.Duration) { <-a.w.gate }
+
+func (a *watched) Event(key core.ResourceKey, ev core.EventType) {
+	if key != a.w.key || ev != core.Hold && ev != core.Unhold {
+		return
+	}
+	a.w.mu.Lock()
+	defer a.w.mu.Unlock()
+	a.w.log = append(a.w.log, a.name+" "+ev.String())
+	if ev == core.Unhold {
+		a.w.busy--
+	} else if a.w.busy++; a.w.busy > a.w.peak {
+		a.w.peak = a.w.busy
 	}
 }
 
-func TestBigRequestsQueueSmallOnes(t *testing.T) {
-	p := New(testConfig()) // 2 workers
+func (w *poolWatch) busyWorkers() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.busy
+}
+
+// watchedProxy is a two-worker proxy under a poolWatch.
+func watchedProxy() (*Proxy, *poolWatch) {
+	p := New(testConfig())
+	return p, &poolWatch{key: p.PoolKey(), gate: make(chan struct{})}
+}
+
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(50 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+func TestWorkersProcessConcurrently(t *testing.T) {
+	p, w := watchedProxy()
 	defer p.Stop()
-	ctrl := isolation.NewNull()
-	big1 := p.Connect(ctrl, "b1")
-	big2 := p.Connect(ctrl, "b2")
-	small := p.Connect(ctrl, "s")
-	defer big1.Close()
-	defer big2.Close()
-	defer small.Close()
-
 	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { defer wg.Done(); big1.Big(10*time.Microsecond, 15*time.Millisecond) }()
-	go func() { defer wg.Done(); big2.Big(10*time.Microsecond, 15*time.Millisecond) }()
-	time.Sleep(3 * time.Millisecond) // both workers occupied
-
-	lat := small.Small(10 * time.Microsecond)
+	for _, name := range []string{"a", "b"} {
+		c := p.Connect(w, name)
+		defer c.Close()
+		wg.Add(1)
+		go func() { defer wg.Done(); c.Big(10*time.Microsecond, time.Millisecond) }()
+	}
+	// Neither fetch can finish before the gate opens: both workers are inside
+	// one at the same time, or this never comes true.
+	waitFor(t, "two fetches on two workers at once", func() bool { return w.busyWorkers() == 2 })
+	close(w.gate)
 	wg.Wait()
-	if lat < 5*time.Millisecond {
-		t.Fatalf("small latency = %v, want queued behind big fetches", lat)
+}
+
+func TestBigRequestsQueueSmallOnes(t *testing.T) {
+	p, w := watchedProxy()
+	defer p.Stop()
+	var wg sync.WaitGroup
+	for _, name := range []string{"b1", "b2"} {
+		c := p.Connect(w, name)
+		defer c.Close()
+		wg.Add(1)
+		go func() { defer wg.Done(); c.Big(10*time.Microsecond, time.Millisecond) }()
+	}
+	waitFor(t, "both workers occupied", func() bool { return w.busyWorkers() == 2 })
+	small := p.Connect(w, "s")
+	defer small.Close()
+	wg.Add(1)
+	go func() { defer wg.Done(); small.Small(10 * time.Microsecond) }()
+	// The small request sits in the queue for as long as the fetches last.
+	waitFor(t, "the small request queued behind the big fetches", func() bool { return p.QueueLen() == 1 })
+	if got := w.busyWorkers(); got != 2 {
+		t.Fatalf("%d workers busy with a request queued, want both", got)
+	}
+	close(w.gate)
+	wg.Wait()
+	// It got a worker only after a big fetch gave one up.
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	released := slices.IndexFunc(w.log, func(e string) bool { return strings.HasSuffix(e, " UNHOLD") })
+	if served := slices.Index(w.log, "s HOLD"); served < released || w.peak != 2 {
+		t.Fatalf("pool events %v: want the small request served after a big fetch released its worker", w.log)
 	}
 }
 

@@ -10,8 +10,8 @@ import "fmt"
 // rule, label, lifetime accounting, bindings, and any carried penalty all
 // survive. The next Activate wakes it transparently; no caller can tell a
 // woken pBox from one that was merely frozen, and the verdict stream over a
-// given event sequence is identical either way (the differential test in
-// hibernate_test.go proves it).
+// given event sequence is identical either way (refmodel's hibernate-wake
+// seeds: the reference model has no hibernation to be invisible).
 //
 // State machine:
 //

@@ -3,7 +3,6 @@ package core
 import (
 	"math/rand"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -82,71 +81,6 @@ func TestHibernateLifecycleAndRefusals(t *testing.T) {
 	if err := h.m.Hibernate(p); err != ErrReleased {
 		t.Fatalf("Hibernate on destroyed = %v, want ErrReleased", err)
 	}
-}
-
-// interferenceScript drives the same contended workload on a harness for
-// enough rounds to wrap the 64-entry history ring; when hibernate is set,
-// both pBoxes hibernate between every pair of activities. The recorded
-// observer stream is returned for differential comparison.
-func interferenceScript(t *testing.T, metric Metric, hibernate bool) []Record {
-	t.Helper()
-	obs := newRecordingObserver()
-	h := newHarness(t, func(o *Options) { o.Observer = obs })
-	mk := func() *PBox {
-		p, err := h.m.Create(IsolationRule{Type: Relative, Level: 0.5, Metric: metric})
-		if err != nil {
-			t.Fatalf("Create: %v", err)
-		}
-		return p
-	}
-	noisy, victim := mk(), mk()
-	for round := 0; round < 80; round++ {
-		h.m.Activate(noisy)
-		h.m.Activate(victim)
-		key := ResourceKey(10 + round%3)
-		h.m.Update(noisy, key, Hold)
-		h.m.Update(victim, key, Prepare)
-		h.advance(5 * time.Millisecond)
-		h.m.Update(noisy, key, Unhold)
-		h.m.Update(victim, key, Enter)
-		h.advance(time.Millisecond)
-		h.m.Freeze(victim)
-		h.m.Freeze(noisy)
-		if hibernate {
-			for _, p := range []*PBox{noisy, victim} {
-				if err := h.m.Hibernate(p); err != nil {
-					t.Fatalf("round %d: Hibernate: %v", round, err)
-				}
-			}
-		}
-	}
-	h.m.Release(noisy)
-	h.m.Release(victim)
-	return obs.snapshot()
-}
-
-// TestHibernateWakeDifferentialVerdicts proves hibernate/wake is
-// behaviorally invisible: the full observer stream (events, activity ends,
-// detections, penalty actions, served penalties) over a fixed contended
-// workload is identical whether or not the pBoxes hibernate between every
-// activity. Eighty rounds wrap the history ring, so the tail-metric run
-// exercises the compacted-ring eviction order too.
-func TestHibernateWakeDifferentialVerdicts(t *testing.T) {
-	for _, metric := range []Metric{MetricAverage, MetricTail} {
-		plain := interferenceScript(t, metric, false)
-		hib := interferenceScript(t, metric, true)
-		if !slices.Equal(plain, hib) {
-			t.Fatalf("metric %v: verdict streams diverge: plain %d events, hibernated %d events\nplain: %+v\nhib:   %+v",
-				metric, len(plain), len(hib), tail(plain), tail(hib))
-		}
-	}
-}
-
-func tail(ev []Record) []Record {
-	if len(ev) > 12 {
-		return ev[len(ev)-12:]
-	}
-	return ev
 }
 
 func TestHibernateCarriesPendingPenalty(t *testing.T) {

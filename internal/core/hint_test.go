@@ -2,7 +2,6 @@ package core
 
 import (
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,101 +10,90 @@ import (
 
 // Tests for the local activity boundary (spool.go): the pBox's spool hint,
 // single ownership of a pBox's records, the lock-free spool set, the per-spool
-// sums and Worker.Close. Scripts that compute something are run twice — through
-// Worker.Update and through Manager.Update — and compared with the
-// spooled-vs-direct harness of spool_test.go.
-
-// hintDiffResult collects what compareDiffResults compares.
-func hintDiffResult(h *harness) diffResult {
-	res := diffResult{
-		sleeps:    h.sleeps,
-		snapshots: make(map[int]Snapshot),
-		attr:      make(map[diffTriple]AttributionRecord),
-		crossings: h.m.Crossings(),
-	}
-	st := h.m.Status()
-	for _, s := range st.Snapshots {
-		res.snapshots[s.ID] = s
-	}
-	for _, r := range st.Attribution {
-		res.attr[diffTriple{r.CulpritID, r.VictimID, r.Key}] = r
-	}
-	return res
-}
-
-// quietHarness is a harness without observer or trace ring: the
-// configuration whose lifecycle path the hint makes lock-free.
-func quietHarness(t *testing.T) *harness {
-	return newHarness(t, func(o *Options) {
-		o.Attribution = true
-		o.TraceSize = 0
-	})
-}
+// sums and Worker.Close. These are the structural assertions; that the scripts
+// book what Manager.Update and the reference model book is refmodel's
+// differential (seeds hint-sequential-migration, single-owner-*).
 
 // TestHintSequentialMigration: a pBox handed from worker A to worker B
-// (Unbind flushes on A, Bind appends on B) and frozen from a third goroutine
-// never meets the giver's spool (no append is refused), and the migrating run
-// books exactly what the direct run books.
+// (Unbind flushes on A, Bind appends on B) never meets the giver's spool: the
+// hint follows the feeder and no append is refused.
 func TestHintSequentialMigration(t *testing.T) {
-	run := func(spooled bool) (diffResult, *PBox) {
-		h := quietHarness(t)
-		p := h.pbox(0.5)
-		const conn = uintptr(0xc0)
-		h.m.Associate(p, conn)
-		a, b := h.m.NewWorker(), h.m.NewWorker()
-		upd := func(w *Worker, key ResourceKey, ev EventType) {
-			if spooled {
-				w.Update(key, ev)
-			} else {
-				h.m.Update(p, key, ev)
-			}
+	h := newHarness(t, func(o *Options) { o.TraceSize = 0 }) // no observer, no ring: the lock-free lifecycle path
+	p := h.pbox(0.5)
+	const conn = uintptr(0xc0)
+	h.m.Associate(p, conn)
+	a, b := h.m.NewWorker(), h.m.NewWorker()
+	slice := func(w *Worker, key ResourceKey) {
+		if _, err := w.Bind(conn, BindShared); err != nil {
+			t.Fatalf("Bind: %v", err)
 		}
-		slice := func(w *Worker, key ResourceKey) {
-			if _, err := w.Bind(conn, BindShared); err != nil {
-				t.Fatalf("Bind: %v", err)
-			}
-			upd(w, key, Prepare)
-			h.advance(30 * time.Microsecond)
-			upd(w, key, Enter)
-			upd(w, key, Hold)
-			h.advance(10 * time.Microsecond)
-			upd(w, key, Unhold)
-		}
-		for round := 0; round < 3; round++ {
-			h.m.Activate(p)
-			slice(a, 0x100)
-			if spooled && p.spool.Load() != a.spool {
-				t.Fatalf("round %d: hint does not name worker A's spool", round)
-			}
-			if _, err := a.Unbind(conn, BindShared); err != nil {
-				t.Fatalf("Unbind: %v", err)
-			}
-			if p.spool.Load() != nil {
-				t.Fatalf("round %d: hint survived the unbind flush", round)
-			}
-			slice(b, 0x200)
-			if spooled && p.spool.Load() != b.spool {
-				t.Fatalf("round %d: hint does not name worker B's spool", round)
-			}
-			// B's slice is still buffered; the freeze comes from elsewhere.
-			done := make(chan struct{})
-			go func() { defer close(done); h.m.Freeze(p) }()
-			<-done
-			if _, err := b.Unbind(conn, BindShared); err != nil {
-				t.Fatalf("Unbind: %v", err)
-			}
-			h.advance(5 * time.Microsecond)
-		}
-		if got := h.m.SelfStats().SpoolOverflows; got != 0 {
-			t.Fatalf("sequential hand-off: %d appends refused, want none", got)
-		}
-		return hintDiffResult(h), p
+		w.Update(key, Prepare)
+		h.advance(30 * time.Microsecond)
+		w.Update(key, Enter)
+		w.Update(key, Hold)
+		h.advance(10 * time.Microsecond)
+		w.Update(key, Unhold)
 	}
-	spooled, p := run(true)
-	direct, _ := run(false)
-	compareDiffResults(t, spooled, direct)
-	if got := spooled.snapshots[p.ID()]; got.Activities != 3 || got.TotalDefer != 6*30*time.Microsecond {
-		t.Fatalf("migrating run booked %+v, want 3 activities and 180µs deferred", got)
+	for round := 0; round < 3; round++ {
+		h.m.Activate(p)
+		slice(a, 0x100)
+		if p.spool.Load() != a.spool {
+			t.Fatalf("round %d: hint does not name worker A's spool", round)
+		}
+		if _, err := a.Unbind(conn, BindShared); err != nil {
+			t.Fatalf("Unbind: %v", err)
+		}
+		if p.spool.Load() != nil {
+			t.Fatalf("round %d: hint survived the unbind flush", round)
+		}
+		slice(b, 0x200)
+		if p.spool.Load() != b.spool {
+			t.Fatalf("round %d: hint does not name worker B's spool", round)
+		}
+		h.m.Freeze(p) // B's slice is still buffered; the hint finds it
+		if _, err := b.Unbind(conn, BindShared); err != nil {
+			t.Fatalf("Unbind: %v", err)
+		}
+		h.advance(5 * time.Microsecond)
+	}
+	if got := h.m.SelfStats().SpoolOverflows; got != 0 {
+		t.Fatalf("sequential hand-off: %d appends refused, want none", got)
+	}
+}
+
+// hintProbe counts the state rows delivered while the pBox's hint is unset.
+type hintProbe struct {
+	nopObserver
+	p     *PBox
+	unset int
+}
+
+func (o *hintProbe) StateEventAt(int, ResourceKey, EventType, int64) {
+	if o.p.spool.Load() == nil {
+		o.unset++
+	}
+}
+
+// TestHintNamesSpoolDuringReplay: a flush withdraws the hint after the replay,
+// not before — a lifecycle call that found it unset would not wait for the
+// spool, could freeze the pBox under the replay, and the batch would be dropped.
+// The window is a few instructions no race test hits, so it is observed from
+// inside: every row of a spooled batch is delivered with the hint still set.
+func TestHintNamesSpoolDuringReplay(t *testing.T) {
+	probe := &hintProbe{}
+	h := newHarness(t, func(o *Options) { o.Observer, o.TraceSize = probe, 0 })
+	probe.p = h.pbox(0.5)
+	w := h.m.NewWorker()
+	if err := w.BindDirect(probe.p); err != nil {
+		t.Fatal(err)
+	}
+	h.m.Activate(probe.p)
+	for i := 0; i < 16; i++ {
+		w.Update(ResourceKey(1+i/4), EventType(i%4)) // PREPARE, ENTER, HOLD, UNHOLD on four private keys
+	}
+	h.m.Freeze(probe.p)
+	if flushed := h.m.SelfStats().SpoolFlushedEvents; flushed != 16 || probe.unset != 0 {
+		t.Fatalf("%d of 16 events spooled; %d rows delivered with the hint withdrawn", flushed, probe.unset)
 	}
 }
 
@@ -122,10 +110,9 @@ func spoolBuffered(sp *eventSpool, p *PBox) int {
 // TestSpoolSingleOwner: two Workers BindDirect one pBox and feed it in turn.
 // A pBox's records sit in one spool at a time — the worker that finds the
 // other's spool named flushes it before taking its own over — so at no point
-// do both buffer p's records, the hint always names the one that does, the
-// script's global issue order reaches the record stream, and Freeze, Release
-// and a refused Hibernate fold what is left through the hint alone. Every
-// ending books what the same script through Manager.Update books.
+// do both buffer p's records, the hint always names the one that does, and
+// Freeze, Release and a refused Hibernate fold what is left through the hint
+// alone. (That the global issue order reaches the record stream is refmodel's.)
 func TestSpoolSingleOwner(t *testing.T) {
 	type step struct {
 		byB bool
@@ -141,87 +128,59 @@ func TestSpoolSingleOwner(t *testing.T) {
 	}
 	for _, end := range []string{"freeze", "release", "hibernate"} {
 		t.Run(end, func(t *testing.T) {
-			run := func(spooled bool) (diffResult, []diffEvent) {
-				h := newHarness(t, func(o *Options) { o.Attribution = true })
-				p := h.pbox(0.5)
-				a, b := h.m.NewWorker(), h.m.NewWorker()
-				for _, w := range []*Worker{a, b} {
-					if err := w.BindDirect(p); err != nil {
-						t.Fatalf("BindDirect: %v", err)
-					}
+			h := newHarness(t)
+			p := h.pbox(0.5)
+			a, b := h.m.NewWorker(), h.m.NewWorker()
+			for _, w := range []*Worker{a, b} {
+				if err := w.BindDirect(p); err != nil {
+					t.Fatalf("BindDirect: %v", err)
 				}
-				h.m.Activate(p)
-				for i, st := range script {
-					w, other := a, b
-					if st.byB {
-						w, other = b, a
-					}
-					if !spooled {
-						h.m.Update(p, st.key, st.ev)
-					} else {
-						w.Update(st.key, st.ev)
-						if got := spoolBuffered(other.spool, p); got != 0 {
-							t.Fatalf("step %d: both spools buffer the pBox's records (%d in the other worker's)", i, got)
-						}
-						if spoolBuffered(w.spool, p) == 0 || p.spool.Load() != w.spool {
-							t.Fatalf("step %d: the issuing worker's spool does not hold the record under the hint", i)
-						}
-					}
-					h.advance(20 * time.Microsecond)
-				}
-				if spooled {
-					// Each change of feeder flushed the other's batch: 1 + 2.
-					if got := h.m.SelfStats().SpoolFlushedEvents; got != 3 {
-						t.Fatalf("%d events flushed before the transition, want 3", got)
-					}
-				}
-				switch end {
-				case "freeze":
-					h.m.Freeze(p)
-				case "release":
-					if err := h.m.Release(p); err != nil {
-						t.Fatalf("Release: %v", err)
-					}
-				case "hibernate":
-					// Refused mid-activity, but only after the flush.
-					if err := h.m.Hibernate(p); err == nil {
-						t.Fatal("Hibernate accepted an active pBox")
-					}
-				}
-				if spooled {
-					if got := h.m.SelfStats().SpoolFlushedEvents; got != int64(len(script)) {
-						t.Fatalf("%s folded %d of %d spooled events", end, got, len(script))
-					}
-					if spoolBuffered(a.spool, p)+spoolBuffered(b.spool, p) != 0 || p.spool.Load() != nil {
-						t.Fatalf("%s left records behind in a spool, or the hint set", end)
-					}
-				}
-				if end == "hibernate" {
-					h.m.Freeze(p)
-				}
-				if end != "release" {
-					if c := contention(h.m, 0x101); c.Holders != 1 {
-						t.Fatalf("hold across the transition: holders = %d, want 1", c.Holders)
-					}
-				}
-				var stream []diffEvent
-				rows, _ := h.m.TraceView(0)
-				for _, e := range rows {
-					if e.Kind == KindState {
-						stream = append(stream, diffEvent{e.Key, e.Ev})
-					}
-				}
-				return hintDiffResult(h), stream
 			}
-			spooled, stream := run(true)
-			direct, directStream := run(false)
-			compareDiffResults(t, spooled, direct)
-			var issued []diffEvent
-			for _, st := range script {
-				issued = append(issued, diffEvent{st.key, st.ev})
+			h.m.Activate(p)
+			for i, st := range script {
+				w, other := a, b
+				if st.byB {
+					w, other = b, a
+				}
+				w.Update(st.key, st.ev)
+				if got := spoolBuffered(other.spool, p); got != 0 {
+					t.Fatalf("step %d: both spools buffer the pBox's records (%d in the other worker's)", i, got)
+				}
+				if spoolBuffered(w.spool, p) == 0 || p.spool.Load() != w.spool {
+					t.Fatalf("step %d: the issuing worker's spool does not hold the record under the hint", i)
+				}
+				h.advance(20 * time.Microsecond)
 			}
-			if !slices.Equal(stream, issued) || !slices.Equal(directStream, issued) {
-				t.Fatalf("record stream out of issue order:\n spooled %v\n direct  %v\n issued  %v", stream, directStream, issued)
+			// Each change of feeder flushed the other's batch: 1 + 2.
+			if got := h.m.SelfStats().SpoolFlushedEvents; got != 3 {
+				t.Fatalf("%d events flushed before the transition, want 3", got)
+			}
+			switch end {
+			case "freeze":
+				h.m.Freeze(p)
+			case "release":
+				if err := h.m.Release(p); err != nil {
+					t.Fatalf("Release: %v", err)
+				}
+			case "hibernate":
+				// Refused mid-activity, but only after the flush.
+				if err := h.m.Hibernate(p); err == nil {
+					t.Fatal("Hibernate accepted an active pBox")
+				}
+			}
+			if got := h.m.SelfStats().SpoolFlushedEvents; got != int64(len(script)) {
+				t.Fatalf("%s folded %d of %d spooled events", end, got, len(script))
+			}
+			if spoolBuffered(a.spool, p)+spoolBuffered(b.spool, p) != 0 || p.spool.Load() != nil {
+				t.Fatalf("%s left records behind in a spool, or the hint set", end)
+			}
+			if end == "hibernate" {
+				h.m.Freeze(p)
+			}
+			if end != "release" {
+				if c := contention(h.m, 0x101); c.Holders != 1 {
+					t.Fatalf("hold across the transition: holders = %d, want 1", c.Holders)
+				}
 			}
 		})
 	}
@@ -596,7 +555,7 @@ func TestSpoolSumsExact(t *testing.T) {
 // TestWorkerCloseFallsToSlowPath: a closed worker stays usable; its events
 // take the slow path (applied at once, one crossing each, nothing spooled).
 func TestWorkerCloseFallsToSlowPath(t *testing.T) {
-	h := quietHarness(t)
+	h := newHarness(t, func(o *Options) { o.TraceSize = 0 }) // no observer, no ring: the lock-free lifecycle path
 	p := h.pbox(0.5)
 	w := h.m.NewWorker()
 	if err := w.BindDirect(p); err != nil {

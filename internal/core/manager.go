@@ -407,8 +407,11 @@ func (m *Manager) Freeze(p *PBox) {
 	if !m.opts.DisablePBoxLevel && !m.opts.DisableDetection {
 		level = p.interferenceLevelLocked()
 		if level >= m.opts.PBoxLevelThreshold*p.rule.Level {
+			// Equal contributors: the lower id, so the verdict does not depend
+			// on map iteration order (replay determinism, DESIGN.md §11).
 			for b, bi := range p.blame {
-				if b != p && !b.stateIs(StateDestroyed) && bi.deferNs > info.deferNs {
+				if b != p && !b.stateIs(StateDestroyed) && (bi.deferNs > info.deferNs ||
+					bi.deferNs == info.deferNs && noisy != nil && b.id < noisy.id) {
 					noisy, info = b, bi
 				}
 			}
@@ -808,8 +811,12 @@ func (m *Manager) MarkShared(p *PBox) { m.SetShared(p, true) }
 // SetShared sets the pBox's shared-thread marking explicitly. Worker binds
 // maintain the marking implicitly; SetShared exists for applications that
 // manage the flag directly and for replay-time injection (internal/capture
-// re-applies recorded marking flips to a fresh manager).
+// re-applies recorded marking flips to a fresh manager). It is a flush
+// trigger: the spool the pBox's hint names is replayed first, so the `shared`
+// row never precedes state rows the pBox issued before the flip. The crossing
+// is not counted (Worker binds call this as library work).
 func (m *Manager) SetShared(p *PBox, shared bool) {
+	p.flushHinted()
 	p.penMu.Lock()
 	m.setSharedLocked(p, shared)
 	p.penMu.Unlock()

@@ -810,3 +810,29 @@ func TestReleaseClearsBookkeepingInPlace(t *testing.T) {
 		}
 	}
 }
+
+// TestFreezeTieIsDeterministic: two blockers that deferred the victim equally
+// must not leave the pBox-level verdict to map iteration order (DESIGN.md §11:
+// a replayed log reproduces the verdicts); the lower id answers.
+func TestFreezeTieIsDeterministic(t *testing.T) {
+	for run := 0; run < 200; run++ {
+		obs := newRecordingObserver()
+		h := newHarness(t, func(o *Options) { o.Observer, o.Sleep = obs, func(time.Duration) {} }) // a served penalty takes no time
+		a, b, victim := h.pbox(0.5), h.pbox(0.5), h.pbox(0.5)
+		for _, p := range []*PBox{a, b, victim} {
+			h.m.Activate(p)
+		}
+		h.m.Update(a, 1, Hold)
+		h.m.Update(b, 2, Hold)
+		h.m.Update(victim, 1, Prepare)
+		h.m.Update(victim, 2, Prepare)
+		h.advance(time.Microsecond)
+		h.m.Update(a, 1, Unhold)
+		h.m.Update(b, 2, Unhold)
+		h.m.Freeze(victim)
+		recs := obs.snapshot()
+		if last := recs[len(recs)-1]; last.Kind != KindDetection || last.PBox != a.id || last.Victim != victim.id {
+			t.Fatalf("run %d: the freeze's verdict is %v, want a detection of pBox %d", run, last, a.id)
+		}
+	}
+}

@@ -43,4 +43,12 @@ func TestContentionSlotLayout(t *testing.T) {
 	if got := m.contention.stickySlots(); got != 1 {
 		t.Fatalf("stickySlots = %d, want 1", got)
 	}
+	// The keys refmodel's differential draws to alias on purpose do alias.
+	for _, keys := range [][]ResourceKey{{42, 0x51d3}, {0x6000, 0x63db, 0x663d, 0x6a18}} {
+		for _, k := range keys[1:] {
+			if m.contentionSlot(k) != m.contentionSlot(keys[0]) {
+				t.Fatalf("keys %#x and %#x do not share a contention slot", keys[0], k)
+			}
+		}
+	}
 }

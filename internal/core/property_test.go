@@ -102,51 +102,3 @@ func TestPropConvergenceStepsWithinRange(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestPropManagerSurvivesRandomMultiPBoxTraffic: random event sequences
-// across several pBoxes leave the manager consistent (no panics, bookkeeping
-// empty after release).
-func TestPropManagerSurvivesRandomMultiPBoxTraffic(t *testing.T) {
-	f := func(ops []uint16) bool {
-		h := newHarness(t)
-		pboxes := make([]*PBox, 4)
-		for i := range pboxes {
-			pboxes[i] = h.pbox(0.5)
-			h.m.Activate(pboxes[i])
-		}
-		keys := []ResourceKey{10, 20}
-		for _, op := range ops {
-			p := pboxes[int(op)%len(pboxes)]
-			key := keys[int(op/4)%len(keys)]
-			switch (op / 8) % 6 {
-			case 0:
-				h.m.Update(p, key, Prepare)
-			case 1:
-				h.m.Update(p, key, Enter)
-			case 2:
-				h.m.Update(p, key, Hold)
-			case 3:
-				h.m.Update(p, key, Unhold)
-			case 4:
-				h.m.Freeze(p)
-			case 5:
-				h.m.Activate(p)
-			}
-			h.advance(time.Duration(op%11) * time.Microsecond)
-		}
-		for _, p := range pboxes {
-			if err := h.m.Release(p); err != nil {
-				return false
-			}
-		}
-		for _, key := range keys {
-			if c := contention(h.m, key); c.Waiters != 0 || c.Holders != 0 {
-				return false
-			}
-		}
-		return len(h.m.Status().Snapshots) == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}

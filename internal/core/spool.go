@@ -57,8 +57,9 @@ import (
 // Flush triggers: the spool fills, a slow-path event arrives on the worker
 // (the spool holding the pBox's records first, so per-pBox order holds), the
 // worker rebinds, unbinds or closes, the pBox is
-// Activated/Frozen/Released/Hibernated, or a StatusView rebuild needs the
-// spooled state (flush-on-read via the registered-spool sweep).
+// Activated/Frozen/Released/Hibernated or its shared-thread marking is set
+// (SetShared), or a StatusView rebuild needs the spooled state (flush-on-read
+// via the registered-spool sweep).
 //
 // The activity boundary is as local as the event it brackets: a lifecycle
 // call finds the spool to flush through the pBox's own hint (PBox.spool), so
@@ -267,6 +268,14 @@ func (m *Manager) flushSpoolsFor(p *PBox) {
 	sp.flush(false)
 }
 
+// flushHinted replays the spool p's hint names, if any, without serving a
+// penalty and without counting a crossing. Caller holds no manager locks.
+func (p *PBox) flushHinted() {
+	if sp := p.spool.Load(); sp != nil {
+		sp.flush(false)
+	}
+}
+
 // spoolSet is the published registry of worker spools: immutable, replaced
 // whole by registerSpool / unregisterSpool (copy-on-write, CAS loop) and read
 // lock-free by the sweeps and the sum readers.
@@ -396,7 +405,9 @@ func (m *Manager) replayBatch(p *PBox, recs []spoolRec) {
 		r := &recs[i]
 		paired := i+1 < len(recs) && recs[i+1].key == r.key
 		if paired {
-			if r.ev == Prepare && recs[i+1].ev == Enter {
+			// Only while p has no older PREPARE outstanding on the key: the ENTER
+			// arm ends the oldest wait, not the adjacent one.
+			if r.ev == Prepare && recs[i+1].ev == Enter && (len(p.preparing) == 0 || p.preparing[r.key] == 0) {
 				if d := recs[i+1].at - r.at; d > 0 {
 					deferSum += d
 				}
@@ -484,6 +495,7 @@ func (w *Worker) Update(key ResourceKey, ev EventType) {
 		return
 	}
 	if w.spool == nil {
+		p.flushHinted() // closed: the slow path, behind what another feeder of p has spooled
 		m.updateSlow(p, key, ev)
 		return
 	}
@@ -510,10 +522,7 @@ func (w *Worker) Update(key ResourceKey, ev EventType) {
 	if !w.spool.append(p, key, ev, now) {
 		m.self.spoolOverflows.Add(1)
 		w.spool.flush(true)
-		if sp := p.spool.Load(); sp != nil {
-			// Another worker's spool holds p's records; ours is unlocked.
-			sp.flush(false)
-		}
+		p.flushHinted() // another worker's spool may hold p's records; ours is unlocked
 		if !w.spool.append(p, key, ev, now) {
 			// The takeover lost a race with the other feeder (or the spool
 			// can hold nothing): apply directly. updateSlow revokes the

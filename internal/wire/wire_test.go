@@ -2,9 +2,6 @@ package wire
 
 import (
 	"net"
-	"slices"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -195,206 +192,6 @@ func TestWireProtocolErrors(t *testing.T) {
 	waitFor(t, "unknown-tenant error", func() bool { return s.Stats().Errors >= 2 })
 	c.Close()
 	waitFor(t, "conn teardown", func() bool { return s.Stats().ConnsActive == 0 })
-}
-
-// wireObs records the full observer record stream for the differential
-// test (the wire twin of core's recordingObserver).
-type wireObs struct {
-	core.RecordObserver
-	mu     sync.Mutex
-	events []core.Record
-}
-
-func newWireObs() *wireObs {
-	r := &wireObs{}
-	r.Sink = r
-	return r
-}
-
-func (r *wireObs) Record(rec core.Record) {
-	r.mu.Lock()
-	r.events = append(r.events, rec)
-	r.mu.Unlock()
-}
-
-func (r *wireObs) snapshot() []core.Record {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]core.Record(nil), r.events...)
-}
-
-// feeder abstracts the two ingestion paths so one script drives both: the
-// wire client against a server, and the equivalent direct Worker calls
-// in-process. barrier() is the synchronization point after which the script
-// advances the shared fake clock — on the wire side it is a ping round trip,
-// which the protocol defines as a full ingestion barrier.
-type feeder interface {
-	register(id uint64, label string)
-	activate(id uint64)
-	freeze(id uint64)
-	hibernate(id uint64)
-	selectT(id uint64)
-	event(key core.ResourceKey, ev core.EventType)
-	release(id uint64)
-	barrier()
-}
-
-type wireFeeder struct {
-	t   *testing.T
-	c   *Client
-	seq uint64
-}
-
-func (f *wireFeeder) register(id uint64, label string) {
-	f.c.Register(id, core.DefaultRule(), label)
-}
-func (f *wireFeeder) activate(id uint64)  { f.c.Activate(id) }
-func (f *wireFeeder) freeze(id uint64)    { f.c.Freeze(id) }
-func (f *wireFeeder) hibernate(id uint64) { f.c.Hibernate(id) }
-func (f *wireFeeder) selectT(id uint64)   { f.c.Select(id) }
-func (f *wireFeeder) event(key core.ResourceKey, ev core.EventType) {
-	f.c.Event(key, ev)
-}
-func (f *wireFeeder) release(id uint64) { f.c.Release(id) }
-func (f *wireFeeder) barrier() {
-	f.seq++
-	if _, err := f.c.Ping(f.seq); err != nil {
-		f.t.Fatalf("barrier ping: %v", err)
-	}
-}
-
-type inprocFeeder struct {
-	t       *testing.T
-	mgr     *core.Manager
-	w       *core.Worker
-	tenants map[uint64]*core.PBox
-}
-
-func (f *inprocFeeder) register(id uint64, label string) {
-	p, err := f.mgr.Create(core.DefaultRule())
-	if err != nil {
-		f.t.Fatalf("Create: %v", err)
-	}
-	if label != "" {
-		f.mgr.SetLabel(p, label)
-	}
-	f.tenants[id] = p
-}
-func (f *inprocFeeder) activate(id uint64)  { f.mgr.Activate(f.tenants[id]) }
-func (f *inprocFeeder) freeze(id uint64)    { f.mgr.Freeze(f.tenants[id]) }
-func (f *inprocFeeder) hibernate(id uint64) { _ = f.mgr.Hibernate(f.tenants[id]) }
-func (f *inprocFeeder) selectT(id uint64) {
-	if err := f.w.BindDirect(f.tenants[id]); err != nil {
-		f.t.Fatalf("BindDirect: %v", err)
-	}
-}
-func (f *inprocFeeder) event(key core.ResourceKey, ev core.EventType) {
-	f.w.Update(key, ev)
-}
-func (f *inprocFeeder) release(id uint64) {
-	f.mgr.Release(f.tenants[id])
-	delete(f.tenants, id)
-}
-func (f *inprocFeeder) barrier() { f.w.Flush() }
-
-// differentialScript is a contended two-tenant workload with lifecycle
-// churn, hibernation, and cross-frame key-delta chains. The clock advances
-// only at barriers, so both ingestion paths account every event at the same
-// manager-clock timestamp.
-func differentialScript(f feeder, advance func(time.Duration)) {
-	f.register(1, "noisy")
-	f.register(2, "victim")
-	f.barrier()
-	for round := 0; round < 30; round++ {
-		key := core.ResourceKey(100 + round%5)
-		f.activate(1)
-		f.activate(2)
-		f.selectT(1)
-		f.event(key, core.Hold)
-		f.selectT(2)
-		f.event(key, core.Prepare)
-		f.barrier()
-		advance(5 * time.Millisecond)
-		f.selectT(1)
-		f.event(key, core.Unhold)
-		f.selectT(2)
-		f.event(key, core.Enter)
-		f.barrier()
-		advance(time.Millisecond)
-		f.freeze(2)
-		f.freeze(1)
-		if round%3 == 0 {
-			f.hibernate(1)
-			f.hibernate(2)
-		}
-		f.barrier()
-	}
-	f.release(1)
-	f.release(2)
-	f.barrier()
-}
-
-// TestWireVsInProcessDifferentialVerdicts proves the wire tier is
-// behaviorally invisible: the same scripted event sequence produces an
-// identical observer stream (creations, state events, activity accounting,
-// detections, penalty actions and serves) whether it is fed through the
-// batched binary protocol or through direct in-process Worker calls, on
-// managers sharing one fake clock.
-func TestWireVsInProcessDifferentialVerdicts(t *testing.T) {
-	var now atomic.Int64
-	now.Store(1)
-	opts := func(obs core.Observer) core.Options {
-		return core.Options{
-			Now:      func() int64 { return now.Load() },
-			Sleep:    func(time.Duration) {},
-			Observer: obs,
-		}
-	}
-	advance := func(d time.Duration) { now.Add(int64(d)) }
-
-	wobs := newWireObs()
-	wmgr := core.NewManager(opts(wobs))
-	addr, _, stop := startServer(t, wmgr, Config{})
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	differentialScript(&wireFeeder{t: t, c: c}, advance)
-	c.Close()
-	stop()
-
-	now.Store(1)
-	iobs := newWireObs()
-	imgr := core.NewManager(opts(iobs))
-	differentialScript(&inprocFeeder{
-		t: t, mgr: imgr, w: imgr.NewWorker(), tenants: map[uint64]*core.PBox{},
-	}, advance)
-
-	wire, inproc := wobs.snapshot(), iobs.snapshot()
-	if !slices.Equal(wire, inproc) {
-		n := len(wire)
-		if len(inproc) < n {
-			n = len(inproc)
-		}
-		for i := 0; i < n; i++ {
-			if wire[i] != inproc[i] {
-				t.Fatalf("verdict streams diverge at %d:\nwire:      %+v\nin-process: %+v", i, wire[i], inproc[i])
-			}
-		}
-		t.Fatalf("verdict stream lengths diverge: wire %d, in-process %d", len(wire), len(inproc))
-	}
-	if len(wire) == 0 {
-		t.Fatal("empty observer streams: script produced no verdicts")
-	}
-	var detections int
-	for _, e := range wire {
-		if e.Kind == core.KindDetection {
-			detections++
-		}
-	}
-	if detections == 0 {
-		t.Fatal("script produced no detections; differential is vacuous")
-	}
 }
 
 // TestWireConnectionChurnLeavesNoSpools: every connection owns a Worker, and
