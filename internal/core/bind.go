@@ -152,7 +152,7 @@ func (w *Worker) BindDirect(p *PBox) error {
 // publishUnbind records the key→pBox association in the manager's registry
 // (the real unbind syscall of the eager path).
 func (m *Manager) publishUnbind(p *PBox, k uintptr) {
-	m.crossings.Add(1)
+	m.cross(p.id)
 	m.reg.Lock()
 	defer m.reg.Unlock()
 	if p.stateIs(StateDestroyed) {
@@ -174,7 +174,7 @@ func (m *Manager) Associate(p *PBox, k uintptr) {
 
 // lookupBinding resolves a key to its associated pBox.
 func (m *Manager) lookupBinding(k uintptr) *PBox {
-	m.crossings.Add(1)
+	m.cross(0)
 	m.reg.Lock()
 	defer m.reg.Unlock()
 	return m.reg.bindings[k]

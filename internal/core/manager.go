@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -124,8 +125,8 @@ func (o Options) withDefaults() Options {
 // Worker.Update, Worker.Flush — and Hibernate take no manager-wide lock
 // (Release takes only the registry's, to unregister) except, on a traced
 // manager, the ring's leaf: once per lifecycle row and once per run of state
-// rows (emitStates), not once per event. Without a ring the only manager-wide
-// line they write is crossings, on flushSpoolsFor's hint-less path (spool.go).
+// rows (emitStates), not once per event. Without a ring they write no
+// manager-wide line: a crossing lands on its spool or on the pBox's stripe.
 // Manager state is read through the epoch snapshot (StatusView, DESIGN.md
 // §12); only the view rebuild stops the world.
 type Manager struct {
@@ -188,6 +189,9 @@ type Manager struct {
 	// manager's own overhead (snapshot builds, spool flushes, contention
 	// claims, shard-lock traffic, verdict latency). See SelfStats.
 	self selfCounters
+	// self ends in the verdict histogram, written on every verdict; what follows
+	// is read on every event (pad_test.go holds the two a line apart).
+	_ cacheLinePad
 
 	trace *traceRing // when enabled, the first sink of the obs chain
 	obs   Observer
@@ -196,15 +200,41 @@ type Manager struct {
 	attrObs AttributionObserver
 
 	// crossings counts conceptual user/kernel boundary crossings: every
-	// manager entry point increments it, except that spooled events and the
-	// lifecycle calls that flush them count on their spool (Crossings sums
+	// manager entry point increments it (cross), except that spooled events and
+	// the lifecycle calls that flush them count on their spool (Crossings sums
 	// both). The lazy-unbind optimization (Section 5) is validated by this
-	// counter going down. Every direct event from every thread writes it, so
-	// it gets a line of its own: sharing one with the observer pointers
-	// above, read on every event, doubles the cost of a direct Update on two
-	// CPUs (BenchmarkManagerDisjointResources).
+	// counter going down. Every direct event and every hint-less lifecycle call
+	// from every thread writes it, so it is striped by pBox id, a line per
+	// stripe and none shared with the observer pointers above, read on every
+	// event (BenchmarkManagerDisjointResources, BenchmarkActivityCycle/g=2).
 	_         cacheLinePad
-	crossings atomic.Int64
+	crossings [crossingStripes]struct {
+		n atomic.Int64
+		_ [cacheLineSize - 8]byte
+	}
+}
+
+const crossingStripes = 8
+
+// cross counts one crossing on the stripe of pBox id.
+//
+//pbox:hotpath
+func (m *Manager) cross(id int) { m.crossings[id&(crossingStripes-1)].n.Add(1) }
+
+// noStamp is the at of an unstamped call: clock reads Options.Now in its place.
+const noStamp = math.MinInt64
+
+// Now reads the manager clock (Options.Now): the time base of every At form.
+func (m *Manager) Now() int64 { return m.opts.Now() }
+
+// clock resolves a call's stamp: the caller's, or the manager clock now.
+//
+//pbox:hotpath
+func (m *Manager) clock(at int64) int64 {
+	if at == noStamp {
+		return m.opts.Now()
+	}
+	return at
 }
 
 // NewManager creates a manager with the given options.
@@ -250,7 +280,6 @@ func (m *Manager) Create(rule IsolationRule) (*PBox, error) {
 	if !rule.Valid() {
 		return nil, fmt.Errorf("pbox: invalid isolation rule %+v", rule)
 	}
-	m.crossings.Add(1)
 	// The event-structural maps are allocated lazily at the first Activate
 	// (the same point a hibernated pBox re-inflates), so a registered-but-
 	// idle pBox costs only the struct itself — the million-registered,
@@ -261,6 +290,7 @@ func (m *Manager) Create(rule IsolationRule) (*PBox, error) {
 	p.id = m.reg.nextID
 	m.reg.pboxes[p.id] = p
 	m.reg.Unlock()
+	m.cross(p.id)
 	if m.obs != nil {
 		m.obs.PBoxCreated(p.id, rule)
 	}
@@ -322,7 +352,12 @@ func (m *Manager) Release(p *PBox) error {
 // pBox carries a pending penalty from a previous activity that could not be
 // applied in time, it is served now, before the activity clock starts, so
 // the penalty delays the noisy pBox without polluting its own metrics.
-func (m *Manager) Activate(p *PBox) {
+func (m *Manager) Activate(p *PBox) { m.ActivateAt(p, noStamp) }
+
+// ActivateAt is Activate with the activity's start supplied by the caller — a
+// manager-clock time (Now) at which the call was known issued, as a wire frame's
+// arrival is for every op in it — instead of read after any served penalty.
+func (m *Manager) ActivateAt(p *PBox, at int64) {
 	// Stragglers spooled after the previous freeze belong to no active
 	// window; flush them now (the replay drops them) so the new activity
 	// starts with an empty spool.
@@ -359,7 +394,7 @@ func (m *Manager) Activate(p *PBox) {
 		p.preparing = make(map[ResourceKey]int)
 	}
 	p.setState(StateActive)
-	now := m.opts.Now()
+	now := m.clock(at)
 	p.activityStart.Store(now)
 	p.actMu.Lock()
 	p.deferTime = 0
@@ -375,18 +410,23 @@ func (m *Manager) Activate(p *PBox) {
 // monitor (Section 4.3.1): if the aggregate interference level is within
 // PBoxLevelThreshold of the goal, the manager takes action against the most
 // recent blocker at the end of the activity.
-func (m *Manager) Freeze(p *PBox) {
+func (m *Manager) Freeze(p *PBox) { m.FreezeAt(p, noStamp) }
+
+// FreezeAt is Freeze with the activity's end supplied by the caller (see
+// ActivateAt) instead of read once the spool is flushed.
+func (m *Manager) FreezeAt(p *PBox, at int64) {
 	// Fold spooled events into the activity before it closes: the
 	// pBox-level monitor below must see the full deferring time.
 	m.flushSpoolsFor(p)
-	now := m.opts.Now()
+	now := m.clock(at)
 	p.mu.Lock()
 	if !p.stateIs(StateActive) {
 		p.mu.Unlock()
 		return
 	}
 	p.setState(StateFrozen)
-	te := now - p.activityStart.Load()
+	// An end before the start (the clock stepped back; a stale stamp): empty.
+	te := max(now-p.activityStart.Load(), 0)
 	if m.obs != nil {
 		m.obs.PBoxFrozen(p.id, now)
 	}
@@ -475,15 +515,15 @@ func (m *Manager) Update(p *PBox, key ResourceKey, ev EventType) {
 	if m.opts.EventFilter != nil && !m.opts.EventFilter(key, ev) {
 		return
 	}
-	m.updateSlow(p, key, ev)
+	m.updateSlow(p, key, ev, noStamp)
 }
 
 // updateSlow is Update past the filter: the Tier B slow path, shared with
-// Worker.Update's contended hand-off (which has already filtered).
+// Worker.UpdateAt's contended hand-off (which has already filtered).
 //
 //pbox:hotpath
-func (m *Manager) updateSlow(p *PBox, key ResourceKey, ev EventType) {
-	m.crossings.Add(1)
+func (m *Manager) updateSlow(p *PBox, key ResourceKey, ev EventType, at int64) {
+	m.cross(p.id)
 	// Lock-free fast reject: events outside an active window are ignored,
 	// matching the manager tracing only between activate and freeze.
 	if !p.stateIs(StateActive) {
@@ -499,7 +539,7 @@ func (m *Manager) updateSlow(p *PBox, key ResourceKey, ev EventType) {
 	// detection pass or an earlier one) can run only when p holds nothing
 	// and waits for nothing, so delaying it cannot defer anyone else or
 	// inflate p's own deferring time.
-	one := [1]spoolRec{{key: key, ev: ev, at: m.opts.Now()}}
+	one := [1]spoolRec{{key: key, ev: ev, at: m.clock(at)}}
 	if pen := m.replay(p, one[:], true); pen > 0 {
 		m.sleepPenalty(p, pen)
 	}
@@ -836,11 +876,15 @@ func (m *Manager) setSharedLocked(p *PBox, shared bool) {
 }
 
 // Crossings returns the number of conceptual kernel crossings so far: the
-// manager's own counter plus the crossings flushes folded on each spool.
+// manager's own stripes plus the crossings flushes folded on each spool.
 //
 //pbox:snapshotreader
 func (m *Manager) Crossings() int64 {
-	return m.crossings.Load() + m.spools.Load().sums().crossings
+	n := m.spools.Load().sums().crossings
+	for i := range m.crossings {
+		n += m.crossings[i].n.Load()
+	}
+	return n
 }
 
 // NameResource registers a human-readable name for a virtual-resource key,

@@ -836,3 +836,56 @@ func TestFreezeTieIsDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestFreezeBeforeStartIsEmptyActivity: a Freeze whose time precedes the
+// activity's start — a manager clock that stepped back, or a FreezeAt stamp
+// older than the Activate's read — folds an empty activity into the books, not
+// a negative execution (and, through td ≤ te, deferring) time.
+func TestFreezeBeforeStartIsEmptyActivity(t *testing.T) {
+	h := newHarness(t)
+	p := h.pbox(0.5)
+	h.advance(time.Millisecond)
+	h.m.Activate(p)
+	h.m.Update(p, 7, Prepare)
+	h.advance(10 * time.Microsecond)
+	h.m.Update(p, 7, Enter)
+	h.advance(-500 * time.Microsecond) // the clock steps back past the start
+	h.m.Freeze(p)
+	h.m.Activate(p)
+	h.m.FreezeAt(p, h.now-int64(time.Millisecond))
+
+	if s := p.snapshot(); s.Activities != 2 || s.TotalExec != 0 || s.TotalDefer != 0 {
+		t.Fatalf("two activities that ended before they started: %+v", s)
+	}
+	for _, e := range preciseTrace(h.m) {
+		if e.Kind == KindActivityEnd && (e.Dur != 0 || e.Exec != 0) {
+			t.Fatalf("activity_end row: %v", e.Record)
+		}
+	}
+}
+
+// TestStampedCallsReadNoClock: an activity issued wholly through the At forms —
+// spooled events, a slow-path event on a contended key, the lifecycle calls,
+// the flushes they cause and the trace ring's rows — takes every time from its
+// caller.
+func TestStampedCallsReadNoClock(t *testing.T) {
+	reads := 0
+	m := NewManager(Options{Now: func() int64 { reads++; return 0 }, Sleep: func(time.Duration) {}, TraceSize: 64})
+	p, _ := m.Create(DefaultRule())
+	w := m.NewWorker()
+	w.BindDirect(p) // reads it once, for the penalty gate
+	m.markContended(9)
+	reads = 0
+	for at := int64(100); at < 400; at += 100 {
+		m.ActivateAt(p, at)
+		for _, key := range []ResourceKey{8, 9} {
+			for ev := Prepare; ev <= Unhold; ev++ {
+				w.UpdateAt(key, ev, at+int64(ev))
+			}
+		}
+		m.FreezeAt(p, at+50)
+	}
+	if s := p.snapshot(); reads != 0 || s.Activities != 3 || s.TotalExec != 150 || s.TotalDefer != 6 {
+		t.Fatalf("%d clock reads; books %+v", reads, s)
+	}
+}

@@ -58,7 +58,8 @@ type Observer interface {
 	// nanosecond timestamp the event's Algorithm 1 bookkeeping used: issue
 	// time for a direct delivery, the recorded event time for a spool
 	// replay (DESIGN.md §10), which is delivered at flush time and can lag
-	// the event by the spool's fill interval. That single-timestamp
+	// the event by the spool's fill interval; for an UpdateAt, the caller's
+	// stamp — on the wire: its frame's arrival. That single-timestamp
 	// property is what makes capture logs replayable: re-issuing the event
 	// at exactly atNs reproduces the manager's arithmetic bit for bit.
 	StateEventAt(pboxID int, key ResourceKey, ev EventType, atNs int64)

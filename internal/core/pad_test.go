@@ -52,3 +52,21 @@ func TestContentionSlotLayout(t *testing.T) {
 		}
 	}
 }
+
+// TestManagerLayout: the two deliberate gaps in the Manager. The verdict
+// histogram's last counter (self ends in it; every verdict writes it) is a full
+// line before trace/obs/attrObs, which every event reads; and the crossing
+// stripes are a line apart from one another and from those pointers.
+func TestManagerLayout(t *testing.T) {
+	var m Manager
+	hist := unsafe.Offsetof(m.self) + unsafe.Offsetof(m.self.verdictLatency) + unsafe.Offsetof(m.self.verdictLatency.n)
+	if gap := unsafe.Offsetof(m.trace) - (hist + 8); gap < cacheLineSize {
+		t.Fatalf("verdictLatency.n ends %d bytes before trace, want >= %d", gap, cacheLineSize)
+	}
+	if gap := unsafe.Offsetof(m.crossings) - (unsafe.Offsetof(m.attrObs) + unsafe.Sizeof(m.attrObs)); gap < cacheLineSize {
+		t.Fatalf("the first crossing stripe starts %d bytes after attrObs, want >= %d", gap, cacheLineSize)
+	}
+	if stride := unsafe.Sizeof(m.crossings[0]); stride != cacheLineSize || crossingStripes&(crossingStripes-1) != 0 {
+		t.Fatalf("crossing stripes: stride %d (want %d), count %d (want a power of two)", stride, cacheLineSize, crossingStripes)
+	}
+}

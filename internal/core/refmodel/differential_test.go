@@ -289,8 +289,10 @@ func (h *harness) accepted(o op, err error) {
 }
 
 // inProcess is via (i) with fan 0 — every event through Manager.Update, no
-// Worker at all; via (ii) with fan 1 — a spooling Worker per script worker; via
-// (iii) with fan 2: a pair of Workers bound alike, handing over on the alt bit.
+// Worker at all; via (ii) with fan 1 — a spooling Worker per script worker, and
+// every activate, freeze and event through the At forms, stamped with the fake
+// clock; via (iii) with fan 2: a pair of Workers bound alike, handing over on
+// the alt bit, on the unstamped forms.
 func inProcess(t *testing.T, s script, fan int) []core.Record {
 	h := newHarness(t, s)
 	var ws [slots][]*core.Worker
@@ -311,7 +313,11 @@ func inProcess(t *testing.T, s script, fan int) []core.Record {
 		case 'r':
 			h.accepted(o, h.mgr.Release(p))
 		case 'a', 'f':
-			map[rune]func(*core.PBox){'a': h.mgr.Activate, 'f': h.mgr.Freeze}[o.kind](p)
+			if fan == 1 {
+				map[rune]func(*core.PBox, int64){'a': h.mgr.ActivateAt, 'f': h.mgr.FreezeAt}[o.kind](p, h.clock.Load())
+			} else {
+				map[rune]func(*core.PBox){'a': h.mgr.Activate, 'f': h.mgr.Freeze}[o.kind](p)
+			}
 		case 'h':
 			h.accepted(o, h.mgr.Hibernate(p))
 		case 's':
@@ -321,10 +327,13 @@ func inProcess(t *testing.T, s script, fan int) []core.Record {
 		case 'S':
 			h.mgr.RefreshStatusView()
 		case 'e':
-			if fan == 0 {
+			switch fan {
+			case 0:
 				h.mgr.Update(p, o.key, o.ev)
-			} else {
-				ws[o.w][o.alt*(fan-1)].Update(o.key, o.ev)
+			case 1:
+				ws[o.w][0].UpdateAt(o.key, o.ev, h.clock.Load())
+			default:
+				ws[o.w][o.alt].Update(o.key, o.ev)
 			}
 		}
 		if fan == 0 && o.set {

@@ -167,7 +167,7 @@ func (m *Model) Freeze(id int) {
 	}
 	now := m.opts.Now()
 	p.state = core.StateFrozen
-	te := now - p.start
+	te := max(now-p.start, 0) // an end before the start is an empty activity
 	td := min(p.deferNs, te)
 	m.emit(core.Record{Kind: core.KindFreeze, PBox: id, At: now})
 	p.totalDefer += td

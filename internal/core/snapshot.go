@@ -351,7 +351,7 @@ func (m *Manager) SelfStats() SelfStats {
 		Wakes:                 m.self.wakes.Load(),
 		Hibernated:            m.self.hibernated.Load(),
 		VerdictLatency:        m.self.verdictLatency.snapshot(),
-		Crossings:             m.crossings.Load() + sums.crossings,
+		Crossings:             m.Crossings(),
 		Shards:                m.ShardCount(),
 		SpoolCapacity:         m.SpoolCapacity(),
 	}

@@ -127,7 +127,7 @@ const spoolCapacity = 256
 type spoolRec struct {
 	key ResourceKey
 	ev  EventType
-	at  int64 // manager-clock ns recorded at append time
+	at  int64 // manager-clock ns: the caller's stamp, or read at append time
 }
 
 // eventSpool is one worker's Tier A buffer: one mutex, one buffer preallocated
@@ -254,14 +254,14 @@ func (m *Manager) sweepSpools() {
 // transition observes every event the pBox's worker recorded before it. The
 // spool is the one p's hint names — no list, no manager-wide lock, and the
 // crossing lands on that spool's line; a hint-less pBox (nothing spooled
-// since the last flush) has nothing to flush and counts on the manager.
+// since the last flush) has nothing to flush and counts on its stripe.
 // Caller holds no manager locks (the flush acquires p.mu itself).
 //
 //pbox:hotpath
 func (m *Manager) flushSpoolsFor(p *PBox) {
 	sp := p.spool.Load()
 	if sp == nil {
-		m.crossings.Add(1)
+		m.cross(p.id)
 		return
 	}
 	sp.crossingsSum.Add(1)
@@ -485,7 +485,13 @@ func (m *Manager) privateTo(p *PBox, key ResourceKey) bool {
 // by it flushes it first, holding one spool lock at a time.
 //
 //pbox:hotpath
-func (w *Worker) Update(key ResourceKey, ev EventType) {
+func (w *Worker) Update(key ResourceKey, ev EventType) { w.UpdateAt(key, ev, noStamp) }
+
+// UpdateAt is Update with the event's time supplied by the caller (see
+// Manager.ActivateAt) instead of read once the event is accepted onto a path.
+//
+//pbox:hotpath
+func (w *Worker) UpdateAt(key ResourceKey, ev EventType, at int64) {
 	m := w.mgr
 	if m.opts.EventFilter != nil && !m.opts.EventFilter(key, ev) {
 		return
@@ -496,7 +502,7 @@ func (w *Worker) Update(key ResourceKey, ev EventType) {
 	}
 	if w.spool == nil {
 		p.flushHinted() // closed: the slow path, behind what another feeder of p has spooled
-		m.updateSlow(p, key, ev)
+		m.updateSlow(p, key, ev, at)
 		return
 	}
 	if !p.stateIs(StateActive) {
@@ -513,12 +519,12 @@ func (w *Worker) Update(key ResourceKey, ev EventType) {
 			if sp := p.spool.Load(); sp != nil {
 				sp.flush(sp == w.spool)
 			}
-			m.updateSlow(p, key, ev)
+			m.updateSlow(p, key, ev, at)
 			return
 		}
 		m.self.contentionClaims.Add(1)
 	}
-	now := m.opts.Now()
+	now := m.clock(at)
 	if !w.spool.append(p, key, ev, now) {
 		m.self.spoolOverflows.Add(1)
 		w.spool.flush(true)
@@ -527,7 +533,7 @@ func (w *Worker) Update(key ResourceKey, ev EventType) {
 			// The takeover lost a race with the other feeder (or the spool
 			// can hold nothing): apply directly. updateSlow revokes the
 			// claim and sweeps, so the event still lands after p's records.
-			m.updateSlow(p, key, ev)
+			m.updateSlow(p, key, ev, at)
 			return
 		}
 	}

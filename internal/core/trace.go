@@ -17,7 +17,8 @@ type TraceEntry struct {
 	Seq uint64 // monotonically increasing sequence number (ingestion order)
 	// At is the record's own timestamp for activate/freeze/state (event time:
 	// a spool replay lands later than it happened, so At can run out of order
-	// across pBoxes while Seq never does), the clock at delivery otherwise.
+	// across pBoxes while Seq never does), for activity_end that of the newest
+	// freeze row (its own, but for a race), the clock at delivery otherwise.
 	At time.Duration
 	Record
 }
@@ -36,6 +37,7 @@ type traceRing struct {
 	now     func() int64 // the manager clock (Options.Now)
 	mu      sync.Mutex
 	entries []TraceEntry  // preallocated slots: entry seq lives at (seq-1) % len
+	froze   time.Duration // At of the newest freeze row
 	seq     atomic.Uint64 // total entries ever added
 	notify  chan struct{} // made by a waiter (waitCh), closed and cleared by the next append
 }
@@ -46,8 +48,8 @@ func newTraceRing(n int, now func() int64) *traceRing {
 }
 
 // Record implements RecordSink: one slot write under the ring's leaf mutex —
-// no name lookup, no formatting, and for the kinds that carry their own
-// timestamp no clock read. State events come a run at a time (recordStates).
+// no name lookup, no formatting, and for the lifecycle rows of an activity no
+// clock read. State events come a run at a time (recordStates).
 //
 //pbox:hotpath
 func (r *traceRing) Record(rec Record) {
@@ -55,10 +57,16 @@ func (r *traceRing) Record(rec Record) {
 	switch rec.Kind {
 	case KindActivate, KindFreeze, KindState:
 		at = time.Duration(rec.At)
+	case KindActivityEnd: // the time of the freeze row its Freeze just wrote, below
 	default:
 		at = time.Duration(r.now())
 	}
 	r.mu.Lock()
+	if rec.Kind == KindFreeze {
+		r.froze = at
+	} else if rec.Kind == KindActivityEnd {
+		at = r.froze
+	}
 	// The slot is written in place (one copy of the record) and the unlock
 	// is not deferred: this runs on every lifecycle call of a traced manager.
 	seq := r.seq.Load() + 1

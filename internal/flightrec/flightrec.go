@@ -14,9 +14,10 @@
 // Observer, so it stacks anywhere in a chain — and is the adapter's
 // core.RecordSink. It keeps no copy of the stream: the manager's trace ring
 // (core.Options.TraceSize) is the one store, and a bundle's events are the
-// rows cut out of it by sequence number. On the hook path a record that is
-// not a detection costs one comparison; a detection is a per-culprit cooldown
-// check plus a non-blocking channel send. Bundles are built and written by a
+// rows cut out of it by sequence number. On the hook path a state event is
+// forwarded with no record built, any other record that is not a detection
+// costs one comparison, and a detection is a per-culprit cooldown check plus a
+// non-blocking channel send. Bundles are built and written by a
 // background goroutine that refreshes the manager's epoch-published snapshot
 // (so the verdict that fired, and every spooled event issued before the
 // capture, is visible) outside any hook, so a dump can never block the
@@ -184,6 +185,17 @@ func (r *Recorder) Dump(reason string, timeout time.Duration) (string, error) {
 		return id, nil
 	case <-time.After(timeout):
 		return "", errBusy
+	}
+}
+
+// StateEventAt shadows the embedded adapter's: the recorder stores no state
+// rows (a bundle's events are cut from the manager's ring), so on the per-event
+// path it builds no Record to hand itself and only forwards.
+//
+//pbox:hotpath
+func (r *Recorder) StateEventAt(pboxID int, key core.ResourceKey, ev core.EventType, atNs int64) {
+	if r.Next != nil {
+		r.Next.StateEventAt(pboxID, key, ev, atNs)
 	}
 }
 

@@ -304,6 +304,43 @@ func TestRecordPathAllocFree(t *testing.T) {
 	}
 }
 
+// kindCount is a sink (and, through the adapter it embeds, an observer) that
+// counts the records it is handed by kind.
+type kindCount struct {
+	core.RecordObserver
+	n map[core.Kind]int
+}
+
+func newKindCount() *kindCount {
+	k := &kindCount{n: map[core.Kind]int{}}
+	k.Sink = k
+	return k
+}
+
+func (k *kindCount) Record(rec core.Record) { k.n[rec.Kind]++ }
+
+// TestStateEventsBuildNoRecord: the recorder keeps no state rows, so a state
+// callback is forwarded to Next — once — and nothing is built for the
+// recorder's own sink; every other callback still reaches both.
+func TestStateEventsBuildNoRecord(t *testing.T) {
+	next, own := newKindCount(), newKindCount()
+	rec := New(Config{Dir: t.TempDir(), Next: next})
+	defer rec.Close()
+	rec.Sink = own // in place of the recorder itself: what Record would be handed
+	var obs core.Observer = rec
+	obs.PBoxActivated(1, 10)
+	for i := 0; i < 5; i++ {
+		obs.StateEventAt(1, 0x42, core.Hold, int64(20+i))
+	}
+	obs.PBoxFrozen(1, 30)
+	if next.n[core.KindState] != 5 || next.n[core.KindActivate] != 1 || next.n[core.KindFreeze] != 1 {
+		t.Fatalf("downstream observer saw %v", next.n)
+	}
+	if own.n[core.KindState] != 0 || own.n[core.KindActivate] != 1 || own.n[core.KindFreeze] != 1 {
+		t.Fatalf("the recorder's sink was handed %v", own.n)
+	}
+}
+
 // TestEveryDumpSeesSpooledEventsAndRecordsEpoch: every bundle is built from
 // a refreshed view, so a manual Dump reflects an event that was still
 // sitting in a worker spool — one no published view had seen — and records

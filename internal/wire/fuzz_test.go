@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"runtime"
@@ -64,16 +63,12 @@ func FuzzApplyFrame(f *testing.F) {
 			Now:   func() int64 { now += 1000; return now },
 			Sleep: func(time.Duration) {},
 		})
-		s := NewServer(mgr, Config{Now: func() int64 { return now }})
-		w := mgr.NewWorker()
-		tenants := make(map[uint64]*core.PBox)
-		var reply bytes.Buffer
-		bw := bufio.NewWriter(&reply)
-		c := connState{bkt: newBucket(0, 0, 0)}
+		r := newFrameRig(mgr, Config{})
+		w, tenants := r.w, r.tenants
 
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		err := s.applyFrame(frame, w, tenants, &c, bw)
+		err := r.apply(frame)
 		runtime.ReadMemStats(&after)
 
 		if err != nil && !errors.Is(err, errProto) {

@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 
 	"pbox/internal/core"
-	"pbox/internal/exec"
 )
 
 // Config tunes a wire Server. The zero value admits everything.
@@ -28,9 +27,6 @@ type Config struct {
 	GlobalRate float64
 	// GlobalBurst is the global bucket depth; <= 0 selects the default.
 	GlobalBurst int
-	// Now supplies the admission clock (ns). Defaults to exec.Now; tests
-	// inject a fake clock to drive the buckets deterministically.
-	Now func() int64
 }
 
 // Stats is a point-in-time snapshot of the server's counters, exported on
@@ -53,7 +49,8 @@ type Stats struct {
 // into the manager's Tier-A spool fast path: each connection owns one
 // core.Worker (the protocol is sequential per connection, matching Worker's
 // thread-local contract), so a single-tenant event run decodes straight into
-// the worker spool with zero allocations per batch.
+// the worker spool with zero allocations per batch. It has one clock, the
+// manager's, read once per frame (applyFrame).
 type Server struct {
 	mgr    *core.Manager
 	cfg    Config
@@ -79,12 +76,9 @@ type Server struct {
 
 // NewServer creates a wire server feeding mgr.
 func NewServer(mgr *core.Manager, cfg Config) *Server {
-	if cfg.Now == nil {
-		cfg.Now = exec.Now
-	}
 	s := &Server{mgr: mgr, cfg: cfg, conns: make(map[net.Conn]struct{})}
 	if cfg.GlobalRate > 0 {
-		s.global.b = newBucket(cfg.GlobalRate, cfg.GlobalBurst, cfg.Now())
+		s.global.b = newBucket(cfg.GlobalRate, cfg.GlobalBurst, mgr.Now())
 	}
 	return s
 }
@@ -207,7 +201,7 @@ func (s *Server) serveConn(nc net.Conn) {
 	}()
 
 	c := connState{
-		bkt: newBucket(s.cfg.PerConnRate, s.cfg.PerConnBurst, s.cfg.Now()),
+		bkt: newBucket(s.cfg.PerConnRate, s.cfg.PerConnBurst, s.mgr.Now()),
 	}
 	var frame []byte
 	for {
@@ -257,10 +251,14 @@ type connState struct {
 // semantic failure wraps it, and the connection is torn down.
 var errProto = errors.New("wire: protocol error")
 
-// applyFrame decodes and applies one frame payload. The event-key delta
-// chain resets here, at the frame boundary.
+// applyFrame decodes and applies one frame payload, read in full by the caller.
+// The event-key delta chain resets here, at the frame boundary, and the clock
+// is read here, once: the frame's arrival is the last instant the server knows
+// the client had issued all of its ops, so it is the time of every event,
+// activate and freeze in the frame and of both admission buckets (DESIGN.md
+// §15, "Time on the wire").
 func (s *Server) applyFrame(frame []byte, w *core.Worker, tenants map[uint64]*core.PBox, c *connState, bw *bufio.Writer) error {
-	nowNs := s.cfg.Now()
+	nowNs := s.mgr.Now()
 	var lastKey int64
 	off := 0
 	// Admitted events are counted here and folded into s.events — a line
@@ -307,7 +305,7 @@ func (s *Server) applyFrame(frame []byte, w *core.Worker, tenants map[uint64]*co
 				c.reserve--
 			}
 			admitted++
-			w.Update(core.ResourceKey(lastKey), core.EventType(op-opEventBase))
+			w.UpdateAt(core.ResourceKey(lastKey), core.EventType(op-opEventBase), nowNs)
 			continue
 		}
 		switch op {
@@ -358,13 +356,13 @@ func (s *Server) applyFrame(frame []byte, w *core.Worker, tenants map[uint64]*co
 			if err != nil {
 				return err
 			}
-			s.mgr.Activate(p)
+			s.mgr.ActivateAt(p, nowNs)
 		case opFreeze:
 			p, err := tenantArg(u, tenants)
 			if err != nil {
 				return err
 			}
-			s.mgr.Freeze(p)
+			s.mgr.FreezeAt(p, nowNs)
 		case opShared:
 			p, err := tenantArg(u, tenants)
 			if err != nil {

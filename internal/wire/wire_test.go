@@ -109,13 +109,14 @@ func TestWireRoundTrip(t *testing.T) {
 }
 
 func TestWireAdmissionShedding(t *testing.T) {
-	// A frozen admission clock: buckets never refill, so exactly the burst
-	// is admitted and everything after it sheds deterministically.
-	frozen := func() int64 { return 0 }
+	// A frozen manager clock — the server has no other: buckets never refill,
+	// so exactly the burst is admitted and everything after it sheds
+	// deterministically.
+	frozen := core.Options{Now: func() int64 { return 0 }, Sleep: func(time.Duration) {}}
 
 	t.Run("per-conn", func(t *testing.T) {
-		mgr := core.NewManager(core.Options{Sleep: func(time.Duration) {}})
-		addr, s, stop := startServer(t, mgr, Config{PerConnRate: 1, PerConnBurst: 10, Now: frozen})
+		mgr := core.NewManager(frozen)
+		addr, s, stop := startServer(t, mgr, Config{PerConnRate: 1, PerConnBurst: 10})
 		defer stop()
 		c, err := Dial(addr)
 		if err != nil {
@@ -141,8 +142,8 @@ func TestWireAdmissionShedding(t *testing.T) {
 	})
 
 	t.Run("global", func(t *testing.T) {
-		mgr := core.NewManager(core.Options{Sleep: func(time.Duration) {}})
-		addr, s, stop := startServer(t, mgr, Config{GlobalRate: 1, GlobalBurst: 20, Now: frozen})
+		mgr := core.NewManager(frozen)
+		addr, s, stop := startServer(t, mgr, Config{GlobalRate: 1, GlobalBurst: 20})
 		defer stop()
 		c, err := Dial(addr)
 		if err != nil {
