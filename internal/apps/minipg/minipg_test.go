@@ -1,9 +1,12 @@
 package minipg
 
 import (
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
+	"pbox/internal/core"
 	"pbox/internal/isolation"
 )
 
@@ -12,6 +15,70 @@ func testConfig() Config {
 	cfg.RowWork = time.Microsecond
 	cfg.ParseWork = time.Microsecond
 	return cfg
+}
+
+// parked is the work that lasts until a lockWatch's gate opens.
+const parked = time.Hour
+
+// lockWatch is a no-isolation controller whose activities log their state
+// events on key, in order, and park a Work(parked) on gate, so a test decides
+// how long a lock stays held and asserts the structure — who waits, who is in
+// — instead of the wall clock.
+type lockWatch struct {
+	isolation.Null
+	key  core.ResourceKey
+	gate chan struct{} // closed to let the parked work finish
+
+	mu  sync.Mutex
+	log []string // "<connection> PREPARE", "<connection> HOLD", …
+}
+
+type watched struct {
+	isolation.Activity
+	w    *lockWatch
+	name string
+}
+
+// watchPartition returns a lockWatch on the partition lock of table.
+func watchPartition(db *DB, table string) *lockWatch {
+	return &lockWatch{key: db.partitionOf(table).Key(), gate: make(chan struct{})}
+}
+
+func (w *lockWatch) ConnStart(name string, kind isolation.Kind) isolation.Activity {
+	return &watched{w.Null.ConnStart(name, kind), w, name}
+}
+
+func (a *watched) Work(d time.Duration) {
+	if d == parked {
+		<-a.w.gate
+		return
+	}
+	a.Activity.Work(d)
+}
+
+func (a *watched) Event(key core.ResourceKey, ev core.EventType) {
+	if key == a.w.key {
+		a.w.mu.Lock()
+		a.w.log = append(a.w.log, a.name+" "+ev.String())
+		a.w.mu.Unlock()
+	}
+}
+
+// index returns the position of entry in the log, -1 when it is not there.
+func (w *lockWatch) index(entry string) int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return slices.Index(w.log, entry)
+}
+
+// waitFor polls until entry is logged.
+func (w *lockWatch) waitFor(t *testing.T, entry string) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); w.index(entry) < 0; time.Sleep(50 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %q", entry)
+		}
+	}
 }
 
 func TestCreateAndLookupTable(t *testing.T) {
@@ -171,25 +238,32 @@ func TestVacuumReclaimsDeadRows(t *testing.T) {
 func TestVacuumBlocksReadersWhileCompacting(t *testing.T) {
 	cfg := testConfig()
 	cfg.LockPartitions = 1
-	cfg.VacuumChunk = 100000
-	cfg.VacuumRowWork = time.Microsecond // one long 40ms pass
+	cfg.VacuumRowWork = parked // one pass, as long as the gate stays shut
 	db := New(cfg)
 	db.CreateTable("t", 100)
-	ctrl := isolation.NewNull()
-	seed := db.Connect(ctrl, "seed-1")
-	seed.Update("t", 40000)
+	w := watchPartition(db, "t")
+	seed := db.Connect(w, "seed-1")
+	seed.Update("t", 1)
 	seed.Close()
 
-	vr := db.StartVacuum(ctrl, "t")
+	vr := db.StartVacuum(w, "t")
 	defer vr.Stop()
-	time.Sleep(3 * time.Millisecond) // let the pass start
+	w.waitFor(t, "vacuum HOLD")
 
-	reader := db.Connect(ctrl, "r-1")
+	reader := db.Connect(w, "r-1")
 	defer reader.Close()
-	lat := reader.Read("t", 1)
-	if lat < 5*time.Millisecond {
-		t.Fatalf("read latency = %v, want blocked behind vacuum pass", lat)
+	done := make(chan struct{})
+	go func() {
+		reader.Read("t", 1)
+		close(done)
+	}()
+	w.waitFor(t, "r-1 PREPARE")
+	// The pass cannot end before the gate opens: the reader is still out.
+	if got := db.partitionOf("t").Readers(); got >= 0 || w.index("r-1 HOLD") >= 0 {
+		t.Fatalf("lock state %d, events %v: want the reader waiting behind the exclusive pass", got, w.log)
 	}
+	close(w.gate)
+	<-done
 }
 
 func TestSharedScanAndExclusiveInterlock(t *testing.T) {
@@ -197,24 +271,24 @@ func TestSharedScanAndExclusiveInterlock(t *testing.T) {
 	cfg.LockPartitions = 1
 	db := New(cfg)
 	db.CreateTable("t", 100)
-	ctrl := isolation.NewNull()
-	sc := db.Connect(ctrl, "s-1")
-	w := db.Connect(ctrl, "w-1")
+	w := watchPartition(db, "t")
+	sc := db.Connect(w, "s-1")
+	wr := db.Connect(w, "w-1")
 	defer sc.Close()
-	defer w.Close()
+	defer wr.Close()
 
-	done := make(chan struct{})
-	go func() {
-		sc.SharedScan("t", 10*time.Millisecond)
-		close(done)
-	}()
-	time.Sleep(2 * time.Millisecond)
-	t0 := time.Now()
-	w.AcquireExclusive("t", 10*time.Microsecond)
-	if wait := time.Since(t0); wait < 5*time.Millisecond {
-		t.Fatalf("exclusive acquired in %v while shared scan running", wait)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); sc.SharedScan("t", parked) }()
+	w.waitFor(t, "s-1 HOLD")
+	go func() { defer wg.Done(); wr.AcquireExclusive("t", 10*time.Microsecond) }()
+	w.waitFor(t, "w-1 PREPARE")
+	// The scan cannot end before the gate opens: the writer is still out.
+	if got := db.partitionOf("t").Readers(); got != 1 || w.index("w-1 HOLD") >= 0 {
+		t.Fatalf("lock state %d, events %v: want the writer waiting behind the shared scan", got, w.log)
 	}
-	<-done
+	close(w.gate)
+	wg.Wait()
 }
 
 func TestCommitWritesWAL(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -30,18 +31,22 @@ func TestSmallRequestCompletes(t *testing.T) {
 	}
 }
 
-// poolWatch is a no-isolation controller whose activities log their
-// worker-pool HOLD/UNHOLD events and park their backend fetch on gate, so a
-// test decides how long a worker stays occupied and asserts the structure —
-// who was busy at once, who ran after whom — instead of the wall clock.
+// parked is the work that lasts until a poolWatch's gate opens.
+const parked = time.Hour
+
+// poolWatch is a no-isolation controller whose activities log their state
+// events on key (the worker pool, or SumStat) and park their backend fetch and
+// any Work(parked) on gate, so a test decides how long a worker or the lock
+// stays occupied and asserts the structure — who was busy at once, who ran
+// after whom — instead of the wall clock.
 type poolWatch struct {
 	isolation.Null
 	key  core.ResourceKey
-	gate chan struct{} // closed to let the fetches finish
+	gate chan struct{} // closed to let the fetches and the parked work finish
 
 	mu         sync.Mutex
-	log        []string // "<connection> HOLD", "<connection> UNHOLD", in order
-	busy, peak int
+	log        []string // "<connection> PREPARE", "<connection> HOLD", … in order
+	busy, peak int      // holders of key now, and at most
 }
 
 type watched struct {
@@ -56,18 +61,36 @@ func (w *poolWatch) ConnStart(name string, kind isolation.Kind) isolation.Activi
 
 func (a *watched) IO(time.Duration) { <-a.w.gate }
 
+func (a *watched) Work(d time.Duration) {
+	if d == parked {
+		<-a.w.gate
+		return
+	}
+	a.Activity.Work(d)
+}
+
 func (a *watched) Event(key core.ResourceKey, ev core.EventType) {
-	if key != a.w.key || ev != core.Hold && ev != core.Unhold {
+	if key != a.w.key {
 		return
 	}
 	a.w.mu.Lock()
 	defer a.w.mu.Unlock()
 	a.w.log = append(a.w.log, a.name+" "+ev.String())
-	if ev == core.Unhold {
+	switch ev {
+	case core.Unhold:
 		a.w.busy--
-	} else if a.w.busy++; a.w.busy > a.w.peak {
-		a.w.peak = a.w.busy
+	case core.Hold:
+		if a.w.busy++; a.w.busy > a.w.peak {
+			a.w.peak = a.w.busy
+		}
 	}
+}
+
+// logged reports whether entry is in the event log.
+func (w *poolWatch) logged(entry string) bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return slices.Contains(w.log, entry)
 }
 
 func (w *poolWatch) busyWorkers() int {
@@ -139,62 +162,93 @@ func TestBigRequestsQueueSmallOnes(t *testing.T) {
 	}
 }
 
+// requeueWatch wraps a controller and counts the times a worker found an
+// activity's pBox under penalty and sent its task back to the queue.
+type requeueWatch struct {
+	isolation.Controller
+	requeues atomic.Int64
+}
+
+type gated struct {
+	isolation.Activity
+	w *requeueWatch
+}
+
+func (w *requeueWatch) ConnStart(name string, kind isolation.Kind) isolation.Activity {
+	return &gated{w.Controller.ConnStart(name, kind), w}
+}
+
+func (a *gated) Gate() time.Duration {
+	g := a.Activity.Gate()
+	if g > 0 {
+		a.w.requeues.Add(1)
+	}
+	return g
+}
+
 func TestPenalizedPBoxTasksAreRequeued(t *testing.T) {
-	mgr := core.NewManager(core.Options{})
-	ctrl := isolation.NewPBoxShared(mgr, core.DefaultRule())
+	// The manager's clock moves only when the test moves it, so a penalty
+	// deadline stands for exactly as long as the test lets it.
+	var clock atomic.Int64
+	mgr := core.NewManager(core.Options{Now: clock.Load})
+	ctrl := &requeueWatch{Controller: isolation.NewPBoxShared(mgr, core.DefaultRule())}
 	p := New(testConfig())
 	defer p.Stop()
 
 	noisy := p.Connect(ctrl, "noisy")
 	defer noisy.Close()
-	victimAct := ctrl.ConnStart("victim", isolation.KindForeground)
+	victimAct := ctrl.Controller.ConnStart("victim", isolation.KindForeground)
 	defer victimAct.Close()
 
 	// Manufacture a penalty on the noisy client's pBox: the victim waits
-	// on a resource the noisy pBox holds.
-	np, _ := isolation.PBoxOf(noisy.Activity())
+	// 5 ms on a resource the noisy pBox holds.
+	np, _ := isolation.PBoxOf(noisy.Activity().(*gated).Activity)
 	vp, _ := isolation.PBoxOf(victimAct)
 	victimAct.Begin("x")
 	mgr.Activate(np)
 	mgr.Update(np, 77, core.Hold)
 	mgr.Update(vp, 77, core.Prepare)
-	time.Sleep(5 * time.Millisecond)
+	clock.Add(int64(5 * time.Millisecond))
 	mgr.Update(np, 77, core.Unhold)
 	mgr.Freeze(np)
-
-	wait := mgr.PenaltyWait(np)
-	if wait <= 0 {
+	if mgr.PenaltyWait(np) <= 0 {
 		t.Fatal("no penalty deadline on the noisy shared pBox")
 	}
-	// The noisy client's next request must take at least the requeue wait.
-	lat := noisy.Small(10 * time.Microsecond)
-	if lat < wait/2 {
-		t.Fatalf("penalized request latency = %v, want >= ~%v (requeued)", lat, wait)
+
+	// The noisy client's next request goes back to the queue each time a
+	// worker picks it up, and is served only once the deadline has passed.
+	done := make(chan struct{})
+	go func() { noisy.Small(10 * time.Microsecond); close(done) }()
+	waitFor(t, "the penalized request requeued", func() bool { return ctrl.requeues.Load() >= 2 })
+	select {
+	case <-done:
+		t.Fatal("penalized request served before its deadline")
+	default:
 	}
+	clock.Add(int64(time.Second))
+	<-done
 }
 
 func TestStatsFlusherContendsOnSumStat(t *testing.T) {
 	p := New(testConfig())
 	defer p.Stop()
-	ctrl := isolation.NewNull()
-	f := p.StartStatsFlusher(ctrl, time.Millisecond, 5*time.Millisecond)
+	w := &poolWatch{key: p.SumStat().Key(), gate: make(chan struct{})}
+	f := p.StartStatsFlusher(w, time.Millisecond, parked)
 	defer f.Stop()
-	time.Sleep(2 * time.Millisecond) // flusher holding
+	waitFor(t, "the flusher inside its hold", func() bool { return w.busyWorkers() == 1 })
 
-	c := p.Connect(ctrl, "c")
+	c := p.Connect(w, "c")
 	defer c.Close()
-	// Some request should observe SumStat contention. Sample until one does
-	// (bounded by a deadline, not a count: on a loaded host the flusher
-	// goroutine may not have been scheduled into its first hold yet).
-	var worst time.Duration
-	for deadline := time.Now().Add(2 * time.Second); worst < time.Millisecond && time.Now().Before(deadline); {
-		if lat := c.Small(10 * time.Microsecond); lat > worst {
-			worst = lat
-		}
+	done := make(chan struct{})
+	go func() { c.Small(10 * time.Microsecond); close(done) }()
+	// The flusher cannot leave its hold before the gate opens: the request's
+	// completion statistics wait on SumStat for as long.
+	waitFor(t, "the request waiting on SumStat", func() bool { return w.logged("c PREPARE") })
+	if w.logged("c HOLD") || !p.SumStat().Locked() {
+		t.Fatalf("SumStat events %v: want the request waiting behind the flusher", w.log)
 	}
-	if worst < time.Millisecond {
-		t.Fatalf("worst latency = %v, want SumStat contention visible", worst)
-	}
+	close(w.gate)
+	<-done
 }
 
 func TestStopDrainsWorkers(t *testing.T) {

@@ -17,6 +17,57 @@ func testConfig() Config {
 	}
 }
 
+// parked is the work that lasts until a parking controller's gate opens.
+const parked = time.Hour
+
+// parking is a no-isolation controller whose activities park a Work(parked) on
+// gate, so a test decides how long a slot stays taken and asserts on the slot
+// counts — who is in, who is still out — instead of the wall clock.
+type parking struct {
+	isolation.Null
+	gate chan struct{} // closed to let the parked work finish
+}
+
+type parkedActivity struct {
+	isolation.Activity
+	gate chan struct{}
+}
+
+func (p *parking) ConnStart(name string, kind isolation.Kind) isolation.Activity {
+	return parkedActivity{p.Null.ConnStart(name, kind), p.gate}
+}
+
+func (a parkedActivity) Work(d time.Duration) {
+	if d == parked {
+		<-a.gate
+		return
+	}
+	a.Activity.Work(d)
+}
+
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(50 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// fcgidExhausted starts a parked CGI request on each of the server's two fcgid
+// slots and returns once both are taken; the requests end when the returned
+// controller's gate is closed, and wg waits for them.
+func fcgidExhausted(t *testing.T, srv *Server) (ctrl *parking, wg *sync.WaitGroup) {
+	ctrl, wg = &parking{gate: make(chan struct{})}, &sync.WaitGroup{}
+	for _, name := range []string{"s-1", "s-2"} {
+		c := srv.Connect(ctrl, name)
+		wg.Add(1)
+		go func() { defer wg.Done(); defer c.Close(); c.CGI(parked) }()
+	}
+	waitFor(t, "both fcgid slots taken", func() bool { return srv.Fcgid().InUse() == 2 })
+	return ctrl, wg
+}
+
 func TestStaticRequestCompletes(t *testing.T) {
 	srv := New(testConfig())
 	ctrl := isolation.NewNull()
@@ -60,25 +111,22 @@ func TestWorkerPoolBoundsConcurrency(t *testing.T) {
 
 func TestFcgidSlotExhaustionBlocksFastRequests(t *testing.T) {
 	srv := New(testConfig()) // FcgidSlots 2
-	ctrl := isolation.NewNull()
-	slow1 := srv.Connect(ctrl, "s-1")
-	slow2 := srv.Connect(ctrl, "s-2")
+	ctrl, wg := fcgidExhausted(t, srv)
 	fast := srv.Connect(ctrl, "f-1")
-	defer slow1.Close()
-	defer slow2.Close()
 	defer fast.Close()
-
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { defer wg.Done(); slow1.CGI(20 * time.Millisecond) }()
-	go func() { defer wg.Done(); slow2.CGI(20 * time.Millisecond) }()
-	time.Sleep(3 * time.Millisecond) // both slots taken
-
-	lat := fast.CGI(10 * time.Microsecond)
-	wg.Wait()
-	if lat < 5*time.Millisecond {
-		t.Fatalf("fast CGI latency = %v, want blocked behind slot holders", lat)
+	done := make(chan struct{})
+	go func() { fast.CGI(10 * time.Microsecond); close(done) }()
+	// The fast request holds its worker slot from before it asks for an fcgid
+	// slot, and neither slow script can end before the gate opens.
+	waitFor(t, "the fast request on a worker", func() bool { return srv.Workers().InUse() == 3 })
+	select {
+	case <-done:
+		t.Fatal("fast CGI request served with both fcgid slots taken")
+	default:
 	}
+	close(ctrl.gate)
+	wg.Wait()
+	<-done
 	if srv.Fcgid().InUse() != 0 {
 		t.Fatalf("fcgid slots leaked: %d", srv.Fcgid().InUse())
 	}
@@ -114,24 +162,21 @@ func TestPHPChildrenLimit(t *testing.T) {
 
 func TestStaticUnaffectedByFcgidExhaustion(t *testing.T) {
 	srv := New(testConfig())
-	ctrl := isolation.NewNull()
-	slow1 := srv.Connect(ctrl, "s-1")
-	slow2 := srv.Connect(ctrl, "s-2")
+	ctrl, wg := fcgidExhausted(t, srv)
 	static := srv.Connect(ctrl, "st-1")
-	defer slow1.Close()
-	defer slow2.Close()
 	defer static.Close()
-
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { defer wg.Done(); slow1.CGI(10 * time.Millisecond) }()
-	go func() { defer wg.Done(); slow2.CGI(10 * time.Millisecond) }()
-	time.Sleep(2 * time.Millisecond)
-
-	// Static requests need only a worker slot (4 total, 2 busy).
-	lat := static.Static(10 * time.Microsecond)
-	wg.Wait()
-	if lat > 5*time.Millisecond {
-		t.Fatalf("static latency = %v, should not block on fcgid", lat)
+	// Static requests need only a worker slot (4 total, 2 busy): this one
+	// returns while both scripts are still parked on their fcgid slots.
+	done := make(chan struct{})
+	go func() { static.Static(10 * time.Microsecond); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("static request, which needs no fcgid slot, not served while both are taken")
 	}
+	if got := srv.Fcgid().InUse(); got != 2 {
+		t.Fatalf("%d fcgid slots taken after the static request, want both still held", got)
+	}
+	close(ctrl.gate)
+	wg.Wait()
 }

@@ -102,22 +102,6 @@ func TestDefaultRuleIsPaperDefault(t *testing.T) {
 	}
 }
 
-func TestAverageRatioCap(t *testing.T) {
-	// All-deferred activities cap at maxRatio rather than exploding.
-	if got := averageRatio(1e9, 1e9); got != maxRatio {
-		t.Fatalf("degenerate ratio = %v, want cap %v", got, maxRatio)
-	}
-	if got := averageRatio(1e9, 1e9+1); got != maxRatio {
-		t.Fatalf("near-degenerate ratio = %v, want cap", got)
-	}
-	if got := averageRatio(0, 100); got != 0 {
-		t.Fatalf("zero-defer ratio = %v", got)
-	}
-	if got := averageRatio(50, 100); got != 1 {
-		t.Fatalf("half-defer ratio = %v, want 1", got)
-	}
-}
-
 func TestTailMetricUsesPerActivityHistory(t *testing.T) {
 	h := newHarness(t)
 	p, err := h.m.Create(IsolationRule{Type: Relative, Level: 0.5, Metric: MetricTail})

@@ -314,24 +314,15 @@ func (m *Manager) Release(p *PBox) error {
 		m.self.hibernated.Add(-1)
 	}
 	p.setState(StateDestroyed)
-	for key := range p.preparing {
-		s := m.lockShard(key)
-		if cl := s.competitors[key]; cl != nil {
-			cl.removeAllFor(p)
-		}
-		s.mu.Unlock()
-	}
+	m.dropWaits(p)
 	for key := range p.holders {
 		s := m.lockShard(key)
-		if hm := s.holdersByKey[key]; hm != nil {
-			delete(hm, p)
-		}
+		s.competitors[key].holders--
 		s.mu.Unlock()
 	}
-	// Clear in place rather than allocating fresh maps: the pBox is dead,
+	// Clear in place rather than allocating a fresh map: the pBox is dead,
 	// so the release path should shed work, not create garbage.
 	clear(p.holders)
-	clear(p.preparing)
 	p.mu.Unlock()
 	m.reg.Lock()
 	if p.hasBoundKey {
@@ -367,10 +358,7 @@ func (m *Manager) ActivateAt(p *PBox, at int64) {
 		p.mu.Unlock()
 		return
 	}
-	var pen time.Duration
-	if len(p.holders) == 0 && len(p.preparing) == 0 {
-		pen = m.takePending(p)
-	}
+	pen := m.safePoint(p)
 	p.mu.Unlock()
 	if pen > 0 {
 		m.sleepPenalty(p, pen)
@@ -431,29 +419,23 @@ func (m *Manager) FreezeAt(p *PBox, at int64) {
 		m.obs.PBoxFrozen(p.id, now)
 	}
 
-	// Fold the activity into the history and, in the same actMu hold,
-	// pick the pBox-level monitor's target: the largest contributor to
-	// this pBox's deferring time. The action itself is taken after actMu
+	// Fold the activity into the history and, in the same actMu hold, let the
+	// pBox-level monitor judge it and pick its target: the largest contributor
+	// to this pBox's deferring time. The action itself is taken after actMu
 	// is released — verdictMu is never acquired while holding a leaf lock.
 	p.actMu.Lock()
-	td := p.deferTime
-	if td > te {
-		td = te
-	}
+	td := min(p.deferTime, te)
 	p.recordActivityLocked(td, te)
 	var noisy *PBox
 	var info blameInfo
-	var level float64
-	if !m.opts.DisablePBoxLevel && !m.opts.DisableDetection {
-		level = p.interferenceLevelLocked()
-		if level >= m.opts.PBoxLevelThreshold*p.rule.Level {
-			// Equal contributors: the lower id, so the verdict does not depend
-			// on map iteration order (replay determinism, DESIGN.md §11).
-			for b, bi := range p.blame {
-				if b != p && !b.stateIs(StateDestroyed) && (bi.deferNs > info.deferNs ||
-					bi.deferNs == info.deferNs && noisy != nil && b.id < noisy.id) {
-					noisy, info = b, bi
-				}
+	level, act := m.opts.monitor(p.rule, p.totalDefer, p.totalExec, p.history)
+	if act {
+		// Equal contributors: the lower id, so the verdict does not depend
+		// on map iteration order (replay determinism, DESIGN.md §11).
+		for b, bi := range p.blame {
+			if b != p && !b.stateIs(StateDestroyed) && (bi.deferNs > info.deferNs ||
+				bi.deferNs == info.deferNs && noisy != nil && b.id < noisy.id) {
+				noisy, info = b, bi
 			}
 		}
 	}
@@ -461,40 +443,34 @@ func (m *Manager) FreezeAt(p *PBox, at int64) {
 	if m.obs != nil {
 		m.obs.ActivityEnd(p.id, td, te)
 	}
-
-	// Remove stale PREPARE records that never saw a matching ENTER
-	// (e.g. the activity bailed out of a wait loop): drop the shard-side
-	// waiter records first, then clear the map in one sweep.
-	if len(p.preparing) > 0 {
-		for key := range p.preparing {
-			s := m.lockShard(key)
-			if cl := s.competitors[key]; cl != nil {
-				cl.removeAllFor(p)
-			}
-			s.mu.Unlock()
-		}
-		clear(p.preparing)
-	}
-
+	// PREPAREs that never saw their ENTER (the activity bailed out of a wait
+	// loop) end with the activity.
+	m.dropWaits(p)
 	if noisy != nil {
-		t0 := exec.Now()
-		m.verdictMu.Lock()
+		t0 := m.enterVerdict()
 		m.takeActionVerdict(noisy, p, info.key, now, info.deferNs, level)
-		m.verdictMu.Unlock()
-		m.self.verdictLatency.observe(exec.Now() - t0)
+		m.leaveVerdict(t0)
 	}
 	// Serve this pBox's own pending penalty (scheduled while it held
 	// resources) now that its activity is over — unless it still holds
 	// resources across activities (e.g. transaction locks spanning
 	// statements), in which case the delay must keep waiting.
-	var pen time.Duration
-	if len(p.holders) == 0 && len(p.preparing) == 0 {
-		pen = m.takePending(p)
-	}
+	pen := m.safePoint(p)
 	p.mu.Unlock()
 	if pen > 0 {
 		m.sleepPenalty(p, pen)
 	}
+}
+
+// dropWaits removes every wait record p still has: the shard-side waiter
+// records first, then the map in one sweep. Caller holds p.mu.
+func (m *Manager) dropWaits(p *PBox) {
+	for key := range p.preparing {
+		s := m.lockShard(key)
+		s.competitors[key].removeAllFor(p)
+		s.mu.Unlock()
+	}
+	clear(p.preparing)
 }
 
 // Update is the update_pbox API: the application informs the manager of a
@@ -587,12 +563,7 @@ func (m *Manager) applyArmLocked(p *PBox, s *shard, key ResourceKey, ev EventTyp
 // onPrepare implements the PREPARE arm of Algorithm 1: note the pBox in the
 // competitor map for the resource. Caller holds p.mu and s.mu.
 func (m *Manager) onPrepare(p *PBox, s *shard, key ResourceKey, now int64) {
-	cl := s.competitors[key]
-	if cl == nil {
-		cl = &competitorList{}
-		s.competitors[key] = cl
-	}
-	cl.add(waiter{pbox: p, since: now})
+	s.resource(key).add(waiter{pbox: p, since: now})
 	p.preparing[key]++
 }
 
@@ -630,12 +601,7 @@ func (m *Manager) onHold(p *PBox, s *shard, key ResourceKey, now int64) {
 	h, held := p.holders[key]
 	if !held {
 		p.holders[key] = holdInfo{count: 1, since: now}
-		hm := s.holdersByKey[key]
-		if hm == nil {
-			hm = make(map[*PBox]int64)
-			s.holdersByKey[key] = hm
-		}
-		hm[p] = now
+		s.resource(key).holders++
 		return
 	}
 	h.count++
@@ -659,134 +625,100 @@ func (m *Manager) onUnhold(p *PBox, s *shard, key ResourceKey, now int64) {
 		p.holders[key] = h
 		return
 	}
-	heldSince := h.since
 	delete(p.holders, key)
-	// The inner holder map is kept when it empties — resources are held
-	// and released in a tight loop, and recreating the map on every
-	// re-acquisition would allocate on the hook path; like competitors,
-	// the index is bounded by the number of distinct resources touched.
-	if hm := s.holdersByKey[key]; hm != nil {
-		delete(hm, p)
-	}
 	cl := s.competitors[key]
-	if cl == nil || len(cl.waiters) == 0 {
+	cl.holders--
+	if len(cl.waiters) == 0 {
 		return
 	}
 	// Cold verdict path: waiters exist, so this release must attribute
-	// blame and may take action. verdictMu serializes the multi-pBox view.
-	// The critical section is timed (real clock) into the self-telemetry
-	// verdict-latency histogram — lock wait included, since that wait is
-	// exactly the cross-pBox cost the histogram exists to expose.
-	t0 := exec.Now()
+	// blame and may take action.
+	t0 := m.enterVerdict()
+	m.settleWaiters(p, cl, key, h.since, now)
+	m.leaveVerdict(t0)
+}
+
+// enterVerdict takes verdictMu, which serializes the multi-pBox view a verdict
+// compares, and starts the section's clock; leaveVerdict(t0) ends both. The
+// section is timed (real clock) into the self-telemetry verdict-latency
+// histogram — lock wait included, since that wait is exactly the cross-pBox
+// cost the histogram exists to expose.
+func (m *Manager) enterVerdict() (t0 int64) {
+	t0 = exec.Now()
 	m.verdictMu.Lock()
-	m.settleWaiters(p, s, cl, key, heldSince, now)
+	return t0
+}
+
+func (m *Manager) leaveVerdict(t0 int64) {
 	m.verdictMu.Unlock()
 	m.self.verdictLatency.observe(exec.Now() - t0)
 }
 
 // settleWaiters runs the blame and detection passes over key's waiter list
-// after p released its hold. Caller holds p.mu, the key's shard lock, and
-// verdictMu; victim-side accounting is touched one leaf lock at a time.
-func (m *Manager) settleWaiters(p *PBox, s *shard, cl *competitorList, key ResourceKey, heldSince, now int64) {
+// after p released the hold it had since heldSince: gather each waiter's books
+// one leaf lock at a time, let judgeWait decide, apply. Caller holds p.mu, the
+// key's shard lock, and verdictMu.
+func (m *Manager) settleWaiters(p *PBox, cl *competitorList, key ResourceKey, heldSince, now int64) {
 	// Attribute to this holder the part of each waiter's wait that its
 	// hold overlapped, for the pBox-level monitor's blame accounting.
 	for i := range cl.waiters {
 		c := &cl.waiters[i]
-		since := c.since
-		if heldSince > since {
-			since = heldSince
-		}
-		if overlap := now - since; overlap > 0 {
+		if ov := overlap(c.since, heldSince, now); ov > 0 {
 			v := c.pbox
 			v.actMu.Lock()
 			if v.blame == nil {
 				v.blame = make(map[*PBox]blameInfo)
 			}
-			bi := v.blame[p]
-			bi.deferNs += overlap
-			bi.key = key
-			v.blame[p] = bi
+			v.blame[p] = blameInfo{deferNs: v.blame[p].deferNs + ov, key: key}
 			v.actMu.Unlock()
 			if e := m.attrVerdict(p, v, key); e != nil {
-				e.blockedNs += overlap
+				e.blockedNs += ov
 			}
 			if m.attrObs != nil {
-				m.attrObs.Blocked(p.id, v.id, key, overlap)
+				m.attrObs.Blocked(p.id, v.id, key, ov)
 			}
 		}
 	}
-	detect := !m.opts.DisableDetection
 	for i := range cl.waiters {
 		c := &cl.waiters[i]
 		victim := c.pbox
 		if victim == p || !victim.stateIs(StateActive) {
 			continue
 		}
-		te := now - victim.activityStart.Load()
-		defer_ := now - c.since
-		if defer_ < 0 {
-			defer_ = 0
-		}
 		victim.actMu.Lock()
-		td := victim.deferTime + defer_
+		deferred := victim.deferTime
 		victim.actMu.Unlock()
-		if td > te {
-			td = te
+		v := m.opts.judgeWait(c.since, heldSince, now, victim.activityStart.Load(), deferred, victim.rule.Level)
+		if v.act {
+			m.takeActionVerdict(p, victim, key, now, v.overlap, v.level)
 		}
-		if detect && te > 0 {
-			tf := averageRatio(td, te)
-			// Act when the projected interference level exceeds the
-			// goal and this hold overlapped the victim's wait. The
-			// paper's line-23 condition (holder predates waiter) is
-			// the special case of a single long hold; overlap also
-			// covers a noisy pBox that re-acquires the resource past
-			// sleeping waiters (back-to-back chunk holds), charging
-			// each holder exactly for the wait time its hold covered.
-			overlapStart := c.since
-			if heldSince > overlapStart {
-				overlapStart = heldSince
-			}
-			overlap := now - overlapStart
-			// Causality threshold: act only when this hold accounts
-			// for a meaningful share of the victim's current wait
-			// window (since the last release of the resource). A
-			// bystander that briefly held the resource during a wait
-			// dominated by others must not absorb the blame — but a
-			// swarm of holders each covering the window (overlapping
-			// shared holders, back-to-back re-acquirers) all remain
-			// accountable.
-			if tf > victim.rule.Level && overlap > 0 && overlap*10 >= defer_ {
-				m.takeActionVerdict(p, victim, key, now, overlap, tf)
-			}
-		}
-		// Futex-style re-arm: a release wakes the waiters; one that
-		// fails to enter re-queues with a fresh wait record (what the
-		// kernel implementation observes by tracing futex, Section 7).
-		// The elapsed wait folds into the activity's deferring time,
-		// and the fresh timestamp makes a holder that re-acquires past
-		// the sleeping waiter blameable at its next release —
-		// back-to-back re-acquisition must not exonerate the holder.
+		// Futex-style re-arm (§5.2a): a release wakes the waiters; one that
+		// fails to enter re-queues with a fresh wait record (what the kernel
+		// implementation observes by tracing futex, Section 7). The elapsed
+		// wait folds into the activity's deferring time, and the fresh
+		// timestamp makes a holder that re-acquires past the sleeping waiter
+		// blameable at its next release.
 		victim.actMu.Lock()
-		victim.deferTime += defer_
+		victim.deferTime += v.waited
 		victim.actMu.Unlock()
 		// Monotonic guard: a spool-replayed release carries its recorded
 		// (possibly older) timestamp; the re-arm must never move a wait
 		// record backwards in time, or a later real release would double
 		// count the wait.
-		if now > c.since {
-			c.since = now
-		}
+		c.since = max(c.since, now)
 	}
 }
 
-// takePending consumes p's pending penalty. Caller holds p.mu. The pending
-// attribution triple is copied aside for the serve that follows, so a new
-// action scheduled between the consume and the sleep cannot misattribute
-// the served time.
+// safePoint consumes p's pending penalty if p is at a safe point — it holds
+// nothing and waits for nothing, so a delay can neither defer anyone else nor
+// count as p's own deferring time — and returns what the caller must sleep
+// once it holds no lock. Caller holds p.mu. The pending attribution triple is
+// copied aside for the serve that follows, so a new action scheduled between
+// the consume and the sleep cannot misattribute the served time.
 //
 //pbox:hotpath
-func (m *Manager) takePending(p *PBox) time.Duration {
-	if p.pendingPenalty.Load() <= 0 {
+func (m *Manager) safePoint(p *PBox) time.Duration {
+	if p.pendingPenalty.Load() <= 0 || len(p.holders) > 0 || len(p.preparing) > 0 {
 		return 0
 	}
 	p.penMu.Lock()
@@ -814,7 +746,6 @@ func (m *Manager) takePending(p *PBox) time.Duration {
 // pBox's own goroutine) and accounts it. Caller holds no locks.
 func (m *Manager) sleepPenalty(p *PBox, d time.Duration) {
 	p.penMu.Lock()
-	p.penaltySleeping = true
 	p.penaltiesReceived++
 	p.penaltyTotal += int64(d)
 	victimID, key := p.servingAttrVictim, p.servingAttrKey
@@ -827,9 +758,6 @@ func (m *Manager) sleepPenalty(p *PBox, d time.Duration) {
 		m.verdictMu.Unlock()
 	}
 	m.opts.Sleep(d)
-	p.penMu.Lock()
-	p.penaltySleeping = false
-	p.penMu.Unlock()
 	if m.obs != nil {
 		m.obs.PenaltyServed(p.id, d)
 	}

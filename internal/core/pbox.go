@@ -1,15 +1,10 @@
 package core
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 )
-
-// ratioHistorySize bounds the per-activity interference-ratio ring buffer
-// used by the tail and max metrics.
-const ratioHistorySize = 64
 
 // PBox is one performance isolation domain. Applications interact with a
 // PBox only through Manager methods and treat the handle as opaque.
@@ -108,10 +103,6 @@ type PBox struct {
 	// penaltyUntil is the requeue deadline for shared-thread pBoxes.
 	penaltyUntil int64
 	sharedThread bool
-	// penaltySleeping marks that the pBox's goroutine is currently
-	// executing a penalty sleep, so concurrent bookkeeping can tell
-	// penalty delay apart from real execution.
-	penaltySleeping bool
 
 	// Per-pBox statistics (Figures 13 and 14).
 	penaltiesReceived int
@@ -137,11 +128,6 @@ func (p *PBox) setState(s State) { p.state.Store(int32(s)) }
 type holdInfo struct {
 	count int
 	since int64
-}
-
-// activityRecord is one finished activity's accounting.
-type activityRecord struct {
-	td, te int64
 }
 
 // blameInfo accumulates one blocker's contribution to a victim's deferring
@@ -198,72 +184,13 @@ func (p *PBox) snapshot() Snapshot {
 	s.Activities = p.activities
 	s.TotalDefer = time.Duration(p.totalDefer)
 	s.TotalExec = time.Duration(p.totalExec)
-	s.InterferenceLevel = p.interferenceLevelLocked()
+	s.InterferenceLevel = interferenceLevel(p.rule.Metric, p.totalDefer, p.totalExec, p.history)
 	p.actMu.Unlock()
 	p.penMu.Lock()
 	s.PenaltiesReceived = p.penaltiesReceived
 	s.PenaltyTotal = time.Duration(p.penaltyTotal)
 	p.penMu.Unlock()
 	return s
-}
-
-// interferenceLevelLocked computes the pBox's aggregate interference level
-// according to its rule's metric. Caller holds p.actMu.
-func (p *PBox) interferenceLevelLocked() float64 {
-	switch p.rule.Metric {
-	case MetricTail:
-		return p.ratioPercentileLocked(0.95)
-	case MetricMax:
-		return p.ratioPercentileLocked(1.0)
-	default:
-		return averageRatio(p.totalDefer, p.totalExec)
-	}
-}
-
-// currentRatioLocked computes the pBox's recent interference level including
-// the in-flight activity — the s(i) score used by the adaptive penalty
-// (Section 4.4.2). The paper computes averages "until the i-th action" over
-// its 90-second runs; at the reproduction's millisecond scale an all-time
-// cumulative average reacts too slowly for the feedback loop to converge, so
-// the score is windowed over the recent per-activity ratio history plus the
-// live activity. Caller holds p.actMu.
-func (p *PBox) currentRatioLocked(now int64) float64 {
-	var td, te int64
-	for _, r := range p.history {
-		td += r.td
-		te += r.te
-	}
-	if p.stateIs(StateActive) {
-		ltd := p.deferTime
-		lte := now - p.activityStart.Load()
-		if ltd > lte {
-			ltd = lte
-		}
-		td += ltd
-		te += lte
-	}
-	return averageRatio(td, te)
-}
-
-// maxRatio caps an interference level: an activity that spent (essentially)
-// all its time deferred reads as 100× — beyond that the extra magnitude
-// carries no signal and would poison windowed averages and the gap policy.
-const maxRatio = 100.0
-
-// averageRatio computes Tf = Td / (Te - Td) with guards against the
-// degenerate cases (no execution yet, defer >= exec) and the maxRatio cap.
-func averageRatio(td, te int64) float64 {
-	if te <= 0 || td <= 0 {
-		return 0
-	}
-	if td >= te {
-		return maxRatio
-	}
-	r := float64(td) / float64(te-td)
-	if r > maxRatio {
-		return maxRatio
-	}
-	return r
 }
 
 // recordActivityLocked folds a finished activity into the history rings.
@@ -273,34 +200,13 @@ func (p *PBox) recordActivityLocked(td, te int64) {
 	p.totalExec += te
 	p.activities++
 	rec := activityRecord{td: td, te: te}
-	if len(p.history) < ratioHistorySize {
+	if len(p.history) < scoreWindow {
 		p.history = append(p.history, rec)
 	} else {
 		p.history[p.histPos] = rec
-		p.histPos = (p.histPos + 1) % ratioHistorySize
+		p.histPos = (p.histPos + 1) % scoreWindow
 		p.histFull = true
 	}
-}
-
-// ratioPercentileLocked returns the q-quantile (0<q<=1) of the per-activity
-// ratio history. Caller holds p.actMu.
-func (p *PBox) ratioPercentileLocked(q float64) float64 {
-	if len(p.history) == 0 {
-		return 0
-	}
-	tmp := make([]float64, 0, len(p.history))
-	for _, r := range p.history {
-		tmp = append(tmp, averageRatio(r.td, r.te))
-	}
-	sort.Float64s(tmp)
-	idx := int(q*float64(len(tmp))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(tmp) {
-		idx = len(tmp) - 1
-	}
-	return tmp[idx]
 }
 
 // waiter is one entry in the competitor map: a pBox that issued PREPARE on a
@@ -310,12 +216,13 @@ type waiter struct {
 	since int64
 }
 
-// competitorList holds the pBoxes waiting for one resource. The paper keeps
-// a list per resource in a hashtable; appends are O(1) and removals are
-// linear in the number of waiters (Section 6.6 discusses why that is
-// acceptable).
+// competitorList is one resource's shard-side record: the pBoxes waiting for
+// it and how many pBoxes hold it. The paper keeps a list per resource in a
+// hashtable; appends are O(1) and removals are linear in the number of waiters
+// (Section 6.6 discusses why that is acceptable).
 type competitorList struct {
 	waiters []waiter
+	holders int // pBoxes with the key in their holder map (ResourceView.Holders)
 }
 
 func (c *competitorList) add(w waiter) {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"sort"
 	"time"
 )
@@ -47,16 +46,12 @@ type actionKey struct {
 	key     ResourceKey
 }
 
-// actionState is the mutable penalty-adaptation state for one pair.
+// actionState is one pair's adaptation state with the lengths and policies of
+// every action taken on it (Figures 13 and 14).
 type actionState struct {
-	count        int
-	p1           float64 // initial penalty (ns)
-	lastPenalty  float64 // previous penalty length (ns)
-	lastActionAt int64   // manager-clock time of the previous action
-	score        float64
-	lastS        float64 // s(i): victim interference score at previous action
-	lengths      []float64
-	policies     []PolicyKind
+	pairState
+	lengths  []float64
+	policies []PolicyKind
 }
 
 // actionHistory records every action the manager has taken, for both the
@@ -80,15 +75,12 @@ func (h *actionHistory) get(k actionKey) *actionState {
 	return st
 }
 
-// takeActionVerdict is take_action(noisy, victim) from Algorithm 1: compute
-// a penalty length for the noisy pBox and schedule it. triggerDefer is the
-// deferring time of the wait that triggered this action; the dynamic policy
-// choice compares it against the previous penalty ("If the deferring time
-// is much larger than the penalty, it chooses the second policy",
-// Section 4.4.2). projected is the interference level the detector saw cross
-// the victim's goal, reported to the Observer as the detection verdict. The
-// penalty is not executed here — the noisy pBox may still hold resources; it
-// is applied at the noisy pBox's next safe point.
+// takeActionVerdict is take_action(noisy, victim) from Algorithm 1: report the
+// verdict, gather what the judge sizes a penalty from (judge.go's decide), and
+// schedule the penalty on the noisy pBox. triggerDefer is the deferring time of
+// the wait that triggered the action; projected is the interference level the
+// detector saw cross the victim's goal. The penalty is not executed here — the
+// noisy pBox may still hold resources; it is served at its next safe point.
 //
 // Caller holds m.verdictMu (the cold-path epoch lock), which guards the
 // action history and serializes the policy feedback loop; per-pBox reads
@@ -104,75 +96,46 @@ func (m *Manager) takeActionVerdict(noisy, victim *PBox, key ResourceKey, now, t
 	if e := m.attrVerdict(noisy, victim, key); e != nil {
 		e.detections++
 	}
-	// A penalty that has not been served yet must not be stacked: the
-	// adaptation compares the victim's state before and after a penalty
-	// (Section 4.4.2), so a new action only makes sense once the previous
-	// one has had a chance to take effect.
+	// A penalty that has not been served yet must not be stacked (a new action
+	// only makes sense once the previous one had a chance to take effect), and
+	// a pair that was never acted on gets no history entry: ActionReport lists
+	// no pair with zero actions.
 	if noisy.pendingPenalty.Load() > 0 {
 		return
 	}
 	st := m.actions.get(actionKey{noisyID: noisy.id, key: key})
-	if st.count > 0 && now-st.lastActionAt < int64(st.lastPenalty) {
+	if st.cooling(now) {
 		return
 	}
-	// s(i): the victim's interference score. The windowed aggregate covers
-	// sustained interference; the live activity's ratio (including the
-	// wait that triggered this action) covers episodic starvation that a
-	// healthy history would otherwise dilute. Also read the victim-side
-	// inputs of the initial-penalty model in the same hold.
+	in := actionInputs{now: now, trigger: triggerDefer, goal: victim.rule.Level}
 	victim.actMu.Lock()
-	sNow := victim.currentRatioLocked(now)
-	if victim.stateIs(StateActive) {
-		ltd := victim.deferTime + triggerDefer
-		lte := now - victim.activityStart.Load()
-		if sLive := averageRatio(ltd, lte); sLive > sNow {
-			sNow = sLive
-		}
+	var td, te int64
+	for _, r := range victim.history {
+		td += r.td
+		te += r.te
 	}
-	victimAvgDefer := float64(0)
+	in.score = adaptiveScore(td, te, victim.stateIs(StateActive),
+		victim.deferTime, now-victim.activityStart.Load(), triggerDefer)
 	if victim.activities > 0 {
-		victimAvgDefer = float64(victim.totalDefer) / float64(victim.activities)
+		in.victimAvgDefer = float64(victim.totalDefer) / float64(victim.activities)
 	}
 	victim.actMu.Unlock()
-
-	var penalty float64
-	var kind PolicyKind
-	switch {
-	case m.opts.FixedPenalty > 0:
-		penalty, kind = float64(m.opts.FixedPenalty), PolicyFixed
-	case st.count == 0:
-		penalty, kind = m.initialPenalty(noisy, now, triggerDefer, victimAvgDefer), PolicyInitial
-		st.p1 = penalty
-	default:
-		// Dynamic policy choice: gap-based when the triggering wait
-		// dwarfs the previous penalty, score-based otherwise.
-		if float64(triggerDefer) > m.opts.GapPolicyFactor*st.lastPenalty {
-			penalty, kind = m.gapPenalty(st, sNow, victim.rule.Level), PolicyGap
-		} else {
-			penalty, kind = m.scorePenalty(st, sNow), PolicyScore
+	if noisy.stateIs(StateActive) {
+		in.noisyExec = float64(now - noisy.activityStart.Load())
+	} else {
+		noisy.actMu.Lock()
+		if noisy.activities > 0 {
+			in.noisyExec = float64(noisy.totalExec) / float64(noisy.activities)
 		}
+		noisy.actMu.Unlock()
 	}
-	penalty = m.clampPenalty(penalty)
-	// Proportionality cap: a penalty is sized to push back against the
-	// delay this pBox inflicts; letting the adaptive score ratchet a
-	// pBox that contributes microseconds up to multi-millisecond delays
-	// would manufacture new interference instead of mitigating it.
-	if lim := 4 * float64(triggerDefer); triggerDefer > 0 && penalty > lim {
-		penalty = m.clampPenalty(lim)
-	}
-	st.count++
-	st.lastPenalty = penalty
-	st.lastActionAt = now
-	st.lastS = sNow
+
+	penalty, kind := m.opts.decide(&st.pairState, in)
 	st.lengths = append(st.lengths, penalty)
 	st.policies = append(st.policies, kind)
 
 	noisy.penMu.Lock()
-	pending := noisy.pendingPenalty.Load() + int64(penalty)
-	if limit := int64(m.opts.MaxPenalty); pending > limit {
-		pending = limit
-	}
-	noisy.pendingPenalty.Store(pending)
+	noisy.pendingPenalty.Store(m.opts.stack(noisy.pendingPenalty.Load(), penalty))
 	noisy.pendingAttrVictim = victim.id
 	noisy.pendingAttrKey = key
 	noisy.penMu.Unlock()
@@ -183,95 +146,6 @@ func (m *Manager) takeActionVerdict(noisy, victim *PBox, key ResourceKey, now, t
 	if m.obs != nil {
 		m.obs.PenaltyAction(noisy.id, victim.id, key, kind, time.Duration(penalty))
 	}
-}
-
-// initialPenalty computes p1 = sqrt(td(victim) × te(noisy)) − te(noisy)
-// (Section 4.4.2), falling back to MinPenalty when the model degenerates.
-// victimAvgDefer is the victim's per-activity average deferring time, read
-// by the caller under the victim's actMu; the noisy pBox's side is read
-// here under its own leaf lock.
-func (m *Manager) initialPenalty(noisy *PBox, now, triggerDefer int64, victimAvgDefer float64) float64 {
-	// The deferring time attributed to this noisy pBox is the wait that
-	// triggered the action — using the victim's whole activity defer here
-	// would charge this pBox for delays other pBoxes caused.
-	tdVictim := float64(triggerDefer)
-	if tdVictim <= 0 {
-		tdVictim = victimAvgDefer
-	}
-	teNoisy := float64(0)
-	if noisy.stateIs(StateActive) {
-		teNoisy = float64(now - noisy.activityStart.Load())
-	} else {
-		noisy.actMu.Lock()
-		if noisy.activities > 0 {
-			teNoisy = float64(noisy.totalExec) / float64(noisy.activities)
-		}
-		noisy.actMu.Unlock()
-	}
-	if tdVictim <= 0 || teNoisy <= 0 {
-		return float64(m.opts.MinPenalty)
-	}
-	p1 := math.Sqrt(tdVictim*teNoisy) - teNoisy
-	if p1 <= 0 {
-		// The model says the noisy activity already runs longer than the
-		// optimum; start from the smallest effective penalty.
-		return float64(m.opts.MinPenalty)
-	}
-	return p1
-}
-
-// scorePenalty implements the score-based policy. A previous penalty that
-// failed to reduce the victim's interference score increments the score;
-// an effective one decrements it while positive.
-func (m *Manager) scorePenalty(st *actionState, sNow float64) float64 {
-	if sNow >= st.lastS {
-		st.score++
-	} else if st.score > 0 {
-		st.score--
-	}
-	next := st.p1 * (1 + st.score/m.opts.Alpha)
-	// When the manager alternates between the two policies on one pair, a
-	// score step must not collapse a gap-policy escalation in one jump;
-	// decays are bounded to half the previous length per action.
-	if next < st.lastPenalty/2 {
-		next = st.lastPenalty / 2
-	}
-	return next
-}
-
-// gapPenalty implements the gradient-inspired policy:
-// p_{i+1} = p_i × gap/δ, gap = s(i+1) − λ, δ = 1 − s(i)/s(i+1).
-// Guards: when the goal is already met (gap ≤ 0) the penalty decays; when
-// the score barely moved (δ ≈ 0) a full step would explode, so the step is
-// capped at 4× the previous length.
-func (m *Manager) gapPenalty(st *actionState, sNow, goal float64) float64 {
-	gap := sNow - goal
-	if gap <= 0 {
-		return st.lastPenalty / 2
-	}
-	if sNow <= 0 {
-		return st.lastPenalty
-	}
-	delta := 1 - st.lastS/sNow
-	if delta < 0.05 {
-		delta = 0.05
-	}
-	next := st.lastPenalty * gap / delta
-	if maxStep := st.lastPenalty * 4; next > maxStep {
-		next = maxStep
-	}
-	return next
-}
-
-// clampPenalty bounds a penalty length to [MinPenalty, MaxPenalty].
-func (m *Manager) clampPenalty(p float64) float64 {
-	if p < float64(m.opts.MinPenalty) {
-		return float64(m.opts.MinPenalty)
-	}
-	if p > float64(m.opts.MaxPenalty) {
-		return float64(m.opts.MaxPenalty)
-	}
-	return p
 }
 
 // ActionRecord summarizes the penalty history for one (noisy pBox,

@@ -1,49 +1,11 @@
 package core
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
 )
-
-// TestPropAverageRatioBounds: for any td ≤ te the ratio is non-negative and
-// finite, and increases with td.
-func TestPropAverageRatioBounds(t *testing.T) {
-	f := func(a, b uint32) bool {
-		td, te := int64(a), int64(b)
-		if td > te {
-			td, te = te, td
-		}
-		r := averageRatio(td, te)
-		if r < 0 || math.IsNaN(r) || math.IsInf(r, 0) {
-			return false
-		}
-		// Monotonic in td (with te fixed), as long as we stay below te.
-		if td > 0 && td < te {
-			if averageRatio(td-1, te) > r {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestPropClampPenalty: clamping always lands in [Min, Max].
-func TestPropClampPenalty(t *testing.T) {
-	h := newHarness(t)
-	f := func(raw int64) bool {
-		got := h.m.clampPenalty(float64(raw))
-		return got >= float64(h.m.opts.MinPenalty) && got <= float64(h.m.opts.MaxPenalty)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // TestPropDeferNeverNegative: random interleavings of PREPARE/ENTER with a
 // monotonic clock never yield negative defer time, and the competitor map

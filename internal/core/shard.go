@@ -29,12 +29,12 @@ import (
 // across groups or with neighboring allocations.
 type shard struct {
 	mu sync.Mutex
-	// competitors holds the per-resource waiter lists (the competitor map
-	// of Algorithm 1) for keys hashing to this shard.
+	// competitors holds the per-resource records (the competitor map of
+	// Algorithm 1, with a holder count) for keys hashing to this shard. A
+	// record is created at a key's first PREPARE or HOLD and kept — resources
+	// are held and released in a tight loop — so the index is bounded by the
+	// number of distinct resources touched.
 	competitors map[ResourceKey]*competitorList
-	// holdersByKey indexes current holders per resource so UNHOLD can
-	// attribute blame and tests can inspect contention.
-	holdersByKey map[ResourceKey]map[*PBox]int64
 
 	_ cacheLinePad
 
@@ -55,6 +55,16 @@ type shard struct {
 	locks atomic.Int64
 
 	_ cacheLinePad // keep the counter off the next allocation's line
+}
+
+// resource returns key's record, created at first use. Caller holds s.mu.
+func (s *shard) resource(key ResourceKey) *competitorList {
+	cl := s.competitors[key]
+	if cl == nil {
+		cl = &competitorList{}
+		s.competitors[key] = cl
+	}
+	return cl
 }
 
 // shardSet is the shard topology: the stripe array plus the matching index
@@ -102,10 +112,7 @@ func (m *Manager) lockShard(key ResourceKey) *shard {
 func newShardSet(n int) shardSet {
 	shards := make([]*shard, n)
 	for i := range shards {
-		shards[i] = &shard{
-			competitors:  make(map[ResourceKey]*competitorList),
-			holdersByKey: make(map[ResourceKey]map[*PBox]int64),
-		}
+		shards[i] = &shard{competitors: make(map[ResourceKey]*competitorList)}
 	}
 	bits := uint(0)
 	for 1<<bits < n {

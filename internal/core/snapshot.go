@@ -170,28 +170,11 @@ func (m *Manager) collectStatus() Status {
 // shard's leaf name lock).
 func (m *Manager) resourceViewsShardsLocked() []ResourceView {
 	var out []ResourceView
-	idx := make(map[ResourceKey]int)
-	add := func(key ResourceKey) int {
-		i, ok := idx[key]
-		if !ok {
-			i = len(out)
-			idx[key] = i
-			out = append(out, ResourceView{Key: key, Name: m.ResourceName(key)})
-		}
-		return i
-	}
 	for _, s := range m.shards.shards {
 		for key, cl := range s.competitors {
-			if len(cl.waiters) == 0 {
-				continue
+			if len(cl.waiters) > 0 || cl.holders > 0 {
+				out = append(out, ResourceView{Key: key, Name: m.ResourceName(key), Waiters: len(cl.waiters), Holders: cl.holders})
 			}
-			out[add(key)].Waiters = len(cl.waiters)
-		}
-		for key, hm := range s.holdersByKey {
-			if len(hm) == 0 {
-				continue
-			}
-			out[add(key)].Holders = len(hm)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })

@@ -358,8 +358,8 @@ func (m *Manager) replay(p *PBox, recs []spoolRec, serve bool) time.Duration {
 	}
 	m.replayBatch(p, recs)
 	var pen time.Duration
-	if serve && p.pendingPenalty.Load() > 0 && len(p.holders) == 0 && len(p.preparing) == 0 {
-		pen = m.takePending(p)
+	if serve {
+		pen = m.safePoint(p)
 	}
 	p.mu.Unlock()
 	return pen
@@ -433,9 +433,7 @@ func (m *Manager) replayBatch(p *PBox, recs []spoolRec) {
 			if s != nil {
 				s.mu.Unlock()
 			}
-			// The held shard is always released above before the next one is
-			// taken (the same blind spot as lockAllShards' index-ordered
-			// sweep).
+			//pboxlint:ignore lockorder the held shard is always released above before the next one is taken; the pass merges the two branches
 			s = m.lockShard(r.key)
 		}
 		m.applyArmLocked(p, s, r.key, r.ev, r.at)

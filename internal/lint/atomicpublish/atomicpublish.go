@@ -14,7 +14,13 @@
 //     marks as written (the §14 bottom-up ParamMask dataflow) is flagged.
 //     The value a Swap returns is the previously published one — concurrent
 //     readers may still hold it — so writes through the swap result are
-//     flagged the same way.
+//     flagged the same way. The new value of a CompareAndSwap is published
+//     from the call on (a write inside `if p.CompareAndSwap(old, next)` races
+//     every reader that loaded next), for every element type T the program
+//     also publishes with a Store or Swap of a non-nil value. A Pointer whose
+//     values arrive only by CompareAndSwap and leave by Store(nil) is an
+//     ownership hint to a lock-guarded object (PBox.spool), not a snapshot:
+//     its owner writes it on, under that lock.
 //
 //  2. A field that is accessed through the sync/atomic free functions
 //     (atomic.AddInt64(&s.n, 1), atomic.LoadInt64, CompareAndSwapInt64, …)
@@ -51,8 +57,9 @@ var Analyzer = &analysis.Analyzer{
 // recognized.
 const atomicPkgPath = "sync/atomic"
 
-// publishMethods are the atomic.Pointer methods that publish their argument.
-var publishMethods = map[string]bool{"Store": true, "Swap": true}
+// publishMethods are the atomic.Pointer methods that publish an argument,
+// with that argument's position.
+var publishMethods = map[string]int{"Store": 0, "Swap": 0, "CompareAndSwap": 1}
 
 func run(pass *analysis.Pass) (any, error) {
 	checkMixedAccess(pass)
@@ -68,7 +75,7 @@ func run(pass *analysis.Pass) (any, error) {
 
 // --- rule 1: publish sites ---
 
-// checkPublishes finds every atomic.Pointer Store/Swap in fd and verifies the
+// checkPublishes finds every atomic.Pointer publish in fd and verifies the
 // published value is not written through a retained alias afterward.
 func checkPublishes(pass *analysis.Pass, fd *ast.FuncDecl) {
 	info := pass.TypesInfo
@@ -77,11 +84,11 @@ func checkPublishes(pass *analysis.Pass, fd *ast.FuncDecl) {
 		if !ok {
 			return true
 		}
-		method := pointerPublish(info, call)
-		if method == "" || len(call.Args) != 1 {
+		method, elem := pointerPublish(info, call)
+		if method == "" || method == "CompareAndSwap" && !snapshotElems(pass.Prog)[elem] {
 			return true
 		}
-		if obj, whole := publishedRoot(info, call.Args[0]); obj != nil {
+		if obj, whole := publishedRoot(info, call.Args[publishMethods[method]]); obj != nil {
 			checkWritesAfter(pass, fd, call.End(), obj, whole,
 				obj.Name()+" was published via atomic.Pointer."+method)
 		}
@@ -95,25 +102,59 @@ func checkPublishes(pass *analysis.Pass, fd *ast.FuncDecl) {
 	})
 }
 
-// pointerPublish reports the method name when call is a Store or Swap on an
-// atomic.Pointer receiver, "" otherwise.
-func pointerPublish(info *types.Info, call *ast.CallExpr) string {
+// pointerPublish reports the method name and the element type T when call is
+// a publishing method of an atomic.Pointer[T] receiver, "" otherwise.
+func pointerPublish(info *types.Info, call *ast.CallExpr) (method, elem string) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || !publishMethods[sel.Sel.Name] {
-		return ""
+	if !ok {
+		return "", ""
+	}
+	argPos, ok := publishMethods[sel.Sel.Name]
+	if !ok || len(call.Args) != argPos+1 {
+		return "", ""
 	}
 	fn, ok := info.Uses[sel.Sel].(*types.Func)
 	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != atomicPkgPath {
-		return ""
+		return "", ""
 	}
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok || sig.Recv() == nil {
-		return ""
+		return "", ""
 	}
-	if ownerName(sig.Recv().Type()) != "Pointer" {
-		return ""
+	ptr, ok := sig.Recv().Type().(*types.Pointer)
+	if !ok {
+		return "", ""
 	}
-	return sel.Sel.Name
+	recv, ok := ptr.Elem().(*types.Named)
+	if !ok || recv.Obj().Name() != "Pointer" || recv.TypeArgs().Len() != 1 {
+		return "", ""
+	}
+	return sel.Sel.Name, types.TypeString(recv.TypeArgs().At(0), nil)
+}
+
+// snapshotElems collects, once per program, the element types T some
+// atomic.Pointer[T].Store or Swap publishes a non-nil value of: the Pointers
+// that hold immutable snapshots, which a CompareAndSwap publishes to as well.
+func snapshotElems(prog *program.Program) map[string]bool {
+	return prog.Cache("atomicpublish.snapshotElems", func() any {
+		set := make(map[string]bool)
+		for _, fn := range prog.Funcs() {
+			info := fn.Pkg.Info
+			ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				if method, elem := pointerPublish(info, call); method == "Store" || method == "Swap" {
+					if !info.Types[call.Args[0]].IsNil() {
+						set[elem] = true
+					}
+				}
+				return true
+			})
+		}
+		return set
+	}).(map[string]bool)
 }
 
 // publishedRoot resolves the published expression to a trackable local
@@ -389,22 +430,6 @@ func checkMixedAccess(pass *analysis.Pass) {
 			return true
 		})
 	}
-}
-
-// ownerName peels pointers and returns the named type's bare name, or "".
-func ownerName(t types.Type) string {
-	for t != nil {
-		p, ok := t.Underlying().(*types.Pointer)
-		if !ok {
-			break
-		}
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return ""
-	}
-	return named.Obj().Name()
 }
 
 // ownerPath peels pointers and returns the named type's package-qualified

@@ -22,10 +22,13 @@
 // function body (branches merge by union, early returns leave the merge),
 // and a whole-program fixpoint over the call graph (SCC-ordered, DESIGN.md
 // §14) summarizes which classes each function may acquire — directly or
-// through calls that cross package boundaries — so "Freeze calls
-// takeActionVerdict while holding pbox.mu" is checked against everything
-// takeActionVerdict transitively locks, and a telemetry or capture helper
-// that re-enters internal/core under a lock is seen from its caller.
+// through calls that cross package boundaries — so a call made while holding
+// pbox.mu is checked against everything the callee transitively locks, and a
+// telemetry or capture helper that re-enters internal/core under a lock is
+// seen from its caller. A helper that returns holding a lock it took, or
+// releases one its caller took (lockShard; the verdict section's enter/leave
+// pair), moves the caller's held-set like the Lock or Unlock it stands for
+// (handoffs), so the calls between the pair are checked against verdictMu.
 // Unknown mutexes (types outside the configured table) are ignored: the
 // order is a contract between the manager's own locks.
 package lockorder
@@ -108,6 +111,7 @@ func run(pass *analysis.Pass) (any, error) {
 		pass:      pass,
 		info:      pass.TypesInfo,
 		summaries: summaries(pass.Prog),
+		handoffs:  handoffs(pass.Prog),
 	}
 	for _, f := range pass.Files {
 		for _, d := range f.Decls {
@@ -133,6 +137,44 @@ type state struct {
 	pass      *analysis.Pass
 	info      *types.Info
 	summaries map[*program.Func]map[lockClass]bool
+	handoffs  map[*program.Func]map[lockClass]bool
+}
+
+// handoffs computes — once per program, cached — the lock classes a function
+// hands across its own boundary: true for a class it locks and nowhere
+// unlocks (it returns holding it: lockShard, enterVerdict), false for one it
+// unlocks and nowhere locks (it releases its caller's: leaveVerdict). A call
+// to such a function moves the caller's held-set as the Lock or Unlock would
+// have in its place, so what runs between the two is checked against the lock.
+func handoffs(prog *program.Program) map[*program.Func]map[lockClass]bool {
+	return prog.Cache("lockorder.handoffs", func() any {
+		out := make(map[*program.Func]map[lockClass]bool)
+		for _, fn := range prog.Funcs() {
+			// Which sides of each class fn's own body takes.
+			type sides struct{ locks, unlocks bool }
+			ops := make(map[lockClass]sides)
+			ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					if op, ok := classifyLockCall(fn.Pkg.Info, call); ok {
+						s := ops[op.class]
+						s.locks = s.locks || op.acquire
+						s.unlocks = s.unlocks || !op.acquire
+						ops[op.class] = s
+					}
+				}
+				return true
+			})
+			for c, s := range ops {
+				if s.locks != s.unlocks {
+					if out[fn] == nil {
+						out[fn] = make(map[lockClass]bool)
+					}
+					out[fn][c] = s.locks
+				}
+			}
+		}
+		return out
+	}).(map[*program.Func]map[lockClass]bool)
 }
 
 // summaries computes — once per program, cached — the set of lock classes
@@ -324,6 +366,13 @@ func (w *walker) exprCalls(e ast.Expr, h held) {
 			if callee := w.st.callee(x); callee != nil {
 				for c := range w.st.summaries[callee] {
 					w.checkAcquire(x.Pos(), c, h, "call to "+callee.Name()+" ")
+				}
+				for c, holds := range w.st.handoffs[callee] {
+					if holds {
+						h[c] = x.Pos()
+					} else {
+						delete(h, c)
+					}
 				}
 			}
 		}

@@ -99,3 +99,45 @@ func goodCopyOnWrite(h *holder) {
 	next := &view{n: old.n + 1}
 	h.p.Store(next)
 }
+
+// badWriteAfterCAS mutates the value a successful CompareAndSwap installed:
+// readers load it from the call on.
+func badWriteAfterCAS(h *holder) {
+	old := h.p.Load()
+	next := &view{n: old.n}
+	if h.p.CompareAndSwap(old, next) {
+		next.n++ // want `write through next after next was published via atomic\.Pointer\.CompareAndSwap`
+	}
+}
+
+// goodCASLoop is copy-on-write with a retry: every write to next precedes the
+// CompareAndSwap that publishes it.
+func goodCASLoop(h *holder) {
+	for {
+		old := h.p.Load()
+		next := &view{n: old.n}
+		next.n++
+		if h.p.CompareAndSwap(old, next) {
+			return
+		}
+	}
+}
+
+// guarded is a lock-guarded object that a hint names while it has an owner.
+type guarded struct {
+	n int
+}
+
+type owner struct {
+	hint atomic.Pointer[guarded]
+}
+
+// goodHintCAS: values reach hint only by CompareAndSwap and leave by
+// Store(nil), so it holds no snapshot — the object it names is written on by
+// whoever took it, under the object's own lock.
+func goodHintCAS(o *owner, g *guarded) {
+	if o.hint.CompareAndSwap(nil, g) {
+		g.n++
+	}
+	o.hint.Store(nil)
+}

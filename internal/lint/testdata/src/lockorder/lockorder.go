@@ -235,3 +235,39 @@ func localMutex(r *traceRing) {
 	r.mu.Unlock()
 	mu.Unlock()
 }
+
+// lockedShard returns holding the shard lock it took; enterVerdict and
+// leaveVerdict bracket a section the way the manager's pair does.
+func lockedShard(s *shard) *shard {
+	s.mu.Lock()
+	return s
+}
+
+func enterVerdict(m *Manager) { m.verdictMu.Lock() }
+func leaveVerdict(m *Manager) { m.verdictMu.Unlock() }
+
+// badUnderHandedLock: a lock a helper returned holding is held here.
+func badUnderHandedLock(m *Manager, s *shard) {
+	enterVerdict(m)
+	s.mu.Lock() // want `acquires shard\.mu while holding Manager\.verdictMu`
+	s.mu.Unlock()
+	leaveVerdict(m)
+}
+
+// badCallUnderHandedLock: so is everything a call between the pair locks.
+func badCallUnderHandedLock(m *Manager, s *shard) {
+	enterVerdict(m)
+	lockedShard(s) // want `call to lockedShard acquires shard\.mu while holding Manager\.verdictMu`
+	s.mu.Unlock()
+	leaveVerdict(m)
+}
+
+// goodAfterHandBack: the helper that releases it ends the hold.
+func goodAfterHandBack(m *Manager, s *shard) {
+	enterVerdict(m)
+	leaveVerdict(m)
+	lockedShard(s)
+	m.verdictMu.Lock()
+	m.verdictMu.Unlock()
+	s.mu.Unlock()
+}
