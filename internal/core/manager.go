@@ -124,11 +124,12 @@ func (o Options) withDefaults() Options {
 // an application goroutine makes per activity — Activate, Freeze,
 // Worker.Update, Worker.Flush — and Hibernate take no manager-wide lock
 // (Release takes only the registry's, to unregister) except, on a traced
-// manager, the ring's leaf: once per lifecycle row and once per run of state
-// rows (emitStates), not once per event. Without a ring they write no
-// manager-wide line: a crossing lands on its spool or on the pBox's stripe.
-// Manager state is read through the epoch snapshot (StatusView, DESIGN.md
-// §12); only the view rebuild stops the world.
+// manager, the ring's leaf: for the Activate row, per run of state rows
+// (emitStates) and per Freeze, its last run included; Freeze holds the hinted
+// spool's mutex across the transition, as the order permits. Without a ring
+// they write no manager-wide line: a crossing lands on its spool or on the
+// pBox's stripe. Manager state is read through the epoch snapshot (StatusView,
+// DESIGN.md §12); only the view rebuild stops the world.
 type Manager struct {
 	opts Options
 
@@ -354,19 +355,17 @@ func (m *Manager) ActivateAt(p *PBox, at int64) {
 	// starts with an empty spool.
 	m.flushSpoolsFor(p)
 	p.mu.Lock()
-	if p.stateIs(StateDestroyed) {
-		p.mu.Unlock()
-		return
-	}
-	pen := m.safePoint(p)
-	p.mu.Unlock()
-	if pen > 0 {
-		m.sleepPenalty(p, pen)
-	}
-	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.stateIs(StateDestroyed) {
 		return
+	}
+	if pen := m.safePoint(p); pen > 0 {
+		p.mu.Unlock()
+		m.sleepPenalty(p, pen)
+		p.mu.Lock()
+		if p.stateIs(StateDestroyed) {
+			return
+		}
 	}
 	if p.stateIs(StateHibernated) {
 		// Transparent wake: hibernation is invisible to callers because
@@ -403,21 +402,34 @@ func (m *Manager) Freeze(p *PBox) { m.FreezeAt(p, noStamp) }
 // FreezeAt is Freeze with the activity's end supplied by the caller (see
 // ActivateAt) instead of read once the spool is flushed.
 func (m *Manager) FreezeAt(p *PBox, at int64) {
-	// Fold spooled events into the activity before it closes: the
-	// pBox-level monitor below must see the full deferring time.
-	m.flushSpoolsFor(p)
-	now := m.clock(at)
+	// Fold spooled events into the activity, in place under the p.mu hold that
+	// closes it (the monitor below must see the full deferring time), and keep
+	// the spool locked until the batch's last rows and the freeze's are out.
+	sp := m.hinted(p)
+	if sp != nil {
+		sp.mu.Lock()
+		if sp.pbox != p { // a stale hint: p's batch is already flushed
+			sp.mu.Unlock()
+			sp = nil
+		}
+	}
 	p.mu.Lock()
 	if !p.stateIs(StateActive) {
+		if sp != nil {
+			sp.emptied() // a batch for a closed window is dropped, as replay drops it
+			sp.mu.Unlock()
+		}
 		p.mu.Unlock()
 		return
 	}
+	var run []spoolRec
+	if sp != nil {
+		run = m.replayBatch(p, sp.recs[:sp.n])
+	}
+	now := m.clock(at)
 	p.setState(StateFrozen)
 	// An end before the start (the clock stepped back; a stale stamp): empty.
 	te := max(now-p.activityStart.Load(), 0)
-	if m.obs != nil {
-		m.obs.PBoxFrozen(p.id, now)
-	}
 
 	// Fold the activity into the history and, in the same actMu hold, let the
 	// pBox-level monitor judge it and pick its target: the largest contributor
@@ -441,7 +453,11 @@ func (m *Manager) FreezeAt(p *PBox, at int64) {
 	}
 	p.actMu.Unlock()
 	if m.obs != nil {
-		m.obs.ActivityEnd(p.id, td, te)
+		m.emitStates(p, run, &freezeRows{at: now, deferNs: td, execNs: te})
+	}
+	if sp != nil {
+		sp.emptied()
+		sp.mu.Unlock()
 	}
 	// PREPAREs that never saw their ENTER (the activity bailed out of a wait
 	// loop) end with the activity.
@@ -521,22 +537,29 @@ func (m *Manager) updateSlow(p *PBox, key ResourceKey, ev EventType, at int64) {
 	}
 }
 
-// emitStates is the one state-event delivery: a non-empty run of p's events,
-// in order, to the trace ring under one acquisition of its mutex, then to the
-// user's observer, one StateEventAt each (m.obs, the ring's adapter, would take
-// the ring lock per event; it carries every other kind). Each carries the time
+// freezeRows are a Freeze's freeze row (at) and activity_end row.
+type freezeRows struct{ at, deferNs, execNs int64 }
+
+// emitStates is the one state-event delivery: a run of p's events, in order,
+// then a Freeze's two rows if fr is set, to the trace ring under one lock, then
+// to the user's observer, one callback each (m.obs, the ring's adapter, would
+// lock the ring per row; it carries every other kind). Each carries the time
 // its arm uses — issue time for a direct Update, recorded time for a replay —
-// so a capture log replayed at those times reproduces the arms' arithmetic.
-// Called before the arm of the run's last event; caller holds p.mu.
+// so a capture log replayed at those times reproduces the arms' arithmetic. A
+// plain run is non-empty and precedes its last event's arm; caller holds p.mu.
 //
 //pbox:hotpath
-func (m *Manager) emitStates(p *PBox, run []spoolRec) {
+func (m *Manager) emitStates(p *PBox, run []spoolRec, fr *freezeRows) {
 	if m.trace != nil {
-		m.trace.recordStates(p.id, run)
+		m.trace.recordRun(p.id, run, fr)
 	}
 	if o := m.opts.Observer; o != nil {
 		for i := range run {
 			o.StateEventAt(p.id, run[i].key, run[i].ev, run[i].at)
+		}
+		if fr != nil {
+			o.PBoxFrozen(p.id, fr.at)
+			o.ActivityEnd(p.id, fr.deferNs, fr.execNs)
 		}
 	}
 }

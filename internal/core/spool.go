@@ -45,14 +45,11 @@ import (
 // degrades performance only, never correctness: a contended slot simply runs
 // today's slow path forever.
 //
-// Lock order (extends DESIGN.md §8; the lint lockorder table enforces it):
-//
-//	Manager.snap → eventSpool.mu → registry → pbox.mu → shard.mu →
-//	verdictMu → leaves (actMu, penMu, the trace ring, …)
-//
 // A spool has one lock and one buffer: an append holds eventSpool.mu for a few
-// stores, a flush holds it across the in-place replay of the buffer. Nothing
-// may take it while holding any manager lock, and no path holds two.
+// stores, a flush holds it across the in-place replay of the buffer (a Freeze,
+// across the whole transition). It ranks after Manager.snap and before the
+// registry (Manager's lock order; lint lockorder enforces it): nothing may
+// take it while holding any manager lock, and no path holds two.
 //
 // Flush triggers: the spool fills, a slow-path event arrives on the worker
 // (the spool holding the pBox's records first, so per-pBox order holds), the
@@ -183,24 +180,18 @@ func (sp *eventSpool) append(p *PBox, key ResourceKey, ev EventType, now int64) 
 }
 
 // flush replays the buffered records in place, in order and with their
-// recorded timestamps, and hands the spool back empty — all under mu. Each
-// spooled event is one conceptual kernel crossing, folded into the spool's sum
-// here instead of on a shared atomic per event. serve selects whether a
-// penalty that became servable by the replay is slept here — true only when
-// the flush runs on the owning worker's goroutine (its own fills and slow-path
-// hand-offs); sweep and lifecycle flushes pass false so a diagnostics reader
-// never serves another pBox's delay.
+// recorded timestamps, and hands the spool back empty — all under mu. serve
+// selects whether a penalty that became servable by the replay is slept here —
+// true only when the flush runs on the owning worker's goroutine (its own fills
+// and slow-path hand-offs); sweep and lifecycle flushes pass false so a
+// diagnostics reader never serves another pBox's delay.
 func (sp *eventSpool) flush(serve bool) {
 	sp.mu.Lock()
-	p, n := sp.pbox, sp.n
+	p := sp.pbox
 	var pen time.Duration
-	if n > 0 {
-		sp.flushes.Add(1)
-		sp.flushedEvents.Add(int64(n))
-		sp.crossingsSum.Add(int64(n))
-		pen = sp.m.replay(p, sp.recs[:n], serve)
-		p.spool.Store(nil)
-		sp.n, sp.pbox = 0, nil
+	if p != nil {
+		pen = sp.m.replay(p, sp.recs[:sp.n], serve)
+		sp.emptied()
 	}
 	sp.mu.Unlock()
 	// The penalty sleep runs after mu is released so a concurrent sweep never
@@ -208,6 +199,18 @@ func (sp *eventSpool) flush(serve bool) {
 	if pen > 0 {
 		sp.m.sleepPenalty(p, pen)
 	}
+}
+
+// emptied closes every flush once the batch's rows are delivered: the three
+// counters (each spooled event is one crossing, summed here, not per event on
+// a shared line), the hint withdrawn, the header reset. Caller holds mu.
+func (sp *eventSpool) emptied() {
+	n := int64(sp.n)
+	sp.flushes.Add(1)
+	sp.flushedEvents.Add(n)
+	sp.crossingsSum.Add(n)
+	sp.pbox.spool.Store(nil)
+	sp.n, sp.pbox = 0, nil
 }
 
 // contentionSlot returns the slot owning key.
@@ -249,23 +252,31 @@ func (m *Manager) sweepSpools() {
 	}
 }
 
-// flushSpoolsFor is the entry of Activate/Freeze/Release/Hibernate: it counts
-// the call's crossing and flushes the spool buffering records for p, so the
-// transition observes every event the pBox's worker recorded before it. The
-// spool is the one p's hint names — no list, no manager-wide lock, and the
-// crossing lands on that spool's line; a hint-less pBox (nothing spooled
-// since the last flush) has nothing to flush and counts on its stripe.
+// flushSpoolsFor is the entry of Activate/Release/Hibernate: it counts the
+// call's crossing and flushes the spool buffering records for p, so the
+// transition observes every event the pBox's worker recorded before it.
 // Caller holds no manager locks (the flush acquires p.mu itself).
 //
 //pbox:hotpath
 func (m *Manager) flushSpoolsFor(p *PBox) {
+	if sp := m.hinted(p); sp != nil {
+		sp.flush(false)
+	}
+}
+
+// hinted returns the spool p's hint names, with a lifecycle call's crossing
+// counted on it — no list, no manager-wide lock — or nil, with the crossing on
+// p's stripe, when nothing is spooled for p.
+//
+//pbox:hotpath
+func (m *Manager) hinted(p *PBox) *eventSpool {
 	sp := p.spool.Load()
 	if sp == nil {
 		m.cross(p.id)
-		return
+		return nil
 	}
 	sp.crossingsSum.Add(1)
-	sp.flush(false)
+	return sp
 }
 
 // flushHinted replays the spool p's hint names, if any, without serving a
@@ -356,7 +367,9 @@ func (m *Manager) replay(p *PBox, recs []spoolRec, serve bool) time.Duration {
 		p.mu.Unlock()
 		return 0
 	}
-	m.replayBatch(p, recs)
+	if run := m.replayBatch(p, recs); len(run) > 0 && m.obs != nil {
+		m.emitStates(p, run, nil)
+	}
 	var pen time.Duration
 	if serve {
 		pen = m.safePoint(p)
@@ -391,13 +404,13 @@ func (m *Manager) replay(p *PBox, recs []spoolRec, serve bool) time.Duration {
 // exactly as the unspooled manager's.
 //
 // State rows go out lazily, as runs (emitStates): recs[sent:i+1] immediately
-// before record i's arm executes, the rest at the end of the batch. Only arms
-// emit verdict rows, so every sink sees the slow path's order, and a batch of
-// collapsed pairs is one run: one trace-ring lock for all of it. Caller holds
-// p.mu.
+// before record i's arm executes; the rest is returned for the caller to
+// deliver — a Freeze, with its own two rows. Only arms emit verdict rows, so
+// every sink sees the slow path's order, and a batch of collapsed pairs is one
+// run: one trace-ring lock for all of it. Caller holds p.mu.
 //
 //pbox:hotpath
-func (m *Manager) replayBatch(p *PBox, recs []spoolRec) {
+func (m *Manager) replayBatch(p *PBox, recs []spoolRec) []spoolRec {
 	var s *shard
 	var deferSum int64
 	observed, sent := m.obs != nil, 0
@@ -426,7 +439,7 @@ func (m *Manager) replayBatch(p *PBox, recs []spoolRec) {
 			}
 		}
 		if observed {
-			m.emitStates(p, recs[sent:i+1])
+			m.emitStates(p, recs[sent:i+1], nil)
 			sent = i + 1
 		}
 		if ns := m.shardFor(r.key); ns != s {
@@ -441,14 +454,12 @@ func (m *Manager) replayBatch(p *PBox, recs []spoolRec) {
 	if s != nil {
 		s.mu.Unlock()
 	}
-	if observed && sent < len(recs) {
-		m.emitStates(p, recs[sent:])
-	}
 	if deferSum > 0 {
 		p.actMu.Lock()
 		p.deferTime += deferSum
 		p.actMu.Unlock()
 	}
+	return recs[sent:]
 }
 
 // privateTo reports whether no pBox but p can have a waiter registered on

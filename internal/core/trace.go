@@ -17,8 +17,8 @@ type TraceEntry struct {
 	Seq uint64 // monotonically increasing sequence number (ingestion order)
 	// At is the record's own timestamp for activate/freeze/state (event time:
 	// a spool replay lands later than it happened, so At can run out of order
-	// across pBoxes while Seq never does), for activity_end that of the newest
-	// freeze row (its own, but for a race), the clock at delivery otherwise.
+	// across pBoxes while Seq never does), for activity_end that of its own
+	// freeze row, the row before it, and the clock at delivery otherwise.
 	At time.Duration
 	Record
 }
@@ -37,7 +37,6 @@ type traceRing struct {
 	now     func() int64 // the manager clock (Options.Now)
 	mu      sync.Mutex
 	entries []TraceEntry  // preallocated slots: entry seq lives at (seq-1) % len
-	froze   time.Duration // At of the newest freeze row
 	seq     atomic.Uint64 // total entries ever added
 	notify  chan struct{} // made by a waiter (waitCh), closed and cleared by the next append
 }
@@ -48,8 +47,8 @@ func newTraceRing(n int, now func() int64) *traceRing {
 }
 
 // Record implements RecordSink: one slot write under the ring's leaf mutex —
-// no name lookup, no formatting, and for the lifecycle rows of an activity no
-// clock read. State events come a run at a time (recordStates).
+// no name lookup, no formatting, and for an Activate row no clock read. State
+// events and a Freeze's rows come a run at a time (recordRun).
 //
 //pbox:hotpath
 func (r *traceRing) Record(rec Record) {
@@ -57,16 +56,10 @@ func (r *traceRing) Record(rec Record) {
 	switch rec.Kind {
 	case KindActivate, KindFreeze, KindState:
 		at = time.Duration(rec.At)
-	case KindActivityEnd: // the time of the freeze row its Freeze just wrote, below
 	default:
 		at = time.Duration(r.now())
 	}
 	r.mu.Lock()
-	if rec.Kind == KindFreeze {
-		r.froze = at
-	} else if rec.Kind == KindActivityEnd {
-		at = r.froze
-	}
 	// The slot is written in place (one copy of the record) and the unlock
 	// is not deferred: this runs on every lifecycle call of a traced manager.
 	seq := r.seq.Load() + 1
@@ -76,25 +69,38 @@ func (r *traceRing) Record(rec Record) {
 	r.mu.Unlock()
 }
 
-// recordStates appends a run of one pBox's state events — the rows Record
-// would write for each, in order — under one acquisition of the mutex: slots
-// written in place, the sequence advanced once by the length of the run, the
-// long-pollers woken once. A spool replay hands over whole batches this way,
-// so two flushing goroutines meet on the ring once per run, not per event.
+// recordRun appends a run of one pBox's state events — the rows Record would
+// write for each, in order — then, if fr is set, a Freeze's two rows, both at
+// fr.at, under one acquisition of the mutex: slots written in place, the
+// sequence advanced once, the long-pollers woken once. A spool replay hands
+// over whole batches this way, so two flushing goroutines meet on the ring
+// once per run, not per event.
 //
 //pbox:hotpath
-func (r *traceRing) recordStates(pbox int, recs []spoolRec) {
+func (r *traceRing) recordRun(pbox int, recs []spoolRec, fr *freezeRows) {
 	r.mu.Lock()
 	seq, size := r.seq.Load(), uint64(len(r.entries))
 	i := seq % size
-	for k := range recs {
-		rec, e := &recs[k], &r.entries[i]
+	rows := len(recs)
+	if fr != nil {
+		rows += 2
+	}
+	for k := 0; k < rows; k++ {
+		e := &r.entries[i]
 		seq++
-		// Zeroed, then the five fields a state row uses: assigning a Record
-		// literal would build it aside and copy it in.
+		// Zeroed, then the fields the row uses: assigning a Record literal
+		// would build it aside and copy it in.
 		e.Record = Record{}
-		e.Seq, e.At = seq, time.Duration(rec.at)
-		e.Kind, e.PBox, e.Key, e.Ev, e.Record.At = KindState, pbox, rec.key, rec.ev, rec.at
+		e.Seq, e.PBox = seq, pbox
+		switch {
+		case k < len(recs):
+			rec := &recs[k]
+			e.At, e.Kind, e.Key, e.Ev, e.Record.At = time.Duration(rec.at), KindState, rec.key, rec.ev, rec.at
+		case k == len(recs):
+			e.At, e.Kind, e.Record.At = time.Duration(fr.at), KindFreeze, fr.at
+		default:
+			e.At, e.Kind, e.Dur, e.Exec = time.Duration(fr.at), KindActivityEnd, fr.deferNs, fr.execNs
+		}
 		if i++; i == size {
 			i = 0
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -182,7 +183,7 @@ func TestTraceSinceAndNotify(t *testing.T) {
 }
 
 // TestTraceRingRuns holds the run append against the row-at-a-time append it
-// stands for: the same state events through recordStates, in runs of every
+// stands for: the same state events through recordRun, in runs of every
 // shape — inside the slice, straddling its end, exactly the ring, longer than
 // it — and through one Record each must leave two rings indistinguishable, to
 // a reader that follows along (snapshotSince from its last cursor after every
@@ -206,7 +207,7 @@ func TestTraceRingRuns(t *testing.T) {
 			t.Fatalf("run %d: the waiter's channel is closed before the run", i)
 		default:
 		}
-		runs.recordStates(pbox, recs)
+		runs.recordRun(pbox, recs, nil)
 		for _, r := range recs {
 			ref.Record(Record{Kind: KindState, PBox: pbox, Key: r.key, Ev: r.ev, At: r.at})
 		}
@@ -238,6 +239,95 @@ func TestTraceRingRuns(t *testing.T) {
 	}
 }
 
+// TestFreezeRowsContiguous: a Freeze's rows reach the ring in one acquisition.
+// One tenant cycles activities through a Worker — sixteen events on private
+// keys, every one of them delivered by the Freeze's replay — while a second
+// hammers the ring with direct events and activities of its own. In the ring,
+// each activity of the first ends in its sixteen state rows, its freeze row and
+// its activity_end row at consecutive Seq, each of the second in its freeze and
+// activity_end rows, and every activity_end carries its own freeze row's At.
+func TestFreezeRowsContiguous(t *testing.T) {
+	const activities = 1000
+	m := NewManager(Options{Sleep: func(time.Duration) {}, TraceSize: 1 << 16})
+	a, _ := m.Create(DefaultRule())
+	b, _ := m.Create(DefaultRule())
+	w := m.NewWorker()
+	if err := w.BindDirect(a); err != nil {
+		t.Fatal(err)
+	}
+	keys := []ResourceKey{0x100, 0x101, 0x102, 0x103}
+	const direct = ResourceKey(0x999)
+	for _, k := range keys {
+		if m.contentionSlot(k) == m.contentionSlot(direct) {
+			t.Fatalf("key %#x shares a contention slot with the direct tenant's", uintptr(k))
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for range activities {
+			m.Activate(a)
+			for _, k := range keys {
+				for ev := Prepare; ev <= Unhold; ev++ {
+					w.Update(k, ev)
+				}
+			}
+			m.Freeze(a)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for range activities {
+			m.Activate(b)
+			for range 4 {
+				m.Update(b, direct, Hold)
+				m.Update(b, direct, Unhold)
+			}
+			m.Freeze(b)
+		}
+	}()
+	wg.Wait()
+	rows, next := m.TraceView(0)
+	if int(next) != len(rows) {
+		t.Fatalf("ring wrapped: %d rows of %d", len(rows), next)
+	}
+	freezes := map[int]int{}
+	for i, fz := range rows {
+		if fz.Kind != KindFreeze {
+			continue
+		}
+		n := 0 // the state rows delivered with the Freeze
+		if fz.PBox == a.id {
+			n = len(keys) * 4
+		}
+		if i < n || i+1 >= len(rows) {
+			t.Fatalf("freeze row %d of pbox %d has no room for its run", i, fz.PBox)
+		}
+		run := rows[i-n : i+2]
+		for k, r := range run {
+			want := KindState
+			switch k {
+			case n:
+				want = KindFreeze
+			case n + 1:
+				want = KindActivityEnd
+			}
+			if r.PBox != fz.PBox || r.Kind != want || r.Seq != run[0].Seq+uint64(k) {
+				t.Fatalf("pbox %d's freeze at seq %d: row %d of its run is %v (pbox %d, seq %d), want %v",
+					fz.PBox, fz.Seq, k, r.Kind, r.PBox, r.Seq, want)
+			}
+		}
+		if end := run[n+1]; end.At != fz.At {
+			t.Fatalf("pbox %d: activity_end at %v, its freeze row at %v", fz.PBox, end.At, fz.At)
+		}
+		freezes[fz.PBox]++
+	}
+	if freezes[a.id] != activities || freezes[b.id] != activities {
+		t.Fatalf("freeze rows: %v, want %d per pbox", freezes, activities)
+	}
+}
+
 // TestTraceAddAllocatesOnlyForWaiters pins the ring's garbage-free append: the
 // notification channel is made by a long-poller, never by the event path, and
 // every waiter parked on it is released by the next Record.
@@ -248,8 +338,8 @@ func TestTraceAddAllocatesOnlyForWaiters(t *testing.T) {
 		t.Fatalf("traceRing.Record with no waiter = %v allocs/op, want 0", allocs)
 	}
 	run := make([]spoolRec, 12) // longer than the ring: wraps, and skips the rows it would overwrite
-	if allocs := testing.AllocsPerRun(1000, func() { r.recordStates(1, run) }); allocs != 0 {
-		t.Fatalf("traceRing.recordStates with no waiter = %v allocs/op, want 0", allocs)
+	if allocs := testing.AllocsPerRun(1000, func() { r.recordRun(1, run, nil) }); allocs != 0 {
+		t.Fatalf("traceRing.recordRun with no waiter = %v allocs/op, want 0", allocs)
 	}
 	a, b := r.waitCh(r.seq.Load()), r.waitCh(r.seq.Load())
 	select {

@@ -43,26 +43,27 @@ type Collector struct {
 // NewCollector registers the pBox metric families in reg and returns the
 // observer to pass as core.Options.Observer.
 func NewCollector(reg *Registry) *Collector {
+	hot := make([]atomic.Int64, stripes*stripes) // the striped counters' cells
 	c := &Collector{
 		reg:      reg,
 		created:  reg.Counter("pbox_created_total", "pBoxes created (create_pbox calls)"),
 		released: reg.Counter("pbox_released_total", "pBoxes released (release_pbox calls)"),
 		live:     reg.Gauge("pbox_live", "pBoxes currently alive"),
-		activities: reg.Counter("pbox_activities_total",
+		activities: reg.stripedCounter(hot[0:], "pbox_activities_total",
 			"activities completed (freeze_pbox calls)"),
 		detections: reg.Counter("pbox_detections_total",
 			"detection verdicts reached by Algorithm 1 or the pBox-level monitor"),
 		penalties: reg.Counter("pbox_penalties_total",
 			"penalty actions scheduled on noisy pBoxes"),
-		activityLatency: reg.Histogram("pbox_activity_seconds",
-			"end-to-end activity execution time", nil),
-		activityDefer: reg.Histogram("pbox_activity_defer_seconds",
-			"per-activity deferring time", nil),
+		activityLatency: reg.stripedHistogram("pbox_activity_seconds",
+			"end-to-end activity execution time"),
+		activityDefer: reg.stripedHistogram("pbox_activity_defer_seconds",
+			"per-activity deferring time"),
 		penaltyServed: reg.Histogram("pbox_penalty_served_seconds",
 			"penalty delays served on noisy goroutines", nil),
-		deferNsTotal: reg.Counter("pbox_defer_nanoseconds_total",
+		deferNsTotal: reg.stripedCounter(hot[1:], "pbox_defer_nanoseconds_total",
 			"cumulative deferring time across all activities"),
-		execNsTotal: reg.Counter("pbox_exec_nanoseconds_total",
+		execNsTotal: reg.stripedCounter(hot[2:], "pbox_exec_nanoseconds_total",
 			"cumulative execution time across all activities"),
 		penaltyNsTotal: reg.Counter("pbox_penalty_served_nanoseconds_total",
 			"cumulative served penalty time"),
@@ -73,7 +74,7 @@ func NewCollector(reg *Registry) *Collector {
 			"attribution triples not exported because the series cap was reached"),
 	}
 	for _, ev := range []core.EventType{core.Prepare, core.Enter, core.Hold, core.Unhold} {
-		c.events[ev] = reg.Counter("pbox_events_total",
+		c.events[ev] = reg.stripedCounter(hot[3+ev:], "pbox_events_total",
 			"state events received by the manager (update_pbox calls)",
 			Label{Name: "event", Value: ev.String()})
 	}
@@ -104,18 +105,18 @@ func (c *Collector) PBoxSharedChanged(pboxID int, shared bool) {}
 // StateEventAt implements core.Observer.
 func (c *Collector) StateEventAt(pboxID int, key core.ResourceKey, ev core.EventType, atNs int64) {
 	if ev >= 0 && int(ev) < len(c.events) {
-		c.events[ev].Inc()
+		c.events[ev].AddStriped(pboxID, 1)
 	}
 }
 
 // ActivityEnd implements core.Observer.
 func (c *Collector) ActivityEnd(pboxID int, deferNs, execNs int64) {
-	c.activities.Inc()
-	c.deferNsTotal.Add(deferNs)
-	c.execNsTotal.Add(execNs)
-	c.activityLatency.Observe(time.Duration(execNs))
+	c.activities.AddStriped(pboxID, 1)
+	c.deferNsTotal.AddStriped(pboxID, deferNs)
+	c.execNsTotal.AddStriped(pboxID, execNs)
+	c.activityLatency.ObserveStriped(pboxID, time.Duration(execNs))
 	if deferNs > 0 {
-		c.activityDefer.Observe(time.Duration(deferNs))
+		c.activityDefer.ObserveStriped(pboxID, time.Duration(deferNs))
 	}
 }
 

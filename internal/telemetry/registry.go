@@ -132,7 +132,25 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 // creating it with the given bucket upper bounds on first use (nil selects
 // DefaultBuckets). Bounds must be ascending.
 func (r *Registry) Histogram(name, help string, buckets []time.Duration, labels ...Label) *Histogram {
-	return r.lookup(name, help, kindHistogram, labels, func() series { return newHistogram(buckets) }).(*Histogram)
+	return r.lookup(name, help, kindHistogram, labels, func() series { return newHistogram(buckets, 1) }).(*Histogram)
+}
+
+// stripes is the number of cache lines a striped handle spreads its writes
+// over by pBox id, like the manager's crossings, so tenants meet on no line;
+// at a line or more per stripe a handle, only the collector's hottest are.
+const stripes = 8
+
+// stripedCounter is Counter for a handle written through AddStriped, counting
+// stripe s in cells[s*stripes]: up to eight counters share a 64-word block,
+// and so one line per stripe.
+func (r *Registry) stripedCounter(cells []atomic.Int64, name, help string, labels ...Label) *Counter {
+	return r.lookup(name, help, kindCounter, labels, func() series { return &Counter{cells: cells} }).(*Counter)
+}
+
+// stripedHistogram is Histogram, with DefaultBuckets, for a handle written
+// through ObserveStriped.
+func (r *Registry) stripedHistogram(name, help string) *Histogram {
+	return r.lookup(name, help, kindHistogram, nil, func() series { return newHistogram(nil, stripes) }).(*Histogram)
 }
 
 // WritePrometheus renders every registered metric in Prometheus text
@@ -151,9 +169,11 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 	}
 }
 
-// Counter is a monotonically increasing counter with an atomic hot path.
+// Counter is a monotonically increasing counter with an atomic hot path. A
+// striped one (cells non-nil) takes AddStriped's writes on a line per stripe.
 type Counter struct {
-	v atomic.Int64
+	v     atomic.Int64
+	cells []atomic.Int64
 }
 
 // Add increments the counter by d (d must be >= 0).
@@ -162,11 +182,27 @@ func (c *Counter) Add(d int64) { c.v.Add(d) }
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
+// AddStriped is Add on the stripe of id (a pBox id): writers on different
+// stripes share no line. On a counter registered unstriped it is Add.
+func (c *Counter) AddStriped(id int, d int64) {
+	if c.cells == nil {
+		c.v.Add(d)
+		return
+	}
+	c.cells[(id&(stripes-1))*stripes].Add(d)
+}
+
+// Value returns the current count: the sum over the stripes.
+func (c *Counter) Value() int64 {
+	v := c.v.Load()
+	for i := 0; i < len(c.cells); i += stripes {
+		v += c.cells[i].Load()
+	}
+	return v
+}
 
 func (c *Counter) write(w io.Writer, name, labels string) {
-	fmt.Fprintf(w, "%s%s %d\n", name, labels, c.v.Load())
+	fmt.Fprintf(w, "%s%s %d\n", name, labels, c.Value())
 }
 
 // Gauge is a value that can go up and down, with an atomic hot path.
@@ -195,17 +231,20 @@ func (g *Gauge) write(w io.Writer, name, labels string) {
 
 // Histogram is a fixed-bucket latency histogram. Observe is lock-free: it
 // finds the bucket with a short linear scan (bucket counts are small and
-// fixed) and updates three atomics. Exposition follows the Prometheus
+// fixed) and updates two atomics. Exposition follows the Prometheus
 // convention: cumulative _bucket{le="..."} series in seconds, plus _sum and
 // _count.
 type Histogram struct {
 	bounds []time.Duration // ascending upper bounds; +Inf is implicit
-	counts []atomic.Int64  // one per bound, plus the +Inf overflow at the end
-	sumNs  atomic.Int64
-	total  atomic.Int64
+	// cells holds a row per stripe, padded to whole cache lines: the sum in ns
+	// (beside the low buckets, where most samples land), a count per bound,
+	// the +Inf overflow.
+	cells  []atomic.Int64
+	stride int // cells per row
+	mask   int // stripes - 1
 }
 
-func newHistogram(bounds []time.Duration) *Histogram {
+func newHistogram(bounds []time.Duration, rows int) *Histogram {
 	if len(bounds) == 0 {
 		bounds = DefaultBuckets()
 	}
@@ -214,29 +253,45 @@ func newHistogram(bounds []time.Duration) *Histogram {
 			panic("telemetry: histogram bounds must be ascending")
 		}
 	}
-	h := &Histogram{
+	stride := (len(bounds) + 2 + 7) &^ 7
+	return &Histogram{
 		bounds: append([]time.Duration(nil), bounds...),
-		counts: make([]atomic.Int64, len(bounds)+1),
+		cells:  make([]atomic.Int64, rows*stride),
+		stride: stride,
+		mask:   rows - 1,
 	}
-	return h
 }
 
 // Observe records one duration sample.
-func (h *Histogram) Observe(d time.Duration) {
+func (h *Histogram) Observe(d time.Duration) { h.ObserveStriped(0, d) }
+
+// ObserveStriped is Observe on the stripe of id (a pBox id): writers on
+// different stripes share no line. On an unstriped histogram it is Observe.
+func (h *Histogram) ObserveStriped(id int, d time.Duration) {
 	i := 0
 	for i < len(h.bounds) && d > h.bounds[i] {
 		i++
 	}
-	h.counts[i].Add(1)
-	h.sumNs.Add(int64(d))
-	h.total.Add(1)
+	row := h.cells[(id&h.mask)*h.stride:]
+	row[0].Add(int64(d))
+	row[1+i].Add(1)
+}
+
+// sum totals the k cells from cell i of a row over the stripes.
+func (h *Histogram) sum(i, k int) (n int64) {
+	for r := i; r < len(h.cells); r += h.stride {
+		for c := r; c < r+k; c++ {
+			n += h.cells[c].Load()
+		}
+	}
+	return n
 }
 
 // Count returns the number of samples observed.
-func (h *Histogram) Count() int64 { return h.total.Load() }
+func (h *Histogram) Count() int64 { return h.sum(1, len(h.bounds)+1) }
 
 // Sum returns the total of all observed durations.
-func (h *Histogram) Sum() time.Duration { return time.Duration(h.sumNs.Load()) }
+func (h *Histogram) Sum() time.Duration { return time.Duration(h.sum(0, 1)) }
 
 func (h *Histogram) write(w io.Writer, name, labels string) {
 	// Merge the le label into any existing label set.
@@ -246,13 +301,15 @@ func (h *Histogram) write(w io.Writer, name, labels string) {
 	}
 	var cum int64
 	for i, b := range h.bounds {
-		cum += h.counts[i].Load()
+		cum += h.sum(1+i, 1)
 		fmt.Fprintf(w, "%s_bucket%sle=%q} %d\n", name, open, formatSeconds(b), cum)
 	}
-	cum += h.counts[len(h.bounds)].Load()
+	cum += h.sum(1+len(h.bounds), 1)
 	fmt.Fprintf(w, "%s_bucket%sle=\"+Inf\"} %d\n", name, open, cum)
-	fmt.Fprintf(w, "%s_sum%s %s\n", name, labels, formatSeconds(time.Duration(h.sumNs.Load())))
-	fmt.Fprintf(w, "%s_count%s %d\n", name, labels, h.total.Load())
+	fmt.Fprintf(w, "%s_sum%s %s\n", name, labels, formatSeconds(h.Sum()))
+	// _count is the +Inf bucket itself: loaded apart, an Observe between the
+	// two loads would leave it below the bucket, an inconsistent histogram.
+	fmt.Fprintf(w, "%s_count%s %d\n", name, labels, cum)
 }
 
 // formatSeconds renders a duration as a seconds value without trailing

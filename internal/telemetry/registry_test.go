@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"pbox/internal/core"
 )
 
 func TestCounterAndGaugeBasics(t *testing.T) {
@@ -201,5 +203,85 @@ func TestRegistryConcurrentUpdates(t *testing.T) {
 	}
 	if h.Count() != 8000 {
 		t.Fatalf("histogram count = %d, want 8000", h.Count())
+	}
+}
+
+// TestCollectorStripesSumExactly drives the collector's striped handles from
+// goroutines × pBoxes at once while renders run beside them: every render
+// shows each histogram's _count equal to its +Inf bucket, and once the
+// callbacks stop, the totals are exactly what was added across the stripes.
+func TestCollectorStripesSumExactly(t *testing.T) {
+	const goroutines, pboxes, rounds = 4, 12, 300
+	reg := NewRegistry()
+	c := NewCollector(reg)
+	hists := []string{"pbox_activity_seconds", "pbox_activity_defer_seconds"}
+	scrape := func() map[string]string {
+		var buf bytes.Buffer
+		reg.WritePrometheus(&buf)
+		out := map[string]string{}
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if sp := strings.LastIndexByte(line, ' '); sp > 0 && line[0] != '#' {
+				out[line[:sp]] = line[sp+1:]
+			}
+		}
+		return out
+	}
+	stop, rendered := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(rendered)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			got := scrape()
+			for _, h := range hists {
+				if inf, n := got[h+`_bucket{le="+Inf"}`], got[h+"_count"]; inf != n {
+					t.Errorf("%s: _count %s, +Inf bucket %s", h, n, inf)
+				}
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range rounds {
+				for p := range pboxes {
+					id := g*pboxes + p + 1
+					for _, ev := range []core.EventType{core.Prepare, core.Enter, core.Hold, core.Unhold} {
+						c.StateEventAt(id, core.ResourceKey(id), ev, 0)
+					}
+					c.ActivityEnd(id, int64(id), int64(id)*1000)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-rendered
+	const activities = goroutines * pboxes * rounds
+	ids := goroutines * pboxes
+	deferNs := int64(rounds * ids * (ids + 1) / 2)
+	want := map[string]string{
+		"pbox_activities_total":                         fmt.Sprint(activities),
+		"pbox_defer_nanoseconds_total":                  fmt.Sprint(deferNs),
+		"pbox_exec_nanoseconds_total":                   fmt.Sprint(deferNs * 1000),
+		"pbox_activity_seconds_count":                   fmt.Sprint(activities),
+		"pbox_activity_seconds_sum":                     formatSeconds(time.Duration(deferNs * 1000)),
+		"pbox_activity_defer_seconds_count":             fmt.Sprint(activities),
+		"pbox_activity_defer_seconds_sum":               formatSeconds(time.Duration(deferNs)),
+		`pbox_activity_defer_seconds_bucket{le="+Inf"}`: fmt.Sprint(activities),
+	}
+	for _, ev := range []core.EventType{core.Prepare, core.Enter, core.Hold, core.Unhold} {
+		want[`pbox_events_total{event="`+ev.String()+`"}`] = fmt.Sprint(activities)
+	}
+	got := scrape()
+	for series, v := range want {
+		if got[series] != v {
+			t.Errorf("%s = %q, want %s", series, got[series], v)
+		}
 	}
 }

@@ -3,6 +3,8 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -30,14 +32,15 @@ func (r *frameRig) apply(frame []byte) error {
 	return r.s.applyFrame(frame, r.w, r.tenants, &r.c, r.bw)
 }
 
-// activities encodes n activities of tenant, each the four events on four keys:
-// the benchmark's wire_ingest shape.
+// activities encodes n activities of tenant, each the four events on four keys
+// of the tenant's own: the benchmark's wire_ingest shape.
 const eventsPerActivity = 16
 
 func activities(c *Client, tenant uint64, n int) {
+	base := core.ResourceKey(0x100 * tenant)
 	for ; n > 0; n-- {
 		c.Activate(tenant)
-		for k := core.ResourceKey(0x100); k < 0x104; k++ {
+		for k := base; k < base+4; k++ {
 			for ev := core.Prepare; ev <= core.Unhold; ev++ {
 				c.Event(k, ev)
 			}
@@ -119,33 +122,57 @@ func TestFrameSharesOneStamp(t *testing.T) {
 	}
 }
 
-// BenchmarkApplyFrame is the server's per-frame path without the socket: one
-// pre-encoded frame of 16 activities (256 events) applied to a traced manager.
-// It reports ns/event and fails on any allocation.
+// BenchmarkApplyFrame is the server's per-frame path without the socket: a
+// pre-encoded frame of 16 activities (256 events) applied to a traced manager,
+// by one connection, and by two at once on goroutines of their own — tenants
+// on private keys, who meet only on what the manager shares (the trace ring
+// first). It reports ns/event over every connection's events and fails on any
+// allocation.
 func BenchmarkApplyFrame(b *testing.B) {
-	mgr := core.NewManager(core.Options{TraceSize: 4096, Sleep: func(time.Duration) {}})
-	r := newFrameRig(mgr, Config{})
-	if err := r.apply(clientFrame(func(c *Client) {
-		c.Register(1, core.DefaultRule(), "bench")
-		c.Select(1)
-	})); err != nil {
-		b.Fatal(err)
+	for _, conns := range []int{1, 2} {
+		b.Run(fmt.Sprintf("conns=%d", conns), func(b *testing.B) { benchApplyFrame(b, conns) })
 	}
+}
+
+func benchApplyFrame(b *testing.B, conns int) {
+	mgr := core.NewManager(core.Options{TraceSize: 4096, Sleep: func(time.Duration) {}})
 	const perFrame = 16
-	frame := clientFrame(func(c *Client) { activities(c, 1, perFrame) })
-	run := func() {
-		if err := r.apply(frame); err != nil {
+	runs := make([]func(), conns)
+	for i := range runs {
+		r, tenant := newFrameRig(mgr, Config{}), uint64(i+1)
+		if err := r.apply(clientFrame(func(c *Client) {
+			c.Register(tenant, core.DefaultRule(), "bench")
+			c.Select(tenant)
+		})); err != nil {
 			b.Fatal(err)
 		}
-	}
-	run() // first touch: the pBox's maps, the shard entries
-	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
-		b.Fatalf("applyFrame allocates %.1f times per 256-event frame; want 0", allocs)
+		frame := clientFrame(func(c *Client) { activities(c, tenant, perFrame) })
+		runs[i] = func() {
+			if err := r.apply(frame); err != nil {
+				b.Error(err)
+			}
+		}
+		runs[i]() // first touch: the pBox's maps, the shard entries
+		if allocs := testing.AllocsPerRun(100, runs[i]); allocs != 0 {
+			b.Fatalf("applyFrame allocates %.1f times per 256-event frame; want 0", allocs)
+		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		run()
+	var wg sync.WaitGroup
+	for _, run := range runs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range b.N {
+				run()
+			}
+		}()
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*perFrame*eventsPerActivity), "ns/event")
+	wg.Wait()
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*perFrame*eventsPerActivity*conns), "ns/event")
+	if st := mgr.SelfStats(); st.ContentionStickySlots != 0 {
+		b.Fatalf("%d sticky contention slots: the tenants' keys alias, and the slow path was measured", st.ContentionStickySlots)
+	}
 }
