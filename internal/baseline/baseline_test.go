@@ -150,7 +150,7 @@ func TestPartiesRestoresSharesWhenQuiet(t *testing.T) {
 func TestRetroTracksLockUsageAndThrottles(t *testing.T) {
 	// Construct without the background monitor so the explicit bfair()
 	// calls below are the only consumers of the usage windows.
-	r := &Retro{flows: make(map[*retroActivity]struct{})}
+	r := &Retro{}
 	noisy := r.ConnStart("n", isolation.KindForeground).(*retroActivity)
 	quiet := r.ConnStart("q", isolation.KindForeground).(*retroActivity)
 	quiet2 := r.ConnStart("q2", isolation.KindForeground).(*retroActivity)

@@ -22,7 +22,7 @@ import (
 // virtual resources.
 type Parties struct {
 	mu      sync.Mutex
-	clients map[*partiesActivity]struct{}
+	clients []*partiesActivity // in registration order, so ties break the same way every run
 	mon     *monitor
 }
 
@@ -41,7 +41,7 @@ const minShare = 0.1
 
 // NewParties creates the PARTIES controller and starts its monitor.
 func NewParties() *Parties {
-	p := &Parties{clients: make(map[*partiesActivity]struct{})}
+	p := &Parties{}
 	p.mon = startMonitor(PartiesInterval, p.adjust)
 	return p
 }
@@ -57,7 +57,7 @@ func (p *Parties) ConnStart(name string, kind isolation.Kind) isolation.Activity
 	a := &partiesActivity{share: 1.0}
 	a.lat.alpha = 0.3
 	p.mu.Lock()
-	p.clients[a] = struct{}{}
+	p.clients = append(p.clients, a)
 	p.mu.Unlock()
 	return a
 }
@@ -70,7 +70,7 @@ func (p *Parties) adjust() {
 
 	var victim *partiesActivity
 	worst := 1.0
-	for a := range p.clients {
+	for _, a := range p.clients {
 		a.mu.Lock()
 		violation := 0.0
 		if a.target > 0 && a.lat.init {
@@ -84,7 +84,7 @@ func (p *Parties) adjust() {
 	if victim == nil {
 		// No violation: slowly restore everyone toward full share
 		// (PARTIES' upscale-when-slack behaviour).
-		for a := range p.clients {
+		for _, a := range p.clients {
 			a.mu.Lock()
 			if a.share < 1.0 {
 				a.share += shareStep / 2
@@ -99,7 +99,7 @@ func (p *Parties) adjust() {
 	// Shift share from the heaviest CPU consumer (other than the victim).
 	var noisy *partiesActivity
 	var maxCPU time.Duration
-	for a := range p.clients {
+	for _, a := range p.clients {
 		if a == victim {
 			continue
 		}

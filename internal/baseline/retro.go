@@ -24,7 +24,7 @@ import (
 // target the specific contended virtual resource.
 type Retro struct {
 	mu    sync.Mutex
-	flows map[*retroActivity]struct{}
+	flows []*retroActivity // in registration order, so a round visits them the same way every run
 	mon   *monitor
 }
 
@@ -40,7 +40,7 @@ const retroMaxDelay = 5 * time.Millisecond
 
 // NewRetro creates the Retro controller and starts its BFAIR loop.
 func NewRetro() *Retro {
-	r := &Retro{flows: make(map[*retroActivity]struct{})}
+	r := &Retro{}
 	r.mon = startMonitor(RetroInterval, r.bfair)
 	return r
 }
@@ -55,7 +55,7 @@ func (r *Retro) Shutdown() { r.mon.Stop() }
 func (r *Retro) ConnStart(name string, kind isolation.Kind) isolation.Activity {
 	a := &retroActivity{}
 	r.mu.Lock()
-	r.flows[a] = struct{}{}
+	r.flows = append(r.flows, a)
 	r.mu.Unlock()
 	return a
 }
@@ -71,7 +71,7 @@ func (r *Retro) bfair() {
 	}
 	var usages []usage
 	var total time.Duration
-	for a := range r.flows {
+	for _, a := range r.flows {
 		a.mu.Lock()
 		u := a.cpuWindow + a.lockWindow
 		a.cpuWindow, a.lockWindow = 0, 0

@@ -23,15 +23,38 @@ import (
 //
 //	go test -run NONE -fuzz FuzzSegmentDecoder -fuzztime 15s ./internal/capture
 func FuzzSegmentDecoder(f *testing.F) {
-	for _, seg := range []string{
-		filepath.Join("testdata", "golden", "v1.pblog"),
-		filepath.Join("testdata", "corpus", "c1", "seg-000001.pblog"),
-		filepath.Join("testdata", "corpus", "c2", "seg-000001.pblog"),
-	} {
-		data, err := os.ReadFile(seg)
-		if err != nil {
-			f.Fatal(err)
+	golden, err := os.ReadFile(filepath.Join("testdata", "golden", "v1.pblog"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	// A case-sized stream: four pBoxes, long delta chains of state events on
+	// a few keys, verdicts between them.
+	var long []core.Record
+	at := int64(1_000)
+	for i := 0; i < 2000; i++ {
+		id := i%4 + 1
+		at += int64(i%7+1) * 1_000
+		switch i % 5 {
+		case 0:
+			long = append(long, core.Record{Kind: core.KindActivate, PBox: id, At: at})
+		case 4:
+			long = append(long, core.Record{Kind: core.KindFreeze, PBox: id, At: at},
+				core.Record{Kind: core.KindActivityEnd, PBox: id, Dur: int64(i), Exec: at / 10})
+		default:
+			long = append(long, core.Record{Kind: core.KindState, PBox: id, Key: core.ResourceKey(i % 3), Ev: core.EventType(i % 4), At: at})
 		}
+		if i%97 == 0 {
+			long = append(long, core.Record{Kind: core.KindAction, PBox: id, Victim: id%4 + 1, Key: 1, Policy: core.PolicyScore, Dur: 200_000})
+		}
+	}
+	// Extremes: a clock that steps back, and the widest ids, keys and levels.
+	extreme := []core.Record{
+		{Kind: core.KindCreate, PBox: 1 << 40, RuleType: core.Relative, Metric: core.MetricMax, Level: 1e300},
+		{Kind: core.KindActivate, PBox: 1 << 40, At: 1 << 62},
+		{Kind: core.KindState, PBox: 1 << 40, Key: 1<<63 + 5, Ev: core.Unhold, At: 1},
+		{Kind: core.KindDetection, PBox: 1 << 40, Victim: 1, Key: 1 << 63, Level: -1},
+	}
+	for _, data := range [][]byte{golden, encodeSegment(long), encodeSegment(extreme)} {
 		f.Add(data)
 		f.Add(data[:len(data)/2]) // torn tail
 	}

@@ -36,7 +36,7 @@ type RecorderConfig struct {
 // Recorder is the capture sink: the embedded core.RecordObserver makes it a
 // core.Observer and core.AttributionObserver whose every callback arrives at
 // Record as one value and is then forwarded to Config.Next, and Record
-// streams those values to disk as a binary log Replay can consume. Because
+// streams those values to disk as a binary log ReadLog decodes. Because
 // the adapter forwards every callback, the log is the same wherever the
 // Recorder sits in an observer chain.
 //

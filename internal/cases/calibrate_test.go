@@ -3,48 +3,75 @@ package cases
 import (
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"pbox/internal/stats"
 )
 
-// TestCalibrate prints To/Ti/Ts and reduction ratios for each case. It only
-// runs when PBOX_CALIBRATE is set (it is a tuning tool, not a regression
-// test). PBOX_CASES can narrow it to a comma-separated id list.
+// TestCalibrate holds the lab against real time: each case's To, Ti and pBox
+// cells run live through the same cell runner, three times at 1 s, and the
+// signs of interference (Ti vs To) and of relief (Ts vs Ti, at the mean and at
+// p95) are compared with the lab's committed cells. It prints a Markdown table
+// (EXPERIMENTS.md keeps one) and only runs when PBOX_CALIBRATE is set: it is a
+// measurement of this host, not a regression test. PBOX_CASES narrows it to a
+// comma-separated id list.
 func TestCalibrate(t *testing.T) {
 	if os.Getenv("PBOX_CALIBRATE") == "" {
 		t.Skip("set PBOX_CALIBRATE=1 to run")
 	}
+	lab := goldenCells(t)
+	const runs = 3
+	live := make([]*Lab, runs)
+	for i := range live {
+		live[i] = &Lab{Duration: time.Second}
+	}
+	fmt.Println("| case | lab interference | live | lab relief mean | live | lab relief p95 | live | mismatch |")
+	fmt.Println("|---|---|---|---|---|---|---|---|")
 	filter := os.Getenv("PBOX_CASES")
-	for _, c := range Catalog() {
-		if filter != "" && !contains(filter, c.ID) {
+	for _, id := range caseIDs() {
+		if filter != "" && !slices.Contains(strings.Split(filter, ","), id) {
 			continue
 		}
-		to := Run(c, RunConfig{Solution: SolutionNone, Interference: false})
-		ti := Run(c, RunConfig{Solution: SolutionNone, Interference: true})
-		ts := Run(c, RunConfig{Solution: SolutionPBox, Interference: true})
-		p := stats.InterferenceLevel(ti.Victim.Mean, to.Victim.Mean)
-		r := stats.ReductionRatio(ti.Victim.Mean, to.Victim.Mean, ts.Victim.Mean)
-		fmt.Printf("%-4s To=%-10v Ti=%-12v Ts=%-12v p=%-8.2f r=%6.1f%% actions=%d n(Ti)=%d\n",
-			c.ID, to.Victim.Mean, ti.Victim.Mean, ts.Victim.Mean, p, r*100, ts.Actions, ti.Victim.Count)
+		want := signs(lab(to(id)), lab(ti(id)), lab(ts(id, SolutionPBox)))
+		var got [runs][3]string
+		for i, l := range live {
+			got[i] = signs(rowOf(to(id), l.Get(to(id))), rowOf(ti(id), l.Get(ti(id))), rowOf(ts(id, SolutionPBox), l.Get(ts(id, SolutionPBox))))
+		}
+		line := "| " + id
+		var mismatch []string
+		for k, name := range []string{"interference", "relief mean", "relief p95"} {
+			seen := ""
+			for i := range got {
+				seen += got[i][k]
+			}
+			line += " | " + want[k] + " | " + seen
+			if strings.Count(seen, want[k])*2 < runs {
+				mismatch = append(mismatch, name)
+			}
+		}
+		fmt.Println(line + " | " + strings.Join(mismatch, ", ") + " |")
 	}
-	_ = time.Now
 }
 
-func contains(csv, id string) bool {
-	for len(csv) > 0 {
-		i := 0
-		for i < len(csv) && csv[i] != ',' {
-			i++
+// signs classifies a case's interference (the level p = Ti/To − 1 at the mean
+// above 0.5) and its relief (the reduction ratio beyond ±10%, at the mean and
+// at p95) as +, 0 or −, so a live run's noise does not flip a verdict.
+func signs(o, i, s row) [3]string {
+	sign := func(v, band float64) string {
+		switch {
+		case v > band:
+			return "+"
+		case v < -band:
+			return "−"
 		}
-		if csv[:i] == id {
-			return true
-		}
-		if i == len(csv) {
-			break
-		}
-		csv = csv[i+1:]
+		return "0"
 	}
-	return false
+	return [3]string{
+		sign(stats.InterferenceLevel(i.Victim.Mean, o.Victim.Mean), 0.5),
+		sign(stats.ReductionRatio(i.Victim.Mean, o.Victim.Mean, s.Victim.Mean), 0.1),
+		sign(stats.ReductionRatio(i.Victim.P95, o.Victim.P95, s.Victim.P95), 0.1),
+	}
 }

@@ -5,9 +5,11 @@
 // without the noisy component, and records victim and noisy latencies.
 //
 // A case can run under any solution of Section 6.3: vanilla (no isolation),
-// pBox, cgroup, PARTIES, Retro, or DARC. The experiment harness combines
-// runs into the paper's metrics: interference level p = Ti/To − 1 and
-// reduction ratio r = (Ti − Ts)/(Ti − To).
+// pBox, cgroup, PARTIES, Retro, or DARC. A Lab runs the evaluation's cells
+// (cell.go), each once; the views over them (views_test.go) give the paper's
+// metrics: interference level p = Ti/To − 1 and reduction ratio
+// r = (Ti − Ts)/(Ti − To). The case lab (lab_test.go) runs every cell in
+// virtual time and keeps the views under testdata/lab.
 package cases
 
 import (
@@ -18,6 +20,7 @@ import (
 	"pbox/internal/core"
 	"pbox/internal/isolation"
 	"pbox/internal/stats"
+	"pbox/internal/vres"
 )
 
 // Env is the scenario execution environment.
@@ -86,7 +89,8 @@ type RunConfig struct {
 	// Rule overrides the pBox isolation rule (default: 50% relative).
 	Rule core.IsolationRule
 	// ManagerOptions seeds the pBox manager (fixed penalty mode, event
-	// filters for the mistake-tolerance experiment, ...).
+	// filters for the mistake-tolerance experiment, ...). An EventFilter sees
+	// resource keys numbered from the run's first resource.
 	ManagerOptions core.Options
 }
 
@@ -118,6 +122,14 @@ func Run(c Case, rc RunConfig) Outcome {
 	rule := rc.Rule
 	if !rule.Valid() {
 		rule = core.DefaultRule()
+	}
+	if filter := rc.ManagerOptions.EventFilter; filter != nil {
+		// Keys come from a process-wide counter; number them from this run's
+		// first resource, so a filter drops the same sites in every run.
+		base := vres.NewKey()
+		rc.ManagerOptions.EventFilter = func(key core.ResourceKey, ev core.EventType) bool {
+			return filter(key-base, ev)
+		}
 	}
 	ctrl, mgr := newController(c, rc, rule)
 	defer ctrl.Shutdown()

@@ -10,9 +10,12 @@ import (
 // function of this file, and apply what comes back. Nothing here takes a lock,
 // reads a clock, calls an observer or sees a pBox, so a change to what pBox
 // decides is a change to this file, and refmodel (which shares none of it)
-// judges the result record for record. The numbers of DESIGN.md §5 are named
-// here and nowhere else.
+// judges the result record for record. The paper's own constants and the
+// numbers of DESIGN.md §5 are named here and nowhere else.
 const (
+	alpha          = 5.0   // α of the score policy, p(i+1) = p1 × (1 + score/α) (Section 4.4.2)
+	monitorShare   = 0.9   // the pBox-level monitor acts from 90% of the goal (Section 4.3.1)
+	gapFactor      = 2.0   // the gap policy takes a trigger above 2× the previous penalty ("much larger")
 	maxRatio       = 100.0 // §5.7: an activity that was all wait reads 100×, not td/ε
 	scoreWindow    = 64    // §5.6: activities in the history ring the score and the quantiles read
 	tailQuantile   = 0.95  // MetricTail's quantile of that ring
@@ -67,13 +70,13 @@ func ratioQuantile(window []activityRecord, q float64) float64 {
 }
 
 // monitor is the pBox-level monitor (Section 4.3.1) at the end of an activity:
-// it acts once the aggregate level is within PBoxLevelThreshold of the goal.
+// it acts once the aggregate level reaches monitorShare of the goal.
 func (o *Options) monitor(rule IsolationRule, totalDefer, totalExec int64, window []activityRecord) (level float64, act bool) {
 	if o.DisablePBoxLevel || o.DisableDetection {
 		return 0, false
 	}
 	level = interferenceLevel(rule.Metric, totalDefer, totalExec, window)
-	return level, level >= o.PBoxLevelThreshold*rule.Level
+	return level, level >= monitorShare*rule.Level
 }
 
 // overlap is the part of a wait begun at since that a hold begun at heldSince
@@ -157,7 +160,7 @@ func (o *Options) decide(st *pairState, in actionInputs) (penalty float64, kind 
 	case st.count == 0:
 		penalty, kind = o.initialPenalty(in), PolicyInitial
 		st.p1 = penalty
-	case float64(in.trigger) > o.GapPolicyFactor*st.last:
+	case float64(in.trigger) > gapFactor*st.last:
 		penalty, kind = st.gapPenalty(in.score, in.goal), PolicyGap
 	default:
 		penalty, kind = o.scorePenalty(st, in.score), PolicyScore
@@ -200,7 +203,7 @@ func (o *Options) scorePenalty(st *pairState, s float64) float64 {
 	} else if st.score > 0 {
 		st.score--
 	}
-	return max(st.p1*(1+st.score/o.Alpha), st.last*maxDecay)
+	return max(st.p1*(1+st.score/alpha), st.last*maxDecay)
 }
 
 // gapPenalty is p(i+1) = p(i) × gap/δ with gap = s(i+1) − goal and

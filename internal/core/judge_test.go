@@ -198,7 +198,7 @@ func TestScoreWindow(t *testing.T) {
 }
 
 // TestMonitorThreshold (Section 4.3.1): the pBox-level monitor acts from
-// PBoxLevelThreshold × goal up, and not at all when it or detection is off.
+// monitorShare × goal up, and not at all when it or detection is off.
 func TestMonitorThreshold(t *testing.T) {
 	o := judgeOpts()
 	rule := IsolationRule{Type: Relative, Level: 0.5}
@@ -321,6 +321,34 @@ func TestDecide(t *testing.T) {
 	fixed.FixedPenalty = time.Second
 	if p, _ := fixed.decide(&pairState{}, actionInputs{}); p != float64(fixed.MaxPenalty) {
 		t.Errorf("a second, clamped: %v", p)
+	}
+}
+
+// TestScorePolicyEscalation: penalties that leave the victim no better off grow
+// by p1/α per action under the score policy, while each trigger stays within
+// gapFactor of the previous penalty.
+func TestScorePolicyEscalation(t *testing.T) {
+	o := judgeOpts()
+	var st pairState
+	if p, kind := o.decide(&st, actionInputs{trigger: 9e6, score: 3, noisyExec: 1e6}); p != 2e6 || kind != PolicyInitial {
+		t.Fatalf("first action: %v %v, want 2ms initial", p, kind)
+	}
+	for i := 1; i <= 4; i++ {
+		p, kind := o.decide(&st, actionInputs{trigger: int64(gapFactor * st.last), score: 3})
+		if want := 2e6 * (1 + float64(i)/alpha); p != want || kind != PolicyScore {
+			t.Errorf("action %d: %v %v, want %v score", i+1, p, kind, want)
+		}
+	}
+}
+
+// TestGapPolicySelected: a trigger beyond gapFactor × the previous penalty
+// takes the gap policy, whose step is capped at 4×.
+func TestGapPolicySelected(t *testing.T) {
+	o := judgeOpts()
+	st := pairState{count: 1, p1: 2e6, last: 2e6, lastS: 3}
+	// gap 6 − 0.5 over δ 1 − 3/6: 2 ms × 11, capped at 8 ms.
+	if p, kind := o.decide(&st, actionInputs{trigger: 5e6, score: 6, goal: 0.5}); p != 8e6 || kind != PolicyGap {
+		t.Errorf("trigger 2.5× the last penalty: %v %v, want 8ms gap", p, kind)
 	}
 }
 

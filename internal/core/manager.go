@@ -30,20 +30,6 @@ type Options struct {
 	MinPenalty time.Duration
 	MaxPenalty time.Duration
 
-	// Alpha is the α divisor of the score-based adaptive policy
-	// (p_{i+1} = p1 × (1 + score/α)); the paper's default is 5.
-	Alpha float64
-
-	// PBoxLevelThreshold is the fraction of the goal at which the
-	// pBox-level monitor acts (default 0.9, Section 4.3.1).
-	PBoxLevelThreshold float64
-
-	// GapPolicyFactor selects the gap-based policy when the triggering
-	// wait exceeds factor × previous penalty ("If the deferring time is
-	// much larger than the penalty, it chooses the second policy").
-	// Default 2.
-	GapPolicyFactor float64
-
 	// FixedPenalty, when non-zero, disables the adaptive policies and
 	// always applies this length (the Table 4 comparison mode).
 	FixedPenalty time.Duration
@@ -91,15 +77,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxPenalty <= 0 {
 		o.MaxPenalty = 20 * time.Millisecond
-	}
-	if o.Alpha <= 0 {
-		o.Alpha = 5
-	}
-	if o.PBoxLevelThreshold <= 0 {
-		o.PBoxLevelThreshold = 0.9
-	}
-	if o.GapPolicyFactor <= 0 {
-		o.GapPolicyFactor = 2
 	}
 	return o
 }
@@ -397,8 +374,8 @@ func (m *Manager) ActivateAt(p *PBox, at int64) {
 
 // Freeze stops tracing the pBox's current activity (freeze_pbox), folds the
 // activity into the pBox's history, and runs the pBox-level interference
-// monitor (Section 4.3.1): if the aggregate interference level is within
-// PBoxLevelThreshold of the goal, the manager takes action against the most
+// monitor (Section 4.3.1): if the aggregate interference level reaches 90%
+// of the goal, the manager takes action against the most
 // recent blocker at the end of the activity.
 func (m *Manager) Freeze(p *PBox) { m.FreezeAt(p, noStamp) }
 

@@ -379,71 +379,6 @@ func TestInitialPenaltyPositive(t *testing.T) {
 	}
 }
 
-// TestScorePolicyEscalation: repeated ineffective penalties must grow the
-// penalty length via the score policy.
-func TestScorePolicyEscalation(t *testing.T) {
-	h := newHarness(t, func(o *Options) {
-		o.GapPolicyFactor = 1e12 // force the score policy
-	})
-	noisy := h.pbox(0.5)
-	victim := h.pbox(0.5)
-	key := ResourceKey(5)
-
-	h.m.Activate(noisy)
-	h.m.Activate(victim)
-
-	for i := 0; i < 4; i++ {
-		h.m.Update(noisy, key, Hold)
-		h.m.Update(victim, key, Prepare)
-		h.advance(2 * time.Millisecond) // victim keeps suffering
-		h.m.Update(noisy, key, Unhold)
-		h.m.Update(victim, key, Enter)
-		h.advance(50 * time.Microsecond)
-	}
-	recs := h.m.ActionReport()
-	if len(recs) != 1 {
-		t.Fatalf("action records = %d, want 1", len(recs))
-	}
-	rec := recs[0]
-	if rec.Actions != 4 {
-		t.Fatalf("actions = %d, want 4", rec.Actions)
-	}
-	if rec.ScoreActions == 0 {
-		t.Fatalf("expected score-based actions, got policies %v", rec.Policies)
-	}
-	// Victim's ratio keeps growing, so the score escalates each step.
-	for i := 2; i < len(rec.Lengths); i++ {
-		if rec.Lengths[i] < rec.Lengths[i-1] {
-			t.Fatalf("score policy should not shrink while ineffective: %v", rec.Lengths)
-		}
-	}
-}
-
-// TestGapPolicySelected: with a huge victim defer relative to the previous
-// penalty, the gap policy must be chosen.
-func TestGapPolicySelected(t *testing.T) {
-	h := newHarness(t, func(o *Options) {
-		o.GapPolicyFactor = 2
-	})
-	noisy := h.pbox(0.5)
-	victim := h.pbox(0.5)
-	key := ResourceKey(5)
-
-	h.m.Activate(noisy)
-	h.m.Activate(victim)
-	for i := 0; i < 3; i++ {
-		h.m.Update(noisy, key, Hold)
-		h.m.Update(victim, key, Prepare)
-		h.advance(5 * time.Millisecond)
-		h.m.Update(noisy, key, Unhold)
-		h.m.Update(victim, key, Enter)
-	}
-	recs := h.m.ActionReport()
-	if len(recs) != 1 || recs[0].GapActions == 0 {
-		t.Fatalf("expected gap-based actions, got %+v", recs)
-	}
-}
-
 // TestFixedPenaltyMode: Table 4's comparison mode applies a constant length.
 func TestFixedPenaltyMode(t *testing.T) {
 	h := newHarness(t, func(o *Options) {

@@ -26,6 +26,11 @@ import (
 // back over (§5.6); ratioCap bounds an interference level (§5.7).
 const historySize, ratioCap = 64, 100.0
 
+// The paper's constants: α of the score policy (Section 4.4.2), the share of
+// the goal the pBox-level monitor acts from (Section 4.3.1), and how much
+// larger than the previous penalty a trigger must be for the gap policy.
+const alpha, monitorShare, gapFactor = 5.0, 0.9, 2.0
+
 type (
 	hold     struct{ count, since int64 }
 	activity struct{ td, te int64 }
@@ -88,9 +93,6 @@ type Model struct {
 func New(opts core.Options) *Model {
 	opts.MinPenalty = cmp.Or(max(opts.MinPenalty, 0), 200*time.Microsecond)
 	opts.MaxPenalty = cmp.Or(max(opts.MaxPenalty, 0), 20*time.Millisecond)
-	opts.Alpha = cmp.Or(max(opts.Alpha, 0), 5)
-	opts.PBoxLevelThreshold = cmp.Or(max(opts.PBoxLevelThreshold, 0), 0.9)
-	opts.GapPolicyFactor = cmp.Or(max(opts.GapPolicyFactor, 0), 2)
 	return &Model{
 		opts:    opts,
 		pboxes:  make(map[int]*pbox),
@@ -178,7 +180,7 @@ func (m *Model) Freeze(id int) {
 	}
 	m.emit(core.Record{Kind: core.KindActivityEnd, PBox: id, Dur: td, Exec: te})
 	m.dropWaits(p)
-	if level := p.level(); !m.opts.DisablePBoxLevel && !m.opts.DisableDetection && level >= m.opts.PBoxLevelThreshold*p.rule.Level {
+	if level := p.level(); !m.opts.DisablePBoxLevel && !m.opts.DisableDetection && level >= monitorShare*p.rule.Level {
 		// The largest contributor to this activity's deferring time; of equals,
 		// the pBox with the lower id.
 		var worst *blame
@@ -394,7 +396,7 @@ func (m *Model) takeAction(noisy, victim *pbox, key core.ResourceKey, now, trigg
 	case a.count == 0:
 		penalty, policy = m.initialPenalty(noisy, victim, now, trigger), core.PolicyInitial
 		a.p1 = penalty
-	case float64(trigger) > m.opts.GapPolicyFactor*a.last:
+	case float64(trigger) > gapFactor*a.last:
 		// The wait dwarfs the last penalty: p(i+1) = p(i) × gap/δ with
 		// gap = s(i+1) − goal and δ = 1 − s(i)/s(i+1), halved when the goal is
 		// met and stepped by at most 4×.
@@ -413,7 +415,7 @@ func (m *Model) takeAction(noisy, victim *pbox, key core.ResourceKey, now, trigg
 		} else if a.score > 0 {
 			a.score--
 		}
-		penalty = math.Max(a.p1*(1+a.score/m.opts.Alpha), a.last/2)
+		penalty = math.Max(a.p1*(1+a.score/alpha), a.last/2)
 	}
 	penalty = m.clamp(penalty)
 	if limit := 4 * float64(trigger); trigger > 0 && penalty > limit {

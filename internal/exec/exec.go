@@ -11,6 +11,10 @@
 // complete in ≈ their nominal wall duration regardless of core count,
 // giving the "sufficient hardware" semantics of the paper's testbed, and
 // sub-millisecond durations stay accurate despite the coarse timer.
+//
+// Virtualize is the one test seam: inside a testing/synctest bubble it turns
+// every wait into a plain time.Sleep on the bubble's fake clock, so a case
+// re-executes deterministically in virtual time.
 package exec
 
 import (
@@ -23,6 +27,22 @@ import (
 var sink atomic.Uint64
 
 var processStart = time.Now()
+
+// virtual is set by Virtualize: Work and SleepPrecise sleep the timer.
+var virtual bool
+
+// Virtualize switches the package to virtual mode for a testing/synctest
+// bubble, whose fake clock moves only while every goroutine in it is blocked:
+// Work and SleepPrecise (and so IOWait and Spin) become plain time.Sleep, so
+// simulated work takes fake time and no CPU, and Now's origin is taken again
+// from the bubble's clock. Call it in the bubble before it starts goroutines,
+// and call the returned restore after the bubble has ended. Now's real path is
+// unchanged by the seam.
+func Virtualize() (restore func()) {
+	start, was := processStart, virtual
+	processStart, virtual = time.Now(), true
+	return func() { processStart, virtual = start, was }
+}
 
 // Now returns a monotonic timestamp in nanoseconds. All pBox bookkeeping is
 // done on this clock so the manager never observes wall-clock jumps.
@@ -40,6 +60,10 @@ const spinThreshold = 2 * time.Millisecond
 // (the "other threads" of the simulated application) running.
 func SleepPrecise(d time.Duration) {
 	if d <= 0 {
+		return
+	}
+	if virtual {
+		time.Sleep(d)
 		return
 	}
 	deadline := Now() + int64(d)
@@ -62,6 +86,10 @@ func SleepPrecise(d time.Duration) {
 // what quota-based baselines account.
 func Work(d time.Duration) {
 	if d <= 0 {
+		return
+	}
+	if virtual {
+		time.Sleep(d)
 		return
 	}
 	deadline := Now() + int64(d)

@@ -54,6 +54,7 @@ type BufferPool struct {
 	free     int
 	pages    map[PageID]*list.Element // PageID -> *frame element
 	lru      *list.List               // front = MRU, back = LRU victim
+	rng      uint64                   // xorshift state of the victim pick
 }
 
 type frame struct {
@@ -73,6 +74,7 @@ func NewBufferPool(capacity int, costs BufferPoolCosts) *BufferPool {
 		free:     capacity,
 		pages:    make(map[PageID]*list.Element),
 		lru:      list.New(),
+		rng:      0x9e3779b97f4a7c15,
 	}
 }
 
@@ -194,19 +196,20 @@ func (bp *BufferPool) evictOne(act isolation.Activity) {
 // strictly recency-ordered (midpoint insertion, old/young sublists, random
 // readahead): under a streaming scan the working set is *not* protected —
 // which is precisely the reported behaviour of the mysqldump case. The
-// victim is sampled from a small window at the cold end of the list plus a
-// pseudo-random resident page, biased toward the random pick under flood.
-// Caller holds bp.mu.
+// victim is a pseudo-random resident page, from a fixed seed so a run's
+// evictions repeat in every run. Caller holds bp.mu.
 func (bp *BufferPool) pickVictimLocked() *list.Element {
-	back := bp.lru.Back()
-	if back == nil {
+	e := bp.lru.Back()
+	if e == nil {
 		return nil
 	}
-	// Pseudo-random pick via map iteration order.
-	for _, e := range bp.pages {
-		return e
+	bp.rng ^= bp.rng << 13
+	bp.rng ^= bp.rng >> 7
+	bp.rng ^= bp.rng << 17
+	for n := bp.rng % uint64(bp.lru.Len()); n > 0; n-- {
+		e = e.Prev()
 	}
-	return back
+	return e
 }
 
 // install maps id to a fresh frame at the MRU position. Caller holds bp.mu
