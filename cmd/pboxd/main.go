@@ -23,6 +23,7 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/signal"
 	"syscall"
@@ -73,7 +74,6 @@ func main() {
 	// daemon's who-hurt-whom diagnosis surface.
 	var (
 		reg    *telemetry.Registry
-		col    *telemetry.Collector
 		rec    *flightrec.Recorder
 		capRec *capture.Recorder
 		obs    core.Observer
@@ -81,8 +81,7 @@ func main() {
 	opts := core.Options{TraceSize: *traceSize, Attribution: true}
 	if !*noTelem {
 		reg = telemetry.NewRegistry()
-		col = telemetry.NewCollector(reg)
-		obs = col
+		obs = telemetry.NewCollector(reg)
 	}
 	if *incidents != "" {
 		rec = flightrec.New(flightrec.Config{Dir: *incidents, Next: obs})
@@ -100,9 +99,6 @@ func main() {
 		opts.Observer = obs
 	}
 	mgr := core.NewManager(opts)
-	if col != nil {
-		col.AttachNamer(mgr)
-	}
 	if rec != nil {
 		rec.AttachManager(mgr)
 		log.Printf("pboxd: flight recorder writing incident bundles to %s/", *incidents)
@@ -114,7 +110,7 @@ func main() {
 		if rec != nil {
 			rec.AttachCapture(capRec) // incident bundles reference the capture log position
 		}
-		log.Printf("pboxd: capture recorder writing event log to %s/ (replay with: pboxreplay sweep %s)", *record, *record)
+		log.Printf("pboxd: capture recorder writing event log to %s/ (read with: pboxreplay info|cat %s)", *record, *record)
 	}
 	rule := core.DefaultRule()
 	rule.Level = *goal
@@ -342,7 +338,11 @@ func report(snaps []core.Snapshot, mgr *core.Manager, reg *telemetry.Registry, r
 		}
 	}
 	if reg != nil {
+		// The /metrics exposition, so the dump carries the attributed
+		// series rendered from the ledger beside the registry's families.
 		fmt.Println("--- metrics ---")
-		reg.WritePrometheus(os.Stdout)
+		rw := httptest.NewRecorder()
+		telemetry.NewExporter(reg, mgr).ServeHTTP(rw, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		os.Stdout.Write(rw.Body.Bytes())
 	}
 }

@@ -5,8 +5,9 @@
 // noisy + two victim in-process clients. While the clients run it polls the
 // same data the pboxd HTTP endpoints serve — a /pboxes-style table once a
 // second and a /trace-style incremental read — and when the run ends it
-// prints the Prometheus text exposition, so the full pipeline (hooks →
-// collector → registry → exposition) is visible without opening a socket.
+// prints the exporter's /metrics response, so the full pipeline (hooks →
+// collector → registry, and the attribution ledger → pbox_attributed_*
+// series) is visible without opening a socket.
 //
 // Run it:
 //
@@ -19,6 +20,8 @@ package main
 import (
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"time"
 
@@ -34,8 +37,9 @@ const capacity = 512
 func main() {
 	reg := telemetry.NewRegistry()
 	mgr := core.NewManager(core.Options{
-		Observer:  telemetry.NewCollector(reg),
-		TraceSize: 2048,
+		Observer:    telemetry.NewCollector(reg),
+		TraceSize:   2048,
+		Attribution: true,
 	})
 	rule := core.DefaultRule()
 	rule.Level = 0.5
@@ -113,5 +117,8 @@ func main() {
 	<-done
 
 	fmt.Println("--- final metrics (/metrics) ---")
-	reg.WritePrometheus(os.Stdout)
+	mgr.RefreshStatusView() // the final dump wants every event, spooled ones too
+	rw := httptest.NewRecorder()
+	telemetry.NewExporter(reg, mgr).ServeHTTP(rw, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	os.Stdout.Write(rw.Body.Bytes())
 }

@@ -14,6 +14,7 @@ package cases
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"pbox/internal/baseline"
@@ -152,9 +153,9 @@ func Run(c Case, rc RunConfig) Outcome {
 	}
 	if mgr != nil {
 		out.Actions = mgr.TotalActions()
-		out.PenaltyLengths = mgr.PenaltyLengths()
 		var convSum, convN float64
 		for _, rec := range mgr.ActionReport() {
+			out.PenaltyLengths = append(out.PenaltyLengths, rec.Lengths...)
 			out.ScoreActions += rec.ScoreActions
 			out.GapActions += rec.GapActions
 			if rec.ConvergenceSteps > 0 {
@@ -162,6 +163,7 @@ func Run(c Case, rc RunConfig) Outcome {
 				convN++
 			}
 		}
+		slices.Sort(out.PenaltyLengths)
 		if convN > 0 {
 			out.ConvergenceSteps = convSum / convN
 		}

@@ -227,8 +227,3 @@ func (o *Options) clamp(p float64) float64 {
 	}
 	return min(p, float64(o.MaxPenalty))
 }
-
-// stack adds a new penalty to what a pBox still has pending, MaxPenalty at most.
-func (o *Options) stack(pending int64, penalty float64) int64 {
-	return min(pending+int64(penalty), int64(o.MaxPenalty))
-}

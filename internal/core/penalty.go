@@ -1,9 +1,6 @@
 package core
 
-import (
-	"sort"
-	"time"
-)
+import "time"
 
 // PolicyKind identifies which adaptive policy produced a penalty length.
 type PolicyKind int
@@ -135,7 +132,7 @@ func (m *Manager) takeActionVerdict(noisy, victim *PBox, key ResourceKey, now, t
 	st.policies = append(st.policies, kind)
 
 	noisy.penMu.Lock()
-	noisy.pendingPenalty.Store(m.opts.stack(noisy.pendingPenalty.Load(), penalty))
+	noisy.pendingPenalty.Store(int64(penalty)) // nothing pending: checked above
 	noisy.pendingAttrVictim = victim.id
 	noisy.pendingAttrKey = key
 	noisy.penMu.Unlock()
@@ -204,21 +201,6 @@ func (m *Manager) TotalActions() int {
 		n += st.count
 	}
 	return n
-}
-
-// PenaltyLengths returns every penalty length applied, sorted ascending
-// (Figure 14's distribution).
-func (m *Manager) PenaltyLengths() []time.Duration {
-	m.verdictMu.Lock()
-	defer m.verdictMu.Unlock()
-	var out []time.Duration
-	for _, st := range m.actions.states {
-		for _, l := range st.lengths {
-			out = append(out, time.Duration(l))
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // convergenceSteps finds the first index i (1-based) such that all lengths

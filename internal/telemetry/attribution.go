@@ -2,138 +2,70 @@ package telemetry
 
 import (
 	"fmt"
-	"strconv"
-	"time"
+	"io"
 
 	"pbox/internal/core"
 )
 
-// This file extends the Collector with the attributed metric families: the
-// culprit↔victim matrix of pbox_attributed_* series, one set of counters per
-// (culprit, victim, resource) triple the manager reports. The plain counters
-// in collector.go say "interference is happening"; these say who is doing it
-// to whom, which is what an operator pages through when a latency SLO burns.
-
-// ResourceNamer resolves a virtual resource key to the human-readable name
-// registered with Manager.NameResource. *core.Manager satisfies it; the
-// indirection keeps the Collector constructible before the manager (the
-// usual wiring order, since the manager takes the observer in its Options).
+// ResourceNamer resolves a virtual resource key to the name registered with
+// Manager.NameResource.
+//
+// Deprecated: the attributed series take their resource labels from the
+// manager's ledger; nothing consumes a namer.
 type ResourceNamer interface {
 	ResourceName(key core.ResourceKey) string
 }
 
-// maxAttrSeries caps how many distinct (culprit, victim, resource) triples
-// the Collector will export. Label cardinality is a real operational hazard:
-// a churny workload could otherwise mint unbounded series and bloat every
-// scrape. Triples beyond the cap are counted in
-// pbox_attributed_series_dropped_total instead of exported.
+// AttachNamer does nothing.
+//
+// Deprecated: the attributed series take their resource labels from the
+// manager's ledger at scrape time.
+func (c *Collector) AttachNamer(ResourceNamer) {}
+
+// maxAttrSeries caps how many ledger records /metrics exports: a churny
+// workload must not mint unbounded label sets into every scrape.
 const maxAttrSeries = 512
 
-// attrTriple keys the per-triple handle cache.
-type attrTriple struct {
-	culprit int
-	victim  int
-	key     core.ResourceKey
-}
-
-// attrHandles holds the registered counters for one triple.
-type attrHandles struct {
-	blocked    *Counter
-	detections *Counter
-	actions    *Counter
-	scheduled  *Counter
-	served     *Counter
-}
-
-// namerBox gives the atomic.Value a single concrete type to hold.
-type namerBox struct{ n ResourceNamer }
-
-// AttachNamer supplies the resource-name resolver used for the resource
-// label of attributed series. Attach the manager right after NewManager;
-// triples that surface before a namer is attached fall back to the raw key
-// form "key-0x…". Safe to call concurrently with hook delivery.
-func (c *Collector) AttachNamer(n ResourceNamer) {
-	c.namer.Store(namerBox{n: n})
-}
-
-// resourceLabel renders the resource label for a key: the registered name
-// when a namer is attached and knows the key, otherwise a stable hex form.
-// Raw pointer-sized keys never leak into labels unformatted.
-func (c *Collector) resourceLabel(key core.ResourceKey) string {
-	if b, ok := c.namer.Load().(namerBox); ok && b.n != nil {
-		if name := b.n.ResourceName(key); name != "" {
-			return name
+// writeAttributedMetrics renders a view's attribution ledger as the
+// pbox_attributed_* series: the culprit↔victim matrix, one set of counters
+// per (culprit, victim, resource) record — the records /attribution serves,
+// so the two surfaces give one answer. The first maxAttrSeries records in
+// the view's most-blocking-first order are exported; the rest, and the
+// triples the ledger itself dropped, are counted in
+// pbox_attributed_series_dropped_total. A manager without
+// Options.Attribution has no ledger and exports none. An unnamed resource
+// is labelled in the stable key-0x… form: raw pointer values never become
+// label text.
+func writeAttributedMetrics(w io.Writer, v *core.StatusView) {
+	if v.Attribution == nil {
+		return
+	}
+	recs := v.Attribution[:min(len(v.Attribution), maxAttrSeries)]
+	labels := make([]string, len(recs))
+	for i, r := range recs {
+		resource := r.Resource
+		if resource == "" {
+			resource = fmt.Sprintf("key-0x%x", uintptr(r.Key))
+		}
+		labels[i] = fmt.Sprintf("{culprit=\"%d\",victim=\"%d\",resource=%q}", r.CulpritID, r.VictimID, resource)
+	}
+	family := func(name, help string, value func(r *core.AttributionRecord) int64) {
+		writeSelfHeader(w, name, help, "counter")
+		for i := range recs {
+			fmt.Fprintf(w, "%s%s %d\n", name, labels[i], value(&recs[i]))
 		}
 	}
-	return fmt.Sprintf("key-0x%x", uintptr(key))
+	family("pbox_attributed_blocked_nanoseconds_total", "wait time the culprit's holds inflicted on the victim, per resource",
+		func(r *core.AttributionRecord) int64 { return int64(r.Blocked) })
+	family("pbox_attributed_detections_total", "detection verdicts against the (culprit, victim, resource) triple",
+		func(r *core.AttributionRecord) int64 { return r.Detections })
+	family("pbox_attributed_actions_total", "penalty actions scheduled against the triple",
+		func(r *core.AttributionRecord) int64 { return r.Actions })
+	family("pbox_attributed_penalty_scheduled_nanoseconds_total", "penalty time scheduled against the triple",
+		func(r *core.AttributionRecord) int64 { return int64(r.PenaltyScheduled) })
+	family("pbox_attributed_penalty_served_nanoseconds_total", "penalty time actually served for the triple",
+		func(r *core.AttributionRecord) int64 { return int64(r.PenaltyServed) })
+	writeSelfCounter(w, "pbox_attributed_series_dropped_total",
+		"attribution triples not exported because the series cap was reached",
+		v.AttributionDropped+int64(len(v.Attribution)-len(recs)))
 }
-
-// attrFor finds or registers the handles for a triple. The fast path is one
-// short mutex hold and a struct-keyed map lookup — no allocation, safe under
-// the manager lock where Blocked and Detection fire. Registration (first
-// sighting of a triple) takes the registry lock and allocates the series.
-// Returns nil when the series cap is reached.
-func (c *Collector) attrFor(t attrTriple) *attrHandles {
-	c.attrMu.Lock()
-	defer c.attrMu.Unlock()
-	h := c.attrSeries[t]
-	if h != nil {
-		return h
-	}
-	if len(c.attrSeries) >= maxAttrSeries {
-		c.attrDropped.Inc()
-		return nil
-	}
-	labels := []Label{
-		{Name: "culprit", Value: strconv.Itoa(t.culprit)},
-		{Name: "victim", Value: strconv.Itoa(t.victim)},
-		{Name: "resource", Value: c.resourceLabel(t.key)},
-	}
-	h = &attrHandles{
-		blocked: c.reg.Counter("pbox_attributed_blocked_nanoseconds_total",
-			"wait time the culprit's holds inflicted on the victim, per resource", labels...),
-		detections: c.reg.Counter("pbox_attributed_detections_total",
-			"detection verdicts against the (culprit, victim, resource) triple", labels...),
-		actions: c.reg.Counter("pbox_attributed_actions_total",
-			"penalty actions scheduled against the triple", labels...),
-		scheduled: c.reg.Counter("pbox_attributed_penalty_scheduled_nanoseconds_total",
-			"penalty time scheduled against the triple", labels...),
-		served: c.reg.Counter("pbox_attributed_penalty_served_nanoseconds_total",
-			"penalty time actually served for the triple", labels...),
-	}
-	c.attrSeries[t] = h
-	return h
-}
-
-// Blocked implements core.AttributionObserver.
-func (c *Collector) Blocked(culpritID, victimID int, key core.ResourceKey, deferNs int64) {
-	if h := c.attrFor(attrTriple{culprit: culpritID, victim: victimID, key: key}); h != nil {
-		h.blocked.Add(deferNs)
-	}
-}
-
-// PenaltyServedFor implements core.AttributionObserver.
-func (c *Collector) PenaltyServedFor(culpritID, victimID int, key core.ResourceKey, d time.Duration) {
-	if h := c.attrFor(attrTriple{culprit: culpritID, victim: victimID, key: key}); h != nil {
-		h.served.Add(int64(d))
-	}
-}
-
-// attrDetection and attrAction fold the per-triple dimension of the plain
-// Detection/PenaltyAction hooks into the matrix.
-func (c *Collector) attrDetection(noisyID, victimID int, key core.ResourceKey) {
-	if h := c.attrFor(attrTriple{culprit: noisyID, victim: victimID, key: key}); h != nil {
-		h.detections.Inc()
-	}
-}
-
-func (c *Collector) attrAction(noisyID, victimID int, key core.ResourceKey, length time.Duration) {
-	if h := c.attrFor(attrTriple{culprit: noisyID, victim: victimID, key: key}); h != nil {
-		h.actions.Inc()
-		h.scheduled.Add(int64(length))
-	}
-}
-
-// compile-time interface check: a Collector passed as core.Options.Observer
-// also receives the attribution stream.
-var _ core.AttributionObserver = (*Collector)(nil)

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -31,13 +30,6 @@ type Collector struct {
 	execNsTotal      *Counter
 	penaltyNsTotal   *Counter
 	penaltyScheduled *Counter
-
-	// Attributed-series state (attribution.go): the per-triple handle cache
-	// behind the pbox_attributed_* culprit↔victim matrix.
-	namer       atomic.Value // namerBox
-	attrMu      sync.Mutex
-	attrSeries  map[attrTriple]*attrHandles
-	attrDropped *Counter
 }
 
 // NewCollector registers the pBox metric families in reg and returns the
@@ -69,9 +61,6 @@ func NewCollector(reg *Registry) *Collector {
 			"cumulative served penalty time"),
 		penaltyScheduled: reg.Counter("pbox_penalty_scheduled_nanoseconds_total",
 			"cumulative scheduled penalty time"),
-		attrSeries: make(map[attrTriple]*attrHandles),
-		attrDropped: reg.Counter("pbox_attributed_series_dropped_total",
-			"attribution triples not exported because the series cap was reached"),
 	}
 	for _, ev := range []core.EventType{core.Prepare, core.Enter, core.Hold, core.Unhold} {
 		c.events[ev] = reg.stripedCounter(hot[3+ev:], "pbox_events_total",
@@ -123,14 +112,12 @@ func (c *Collector) ActivityEnd(pboxID int, deferNs, execNs int64) {
 // Detection implements core.Observer.
 func (c *Collector) Detection(noisyID, victimID int, key core.ResourceKey, projected float64) {
 	c.detections.Inc()
-	c.attrDetection(noisyID, victimID, key)
 }
 
 // PenaltyAction implements core.Observer.
 func (c *Collector) PenaltyAction(noisyID, victimID int, key core.ResourceKey, policy core.PolicyKind, length time.Duration) {
 	c.penalties.Inc()
 	c.penaltyScheduled.Add(int64(length))
-	c.attrAction(noisyID, victimID, key, length)
 }
 
 // PenaltyServed implements core.Observer.

@@ -56,7 +56,6 @@ func TestFlightRecorderEndpoints(t *testing.T) {
 		MaxPenalty:  100 * time.Millisecond,
 	}
 	m := core.NewManager(opts)
-	col.AttachNamer(m)
 	rec.AttachManager(m)
 	key := core.ResourceKey(0x5)
 	m.NameResource(key, "wal_lock")

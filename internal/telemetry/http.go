@@ -178,7 +178,8 @@ type TraceResponse struct {
 
 // Exporter serves the telemetry HTTP API for one manager:
 //
-//	/metrics   Prometheus text exposition of the registry + pbox_self_*
+//	/metrics   Prometheus text exposition of the registry, the published
+//	           view's attribution ledger (pbox_attributed_*) + pbox_self_*
 //	/status    JSON: the epoch-published snapshot (pBoxes, matrix,
 //	           resources, trace cursor) with epoch/age metadata
 //	/self      JSON: manager self-telemetry (core.SelfStats)
@@ -260,6 +261,7 @@ func (e *Exporter) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		e.reg.WritePrometheus(w)
 	}
 	if e.mgr != nil {
+		writeAttributedMetrics(w, e.mgr.StatusView())
 		writeSelfMetrics(w, e.mgr.SelfStats())
 	}
 	if e.wireSrv != nil {

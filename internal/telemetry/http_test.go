@@ -32,7 +32,6 @@ func newTestWorld(t *testing.T) (*core.Manager, *Exporter, func(time.Duration)) 
 	opts.MinPenalty = 10 * time.Microsecond
 	opts.MaxPenalty = 100 * time.Millisecond
 	m := core.NewManager(opts)
-	col.AttachNamer(m)
 	m.NameResource(core.ResourceKey(1), "bufpool")
 
 	rule := core.DefaultRule()
