@@ -401,11 +401,12 @@ func TestHintInvariantUnderSweep(t *testing.T) {
 // boundary: with every manager-wide mutex but the registry's at Release held
 // by the test, a tenant takes a worker, runs activities, hibernates and wakes
 // without blocking — on a quiet manager (no observer, no trace
-// ring), and on one built with pboxd's options, where the one shared lock left
-// on the path is the trace ring's leaf (taken per lifecycle row and per run of
-// state rows, never across a replay). Release is left out of the locked part
-// only because it takes the registry lock to unregister, as it always has; it
-// runs after.
+// ring), and on one built with pboxd's options, where the only ring lock on
+// the path is the tenant's own stripe of the trace ring (taken per lifecycle
+// row and per run of state rows, never across a replay): the test holds a
+// second pBox's stripe as well. Release is left out of the locked part only
+// because it takes the registry lock to unregister, as it always has; it runs
+// after.
 func TestLifecycleTakesNoManagerLock(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -420,6 +421,17 @@ func TestLifecycleTakesNoManagerLock(t *testing.T) {
 			p, err := m.Create(DefaultRule())
 			if err != nil {
 				t.Fatal(err)
+			}
+			var other *traceStripe // a neighbour's stripe of the ring, held throughout
+			if m.trace != nil {
+				q, err := m.Create(DefaultRule())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if other = m.trace.stripe(q.id); other == m.trace.stripe(p.id) {
+					t.Fatalf("pBoxes %d and %d share a trace stripe", p.id, q.id)
+				}
+				other.mu.Lock()
 			}
 			m.snap.Lock()
 			m.reg.Lock()
@@ -453,6 +465,9 @@ func TestLifecycleTakesNoManagerLock(t *testing.T) {
 			case <-done:
 			case <-time.After(10 * time.Second):
 				t.Fatal("a lifecycle call blocked on a manager-wide mutex")
+			}
+			if other != nil {
+				other.mu.Unlock()
 			}
 			m.verdictMu.Unlock()
 			m.reg.Unlock()

@@ -95,16 +95,18 @@ func (o Options) withDefaults() Options {
 // attribution ledger. The documented lock order is
 //
 //	snap → eventSpool.mu → registry → pbox.mu → shard.mu → verdictMu →
-//	leaves (actMu, penMu, the trace ring's mutex, …)
+//	leaves (actMu, penMu, the trace ring's stripe and notify mutexes, …)
 //
 // and a shard lock is never held while acquiring the registry lock. The calls
 // an application goroutine makes per activity — Activate, Freeze,
 // Worker.Update, Worker.Flush — and Hibernate take no manager-wide lock
-// (Release takes only the registry's, to unregister) except, on a traced
-// manager, the ring's leaf: for the Activate row, per run of state rows
-// (emitStates) and per Freeze, its last run included; Freeze holds the hinted
-// spool's mutex across the transition, as the order permits. Without a ring
-// they write no manager-wide line: what they count lands on the pBox's stripe.
+// (Release takes only the registry's, to unregister); on a traced manager
+// they take the pBox's own stripe of the ring, a leaf shared only with the
+// pBoxes of that stripe: for the Activate row, per run of state rows
+// (emitStates) and per Freeze, its last run included. Freeze holds the hinted
+// spool's mutex across the transition, as the order permits. What they count
+// lands on the pBox's stripe of the counters; on a traced manager they also
+// advance the ring's sequence, one atomic add per stripe acquisition.
 // Manager state is read through the epoch snapshot (StatusView, DESIGN.md
 // §12); only the view rebuild stops the world.
 type Manager struct {
@@ -522,12 +524,13 @@ func (m *Manager) updateSlow(p *PBox, key ResourceKey, ev EventType, at int64) {
 type freezeRows struct{ at, deferNs, execNs int64 }
 
 // emitStates is the one state-event delivery: a run of p's events, in order,
-// then a Freeze's two rows if fr is set, to the trace ring under one lock, then
-// to the user's observer, one callback each (m.obs, the ring's adapter, would
-// lock the ring per row; it carries every other kind). Each carries the time
-// its arm uses — issue time for a direct Update, recorded time for a replay —
-// so a capture log replayed at those times reproduces the arms' arithmetic. A
-// plain run is non-empty and precedes its last event's arm; caller holds p.mu.
+// then a Freeze's two rows if fr is set, to the trace ring under one lock of
+// p's stripe, then to the user's observer, one callback each (m.obs, the
+// ring's adapter, would lock the stripe per row; it carries every other kind).
+// Each carries the time its arm uses — issue time for a direct Update,
+// recorded time for a replay — so a capture log replayed at those times
+// reproduces the arms' arithmetic. A plain run is non-empty and precedes its
+// last event's arm; caller holds p.mu.
 //
 //pbox:hotpath
 func (m *Manager) emitStates(p *PBox, run []spoolRec, fr *freezeRows) {

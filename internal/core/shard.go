@@ -13,10 +13,12 @@ import (
 // full lock-order contract:
 //
 //	snap → eventSpool.mu → registry → pbox.mu → shard.mu → verdictMu →
-//	leaf locks (actMu, penMu, shard.namesMu, trace ring)
+//	leaf locks (actMu, penMu, shard.namesMu, trace stripes, trace notify)
 //
 // with two extra rules: a shard lock is never held while acquiring the
-// registry lock, and at most one pBox's actMu (or penMu) is held at a time.
+// registry lock, and at most one pBox's actMu (or penMu) is held at a time —
+// as is at most one trace stripe, outside the ring reader's index-ordered
+// sweep.
 //
 // The stripe set is fixed at NewManager (defaultShardCount) and immutable for
 // the manager's lifetime.

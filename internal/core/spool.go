@@ -64,11 +64,12 @@ import (
 // call, SetShared, a revocation — flushes the spool the pBox's hint
 // (PBox.spool) names (flushHinted), and a view rebuild flushes the hints of the
 // registered pBoxes (sweepSpools). So Activate/Freeze/Release/Hibernate take
-// no manager-wide lock but the trace ring's leaf, and a revocation stalls only
-// the claimant's feeder. Nothing in the manager lists the spools: a dropped
-// Worker's spool is reachable only while a hint names it, and needs no
-// closing. A flush adds its counts and its batch's crossings to the pBox's
-// stripe of the manager's counters (Manager.stripes).
+// no manager-wide lock (a traced manager's ring lock is the pBox's own
+// stripe's), and a revocation stalls only the claimant's feeder. Nothing in
+// the manager lists the spools: a dropped Worker's spool is reachable only
+// while a hint names it, and needs no closing. A flush adds its counts and its
+// batch's crossings to the pBox's stripe of the manager's counters
+// (Manager.stripes).
 //
 // Hint invariant, maintained inside eventSpool.mu: sp.pbox == p ⇔ p.spool ==
 // sp — a pBox's records sit in one spool at a time. The append that takes an

@@ -4,8 +4,10 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestTraceRingWraparound(t *testing.T) {
@@ -234,8 +236,10 @@ func TestTraceRingRuns(t *testing.T) {
 		}
 		cursor = next
 	}
-	if !slices.Equal(runs.entries, ref.entries) {
-		t.Fatalf("the rings' slots differ:\n run ring %v\n row ring %v", runs.entries, ref.entries)
+	got, next := runs.snapshotSince(0)
+	want, wantNext := ref.snapshotSince(0)
+	if next != wantNext || !slices.Equal(got, want) {
+		t.Fatalf("the rings differ:\n run ring %v (next %d)\n row ring %v (next %d)", got, next, want, wantNext)
 	}
 }
 
@@ -325,6 +329,192 @@ func TestFreezeRowsContiguous(t *testing.T) {
 	}
 	if freezes[a.id] != activities || freezes[b.id] != activities {
 		t.Fatalf("freeze rows: %v, want %d per pbox", freezes, activities)
+	}
+}
+
+// TestTraceRingKeepsNewestUnderSkew: the stripes fill at different rates —
+// one pBox writes three rings' worth of rows while the others write a few,
+// some long before the end — yet TraceView returns exactly the newest
+// TraceSize rows, at consecutive Seq, as a row-at-a-time reference keeps them.
+// Every kind's fields survive the slot: the light tenants' rows are create,
+// detection, action and activity_end rows, the clock stamps the unstamped.
+func TestTraceRingKeepsNewestUnderSkew(t *testing.T) {
+	const size = 600 // not a power of two: a stripe grows 256 → 512 → 600
+	const clock = int64(7 * time.Millisecond)
+	m := NewManager(Options{TraceSize: size, Now: func() int64 { return clock }})
+	r := m.trace
+	var ref []TraceEntry // every row, in issue order
+	add := func(rec Record) {
+		at := rec.At
+		if !rec.Kind.stamped() {
+			at = clock
+		}
+		ref = append(ref, TraceEntry{Seq: uint64(len(ref) + 1), At: time.Duration(at), Record: rec})
+		r.Record(rec)
+	}
+	const heavy = 1
+	at := int64(0)
+	for i := range 3 * size / 6 {
+		run := make([]spoolRec, 4)
+		for k := range run {
+			at++
+			run[k] = spoolRec{key: ResourceKey(0x100 + k), ev: EventType(k), at: at}
+			ref = append(ref, TraceEntry{Seq: uint64(len(ref) + 1), At: time.Duration(at),
+				Record: Record{Kind: KindState, PBox: heavy, Key: run[k].key, Ev: run[k].ev, At: at}})
+		}
+		at++
+		fr := &freezeRows{at: at, deferNs: int64(i), execNs: int64(2 * i)}
+		r.recordRun(heavy, run, fr)
+		ref = append(ref,
+			TraceEntry{Seq: uint64(len(ref) + 1), At: time.Duration(at), Record: Record{Kind: KindFreeze, PBox: heavy, At: at}},
+			TraceEntry{Seq: uint64(len(ref) + 2), At: time.Duration(at), Record: Record{Kind: KindActivityEnd, PBox: heavy, Dur: fr.deferNs, Exec: fr.execNs}})
+		if light := 2 + i%5; i%37 == 0 || i > 3*size/6-3 {
+			add(Record{Kind: KindCreate, PBox: light, RuleType: Relative, Metric: MetricTail, Level: 0.25 * float64(light)})
+			add(Record{Kind: KindDetection, PBox: light, Victim: heavy, Key: 0x51, Level: 1.5})
+			add(Record{Kind: KindAction, PBox: light, Victim: heavy, Key: 0x51, Policy: PolicyGap, Dur: int64(i)})
+			add(Record{Kind: KindActivityEnd, PBox: light, Dur: 3, Exec: int64(i)})
+			add(Record{Kind: KindActivate, PBox: light, At: at})
+		}
+		if i%50 == 0 || i == 3*size/6-1 {
+			got, next := m.TraceView(0)
+			want := ref[max(0, len(ref)-size):]
+			if next != uint64(len(ref)) || !slices.Equal(got, want) {
+				t.Fatalf("after %d rows: TraceView(0) = %d rows next %d, want the newest %d of %d:\n got  %v\n want %v",
+					len(ref), len(got), next, len(want), len(ref), got, want)
+			}
+		}
+	}
+	if n := len(r.stripe(heavy).slots); n != size {
+		t.Fatalf("the heavy stripe holds %d slots, want %d", n, size)
+	}
+	if n := len(r.stripe(0).slots); n != 0 {
+		t.Fatalf("an untouched stripe holds %d slots, want none", n)
+	}
+}
+
+// TestTraceRingConcurrentReaders: four writers on two stripes (pBoxes 1 and 9
+// share one, 2 and 10 the other) append activate rows and runs that end in a
+// Freeze's rows, while a reader follows the ring with TraceNotify and reads it
+// whole with TraceView. Every snapshot is a run of consecutive Seq ending at
+// its next; in it, each pBox's rows are in issue order, and each Freeze's
+// state rows, freeze row and activity_end row are consecutive.
+func TestTraceRingConcurrentReaders(t *testing.T) {
+	const size, activities, states = 256, 500, 5
+	m := NewManager(Options{TraceSize: size, Now: func() int64 { return 0 }})
+	r := m.trace
+	pboxes := []int{1, 9, 2, 10}
+	check := func(rows []TraceEntry, since, next uint64) {
+		t.Helper()
+		if len(rows) == 0 || rows[len(rows)-1].Seq != next || rows[0].Seq <= since {
+			t.Fatalf("snapshot since %d: %d rows, next %d", since, len(rows), next)
+		}
+		last := map[int]int64{}
+		for i, e := range rows {
+			if e.Seq != rows[0].Seq+uint64(i) {
+				t.Fatalf("snapshot since %d: row %d has seq %d after %d", since, i, e.Seq, rows[i-1].Seq)
+			}
+			if e.At < time.Duration(last[e.PBox]) {
+				t.Fatalf("pbox %d: row at %d after one at %d", e.PBox, e.At, last[e.PBox])
+			}
+			last[e.PBox] = int64(e.At)
+			if e.Kind != KindFreeze || i < states || i+1 == len(rows) {
+				continue
+			}
+			for k, row := range rows[i-states : i+2] {
+				want := KindState
+				switch k {
+				case states:
+					want = KindFreeze
+				case states + 1:
+					want = KindActivityEnd
+				}
+				if row.PBox != e.PBox || row.Kind != want {
+					t.Fatalf("pbox %d's freeze at seq %d: row %d of its run is %v of pbox %d", e.PBox, e.Seq, k, row.Kind, row.PBox)
+				}
+			}
+		}
+	}
+	// The writers keep going until the reader has followed them for reads
+	// snapshots; each counts its activities.
+	const reads = 100
+	var stop atomic.Bool
+	var total atomic.Int64
+	var wg sync.WaitGroup
+	for _, id := range pboxes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			at := int64(0) // issue order, per pBox
+			n := 0
+			for ; n < activities || !stop.Load(); n++ {
+				at++
+				r.Record(Record{Kind: KindActivate, PBox: id, At: at})
+				run := make([]spoolRec, states)
+				for k := range run {
+					at++
+					run[k] = spoolRec{key: ResourceKey(id), ev: Hold, at: at}
+				}
+				at++
+				r.recordRun(id, run, &freezeRows{at: at})
+			}
+			total.Add(int64(n))
+		}()
+	}
+	var cursor uint64
+	for range reads {
+		<-m.TraceNotify(cursor)
+		if rows, next := m.TraceView(cursor); next > cursor {
+			check(rows, cursor, next)
+			cursor = next
+		}
+		rows, next := m.TraceView(0)
+		check(rows, 0, next)
+	}
+	stop.Store(true)
+	wg.Wait()
+	rows, next := m.TraceView(0)
+	check(rows, 0, next)
+	if want := uint64(total.Load() * (states + 3)); next != want || len(rows) != size {
+		t.Fatalf("final snapshot: %d rows, next %d; want %d, %d", len(rows), next, size, want)
+	}
+}
+
+// TestTraceRingGrowthStops: a stripe's array doubles from traceStripeMin only
+// until it holds the ring's size, and a full ring's run append allocates
+// nothing. A one-row ring still keeps the newest row. A slot is 64 bytes and a
+// stripe's header one line.
+func TestTraceRingGrowthStops(t *testing.T) {
+	if slot, stripe := unsafe.Sizeof(traceSlot{}), unsafe.Sizeof(traceStripe{}); slot != 64 || stripe != cacheLineSize {
+		t.Fatalf("a slot is %d bytes (want 64), a stripe header %d (want %d)", slot, stripe, cacheLineSize)
+	}
+	const size = 1000
+	r := newTraceRing(size, func() int64 { return 0 })
+	s := r.stripe(3)
+	var lens []int
+	run := make([]spoolRec, 10)
+	for range 3 * size / len(run) {
+		r.recordRun(3, run, nil)
+		if n := len(s.slots); len(lens) == 0 || lens[len(lens)-1] != n {
+			lens = append(lens, n)
+		}
+	}
+	if want := []int{traceStripeMin, 2 * traceStripeMin, size}; !slices.Equal(lens, want) {
+		t.Fatalf("the stripe's array grew through %v slots, want %v", lens, want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { r.recordRun(3, run, nil) }); allocs != 0 {
+		t.Fatalf("recordRun on a full stripe = %v allocs/op, want 0", allocs)
+	}
+	if len(s.slots) != size || s.held != size {
+		t.Fatalf("the full stripe holds %d rows in %d slots, want %d", s.held, len(s.slots), size)
+	}
+
+	one := newTraceRing(1, func() int64 { return 0 })
+	one.recordRun(3, []spoolRec{{at: 1}, {at: 2}, {at: 3}}, &freezeRows{at: 4})
+	one.Record(Record{Kind: KindState, PBox: 5, At: 5})
+	one.recordRun(3, []spoolRec{{at: 6}}, nil)
+	got, next := one.snapshotSince(0)
+	if next != 7 || len(got) != 1 || got[0].Seq != 7 || got[0].At != 6 || len(one.stripe(3).slots) != 1 {
+		t.Fatalf("one-row ring: %v next %d, want the row at 6 with seq 7", got, next)
 	}
 }
 

@@ -3,12 +3,14 @@
 // rank):
 //
 //	Manager.snap → eventSpool.mu → registry → pbox.mu → shard.mu →
-//	verdictMu → leaves (actMu, penMu, shard.namesMu, trace ring)
+//	verdictMu → leaves (actMu, penMu, shard.namesMu, traceStripe.mu,
+//	traceRing.notifyMu)
 //
 // plus the extra rules: a shard lock is never held while acquiring the
 // registry lock (subsumed by the rank order), at most one lock of a class
 // is held at a time (no second eventSpool.mu, no second PBox.mu, no second
-// shard.mu outside the index-ordered stop-the-world sweep, no two actMus), and
+// shard.mu outside the index-ordered stop-the-world sweep, no two actMus, no
+// second traceStripe.mu outside the trace reader's index-ordered sweep), and
 // leaves are
 // terminal — nothing is acquired while holding a leaf, which subsumes "no
 // leaf is held while acquiring verdictMu".
@@ -17,7 +19,7 @@
 // call on a sync.Mutex or sync.RWMutex field is classified by the named
 // type that owns the field (eventSpool.mu, Manager.reg,
 // PBox.mu, shard.mu, Manager.verdictMu, PBox.actMu, PBox.penMu,
-// shard.namesMu, traceRing.mu).
+// shard.namesMu, traceStripe.mu, traceRing.notifyMu).
 // A linear abstract interpretation tracks the held-set through each
 // function body (branches merge by union, early returns leave the merge),
 // and a whole-program fixpoint over the call graph (SCC-ordered, DESIGN.md
@@ -75,16 +77,17 @@ type classSpec struct {
 // the same names are ranked identically, which is what the golden tests
 // exercise.
 var lockTable = map[classSpec]int{
-	{"Manager", "snap"}:      rankSnap,
-	{"eventSpool", "mu"}:     rankSpoolFlush,
-	{"Manager", "reg"}:       rankRegistry,
-	{"PBox", "mu"}:           rankPBoxMu,
-	{"shard", "mu"}:          rankShardMu,
-	{"Manager", "verdictMu"}: rankVerdict,
-	{"PBox", "actMu"}:        leafRank,
-	{"PBox", "penMu"}:        leafRank,
-	{"shard", "namesMu"}:     leafRank,
-	{"traceRing", "mu"}:      leafRank,
+	{"Manager", "snap"}:       rankSnap,
+	{"eventSpool", "mu"}:      rankSpoolFlush,
+	{"Manager", "reg"}:        rankRegistry,
+	{"PBox", "mu"}:            rankPBoxMu,
+	{"shard", "mu"}:           rankShardMu,
+	{"Manager", "verdictMu"}:  rankVerdict,
+	{"PBox", "actMu"}:         leafRank,
+	{"PBox", "penMu"}:         leafRank,
+	{"shard", "namesMu"}:      leafRank,
+	{"traceStripe", "mu"}:     leafRank,
+	{"traceRing", "notifyMu"}: leafRank,
 }
 
 // orderDoc is appended to order-violation messages.

@@ -28,6 +28,11 @@ type shard struct {
 }
 
 type traceRing struct {
+	notifyMu sync.Mutex
+	stripes  [8]traceStripe
+}
+
+type traceStripe struct {
 	mu sync.Mutex
 }
 
@@ -231,9 +236,47 @@ func badShardThenSnap(m *Manager, s *shard) {
 func localMutex(r *traceRing) {
 	var mu sync.Mutex
 	mu.Lock()
-	r.mu.Lock()
-	r.mu.Unlock()
+	r.notifyMu.Lock()
+	r.notifyMu.Unlock()
 	mu.Unlock()
+}
+
+// badTwoRingStripes: a trace-ring writer holds its own pBox's stripe and
+// nothing else; a second stripe lock outside the reader's sweep is reported.
+func badTwoRingStripes(r *traceRing, a, b int) {
+	r.stripes[a&7].mu.Lock()
+	r.stripes[b&7].mu.Lock() // want `while a traceStripe\.mu is already held`
+	r.stripes[b&7].mu.Unlock()
+	r.stripes[a&7].mu.Unlock()
+}
+
+// badStripeThenNotify: the notification lock is a leaf of its own, taken only
+// after the writer's stripe is released.
+func badStripeThenNotify(r *traceRing) {
+	r.stripes[0].mu.Lock()
+	r.notifyMu.Lock() // want `acquires traceRing\.notifyMu while holding leaf lock traceStripe\.mu`
+	r.notifyMu.Unlock()
+	r.stripes[0].mu.Unlock()
+}
+
+// goodRingWrite is the writer's shape: its stripe, then the wake-up. Clean.
+func goodRingWrite(r *traceRing, id int) {
+	r.stripes[id&7].mu.Lock()
+	r.stripes[id&7].mu.Unlock()
+	r.notifyMu.Lock()
+	r.notifyMu.Unlock()
+}
+
+// suppressedRingSweep is the reader's sweep: every stripe lock in index
+// order, under the documented exception comment. Clean.
+func suppressedRingSweep(r *traceRing) {
+	for i := range r.stripes {
+		//pboxlint:ignore lockorder reader's sweep, documented exception
+		r.stripes[i].mu.Lock()
+	}
+	for i := len(r.stripes) - 1; i >= 0; i-- {
+		r.stripes[i].mu.Unlock()
+	}
 }
 
 // lockedShard returns holding the shard lock it took; enterVerdict and
