@@ -176,11 +176,12 @@ type Manager struct {
 	// conceptual user/kernel boundary crossings: every manager entry point adds
 	// one (cross), and a flush adds its batch's events (eventSpool.emptied). The
 	// lazy-unbind optimization (Section 5) is validated by this count going
-	// down. flushes and flushedEvents are the spool flush counts (SelfStats).
-	// Every direct event and every lifecycle call from every thread writes
-	// them, so they are striped by pBox id, a line per stripe and none shared
-	// with the observer pointers above, read on every event
-	// (BenchmarkManagerDisjointResources, BenchmarkActivityCycle/g=2).
+	// down. flushes and flushedEvents are the spool flush counts, and states
+	// the state rows delivered, by kind, one add per kind a run carries
+	// (emitStates; SelfStats). Every direct event and every lifecycle call
+	// from every thread writes them, so they are striped by pBox id, a line
+	// per stripe and none shared with the observer pointers above, read on
+	// every event (BenchmarkManagerDisjointResources, BenchmarkActivityCycle/g=2).
 	_       cacheLinePad
 	stripes [counterStripes]counterStripe
 }
@@ -190,8 +191,12 @@ const counterStripes = 8
 // counterStripe is one line of Manager.stripes.
 type counterStripe struct {
 	crossings, flushes, flushedEvents atomic.Int64
-	_                                 [cacheLineSize - 24]byte
+	states                            [eventKinds]atomic.Int64 // indexed by EventType
+	_                                 [cacheLineSize - 8*(3+eventKinds)]byte
 }
+
+// eventKinds is the number of EventTypes (Prepare … Unhold).
+const eventKinds = 4
 
 // stripe returns the counter stripe of pBox id.
 //
@@ -529,13 +534,26 @@ type freezeRows struct{ at, deferNs, execNs int64 }
 // ring's adapter, would lock the stripe per row; it carries every other kind).
 // Each carries the time its arm uses — issue time for a direct Update,
 // recorded time for a replay — so a capture log replayed at those times
-// reproduces the arms' arithmetic. A plain run is non-empty and precedes its
-// last event's arm; caller holds p.mu.
+// reproduces the arms' arithmetic. The run's rows are counted by kind on p's
+// stripe of the counters, one add per kind present (SelfStats.StateEvents). A
+// plain run is non-empty and precedes its last event's arm; caller holds p.mu.
 //
 //pbox:hotpath
 func (m *Manager) emitStates(p *PBox, run []spoolRec, fr *freezeRows) {
 	if m.trace != nil {
 		m.trace.recordRun(p.id, run, fr)
+	}
+	var kinds [eventKinds]int64
+	for i := range run {
+		if k := uint(run[i].ev); k < eventKinds {
+			kinds[k]++
+		}
+	}
+	s := m.stripe(p.id)
+	for k, n := range kinds {
+		if n > 0 {
+			s.states[k].Add(n)
+		}
 	}
 	if o := m.opts.Observer; o != nil {
 		for i := range run {

@@ -307,11 +307,16 @@ type SelfStats struct {
 	VerdictLatency LatencyHistogram
 
 	Crossings int64 // conceptual kernel crossings (same as Crossings())
+
+	// StateEvents counts the state rows delivered to the observer chain, by
+	// EventType; a manager with neither an Observer nor a trace ring delivers
+	// none and counts none.
+	StateEvents [eventKinds]int64
 }
 
 // SelfStats assembles the self-telemetry report from atomics alone — no
-// locks, no flushes; safe to poll at any frequency. The flush counts and
-// Crossings are sums over the manager's counter stripes.
+// locks, no flushes; safe to poll at any frequency. The flush counts, the
+// state-row counts and Crossings are sums over the manager's counter stripes.
 //
 //pbox:snapshotreader
 func (m *Manager) SelfStats() SelfStats {
@@ -340,6 +345,9 @@ func (m *Manager) SelfStats() SelfStats {
 	for i := range m.stripes {
 		st.SpoolFlushes += m.stripes[i].flushes.Load()
 		st.SpoolFlushedEvents += m.stripes[i].flushedEvents.Load()
+		for k := range st.StateEvents {
+			st.StateEvents[k] += m.stripes[i].states[k].Load()
+		}
 	}
 	for _, s := range m.shards.shards {
 		n := s.locks.Load()

@@ -175,6 +175,39 @@ func (sp *eventSpool) append(p *PBox, key ResourceKey, ev EventType, now int64) 
 	return true
 }
 
+// appendRun is append over a run of events stamped at, under one hold of mu:
+// it appends the longest prefix UpdateAt would spool — p active, the key's
+// slot p's own or claimed by CAS(0→id), room in the buffer, the hint taken
+// over — and returns its length and the slots it claimed. Nothing else runs
+// under the hold (no clock, no observer, no other lock), and it covers at
+// most spoolCapacity appends: less than the replay a flush holds mu across.
+//
+//pbox:hotpath
+func (sp *eventSpool) appendRun(p *PBox, run []KeyEvent, at int64) (n int, claims int64) {
+	m, id := sp.m, int64(p.id)
+	sp.mu.Lock()
+	for ; n < len(run); n++ {
+		if !p.stateIs(StateActive) {
+			break
+		}
+		if slot := m.contentionSlot(run[n].Key); slot.Load() != id {
+			if !slot.CompareAndSwap(0, id) {
+				break
+			}
+			claims++
+		}
+		if sp.n >= len(sp.recs) || (sp.n > 0 && sp.pbox != p) ||
+			(sp.n == 0 && !p.spool.CompareAndSwap(nil, sp)) {
+			break
+		}
+		sp.pbox = p
+		sp.recs[sp.n] = spoolRec{key: run[n].Key, ev: run[n].Ev, at: at}
+		sp.n++
+	}
+	sp.mu.Unlock()
+	return n, claims
+}
+
 // flush replays the buffered records in place, in order and with their
 // recorded timestamps, and hands the spool back empty — all under mu. serve
 // selects whether a penalty that became servable by the replay is slept here —
@@ -476,6 +509,67 @@ func (w *Worker) UpdateAt(key ResourceKey, ev EventType, at int64) {
 	// overlaps) keep an out-of-order late record detection-neutral.
 	if slot.Load() != id {
 		w.spool.flush(true)
+	}
+}
+
+// KeyEvent is one event of a run (Worker.UpdateRunAt).
+type KeyEvent struct {
+	Key ResourceKey
+	Ev  EventType
+}
+
+// UpdateRunAt is UpdateAt(e.Key, e.Ev, at) for each event of run, in order,
+// for a caller that holds a run of events sharing one stamp (wire.Server, a
+// frame's events between two control ops). The prefix UpdateAt would spool
+// goes in under one spool-lock hold (appendRun); the first event it would not
+// takes UpdateAt alone — the overflow flush, the Tier B hand-off — and the
+// rest of the run resumes after it. The straggler re-check runs once the lock
+// is let go, over the keys appended. With an EventFilter, or unstamped, every
+// event takes UpdateAt.
+//
+//pbox:hotpath
+func (w *Worker) UpdateRunAt(run []KeyEvent, at int64) {
+	m := w.mgr
+	if m.opts.EventFilter != nil || at == noStamp {
+		for _, e := range run {
+			w.UpdateAt(e.Key, e.Ev, at)
+		}
+		return
+	}
+	p := w.cur
+	if p == nil || w.detached {
+		return
+	}
+	id := int64(p.id)
+	for len(run) > 0 {
+		// A head that cannot go in (a contended or foreign slot, a pBox out of
+		// its window) skips the spool lock, as it does in UpdateAt.
+		if v := m.contentionSlot(run[0].Key).Load(); (v != id && v != 0) || !p.stateIs(StateActive) {
+			w.UpdateAt(run[0].Key, run[0].Ev, at)
+			run = run[1:]
+			continue
+		}
+		n, claims := w.spool.appendRun(p, run, at)
+		if claims > 0 {
+			m.self.contentionClaims.Add(claims)
+		}
+		// Straggler self-healing, as in UpdateAt: a slot that left p since its
+		// record went in means a slow-path event has flushed p's spool already.
+		// A key repeated back to back needs one look.
+		for i, e := range run[:n] {
+			if i > 0 && e.Key == run[i-1].Key {
+				continue
+			}
+			if m.contentionSlot(e.Key).Load() != id {
+				w.spool.flush(true)
+				break
+			}
+		}
+		if n == len(run) {
+			return
+		}
+		w.UpdateAt(run[n].Key, run[n].Ev, at)
+		run = run[n+1:]
 	}
 }
 

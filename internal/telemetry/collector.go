@@ -17,7 +17,6 @@ type Collector struct {
 	created    *Counter
 	released   *Counter
 	live       *Gauge
-	events     [4]*Counter // indexed by core.EventType
 	activities *Counter
 	detections *Counter
 	penalties  *Counter
@@ -62,11 +61,6 @@ func NewCollector(reg *Registry) *Collector {
 		penaltyScheduled: reg.Counter("pbox_penalty_scheduled_nanoseconds_total",
 			"cumulative scheduled penalty time"),
 	}
-	for _, ev := range []core.EventType{core.Prepare, core.Enter, core.Hold, core.Unhold} {
-		c.events[ev] = reg.stripedCounter(hot[3+ev:], "pbox_events_total",
-			"state events received by the manager (update_pbox calls)",
-			Label{Name: "event", Value: ev.String()})
-	}
 	return c
 }
 
@@ -91,11 +85,10 @@ func (c *Collector) PBoxActivated(pboxID int, atNs int64)      {}
 func (c *Collector) PBoxFrozen(pboxID int, atNs int64)         {}
 func (c *Collector) PBoxSharedChanged(pboxID int, shared bool) {}
 
-// StateEventAt implements core.Observer.
+// StateEventAt implements core.Observer. The manager counts state rows itself,
+// once per run (core.SelfStats.StateEvents), and /metrics renders
+// pbox_events_total from that count.
 func (c *Collector) StateEventAt(pboxID int, key core.ResourceKey, ev core.EventType, atNs int64) {
-	if ev >= 0 && int(ev) < len(c.events) {
-		c.events[ev].AddStriped(pboxID, 1)
-	}
 }
 
 // ActivityEnd implements core.Observer.

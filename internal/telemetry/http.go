@@ -178,8 +178,9 @@ type TraceResponse struct {
 
 // Exporter serves the telemetry HTTP API for one manager:
 //
-//	/metrics   Prometheus text exposition of the registry, the published
-//	           view's attribution ledger (pbox_attributed_*) + pbox_self_*
+//	/metrics   Prometheus text exposition of the registry, the manager's
+//	           state-row counts (pbox_events_total), the published view's
+//	           attribution ledger (pbox_attributed_*) + pbox_self_*
 //	/status    JSON: the epoch-published snapshot (pBoxes, matrix,
 //	           resources, trace cursor) with epoch/age metadata
 //	/self      JSON: manager self-telemetry (core.SelfStats)
@@ -261,8 +262,10 @@ func (e *Exporter) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		e.reg.WritePrometheus(w)
 	}
 	if e.mgr != nil {
+		st := e.mgr.SelfStats()
+		writeEventMetrics(w, st)
 		writeAttributedMetrics(w, e.mgr.StatusView())
-		writeSelfMetrics(w, e.mgr.SelfStats())
+		writeSelfMetrics(w, st)
 	}
 	if e.wireSrv != nil {
 		writeWireMetrics(w, e.wireSrv.Stats())

@@ -2,11 +2,13 @@ package telemetry
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -273,3 +275,86 @@ func TestExporterNilPieces(t *testing.T) {
 }
 
 func uintStr(v uint64) string { return strconv.FormatUint(v, 10) }
+
+// stateTally is a RecordSink counting KindState rows by event, safe for
+// concurrent writers.
+type stateTally struct {
+	core.RecordObserver
+	mu sync.Mutex
+	n  [4]int64
+}
+
+func (s *stateTally) Record(rec core.Record) {
+	if rec.Kind == core.KindState {
+		s.mu.Lock()
+		s.n[rec.Ev]++
+		s.mu.Unlock()
+	}
+}
+
+// TestEventsTotalMatchesStateRows: pbox_events_total is the manager's own count
+// of the state rows it delivers, taken once per run, so a scrape of /metrics
+// must show, per kind, exactly the KindState rows a sink in the observer chain
+// received — with the collector attached behind it, over every way a row is
+// delivered: direct Updates, spooled Worker events and runs, flushes at a
+// Freeze, and slow-path hand-offs on a key the tenants share.
+func TestEventsTotalMatchesStateRows(t *testing.T) {
+	reg := NewRegistry()
+	tally := &stateTally{}
+	tally.Sink = tally
+	tally.Next = NewCollector(reg)
+	m := core.NewManager(core.Options{Observer: tally, TraceSize: 256, Sleep: func(time.Duration) {}})
+	const shared = core.ResourceKey(0x5000)
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p, err := m.Create(core.DefaultRule())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			w := m.NewWorker()
+			if err := w.BindDirect(p); err != nil {
+				t.Error(err)
+				return
+			}
+			own := core.ResourceKey(0x100 * (g + 1))
+			run := []core.KeyEvent{
+				{Key: own, Ev: core.Prepare}, {Key: own, Ev: core.Enter}, {Key: own, Ev: core.Hold},
+				{Key: own + 1, Ev: core.Hold}, {Key: own + 1, Ev: core.Unhold}, {Key: own, Ev: core.Unhold},
+			}
+			for i := range 200 {
+				m.ActivateAt(p, int64(i))
+				w.UpdateRunAt(run, int64(i))
+				w.UpdateAt(own+2, core.Hold, int64(i))
+				w.UpdateAt(own+2, core.Unhold, int64(i))
+				w.Update(shared, core.Hold)
+				w.Update(shared, core.Unhold)
+				m.Update(p, own+3, core.Prepare)
+				m.Update(p, own+3, core.Enter)
+				m.FreezeAt(p, int64(i))
+			}
+			w.Flush()
+		}()
+	}
+	wg.Wait()
+	srv := httptest.NewServer(NewExporter(reg, m))
+	defer srv.Close()
+	_, body := get(t, srv, "/metrics")
+	var rows int64
+	for ev := core.Prepare; ev <= core.Unhold; ev++ {
+		rows += tally.n[ev]
+		want := fmt.Sprintf("pbox_events_total{event=%q} %d\n", ev.String(), tally.n[ev])
+		if !strings.Contains(body, want) {
+			t.Errorf("/metrics lacks %q (the sink's KindState rows):\n%s", want, body)
+		}
+	}
+	if want := int64(4 * 200 * 12); rows != want {
+		t.Fatalf("%d state rows delivered, want %d", rows, want)
+	}
+	if n := strings.Count(body, "# HELP pbox_events_total state events received by the manager (update_pbox calls)\n"); n != 1 {
+		t.Fatalf("pbox_events_total has %d HELP lines, want 1", n)
+	}
+}

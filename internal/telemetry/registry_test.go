@@ -8,8 +8,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"pbox/internal/core"
 )
 
 func TestCounterAndGaugeBasics(t *testing.T) {
@@ -251,9 +249,6 @@ func TestCollectorStripesSumExactly(t *testing.T) {
 			for range rounds {
 				for p := range pboxes {
 					id := g*pboxes + p + 1
-					for _, ev := range []core.EventType{core.Prepare, core.Enter, core.Hold, core.Unhold} {
-						c.StateEventAt(id, core.ResourceKey(id), ev, 0)
-					}
 					c.ActivityEnd(id, int64(id), int64(id)*1000)
 				}
 			}
@@ -274,9 +269,6 @@ func TestCollectorStripesSumExactly(t *testing.T) {
 		"pbox_activity_defer_seconds_count":             fmt.Sprint(activities),
 		"pbox_activity_defer_seconds_sum":               formatSeconds(time.Duration(deferNs)),
 		`pbox_activity_defer_seconds_bucket{le="+Inf"}`: fmt.Sprint(activities),
-	}
-	for _, ev := range []core.EventType{core.Prepare, core.Enter, core.Hold, core.Unhold} {
-		want[`pbox_events_total{event="`+ev.String()+`"}`] = fmt.Sprint(activities)
 	}
 	got := scrape()
 	for series, v := range want {

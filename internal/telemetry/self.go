@@ -172,6 +172,17 @@ func (e *Exporter) handleSelf(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, resp)
 }
 
+// writeEventMetrics renders pbox_events_total from the manager's state-row
+// counts (SelfStats.StateEvents) at scrape time, as the pbox_attributed_*
+// series are rendered from the ledger: the manager counts a run of rows once
+// per kind on the pBox's counter stripe, so no observer callback counts a row.
+func writeEventMetrics(w io.Writer, st core.SelfStats) {
+	writeSelfHeader(w, "pbox_events_total", "state events received by the manager (update_pbox calls)", "counter")
+	for k, n := range st.StateEvents {
+		fmt.Fprintf(w, "pbox_events_total{event=%q} %d\n", core.EventType(k).String(), n)
+	}
+}
+
 // writeSelfMetrics renders SelfStats as the pbox_self_* Prometheus series.
 // The series are assembled from the manager's atomics on each scrape rather
 // than registered in the Registry: the values live in internal/core, which

@@ -3,6 +3,8 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -121,6 +123,146 @@ func TestFrameSharesOneStamp(t *testing.T) {
 		t.Fatalf("stats: %+v", st)
 	}
 }
+
+// runRig is a frame rig on an observed manager with tenants 1 and 2 registered
+// and activated and tenant 1 selected.
+func runRig(t *testing.T) (*frameRig, *recSink) {
+	t.Helper()
+	sink := &recSink{}
+	sink.Sink = sink
+	r := newFrameRig(core.NewManager(core.Options{Observer: sink, Sleep: func(time.Duration) {}}), Config{})
+	if err := r.apply(clientFrame(func(c *Client) {
+		c.Register(1, core.DefaultRule(), "")
+		c.Register(2, core.DefaultRule(), "")
+		c.Activate(1)
+		c.Activate(2)
+		c.Select(1)
+	})); err != nil {
+		t.Fatal(err)
+	}
+	return r, sink
+}
+
+// stateRows returns the keys of the state rows delivered for pBox id.
+func stateRows(sink *recSink, id int) []core.ResourceKey {
+	var keys []core.ResourceKey
+	for _, rec := range sink.recs {
+		if rec.Kind == core.KindState && rec.PBox == id {
+			keys = append(keys, rec.Key)
+		}
+	}
+	return keys
+}
+
+// TestFrameAppliesEventsBeforeBadOp: a frame's events travel as a run that is
+// delivered at the next control op — and on a protocol error too, so the
+// events before a bad op are applied, as they were when each went alone.
+func TestFrameAppliesEventsBeforeBadOp(t *testing.T) {
+	for _, bad := range []struct {
+		name string
+		op   func(c *Client)
+	}{
+		{"unknown op", func(c *Client) { c.op(0xff) }},
+		{"unknown tenant", func(c *Client) { c.Freeze(9) }},
+		{"overlong event key", func(c *Client) {
+			c.op(opEventBase)
+			c.payload = append(c.payload, bytes.Repeat([]byte{0xff}, binary.MaxVarintLen64+1)...)
+		}},
+	} {
+		t.Run(bad.name, func(t *testing.T) {
+			r, sink := runRig(t)
+			frame := clientFrame(func(c *Client) {
+				for k := core.ResourceKey(1); k <= 10; k++ {
+					c.Event(0x100+k, core.Hold)
+				}
+				bad.op(c)
+				c.Event(0x200, core.Hold)
+			})
+			if err := r.apply(frame); !errors.Is(err, errProto) {
+				t.Fatalf("apply = %v, want a protocol error", err)
+			}
+			r.w.Flush() // as the connection's teardown does
+			if got := stateRows(sink, r.tenants[1].ID()); len(got) != 10 || got[9] != 0x10a {
+				t.Fatalf("state rows %x, want the ten events before the bad op", got)
+			}
+			if st := r.s.Stats(); st.Events != 10 {
+				t.Fatalf("%d events admitted, want 10", st.Events)
+			}
+		})
+	}
+}
+
+// TestFrameRunsFollowSelect: select A, events, select B, events in one frame —
+// each run is delivered before the select that ends it, so each tenant gets
+// exactly its own events, in order.
+func TestFrameRunsFollowSelect(t *testing.T) {
+	r, sink := runRig(t)
+	keys := func(base core.ResourceKey) []core.ResourceKey {
+		return []core.ResourceKey{base, base + 1, base + 2, base + 1, base}
+	}
+	if err := r.apply(clientFrame(func(c *Client) {
+		for _, k := range keys(0x100) {
+			c.Event(k, core.Hold)
+		}
+		c.Select(2)
+		for _, k := range keys(0x200) {
+			c.Event(k, core.Hold)
+		}
+		c.Select(1)
+		c.Event(0x100, core.Unhold)
+		c.Freeze(1)
+		c.Freeze(2)
+	})); err != nil {
+		t.Fatal(err)
+	}
+	want1 := append(keys(0x100), 0x100)
+	if got := stateRows(sink, r.tenants[1].ID()); fmt.Sprint(got) != fmt.Sprint(want1) {
+		t.Fatalf("tenant 1 got %x, want %x", got, want1)
+	}
+	if got := stateRows(sink, r.tenants[2].ID()); fmt.Sprint(got) != fmt.Sprint(keys(0x200)) {
+		t.Fatalf("tenant 2 got %x, want %x", got, keys(0x200))
+	}
+}
+
+// TestFrameLongRun: 600 events between two control ops — more than a run
+// buffer and than a spool — are all applied, in order, and applyFrame still
+// allocates nothing.
+func TestFrameLongRun(t *testing.T) {
+	r, sink := runRig(t)
+	const n = 600
+	frame := clientFrame(func(c *Client) {
+		c.Activate(1)
+		for i := range n {
+			c.Event(core.ResourceKey(0x1000+i/2), core.Hold+core.EventType(i%2))
+		}
+		c.Freeze(1)
+	})
+	if err := r.apply(frame); err != nil {
+		t.Fatal(err)
+	}
+	got := stateRows(sink, r.tenants[1].ID())
+	if len(got) != n {
+		t.Fatalf("%d of %d events applied", len(got), n)
+	}
+	for i, k := range got {
+		if k != core.ResourceKey(0x1000+i/2) {
+			t.Fatalf("state row %d is key %x, want %x", i, k, 0x1000+i/2)
+		}
+	}
+	sink.Sink = nopSink{}
+	if allocs := testing.AllocsPerRun(50, func() {
+		if err := r.apply(frame); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("applyFrame allocates %.1f times per %d-event frame; want 0", allocs, n)
+	}
+}
+
+// nopSink drops every record.
+type nopSink struct{}
+
+func (nopSink) Record(core.Record) {}
 
 // BenchmarkApplyFrame is the server's per-frame path without the socket: a
 // pre-encoded frame of 16 activities (256 events) applied to a traced manager,

@@ -243,6 +243,23 @@ type connState struct {
 	reserve   int  // chunked tokens taken from the global bucket
 	skip      bool // selected tenant refused (shared-thread penalty): drop events
 	wrotePong bool
+
+	// run holds the admitted events of the frame since its last control op,
+	// handed to the worker as one Worker.UpdateRunAt (deliver).
+	run  [runCap]core.KeyEvent
+	nrun int
+}
+
+// runCap bounds an event run: one spool's capacity (Manager.SpoolCapacity),
+// so a run fills a spool at most once.
+const runCap = 256
+
+// deliver hands the buffered run to w, stamped at.
+func (c *connState) deliver(w *core.Worker, at int64) {
+	if c.nrun > 0 {
+		w.UpdateRunAt(c.run[:c.nrun], at)
+		c.nrun = 0
+	}
 }
 
 // errProto is the one reason applyFrame rejects a frame: every decode or
@@ -254,7 +271,10 @@ var errProto = errors.New("wire: protocol error")
 // is read here, once: the frame's arrival is the last instant the server knows
 // the client had issued all of its ops, so it is the time of every event,
 // activate and freeze in the frame and of both admission buckets (DESIGN.md
-// §15, "Time on the wire").
+// §15, "Time on the wire"). Admitted events travel as runs: each is buffered
+// and the run delivered in one call before the next control op, when the
+// buffer fills, and on every return path — a protocol error included, so the
+// events before a bad op are applied.
 func (s *Server) applyFrame(frame []byte, w *core.Worker, tenants map[uint64]*core.PBox, c *connState, bw *bufio.Writer) error {
 	nowNs := s.mgr.Now()
 	var lastKey int64
@@ -263,7 +283,10 @@ func (s *Server) applyFrame(frame []byte, w *core.Worker, tenants map[uint64]*co
 	// every connection writes — once per frame: on every return path, and
 	// before a ping in the frame builds its pong, which reports the total.
 	var admitted int64
-	defer func() { s.events.Add(admitted) }()
+	defer func() {
+		c.deliver(w, nowNs)
+		s.events.Add(admitted)
+	}()
 	// Local uvarint reader against the frame buffer (no allocation).
 	u := func() (uint64, bool) {
 		v, n := binary.Uvarint(frame[off:])
@@ -303,9 +326,13 @@ func (s *Server) applyFrame(frame []byte, w *core.Worker, tenants map[uint64]*co
 				c.reserve--
 			}
 			admitted++
-			w.UpdateAt(core.ResourceKey(lastKey), core.EventType(op-opEventBase), nowNs)
+			c.run[c.nrun] = core.KeyEvent{Key: core.ResourceKey(lastKey), Ev: core.EventType(op - opEventBase)}
+			if c.nrun++; c.nrun == runCap {
+				c.deliver(w, nowNs)
+			}
 			continue
 		}
+		c.deliver(w, nowNs)
 		switch op {
 		case opRegister:
 			tenant, ok1 := u()
