@@ -46,7 +46,6 @@ func main() {
 		httpAddr  = flag.String("http", "127.0.0.1:7070", "HTTP listen address for telemetry (empty disables)")
 		goal      = flag.Float64("goal", 0.5, "relative isolation level for client pBoxes")
 		traceSize = flag.Int("trace", 4096, "trace ring capacity (0 disables tracing)")
-		noTelem   = flag.Bool("no-telemetry", false, "disable the metrics observer (overhead baseline)")
 		capacity  = flag.Int("capacity", 512, "KV store capacity (items)")
 		evictScan = flag.Int("evict-scan", 192, "LRU entries scanned per eviction (lock hold length)")
 		demo      = flag.Duration("demo", 0, "run a built-in noisy+victim client demo for this long, then exit")
@@ -67,22 +66,18 @@ func main() {
 	cfg.EvictScanItems = *evictScan
 
 	// Observer chain, front to back: the manager's own trace ring (the one
-	// in-memory copy of the stream) → capture recorder → flight recorder →
-	// metrics collector. Every link forwards every callback
-	// (core.RecordObserver), so each sees the exact stream the manager
-	// emitted whatever the order. Attribution stays on — the ledger is the
-	// daemon's who-hurt-whom diagnosis surface.
+	// in-memory copy of the stream) → capture recorder → flight recorder.
+	// Every link forwards every callback (core.RecordObserver), so each sees
+	// the exact stream the manager emitted whatever the order. No link counts
+	// anything for /metrics: the manager keeps those counts itself, and the
+	// exporter renders them at scrape time. Attribution stays on — the ledger
+	// is the daemon's who-hurt-whom diagnosis surface.
 	var (
-		reg    *telemetry.Registry
 		rec    *flightrec.Recorder
 		capRec *capture.Recorder
 		obs    core.Observer
 	)
 	opts := core.Options{TraceSize: *traceSize, Attribution: true}
-	if !*noTelem {
-		reg = telemetry.NewRegistry()
-		obs = telemetry.NewCollector(reg)
-	}
 	if *incidents != "" {
 		rec = flightrec.New(flightrec.Config{Dir: *incidents, Next: obs})
 		obs = rec
@@ -153,7 +148,7 @@ func main() {
 
 	var httpSrv *http.Server
 	if *httpAddr != "" {
-		exp := telemetry.NewExporter(reg, mgr)
+		exp := telemetry.NewExporter(nil, mgr)
 		if rec != nil {
 			exp.AttachFlightRecorder(rec)
 		}
@@ -181,7 +176,7 @@ func main() {
 		if rec != nil {
 			rec.Close() // drain pending incident bundles before reporting
 		}
-		report(last, mgr, reg, rec)
+		report(last, mgr, rec)
 	} else {
 		sig := make(chan os.Signal, 1)
 		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -305,9 +300,9 @@ func runDemo(mgr *core.Manager, addr string, d time.Duration, nVictims, capacity
 }
 
 // report prints the per-pBox accounting, the culprit↔victim attribution
-// matrix, any frozen incident bundles, and the headline counters after a
+// matrix, any frozen incident bundles, and the /metrics exposition after a
 // demo.
-func report(snaps []core.Snapshot, mgr *core.Manager, reg *telemetry.Registry, rec *flightrec.Recorder) {
+func report(snaps []core.Snapshot, mgr *core.Manager, rec *flightrec.Recorder) {
 	fmt.Println("--- pboxes (last live sample) ---")
 	for _, s := range snaps {
 		fmt.Printf("pbox %-3d %-10s goal=%.2f activities=%-6d defer_ratio=%.3f penalties=%d served=%v\n",
@@ -337,12 +332,8 @@ func report(snaps []core.Snapshot, mgr *core.Manager, reg *telemetry.Registry, r
 			}
 		}
 	}
-	if reg != nil {
-		// The /metrics exposition, so the dump carries the attributed
-		// series rendered from the ledger beside the registry's families.
-		fmt.Println("--- metrics ---")
-		rw := httptest.NewRecorder()
-		telemetry.NewExporter(reg, mgr).ServeHTTP(rw, httptest.NewRequest(http.MethodGet, "/metrics", nil))
-		os.Stdout.Write(rw.Body.Bytes())
-	}
+	fmt.Println("--- metrics ---")
+	rw := httptest.NewRecorder()
+	telemetry.NewExporter(nil, mgr).ServeHTTP(rw, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	os.Stdout.Write(rw.Body.Bytes())
 }

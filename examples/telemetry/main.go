@@ -1,13 +1,13 @@
 // telemetry: the live observability loop in one self-contained process.
 //
-// The demo wires the telemetry subsystem end to end: a manager with a
-// metrics Collector and trace ring, the minikv cache substrate, and one
-// noisy + two victim in-process clients. While the clients run it polls the
-// same data the pboxd HTTP endpoints serve — a /pboxes-style table once a
-// second and a /trace-style incremental read — and when the run ends it
-// prints the exporter's /metrics response, so the full pipeline (hooks →
-// collector → registry, and the attribution ledger → pbox_attributed_*
-// series) is visible without opening a socket.
+// The demo wires the telemetry subsystem end to end: a manager with a trace
+// ring and an attribution ledger, the minikv cache substrate, and one noisy +
+// two victim in-process clients. While the clients run it polls the same data
+// the pboxd HTTP endpoints serve — a /pboxes-style table once a second and a
+// /trace-style incremental read — and when the run ends it prints the
+// exporter's /metrics response, so the full pipeline (the manager's own
+// counts → pbox_* series, and the attribution ledger → pbox_attributed_*
+// series, both rendered at scrape time) is visible without opening a socket.
 //
 // Run it:
 //
@@ -35,9 +35,7 @@ import (
 const capacity = 512
 
 func main() {
-	reg := telemetry.NewRegistry()
 	mgr := core.NewManager(core.Options{
-		Observer:    telemetry.NewCollector(reg),
 		TraceSize:   2048,
 		Attribution: true,
 	})
@@ -119,6 +117,6 @@ func main() {
 	fmt.Println("--- final metrics (/metrics) ---")
 	mgr.RefreshStatusView() // the final dump wants every event, spooled ones too
 	rw := httptest.NewRecorder()
-	telemetry.NewExporter(reg, mgr).ServeHTTP(rw, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	telemetry.NewExporter(nil, mgr).ServeHTTP(rw, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	os.Stdout.Write(rw.Body.Bytes())
 }

@@ -11,16 +11,14 @@ import (
 
 	"pbox/internal/core"
 	"pbox/internal/isolation"
-	"pbox/internal/telemetry"
 	"pbox/internal/workload"
 )
 
 // startTestServer brings up a full pboxd-shaped stack on an ephemeral port:
-// manager + collector, per-connection pBoxes, KV behind real TCP.
-func startTestServer(t *testing.T, capacity, evictScan int) (addr string, mgr *core.Manager, reg *telemetry.Registry) {
+// a traced manager, per-connection pBoxes, KV behind real TCP.
+func startTestServer(t *testing.T, capacity, evictScan int) (addr string, mgr *core.Manager) {
 	t.Helper()
-	reg = telemetry.NewRegistry()
-	mgr = core.NewManager(core.Options{Observer: telemetry.NewCollector(reg), TraceSize: 512})
+	mgr = core.NewManager(core.Options{TraceSize: 512})
 	rule := core.DefaultRule()
 	rule.Level = 0.5
 	ctrl := isolation.NewPBox(mgr, rule)
@@ -38,11 +36,11 @@ func startTestServer(t *testing.T, capacity, evictScan int) (addr string, mgr *c
 	}
 	go srv.Serve(ln)
 	t.Cleanup(srv.Close)
-	return ln.Addr().String(), mgr, reg
+	return ln.Addr().String(), mgr
 }
 
 func TestServerProtocol(t *testing.T) {
-	addr, mgr, _ := startTestServer(t, 64, 16)
+	addr, mgr := startTestServer(t, 64, 16)
 
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -103,7 +101,7 @@ func TestServerEndToEndPenalties(t *testing.T) {
 		t.Skip("drives real TCP traffic for up to several seconds")
 	}
 	const capacity = 256
-	addr, mgr, reg := startTestServer(t, capacity, 128)
+	addr, mgr := startTestServer(t, capacity, 128)
 
 	// Preload so victim gets are hits.
 	pre, err := workload.DialKV(addr, "preload")
@@ -162,7 +160,6 @@ func TestServerEndToEndPenalties(t *testing.T) {
 		})
 	}
 
-	penalties := reg.Counter("pbox_penalties_total", "")
 	deadline := time.After(10 * time.Second)
 	tick := time.NewTicker(50 * time.Millisecond)
 	defer tick.Stop()
@@ -174,7 +171,7 @@ poll:
 			break poll
 		case <-tick.C:
 		}
-		if penalties.Value() == 0 {
+		if mgr.SelfStats().Penalties == 0 {
 			continue
 		}
 		for _, s := range mgr.Status().Snapshots {
@@ -187,8 +184,8 @@ poll:
 	close(stop)
 	wg.Wait()
 
-	if penalties.Value() == 0 {
-		t.Fatal("pbox_penalties_total stayed zero: no penalty was ever scheduled")
+	if mgr.SelfStats().Penalties == 0 {
+		t.Fatal("SelfStats.Penalties stayed zero: no penalty was ever scheduled")
 	}
 	if !noisyPenalized {
 		t.Fatalf("noisy pBox never showed served penalty time; snapshots: %+v", mgr.Status().Snapshots)

@@ -110,6 +110,21 @@ func (o Options) withDefaults() Options {
 // Manager state is read through the epoch snapshot (StatusView, DESIGN.md
 // §12); only the view rebuild stops the world.
 type Manager struct {
+	// stripes hold what every tenant counts on its own path. crossings are
+	// conceptual user/kernel boundary crossings: every manager entry point adds
+	// one (cross), and a flush adds its batch's events (eventSpool.emptied). The
+	// lazy-unbind optimization (Section 5) is validated by this count going
+	// down. flushes and flushedEvents are the spool flush counts, states the
+	// state rows delivered, by kind, one add per kind a run carries
+	// (emitStates), and exec and deferral every Freeze's activity times
+	// (SelfStats). Every direct event and every lifecycle call from every
+	// thread writes them, so they are striped by pBox id, whole lines per
+	// stripe. They come first: a Manager is a large allocation, so they start
+	// on a line boundary and no stripe shares a line with another, nor with
+	// the observer pointers below, read on every event
+	// (BenchmarkManagerDisjointResources, BenchmarkActivityCycle/g=2).
+	stripes [counterStripes]counterStripe
+
 	opts Options
 
 	// reg is the pBox registry: id allocation, the live-pBox table, and
@@ -171,29 +186,21 @@ type Manager struct {
 	// attrObs is obs's AttributionObserver side, cached at
 	// construction so hook sites pay a nil check instead of a type assert.
 	attrObs AttributionObserver
-
-	// stripes hold what every tenant counts on its own path. crossings are
-	// conceptual user/kernel boundary crossings: every manager entry point adds
-	// one (cross), and a flush adds its batch's events (eventSpool.emptied). The
-	// lazy-unbind optimization (Section 5) is validated by this count going
-	// down. flushes and flushedEvents are the spool flush counts, and states
-	// the state rows delivered, by kind, one add per kind a run carries
-	// (emitStates; SelfStats). Every direct event and every lifecycle call
-	// from every thread writes them, so they are striped by pBox id, a line
-	// per stripe and none shared with the observer pointers above, read on
-	// every event (BenchmarkManagerDisjointResources, BenchmarkActivityCycle/g=2).
-	_       cacheLinePad
-	stripes [counterStripes]counterStripe
 }
 
 const counterStripes = 8
 
-// counterStripe is one line of Manager.stripes.
+// counterStripe is one stripe of Manager.stripes: the event counters on its
+// first line, then the activity histograms, padded to whole lines.
 type counterStripe struct {
 	crossings, flushes, flushedEvents atomic.Int64
 	states                            [eventKinds]atomic.Int64 // indexed by EventType
-	_                                 [cacheLineSize - 8*(3+eventKinds)]byte
+	exec, deferral                    histogram                // latencyBounds
+	_                                 [(cacheLineSize - counterStripeWords*8%cacheLineSize) % cacheLineSize]byte
 }
+
+// counterStripeWords is the words counterStripe holds before its padding.
+const counterStripeWords = 3 + eventKinds + 2*(2+latencyBuckets)
 
 // eventKinds is the number of EventTypes (Prepare … Unhold).
 const eventKinds = 4
@@ -202,6 +209,16 @@ const eventKinds = 4
 //
 //pbox:hotpath
 func (m *Manager) stripe(id int) *counterStripe { return &m.stripes[id&(counterStripes-1)] }
+
+// endActivity counts a finished activity's deferring and execution times.
+//
+//pbox:hotpath
+func (s *counterStripe) endActivity(td, te int64) {
+	s.exec.observe(latencyBounds, te)
+	if td > 0 {
+		s.deferral.observe(latencyBounds, td)
+	}
+}
 
 // cross counts one crossing on the stripe of pBox id.
 //
@@ -277,6 +294,7 @@ func (m *Manager) Create(rule IsolationRule) (*PBox, error) {
 	m.reg.pboxes[p.id] = p
 	m.reg.Unlock()
 	m.cross(p.id)
+	m.self.created.Add(1)
 	if m.obs != nil {
 		m.obs.PBoxCreated(p.id, rule)
 	}
@@ -320,6 +338,7 @@ func (m *Manager) Release(p *PBox) error {
 	}
 	delete(m.reg.pboxes, p.id)
 	m.reg.Unlock()
+	m.self.released.Add(1)
 	if m.obs != nil {
 		m.obs.PBoxReleased(p.id)
 	}
@@ -426,6 +445,7 @@ func (m *Manager) FreezeAt(p *PBox, at int64) {
 	p.actMu.Lock()
 	td := min(p.deferTime, te)
 	p.recordActivityLocked(td, te)
+	m.stripe(p.id).endActivity(td, te)
 	var noisy *PBox
 	var info blameInfo
 	level, act := m.opts.monitor(p.rule, p.totalDefer, p.totalExec, p.history)
@@ -676,7 +696,7 @@ func (m *Manager) enterVerdict() (t0 int64) {
 
 func (m *Manager) leaveVerdict(t0 int64) {
 	m.verdictMu.Unlock()
-	m.self.verdictLatency.observe(exec.Now() - t0)
+	m.self.verdictLatency.observe(verdictBounds, exec.Now()-t0)
 }
 
 // settleWaiters runs the blame and detection passes over key's waiter list
@@ -783,6 +803,7 @@ func (m *Manager) sleepPenalty(p *PBox, d time.Duration) {
 		m.verdictMu.Unlock()
 	}
 	m.opts.Sleep(d)
+	m.self.penaltyServed.observe(latencyBounds, int64(d))
 	if m.obs != nil {
 		m.obs.PenaltyServed(p.id, d)
 	}

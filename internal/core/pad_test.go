@@ -54,19 +54,26 @@ func TestContentionSlotLayout(t *testing.T) {
 }
 
 // TestManagerLayout: the two deliberate gaps in the Manager. The verdict
-// histogram's last counter (self ends in it; every verdict writes it) is a full
+// histogram's last word (self ends in it; every verdict writes it) is a full
 // line before trace/obs/attrObs, which every event reads; and the counter
-// stripes are a line apart from one another and from those pointers.
+// stripes — a power of two of them, each a whole number of lines, starting on a
+// line boundary in a live manager — share no line with one another, nor with
+// those pointers.
 func TestManagerLayout(t *testing.T) {
 	var m Manager
-	hist := unsafe.Offsetof(m.self) + unsafe.Offsetof(m.self.verdictLatency) + unsafe.Offsetof(m.self.verdictLatency.n)
+	hist := unsafe.Offsetof(m.self) + unsafe.Offsetof(m.self.verdictLatency) + unsafe.Sizeof(m.self.verdictLatency) - 8
 	if gap := unsafe.Offsetof(m.trace) - (hist + 8); gap < cacheLineSize {
-		t.Fatalf("verdictLatency.n ends %d bytes before trace, want >= %d", gap, cacheLineSize)
+		t.Fatalf("the verdict histogram's last word ends %d bytes before trace, want >= %d", gap, cacheLineSize)
 	}
-	if gap := unsafe.Offsetof(m.stripes) - (unsafe.Offsetof(m.attrObs) + unsafe.Sizeof(m.attrObs)); gap < cacheLineSize {
-		t.Fatalf("the first counter stripe starts %d bytes after attrObs, want >= %d", gap, cacheLineSize)
+	if stride := unsafe.Sizeof(m.stripes[0]); stride%cacheLineSize != 0 || counterStripes&(counterStripes-1) != 0 {
+		t.Fatalf("counter stripes: stride %d (want a multiple of %d), count %d (want a power of two)", stride, cacheLineSize, counterStripes)
 	}
-	if stride := unsafe.Sizeof(m.stripes[0]); stride != cacheLineSize || counterStripes&(counterStripes-1) != 0 {
-		t.Fatalf("counter stripes: stride %d (want %d), count %d (want a power of two)", stride, cacheLineSize, counterStripes)
+	if at := uintptr(unsafe.Pointer(&NewManager(Options{}).stripes[0])); at%cacheLineSize != 0 {
+		t.Fatalf("the first counter stripe sits %d bytes into a line", at%cacheLineSize)
+	}
+	stripes, ptrs := unsafe.Offsetof(m.stripes), unsafe.Offsetof(m.trace)
+	stripesEnd, ptrsEnd := stripes+unsafe.Sizeof(m.stripes), unsafe.Offsetof(m.attrObs)+unsafe.Sizeof(m.attrObs)
+	if stripesEnd+cacheLineSize > ptrs && ptrsEnd+cacheLineSize > stripes {
+		t.Fatalf("the counter stripes [%d, %d) come within a line of trace/obs/attrObs [%d, %d)", stripes, stripesEnd, ptrs, ptrsEnd)
 	}
 }

@@ -87,6 +87,7 @@ func (m *Manager) takeActionVerdict(noisy, victim *PBox, key ResourceKey, now, t
 	if noisy == nil || noisy.stateIs(StateDestroyed) || noisy == victim {
 		return
 	}
+	m.self.detections.Add(1)
 	if m.obs != nil {
 		m.obs.Detection(noisy.id, victim.id, key, projected)
 	}
@@ -140,6 +141,8 @@ func (m *Manager) takeActionVerdict(noisy, victim *PBox, key ResourceKey, now, t
 		e.actions++
 		e.scheduledNs += int64(penalty)
 	}
+	m.self.penalties.Add(1)
+	m.self.penaltyScheduledNs.Add(int64(penalty))
 	if m.obs != nil {
 		m.obs.PenaltyAction(noisy.id, victim.id, key, kind, time.Duration(penalty))
 	}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"pbox/internal/exec"
+	"pbox/internal/stats"
 )
 
 // Epoch-based snapshot reads (DESIGN.md §12): the immutable StatusView is
@@ -198,8 +199,10 @@ func (m *Manager) TraceView(since uint64) ([]TraceEntry, uint64) {
 }
 
 // selfCounters is the manager's self-telemetry state: lock-free counters
-// about the manager's own overhead, updated from the paths they measure
-// with single atomic adds and read by SelfStats with no locks.
+// about the manager's own overhead and the cold paths of what it manages,
+// updated from the paths they measure with single atomic adds and read by
+// SelfStats with no locks. What every Freeze counts lives on the counter
+// stripes instead (counterStripe).
 type selfCounters struct {
 	snapshotBuilds       atomic.Int64
 	snapshotHits         atomic.Int64
@@ -212,52 +215,74 @@ type selfCounters struct {
 	hibernations         atomic.Int64
 	wakes                atomic.Int64
 	hibernated           atomic.Int64 // gauge: currently hibernated pBoxes
-	verdictLatency       latencyHist
+	created, released    atomic.Int64
+	detections           atomic.Int64
+	penalties            atomic.Int64
+	penaltyScheduledNs   atomic.Int64
+	penaltyServed        histogram // latencyBounds
+	verdictLatency       histogram // verdictBounds
 }
 
-// verdictBucketBoundsNs are the finite upper bounds of the verdict-latency
-// histogram (1µs … 10ms); a final +Inf bucket follows.
-var verdictBucketBoundsNs = [...]int64{1_000, 10_000, 100_000, 1_000_000, 10_000_000}
+// verdictBounds are the finite upper bounds of the verdict-latency histogram
+// (1µs … 10ms); latencyBounds those of the activity and penalty-served
+// histograms (stats.DefaultLatencyBuckets, 10µs … 1s). A final +Inf bucket
+// follows each.
+var (
+	verdictBounds = []time.Duration{time.Microsecond, 10 * time.Microsecond, 100 * time.Microsecond, time.Millisecond, 10 * time.Millisecond}
+	latencyBounds = stats.DefaultLatencyBuckets()
+)
 
-// latencyHist is a fixed-bucket lock-free histogram (observe is a bucket
-// scan plus three atomic adds — safe from the event path).
-type latencyHist struct {
-	counts [len(verdictBucketBoundsNs) + 1]atomic.Int64
-	sumNs  atomic.Int64
-	n      atomic.Int64
+// latencyBuckets is len(latencyBounds), the most bounds a histogram holds (a
+// longer set fails every histogram read: addTo indexes past the array).
+const latencyBuckets = 16
+
+// histogram is a fixed-bucket lock-free histogram of nanosecond samples under
+// bounds its owner keeps: an observe is a bucket scan plus two atomic adds. It
+// keeps no sample count apart from the buckets, so a read taken during an
+// observe can never show a count that disagrees with them.
+type histogram struct {
+	sum    atomic.Int64
+	counts [latencyBuckets + 1]atomic.Int64 // a bucket per bound, then +Inf
 }
 
-func (h *latencyHist) observe(ns int64) {
-	if ns < 0 {
-		ns = 0
-	}
+func (h *histogram) observe(bounds []time.Duration, ns int64) {
 	i := 0
-	for i < len(verdictBucketBoundsNs) && ns > verdictBucketBoundsNs[i] {
+	for i < len(bounds) && ns > int64(bounds[i]) {
 		i++
 	}
 	h.counts[i].Add(1)
-	h.sumNs.Add(ns)
-	h.n.Add(1)
+	h.sum.Add(max(ns, 0))
 }
 
-func (h *latencyHist) snapshot() LatencyHistogram {
-	out := LatencyHistogram{
-		Bounds: make([]time.Duration, len(verdictBucketBoundsNs)),
-		Counts: make([]int64, len(h.counts)),
-		Sum:    time.Duration(h.sumNs.Load()),
-		Count:  h.n.Load(),
+// newLatencyHistogram is an empty read view under bounds, for addTo to fill.
+func newLatencyHistogram(bounds []time.Duration) LatencyHistogram {
+	return LatencyHistogram{Bounds: bounds, Counts: make([]int64, len(bounds)+1)}
+}
+
+// addTo adds h's buckets and sum into v; Count is the total of the buckets
+// loaded.
+func (h *histogram) addTo(v *LatencyHistogram) {
+	var total int64
+	for i := range v.Counts {
+		n := h.counts[i].Load()
+		v.Counts[i] += n
+		total += n
 	}
-	for i, b := range verdictBucketBoundsNs {
-		out.Bounds[i] = time.Duration(b)
-	}
-	for i := range h.counts {
-		out.Counts[i] = h.counts[i].Load()
-	}
-	return out
+	v.Count += total
+	v.Sum += time.Duration(h.sum.Load())
+}
+
+// view is h's read view under bounds.
+func (h *histogram) view(bounds []time.Duration) LatencyHistogram {
+	v := newLatencyHistogram(bounds)
+	h.addTo(&v)
+	return v
 }
 
 // LatencyHistogram is the read-only view of a fixed-bucket histogram.
 // Counts has one more entry than Bounds: the final bucket is unbounded.
+// Count is the total of Counts. Bounds is shared by every view of the
+// histogram: read it, never write it.
 type LatencyHistogram struct {
 	Bounds []time.Duration
 	Counts []int64
@@ -312,15 +337,42 @@ type SelfStats struct {
 	// EventType; a manager with neither an Observer nor a trace ring delivers
 	// none and counts none.
 	StateEvents [eventKinds]int64
+
+	// What the manager did to the pBoxes it manages, counted whether or not
+	// anything observes it (the pbox_* families on /metrics).
+	Created  int64 // pBoxes created
+	Released int64 // pBoxes released; never above Created, so Created−Released are live
+	// Activities distributes the execution time of every completed activity
+	// (Count activities, Sum their total execution time); ActivityDefer the
+	// deferring time of each one that deferred at all (Sum is the total
+	// deferring time, as the activities that deferred none add nothing).
+	Activities    LatencyHistogram
+	ActivityDefer LatencyHistogram
+	Detections    int64 // detection verdicts (Algorithm 1 or the pBox-level monitor)
+	Penalties     int64 // penalty actions scheduled
+	// PenaltyScheduled is the total length of the actions scheduled;
+	// PenaltyServed distributes the delays served (Sum is their total).
+	PenaltyScheduled time.Duration
+	PenaltyServed    LatencyHistogram
 }
 
 // SelfStats assembles the self-telemetry report from atomics alone — no
 // locks, no flushes; safe to poll at any frequency. The flush counts, the
-// state-row counts and Crossings are sums over the manager's counter stripes.
+// state-row counts, the activity histograms and Crossings are sums over the
+// manager's counter stripes.
 //
 //pbox:snapshotreader
 func (m *Manager) SelfStats() SelfStats {
+	released := m.self.released.Load() // before created, so live is never negative
 	st := SelfStats{
+		Created:               m.self.created.Load(),
+		Released:              released,
+		Detections:            m.self.detections.Load(),
+		Penalties:             m.self.penalties.Load(),
+		PenaltyScheduled:      time.Duration(m.self.penaltyScheduledNs.Load()),
+		PenaltyServed:         m.self.penaltyServed.view(latencyBounds),
+		Activities:            newLatencyHistogram(latencyBounds),
+		ActivityDefer:         newLatencyHistogram(latencyBounds),
 		SnapshotBuilds:        m.self.snapshotBuilds.Load(),
 		SnapshotCacheHits:     m.self.snapshotHits.Load(),
 		SnapshotLastBuild:     time.Duration(m.self.snapshotLastBuildNs.Load()),
@@ -332,7 +384,7 @@ func (m *Manager) SelfStats() SelfStats {
 		Hibernations:          m.self.hibernations.Load(),
 		Wakes:                 m.self.wakes.Load(),
 		Hibernated:            m.self.hibernated.Load(),
-		VerdictLatency:        m.self.verdictLatency.snapshot(),
+		VerdictLatency:        m.self.verdictLatency.view(verdictBounds),
 		Crossings:             m.Crossings(),
 		Shards:                m.ShardCount(),
 		SpoolCapacity:         m.SpoolCapacity(),
@@ -348,6 +400,8 @@ func (m *Manager) SelfStats() SelfStats {
 		for k := range st.StateEvents {
 			st.StateEvents[k] += m.stripes[i].states[k].Load()
 		}
+		m.stripes[i].exec.addTo(&st.Activities)
+		m.stripes[i].deferral.addTo(&st.ActivityDefer)
 	}
 	for _, s := range m.shards.shards {
 		n := s.locks.Load()

@@ -7,21 +7,6 @@ import (
 	"pbox/internal/core"
 )
 
-// ResourceNamer resolves a virtual resource key to the name registered with
-// Manager.NameResource.
-//
-// Deprecated: the attributed series take their resource labels from the
-// manager's ledger; nothing consumes a namer.
-type ResourceNamer interface {
-	ResourceName(key core.ResourceKey) string
-}
-
-// AttachNamer does nothing.
-//
-// Deprecated: the attributed series take their resource labels from the
-// manager's ledger at scrape time.
-func (c *Collector) AttachNamer(ResourceNamer) {}
-
 // maxAttrSeries caps how many ledger records /metrics exports: a churny
 // workload must not mint unbounded label sets into every scrape.
 const maxAttrSeries = 512

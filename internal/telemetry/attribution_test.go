@@ -195,9 +195,7 @@ func TestAttributedSeriesMatchLedger(t *testing.T) {
 
 	// Without Options.Attribution there is no ledger, so no matrix.
 	var now int64
-	reg := NewRegistry()
 	off := core.NewManager(core.Options{
-		Observer:   NewCollector(reg),
 		Now:        func() int64 { return now },
 		Sleep:      func(d time.Duration) { now += int64(d) },
 		MinPenalty: 10 * time.Microsecond,
@@ -209,7 +207,7 @@ func TestAttributedSeriesMatchLedger(t *testing.T) {
 	off.Activate(b)
 	blockOn(off, func(d time.Duration) { now += int64(d) }, a, b, key, 5*time.Millisecond)
 	off.RefreshStatusView()
-	offSrv := httptest.NewServer(NewExporter(reg, off))
+	offSrv := httptest.NewServer(NewExporter(nil, off))
 	defer offSrv.Close()
 	_, body = get(t, offSrv, "/metrics")
 	if !strings.Contains(body, "pbox_events_total") {
@@ -226,9 +224,7 @@ func TestAttributedSeriesMatchLedger(t *testing.T) {
 func TestAttributedSeriesCardinalityCap(t *testing.T) {
 	var now int64
 	advance := func(d time.Duration) { now += int64(d) }
-	reg := NewRegistry()
 	m := core.NewManager(core.Options{
-		Observer:    NewCollector(reg),
 		Attribution: true,
 		Now:         func() int64 { return now },
 		Sleep:       advance,
@@ -249,7 +245,7 @@ func TestAttributedSeriesCardinalityCap(t *testing.T) {
 	if n := len(m.RefreshStatusView().Attribution); n != triples {
 		t.Fatalf("ledger holds %d triples, want %d", n, triples)
 	}
-	srv := httptest.NewServer(NewExporter(reg, m))
+	srv := httptest.NewServer(NewExporter(nil, m))
 	defer srv.Close()
 	_, body := get(t, srv, "/metrics")
 	if got := strings.Count(body, "pbox_attributed_blocked_nanoseconds_total{"); got != maxAttrSeries {
@@ -269,10 +265,7 @@ func TestAttributedSeriesCardinalityCap(t *testing.T) {
 // CI, it is the consistency check for the combined Status accessor: the
 // endpoints must never observe a half-updated manager.
 func TestStatusEndpointsDuringChurn(t *testing.T) {
-	reg := NewRegistry()
-	col := NewCollector(reg)
 	opts := core.Options{
-		Observer:    col,
 		Attribution: true,
 		TraceSize:   64,
 		MinPenalty:  10 * time.Microsecond,
@@ -282,7 +275,7 @@ func TestStatusEndpointsDuringChurn(t *testing.T) {
 	m := core.NewManager(opts)
 	key := core.ResourceKey(0x11)
 	m.NameResource(key, "churn_lock")
-	exp := NewExporter(reg, m)
+	exp := NewExporter(nil, m)
 	srv := httptest.NewServer(exp)
 	defer srv.Close()
 

@@ -30,20 +30,17 @@ func get(t *testing.T, srv *httptest.Server, path string) (int, string) {
 	return resp.StatusCode, string(body)
 }
 
-// TestFlightRecorderEndpoints wires the full observer chain — recorder in
-// front of the collector — and exercises dump/list/fetch over HTTP.
+// TestFlightRecorderEndpoints wires the recorder in as the manager's observer
+// and exercises dump/list/fetch over HTTP.
 func TestFlightRecorderEndpoints(t *testing.T) {
 	// Atomic: the recorder's capture goroutine reads the manager clock while
 	// this goroutine advances it.
 	var now atomic.Int64
-	reg := telemetry.NewRegistry()
-	col := telemetry.NewCollector(reg)
 	rec := flightrec.New(flightrec.Config{
 		Dir: t.TempDir(),
 		// The first verdict captures (the cooldown window starts empty);
 		// the long cooldown keeps later verdicts from adding more.
 		Cooldown: time.Hour,
-		Next:     col,
 	})
 	defer rec.Close()
 	opts := core.Options{
@@ -73,7 +70,7 @@ func TestFlightRecorderEndpoints(t *testing.T) {
 	m.Update(noisy, key, core.Unhold)
 	m.Update(victim, key, core.Enter)
 
-	exp := telemetry.NewExporter(reg, m)
+	exp := telemetry.NewExporter(nil, m)
 	exp.AttachFlightRecorder(rec)
 	srv := httptest.NewServer(exp)
 	defer srv.Close()

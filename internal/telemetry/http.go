@@ -178,9 +178,9 @@ type TraceResponse struct {
 
 // Exporter serves the telemetry HTTP API for one manager:
 //
-//	/metrics   Prometheus text exposition of the registry, the manager's
-//	           state-row counts (pbox_events_total), the published view's
-//	           attribution ledger (pbox_attributed_*) + pbox_self_*
+//	/metrics   Prometheus text exposition, rendered at scrape time: the
+//	           manager's counts (pbox_*, core.SelfStats), the published
+//	           view's attribution ledger (pbox_attributed_*) + pbox_self_*
 //	/status    JSON: the epoch-published snapshot (pBoxes, matrix,
 //	           resources, trace cursor) with epoch/age metadata
 //	/self      JSON: manager self-telemetry (core.SelfStats)
@@ -192,7 +192,6 @@ type TraceResponse struct {
 // serving a request costs one atomic pointer load, never a shard lock or a
 // spool flush, so any polling frequency is interference-free.
 type Exporter struct {
-	reg *Registry
 	mgr *core.Manager
 	mux *http.ServeMux
 	// wireSrv is the attached wire-ingestion server (AttachWire); its
@@ -201,12 +200,13 @@ type Exporter struct {
 	wireSrv *wire.Server
 }
 
-// NewExporter builds the exporter. reg may be nil when only /pboxes and
-// /trace are wanted; mgr may be nil when only /metrics is wanted.
+// NewExporter builds the exporter for mgr; without one, only the index
+// serves. reg is ignored (Deprecated: kept for benchmark/ until ROADMAP item
+// 7).
 func NewExporter(reg *Registry, mgr *core.Manager) *Exporter {
-	e := &Exporter{reg: reg, mgr: mgr, mux: http.NewServeMux()}
+	e := &Exporter{mgr: mgr, mux: http.NewServeMux()}
 	e.mux.HandleFunc("/", e.handleIndex)
-	e.mux.HandleFunc("/metrics", e.handleMetrics)
+	e.mux.HandleFunc("/metrics", e.withManager(e.handleMetrics))
 	e.mux.HandleFunc("/status", e.withManager(e.handleStatus))
 	e.mux.HandleFunc("/self", e.withManager(e.handleSelf))
 	e.mux.HandleFunc("/pboxes", e.withManager(e.handlePBoxes))
@@ -253,20 +253,11 @@ func (e *Exporter) handleIndex(w http.ResponseWriter, r *http.Request) {
 }
 
 func (e *Exporter) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if e.reg == nil && e.mgr == nil {
-		http.Error(w, "metrics registry not enabled", http.StatusNotFound)
-		return
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if e.reg != nil {
-		e.reg.WritePrometheus(w)
-	}
-	if e.mgr != nil {
-		st := e.mgr.SelfStats()
-		writeEventMetrics(w, st)
-		writeAttributedMetrics(w, e.mgr.StatusView())
-		writeSelfMetrics(w, st)
-	}
+	st := e.mgr.SelfStats()
+	writePBoxMetrics(w, st)
+	writeAttributedMetrics(w, e.mgr.StatusView())
+	writeSelfMetrics(w, st)
 	if e.wireSrv != nil {
 		writeWireMetrics(w, e.wireSrv.Stats())
 	}

@@ -172,22 +172,31 @@ func (e *Exporter) handleSelf(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, resp)
 }
 
-// writeEventMetrics renders pbox_events_total from the manager's state-row
-// counts (SelfStats.StateEvents) at scrape time, as the pbox_attributed_*
-// series are rendered from the ledger: the manager counts a run of rows once
-// per kind on the pBox's counter stripe, so no observer callback counts a row.
-func writeEventMetrics(w io.Writer, st core.SelfStats) {
+// writePBoxMetrics renders the pbox_* families from the manager's own counts
+// (SelfStats) at scrape time, as the pbox_attributed_* series are rendered
+// from the ledger: no observer callback counts anything.
+func writePBoxMetrics(w io.Writer, st core.SelfStats) {
+	writeSelfCounter(w, "pbox_created_total", "pBoxes created (create_pbox calls)", st.Created)
+	writeSelfCounter(w, "pbox_released_total", "pBoxes released (release_pbox calls)", st.Released)
+	writeSelfGauge(w, "pbox_live", "pBoxes currently alive", st.Created-st.Released)
+	writeSelfCounter(w, "pbox_activities_total", "activities completed (freeze_pbox calls)", st.Activities.Count)
+	writeSelfCounter(w, "pbox_detections_total", "detection verdicts reached by Algorithm 1 or the pBox-level monitor", st.Detections)
+	writeSelfCounter(w, "pbox_penalties_total", "penalty actions scheduled on noisy pBoxes", st.Penalties)
+	writeSelfHistogram(w, "pbox_activity_seconds", "end-to-end activity execution time", st.Activities)
+	writeSelfHistogram(w, "pbox_activity_defer_seconds", "per-activity deferring time", st.ActivityDefer)
+	writeSelfHistogram(w, "pbox_penalty_served_seconds", "penalty delays served on noisy goroutines", st.PenaltyServed)
+	writeSelfCounter(w, "pbox_defer_nanoseconds_total", "cumulative deferring time across all activities", int64(st.ActivityDefer.Sum))
+	writeSelfCounter(w, "pbox_exec_nanoseconds_total", "cumulative execution time across all activities", int64(st.Activities.Sum))
+	writeSelfCounter(w, "pbox_penalty_served_nanoseconds_total", "cumulative served penalty time", int64(st.PenaltyServed.Sum))
+	writeSelfCounter(w, "pbox_penalty_scheduled_nanoseconds_total", "cumulative scheduled penalty time", int64(st.PenaltyScheduled))
 	writeSelfHeader(w, "pbox_events_total", "state events received by the manager (update_pbox calls)", "counter")
 	for k, n := range st.StateEvents {
 		fmt.Fprintf(w, "pbox_events_total{event=%q} %d\n", core.EventType(k).String(), n)
 	}
 }
 
-// writeSelfMetrics renders SelfStats as the pbox_self_* Prometheus series.
-// The series are assembled from the manager's atomics on each scrape rather
-// than registered in the Registry: the values live in internal/core, which
-// cannot depend on this package, and double-counting them into Registry
-// metrics from an observer would put extra work on the hook path.
+// writeSelfMetrics renders SelfStats as the pbox_self_* Prometheus series,
+// assembled from the manager's atomics on each scrape.
 func writeSelfMetrics(w io.Writer, st core.SelfStats) {
 	writeSelfGauge(w, "pbox_self_snapshot_epoch", "Epoch of the published status snapshot (0 = none yet).", int64(st.SnapshotEpoch))
 	writeSelfGaugeSeconds(w, "pbox_self_snapshot_age_seconds", "Manager-clock age of the published status snapshot.", st.SnapshotAge)
@@ -251,7 +260,7 @@ func writeSelfHistogram(w io.Writer, name, help string, h core.LatencyHistogram)
 		fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, le, cum)
 	}
 	fmt.Fprintf(w, "%s_sum %s\n", name, formatSeconds(h.Sum))
-	fmt.Fprintf(w, "%s_count %d\n", name, h.Count)
+	fmt.Fprintf(w, "%s_count %d\n", name, cum) // the +Inf bucket itself
 }
 
 func writeSelfHeader(w io.Writer, name, help, kind string) {
