@@ -76,8 +76,7 @@ func usage() {
 commands:
   top        live culprit ranking from the snapshot's attribution matrix
              (watch mode; -once for a single sample, -interval for the rate)
-  pboxes     per-pBox defer ratios, goals, and penalties (-hibernated
-             shows only hibernated pBoxes; the footer always counts them)
+  pboxes     per-pBox states, defer ratios, goals, and penalties
   self       manager self-telemetry: snapshot, spool, contention, lock rates
   incidents  list | show <id> — flight-recorder bundles
   dump       freeze an incident bundle now (-reason "...")
@@ -259,8 +258,6 @@ func cmdSelf(args []string) error {
 		st.ContentionClaims, st.ContentionRevocations, st.ContentionStickySlots)
 	fmt.Printf("shard locks acquisitions=%d hottest=%d shards=%d\n",
 		st.ShardLockAcquisitions, st.ShardLockMax, st.Shards)
-	fmt.Printf("hibernation hibernations=%d wakes=%d hibernated=%d\n",
-		st.Hibernations, st.Wakes, st.Hibernated)
 	if st.Wire != nil {
 		fmt.Printf("wire        conns=%d/%d frames=%d events=%d shed_conn=%d shed_global=%d bind_refused=%d errors=%d\n",
 			st.Wire.ConnsActive, st.Wire.ConnsTotal, st.Wire.Frames, st.Wire.Events,
@@ -276,7 +273,6 @@ func cmdSelf(args []string) error {
 
 func cmdPBoxes(args []string) error {
 	fs, addr := flagSet("pboxes")
-	hibOnly := fs.Bool("hibernated", false, "show only hibernated pBoxes")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -284,22 +280,14 @@ func cmdPBoxes(args []string) error {
 	if err := getJSON(*addr, "/pboxes", &statuses); err != nil {
 		return err
 	}
-	hibernated := 0
 	fmt.Printf("%-5s %-16s %-10s %-6s %-10s %-12s %-5s %s\n",
 		"ID", "LABEL", "STATE", "GOAL", "RATIO", "DEFER", "PEN", "SERVED")
 	for _, s := range statuses {
-		hib := s.State == "hibernated"
-		if hib {
-			hibernated++
-		}
-		if *hibOnly && !hib {
-			continue
-		}
 		fmt.Printf("%-5d %-16s %-10s %-6.2f %-10.3f %-12s %-5d %s\n",
 			s.ID, s.Label, s.State, s.Goal, s.DeferRatio, s.TotalDefer,
 			s.PenaltiesReceived, s.PenaltyServed)
 	}
-	fmt.Printf("%d pboxes, %d hibernated\n", len(statuses), hibernated)
+	fmt.Printf("%d pboxes\n", len(statuses))
 	return nil
 }
 

@@ -6,7 +6,7 @@
 //
 //	pboxd -wire 127.0.0.1:7272 &
 //	go run ./examples/wireclient -events 100000 -hold 30s &
-//	pboxctl pboxes -hibernated        # the parked tenant, a few hundred bytes
+//	pboxctl pboxes                    # the tenant, frozen between sessions
 //
 // Tenants live as long as their connection (teardown releases them), so
 // -hold keeps the feeder attached for inspection.
@@ -47,10 +47,9 @@ func main() {
 		log.Fatalf("wireclient: ping: %v", err)
 	}
 
-	// Park the tenant between sessions: hibernated pBoxes cost a few hundred
-	// bytes and wake transparently on the next Activate.
+	// End the tenant's activity: a frozen pBox is idle until its next
+	// Activate.
 	c.Freeze(1)
-	c.Hibernate(1)
 	if _, err := c.Ping(2); err != nil {
 		log.Fatalf("wireclient: ping: %v", err)
 	}

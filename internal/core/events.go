@@ -143,10 +143,6 @@ const (
 	StateFrozen
 	// StateDestroyed: the pBox has been released.
 	StateDestroyed
-	// StateHibernated: the pBox is registered but compacted to its minimal
-	// footprint (Manager.Hibernate); the next Activate wakes it
-	// transparently. Like StateFrozen, no tracing happens.
-	StateHibernated
 )
 
 // String returns a readable state name.
@@ -160,8 +156,6 @@ func (s State) String() string {
 		return "frozen"
 	case StateDestroyed:
 		return "destroyed"
-	case StateHibernated:
-		return "hibernated"
 	default:
 		return fmt.Sprintf("State(%d)", int(s))
 	}

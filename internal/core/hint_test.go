@@ -112,8 +112,8 @@ func spoolBuffered(sp *eventSpool, p *PBox) int {
 // A pBox's records sit in one spool at a time — the worker that finds the
 // other's spool named flushes it before taking its own over — so at no point
 // do both buffer p's records, the hint always names the one that does, and
-// Freeze, Release and a refused Hibernate fold what is left through the hint
-// alone. (That the global issue order reaches the record stream is refmodel's.)
+// Freeze and Release fold what is left through the hint alone. (That the
+// global issue order reaches the record stream is refmodel's.)
 func TestSpoolSingleOwner(t *testing.T) {
 	type step struct {
 		byB bool
@@ -127,7 +127,7 @@ func TestSpoolSingleOwner(t *testing.T) {
 		{false, 0x100, Unhold},
 		{false, 0x101, Hold}, // still held at the transition
 	}
-	for _, end := range []string{"freeze", "release", "hibernate"} {
+	for _, end := range []string{"freeze", "release"} {
 		t.Run(end, func(t *testing.T) {
 			h := newHarness(t)
 			p := h.pbox(0.5)
@@ -163,20 +163,12 @@ func TestSpoolSingleOwner(t *testing.T) {
 				if err := h.m.Release(p); err != nil {
 					t.Fatalf("Release: %v", err)
 				}
-			case "hibernate":
-				// Refused mid-activity, but only after the flush.
-				if err := h.m.Hibernate(p); err == nil {
-					t.Fatal("Hibernate accepted an active pBox")
-				}
 			}
 			if got := h.m.SelfStats().SpoolFlushedEvents; got != int64(len(script)) {
 				t.Fatalf("%s folded %d of %d spooled events", end, got, len(script))
 			}
 			if spoolBuffered(a.spool, p)+spoolBuffered(b.spool, p) != 0 || p.spool.Load() != nil {
 				t.Fatalf("%s left records behind in a spool, or the hint set", end)
-			}
-			if end == "hibernate" {
-				h.m.Freeze(p)
 			}
 			if end != "release" {
 				if c := contention(h.m, 0x101); c.Holders != 1 {
@@ -190,9 +182,9 @@ func TestSpoolSingleOwner(t *testing.T) {
 // TestSpoolTwoFeedersRace: two goroutines, each with its own Worker
 // BindDirected to the same pBox, issue events at once — private keys that
 // spool, and a contended key that hands off to the slow path — while a third
-// goroutine sweeps and makes refused Hibernate calls, through the Freeze that
-// ends each activity. Nothing deadlocks, every issued event reaches the record
-// stream exactly once with each feeder's events in its issue order, and
+// goroutine sweeps, through the Freeze that ends each activity. Nothing
+// deadlocks, every issued event reaches the record stream exactly once with
+// each feeder's events in its issue order, and
 // Crossings() reconciles: one per call, so spooled plus slow-path events are
 // the events issued. A last activity is frozen under the feeders' feet. Run
 // under -race.
@@ -266,10 +258,6 @@ func TestSpoolTwoFeedersRace(t *testing.T) {
 						return
 					default:
 					}
-					if m.Hibernate(p) == nil {
-						t.Error("Hibernate accepted an active pBox")
-					}
-					calls++
 					m.RefreshStatusView()
 				}
 			}()
@@ -399,9 +387,9 @@ func TestHintInvariantUnderSweep(t *testing.T) {
 
 // TestLifecycleTakesNoManagerLock is the structural proof of the local
 // boundary: with every manager-wide mutex but the registry's at Release held
-// by the test, a tenant takes a worker, runs activities, hibernates and wakes
-// without blocking — on a quiet manager (no observer, no trace
-// ring), and on one built with pboxd's options, where the only ring lock on
+// by the test, a tenant takes a worker and runs activities without blocking —
+// on a quiet manager (no observer, no trace ring), and on one built with
+// pboxd's options, where the only ring lock on
 // the path is the tenant's own stripe of the trace ring (taken per lifecycle
 // row and per run of state rows, never across a replay): the test holds a
 // second pBox's stripe as well. Release is left out of the locked part only
@@ -456,9 +444,6 @@ func TestLifecycleTakesNoManagerLock(t *testing.T) {
 						w.Flush()
 					}
 					m.Freeze(p)
-					if err := m.Hibernate(p); err != nil {
-						t.Error(err)
-					}
 				}
 			}()
 			select {

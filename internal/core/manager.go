@@ -99,11 +99,11 @@ func (o Options) withDefaults() Options {
 //
 // and a shard lock is never held while acquiring the registry lock. The calls
 // an application goroutine makes per activity — Activate, Freeze,
-// Worker.Update, Worker.Flush — and Hibernate take no manager-wide lock
-// (Release takes only the registry's, to unregister); on a traced manager
-// they take the pBox's own stripe of the ring, a leaf shared only with the
-// pBoxes of that stripe: for the Activate row, per run of state rows
-// (emitStates) and per Freeze, its last run included. Freeze holds the hinted
+// Worker.Update, Worker.Flush — take no manager-wide lock (Release takes
+// only the registry's, to unregister); on a traced manager they take the
+// pBox's own stripe of the ring, a leaf shared only with the pBoxes of that
+// stripe: for the Activate row, per run of state rows (emitStates) and per
+// Freeze, its last run included. Freeze holds the hinted
 // spool's mutex across the transition, as the order permits. What they count
 // lands on the pBox's stripe of the counters; on a traced manager they also
 // advance the ring's sequence, one atomic add per stripe acquisition.
@@ -283,10 +283,9 @@ func (m *Manager) Create(rule IsolationRule) (*PBox, error) {
 	if !rule.Valid() {
 		return nil, fmt.Errorf("pbox: invalid isolation rule %+v", rule)
 	}
-	// The event-structural maps are allocated lazily at the first Activate
-	// (the same point a hibernated pBox re-inflates), so a registered-but-
-	// idle pBox costs only the struct itself — the million-registered,
-	// few-active regime Manager.Hibernate exists for.
+	// The event-structural maps are allocated lazily at the first Activate,
+	// so a registered pBox that never runs an activity costs only the
+	// struct itself.
 	p := &PBox{rule: rule, mgr: m}
 	m.reg.Lock()
 	m.reg.nextID++
@@ -315,9 +314,6 @@ func (m *Manager) Release(p *PBox) error {
 		p.mu.Unlock()
 		return ErrReleased
 	}
-	if p.stateIs(StateHibernated) {
-		m.self.hibernated.Add(-1)
-	}
 	p.setState(StateDestroyed)
 	m.dropWaits(p)
 	for key := range p.holders {
@@ -344,6 +340,12 @@ func (m *Manager) Release(p *PBox) error {
 	}
 	return nil
 }
+
+// Hibernate does nothing and returns nil: a frozen pBox is the only idle
+// state.
+//
+// Deprecated: kept for benchmark/ until ROADMAP item 7.
+func (m *Manager) Hibernate(p *PBox) error { return nil }
 
 // Activate starts tracing a new activity in the pBox (activate_pbox). If the
 // pBox carries a pending penalty from a previous activity that could not be
@@ -372,13 +374,6 @@ func (m *Manager) ActivateAt(p *PBox, at int64) {
 		if p.stateIs(StateDestroyed) {
 			return
 		}
-	}
-	if p.stateIs(StateHibernated) {
-		// Transparent wake: hibernation is invisible to callers because
-		// Activate — the only entry into an active window — restores
-		// everything Hibernate compacted before tracing resumes.
-		m.self.wakes.Add(1)
-		m.self.hibernated.Add(-1)
 	}
 	if p.holders == nil {
 		p.holders = make(map[ResourceKey]holdInfo)
@@ -828,18 +823,20 @@ func (m *Manager) MarkShared(p *PBox) { m.SetShared(p, true) }
 // re-applies recorded marking flips to a fresh manager). It is a flush
 // trigger: the spool the pBox's hint names is replayed first, so the `shared`
 // row never precedes state rows the pBox issued before the flip. The crossing
-// is not counted (Worker binds call this as library work).
+// is not counted (Worker binds call this as library work). On a released
+// pBox it does nothing: `release` is a pBox's last record. The check and the
+// callback run under p.mu, which Release holds to destroy the pBox, so a
+// racing Release comes wholly before or after the flip; the callback also
+// runs under the leaf p.penMu, so the usual no-reentry rules apply.
 func (m *Manager) SetShared(p *PBox, shared bool) {
 	p.flushHinted()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.stateIs(StateDestroyed) {
+		return
+	}
 	p.penMu.Lock()
-	m.setSharedLocked(p, shared)
-	p.penMu.Unlock()
-}
-
-// setSharedLocked flips the shared-thread flag and notifies the observer on
-// a change. Caller holds p.penMu; the callback runs under that
-// leaf lock, so the usual no-reentry rules apply.
-func (m *Manager) setSharedLocked(p *PBox, shared bool) {
+	defer p.penMu.Unlock()
 	if p.sharedThread == shared {
 		return
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -444,6 +445,14 @@ func TestPBoxLevelMonitor(t *testing.T) {
 	if h.m.TotalActions() != actionsBefore+1 {
 		t.Fatalf("actions after freeze = %d, want %d", h.m.TotalActions(), actionsBefore+1)
 	}
+	// One count of actions: SelfStats' equals what the per-pair history holds.
+	history := 0
+	for _, r := range h.m.ActionReport() {
+		history += r.Actions
+	}
+	if got, st := h.m.TotalActions(), h.m.SelfStats(); got != int(st.Penalties) || got != history {
+		t.Fatalf("TotalActions() = %d, SelfStats().Penalties = %d, ActionReport sums %d", got, st.Penalties, history)
+	}
 }
 
 // TestPBoxLevelMonitorRespectsDisable checks the DisablePBoxLevel option.
@@ -823,4 +832,47 @@ func TestStampedCallsReadNoClock(t *testing.T) {
 	if s := p.snapshot(); reads != 0 || s.Activities != 3 || s.TotalExec != 150 || s.TotalDefer != 6 {
 		t.Fatalf("%d clock reads; books %+v", reads, s)
 	}
+}
+
+// TestFrozen100kMemoryBound gates what an idle tenant costs: 100k registered
+// pBoxes that each ran one real activity and were frozen must stay within
+// 768 bytes apiece (643 measured on linux/amd64, go1.24; the benchmark reports
+// the same figure as core.resident_bytes_per_pbox).
+func TestFrozen100kMemoryBound(t *testing.T) {
+	if testing.Short() {
+		t.Skip("memory-bound sweep skipped in -short")
+	}
+	h := newHarness(t)
+	const n = 100_000
+	runtime.GC()
+	var before runtime.MemStats
+	runtime.ReadMemStats(&before)
+
+	pboxes := make([]*PBox, n)
+	for i := range pboxes {
+		p, err := h.m.Create(DefaultRule())
+		if err != nil {
+			t.Fatalf("Create: %v", err)
+		}
+		h.m.Activate(p)
+		// A bounded resource-key space: the bound under test is bytes per
+		// pBox, and per-resource shard-side state (holder indexes, name
+		// maps) is charged to resources, not tenants.
+		key := ResourceKey(1 + i%4096)
+		h.m.Update(p, key, Hold)
+		h.advance(10 * time.Microsecond)
+		h.m.Update(p, key, Unhold)
+		h.m.Freeze(p)
+		pboxes[i] = p
+	}
+	runtime.GC()
+	var after runtime.MemStats
+	runtime.ReadMemStats(&after)
+
+	per := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / n
+	t.Logf("bytes per frozen pBox: %.0f", per)
+	if per > 768 {
+		t.Fatalf("frozen bytes/pBox = %.0f, want <= 768", per)
+	}
+	runtime.KeepAlive(pboxes)
 }

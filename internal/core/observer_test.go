@@ -51,6 +51,7 @@ func TestObserverLifecycleAndPenaltyOrdering(t *testing.T) {
 	h.m.Freeze(noisy)
 	h.m.Release(victim)
 	h.m.Release(noisy)
+	h.m.SetShared(victim, true) // a flip after the release emits nothing
 
 	got := obs.snapshot()
 	idx := func(kind Kind, pbox int) int {

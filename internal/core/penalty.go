@@ -195,16 +195,9 @@ func (m *Manager) ActionReport() []ActionRecord {
 	return out
 }
 
-// TotalActions returns the total number of penalty actions taken.
-func (m *Manager) TotalActions() int {
-	m.verdictMu.Lock()
-	defer m.verdictMu.Unlock()
-	n := 0
-	for _, st := range m.actions.states {
-		n += st.count
-	}
-	return n
-}
+// TotalActions returns the total number of penalty actions taken
+// (SelfStats.Penalties).
+func (m *Manager) TotalActions() int { return int(m.self.penalties.Load()) }
 
 // convergenceSteps finds the first index i (1-based) such that all lengths
 // from i onward lie within ±10% of the final length.

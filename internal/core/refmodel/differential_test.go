@@ -26,7 +26,7 @@ import (
 // 5–7 all set DisableDetection — then two bytes per op: a&15 selects the op,
 // a>>4&3 the script worker (and pBox slot) it addresses, a>>6 and b its
 // argument. A decoded op's kind is a letter: (c)reate (r)elease (a)ctivate
-// (f)reeze (h)ibernate (s)hared (e)vent, (+) advance the clock,
+// (f)reeze (s)hared (e)vent, (+) advance the clock,
 // Worker.(B)indDirect, (U)nbind and b(I)nd by key, (F)lush and (C), a second
 // Flush where the worker once closed (seed bytes keep their meaning), and
 // (S)weep: RefreshStatusView, a flush of every hinted spool between two appends.
@@ -44,7 +44,7 @@ type op struct {
 	flag bool // the shared marking ('s', 'U', 'I')
 	set  bool // a bind op that sets the marking: all it is where there is no Worker
 	alt  int  // with two Workers per script worker: 1 if the second issues the event
-	ok   bool // the manager accepts the call ('h', 'B', 'I')
+	ok   bool // the manager accepts the call ('B', 'I')
 }
 
 func (o op) String() string {
@@ -200,10 +200,14 @@ func decode(data []byte) script {
 				lifecycle('a', m.Activate)
 			}
 			continue
-		case sel == 12 && life == 5:
-			o.kind = 'h'
-			o.ok = m.Hibernate(o.id) == nil
-			delete(dirty, o.id)
+		case sel == 12 && life == 5: // release, then mark the released id (by Unbind if bound): nothing follows its release row
+			m.Release(o.id)
+			slot[w] = 0
+			emit(op{kind: 'r', w: w, id: o.id, ok: true})
+			m.SetShared(o.id, o.flag)
+			if o.kind = 's'; cur[w] == o.id && !det[w] {
+				o.kind, o.set, o.ok, det[w] = 'U', true, true, true
+			}
 		case sel == 12 && life == 6 && b >= 128:
 			o.kind, o.ok, slot[w] = 'r', true, 0
 			m.Release(o.id)
@@ -319,8 +323,6 @@ func inProcess(t *testing.T, s script, fan int) []core.Record {
 			} else {
 				map[rune]func(*core.PBox){'a': h.mgr.Activate, 'f': h.mgr.Freeze}[o.kind](p)
 			}
-		case 'h':
-			h.accepted(o, h.mgr.Hibernate(p))
 		case 's':
 			h.mgr.SetShared(p, o.flag)
 		case '+':
@@ -374,7 +376,7 @@ func overWire(t *testing.T, s script) []core.Record {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pings, selected := uint64(0), 0
+	pings, selected, gone := uint64(0), 0, map[int]bool{}
 	barrier := func() {
 		pings++
 		if _, err := c.Ping(pings); err != nil {
@@ -390,8 +392,9 @@ func overWire(t *testing.T, s script) []core.Record {
 			if c.Release(id); selected == o.id {
 				selected = 0 // the server deselects a released tenant
 			}
-		case 'a', 'f', 'h':
-			map[rune]func(uint64){'a': c.Activate, 'f': c.Freeze, 'h': c.Hibernate}[o.kind](id)
+			gone[o.id] = true
+		case 'a', 'f':
+			map[rune]func(uint64){'a': c.Activate, 'f': c.Freeze}[o.kind](id)
 		case 'e':
 			if selected != o.id {
 				c.Select(id)
@@ -406,7 +409,7 @@ func overWire(t *testing.T, s script) []core.Record {
 			h.mgr.RefreshStatusView()
 			barrier()
 		}
-		if o.set || o.kind == 's' {
+		if (o.set || o.kind == 's') && !gone[o.id] { // the server forgets a released tenant's number
 			c.SetShared(id, o.flag)
 		}
 	}

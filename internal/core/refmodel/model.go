@@ -1,14 +1,14 @@
 // Package refmodel is the executable specification of the pBox manager: the
 // obvious implementation of the paper's Algorithm 1, the pBox-level monitor and
 // the three penalty policies with DESIGN.md §5's deviations applied directly —
-// one goroutine, plain maps, no shards, spools, contention slots, snapshots or
-// hibernation storage. A Model is what internal/core must behave like, record
-// for record; the differential beside it (FuzzDifferential) holds every
-// ingestion path of the real manager to it. It shares no code with
-// internal/core: it uses that package's exported value types and constants and
-// calls none of its functions or methods, so the spec cannot inherit a bug of
-// the manager it judges. A penalty "sleep" takes no model time: the model
-// appends the served rows and goes on, as a manager with a no-op Sleep does.
+// one goroutine, plain maps, no shards, spools, contention slots or snapshots.
+// A Model is what internal/core must behave like, record for record; the
+// differential beside it (FuzzDifferential) holds every ingestion path of the
+// real manager to it. It shares no code with internal/core: it uses that
+// package's exported value types and constants and calls none of its functions
+// or methods, so the spec cannot inherit a bug of the manager it judges. A
+// penalty "sleep" takes no model time: the model appends the served rows and
+// goes on, as a manager with a no-op Sleep does.
 package refmodel
 
 import (
@@ -230,22 +230,9 @@ func ratio(td, te int64) float64 {
 	return math.Min(float64(td)/float64(te-td), ratioCap)
 }
 
-// Hibernate only changes the state: what the manager compacts, the model never
-// had. Refused mid-activity and while the pBox holds or waits across activities.
-func (m *Model) Hibernate(id int) error {
-	p := m.pboxes[id]
-	if p == nil {
-		return fmt.Errorf("refmodel: no pBox %d", id)
-	}
-	if p.state == core.StateActive || p.state != core.StateHibernated && len(p.holds)+len(p.waits) > 0 {
-		return fmt.Errorf("refmodel: pBox %d is mid-activity, or holds or waits across activities", id)
-	}
-	p.state = core.StateHibernated
-	return nil
-}
-
 // SetShared marks the pBox as running on shared worker threads: its penalties
-// become requeue deadlines (PenaltyWait) instead of sleeps.
+// become requeue deadlines (PenaltyWait) instead of sleeps. A released id
+// emits nothing: a pBox's release row is its last.
 func (m *Model) SetShared(id int, shared bool) {
 	p := m.pboxes[id]
 	if p == nil || p.shared == shared {

@@ -212,9 +212,6 @@ type selfCounters struct {
 	spoolOverflows       atomic.Int64
 	contentionClaims     atomic.Int64
 	contentionRevokes    atomic.Int64
-	hibernations         atomic.Int64
-	wakes                atomic.Int64
-	hibernated           atomic.Int64 // gauge: currently hibernated pBoxes
 	created, released    atomic.Int64
 	detections           atomic.Int64
 	penalties            atomic.Int64
@@ -320,13 +317,6 @@ type SelfStats struct {
 	Shards                int   // lock stripes (ShardCount)
 	SpoolCapacity         int   // per-worker spool capacity in records (a constant)
 
-	// Hibernation (DESIGN.md §15): registered-but-idle pBoxes compacted to
-	// their minimal footprint by Manager.Hibernate and woken transparently
-	// by Activate.
-	Hibernations int64 // pBoxes compacted by Manager.Hibernate
-	Wakes        int64 // hibernated pBoxes transparently woken by Activate
-	Hibernated   int64 // pBoxes currently hibernated (gauge)
-
 	// VerdictLatency distributes the wall-clock length of the verdictMu
 	// critical sections (lock wait + detection + action scheduling).
 	VerdictLatency LatencyHistogram
@@ -381,9 +371,6 @@ func (m *Manager) SelfStats() SelfStats {
 		SpoolOverflows:        m.self.spoolOverflows.Load(),
 		ContentionClaims:      m.self.contentionClaims.Load(),
 		ContentionRevocations: m.self.contentionRevokes.Load(),
-		Hibernations:          m.self.hibernations.Load(),
-		Wakes:                 m.self.wakes.Load(),
-		Hibernated:            m.self.hibernated.Load(),
 		VerdictLatency:        m.self.verdictLatency.view(verdictBounds),
 		Crossings:             m.Crossings(),
 		Shards:                m.ShardCount(),

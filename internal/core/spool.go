@@ -55,16 +55,16 @@ import (
 //
 // Flush triggers: the spool fills, a slow-path event arrives on the worker
 // (the spool holding the pBox's records first, so per-pBox order holds), the
-// worker rebinds or unbinds, the pBox is Activated/Frozen/Released/Hibernated
-// or its shared-thread marking is set (SetShared), its claim on a slot is
+// worker rebinds or unbinds, the pBox is Activated/Frozen/Released or its
+// shared-thread marking is set (SetShared), its claim on a slot is
 // revoked, or a StatusView rebuild needs the spooled state (flush-on-read over
 // the registered pBoxes' hints).
 //
 // A spool is found through its pBox: whoever is not its owner — a lifecycle
 // call, SetShared, a revocation — flushes the spool the pBox's hint
 // (PBox.spool) names (flushHinted), and a view rebuild flushes the hints of the
-// registered pBoxes (sweepSpools). So Activate/Freeze/Release/Hibernate take
-// no manager-wide lock (a traced manager's ring lock is the pBox's own
+// registered pBoxes (sweepSpools). So Activate/Freeze/Release take no
+// manager-wide lock (a traced manager's ring lock is the pBox's own
 // stripe's), and a revocation stalls only the claimant's feeder. Nothing in
 // the manager lists the spools: a dropped Worker's spool is reachable only
 // while a hint names it, and needs no closing. A flush adds its counts and its

@@ -102,10 +102,6 @@ type SelfResponse struct {
 	Shards                int   `json:"shards"`
 	SpoolCapacity         int   `json:"spool_capacity"`
 
-	Hibernations int64 `json:"hibernations"`
-	Wakes        int64 `json:"wakes"`
-	Hibernated   int64 `json:"hibernated"`
-
 	Crossings int64 `json:"crossings"`
 
 	VerdictLatency VerdictLatencyStatus `json:"verdict_latency"`
@@ -140,10 +136,6 @@ func selfResponse(st core.SelfStats) SelfResponse {
 		ShardLockMax:          st.ShardLockMax,
 		Shards:                st.Shards,
 		SpoolCapacity:         st.SpoolCapacity,
-
-		Hibernations: st.Hibernations,
-		Wakes:        st.Wakes,
-		Hibernated:   st.Hibernated,
 
 		Crossings: st.Crossings,
 
@@ -218,10 +210,6 @@ func writeSelfMetrics(w io.Writer, st core.SelfStats) {
 	writeSelfCounter(w, "pbox_self_shard_lock_acquisitions_total", "Shard-lock acquisitions across all stripes.", st.ShardLockAcquisitions)
 	writeSelfCounter(w, "pbox_self_shard_lock_max_total", "Shard-lock acquisitions on the hottest single stripe.", st.ShardLockMax)
 	writeSelfGauge(w, "pbox_self_shards", "Configured resource-state lock stripes.", int64(st.Shards))
-
-	writeSelfCounter(w, "pbox_self_hibernations_total", "pBoxes compacted by Manager.Hibernate.", st.Hibernations)
-	writeSelfCounter(w, "pbox_self_wakes_total", "Hibernated pBoxes transparently woken by Activate.", st.Wakes)
-	writeSelfGauge(w, "pbox_self_hibernated", "pBoxes currently hibernated.", st.Hibernated)
 
 	writeSelfCounter(w, "pbox_self_crossings_total", "Conceptual user/kernel boundary crossings.", st.Crossings)
 

@@ -120,9 +120,6 @@ func (c *Client) Activate(tenant uint64) { c.op(opActivate); c.u(tenant) }
 // Freeze ends the tenant's current activity.
 func (c *Client) Freeze(tenant uint64) { c.op(opFreeze); c.u(tenant) }
 
-// Hibernate asks the server to compact the idle tenant (advisory).
-func (c *Client) Hibernate(tenant uint64) { c.op(opHibernate); c.u(tenant) }
-
 // SetShared sets the tenant's shared-thread marking.
 func (c *Client) SetShared(tenant uint64, shared bool) {
 	c.op(opShared)

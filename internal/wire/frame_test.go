@@ -163,6 +163,7 @@ func TestFrameAppliesEventsBeforeBadOp(t *testing.T) {
 		op   func(c *Client)
 	}{
 		{"unknown op", func(c *Client) { c.op(0xff) }},
+		{"retired op 0x08", func(c *Client) { c.op(0x08); c.u(1) }},
 		{"unknown tenant", func(c *Client) { c.Freeze(9) }},
 		{"overlong event key", func(c *Client) {
 			c.op(opEventBase)

@@ -39,7 +39,6 @@ func FuzzApplyFrame(f *testing.F) {
 		c.op(opPing)
 		c.u(7)
 		c.Freeze(1)
-		c.Hibernate(1)
 		c.Release(2)
 	})
 	f.Add(whole)

@@ -18,7 +18,7 @@
 //	         | 0x05 tenant flag                                            shared
 //	         | 0x06 tenant                                                 select
 //	         | 0x07 seq                                                    ping
-//	         | 0x08 tenant                                                 hibernate
+//	         | 0x08                      reserved (was hibernate): a protocol error
 //	         | (0x10|EventType) zigzag(key − prevKey)                      event
 //	reply    = uvarint(len) 0x07 seq events shedConn shedGlobal            pong
 //
@@ -46,16 +46,15 @@ const (
 )
 
 // Op kinds. Like the capture codec's record kinds, existing values are never
-// renumbered; new ops append.
+// renumbered or reused; new ops append. 0x08 is retired.
 const (
-	opRegister  = 0x01
-	opRelease   = 0x02
-	opActivate  = 0x03
-	opFreeze    = 0x04
-	opShared    = 0x05
-	opSelect    = 0x06
-	opPing      = 0x07
-	opHibernate = 0x08
+	opRegister = 0x01
+	opRelease  = 0x02
+	opActivate = 0x03
+	opFreeze   = 0x04
+	opShared   = 0x05
+	opSelect   = 0x06
+	opPing     = 0x07
 
 	// opEventBase marks event ops: the low bits carry the core.EventType
 	// (0x10 PREPARE, 0x11 ENTER, 0x12 HOLD, 0x13 UNHOLD).

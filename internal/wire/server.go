@@ -411,14 +411,6 @@ func (s *Server) applyFrame(frame []byte, w *core.Worker, tenants map[uint64]*co
 				continue
 			}
 			c.skip = false
-		case opHibernate:
-			p, err := tenantArg(u, tenants)
-			if err != nil {
-				return err
-			}
-			// Refusals (mid-activity, cross-activity holds) are advisory:
-			// hibernation is a storage hint, not a lifecycle edge.
-			_ = s.mgr.Hibernate(p)
 		case opPing:
 			seq, ok := u()
 			if !ok {

@@ -75,19 +75,15 @@ func TestWireRoundTrip(t *testing.T) {
 	c.Event(keys[0], core.Hold)
 	c.Event(keys[0], core.Unhold)
 	c.Freeze(2)
-	c.Hibernate(1)
 	if _, err := c.Ping(100); err != nil {
 		t.Fatalf("ping: %v", err)
 	}
 
-	if got := mgr.SelfStats().Hibernated; got != 1 {
-		t.Fatalf("hibernated = %d, want 1", got)
-	}
 	snaps := mgr.Status().Snapshots
 	if len(snaps) != 2 {
 		t.Fatalf("snapshots = %d, want 2", len(snaps))
 	}
-	if snaps[0].Label != "tenant-a" || snaps[0].Activities != 1 || snaps[0].State != core.StateHibernated {
+	if snaps[0].Label != "tenant-a" || snaps[0].Activities != 1 || snaps[0].State != core.StateFrozen {
 		t.Fatalf("tenant-a snapshot: %+v", snaps[0])
 	}
 	if snaps[1].Label != "tenant-b" || snaps[1].Activities != 1 {
