@@ -200,9 +200,9 @@ type Status struct {
 	// Resources summarizes per-resource contention (live waiter and holder
 	// counts), ordered by key.
 	Resources []ResourceView
-	// TraceSeq is the trace ring's latest sequence number at snapshot time
-	// (0 when tracing is disabled): the cursor a reader passes to TraceView
-	// to stream events newer than this view.
+	// TraceSeq is the trace ring's latest sequence number at snapshot time,
+	// numbered by the rebuild (0 when tracing is disabled): the cursor a
+	// reader passes to TraceView to stream events newer than this view.
 	TraceSeq uint64
 }
 

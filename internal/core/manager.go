@@ -105,8 +105,8 @@ func (o Options) withDefaults() Options {
 // stripe: for the Activate row, per run of state rows (emitStates) and per
 // Freeze, its last run included. Freeze holds the hinted
 // spool's mutex across the transition, as the order permits. What they count
-// lands on the pBox's stripe of the counters; on a traced manager they also
-// advance the ring's sequence, one atomic add per stripe acquisition.
+// lands on the pBox's stripe of the counters; on a traced manager their rows
+// are numbered by the ring's readers, not by them.
 // Manager state is read through the epoch snapshot (StatusView, DESIGN.md
 // §12); only the view rebuild stops the world.
 type Manager struct {

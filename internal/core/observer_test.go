@@ -194,7 +194,9 @@ func adapterScript(t *testing.T, obs Observer) []Record {
 // sink sees is field for field the stream a hand-written observer on the
 // bare manager sees, and Next receives every callback exactly once —
 // attribution included — at every position of the chain: the manager's own
-// trace ring (its first link), then two sinks, then a bare observer.
+// trace ring (its first link), then two sinks, then a bare observer. The ring
+// numbers its rows when read, keeping each pBox's issue order, so it holds
+// each pBox's stream.
 func TestRecordObserverMatchesCallbacks(t *testing.T) {
 	want := &handObserver{}
 	adapterScript(t, want)
@@ -211,12 +213,31 @@ func TestRecordObserverMatchesCallbacks(t *testing.T) {
 	front, back, next := newRecordingObserver(), newRecordingObserver(), &handObserver{}
 	front.Next, back.Next = back, next
 	ring := adapterScript(t, front)
-	for name, got := range map[string][]Record{"trace ring": ring, "front sink": front.events, "back sink": back.events, "next": next.recs} {
+	for name, got := range map[string][]Record{"front sink": front.events, "back sink": back.events, "next": next.recs} {
 		if !slices.Equal(got, want.recs) {
 			t.Fatalf("%s saw %d records, bare observer %d; first difference at %d",
 				name, len(got), len(want.recs), firstDiff(got, want.recs))
 		}
 	}
+	if len(ring) != len(want.recs) {
+		t.Fatalf("trace ring saw %d records, bare observer %d", len(ring), len(want.recs))
+	}
+	ringOf, wantOf := byPBox(ring), byPBox(want.recs)
+	for id, recs := range wantOf {
+		if got := ringOf[id]; !slices.Equal(got, recs) {
+			t.Fatalf("trace ring saw %d records of pbox %d, bare observer %d; first difference at %d",
+				len(got), id, len(recs), firstDiff(got, recs))
+		}
+	}
+}
+
+// byPBox splits a record stream into each pBox's, in order.
+func byPBox(recs []Record) map[int][]Record {
+	out := make(map[int][]Record)
+	for _, r := range recs {
+		out[r.PBox] = append(out[r.PBox], r)
+	}
+	return out
 }
 
 func firstDiff(a, b []Record) int {

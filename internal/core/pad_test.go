@@ -77,3 +77,21 @@ func TestManagerLayout(t *testing.T) {
 		t.Fatalf("the counter stripes [%d, %d) come within a line of trace/obs/attrObs [%d, %d)", stripes, stripesEnd, ptrs, ptrsEnd)
 	}
 }
+
+// TestTraceRingLayout: every trace stripe is one line of its own, so two
+// tenants on different stripes share no line a ring write touches. The
+// stripes start on a line in the type and in a live ring, and each is exactly
+// a line long. The live ring is a manager's: one the compiler keeps on a
+// stack is aligned to a word only.
+func TestTraceRingLayout(t *testing.T) {
+	var r traceRing
+	if off := unsafe.Offsetof(r.stripes); off%cacheLineSize != 0 {
+		t.Fatalf("the trace stripes start %d bytes into the ring, %d into a line", off, off%cacheLineSize)
+	}
+	if size := unsafe.Sizeof(traceStripe{}); size != cacheLineSize {
+		t.Fatalf("a trace stripe is %d bytes, want %d", size, cacheLineSize)
+	}
+	if at := uintptr(unsafe.Pointer(&NewManager(Options{TraceSize: 1}).trace.stripes[0])); at%cacheLineSize != 0 {
+		t.Fatalf("a live ring's first stripe sits %d bytes into a line", at%cacheLineSize)
+	}
+}

@@ -334,3 +334,45 @@ func BenchmarkSweepBesideRuns(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkTraceRingTenants is the adversary of the trace ring's shared
+// words: g writers on stripes 1 and 2 of one ring, each doing b.N ops of one
+// Activate row and one 16-state Freeze run, the rows of an uninterfered
+// traced activity. ns/op is per writer, so a ring whose stripes share nothing
+// a write touches reads the same at g=2 as at g=1. It fails on any
+// allocation once the stripes are full.
+func BenchmarkTraceRingTenants(b *testing.B) {
+	for _, g := range []int{1, 2} {
+		b.Run(fmt.Sprintf("g=%d", g), func(b *testing.B) {
+			r := newTraceRing(4096, func() int64 { return 0 })
+			run := make([]spoolRec, 16)
+			op := func(id int, at int64) {
+				r.Record(Record{Kind: KindActivate, PBox: id, At: at})
+				r.recordRun(id, run, &freezeRows{at: at})
+			}
+			for id := 1; id <= g; id++ {
+				for len(r.stripe(id).slots) < r.size {
+					op(id, 0)
+				}
+			}
+			if !raceEnabled {
+				if allocs := testing.AllocsPerRun(100, func() { op(1, 0) }); allocs != 0 {
+					b.Fatalf("a traced activity's ring writes allocate %.1f times; want 0", allocs)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for id := 1; id <= g; id++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < b.N; i++ {
+						op(id, int64(i))
+					}
+				}()
+			}
+			wg.Wait()
+		})
+	}
+}

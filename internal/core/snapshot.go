@@ -116,6 +116,11 @@ func (m *Manager) rebuildView(now int64, force bool) *StatusView {
 	}
 	t0 := exec.Now()
 	st := m.collectStatus()
+	if m.trace != nil {
+		// Numbered after the stop-the-world section: the pass stalls the
+		// ring's writers alone, not every shard's (DESIGN.md §12).
+		st.TraceSeq = m.trace.numbered()
+	}
 	v := &StatusView{
 		Status:        st,
 		Epoch:         1,
@@ -160,9 +165,6 @@ func (m *Manager) collectStatus() Status {
 	if m.attr != nil {
 		st.AttributionDropped = m.attr.dropped
 	}
-	if m.trace != nil {
-		st.TraceSeq = m.trace.seq.Load()
-	}
 	return st
 }
 
@@ -184,8 +186,10 @@ func (m *Manager) resourceViewsShardsLocked() []ResourceView {
 
 // TraceView returns the trace entries with sequence number greater than
 // since that are still in the ring, plus the latest sequence number, straight
-// from the ring — no spool sweep, so spooled events not yet flushed by a
-// write-side trigger are not visible; call Status first when they must be.
+// from the ring after numbering the rows written since the last read (the
+// TraceEntry.Seq contract) — no spool sweep, so spooled events not yet
+// flushed by a write-side trigger are not visible; call Status first when
+// they must be.
 // Pair it with a view's TraceSeq cursor to stream events newer than the
 // snapshot, or to cut the window that ends at it (the flight recorder).
 // Returns (nil, 0) when tracing was not enabled.

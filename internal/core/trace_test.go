@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"sync"
@@ -10,8 +11,22 @@ import (
 	"unsafe"
 )
 
+// TestTraceRingWraparound: with a clock that ticks once per row, numbering
+// order is issue order, and every cursor at every ring phase returns the
+// newest rows at consecutive Seq. With a stopped clock every run's last row
+// ties, and a read numbers the stripes' rows in stripe order.
 func TestTraceRingWraparound(t *testing.T) {
-	r := newTraceRing(4, func() int64 { return 0 })
+	stopped := newTraceRing(4, func() int64 { return 0 })
+	for i := range 10 {
+		stopped.Record(Record{PBox: i})
+	}
+	// Numbered 0 8 1 9 2 3 4 5 6 7: the newest four are stripes 4 to 7's.
+	if got, next := stopped.snapshotSince(0); next != 10 || len(got) != 4 || got[0].PBox != 4 || got[3].PBox != 7 {
+		t.Fatalf("stopped clock: %v next %d, want pboxes 4..7 next 10", got, next)
+	}
+
+	var clock int64
+	r := newTraceRing(4, func() int64 { clock++; return clock })
 	for i := 0; i < 10; i++ {
 		r.Record(Record{PBox: i})
 	}
@@ -189,8 +204,10 @@ func TestTraceSinceAndNotify(t *testing.T) {
 // shape — inside the slice, straddling its end, exactly the ring, longer than
 // it — and through one Record each must leave two rings indistinguishable, to
 // a reader that follows along (snapshotSince from its last cursor after every
-// run) as much as to one that reads everything at the end. Every long-poller
-// parked before a run is released by it, once, with the whole run visible.
+// run) as much as to one that reads everything at the end. A read numbers the
+// held rows of a run, so the cursor advances by at most the ring's size. Every
+// long-poller parked before a run is released by it, once, with the whole run
+// visible.
 func TestTraceRingRuns(t *testing.T) {
 	const size = 8
 	runs, ref := newTraceRing(size, nil), newTraceRing(size, nil) // state rows never read the clock
@@ -225,7 +242,7 @@ func TestTraceRingRuns(t *testing.T) {
 		}
 		got, next := runs.snapshotSince(cursor)
 		want, wantNext := ref.snapshotSince(cursor)
-		if next != cursor+uint64(n) || next != wantNext {
+		if next != cursor+uint64(min(n, size)) || next != wantNext {
 			t.Fatalf("run %d of %d rows: cursor %d → %d, row-at-a-time ring → %d", i, n, cursor, next, wantNext)
 		}
 		if !slices.Equal(got, want) {
@@ -336,24 +353,24 @@ func TestFreezeRowsContiguous(t *testing.T) {
 // one pBox writes three rings' worth of rows while the others write a few,
 // some long before the end — yet TraceView returns exactly the newest
 // TraceSize rows, at consecutive Seq, as a row-at-a-time reference keeps them.
-// Every kind's fields survive the slot: the light tenants' rows are create,
-// detection, action and activity_end rows, the clock stamps the unstamped.
+// Every row is stamped later than the one before, so numbering order is issue
+// order. Every kind's fields survive the slot: the light tenants' rows are
+// create, detection, action and activity_end rows, the clock stamps the
+// unstamped.
 func TestTraceRingKeepsNewestUnderSkew(t *testing.T) {
 	const size = 600 // not a power of two: a stripe grows 256 → 512 → 600
-	const clock = int64(7 * time.Millisecond)
-	m := NewManager(Options{TraceSize: size, Now: func() int64 { return clock }})
+	at := int64(0)   // the clock, and every stamped row's At: one tick per row
+	m := NewManager(Options{TraceSize: size, Now: func() int64 { return at }})
 	r := m.trace
 	var ref []TraceEntry // every row, in issue order
 	add := func(rec Record) {
-		at := rec.At
-		if !rec.Kind.stamped() {
-			at = clock
+		if at++; rec.Kind.stamped() {
+			rec.At = at
 		}
 		ref = append(ref, TraceEntry{Seq: uint64(len(ref) + 1), At: time.Duration(at), Record: rec})
 		r.Record(rec)
 	}
 	const heavy = 1
-	at := int64(0)
 	for i := range 3 * size / 6 {
 		run := make([]spoolRec, 4)
 		for k := range run {
@@ -373,7 +390,7 @@ func TestTraceRingKeepsNewestUnderSkew(t *testing.T) {
 			add(Record{Kind: KindDetection, PBox: light, Victim: heavy, Key: 0x51, Level: 1.5})
 			add(Record{Kind: KindAction, PBox: light, Victim: heavy, Key: 0x51, Policy: PolicyGap, Dur: int64(i)})
 			add(Record{Kind: KindActivityEnd, PBox: light, Dur: 3, Exec: int64(i)})
-			add(Record{Kind: KindActivate, PBox: light, At: at})
+			add(Record{Kind: KindActivate, PBox: light})
 		}
 		if i%50 == 0 || i == 3*size/6-1 {
 			got, next := m.TraceView(0)
@@ -397,7 +414,9 @@ func TestTraceRingKeepsNewestUnderSkew(t *testing.T) {
 // Freeze's rows, while a reader follows the ring with TraceNotify and reads it
 // whole with TraceView. Every snapshot is a run of consecutive Seq ending at
 // its next; in it, each pBox's rows are in issue order, and each Freeze's
-// state rows, freeze row and activity_end row are consecutive.
+// state rows, freeze row and activity_end row are consecutive. The rows
+// numbered are at most the rows written: a row is numbered once, and a row
+// overwritten before a read saw it never.
 func TestTraceRingConcurrentReaders(t *testing.T) {
 	const size, activities, states = 256, 500, 5
 	m := NewManager(Options{TraceSize: size, Now: func() int64 { return 0 }})
@@ -474,15 +493,173 @@ func TestTraceRingConcurrentReaders(t *testing.T) {
 	wg.Wait()
 	rows, next := m.TraceView(0)
 	check(rows, 0, next)
-	if want := uint64(total.Load() * (states + 3)); next != want || len(rows) != size {
-		t.Fatalf("final snapshot: %d rows, next %d; want %d, %d", len(rows), next, size, want)
+	if written := uint64(total.Load() * (states + 3)); next < size || next > written || len(rows) != size {
+		t.Fatalf("final snapshot: %d rows, next %d; want %d rows, next in [%d, %d]", len(rows), next, size, size, written)
+	}
+}
+
+// TestTraceRingNumbersRunsByLastRow pins the numbering pass: a read merges the
+// stripes' runs by the At of each run's last row, ties to the lower stripe,
+// keeps each stripe's write order and a run's rows consecutive; rows a later
+// read first sees come after them, whatever their At; a row overwritten before
+// any read is never numbered.
+func TestTraceRingNumbersRunsByLastRow(t *testing.T) {
+	r := newTraceRing(8, func() int64 { return 0 })
+	r.recordRun(1, []spoolRec{{at: 10}, {at: 30}}, nil)
+	r.Record(Record{Kind: KindActivate, PBox: 1, At: 5}) // after its stripe's run ending at 30
+	r.recordRun(2, []spoolRec{{at: 20}}, &freezeRows{at: 25})
+	r.Record(Record{Kind: KindActivate, PBox: 3, At: 30}) // ties with stripe 1's run
+	type row struct {
+		pbox int
+		kind Kind
+		at   time.Duration
+	}
+	want := []row{{2, KindState, 20}, {2, KindFreeze, 25}, {2, KindActivityEnd, 25},
+		{1, KindState, 10}, {1, KindState, 30}, {1, KindActivate, 5}, {3, KindActivate, 30}}
+	got, next := r.snapshotSince(0)
+	if next != uint64(len(want)) || len(got) != len(want) {
+		t.Fatalf("first read: %v next %d, want %d rows", got, next, len(want))
+	}
+	for i, e := range got {
+		if (row{e.PBox, e.Kind, e.At}) != want[i] || e.Seq != uint64(i+1) {
+			t.Fatalf("first read, row %d: %v (seq %d), want %+v", i, e, e.Seq, want[i])
+		}
+	}
+
+	r.Record(Record{Kind: KindActivate, PBox: 4, At: 1})
+	if got, next := r.snapshotSince(7); next != 8 || len(got) != 1 || got[0].PBox != 4 || got[0].Seq != 8 {
+		t.Fatalf("second read: %v next %d, want pbox 4's row at seq 8", got, next)
+	}
+	r.recordRun(5, make([]spoolRec, 10), nil)
+	for range 3 {
+		r.Record(Record{Kind: KindActivate, PBox: 5})
+	}
+	if got, next := r.snapshotSince(8); next != 16 || len(got) != 8 || got[7].Kind != KindActivate {
+		t.Fatalf("third read: %d rows next %d, want the 8 rows stripe 5 holds at seq 9..16", len(got), next)
+	}
+}
+
+// TestTraceRingStreamsEveryRowOnce: four writers on three stripes (pBoxes 1
+// and 9 share one) append activities — an activate row, then a run of state
+// rows ending in a Freeze's rows — into a ring that holds them all, while a
+// view builder numbers rows (RefreshStatusView) and a reader follows with
+// TraceNotify and TraceView from its cursor. The reader receives every row
+// exactly once, at gapless Seq from 1, each pBox's rows in issue order and each
+// Freeze's rows consecutive. Once caught up, a parked TraceNotify wakes on the
+// next write.
+func TestTraceRingStreamsEveryRowOnce(t *testing.T) {
+	const activities, states = 1000, 6
+	const perActivity = states + 3
+	pboxes := []int{1, 9, 2, 3}
+	// Larger than every row written: a read returns at most TraceSize rows,
+	// and a slow reader's first may come after the writers are done.
+	m := NewManager(Options{TraceSize: 1 << 16, Now: func() int64 { return 0 }})
+	r := m.trace
+
+	var writers, builder sync.WaitGroup
+	for _, id := range pboxes {
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			run := make([]spoolRec, states)
+			for a := range activities {
+				at := int64(a*(states+2) + 1)
+				r.Record(Record{Kind: KindActivate, PBox: id, At: at})
+				for k := range run {
+					run[k] = spoolRec{key: ResourceKey(id), ev: Hold, at: at + int64(k) + 1}
+				}
+				r.recordRun(id, run, &freezeRows{at: at + states + 1})
+			}
+		}()
+	}
+	var stop atomic.Bool
+	builder.Add(1)
+	go func() {
+		defer builder.Done()
+		var last uint64
+		for !stop.Load() {
+			seq := m.RefreshStatusView().TraceSeq
+			if seq < last {
+				t.Errorf("view TraceSeq went back from %d to %d", last, seq)
+				return
+			}
+			last = seq
+		}
+	}()
+
+	// want returns the n-th row pBox id issued: kind and At.
+	want := func(n int) (Kind, time.Duration) {
+		a, pos := n/perActivity, n%perActivity
+		at := time.Duration(a*(states+2) + 1)
+		switch {
+		case pos == 0:
+			return KindActivate, at
+		case pos <= states:
+			return KindState, at + time.Duration(pos)
+		case pos == states+1:
+			return KindFreeze, at + states + 1
+		}
+		return KindActivityEnd, at + states + 1
+	}
+	seen := map[int]int{}        // rows received, per pBox
+	runStart := map[int]uint64{} // Seq of the pBox's current run's first row
+	var cursor uint64
+	for total := len(pboxes) * activities * perActivity; int(cursor) < total; {
+		select {
+		case <-m.TraceNotify(cursor):
+		case <-time.After(10 * time.Second):
+			t.Fatalf("TraceNotify(%d) stayed parked with %d of %d rows read", cursor, cursor, total)
+		}
+		rows, next := m.TraceView(cursor)
+		for _, e := range rows {
+			if cursor++; e.Seq != cursor {
+				t.Fatalf("row seq %d, want %d: a gap or a repeat", e.Seq, cursor)
+			}
+			n := seen[e.PBox]
+			seen[e.PBox]++
+			if kind, at := want(n); e.Kind != kind || e.At != at {
+				t.Fatalf("pbox %d's row %d is %v at %v, want %v at %v", e.PBox, n, e.Kind, e.At, kind, at)
+			}
+			if pos := n % perActivity; pos == 1 {
+				runStart[e.PBox] = e.Seq
+			} else if pos > 1 && e.Seq != runStart[e.PBox]+uint64(pos-1) {
+				t.Fatalf("pbox %d's activity %d: run row %d at seq %d, its run began at %d", e.PBox, n/perActivity, pos, e.Seq, runStart[e.PBox])
+			}
+		}
+		if next != cursor {
+			t.Fatalf("TraceView returned next %d after rows up to %d", next, cursor)
+		}
+	}
+	writers.Wait()
+	stop.Store(true)
+	builder.Wait()
+	for _, id := range pboxes {
+		if seen[id] != activities*perActivity {
+			t.Fatalf("pbox %d: %d rows read, want %d", id, seen[id], activities*perActivity)
+		}
+	}
+
+	ch := m.TraceNotify(cursor)
+	select {
+	case <-ch:
+		t.Fatal("TraceNotify fired with every row read")
+	default:
+	}
+	r.Record(Record{Kind: KindActivate, PBox: 2, At: 1 << 40})
+	select {
+	case <-ch:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a parked TraceNotify missed the next write")
+	}
+	if rows, next := m.TraceView(cursor); len(rows) != 1 || next != cursor+1 {
+		t.Fatalf("after the wake: %d rows next %d, want 1 row at %d", len(rows), next, cursor+1)
 	}
 }
 
 // TestTraceRingGrowthStops: a stripe's array doubles from traceStripeMin only
 // until it holds the ring's size, and a full ring's run append allocates
-// nothing. A one-row ring still keeps the newest row. A slot is 64 bytes and a
-// stripe's header one line.
+// nothing. A one-row ring still keeps the newest row, and numbers only the
+// rows it holds when read. A slot is 64 bytes and a stripe one line.
 func TestTraceRingGrowthStops(t *testing.T) {
 	if slot, stripe := unsafe.Sizeof(traceSlot{}), unsafe.Sizeof(traceStripe{}); slot != 64 || stripe != cacheLineSize {
 		t.Fatalf("a slot is %d bytes (want 64), a stripe header %d (want %d)", slot, stripe, cacheLineSize)
@@ -512,15 +689,46 @@ func TestTraceRingGrowthStops(t *testing.T) {
 	one.recordRun(3, []spoolRec{{at: 1}, {at: 2}, {at: 3}}, &freezeRows{at: 4})
 	one.Record(Record{Kind: KindState, PBox: 5, At: 5})
 	one.recordRun(3, []spoolRec{{at: 6}}, nil)
+	// Held when read: pbox 5's row at 5 and pbox 3's at 6, numbered 1 and 2.
 	got, next := one.snapshotSince(0)
-	if next != 7 || len(got) != 1 || got[0].Seq != 7 || got[0].At != 6 || len(one.stripe(3).slots) != 1 {
-		t.Fatalf("one-row ring: %v next %d, want the row at 6 with seq 7", got, next)
+	if next != 2 || len(got) != 1 || got[0].Seq != 2 || got[0].At != 6 || len(one.stripe(3).slots) != 1 {
+		t.Fatalf("one-row ring: %v next %d, want the row at 6 with seq 2", got, next)
+	}
+}
+
+// BenchmarkTraceRingNumbering prices a reader's stall: one numbering pass over
+// stripes full stripes of fresh rows, pboxd's TraceSize each, written as
+// 18-row Freeze runs. ns/op is the pass, every stripe lock held throughout;
+// ns/row divides it by the rows numbered.
+func BenchmarkTraceRingNumbering(b *testing.B) {
+	const size = 4096
+	for _, stripes := range []int{2, traceStripes} {
+		b.Run(fmt.Sprintf("stripes=%d", stripes), func(b *testing.B) {
+			r := newTraceRing(size, func() int64 { return 0 })
+			run := make([]spoolRec, 16)
+			var at int64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				for id := range stripes {
+					for range size / (len(run) + 2) {
+						at++
+						r.recordRun(id, run, &freezeRows{at: at})
+					}
+				}
+				b.StartTimer()
+				r.numbered()
+			}
+			rows := stripes * size / (len(run) + 2) * (len(run) + 2)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+		})
 	}
 }
 
 // TestTraceAddAllocatesOnlyForWaiters pins the ring's garbage-free append: the
 // notification channel is made by a long-poller, never by the event path, and
-// every waiter parked on it is released by the next Record.
+// every waiter parked on it is released by the next Record. Rows a read has
+// not numbered yet count as newer than any cursor: a waiter parks only at the
+// cursor a read returned.
 func TestTraceAddAllocatesOnlyForWaiters(t *testing.T) {
 	r := newTraceRing(8, func() int64 { return 0 })
 	e := Record{Kind: KindState, PBox: 1, Ev: Prepare}
@@ -531,7 +739,13 @@ func TestTraceAddAllocatesOnlyForWaiters(t *testing.T) {
 	if allocs := testing.AllocsPerRun(1000, func() { r.recordRun(1, run, nil) }); allocs != 0 {
 		t.Fatalf("traceRing.recordRun with no waiter = %v allocs/op, want 0", allocs)
 	}
-	a, b := r.waitCh(r.seq.Load()), r.waitCh(r.seq.Load())
+	select {
+	case <-r.waitCh(r.seq.Load()):
+	default:
+		t.Fatal("waitCh(seq) parks with rows not numbered yet")
+	}
+	_, next := r.snapshotSince(r.seq.Load())
+	a, b := r.waitCh(next), r.waitCh(next)
 	select {
 	case <-a:
 		t.Fatal("waitCh(tail) is closed before any new entry")
