@@ -119,8 +119,9 @@ func main() {
 	if err != nil {
 		log.Fatalf("pboxd: listen %s: %v", *addr, err)
 	}
+	st := mgr.SelfStats()
 	log.Printf("pboxd: serving minikv on %s (capacity=%d evict-scan=%d goal=%.2f shards=%d spool=%d)",
-		ln.Addr(), cfg.Capacity, cfg.EvictScanItems, rule.Level, mgr.ShardCount(), mgr.SpoolCapacity())
+		ln.Addr(), cfg.Capacity, cfg.EvictScanItems, rule.Level, st.Shards, st.SpoolCapacity)
 
 	// The wire front door: the batched binary ingestion protocol for
 	// external feeders (DESIGN.md §15), served alongside minikv on its own

@@ -89,10 +89,15 @@ type RunConfig struct {
 	Duration time.Duration
 	// Rule overrides the pBox isolation rule (default: 50% relative).
 	Rule core.IsolationRule
-	// ManagerOptions seeds the pBox manager (fixed penalty mode, event
-	// filters for the mistake-tolerance experiment, ...). An EventFilter sees
-	// resource keys numbered from the run's first resource.
+	// ManagerOptions seeds the pBox manager (fixed penalty mode, the
+	// pBox-level monitor ablation, ...).
 	ManagerOptions core.Options
+	// EventFilter, when set, removes the application's update_pbox calls
+	// it returns false for, before they reach the manager (the
+	// mistake-tolerance experiment, Section 6.8; see
+	// isolation.PBoxController.EventFilter). It sees resource keys numbered
+	// from the run's first resource.
+	EventFilter func(key core.ResourceKey, ev core.EventType) bool
 }
 
 // Outcome is the result of one case run.
@@ -124,11 +129,11 @@ func Run(c Case, rc RunConfig) Outcome {
 	if !rule.Valid() {
 		rule = core.DefaultRule()
 	}
-	if filter := rc.ManagerOptions.EventFilter; filter != nil {
+	if filter := rc.EventFilter; filter != nil {
 		// Keys come from a process-wide counter; number them from this run's
 		// first resource, so a filter drops the same sites in every run.
 		base := vres.NewKey()
-		rc.ManagerOptions.EventFilter = func(key core.ResourceKey, ev core.EventType) bool {
+		rc.EventFilter = func(key core.ResourceKey, ev core.EventType) bool {
 			return filter(key-base, ev)
 		}
 	}
@@ -179,10 +184,13 @@ func newController(c Case, rc RunConfig, rule core.IsolationRule) (isolation.Con
 		return isolation.NewNull(), nil
 	case SolutionPBox:
 		mgr := core.NewManager(rc.ManagerOptions)
+		newPBox := isolation.NewPBox
 		if c.EventDriven {
-			return isolation.NewPBoxShared(mgr, rule), mgr
+			newPBox = isolation.NewPBoxShared
 		}
-		return isolation.NewPBox(mgr, rule), mgr
+		ctrl := newPBox(mgr, rule)
+		ctrl.EventFilter = rc.EventFilter
+		return ctrl, mgr
 	case SolutionCgroup:
 		return baseline.NewCgroup(), nil
 	case SolutionParties:

@@ -11,7 +11,7 @@ import (
 
 // Cell is one run of the evaluation grid (Section 6): a case under a
 // solution, with or without its noisy component, at a pBox isolation-rule
-// level, with one of the manager-option variants. Every table and figure of
+// level, with one of the configuration variants. Every table and figure of
 // the evaluation is a view over cells.
 type Cell struct {
 	Case         string
@@ -20,37 +20,40 @@ type Cell struct {
 	// Level is the relative isolation-rule level (Figure 15); 0 is the
 	// default rule, 50%.
 	Level float64
-	// Variant names the manager options (variantOptions); "" is the design
+	// Variant names the run's configuration (variantConfig); "" is the design
 	// as built.
 	Variant string
 }
 
 // Variants other than the design as built: Table 4's fixed penalties and the
 // ablations. Section 6.8's "drop-<seed>" variants are generated.
-var namedVariants = map[string]core.Options{
-	"fixed-1ms":             {FixedPenalty: time.Millisecond},
-	"fixed-10ms":            {FixedPenalty: 10 * time.Millisecond},
-	"no-pbox-level-monitor": {DisablePBoxLevel: true},
-	"min-penalty-50us":      {MinPenalty: 50 * time.Microsecond},
-	"detection-off":         {DisableDetection: true},
+var namedVariants = map[string]RunConfig{
+	"fixed-1ms":             {ManagerOptions: core.Options{FixedPenalty: time.Millisecond}},
+	"fixed-10ms":            {ManagerOptions: core.Options{FixedPenalty: 10 * time.Millisecond}},
+	"no-pbox-level-monitor": {ManagerOptions: core.Options{DisablePBoxLevel: true}},
+	"min-penalty-50us":      {ManagerOptions: core.Options{MinPenalty: 50 * time.Microsecond}},
+	// pBox traces every event and acts on none: a level is at most 100 and
+	// the monitor acts from 0.9 × goal, so a goal above ≈ 111 is never
+	// reached. Finite, because /status JSON cannot encode +Inf.
+	"detection-off": {Rule: core.IsolationRule{Type: core.Relative, Level: 1e6, Metric: core.MetricAverage}},
 }
 
-// variantOptions returns the manager options a variant names: "" is the zero
-// Options, "drop-<seed>" removes 10% of the update sites (Section 6.8), and the
-// rest are Table 4's fixed penalties and the ablations.
-func variantOptions(v string) (core.Options, error) {
+// variantConfig returns the run configuration a variant names: "" is the
+// design as built, "drop-<seed>" removes 10% of the update sites (Section
+// 6.8), and the rest are Table 4's fixed penalties and the ablations.
+func variantConfig(v string) (RunConfig, error) {
 	if v == "" {
-		return core.Options{}, nil
+		return RunConfig{}, nil
 	}
-	if o, ok := namedVariants[v]; ok {
-		return o, nil
+	if rc, ok := namedVariants[v]; ok {
+		return rc, nil
 	}
 	if s, ok := strings.CutPrefix(v, "drop-"); ok {
 		if seed, err := strconv.ParseInt(s, 10, 64); err == nil {
-			return core.Options{EventFilter: dropFilter(seed, 0.10)}, nil
+			return RunConfig{EventFilter: dropFilter(seed, 0.10)}, nil
 		}
 	}
-	return core.Options{}, fmt.Errorf("cases: unknown variant %q", v)
+	return RunConfig{}, fmt.Errorf("cases: unknown variant %q", v)
 }
 
 // dropFilter removes a fraction of (resource, event-type) update sites
@@ -96,11 +99,11 @@ func (l *Lab) Get(c Cell) Outcome {
 	if !ok {
 		panic(fmt.Sprintf("cases: unknown case %q", c.Case))
 	}
-	opts, err := variantOptions(c.Variant)
+	rc, err := variantConfig(c.Variant)
 	if err != nil {
 		panic(err)
 	}
-	rc := RunConfig{Solution: c.Solution, Interference: c.Interference, Duration: l.Duration, ManagerOptions: opts}
+	rc.Solution, rc.Interference, rc.Duration = c.Solution, c.Interference, l.Duration
 	if c.Level > 0 {
 		rc.Rule = core.IsolationRule{Type: core.Relative, Level: c.Level, Metric: core.MetricAverage}
 	}

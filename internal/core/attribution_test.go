@@ -187,18 +187,15 @@ func TestStatusCombinedViewIsConsistent(t *testing.T) {
 }
 
 func TestAttributionLedgerCap(t *testing.T) {
-	h := newHarness(t, func(o *Options) {
-		o.Attribution = true
-		o.DisableDetection = true
-	})
-	victim := h.pbox(0.5)
+	h := newHarness(t, func(o *Options) { o.Attribution = true })
+	victim := h.pbox(unreachableGoal)
 	h.m.Activate(victim)
 	// One culprit per round against a distinct resource key overflows the
 	// triple cap; the ledger must stop growing and count the drops.
 	rounds := maxAttrEntries + 50
 	for i := 0; i < rounds; i++ {
 		key := ResourceKey(0x1000 + i)
-		noisy := h.pbox(0.5)
+		noisy := h.pbox(unreachableGoal)
 		h.m.Activate(noisy)
 		driveNoisyVictim(h, noisy, victim, key, 10*time.Microsecond)
 		h.m.Freeze(noisy)

@@ -90,7 +90,7 @@ func (w *Worker) Bind(k uintptr, flags BindFlags) (*PBox, error) {
 	}
 	// Different pBox: publish the pending detach and do a real bind.
 	if w.detached && w.cur != nil {
-		w.mgr.publishUnbind(w.cur, w.detachedKey)
+		w.mgr.Associate(w.cur, w.detachedKey)
 		w.detached = false
 		w.cur = nil
 	}
@@ -113,14 +113,10 @@ func (w *Worker) Bind(k uintptr, flags BindFlags) (*PBox, error) {
 }
 
 // checkPenalty reports ErrPenalized when p's requeue deadline is in the
-// future.
+// future: a local check, library work with no crossing.
 func (w *Worker) checkPenalty(p *PBox) error {
-	// A local check: library work, no crossing.
-	now := w.mgr.opts.Now()
-	p.penMu.Lock()
-	defer p.penMu.Unlock()
-	if p.penaltyUntil > now {
-		return &ErrPenalized{PBoxID: p.id, Wait: time.Duration(p.penaltyUntil - now)}
+	if d := w.mgr.PenaltyWait(p); d > 0 {
+		return &ErrPenalized{PBoxID: p.id, Wait: d}
 	}
 	return nil
 }
@@ -135,7 +131,7 @@ func (w *Worker) BindDirect(p *PBox) error {
 		return err
 	}
 	if w.detached && w.cur != nil && w.cur != p {
-		w.mgr.publishUnbind(w.cur, w.detachedKey)
+		w.mgr.Associate(w.cur, w.detachedKey)
 	}
 	w.detached = false
 	if w.cur != nil && w.cur != p {
@@ -145,9 +141,11 @@ func (w *Worker) BindDirect(p *PBox) error {
 	return nil
 }
 
-// publishUnbind records the key→pBox association in the manager's registry
-// (the real unbind syscall of the eager path).
-func (m *Manager) publishUnbind(p *PBox, k uintptr) {
+// Associate records the key→pBox association in the manager's registry: the
+// real unbind syscall a lazy Unbind publishes once another pBox is bound, and
+// the eager form for applications that register connections up front rather
+// than via Worker.Unbind.
+func (m *Manager) Associate(p *PBox, k uintptr) {
 	m.cross(p.id)
 	m.reg.Lock()
 	defer m.reg.Unlock()
@@ -160,12 +158,6 @@ func (m *Manager) publishUnbind(p *PBox, k uintptr) {
 	p.boundKey = k
 	p.hasBoundKey = true
 	m.reg.bindings[k] = p
-}
-
-// Associate eagerly associates a pBox with a key, for applications that
-// register connections up front rather than via Worker.Unbind.
-func (m *Manager) Associate(p *PBox, k uintptr) {
-	m.publishUnbind(p, k)
 }
 
 // lookupBinding resolves a key to its associated pBox.

@@ -72,7 +72,7 @@ func ratioQuantile(window []activityRecord, q float64) float64 {
 // monitor is the pBox-level monitor (Section 4.3.1) at the end of an activity:
 // it acts once the aggregate level reaches monitorShare of the goal.
 func (o *Options) monitor(rule IsolationRule, totalDefer, totalExec int64, window []activityRecord) (level float64, act bool) {
-	if o.DisablePBoxLevel || o.DisableDetection {
+	if o.DisablePBoxLevel {
 		return 0, false
 	}
 	level = interferenceLevel(rule.Metric, totalDefer, totalExec, window)
@@ -104,7 +104,7 @@ type waitVerdict struct {
 //pbox:hotpath
 func (o *Options) judgeWait(since, heldSince, now, start, deferred int64, goal float64) (v waitVerdict) {
 	v.waited, v.overlap = max(now-since, 0), overlap(since, heldSince, now)
-	if te := now - start; !o.DisableDetection && te > 0 {
+	if te := now - start; te > 0 {
 		v.level = averageRatio(min(deferred+v.waited, te), te)
 		v.act = v.level > goal && v.overlap > 0 && v.overlap*causalityShare >= v.waited
 	}

@@ -15,6 +15,11 @@ func judgeOpts() Options {
 	return Options{MinPenalty: 10 * time.Microsecond, MaxPenalty: 100 * time.Millisecond}.withDefaults()
 }
 
+// unreachableGoal is a goal no level reaches (TestMonitorThreshold holds it
+// above maxRatio / monitorShare): a pBox created with it is a tracer, its
+// events accounted and never acted on.
+const unreachableGoal = 1e6
+
 // TestPropAverageRatioBounds: for any td ≤ te the ratio is non-negative and
 // finite, and increases with td.
 func TestPropAverageRatioBounds(t *testing.T) {
@@ -94,7 +99,7 @@ func TestJudgeWaitOverlapAndCausality(t *testing.T) {
 
 // TestJudgeWaitProjection: the worst-case projection counts the wait so far
 // into the deferring time, clamps it to the activity, and acts only above the
-// goal; a tracer (DisableDetection) still measures the wait.
+// goal; a tracer (an unreachable goal) still measures the wait.
 func TestJudgeWaitProjection(t *testing.T) {
 	o := judgeOpts()
 	// Activity began at 0, release at 1000, the waiter arrived at 800 behind a
@@ -117,9 +122,8 @@ func TestJudgeWaitProjection(t *testing.T) {
 	if v := o.judgeWait(800, 0, 1000, 1000, 200, 0.5); v.act || v.waited != 200 {
 		t.Errorf("activity of zero length: %+v, want no action, waited 200", v)
 	}
-	o.DisableDetection = true
-	if v := o.judgeWait(800, 0, 1000, 0, 200, 0.5); v.act || v.waited != 200 || v.overlap != 200 {
-		t.Errorf("detection disabled: %+v, want no action, waited and overlap 200", v)
+	if v := o.judgeWait(800, 0, 1000, 0, 5000, unreachableGoal); v.act || v.waited != 200 || v.overlap != 200 {
+		t.Errorf("a tracer at the cap: %+v, want no action, waited and overlap 200", v)
 	}
 }
 
@@ -198,7 +202,8 @@ func TestScoreWindow(t *testing.T) {
 }
 
 // TestMonitorThreshold (Section 4.3.1): the pBox-level monitor acts from
-// monitorShare × goal up, and not at all when it or detection is off.
+// monitorShare × goal up, and not at all when it is off or the goal is
+// unreachable.
 func TestMonitorThreshold(t *testing.T) {
 	o := judgeOpts()
 	rule := IsolationRule{Type: Relative, Level: 0.5}
@@ -208,14 +213,23 @@ func TestMonitorThreshold(t *testing.T) {
 	if _, act := o.monitor(rule, 44, 144, nil); act {
 		t.Error("level 0.44 < 0.9 × 0.5 acted")
 	}
-	for _, off := range []func(*Options){
-		func(o *Options) { o.DisablePBoxLevel = true },
-		func(o *Options) { o.DisableDetection = true },
+	if monitorShare*unreachableGoal <= maxRatio {
+		t.Fatalf("unreachableGoal %v is reachable: levels go up to %v", unreachableGoal, maxRatio)
+	}
+	off := judgeOpts()
+	off.DisablePBoxLevel = true
+	tracer := IsolationRule{Type: Relative, Level: unreachableGoal}
+	for _, c := range []struct {
+		name  string
+		o     Options
+		rule  IsolationRule
+		level float64
+	}{
+		{"monitor off", off, rule, 0},
+		{"unreachable goal", o, tracer, maxRatio},
 	} {
-		o := judgeOpts()
-		off(&o)
-		if level, act := o.monitor(rule, 100, 100, nil); level != 0 || act {
-			t.Errorf("disabled monitor: %v, %v", level, act)
+		if level, act := c.o.monitor(c.rule, 100, 100, nil); level != c.level || act {
+			t.Errorf("%s, an activity that was all wait: %v, %v; want %v and no action", c.name, level, act, c.level)
 		}
 	}
 }

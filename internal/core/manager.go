@@ -13,7 +13,11 @@ import (
 
 // Options configures a Manager. The zero value selects the paper's defaults.
 // The two-tier ingestion path (DESIGN.md §10) has no knob: every Worker spools
-// into a 256-record buffer (SpoolCapacity).
+// into a 256-record buffer (SelfStats.SpoolCapacity). Nothing here switches
+// detection off: a level is at most 100 and the pBox-level monitor acts from
+// 0.9 × goal, so a pBox whose goal is above ≈ 111 is traced and never acted
+// for. The mistake-tolerance experiment (Section 6.8) removes update_pbox calls
+// in the application (isolation.PBoxController.EventFilter), not here.
 type Options struct {
 	// Now supplies the monotonic clock (ns). Defaults to exec.Now. Tests
 	// inject a fake clock to drive the detection logic deterministically.
@@ -37,16 +41,6 @@ type Options struct {
 	// DisablePBoxLevel turns off the end-of-activity average monitor,
 	// leaving only Algorithm 1's per-resource detection.
 	DisablePBoxLevel bool
-
-	// DisableDetection turns the manager into a pure tracer: events are
-	// accounted but no actions are taken. Used to measure tracing
-	// overhead in isolation.
-	DisableDetection bool
-
-	// EventFilter, when set, is consulted on every Update; returning
-	// false drops the event. The mistake-tolerance experiment
-	// (Section 6.8) uses it to remove a fraction of update_pbox calls.
-	EventFilter func(key ResourceKey, ev EventType) bool
 
 	// TraceSize, when positive, enables the in-memory trace ring of that
 	// capacity: the observer stream as Records, read with TraceView.
@@ -265,14 +259,6 @@ func NewManager(opts Options) *Manager {
 	}
 	return m
 }
-
-// ShardCount returns the number of resource-side lock stripes, fixed at
-// NewManager (see defaultShardCount).
-func (m *Manager) ShardCount() int { return len(m.shards.shards) }
-
-// SpoolCapacity returns the capacity every Worker spool is sized to: a
-// constant, reported so operators can read flush counts against it.
-func (m *Manager) SpoolCapacity() int { return spoolCapacity }
 
 // ErrReleased is returned when an operation references a destroyed pBox.
 var ErrReleased = errors.New("pbox: operation on released pBox")
@@ -503,21 +489,13 @@ func (m *Manager) dropWaits(p *PBox) {
 // share nothing but atomic counters.
 //
 //pbox:hotpath
-func (m *Manager) Update(p *PBox, key ResourceKey, ev EventType) {
-	// The filter runs before anything else — a dropped event must do no
-	// slot, spool, or shard work at all, or a filtered UNHOLD could flip
-	// the contended flag for an event that never applies.
-	if m.opts.EventFilter != nil && !m.opts.EventFilter(key, ev) {
-		return
-	}
-	m.updateSlow(p, key, ev, noStamp)
-}
+func (m *Manager) Update(p *PBox, key ResourceKey, ev EventType) { m.updateAt(p, key, ev, noStamp) }
 
-// updateSlow is Update past the filter: the Tier B slow path, shared with
-// Worker.UpdateAt's contended hand-off (which has already filtered).
+// updateAt is Update at the caller's stamp (noStamp: read the clock): the one
+// Tier B path, which Worker.UpdateAt hands an event it cannot spool.
 //
 //pbox:hotpath
-func (m *Manager) updateSlow(p *PBox, key ResourceKey, ev EventType, at int64) {
+func (m *Manager) updateAt(p *PBox, key ResourceKey, ev EventType, at int64) {
 	m.cross(p.id)
 	// Lock-free fast reject: events outside an active window are ignored,
 	// matching the manager tracing only between activate and freeze.

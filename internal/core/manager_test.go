@@ -509,24 +509,6 @@ func TestSharedThreadPenaltyBecomesGate(t *testing.T) {
 	}
 }
 
-// TestEventFilterDropsEvents implements the mistake-tolerance mechanism.
-func TestEventFilterDropsEvents(t *testing.T) {
-	dropped := ResourceKey(99)
-	h := newHarness(t, func(o *Options) {
-		o.EventFilter = func(key ResourceKey, ev EventType) bool { return key != dropped }
-	})
-	p := h.pbox(0.5)
-	h.m.Activate(p)
-	h.m.Update(p, dropped, Prepare)
-	if contention(h.m, dropped).Waiters != 0 {
-		t.Fatal("filtered event reached the manager")
-	}
-	h.m.Update(p, ResourceKey(1), Prepare)
-	if contention(h.m, ResourceKey(1)).Waiters != 1 {
-		t.Fatal("unfiltered event dropped")
-	}
-}
-
 // TestFreezeClearsStalePrepares: PREPAREs without matching ENTER must not
 // leak into the next activity or the competitor map.
 func TestFreezeClearsStalePrepares(t *testing.T) {
@@ -641,12 +623,12 @@ func TestConvergenceSteps(t *testing.T) {
 	}
 }
 
-// TestDetectionDisabled: DisableDetection turns the manager into a pure
-// tracer.
+// TestDetectionDisabled: pBoxes with a goal no level reaches are pure
+// tracers.
 func TestDetectionDisabled(t *testing.T) {
-	h := newHarness(t, func(o *Options) { o.DisableDetection = true })
-	noisy := h.pbox(0.5)
-	victim := h.pbox(0.5)
+	h := newHarness(t)
+	noisy := h.pbox(unreachableGoal)
+	victim := h.pbox(unreachableGoal)
 	key := ResourceKey(2)
 	h.m.Activate(noisy)
 	h.m.Activate(victim)

@@ -53,8 +53,8 @@ type Observer interface {
 	// PBoxSharedChanged fires when the pBox's shared-thread marking flips
 	// (MarkShared, SetShared, or a worker bind with a different flag).
 	PBoxSharedChanged(pboxID int, shared bool)
-	// StateEventAt fires for every accepted update_pbox call (after the
-	// EventFilter, only while the pBox is active) with the manager-clock
+	// StateEventAt fires for every accepted update_pbox call (only while
+	// the pBox is active) with the manager-clock
 	// nanosecond timestamp the event's Algorithm 1 bookkeeping used: issue
 	// time for a direct delivery, the recorded event time for a spool
 	// replay (DESIGN.md §10), which is delivered at flush time and can lag

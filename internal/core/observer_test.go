@@ -255,7 +255,8 @@ func firstDiff(a, b []Record) int {
 // counts matching what each goroutine issued.
 func TestObserverConcurrentEvents(t *testing.T) {
 	obs := newRecordingObserver()
-	m := NewManager(Options{Observer: obs, DisableDetection: true})
+	m := NewManager(Options{Observer: obs})
+	tracer := IsolationRule{Type: Relative, Level: unreachableGoal}
 	const goroutines = 8
 	const rounds = 50
 
@@ -266,7 +267,7 @@ func TestObserverConcurrentEvents(t *testing.T) {
 			defer wg.Done()
 			key := ResourceKey(100 + g)
 			for i := 0; i < rounds; i++ {
-				p, err := m.Create(DefaultRule())
+				p, err := m.Create(tracer)
 				if err != nil {
 					t.Errorf("Create: %v", err)
 					return

@@ -21,9 +21,11 @@ import (
 // `go test -fuzz FuzzDifferential` minimises it into
 // testdata/fuzz/FuzzDifferential/, where it replays forever.
 //
-// Encoding: a header byte — bits 0–1 the share of events the EventFilter drops
-// (in eighths), bit 2 FixedPenalty, bits 3–4 both set DisablePBoxLevel, bits
-// 5–7 all set DisableDetection — then two bytes per op: a&15 selects the op,
+// Encoding: a header byte — bits 0–1 the share of events the harness skips
+// before it issues them, to every via and the model alike (in eighths: §6.8's
+// removed update_pbox calls), bit 2 FixedPenalty, bits 3–4 both set
+// DisablePBoxLevel, bits 5–7 all give every created pBox a goal no level
+// reaches (a tracer) — then two bytes per op: a&15 selects the op,
 // a>>4&3 the script worker (and pBox slot) it addresses, a>>6 and b its
 // argument. A decoded op's kind is a letter: (c)reate (r)elease (a)ctivate
 // (f)reeze (s)hared (e)vent, (+) advance the clock,
@@ -54,7 +56,6 @@ func (o op) String() string {
 type script struct {
 	header byte
 	ops    []op
-	drops  []bool        // per issued event, in order: the EventFilter drops it
 	want   []core.Record // the model's stream
 }
 
@@ -81,10 +82,14 @@ var bursts = [4][4]core.EventType{{0, 1, 2, 3}, {2, 3, 2, 3}, {0, 0, 1, 1}, {2, 
 
 func bindKey(id int) uintptr { return uintptr(0xb000 + id) }
 
+// unreachableGoal is a goal no level reaches (levels are capped at 100, and
+// the monitor acts from 0.9 × goal): a pBox created with it is only traced.
+const unreachableGoal = 1e6
+
 func options(header byte, now func() int64) core.Options {
 	return core.Options{Now: now, Sleep: func(time.Duration) {}, MinPenalty: 10 * time.Microsecond, MaxPenalty: 100 * time.Millisecond,
 		FixedPenalty:     time.Duration(header>>2&1) * 300 * time.Microsecond,
-		DisablePBoxLevel: header>>3&3 == 3, DisableDetection: header>>5 == 7}
+		DisablePBoxLevel: header>>3&3 == 3}
 }
 
 // decode interprets data against the model. It is also the event loop the
@@ -114,6 +119,9 @@ func decode(data []byte) script {
 	}
 	create := func(w int, b byte) {
 		rule := core.IsolationRule{Level: []float64{0.5, 0.1, 1, 0.5}[b&3], Metric: core.Metric(b >> 2 % 3)}
+		if s.header>>5 == 7 {
+			rule.Level = unreachableGoal
+		}
 		id, _ := m.Create(rule)
 		m.Activate(id)
 		slot[w], cur[w], det[w] = id, id, false
@@ -138,15 +146,11 @@ func decode(data []byte) script {
 		}
 		return served
 	}
-	// event issues one event from worker w; top's high bits say if the filter drops it.
+	// event issues one event from worker w, unless top's high bits say the
+	// call site was removed.
 	event := func(w int, key core.ResourceKey, ev core.EventType, alt int, top byte) {
 		o := op{kind: 'e', w: w, id: cur[w], key: key, ev: ev, alt: alt}
-		if !alive(o.id) || det[w] || m.PenaltyWait(o.id) > 0 {
-			return
-		}
-		drop := top>>5 > 7-s.header&3
-		if s.drops = append(s.drops, drop); drop {
-			emit(o)
+		if !alive(o.id) || det[w] || m.PenaltyWait(o.id) > 0 || top>>5 > 7-s.header&3 {
 			return
 		}
 		before, wait := len(m.Records()), m.PenaltyWait(o.id)
@@ -260,7 +264,7 @@ func decode(data []byte) script {
 	return s
 }
 
-// harness is a real manager under the fake clock with the script's filter, and
+// harness is a real manager under the fake clock with the script's options, and
 // the sink of its stream (the wire via appends from two goroutines).
 type harness struct {
 	core.RecordObserver
@@ -281,8 +285,8 @@ func (h *harness) Record(r core.Record) {
 func newHarness(t *testing.T, s script) *harness {
 	h := &harness{t: t, pb: map[int]*core.PBox{}}
 	h.Sink = h
-	o, issued := options(s.header, h.clock.Load), 0
-	o.Observer, o.EventFilter = h, func(core.ResourceKey, core.EventType) bool { issued++; return !s.drops[issued-1] }
+	o := options(s.header, h.clock.Load)
+	o.Observer = h
 	h.mgr = core.NewManager(o)
 	return h
 }

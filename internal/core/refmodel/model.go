@@ -180,7 +180,7 @@ func (m *Model) Freeze(id int) {
 	}
 	m.emit(core.Record{Kind: core.KindActivityEnd, PBox: id, Dur: td, Exec: te})
 	m.dropWaits(p)
-	if level := p.level(); !m.opts.DisablePBoxLevel && !m.opts.DisableDetection && level >= monitorShare*p.rule.Level {
+	if level := p.level(); !m.opts.DisablePBoxLevel && level >= monitorShare*p.rule.Level {
 		// The largest contributor to this activity's deferring time; of equals,
 		// the pBox with the lower id.
 		var worst *blame
@@ -325,7 +325,7 @@ func (m *Model) settle(p *pbox, key core.ResourceKey, heldSince, now int64) {
 		}
 		te := now - v.start
 		waited := max(now-w.since, 0)
-		if td := min(v.deferNs+waited, te); !m.opts.DisableDetection && te > 0 {
+		if td := min(v.deferNs+waited, te); te > 0 {
 			// Worst-case projection: the victim is endangered if everything it
 			// has waited so far, this wait included, already breaks its goal.
 			// The holder answers for it when its hold covers at least a tenth

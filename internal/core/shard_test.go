@@ -25,7 +25,7 @@ func TestDefaultShardCountRule(t *testing.T) {
 	// The zero-Options default must agree with the rule applied to the
 	// live GOMAXPROCS value.
 	m := NewManager(Options{})
-	if got, want := m.ShardCount(), defaultShardCount(); got != want {
-		t.Errorf("default ShardCount = %d, want %d", got, want)
+	if got, want := m.SelfStats().Shards, defaultShardCount(); got != want {
+		t.Errorf("default SelfStats().Shards = %d, want %d", got, want)
 	}
 }

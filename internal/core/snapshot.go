@@ -318,7 +318,7 @@ type SelfStats struct {
 	// Shard locks and the construction-time topology.
 	ShardLockAcquisitions int64 // total shard-lock acquisitions, all stripes
 	ShardLockMax          int64 // acquisitions on the hottest stripe
-	Shards                int   // lock stripes (ShardCount)
+	Shards                int   // lock stripes, fixed at NewManager (defaultShardCount)
 	SpoolCapacity         int   // per-worker spool capacity in records (a constant)
 
 	// VerdictLatency distributes the wall-clock length of the verdictMu
@@ -377,8 +377,8 @@ func (m *Manager) SelfStats() SelfStats {
 		ContentionRevocations: m.self.contentionRevokes.Load(),
 		VerdictLatency:        m.self.verdictLatency.view(verdictBounds),
 		Crossings:             m.Crossings(),
-		Shards:                m.ShardCount(),
-		SpoolCapacity:         m.SpoolCapacity(),
+		Shards:                len(m.shards.shards),
+		SpoolCapacity:         spoolCapacity,
 	}
 	if v := m.snap.view.Load(); v != nil {
 		st.SnapshotEpoch = v.Epoch

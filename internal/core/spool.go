@@ -155,31 +155,13 @@ func newEventSpool(m *Manager) *eventSpool {
 	return &eventSpool{m: m, recs: make([]spoolRec, spoolCapacity)}
 }
 
-// append records one event for p, returning false when the caller must
-// flush first: the buffer is full, holds another pBox's records after a
-// rebind, or is empty while another spool still holds p's (the takeover
-// publishes the hint, and only over nil).
-//
-//pbox:hotpath
-func (sp *eventSpool) append(p *PBox, key ResourceKey, ev EventType, now int64) bool {
-	sp.mu.Lock()
-	if sp.n >= len(sp.recs) || (sp.n > 0 && sp.pbox != p) ||
-		(sp.n == 0 && !p.spool.CompareAndSwap(nil, sp)) {
-		sp.mu.Unlock()
-		return false
-	}
-	sp.pbox = p
-	sp.recs[sp.n] = spoolRec{key: key, ev: ev, at: now}
-	sp.n++
-	sp.mu.Unlock()
-	return true
-}
-
-// appendRun is append over a run of events stamped at, under one hold of mu:
-// it appends the longest prefix UpdateAt would spool — p active, the key's
-// slot p's own or claimed by CAS(0→id), room in the buffer, the hint taken
-// over — and returns its length and the slots it claimed. Nothing else runs
-// under the hold (no clock, no observer, no other lock), and it covers at
+// appendRun is Tier A's one append and its one admission predicate: under one
+// hold of mu it appends the longest prefix of a run stamped at that may be
+// spooled — p active, the key's slot p's own or claimed by CAS(0→id), room in
+// the buffer, and the buffer p's or empty, an empty one taken over by
+// publishing the hint (CAS(nil → sp): refused while another spool holds p's
+// records) — and returns its length and the slots it claimed. Nothing else
+// runs under the hold (no clock, no observer, no other lock), and it covers at
 // most spoolCapacity appends: less than the replay a flush holds mu across.
 //
 //pbox:hotpath
@@ -312,7 +294,7 @@ func (p *PBox) flushHinted() {
 	}
 }
 
-// replay applies a batch — a spool's buffer, or updateSlow's one event —
+// replay applies a batch — a spool's buffer, or updateAt's one event —
 // under p's mutex with the recorded timestamps as the event clock, so the
 // bookkeeping (observer callbacks, Algorithm 1 arms) sees the stream the
 // unspooled manager would have seen. Records of a pBox that left its active
@@ -424,7 +406,7 @@ func (m *Manager) replayBatch(p *PBox, recs []spoolRec) []spoolRec {
 // privateTo reports whether no pBox but p can have a waiter registered on
 // key, read off the key's contention slot instead of its stripe. A slot only
 // ever moves 0 → claimant's id → contended, and every slow-path event swaps in
-// contended before it touches a stripe (updateSlow → markContended), so while
+// contended before it touches a stripe (updateAt → markContended), so while
 // the slot still reads p's id every waiter on the slot's keys was registered
 // by p itself — and p's own are counted in p.preparing. It stays true for the
 // length of the replay that asks: an event that revokes the claim flushes the
@@ -441,12 +423,11 @@ func (m *Manager) privateTo(p *PBox, key ResourceKey) bool {
 	return !waiting
 }
 
-// Update is the Worker-side update_pbox of the two-tier path: the filter
-// runs first (a dropped event does no spool or slot work at all), then the
-// event takes the fast path when the worker's bound pBox holds (or can
-// claim) the key's contention slot, and the slow path otherwise. A lazily
-// detached worker has tracing paused, exactly like Manager.Update on a
-// non-active pBox, so the call is a no-op.
+// Update is the Worker-side update_pbox of the two-tier path: the event takes
+// the fast path when the worker's bound pBox holds (or can claim) the key's
+// contention slot, and the slow path otherwise. A lazily detached worker has
+// tracing paused, exactly like Manager.Update on a non-active pBox, so the
+// call is a no-op.
 //
 // Either way the event orders after everything spooled for p before it: the
 // hint names the one spool that can hold such records — this worker's, or
@@ -458,58 +439,53 @@ func (w *Worker) Update(key ResourceKey, ev EventType) { w.UpdateAt(key, ev, noS
 
 // UpdateAt is Update with the event's time supplied by the caller (see
 // Manager.ActivateAt) instead of read once the event is accepted onto a path.
+// It spools through appendRun, as a run of one.
 //
 //pbox:hotpath
 func (w *Worker) UpdateAt(key ResourceKey, ev EventType, at int64) {
-	m := w.mgr
-	if m.opts.EventFilter != nil && !m.opts.EventFilter(key, ev) {
-		return
-	}
 	p := w.cur
-	if p == nil || w.detached {
+	if p == nil || w.detached || !p.stateIs(StateActive) {
 		return
 	}
-	if !p.stateIs(StateActive) {
-		return
-	}
+	m := w.mgr
 	slot := m.contentionSlot(key)
 	id := int64(p.id)
-	if v := slot.Load(); v != id {
-		if v != 0 || !slot.CompareAndSwap(0, id) {
-			// Cross-pBox overlap (another claim) or known contention: hand
-			// off to the slow path, flushing the spool that holds p's records
-			// first so this pBox's events apply in issue order. A nil hint —
-			// the common case once a slot has gone contended — costs one load.
-			if sp := p.spool.Load(); sp != nil {
-				sp.flush(sp == w.spool)
+	if v := slot.Load(); v == id || v == 0 {
+		one, now := [1]KeyEvent{{Key: key, Ev: ev}}, m.clock(at)
+		n, claims := w.spool.appendRun(p, one[:], now)
+		if claims > 0 {
+			m.self.contentionClaims.Add(claims)
+		}
+		if n == 0 && slot.Load() == id && p.stateIs(StateActive) {
+			// The spool is full, holds another pBox's records, or another
+			// spool holds p's: flush both and retry once.
+			m.self.spoolOverflows.Add(1)
+			w.spool.flush(true)
+			p.flushHinted() // another worker's spool may hold p's records; ours is unlocked
+			n, _ = w.spool.appendRun(p, one[:], now)
+		}
+		if n == 1 {
+			// Straggler self-healing: if the slot changed between the claim
+			// check and the append landing, a concurrent slow-path event has
+			// already flushed p's spool — flush our own again so the late
+			// record cannot sit past the revocation. Replay guards (monotonic
+			// re-arm, clamped overlaps) keep an out-of-order late record
+			// detection-neutral.
+			if slot.Load() != id {
+				w.spool.flush(true)
 			}
-			m.updateSlow(p, key, ev, at)
-			return
-		}
-		m.self.contentionClaims.Add(1)
-	}
-	now := m.clock(at)
-	if !w.spool.append(p, key, ev, now) {
-		m.self.spoolOverflows.Add(1)
-		w.spool.flush(true)
-		p.flushHinted() // another worker's spool may hold p's records; ours is unlocked
-		if !w.spool.append(p, key, ev, now) {
-			// The takeover lost a race with the other feeder (or the spool
-			// can hold nothing): apply directly. updateSlow revokes p's
-			// claim and flushes p's spool, so the event still lands after
-			// p's records.
-			m.updateSlow(p, key, ev, at)
 			return
 		}
 	}
-	// Straggler self-healing: if the slot changed between the claim check
-	// and the append landing, a concurrent slow-path event has already
-	// flushed p's spool — flush our own again so the late record cannot sit
-	// past the revocation. Replay guards (monotonic re-arm, clamped
-	// overlaps) keep an out-of-order late record detection-neutral.
-	if slot.Load() != id {
-		w.spool.flush(true)
+	// Cross-pBox overlap (another claim), known contention, or a retry that
+	// lost the takeover race to another feeder: hand off to the slow path,
+	// flushing the spool that holds p's records first so this pBox's events
+	// apply in issue order. A nil hint — the common case once a slot has gone
+	// contended — costs one load.
+	if sp := p.spool.Load(); sp != nil {
+		sp.flush(sp == w.spool)
 	}
+	m.updateAt(p, key, ev, at)
 }
 
 // KeyEvent is one event of a run (Worker.UpdateRunAt).
@@ -520,22 +496,17 @@ type KeyEvent struct {
 
 // UpdateRunAt is UpdateAt(e.Key, e.Ev, at) for each event of run, in order,
 // for a caller that holds a run of events sharing one stamp (wire.Server, a
-// frame's events between two control ops). The prefix UpdateAt would spool
+// frame's events between two control ops). An unstamped run (noStamp) takes
+// one stamp at entry, as a wire frame does. The prefix UpdateAt would spool
 // goes in under one spool-lock hold (appendRun); the first event it would not
 // takes UpdateAt alone — the overflow flush, the Tier B hand-off — and the
 // rest of the run resumes after it. The straggler re-check runs once the lock
-// is let go, over the keys appended. With an EventFilter, or unstamped, every
-// event takes UpdateAt.
+// is let go, over the keys appended.
 //
 //pbox:hotpath
 func (w *Worker) UpdateRunAt(run []KeyEvent, at int64) {
 	m := w.mgr
-	if m.opts.EventFilter != nil || at == noStamp {
-		for _, e := range run {
-			w.UpdateAt(e.Key, e.Ev, at)
-		}
-		return
-	}
+	at = m.clock(at)
 	p := w.cur
 	if p == nil || w.detached {
 		return

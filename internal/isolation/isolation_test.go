@@ -106,3 +106,48 @@ func TestPBoxOfOnNonPBoxActivity(t *testing.T) {
 		t.Fatal("PBoxOf succeeded on null activity")
 	}
 }
+
+// sink keeps every record of a manager's observer stream.
+type sink []core.Record
+
+func (s *sink) Record(r core.Record) { *s = append(*s, r) }
+
+// TestPBoxControllerEventFilter: the mistake-tolerance experiment (Section
+// 6.8) removes the application's update_pbox calls where the paper does, at
+// the call site. A filtered Event reaches the manager not at all: no state row
+// and no waiter; an unfiltered one both.
+func TestPBoxControllerEventFilter(t *testing.T) {
+	const dropped, kept = core.ResourceKey(99), core.ResourceKey(1)
+	var rows sink
+	mgr := core.NewManager(core.Options{Observer: &core.RecordObserver{Sink: &rows}})
+	ctrl := NewPBox(mgr, core.DefaultRule())
+	ctrl.EventFilter = func(key core.ResourceKey, ev core.EventType) bool { return key != dropped }
+	act := ctrl.ConnStart("conn", KindForeground)
+	act.Begin("read")
+	waiters := func(key core.ResourceKey) int {
+		for _, r := range mgr.Status().Resources {
+			if r.Key == key {
+				return r.Waiters
+			}
+		}
+		return 0
+	}
+	states := func(key core.ResourceKey) (n int) {
+		for _, r := range rows {
+			if r.Kind == core.KindState && r.Key == key {
+				n++
+			}
+		}
+		return n
+	}
+	act.Event(dropped, core.Prepare)
+	if n, w := states(dropped), waiters(dropped); n != 0 || w != 0 {
+		t.Fatalf("filtered event reached the manager: %d state rows, %d waiters", n, w)
+	}
+	act.Event(kept, core.Prepare)
+	if n, w := states(kept), waiters(kept); n != 1 || w != 1 {
+		t.Fatalf("unfiltered event: %d state rows, %d waiters; want 1 and 1", n, w)
+	}
+	act.End(time.Millisecond)
+	act.Close()
+}

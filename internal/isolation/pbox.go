@@ -26,6 +26,13 @@ type PBoxController struct {
 	// (event-driven apps), so penalties become requeue deadlines instead
 	// of direct delays.
 	sharedThreads bool
+
+	// EventFilter, when set, is consulted on every Event; returning false
+	// removes the update_pbox call before it reaches the manager. The
+	// mistake-tolerance experiment (Section 6.8) uses it to remove a
+	// fraction of the application's update_pbox call sites. Set it before
+	// the first ConnStart: an activity keeps the filter it started with.
+	EventFilter func(key core.ResourceKey, ev core.EventType) bool
 }
 
 // BackgroundLevelFactor scales the foreground isolation level for
@@ -72,12 +79,13 @@ func (c *PBoxController) ConnStart(name string, kind Kind) Activity {
 	if c.sharedThreads {
 		c.mgr.MarkShared(p)
 	}
-	return &pboxActivity{mgr: c.mgr, p: p}
+	return &pboxActivity{mgr: c.mgr, p: p, filter: c.EventFilter}
 }
 
 type pboxActivity struct {
-	mgr *core.Manager
-	p   *core.PBox
+	mgr    *core.Manager
+	p      *core.PBox
+	filter func(core.ResourceKey, core.EventType) bool
 }
 
 // PBox returns the underlying pBox (used by event-driven apps that bind and
@@ -91,6 +99,9 @@ func (a *pboxActivity) IO(d time.Duration)   { exec.IOWait(d) }
 func (a *pboxActivity) Close()               { _ = a.mgr.Release(a.p) }
 
 func (a *pboxActivity) Event(key core.ResourceKey, ev core.EventType) {
+	if a.filter != nil && !a.filter(key, ev) {
+		return
+	}
 	a.mgr.Update(a.p, key, ev)
 }
 

@@ -21,7 +21,7 @@
 // the crossing call site, anchored in the observer's own package where a
 // suppression can be written. Any reachable call to a method on the
 // Manager type is a finding unless the method is one of the documented
-// lock-free accessors: ResourceName, Crossings, ShardCount. Calls through
+// lock-free accessors: ResourceName, Crossings. Calls through
 // non-Manager interfaces (e.g. a ResourceNamer field) are not flagged: the
 // indirection is exactly how observers are supposed to defer manager
 // access to safe contexts.
@@ -58,7 +58,6 @@ var observerInterfaces = map[string]bool{
 var lockFree = map[string]bool{
 	"ResourceName": true,
 	"Crossings":    true,
-	"ShardCount":   true,
 }
 
 // outsideLocks are callback methods the Observer contract invokes with no

@@ -13,7 +13,6 @@ type Manager struct{}
 func (m *Manager) Status() int                   { return 0 }
 func (m *Manager) ResourceName(k uintptr) string { return "" }
 func (m *Manager) Crossings() int64              { return 0 }
-func (m *Manager) ShardCount() int               { return 0 }
 
 // badCollector re-enters the manager from a locked callback.
 type badCollector struct {
@@ -52,7 +51,6 @@ type goodCollector struct {
 func (c *goodCollector) StateEventAt(id int, at int64) {
 	_ = c.mgr.ResourceName(0)
 	_ = c.mgr.Crossings()
-	_ = c.mgr.ShardCount()
 }
 
 func (c *goodCollector) PenaltyServed(id int) {}
