@@ -669,7 +669,7 @@ func (m *Manager) enterVerdict() (t0 int64) {
 
 func (m *Manager) leaveVerdict(t0 int64) {
 	m.verdictMu.Unlock()
-	m.self.verdictLatency.observe(verdictBounds, exec.Now()-t0)
+	m.self.verdictLatency.observe(verdictBounds, max(exec.Now()-t0, 0))
 }
 
 // settleWaiters runs the blame and detection passes over key's waiter list

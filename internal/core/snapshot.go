@@ -86,14 +86,15 @@ func (m *Manager) RefreshStatusView() *StatusView {
 	return m.rebuildView(m.opts.Now(), true)
 }
 
-// ViewAge returns v's manager-clock age (0 for nil).
+// ViewAge returns v's manager-clock age (0 for nil), never negative: the
+// reader's clock may run on another CPU than the builder's did (exec.Now).
 //
 //pbox:snapshotreader
 func (m *Manager) ViewAge(v *StatusView) time.Duration {
 	if v == nil {
 		return 0
 	}
-	return time.Duration(m.opts.Now() - v.BuiltAt)
+	return time.Duration(max(m.opts.Now()-v.BuiltAt, 0))
 }
 
 // rebuildView is the sanctioned escalation of the snapshot read path: it
@@ -125,7 +126,7 @@ func (m *Manager) rebuildView(now int64, force bool) *StatusView {
 		Status:        st,
 		Epoch:         1,
 		BuiltAt:       m.opts.Now(),
-		BuildDuration: time.Duration(exec.Now() - t0),
+		BuildDuration: time.Duration(max(exec.Now()-t0, 0)),
 	}
 	if prev := m.snap.view.Load(); prev != nil {
 		v.Epoch = prev.Epoch + 1
@@ -240,7 +241,8 @@ const latencyBuckets = 16
 // histogram is a fixed-bucket lock-free histogram of nanosecond samples under
 // bounds its owner keeps: an observe is a bucket scan plus two atomic adds. It
 // keeps no sample count apart from the buckets, so a read taken during an
-// observe can never show a count that disagrees with them.
+// observe can never show a count that disagrees with them. Samples are never
+// negative: every caller observes an interval clamped at 0 (DESIGN §6).
 type histogram struct {
 	sum    atomic.Int64
 	counts [latencyBuckets + 1]atomic.Int64 // a bucket per bound, then +Inf
@@ -252,7 +254,7 @@ func (h *histogram) observe(bounds []time.Duration, ns int64) {
 		i++
 	}
 	h.counts[i].Add(1)
-	h.sum.Add(max(ns, 0))
+	h.sum.Add(ns)
 }
 
 // newLatencyHistogram is an empty read view under bounds, for addTo to fill.
@@ -382,7 +384,7 @@ func (m *Manager) SelfStats() SelfStats {
 	}
 	if v := m.snap.view.Load(); v != nil {
 		st.SnapshotEpoch = v.Epoch
-		st.SnapshotAge = time.Duration(m.opts.Now() - v.BuiltAt)
+		st.SnapshotAge = m.ViewAge(v)
 	}
 	st.ContentionStickySlots = m.contention.stickySlots()
 	for i := range m.stripes {

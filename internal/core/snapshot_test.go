@@ -55,6 +55,21 @@ func TestSnapshotBoundedStaleness(t *testing.T) {
 	}
 }
 
+// TestViewAgeNeverNegative: a view read right after its rebuild, on a clock
+// that reads a little behind the builder's (exec.Now's unfenced counter read
+// on another CPU), is 0 old on both read surfaces, never negative.
+func TestViewAgeNeverNegative(t *testing.T) {
+	now := int64(time.Second)
+	m := NewManager(Options{Now: func() int64 { now--; return now }})
+	v := m.RefreshStatusView()
+	if age := m.ViewAge(v); age != 0 {
+		t.Fatalf("ViewAge right after the rebuild = %v, want 0", age)
+	}
+	if st := m.SelfStats(); st.SnapshotEpoch != v.Epoch || st.SnapshotAge != 0 {
+		t.Fatalf("SelfStats: epoch %d age %v, want epoch %d age 0", st.SnapshotEpoch, st.SnapshotAge, v.Epoch)
+	}
+}
+
 // TestSnapshotRefreshForcesRebuild: RefreshStatusView bumps the epoch even
 // when the published view is fresh, so detection-time captures always see
 // pre-call events.

@@ -451,8 +451,9 @@ func (w *Worker) UpdateAt(key ResourceKey, ev EventType, at int64) {
 	slot := m.contentionSlot(key)
 	id := int64(p.id)
 	if v := slot.Load(); v == id || v == 0 {
-		one, now := [1]KeyEvent{{Key: key, Ev: ev}}, m.clock(at)
-		n, claims := w.spool.appendRun(p, one[:], now)
+		at = m.clock(at) // the event's one stamp, whichever tier applies it
+		one := [1]KeyEvent{{Key: key, Ev: ev}}
+		n, claims := w.spool.appendRun(p, one[:], at)
 		if claims > 0 {
 			m.self.contentionClaims.Add(claims)
 		}
@@ -462,7 +463,7 @@ func (w *Worker) UpdateAt(key ResourceKey, ev EventType, at int64) {
 			m.self.spoolOverflows.Add(1)
 			w.spool.flush(true)
 			p.flushHinted() // another worker's spool may hold p's records; ours is unlocked
-			n, _ = w.spool.appendRun(p, one[:], now)
+			n, _ = w.spool.appendRun(p, one[:], at)
 		}
 		if n == 1 {
 			// Straggler self-healing: if the slot changed between the claim

@@ -169,6 +169,34 @@ func TestSpoolEdgeCapacities(t *testing.T) {
 	}
 }
 
+// TestRefusedAppendKeepsItsStamp: an event the spool refuses (a zero-slot
+// spool refuses every append) goes to Tier B with the stamp its Tier A attempt
+// took: one clock read, and its state row at that read's time.
+func TestRefusedAppendKeepsItsStamp(t *testing.T) {
+	var now, reads int64
+	m := NewManager(Options{Now: func() int64 { reads++; now += 100; return now }, Sleep: func(time.Duration) {}, TraceSize: 64})
+	p, _ := m.Create(DefaultRule())
+	w := smallWorker(m, 0)
+	if err := w.BindDirect(p); err != nil {
+		t.Fatal(err)
+	}
+	m.Activate(p)
+	reads, stamp := 0, now+100
+	w.Update(5, Prepare)
+	if st := m.SelfStats(); reads != 1 || st.SpoolOverflows != 1 {
+		t.Fatalf("one refused event: %d clock reads, %d refused appends; want 1, 1", reads, st.SpoolOverflows)
+	}
+	var rows []int64
+	for _, e := range preciseTrace(m) {
+		if e.Kind == KindState {
+			rows = append(rows, e.Record.At)
+		}
+	}
+	if len(rows) != 1 || rows[0] != stamp {
+		t.Fatalf("state rows at %v, want one at the Tier A attempt's stamp %d", rows, stamp)
+	}
+}
+
 // TestSpoolFlushRacesLifecycle races the three flush paths against each
 // other and against the pBox lifecycle with the race detector watching:
 // worker-goroutine fills and slow-path hand-offs (flush(true)), reader

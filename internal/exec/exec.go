@@ -12,6 +12,16 @@
 // giving the "sufficient hardware" semantics of the paper's testbed, and
 // sub-millisecond durations stay accurate despite the coarse timer.
 //
+// Now, the clock every manager stamp is taken on, reads the CPU's
+// time-stamp counter where the host makes that safe (linux/amd64, an
+// invariant counter, and the kernel's own clocksource is tsc; see tsc.go), and
+// the runtime's monotonic clock (the vDSO) everywhere else. The counter read is
+// unfenced, so the clock is monotonic per CPU; across CPUs two reads may be
+// out of order by the out-of-order window, which is why the manager clamps at 0
+// every interval whose two ends may be read on different CPUs. The waits
+// (SleepPrecise, Work, Spin) take their deadlines from the runtime clock,
+// which the runtime's timers run on.
+//
 // Virtualize is the one test seam: inside a testing/synctest bubble it turns
 // every wait into a plain time.Sleep on the bubble's fake clock, so a case
 // re-executes deterministically in virtual time.
@@ -28,8 +38,9 @@ var sink atomic.Uint64
 
 var processStart = time.Now()
 
-// virtual is set by Virtualize: Work and SleepPrecise sleep the timer.
-var virtual bool
+// virtual is set by Virtualize: Work and SleepPrecise sleep the timer, and Now
+// reads the runtime clock. Every Now reads it, from any goroutine.
+var virtual atomic.Bool
 
 // Virtualize switches the package to virtual mode for a testing/synctest
 // bubble, whose fake clock moves only while every goroutine in it is blocked:
@@ -39,16 +50,31 @@ var virtual bool
 // and call the returned restore after the bubble has ended. Now's real path is
 // unchanged by the seam.
 func Virtualize() (restore func()) {
-	start, was := processStart, virtual
-	processStart, virtual = time.Now(), true
-	return func() { processStart, virtual = start, was }
+	start, was := processStart, virtual.Load()
+	processStart = time.Now()
+	virtual.Store(true)
+	return func() { processStart = start; virtual.Store(was) }
 }
 
-// Now returns a monotonic timestamp in nanoseconds. All pBox bookkeeping is
-// done on this clock so the manager never observes wall-clock jumps.
+// Now returns a monotonic timestamp in nanoseconds since the process started.
+// All pBox bookkeeping is done on this clock so the manager never observes
+// wall-clock jumps. It reads the time-stamp counter, scaled and anchored to
+// continue the runtime clock, where the host makes that safe, and the runtime
+// clock otherwise and in virtual mode. Monotonic per CPU (see the package
+// comment).
+//
+//pbox:hotpath
 func Now() int64 {
-	return int64(time.Since(processStart))
+	if tsc.mult != 0 && !virtual.Load() {
+		return tsc.ns(rdtsc())
+	}
+	return runtimeNow()
 }
+
+// runtimeNow is the runtime's monotonic clock since the process started:
+// Now's fallback, and the clock of every wait's deadline, because the
+// runtime's timers run on it.
+func runtimeNow() int64 { return int64(time.Since(processStart)) }
 
 // spinThreshold is the slack below which waiting is done by yielding spins
 // rather than timer sleeps (the environment's timer granularity is ~1ms).
@@ -62,18 +88,18 @@ func SleepPrecise(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	if virtual {
+	if virtual.Load() {
 		time.Sleep(d)
 		return
 	}
-	deadline := Now() + int64(d)
+	deadline := runtimeNow() + int64(d)
 	// Park on the timer only when the slack left for spinning exceeds the
 	// timer's worst-case overshoot (~1.5ms here), so the wakeup always
 	// lands before the deadline and the spin finishes precisely.
 	if d > 2*spinThreshold {
 		time.Sleep(d - 2*spinThreshold)
 	}
-	for Now() < deadline {
+	for runtimeNow() < deadline {
 		runtime.Gosched()
 	}
 }
@@ -88,13 +114,13 @@ func Work(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	if virtual {
+	if virtual.Load() {
 		time.Sleep(d)
 		return
 	}
-	deadline := Now() + int64(d)
+	deadline := runtimeNow() + int64(d)
 	var acc uint64
-	for Now() < deadline {
+	for runtimeNow() < deadline {
 		for i := 0; i < 16; i++ {
 			acc = acc*6364136223846793005 + 1442695040888963407
 		}
@@ -141,12 +167,12 @@ func IOWait(d time.Duration) {
 // sleep-and-recheck loops (Figure 9 of the paper) that applications use to
 // wait for virtual resources. Returns true if cond became true.
 func Spin(cond func() bool, poll, timeout time.Duration) bool {
-	deadline := Now() + int64(timeout)
+	deadline := runtimeNow() + int64(timeout)
 	for {
 		if cond() {
 			return true
 		}
-		if timeout > 0 && Now() >= deadline {
+		if timeout > 0 && runtimeNow() >= deadline {
 			return false
 		}
 		SleepPrecise(poll)

@@ -29,7 +29,7 @@ func TestVirtualize(t *testing.T) {
 		}
 	})
 	restore()
-	if virtual || Now() <= 0 {
+	if virtual.Load() || Now() <= 0 {
 		t.Fatalf("after restore: virtual %v, Now %d", virtual, Now())
 	}
 }

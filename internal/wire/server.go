@@ -48,9 +48,11 @@ type Stats struct {
 // Server accepts wire-protocol connections and fans their batched events
 // into the manager's Tier-A spool fast path: each connection owns one
 // core.Worker (the protocol is sequential per connection, matching Worker's
-// thread-local contract), so a single-tenant event run decodes straight into
-// the worker spool with zero allocations per batch. It has one clock, the
-// manager's, read once per frame (applyFrame).
+// thread-local contract). A frame's events between two control ops decode into
+// the connection's run buffer (connState.run), which Worker.UpdateRunAt copies
+// into the worker spool under one spool-lock hold (appendRun), with zero
+// allocations per batch. It has one clock, the manager's, read once per frame
+// (applyFrame).
 type Server struct {
 	mgr    *core.Manager
 	cfg    Config
