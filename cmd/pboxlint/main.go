@@ -1,8 +1,9 @@
 // Command pboxlint is the multichecker for the pbox static-analysis suite:
 // it loads packages, builds the whole-program view, runs the enforcing
-// passes (atomicpublish, eventpair, hotpathalloc, lockorder, reentry,
-// snapshotreader, viewimmut), applies //pboxlint:ignore suppressions, and
-// prints the findings, one file:line:col line each.
+// passes (eventpair, hotpathalloc, lockorder, reentry, snapshot), applies
+// //pboxlint:ignore suppressions, and prints the findings, one
+// file:line:col line each. A suppression that silences nothing, or names no
+// registered pass, is a finding too.
 //
 // Usage:
 //
@@ -13,7 +14,7 @@
 // on loading or internal errors — the same convention as go vet, so CI gates
 // on it directly:
 //
-//	go run ./cmd/pboxlint ./...
+//	go run ./cmd/pboxlint -suppressed ./...
 //
 // Flags:
 //
@@ -75,7 +76,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	res, err := driver.Run(pkgs, selected)
+	res, err := driver.Run(pkgs, selected, lint.All())
 	if err != nil {
 		fmt.Fprintf(stderr, "pboxlint: %v\n", err)
 		return 2

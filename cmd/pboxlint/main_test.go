@@ -36,17 +36,31 @@ func TestEmptySelectionRejected(t *testing.T) {
 	}
 }
 
-// TestListPasses prints every registered pass.
+// TestListPasses prints exactly the registered passes, in order.
 func TestListPasses(t *testing.T) {
 	var out, errb bytes.Buffer
 	code := run([]string{"-list"}, &out, &errb)
 	if code != 0 {
 		t.Fatalf("exit = %d, want 0; stderr: %s", code, errb.String())
 	}
-	for _, name := range []string{"atomicpublish", "eventpair", "hotpathalloc", "lockorder", "reentry", "snapshotreader", "viewimmut", "waitloop"} {
-		if !strings.Contains(out.String(), name) {
-			t.Errorf("-list output missing %s:\n%s", name, out.String())
-		}
+	var names []string
+	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
+		names = append(names, strings.Fields(line)[0])
+	}
+	if got, want := strings.Join(names, " "), "eventpair hotpathalloc lockorder reentry snapshot waitloop"; got != want {
+		t.Errorf("-list passes = %q, want %q", got, want)
+	}
+}
+
+// TestRetiredPassRejected: the view passes merged into snapshot; selecting
+// one by its old name is an unknown pass.
+func TestRetiredPassRejected(t *testing.T) {
+	var out, errb bytes.Buffer
+	if code := run([]string{"-passes", "atomicpublish"}, &out, &errb); code != 2 {
+		t.Fatalf("exit = %d, want 2; stderr: %s", code, errb.String())
+	}
+	if msg := errb.String(); !strings.Contains(msg, `unknown pass "atomicpublish"`) || !strings.Contains(msg, "valid passes: eventpair, hotpathalloc, lockorder, reentry, snapshot, waitloop") {
+		t.Errorf("stderr should reject the old name and list the registry: %s", msg)
 	}
 }
 

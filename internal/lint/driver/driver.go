@@ -8,8 +8,11 @@
 //	//pboxlint:ignore <pass> <reason>
 //
 // placed on the diagnostic's line or the line directly above it. The pass
-// name must match the reporting analyzer ("*" matches every pass) and the
-// reason is mandatory: an undocumented exception is itself a finding.
+// name must match the reporting analyzer and the reason is mandatory. An
+// exception that is not in force is itself a finding: one with no reason,
+// one that names no registered pass, and one whose pass ran and reported
+// nothing for it to silence (a stale exception). An ignore for a registered
+// pass the run did not select is not judged.
 package driver
 
 import (
@@ -50,10 +53,18 @@ type PassReturn struct {
 
 // Run executes every analyzer over every package and merges the findings.
 // All packages of one Run share one whole-program view (Pass.Prog), so
-// passes see call chains that cross package boundaries.
-func Run(pkgs []*loader.Package, analyzers []*analysis.Analyzer) (*Result, error) {
+// passes see call chains that cross package boundaries. registry is every
+// pass a suppression may name.
+func Run(pkgs []*loader.Package, analyzers, registry []*analysis.Analyzer) (*Result, error) {
 	res := &Result{}
 	prog := program.Build(pkgs)
+	ran, registered := make(map[string]bool), make(map[string]bool)
+	for _, a := range analyzers {
+		ran[a.Name] = true
+	}
+	for _, a := range registry {
+		registered[a.Name] = true
+	}
 	for _, pkg := range pkgs {
 		res.Fset = pkg.Fset
 		sup := collectIgnores(pkg)
@@ -88,10 +99,14 @@ func Run(pkgs []*loader.Package, analyzers []*analysis.Analyzer) (*Result, error
 				res.Diagnostics = append(res.Diagnostics, d)
 			}
 		}
-		// Malformed suppressions are findings too: an ignore with no
-		// reason, or one that silenced nothing, is a stale exception.
-		for _, bad := range sup.malformed {
-			res.Diagnostics = append(res.Diagnostics, bad)
+		res.Diagnostics = append(res.Diagnostics, sup.malformed...)
+		for _, e := range sup.entries {
+			switch {
+			case !registered[e.pass]:
+				res.Diagnostics = append(res.Diagnostics, e.finding("suppression names %q, which is no registered pass", e.pass))
+			case ran[e.pass] && !e.used:
+				res.Diagnostics = append(res.Diagnostics, e.finding("stale suppression: %s reports nothing here to silence", e.pass))
+			}
 		}
 	}
 	if res.Fset != nil {
@@ -121,14 +136,20 @@ func Render(w io.Writer, res *Result) bool {
 
 // ignoreEntry is one parsed //pboxlint:ignore comment.
 type ignoreEntry struct {
+	pos  token.Pos
 	file string
 	line int
 	pass string
+	used bool // it silenced a finding
+}
+
+func (e *ignoreEntry) finding(format string, args ...any) analysis.Diagnostic {
+	return analysis.Diagnostic{Pos: e.pos, Analyzer: "pboxlint", Message: fmt.Sprintf(format, args...)}
 }
 
 // suppressions is the per-package ignore index.
 type suppressions struct {
-	entries   []ignoreEntry
+	entries   []*ignoreEntry
 	malformed []analysis.Diagnostic
 }
 
@@ -152,7 +173,8 @@ func collectIgnores(pkg *loader.Package) *suppressions {
 					continue
 				}
 				pos := pkg.Fset.Position(c.Pos())
-				s.entries = append(s.entries, ignoreEntry{
+				s.entries = append(s.entries, &ignoreEntry{
+					pos:  c.Pos(),
 					file: pos.Filename,
 					line: pos.Line,
 					pass: fields[0],
@@ -164,21 +186,17 @@ func collectIgnores(pkg *loader.Package) *suppressions {
 }
 
 // matches reports whether d is silenced by an ignore on its own line or the
-// line directly above.
+// line directly above, and marks every such ignore used.
 func (s *suppressions) matches(fset *token.FileSet, d analysis.Diagnostic) bool {
 	pos := fset.Position(d.Pos)
+	matched := false
 	for _, e := range s.entries {
-		if e.file != pos.Filename {
-			continue
-		}
-		if e.line != pos.Line && e.line != pos.Line-1 {
-			continue
-		}
-		if e.pass == "*" || e.pass == d.Analyzer {
-			return true
+		if e.file == pos.Filename && (e.line == pos.Line || e.line == pos.Line-1) && e.pass == d.Analyzer {
+			e.used = true
+			matched = true
 		}
 	}
-	return false
+	return matched
 }
 
 // InspectFiles walks every file of a pass with ast.Inspect — a convenience

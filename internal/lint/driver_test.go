@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"pbox/internal/lint"
 	"pbox/internal/lint/analysis"
 	"pbox/internal/lint/driver"
 	"pbox/internal/lint/linttest"
@@ -15,7 +16,9 @@ import (
 
 // TestSuppression exercises the //pboxlint:ignore machinery end to end: a
 // documented ignore silences its finding and increments Suppressed; a
-// malformed ignore (no reason) suppresses nothing and is itself reported.
+// malformed ignore (no reason) suppresses nothing and is itself reported; an
+// ignore whose pass ran and found nothing, and one naming no registered
+// pass, are reported; an ignore for a pass the run did not select is not.
 func TestSuppression(t *testing.T) {
 	srcRoot := linttest.TestData(t)
 	fset := token.NewFileSet()
@@ -23,28 +26,32 @@ func TestSuppression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := driver.Run([]*loader.Package{pkg}, []*analysis.Analyzer{lockorder.Analyzer})
+	res, err := driver.Run([]*loader.Package{pkg}, []*analysis.Analyzer{lockorder.Analyzer}, lint.All())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Suppressed != 1 {
 		t.Errorf("Suppressed = %d, want 1", res.Suppressed)
 	}
-	var gotViolation, gotMalformed bool
+	got := map[string]int{}
 	for _, d := range res.Diagnostics {
+		line := fset.Position(d.Pos).Line
 		switch {
 		case d.Analyzer == "lockorder" && strings.Contains(d.Message, "Manager.reg"):
-			gotViolation = true
+			got["violation"]++
 		case d.Analyzer == "pboxlint" && strings.Contains(d.Message, "malformed suppression"):
-			gotMalformed = true
+			got["malformed"]++
+		case d.Analyzer == "pboxlint" && strings.Contains(d.Message, "stale suppression: lockorder"):
+			got["stale"]++
+		case d.Analyzer == "pboxlint" && strings.Contains(d.Message, `"viewimmut", which is no registered pass`):
+			got["unregistered"]++
 		default:
-			t.Errorf("unexpected diagnostic [%s] %s", d.Analyzer, d.Message)
+			t.Errorf("unexpected diagnostic at line %d: [%s] %s", line, d.Analyzer, d.Message)
 		}
 	}
-	if !gotViolation {
-		t.Error("malformed ignore wrongly suppressed the underlying violation")
-	}
-	if !gotMalformed {
-		t.Error("malformed ignore was not reported")
+	for what, want := range map[string]int{"violation": 1, "malformed": 1, "stale": 1, "unregistered": 1} {
+		if got[what] != want {
+			t.Errorf("%s findings = %d, want %d (all: %v)", what, got[what], want, got)
+		}
 	}
 }

@@ -281,16 +281,12 @@ func emissionSummaries(prog *program.Program) map[*program.Func][]emission {
 func summarize(prog *program.Program, fn *program.Func, sums map[*program.Func][]emission, done map[*program.Func]bool) []emission {
 	info := fn.Pkg.Info
 	params := program.ParamObjects(fn)
-	paramIdx := make(map[types.Object]int, len(params))
-	for i, o := range params {
-		paramIdx[o] = i
+	paramIdx := make(map[*types.Var]int, len(params))
+	for i, v := range params {
+		paramIdx[v] = i
 	}
 	resolve := func(id *ast.Ident) (string, bool) {
-		obj := info.Uses[id]
-		if obj == nil {
-			obj = info.Defs[id]
-		}
-		if i, ok := paramIdx[obj]; ok {
+		if i, ok := paramIdx[program.VarOf(info, id)]; ok {
 			return placeholder(i), true
 		}
 		return "", false

@@ -32,7 +32,7 @@ import (
 )
 
 // Marker is the doc-comment annotation that opts a function into the check.
-const Marker = program.MarkerHotPath
+const Marker = "//pbox:hotpath"
 
 // Analyzer is the hotpathalloc pass.
 var Analyzer = &analysis.Analyzer{
@@ -100,7 +100,7 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 // interface boxing at argument positions.
 func checkCall(pass *analysis.Pass, name string, call *ast.CallExpr) {
 	// Builtins.
-	if id, ok := call.Fun.(*ast.Ident); ok {
+	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 		if b, ok := pass.TypesInfo.Uses[id].(*types.Builtin); ok {
 			switch b.Name() {
 			case "make":
@@ -126,11 +126,9 @@ func checkCall(pass *analysis.Pass, name string, call *ast.CallExpr) {
 		return
 	}
 	// fmt.* calls.
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		if obj := pass.TypesInfo.Uses[sel.Sel]; obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "fmt" {
-			pass.Reportf(call.Pos(), "%s is //pbox:hotpath but allocates: fmt.%s formats and boxes", name, sel.Sel.Name)
-			return
-		}
+	if fn := program.FuncObj(pass.TypesInfo, call); fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "fmt" {
+		pass.Reportf(call.Pos(), "%s is //pbox:hotpath but allocates: fmt.%s formats and boxes", name, fn.Name())
+		return
 	}
 	// Interface boxing at parameter positions.
 	sig := callSignature(pass, call)

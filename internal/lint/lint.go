@@ -1,16 +1,15 @@
-// Package lint assembles the pboxlint analyzer suite: the registry both
-// command drivers (cmd/pboxlint, cmd/pboxanalyze) select passes from.
+// Package lint assembles the pboxlint analyzer suite: the registry
+// cmd/pboxlint selects passes from and the driver checks suppressions
+// against. (cmd/pboxanalyze runs the advisory waitloop pass directly.)
 package lint
 
 import (
 	"pbox/internal/lint/analysis"
-	"pbox/internal/lint/atomicpublish"
 	"pbox/internal/lint/eventpair"
 	"pbox/internal/lint/hotpathalloc"
 	"pbox/internal/lint/lockorder"
 	"pbox/internal/lint/reentry"
-	"pbox/internal/lint/snapshotreader"
-	"pbox/internal/lint/viewimmut"
+	"pbox/internal/lint/snapshot"
 	"pbox/internal/lint/waitloop"
 )
 
@@ -19,13 +18,11 @@ import (
 // and is excluded; select it explicitly with -passes waitloop.
 func Default() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		atomicpublish.Analyzer,
 		eventpair.Analyzer,
 		hotpathalloc.Analyzer,
 		lockorder.Analyzer,
 		reentry.Analyzer,
-		snapshotreader.Analyzer,
-		viewimmut.Analyzer,
+		snapshot.Analyzer,
 	}
 }
 

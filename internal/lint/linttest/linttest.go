@@ -22,6 +22,7 @@ import (
 	"strings"
 	"testing"
 
+	"pbox/internal/lint"
 	"pbox/internal/lint/analysis"
 	"pbox/internal/lint/driver"
 	"pbox/internal/lint/loader"
@@ -61,7 +62,7 @@ func Run(t *testing.T, srcRoot, pkg string, analyzers ...*analysis.Analyzer) *dr
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", pkg, err)
 	}
-	res, err := driver.Run(all, analyzers)
+	res, err := driver.Run(all, analyzers, lint.All())
 	if err != nil {
 		t.Fatalf("running analyzers on %s: %v", pkg, err)
 	}

@@ -67,27 +67,22 @@ const (
 	leafRank       = 40
 )
 
-// classSpec ranks one lock class, keyed by the owning named type and field.
-type classSpec struct {
-	owner string // named type that declares the mutex field
-	field string // mutex field name
-}
-
-// lockTable is the §8 order. Fixture packages declaring types and fields of
-// the same names are ranked identically, which is what the golden tests
-// exercise.
-var lockTable = map[classSpec]int{
-	{"Manager", "snap"}:       rankSnap,
-	{"eventSpool", "mu"}:      rankSpoolFlush,
-	{"Manager", "reg"}:        rankRegistry,
-	{"PBox", "mu"}:            rankPBoxMu,
-	{"shard", "mu"}:           rankShardMu,
-	{"Manager", "verdictMu"}:  rankVerdict,
-	{"PBox", "actMu"}:         leafRank,
-	{"PBox", "penMu"}:         leafRank,
-	{"shard", "namesMu"}:      leafRank,
-	{"traceStripe", "mu"}:     leafRank,
-	{"traceRing", "notifyMu"}: leafRank,
+// LockTable is the §8 order, keyed by owner.field: the named type in
+// internal/core that declares the mutex field, and the field. Fixture
+// packages declaring types and fields of the same names are ranked
+// identically, which is what the golden tests exercise.
+var LockTable = map[string]int{
+	"Manager.snap":       rankSnap,
+	"eventSpool.mu":      rankSpoolFlush,
+	"Manager.reg":        rankRegistry,
+	"PBox.mu":            rankPBoxMu,
+	"shard.mu":           rankShardMu,
+	"Manager.verdictMu":  rankVerdict,
+	"PBox.actMu":         leafRank,
+	"PBox.penMu":         leafRank,
+	"shard.namesMu":      leafRank,
+	"traceStripe.mu":     leafRank,
+	"traceRing.notifyMu": leafRank,
 }
 
 // orderDoc is appended to order-violation messages.
@@ -95,11 +90,11 @@ const orderDoc = "DESIGN.md §8/§10/§12 order: snap → eventSpool.mu → regi
 
 // lockClass is one recognized lock class.
 type lockClass struct {
-	spec classSpec
+	name string // owner.field, a LockTable key
 	rank int
 }
 
-func (c lockClass) String() string { return c.spec.owner + "." + c.spec.field }
+func (c lockClass) String() string { return c.name }
 func (c lockClass) leaf() bool     { return c.rank >= leafRank }
 
 // lockOp is a classified Lock/Unlock call.
@@ -112,7 +107,7 @@ func run(pass *analysis.Pass) (any, error) {
 	st := &state{
 		pass:      pass,
 		info:      pass.TypesInfo,
-		summaries: summaries(pass.Prog),
+		summaries: program.Summaries(pass.Prog, acquisitions),
 		handoffs:  handoffs(pass.Prog),
 	}
 	for _, f := range pass.Files {
@@ -179,47 +174,14 @@ func handoffs(prog *program.Program) map[*program.Func]map[lockClass]bool {
 	}).(map[*program.Func]map[lockClass]bool)
 }
 
-// summaries computes — once per program, cached — the set of lock classes
-// every function may acquire, directly or transitively through calls that
-// may cross package boundaries. Bottom-up over the call-graph SCCs with a
-// fixpoint inside each component.
-func summaries(prog *program.Program) map[*program.Func]map[lockClass]bool {
-	return prog.Cache("lockorder.summaries", func() any {
-		sums := make(map[*program.Func]map[lockClass]bool, len(prog.Funcs()))
-		for _, fn := range prog.Funcs() {
-			sums[fn] = make(map[lockClass]bool)
-		}
-		for _, scc := range prog.SCCs() {
-			for changed := true; changed; {
-				changed = false
-				for _, fn := range scc {
-					sum := sums[fn]
-					before := len(sum)
-					info := fn.Pkg.Info
-					ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
-						call, ok := n.(*ast.CallExpr)
-						if !ok {
-							return true
-						}
-						if op, ok := classifyLockCall(info, call); ok && op.acquire {
-							sum[op.class] = true
-							return true
-						}
-						if callee := prog.Callee(info, call); callee != nil {
-							for c := range sums[callee] {
-								sum[c] = true
-							}
-						}
-						return true
-					})
-					if len(sum) != before {
-						changed = true
-					}
-				}
-			}
-		}
-		return sums
-	}).(map[*program.Func]map[lockClass]bool)
+// acquisitions is the property behind the call checks: the lock classes a
+// function's static call closure may acquire, across package boundaries.
+var acquisitions = program.Property[lockClass]{
+	Key: "lockorder.acquisitions",
+	Direct: func(info *types.Info, call *ast.CallExpr) (lockClass, bool) {
+		op, ok := classifyLockCall(info, call)
+		return op.class, ok && op.acquire
+	},
 }
 
 // callee resolves a call to a program function with a known summary, or nil.
@@ -227,60 +189,20 @@ func (st *state) callee(call *ast.CallExpr) *program.Func {
 	return st.pass.Prog.Callee(st.info, call)
 }
 
-// syncLockMethods are the mutex methods the pass models. TryLock is treated
-// as an acquisition: the §8 order must hold even for opportunistic paths.
-var syncLockMethods = map[string]bool{
-	"Lock": true, "RLock": true, "TryLock": true, "TryRLock": true,
-	"Unlock": false, "RUnlock": false,
-}
-
-// classifyLockCall recognizes expr as a Lock/Unlock-family call on a
-// configured lock class, resolving names through the type info of the
-// package the call appears in.
+// classifyLockCall recognizes a Lock/Unlock-family call on a configured
+// lock class, resolving names through the type info of the package the
+// call appears in. Mutexes outside the table are not classified.
 func classifyLockCall(info *types.Info, call *ast.CallExpr) (lockOp, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
+	owner, field, acquire, ok := program.MutexCall(info, call)
 	if !ok {
 		return lockOp{}, false
 	}
-	acquire, isLockMethod := syncLockMethods[sel.Sel.Name]
-	if !isLockMethod {
-		return lockOp{}, false
-	}
-	// The method must come from package sync (Mutex/RWMutex, possibly via
-	// embedding).
-	obj := info.Uses[sel.Sel]
-	fn, ok := obj.(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return lockOp{}, false
-	}
-	// The mutex expression must itself be a field selection owner.field so
-	// it can be classified; anything else (local mutex, parameter) is
-	// outside the table.
-	base, ok := sel.X.(*ast.SelectorExpr)
+	name := owner + "." + field
+	rank, ok := LockTable[name]
 	if !ok {
 		return lockOp{}, false
 	}
-	ownerType := info.Types[base.X].Type
-	if ownerType == nil {
-		return lockOp{}, false
-	}
-	for {
-		p, ok := ownerType.Underlying().(*types.Pointer)
-		if !ok {
-			break
-		}
-		ownerType = p.Elem()
-	}
-	named, ok := ownerType.(*types.Named)
-	if !ok {
-		return lockOp{}, false
-	}
-	spec := classSpec{owner: named.Obj().Name(), field: base.Sel.Name}
-	rank, ok := lockTable[spec]
-	if !ok {
-		return lockOp{}, false
-	}
-	return lockOp{class: lockClass{spec: spec, rank: rank}, acquire: acquire}, true
+	return lockOp{class: lockClass{name: name, rank: rank}, acquire: acquire}, true
 }
 
 // held is the abstract held-set: class → first acquisition position.

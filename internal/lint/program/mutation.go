@@ -1,8 +1,8 @@
 // Mutation summaries: for every program function, the set of parameters
 // (receiver included) through which it may store. This is the bottom-up
-// dataflow behind the atomicpublish and viewimmut passes — "is it safe to
-// hand this published pointer to that function?" is answered by the callee's
-// summary rather than by re-walking its body at every call site.
+// dataflow behind the snapshot pass's write rule — "is it safe to hand this
+// published pointer to that function?" is answered by the callee's summary
+// rather than by re-walking its body at every call site.
 //
 // The summary is deliberately one-sided: it may miss writes (calls through
 // interfaces or function values, writes through aliases that escape into
@@ -65,9 +65,9 @@ func (p *Program) MutationSummaries() map[*Func]ParamMask {
 
 // ParamObjects returns the receiver (if any) followed by the declared
 // parameters of fn, aligned with ParamMask bit positions.
-func ParamObjects(fn *Func) []types.Object {
+func ParamObjects(fn *Func) []*types.Var {
 	sig := fn.Obj.Type().(*types.Signature)
-	var out []types.Object
+	var out []*types.Var
 	if r := sig.Recv(); r != nil {
 		out = append(out, r)
 	}
@@ -96,38 +96,29 @@ func ReferenceLike(t types.Type) bool {
 // else.
 func (p *Program) mutationOf(fn *Func, sums map[*Func]ParamMask) ParamMask {
 	info := fn.Pkg.Info
-	params := ParamObjects(fn)
-	paramIdx := make(map[types.Object]int, len(params))
-	for i, o := range params {
-		if ReferenceLike(o.Type()) {
-			paramIdx[o] = i
+	// idx maps each reference-like parameter, and each local that aliases
+	// (reaches into) one's pointee — q := p, q := p.field — to the
+	// parameter's position: writing through an alias is writing through the
+	// parameter. Local fixpoint: aliases of aliases converge in a couple of
+	// rounds.
+	idx := make(map[*types.Var]int)
+	for i, v := range ParamObjects(fn) {
+		if ReferenceLike(v.Type()) {
+			idx[v] = i
 		}
 	}
-	if len(paramIdx) == 0 {
+	if len(idx) == 0 {
 		return 0
 	}
-
-	// aliasIdx maps local objects that alias (reach into) a parameter's
-	// pointee: q := p, q := p.field (reference-typed). Writing through such
-	// an alias is writing through the parameter. Local fixpoint: aliases of
-	// aliases converge in a couple of rounds.
-	aliasIdx := make(map[types.Object]int)
-	rootParam := func(e ast.Expr) (int, bool) {
-		id, _ := RootIdent(e)
+	// param resolves a path to the parameter it starts at, and reports
+	// whether the path reaches through it rather than naming it.
+	param := func(e ast.Expr) (i int, peeled, ok bool) {
+		id, peeled := RootIdent(e)
 		if id == nil {
-			return 0, false
+			return 0, false, false
 		}
-		obj := info.Uses[id]
-		if obj == nil {
-			obj = info.Defs[id]
-		}
-		if i, ok := paramIdx[obj]; ok {
-			return i, true
-		}
-		if i, ok := aliasIdx[obj]; ok {
-			return i, true
-		}
-		return 0, false
+		i, ok = idx[VarOf(info, id)]
+		return i, peeled, ok
 	}
 	for changed := true; changed; {
 		changed = false
@@ -141,21 +132,12 @@ func (p *Program) mutationOf(fn *Func, sums map[*Func]ParamMask) ParamMask {
 				if !ok {
 					continue
 				}
-				obj := info.Defs[id]
-				if obj == nil {
-					obj = info.Uses[id]
-				}
-				if obj == nil || !ReferenceLike(obj.Type()) {
+				v := VarOf(info, id)
+				if _, already := idx[v]; v == nil || already || !ReferenceLike(v.Type()) || !ReferenceLike(info.Types[as.Rhs[i]].Type) {
 					continue
 				}
-				if _, already := aliasIdx[obj]; already {
-					continue
-				}
-				if !ReferenceLike(info.Types[as.Rhs[i]].Type) {
-					continue
-				}
-				if pi, ok := rootParam(as.Rhs[i]); ok {
-					aliasIdx[obj] = pi
+				if pi, _, ok := param(as.Rhs[i]); ok {
+					idx[v] = pi
 					changed = true
 				}
 			}
@@ -165,25 +147,10 @@ func (p *Program) mutationOf(fn *Func, sums map[*Func]ParamMask) ParamMask {
 
 	var mask ParamMask
 	markWrite := func(lhs ast.Expr) {
-		id, peeled := RootIdent(lhs)
-		if id == nil {
-			return
-		}
-		obj := info.Uses[id]
-		if obj == nil {
-			obj = info.Defs[id]
-		}
-		pi, isParam := paramIdx[obj]
-		if !isParam {
-			pi, isParam = aliasIdx[obj]
-		}
-		if !isParam {
-			return
-		}
 		// `p = x` rebinds the local copy of the parameter — the caller never
 		// sees it; only peeled paths (p.f = x, p[i] = x, *p = x) store
 		// through shared memory. Aliases follow the same rule.
-		if peeled {
+		if pi, peeled, ok := param(lhs); ok && peeled {
 			mask.set(pi)
 		}
 	}
@@ -200,9 +167,9 @@ func (p *Program) mutationOf(fn *Func, sums map[*Func]ParamMask) ParamMask {
 			// &p.f escaping is not itself a write; covered as false negative.
 		case *ast.CallExpr:
 			// builtin copy(dst, src) writes through dst.
-			if id, ok := ast.Unparen(x.Fun).(*ast.Ident); ok && isBuiltinCopy(info, id) {
+			if IsBuiltin(info, x.Fun, "copy") {
 				if len(x.Args) >= 1 {
-					if pi, ok := rootParam(x.Args[0]); ok {
+					if pi, _, ok := param(x.Args[0]); ok {
 						mask.set(pi)
 					}
 				}
@@ -220,7 +187,7 @@ func (p *Program) mutationOf(fn *Func, sums map[*Func]ParamMask) ParamMask {
 				if argExpr == nil || !csum.Has(ci) {
 					continue
 				}
-				if pi, ok := rootParam(argExpr); ok && ReferenceLike(info.Types[argExpr].Type) {
+				if pi, _, ok := param(argExpr); ok && ReferenceLike(info.Types[argExpr].Type) {
 					mask.set(pi)
 				}
 			}
@@ -279,11 +246,4 @@ func CallArgExprs(info *types.Info, call *ast.CallExpr, callee *Func) []ast.Expr
 		}
 	}
 	return out
-}
-
-// isBuiltinCopy reports whether id resolves to the predeclared copy builtin
-// (not a shadowing user declaration).
-func isBuiltinCopy(info *types.Info, id *ast.Ident) bool {
-	b, ok := info.Uses[id].(*types.Builtin)
-	return ok && b.Name() == "copy"
 }

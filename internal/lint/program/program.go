@@ -24,6 +24,7 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
+	"strings"
 
 	"pbox/internal/lint/loader"
 )
@@ -139,21 +140,27 @@ func (p *Program) FuncOf(obj *types.Func) *Func {
 	return p.funcs[obj.FullName()]
 }
 
-// CalleeObj resolves the static callee object of a call under info: a plain
-// function call, a method call, or a qualified cross-package call. Calls
-// through function values, interfaces bound dynamically, or built-ins
-// return nil.
-func CalleeObj(info *types.Info, call *ast.CallExpr) *types.Func {
+// FuncObj resolves the function or method a call names under info — a plain
+// or qualified function, a method of a concrete type or of an interface —
+// or nil for calls through function values, conversions, and built-ins.
+// Passes that match callees by name (a sync lock method, a flush helper)
+// use it; the call graph uses CalleeObj.
+func FuncObj(info *types.Info, call *ast.CallExpr) *types.Func {
 	var obj types.Object
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		obj = info.Uses[fun]
 	case *ast.SelectorExpr:
 		obj = info.Uses[fun.Sel]
-	default:
-		return nil
 	}
 	fn, _ := obj.(*types.Func)
+	return fn
+}
+
+// CalleeObj is FuncObj restricted to static calls: a method called through
+// an interface has no static callee and resolves to nil.
+func CalleeObj(info *types.Info, call *ast.CallExpr) *types.Func {
+	fn := FuncObj(info, call)
 	if fn == nil {
 		return nil
 	}
@@ -164,6 +171,23 @@ func CalleeObj(info *types.Info, call *ast.CallExpr) *types.Func {
 	}
 	return fn
 }
+
+// Marked reports whether a function declaration's doc comment carries a
+// //pbox: marker line (//pbox:hotpath, //pbox:snapshotreader, ...).
+func Marked(fd *ast.FuncDecl, marker string) bool {
+	if fd == nil || fd.Doc == nil {
+		return false
+	}
+	for _, c := range fd.Doc.List {
+		if strings.HasPrefix(c.Text, marker) {
+			return true
+		}
+	}
+	return false
+}
+
+// MarkedAs is Marked lifted to a program function.
+func (f *Func) MarkedAs(marker string) bool { return Marked(f.Decl, marker) }
 
 // Callee resolves a call in the context of info to a program function, or
 // nil for calls that leave the program.
@@ -279,4 +303,83 @@ func RootIdent(e ast.Expr) (*ast.Ident, bool) {
 			return nil, peeled
 		}
 	}
+}
+
+// VarOf resolves an identifier, defining or using, to its variable, or nil
+// when it names something else.
+func VarOf(info *types.Info, id *ast.Ident) *types.Var {
+	obj := info.Uses[id]
+	if obj == nil {
+		obj = info.Defs[id]
+	}
+	v, _ := obj.(*types.Var)
+	return v
+}
+
+// IsBuiltin reports whether e names the predeclared built-in function name
+// (not a shadowing user declaration).
+func IsBuiltin(info *types.Info, e ast.Expr, name string) bool {
+	id, ok := ast.Unparen(e).(*ast.Ident)
+	if !ok {
+		return false
+	}
+	b, ok := info.Uses[id].(*types.Builtin)
+	return ok && b.Name() == name
+}
+
+// Named peels pointers off t and returns the named type underneath, or nil.
+func Named(t types.Type) *types.Named {
+	for t != nil {
+		p, ok := t.Underlying().(*types.Pointer)
+		if !ok {
+			break
+		}
+		t = p.Elem()
+	}
+	named, _ := t.(*types.Named)
+	return named
+}
+
+// RecvNamed returns the named type fn is a method of, through a pointer
+// receiver too, or nil for a plain function.
+func RecvNamed(fn *types.Func) *types.Named {
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return nil
+	}
+	return Named(sig.Recv().Type())
+}
+
+// lockMethods are the sync methods MutexCall recognizes, each mapped to
+// whether it acquires. TryLock counts as an acquisition: an opportunistic
+// path takes the lock as surely as a blocking one when it succeeds.
+var lockMethods = map[string]bool{
+	"Lock": true, "RLock": true, "TryLock": true, "TryRLock": true,
+	"Unlock": false, "RUnlock": false,
+}
+
+// MutexCall recognizes owner.field.M(), where M is a lock or unlock method
+// of package sync (a Mutex or RWMutex field, possibly embedded) and owner's
+// type is a named type, possibly behind pointers. It returns the owner
+// type's name, the field, and whether M acquires. A mutex that is not a
+// field of a named type (a local, a parameter) is not recognized.
+func MutexCall(info *types.Info, call *ast.CallExpr) (owner, field string, acquire, ok bool) {
+	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !isSel {
+		return "", "", false, false
+	}
+	acquire, isLock := lockMethods[sel.Sel.Name]
+	fn, _ := info.Uses[sel.Sel].(*types.Func)
+	if !isLock || fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
+		return "", "", false, false
+	}
+	base, isSel := ast.Unparen(sel.X).(*ast.SelectorExpr)
+	if !isSel {
+		return "", "", false, false
+	}
+	named := Named(info.Types[base.X].Type)
+	if named == nil {
+		return "", "", false, false
+	}
+	return named.Obj().Name(), base.Sel.Name, acquire, true
 }

@@ -1,4 +1,4 @@
-// Fixture for the atomicpublish publish-site rule: values stored through an
+// Fixture for the snapshot pass's publish roots: values stored through an
 // atomic.Pointer are published and must never be written again through a
 // retained alias.
 package atomicpublish

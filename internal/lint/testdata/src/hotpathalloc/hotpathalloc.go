@@ -25,6 +25,11 @@ func badMake() []int {
 }
 
 //pbox:hotpath
+func badParenMake() []int {
+	return (make)([]int, 4) // want `allocates: make`
+}
+
+//pbox:hotpath
 func badNew() *entry {
 	return new(entry) // want `allocates: new`
 }
@@ -56,7 +61,8 @@ func badClosure() func() {
 
 //pbox:hotpath
 func badFmt(id int) {
-	fmt.Println(id) // want `fmt\.Println`
+	fmt.Println(id)   // want `fmt\.Println`
+	(fmt.Println)(id) // want `fmt\.Println`
 }
 
 //pbox:hotpath

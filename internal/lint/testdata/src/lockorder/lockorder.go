@@ -58,6 +58,14 @@ func badShardThenRegistry(m *Manager, s *shard) {
 	s.mu.Unlock()
 }
 
+// badParenLock takes the lock through a parenthesised method value.
+func badParenLock(m *Manager, s *shard) {
+	m.verdictMu.Lock()
+	(s.mu.Lock)() // want `acquires shard\.mu while holding Manager\.verdictMu`
+	s.mu.Unlock()
+	m.verdictMu.Unlock()
+}
+
 // badTwoPBoxes holds two pbox locks at once.
 func badTwoPBoxes(a, b *PBox) {
 	a.mu.Lock()

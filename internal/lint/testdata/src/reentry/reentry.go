@@ -23,6 +23,17 @@ func (c *badCollector) StateEventAt(id int, at int64) {
 	_ = c.mgr.Status() // want `observer callback badCollector\.StateEventAt calls Manager\.Status`
 }
 
+// parenCollector names the re-entry through a parenthesised method value.
+type parenCollector struct {
+	mgr *Manager
+}
+
+func (c *parenCollector) StateEventAt(id int, at int64) {
+	_ = (c.mgr.Status)() // want `observer callback parenCollector\.StateEventAt calls Manager\.Status`
+}
+
+func (c *parenCollector) PenaltyServed(id int) {}
+
 func (c *badCollector) PenaltyServed(id int) {
 	_ = c.mgr.Status() // PenaltyServed runs outside manager locks: allowed
 }

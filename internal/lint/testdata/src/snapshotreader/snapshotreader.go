@@ -1,5 +1,6 @@
-// Fixture for the snapshotreader pass: local Manager/shard/eventSpool types
-// stand in for internal/core's (the pass matches by name and annotation).
+// Fixture for the snapshot pass's reader rule: local Manager/shard/eventSpool
+// types stand in for internal/core's (the pass matches by name and
+// annotation).
 package snapshotreader
 
 import (
@@ -98,6 +99,13 @@ func (m *Manager) badIndirect() {
 
 func (m *Manager) helper() {
 	m.flushHinted(1) // want `snapshot reader badIndirect \(via helper\) calls flushHinted`
+}
+
+// badParenSweep names the flush through a parenthesised method value.
+//
+//pbox:snapshotreader
+func (m *Manager) badParenSweep() {
+	(m.sweepSpools)() // want `snapshot reader badParenSweep calls sweepSpools`
 }
 
 // badSpoolFlush steals one worker's buffer.

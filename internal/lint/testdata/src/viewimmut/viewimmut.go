@@ -1,5 +1,5 @@
-// Fixture for the viewimmut pass: obtained StatusViews are deeply
-// read-only; locally constructed ones belong to the builder until
+// Fixture for the snapshot pass's obtained-view roots: obtained StatusViews
+// are deeply read-only; locally constructed ones belong to the builder until
 // published; //pbox:snapshotbuilder context is exempt.
 package viewimmut
 
@@ -31,6 +31,12 @@ func badFieldWrite(m *Manager) {
 func badElementWrite(m *Manager) {
 	v := m.View()
 	v.Counts[0] = 1 // want `write through v, which reaches an obtained StatusView`
+}
+
+// badSwap writes two elements in one statement: one finding.
+func badSwap(m *Manager) {
+	v := m.View()
+	v.Counts[0], v.Counts[1] = v.Counts[1], v.Counts[0] // want `write through v, which reaches an obtained StatusView`
 }
 
 // badAliasWrite reaches the view through a reference-typed alias.

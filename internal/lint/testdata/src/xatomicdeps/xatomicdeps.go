@@ -1,6 +1,8 @@
 // Fixture dependency for the cross-package mixed atomic/plain access test:
-// this package accesses Stats.N exclusively through the sync/atomic free
-// functions, which places the field in the program-wide atomic set.
+// this package accesses Stats.N through the sync/atomic free functions.
+// The free functions are the finding: a field they reach can be read
+// plainly from any package (xatomicmixed does), and only a typed atomic's
+// type forbids it.
 package xatomicdeps
 
 import "sync/atomic"
@@ -9,12 +11,12 @@ type Stats struct {
 	N int64
 }
 
-// Bump increments atomically; the &s.N operand is sanctioned address-taking.
+// Bump increments atomically.
 func Bump(s *Stats) {
-	atomic.AddInt64(&s.N, 1)
+	atomic.AddInt64(&s.N, 1) // want `sync/atomic free function AddInt64`
 }
 
 // Read loads atomically.
 func Read(s *Stats) int64 {
-	return atomic.LoadInt64(&s.N)
+	return atomic.LoadInt64(&s.N) // want `sync/atomic free function LoadInt64`
 }

@@ -1,4 +1,4 @@
-// Fixture dependency for the cross-package viewimmut test: exports the
+// Fixture dependency for the cross-package obtained-view test: exports the
 // StatusView type, an accessor that yields the published view, and a helper
 // that writes through its parameter. The helper's own body is flagged too —
 // it is not builder context (its only callers are plain functions).

@@ -1,4 +1,4 @@
-// Fixture for cross-package viewimmut findings: the StatusView and its
+// Fixture for cross-package obtained-view findings: the StatusView and its
 // accessor live in xviewdeps; mutations here — invisible to any per-package
 // walk of that package — must still be flagged.
 package xviewimmut

@@ -55,7 +55,9 @@ func AnalyzePattern(dir, pattern string) (*analyzer.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := driver.Run(pkgs, []*analysis.Analyzer{Analyzer})
+	// Only the pass's values are read: the diagnostics, suppression
+	// findings among them, are pboxlint's to report.
+	res, err := driver.Run(pkgs, []*analysis.Analyzer{Analyzer}, []*analysis.Analyzer{Analyzer})
 	if err != nil {
 		return nil, err
 	}
