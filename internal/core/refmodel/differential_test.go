@@ -282,13 +282,40 @@ func (h *harness) Record(r core.Record) {
 	h.mu.Unlock()
 }
 
+// traceSize keeps every row a script can make in the trace ring.
+const traceSize = 1 << 16
+
 func newHarness(t *testing.T, s script) *harness {
 	h := &harness{t: t, pb: map[int]*core.PBox{}}
 	h.Sink = h
 	o := options(s.header, h.clock.Load)
 	o.Observer = h
+	o.TraceSize = traceSize
 	h.mgr = core.NewManager(o)
 	return h
+}
+
+// stream is the run's record stream, once the trace ring is held to it: the
+// ring has writers of its own for state runs and freeze rows, and each
+// pBox's rows in it must be that pBox's rows in the stream, in order.
+func (h *harness) stream(via string) []core.Record {
+	rows, _ := h.mgr.TraceView(0)
+	ring, sink := map[int][]core.Record{}, map[int][]core.Record{}
+	for _, e := range rows {
+		ring[e.PBox] = append(ring[e.PBox], e.Record)
+	}
+	for _, r := range h.recs {
+		sink[r.PBox] = append(sink[r.PBox], r)
+	}
+	for _, ids := range []map[int][]core.Record{sink, ring} {
+		for id := range ids {
+			if !slices.Equal(ring[id], sink[id]) {
+				h.t.Fatalf("%s: pBox %d: the trace ring holds %d rows, the stream %d\n ring:   %v\n stream: %v",
+					via, id, len(ring[id]), len(sink[id]), ring[id], sink[id])
+			}
+		}
+	}
+	return h.recs
 }
 
 func (h *harness) accepted(o op, err error) {
@@ -361,7 +388,7 @@ func inProcess(t *testing.T, s script, fan int) []core.Record {
 			}
 		}
 	}
-	return h.recs
+	return h.stream([]string{"Manager.Update", "one Worker", "two Workers"}[fan])
 }
 
 // overWire is via (iv): one connection to a wire.Server on loopback, so one
@@ -421,7 +448,7 @@ func overWire(t *testing.T, s script) []core.Record {
 	c.Close()
 	srv.Close()
 	<-done
-	return h.recs
+	return h.stream("wire")
 }
 
 // streams cuts a record stream into the parts Tier A keeps in order (DESIGN.md

@@ -10,7 +10,11 @@
 // derives a pairing key from the callee and the remaining arguments (so
 // r.event(a, core.Hold) pairs with r.event(a, core.Unhold) but not with
 // q.event(a, core.Unhold)), and then checks that a matching closer call is
-// reached on every path that leaves the function, honoring defers.
+// reached on every path that leaves the function, honoring defers. The
+// paths are program.Interpret's (DESIGN.md §14): a break or continue carries
+// the open pairs out of the loop, a switch with a default clause and a
+// select end a path when every clause does, and a function literal is a
+// body of its own.
 //
 // Split-phase APIs are the one legitimate exception: Mutex.Lock emits Hold
 // and returns, with Unhold emitted later by Mutex.Unlock. The pass
@@ -36,6 +40,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"sort"
 	"strings"
 
 	"pbox/internal/lint/analysis"
@@ -69,27 +74,12 @@ var closers = map[string]string{
 const eventTypeName = "EventType"
 
 func run(pass *analysis.Pass) (any, error) {
-	for _, f := range pass.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			checkFunc(pass, fd)
-		}
-		// Function literals get the same treatment, independently.
-		ast.Inspect(f, func(n ast.Node) bool {
-			if fl, ok := n.(*ast.FuncLit); ok {
-				checkBody(pass, fl.Body)
-			}
-			return true
-		})
-	}
+	sums := emissionSummaries(pass.Prog)
+	reportf := program.ReportOnce(pass.Reportf)
+	program.EachBody(pass.Files, func(body *ast.BlockStmt) {
+		checkBody(pass, body, sums, reportf)
+	})
 	return nil, nil
-}
-
-func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
-	checkBody(pass, fd.Body)
 }
 
 // eventCall is one recognized event emission.
@@ -99,52 +89,101 @@ type eventCall struct {
 	pos   token.Pos
 }
 
+// pair is one enforced pairing: a key and its opener.
+type pair struct{ key, opener string }
+
 // checkBody runs the pairing analysis over one function body. Nested
-// function literals are skipped here (they are analyzed as their own
-// bodies): an event emitted in a deferred or spawned closure belongs to
-// that closure's control flow.
-func checkBody(pass *analysis.Pass, body *ast.BlockStmt) {
+// function literals are bodies of their own: an event emitted in a deferred
+// or spawned closure belongs to that closure's control flow.
+func checkBody(pass *analysis.Pass, body *ast.BlockStmt, sums map[*program.Func][]eventCall, reportf func(token.Pos, string, ...any)) {
+	expand := func(call *ast.CallExpr) []eventCall {
+		return emissions(pass.Prog, pass.TypesInfo, call, sums, nil)
+	}
 	// First sweep: which pairing keys have both sides present?
-	opened := map[string]map[string]bool{} // key → set of events seen
-	inspectSkipFuncLits(body, func(n ast.Node) {
-		if call, ok := n.(*ast.CallExpr); ok {
-			for _, ec := range expand(pass, call) {
-				if opened[ec.key] == nil {
-					opened[ec.key] = map[string]bool{}
-				}
-				opened[ec.key][ec.event] = true
+	seen := map[string]map[string]bool{} // key → set of events seen
+	program.Calls(body, func(call *ast.CallExpr) {
+		for _, ec := range expand(call) {
+			if seen[ec.key] == nil {
+				seen[ec.key] = map[string]bool{}
 			}
+			seen[ec.key][ec.event] = true
 		}
 	})
-	enforced := map[string]bool{} // key|opener → enforce all-paths pairing
-	for key, evs := range opened {
+	enforced := map[pair]bool{}
+	for key, evs := range seen {
 		for opener, closer := range pairs {
 			if evs[opener] && evs[closer] {
-				enforced[key+"|"+opener] = true
+				enforced[pair{key, opener}] = true
 			}
 		}
 	}
 	if len(enforced) == 0 {
 		return
 	}
-	w := &walker{pass: pass, enforced: enforced}
-	open := map[string]token.Pos{}
-	exit, terminated := w.block(body.List, open)
-	if !terminated {
-		w.flagOpen(w.atExit(exit), "function returns")
+	apply := func(ec eventCall, open program.Facts[pair]) {
+		if _, ok := pairs[ec.event]; ok {
+			if p := (pair{ec.key, ec.event}); enforced[p] {
+				open[p] = ec.pos
+			}
+		} else {
+			delete(open, pair{ec.key, closers[ec.event]})
+		}
 	}
+	var deferred []eventCall // the events of the defers passed so far: they run at every later exit
+	program.Interpret(body, program.Paths[pair]{
+		Call: func(call *ast.CallExpr, open program.Facts[pair]) {
+			for _, ec := range expand(call) {
+				apply(ec, open)
+			}
+		},
+		Defer: func(d *ast.DeferStmt, _ program.Facts[pair]) {
+			// defer func(){ emit(Unhold) }(): the closers inside run at
+			// exit; openers inside a deferred closure are its own business.
+			if fl, ok := d.Call.Fun.(*ast.FuncLit); ok {
+				program.Calls(fl.Body, func(call *ast.CallExpr) {
+					for _, ec := range expand(call) {
+						if _, isCloser := closers[ec.event]; isCloser {
+							deferred = append(deferred, ec)
+						}
+					}
+				})
+				return
+			}
+			// defer emit(Unhold), or a helper with an emission summary:
+			// all its events run at exit.
+			deferred = append(deferred, expand(d.Call)...)
+		},
+		Exit: func(open program.Facts[pair], ret *ast.ReturnStmt) {
+			for i := len(deferred) - 1; i >= 0; i-- { // defers run last first
+				apply(deferred[i], open)
+			}
+			how := "function returns"
+			if ret != nil {
+				how = "returns"
+			}
+			still := make([]pair, 0, len(open))
+			for p := range open {
+				still = append(still, p)
+			}
+			sort.Slice(still, func(i, j int) bool {
+				if still[i].opener != still[j].opener {
+					return still[i].opener < still[j].opener
+				}
+				return still[i].key < still[j].key
+			})
+			for _, p := range still {
+				reportf(open[p], "%s emitted here is not matched by %s on every path (%s with the pair still open)",
+					p.opener, pairs[p.opener], how)
+			}
+		},
+	})
 }
 
 // classify recognizes a call that passes a lifecycle-event constant and
-// derives its pairing key.
-func classify(info *types.Info, call *ast.CallExpr) (eventCall, bool) {
-	return classifyWith(info, call, nil)
-}
-
-// classifyWith is classify with an identifier resolver threaded into the key
-// rendering — the summary builder substitutes placeholders for the enclosing
-// function's parameters.
-func classifyWith(info *types.Info, call *ast.CallExpr, resolve func(*ast.Ident) (string, bool)) (eventCall, bool) {
+// derives its pairing key, rendering identifiers through resolve (the
+// summary builder substitutes placeholders for the enclosing function's
+// parameters).
+func classify(info *types.Info, call *ast.CallExpr, resolve func(*ast.Ident) (string, bool)) (eventCall, bool) {
 	eventIdx := -1
 	var event string
 	for i, arg := range call.Args {
@@ -163,12 +202,12 @@ func classifyWith(info *types.Info, call *ast.CallExpr, resolve func(*ast.Ident)
 	if eventIdx < 0 {
 		return eventCall{}, false
 	}
-	key := renderWith(call.Fun, resolve)
+	key := render(call.Fun, resolve)
 	for i, arg := range call.Args {
 		if i == eventIdx {
 			continue
 		}
-		key += "," + renderWith(arg, resolve)
+		key += "," + render(arg, resolve)
 	}
 	return eventCall{key: key, event: event, pos: call.Pos()}, true
 }
@@ -196,12 +235,9 @@ func eventConst(info *types.Info, expr ast.Expr) (string, bool) {
 	return c.Name(), true
 }
 
-// render produces a stable textual form of an expression for pairing keys.
-func render(e ast.Expr) string { return renderWith(e, nil) }
-
-// renderWith renders an expression, diverting identifiers through resolve
-// first (used to stamp parameter placeholders into summary templates).
-func renderWith(e ast.Expr, resolve func(*ast.Ident) (string, bool)) string {
+// render produces a stable textual form of an expression for pairing keys,
+// diverting identifiers through resolve first when it is set.
+func render(e ast.Expr, resolve func(*ast.Ident) (string, bool)) string {
 	switch x := e.(type) {
 	case *ast.Ident:
 		if resolve != nil {
@@ -211,37 +247,29 @@ func renderWith(e ast.Expr, resolve func(*ast.Ident) (string, bool)) string {
 		}
 		return x.Name
 	case *ast.SelectorExpr:
-		return renderWith(x.X, resolve) + "." + x.Sel.Name
+		return render(x.X, resolve) + "." + x.Sel.Name
 	case *ast.CallExpr:
-		s := renderWith(x.Fun, resolve) + "("
+		s := render(x.Fun, resolve) + "("
 		for i, a := range x.Args {
 			if i > 0 {
 				s += ","
 			}
-			s += renderWith(a, resolve)
+			s += render(a, resolve)
 		}
 		return s + ")"
 	case *ast.IndexExpr:
-		return renderWith(x.X, resolve) + "[" + renderWith(x.Index, resolve) + "]"
+		return render(x.X, resolve) + "[" + render(x.Index, resolve) + "]"
 	case *ast.BasicLit:
 		return x.Value
 	case *ast.UnaryExpr:
-		return x.Op.String() + renderWith(x.X, resolve)
+		return x.Op.String() + render(x.X, resolve)
 	case *ast.StarExpr:
-		return "*" + renderWith(x.X, resolve)
+		return "*" + render(x.X, resolve)
 	case *ast.ParenExpr:
-		return renderWith(x.X, resolve)
+		return render(x.X, resolve)
 	default:
 		return fmt.Sprintf("<%T>", e)
 	}
-}
-
-// emission is one summarized unconditional event call of a program function:
-// the event name plus a pairing-key template in which references to the
-// function's own parameters appear as placeholders.
-type emission struct {
-	event string
-	key   string
 }
 
 // placeholder is the template token for parameter i. NUL bytes cannot occur
@@ -251,26 +279,28 @@ func placeholder(i int) string {
 }
 
 // emissionSummaries computes (once per program, cached) each function's
-// unconditional emissions. Bottom-up over the SCCs so a helper that wraps
-// another helper composes; callees inside the same (recursive) component are
-// skipped — their summaries are not final, and dropping them only loses
-// events, never invents them.
-func emissionSummaries(prog *program.Program) map[*program.Func][]emission {
+// unconditional emissions, pairing keys being templates in which the
+// function's own parameters appear as placeholders. Bottom-up over the SCCs
+// so a helper that wraps another helper composes; a component's summaries
+// are published after the whole component, so a callee inside the same
+// (recursive) component is skipped — its summary is not final, and dropping
+// it only loses events, never invents them.
+func emissionSummaries(prog *program.Program) map[*program.Func][]eventCall {
 	return prog.Cache("eventpair.emissions", func() any {
-		sums := make(map[*program.Func][]emission)
-		done := make(map[*program.Func]bool)
+		sums := make(map[*program.Func][]eventCall)
 		for _, scc := range prog.SCCs() {
+			done := make(map[*program.Func][]eventCall)
 			for _, fn := range scc {
-				if ems := summarize(prog, fn, sums, done); len(ems) > 0 {
-					sums[fn] = ems
+				if ems := summarize(prog, fn, sums); len(ems) > 0 {
+					done[fn] = ems
 				}
 			}
-			for _, fn := range scc {
-				done[fn] = true
+			for fn, ems := range done {
+				sums[fn] = ems
 			}
 		}
 		return sums
-	}).(map[*program.Func][]emission)
+	}).(map[*program.Func][]eventCall)
 }
 
 // summarize scans fn's top-level statements for event calls and calls to
@@ -278,11 +308,10 @@ func emissionSummaries(prog *program.Program) map[*program.Func][]emission {
 // neither an expression-statement call nor a defer: anything else (an if, a
 // loop, an early return) could make later emissions conditional, and the
 // summary must only promise events that happen on every path.
-func summarize(prog *program.Program, fn *program.Func, sums map[*program.Func][]emission, done map[*program.Func]bool) []emission {
+func summarize(prog *program.Program, fn *program.Func, sums map[*program.Func][]eventCall) []eventCall {
 	info := fn.Pkg.Info
-	params := program.ParamObjects(fn)
-	paramIdx := make(map[*types.Var]int, len(params))
-	for i, v := range params {
+	paramIdx := make(map[*types.Var]int)
+	for i, v := range program.ParamObjects(fn) {
 		paramIdx[v] = i
 	}
 	resolve := func(id *ast.Ident) (string, bool) {
@@ -291,83 +320,42 @@ func summarize(prog *program.Program, fn *program.Func, sums map[*program.Func][
 		}
 		return "", false
 	}
-
-	var out []emission
-	addCall := func(call *ast.CallExpr) {
-		if ec, ok := classifyWith(info, call, resolve); ok {
-			out = append(out, emission{event: ec.event, key: ec.key})
-			return
-		}
-		callee := prog.Callee(info, call)
-		if callee == nil || !done[callee] || len(sums[callee]) == 0 {
-			return
-		}
-		// Inline the helper's summary, substituting its placeholders with
-		// this call's arguments rendered in fn's own template language —
-		// composition keeps fn's parameters as placeholders.
-		args := program.CallArgExprs(info, call, callee)
-		for _, em := range sums[callee] {
-			key := em.key
-			ok := true
-			for i, arg := range args {
-				if !strings.Contains(key, placeholder(i)) {
-					continue
-				}
-				if arg == nil {
-					ok = false
-					break
-				}
-				key = strings.ReplaceAll(key, placeholder(i), renderWith(arg, resolve))
-			}
-			if ok {
-				out = append(out, emission{event: em.event, key: key})
-			}
-		}
-	}
-
+	var out []eventCall
 	for _, s := range fn.Decl.Body.List {
+		var call *ast.CallExpr
 		switch x := s.(type) {
 		case *ast.ExprStmt:
-			if call, ok := x.X.(*ast.CallExpr); ok {
-				addCall(call)
-				continue
-			}
+			call, _ = x.X.(*ast.CallExpr)
 		case *ast.DeferStmt:
 			// A defer directly in the body runs by the time fn returns, so
 			// from the caller's view it is as unconditional as a plain call.
-			addCall(x.Call)
-			continue
+			call = x.Call
 		}
-		break
+		if call == nil {
+			break
+		}
+		out = append(out, emissions(prog, info, call, sums, resolve)...)
 	}
 	return out
 }
 
-// expand returns the event calls a call expression performs: its own
-// classification, or — when the callee is a program function with a
-// nonempty emission summary — the summarized events with this call's
-// arguments substituted into the pairing keys and positions anchored at the
-// call site.
-func expand(pass *analysis.Pass, call *ast.CallExpr) []eventCall {
-	if ec, ok := classify(pass.TypesInfo, call); ok {
+// emissions returns the event calls a call expression performs: its own
+// classification, or — when the callee has a nonempty emission summary in
+// sums — the summarized events with this call's arguments, rendered through
+// resolve, substituted for the placeholders and positions anchored at the
+// call site. An event whose placeholder has no argument is dropped.
+func emissions(prog *program.Program, info *types.Info, call *ast.CallExpr, sums map[*program.Func][]eventCall, resolve func(*ast.Ident) (string, bool)) []eventCall {
+	if ec, ok := classify(info, call, resolve); ok {
 		return []eventCall{ec}
 	}
-	if pass.Prog == nil {
+	callee := prog.Callee(info, call)
+	if len(sums[callee]) == 0 {
 		return nil
 	}
-	callee := pass.Prog.Callee(pass.TypesInfo, call)
-	if callee == nil {
-		return nil
-	}
-	sums := emissionSummaries(pass.Prog)[callee]
-	if len(sums) == 0 {
-		return nil
-	}
-	args := program.CallArgExprs(pass.TypesInfo, call, callee)
-	out := make([]eventCall, 0, len(sums))
-	for _, em := range sums {
-		key := em.key
-		ok := true
+	args := program.CallArgExprs(info, call, callee)
+	var out []eventCall
+	for _, em := range sums[callee] {
+		key, ok := em.key, true
 		for i, arg := range args {
 			if !strings.Contains(key, placeholder(i)) {
 				continue
@@ -376,330 +364,11 @@ func expand(pass *analysis.Pass, call *ast.CallExpr) []eventCall {
 				ok = false
 				break
 			}
-			key = strings.ReplaceAll(key, placeholder(i), render(arg))
+			key = strings.ReplaceAll(key, placeholder(i), render(arg, resolve))
 		}
 		if ok {
 			out = append(out, eventCall{key: key, event: em.event, pos: call.Pos()})
 		}
 	}
 	return out
-}
-
-// walker tracks open (unclosed) enforced pairs along control-flow paths.
-type walker struct {
-	pass     *analysis.Pass
-	enforced map[string]bool
-	deferred []eventCall // closers emitted via defer — apply at every exit
-	reported map[token.Pos]bool
-}
-
-func (w *walker) flagOpen(open map[string]token.Pos, how string) {
-	for ek, pos := range open {
-		if w.reported == nil {
-			w.reported = map[token.Pos]bool{}
-		}
-		if w.reported[pos] {
-			continue
-		}
-		// ek is key|opener.
-		opener := ek[lastBar(ek)+1:]
-		if w.reported[pos] {
-			continue
-		}
-		w.reported[pos] = true
-		w.pass.Reportf(pos, "%s emitted here is not matched by %s on every path (%s with the pair still open)",
-			opener, pairs[opener], how)
-	}
-}
-
-func lastBar(s string) int {
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == '|' {
-			return i
-		}
-	}
-	return -1
-}
-
-// apply processes one event call against the open-set.
-func (w *walker) apply(ec eventCall, open map[string]token.Pos) {
-	if closer, ok := pairs[ec.event]; ok {
-		_ = closer
-		if w.enforced[ec.key+"|"+ec.event] {
-			open[ec.key+"|"+ec.event] = ec.pos
-		}
-		return
-	}
-	if opener, ok := closers[ec.event]; ok {
-		delete(open, ec.key+"|"+opener)
-	}
-}
-
-// exprEvents applies every event call inside an expression, skipping nested
-// function literals.
-func (w *walker) exprEvents(e ast.Expr, open map[string]token.Pos) {
-	if e == nil {
-		return
-	}
-	inspectSkipFuncLits(e, func(n ast.Node) {
-		if call, ok := n.(*ast.CallExpr); ok {
-			for _, ec := range expand(w.pass, call) {
-				w.apply(ec, open)
-			}
-		}
-	})
-}
-
-// atExit returns the open-set at a function exit after deferred closers run.
-func (w *walker) atExit(open map[string]token.Pos) map[string]token.Pos {
-	out := clonePos(open)
-	for _, ec := range w.deferred {
-		w.apply(ec, out)
-	}
-	return out
-}
-
-func clonePos(m map[string]token.Pos) map[string]token.Pos {
-	c := make(map[string]token.Pos, len(m))
-	for k, v := range m {
-		c[k] = v
-	}
-	return c
-}
-
-// mergeOpen unions two open-sets: a pair open on either incoming path is
-// open after the join.
-func mergeOpen(a, b map[string]token.Pos) map[string]token.Pos {
-	u := clonePos(a)
-	for k, v := range b {
-		if _, ok := u[k]; !ok {
-			u[k] = v
-		}
-	}
-	return u
-}
-
-// block interprets a statement list; reports at each return. The returned
-// bool is true when every path terminates before falling off the end.
-func (w *walker) block(stmts []ast.Stmt, open map[string]token.Pos) (map[string]token.Pos, bool) {
-	for _, s := range stmts {
-		var terminated bool
-		open, terminated = w.stmt(s, open)
-		if terminated {
-			return open, true
-		}
-	}
-	return open, false
-}
-
-func (w *walker) stmt(s ast.Stmt, open map[string]token.Pos) (map[string]token.Pos, bool) {
-	switch x := s.(type) {
-	case *ast.ExprStmt:
-		w.exprEvents(x.X, open)
-	case *ast.AssignStmt:
-		for _, e := range x.Rhs {
-			w.exprEvents(e, open)
-		}
-	case *ast.DeclStmt:
-		if gd, ok := x.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						w.exprEvents(v, open)
-					}
-				}
-			}
-		}
-	case *ast.DeferStmt:
-		// defer emit(Unhold) — the closer runs at every subsequent exit.
-		if ec, ok := classify(w.pass.TypesInfo, x.Call); ok {
-			w.deferred = append(w.deferred, ec)
-			return open, false
-		}
-		// defer func(){ emit(Unhold) }() — closers inside count the same
-		// way; openers inside a deferred closure are its own business.
-		if fl, ok := x.Call.Fun.(*ast.FuncLit); ok {
-			inspectSkipFuncLits(fl.Body, func(n ast.Node) {
-				if call, ok := n.(*ast.CallExpr); ok {
-					for _, ec := range expand(w.pass, call) {
-						if _, isCloser := closers[ec.event]; isCloser {
-							w.deferred = append(w.deferred, ec)
-						}
-					}
-				}
-			})
-			return open, false
-		}
-		// defer helper() where helper has an emission summary: its closers
-		// run at every subsequent exit, like a direct deferred closer.
-		for _, ec := range expand(w.pass, x.Call) {
-			if _, isCloser := closers[ec.event]; isCloser {
-				w.deferred = append(w.deferred, ec)
-			}
-		}
-	case *ast.ReturnStmt:
-		for _, e := range x.Results {
-			w.exprEvents(e, open)
-		}
-		w.flagOpen(w.atExit(open), "returns")
-		return open, true
-	case *ast.BranchStmt:
-		// goto/break/continue: approximate by stopping the path without an
-		// exit check — the loop-level merge covers the common shapes.
-		if x.Tok == token.BREAK || x.Tok == token.CONTINUE || x.Tok == token.GOTO {
-			return open, true
-		}
-	case *ast.IfStmt:
-		if x.Init != nil {
-			open, _ = w.stmt(x.Init, open)
-		}
-		w.exprEvents(x.Cond, open)
-		thenO, thenT := w.block(x.Body.List, clonePos(open))
-		elseO, elseT := open, false
-		if x.Else != nil {
-			switch e := x.Else.(type) {
-			case *ast.BlockStmt:
-				elseO, elseT = w.block(e.List, clonePos(open))
-			case *ast.IfStmt:
-				elseO, elseT = w.stmt(e, clonePos(open))
-			}
-		}
-		switch {
-		case thenT && elseT:
-			return open, true
-		case thenT:
-			return elseO, false
-		case elseT:
-			return thenO, false
-		default:
-			return mergeOpen(thenO, elseO), false
-		}
-	case *ast.BlockStmt:
-		return w.block(x.List, open)
-	case *ast.ForStmt:
-		if x.Init != nil {
-			open, _ = w.stmt(x.Init, open)
-		}
-		w.exprEvents(x.Cond, open)
-		bodyO, _ := w.block(x.Body.List, clonePos(open))
-		if x.Cond == nil && !hasBreak(x.Body) {
-			// for{} with no exit: control never falls through. The returns
-			// inside the body were already checked.
-			return open, true
-		}
-		return mergeOpen(open, bodyO), false
-	case *ast.RangeStmt:
-		w.exprEvents(x.X, open)
-		bodyO, _ := w.block(x.Body.List, clonePos(open))
-		return mergeOpen(open, bodyO), false
-	case *ast.SwitchStmt:
-		if x.Init != nil {
-			open, _ = w.stmt(x.Init, open)
-		}
-		w.exprEvents(x.Tag, open)
-		return w.caseBodies(x.Body, open, hasDefault(x.Body))
-	case *ast.TypeSwitchStmt:
-		if x.Init != nil {
-			open, _ = w.stmt(x.Init, open)
-		}
-		return w.caseBodies(x.Body, open, hasDefault(x.Body))
-	case *ast.SelectStmt:
-		return w.caseBodies(x.Body, open, true)
-	case *ast.LabeledStmt:
-		return w.stmt(x.Stmt, open)
-	case *ast.GoStmt:
-		if _, ok := x.Call.Fun.(*ast.FuncLit); !ok {
-			w.exprEvents(x.Call, open)
-		}
-	case *ast.SendStmt:
-		w.exprEvents(x.Value, open)
-	}
-	return open, false
-}
-
-// caseBodies merges clause bodies; exhaustive reports whether a default
-// clause guarantees one body runs.
-func (w *walker) caseBodies(body *ast.BlockStmt, open map[string]token.Pos, exhaustive bool) (map[string]token.Pos, bool) {
-	var out map[string]token.Pos
-	if !exhaustive {
-		out = clonePos(open)
-	}
-	allTerminated := true
-	for _, cs := range body.List {
-		var stmts []ast.Stmt
-		switch c := cs.(type) {
-		case *ast.CaseClause:
-			for _, e := range c.List {
-				w.exprEvents(e, open)
-			}
-			stmts = c.Body
-		case *ast.CommClause:
-			if c.Comm != nil {
-				w.stmt(c.Comm, clonePos(open))
-			}
-			stmts = c.Body
-		}
-		co, terminated := w.block(stmts, clonePos(open))
-		if !terminated {
-			allTerminated = false
-			if out == nil {
-				out = co
-			} else {
-				out = mergeOpen(out, co)
-			}
-		}
-	}
-	if exhaustive && allTerminated && len(body.List) > 0 {
-		return open, true
-	}
-	if out == nil {
-		out = clonePos(open)
-	}
-	return out, false
-}
-
-func hasDefault(body *ast.BlockStmt) bool {
-	for _, cs := range body.List {
-		if c, ok := cs.(*ast.CaseClause); ok && c.List == nil {
-			return true
-		}
-		if c, ok := cs.(*ast.CommClause); ok && c.Comm == nil {
-			return true
-		}
-	}
-	return false
-}
-
-// hasBreak reports whether a block contains a break that would exit the
-// enclosing for statement (not one belonging to a nested loop or switch).
-func hasBreak(body *ast.BlockStmt) bool {
-	found := false
-	var walk func(n ast.Node) bool
-	walk = func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.BranchStmt:
-			if x.Tok == token.BREAK {
-				found = true
-			}
-		case *ast.ForStmt, *ast.RangeStmt, *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt, *ast.FuncLit:
-			return false // breaks inside bind to the inner statement
-		}
-		return true
-	}
-	for _, s := range body.List {
-		ast.Inspect(s, walk)
-	}
-	return found
-}
-
-// inspectSkipFuncLits walks n, calling fn on every node outside nested
-// function literals.
-func inspectSkipFuncLits(n ast.Node, fn func(ast.Node)) {
-	ast.Inspect(n, func(m ast.Node) bool {
-		if _, ok := m.(*ast.FuncLit); ok && m != n {
-			return false
-		}
-		fn(m)
-		return true
-	})
 }

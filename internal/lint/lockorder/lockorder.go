@@ -20,9 +20,10 @@
 // type that owns the field (eventSpool.mu, Manager.reg,
 // PBox.mu, shard.mu, Manager.verdictMu, PBox.actMu, PBox.penMu,
 // shard.namesMu, traceStripe.mu, traceRing.notifyMu).
-// A linear abstract interpretation tracks the held-set through each
-// function body (branches merge by union, early returns leave the merge),
-// and a whole-program fixpoint over the call graph (SCC-ordered, DESIGN.md
+// The path interpreter (program.Interpret, whose rules are DESIGN.md §9's)
+// tracks the held-set along every path of each function body and function
+// literal, and a site names the first held class it breaks the order
+// against, by rank, then name. A whole-program fixpoint over the call graph (SCC-ordered, DESIGN.md
 // §14) summarizes which classes each function may acquire — directly or
 // through calls that cross package boundaries — so a call made while holding
 // pbox.mu is checked against everything the callee transitively locks, and a
@@ -39,6 +40,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"sort"
 
 	"pbox/internal/lint/analysis"
 	"pbox/internal/lint/program"
@@ -104,37 +106,81 @@ type lockOp struct {
 }
 
 func run(pass *analysis.Pass) (any, error) {
-	st := &state{
-		pass:      pass,
-		info:      pass.TypesInfo,
-		summaries: program.Summaries(pass.Prog, acquisitions),
-		handoffs:  handoffs(pass.Prog),
-	}
-	for _, f := range pass.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			w := &walker{st: st}
-			w.block(fd.Body.List, newHeld())
-			for _, fl := range w.funcLits {
-				inner := &walker{st: st}
-				inner.block(fl.Body.List, newHeld())
+	summaries := program.Summaries(pass.Prog, acquisitions)
+	handoffs := handoffs(pass.Prog)
+	reportf := program.ReportOnce(pass.Reportf)
+	// check validates acquiring class c while h is held, against the held
+	// classes in order, so a site reports the same one on every run.
+	check := func(pos token.Pos, c lockClass, h program.Facts[lockClass], via string) {
+		for _, hc := range ordered(h) {
+			switch {
+			case hc == c:
+				reportf(pos, "%sacquires %s while a %s is already held (%s)",
+					via, c, hc, "at most one lock of a class may be held")
+			case hc.leaf():
+				reportf(pos, "%sacquires %s while holding leaf lock %s (leaves are terminal: nothing may be acquired under them)",
+					via, c, hc)
+			case c.rank < hc.rank:
+				reportf(pos, "%sacquires %s while holding %s, against the order (%s)",
+					via, c, hc, orderDoc)
 			}
 		}
 	}
+	paths := program.Paths[lockClass]{
+		// A lock operation moves the held-set; a call is checked against
+		// everything its callee's closure acquires, and a handoff moves the
+		// held-set as the Lock or Unlock it stands for.
+		Call: func(call *ast.CallExpr, h program.Facts[lockClass]) {
+			if op, ok := classifyLockCall(pass.TypesInfo, call); ok {
+				if op.acquire {
+					check(call.Pos(), op.class, h, "")
+					h[op.class] = call.Pos()
+				} else {
+					delete(h, op.class)
+				}
+				return
+			}
+			callee := pass.Prog.Callee(pass.TypesInfo, call)
+			if callee == nil {
+				return
+			}
+			for _, c := range ordered(summaries[callee]) {
+				check(call.Pos(), c, h, "call to "+callee.Name()+" ")
+			}
+			for c, holds := range handoffs[callee] {
+				if holds {
+					h[c] = call.Pos()
+				} else {
+					delete(h, c)
+				}
+			}
+		},
+		// A deferred Unlock keeps the lock held for the rest of the body,
+		// where later acquisitions happen under it. A deferred Lock runs at
+		// exit; it is checked against the held-set of the defer.
+		Defer: func(d *ast.DeferStmt, h program.Facts[lockClass]) {
+			if op, ok := classifyLockCall(pass.TypesInfo, d.Call); ok && op.acquire {
+				check(d.Call.Pos(), op.class, h, "deferred ")
+			}
+		},
+	}
+	program.EachBody(pass.Files, func(body *ast.BlockStmt) { program.Interpret(body, paths) })
 	return nil, nil
 }
 
-// state is the per-package walking state: the shared whole-program
-// acquisition summaries plus the current package's type information (lock
-// calls in this package's files resolve through it).
-type state struct {
-	pass      *analysis.Pass
-	info      *types.Info
-	summaries map[*program.Func]map[lockClass]bool
-	handoffs  map[*program.Func]map[lockClass]bool
+// ordered returns a set's classes by rank, then name.
+func ordered[V any](set map[lockClass]V) []lockClass {
+	out := make([]lockClass, 0, len(set))
+	for c := range set {
+		out = append(out, c)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].rank != out[j].rank {
+			return out[i].rank < out[j].rank
+		}
+		return out[i].name < out[j].name
+	})
+	return out
 }
 
 // handoffs computes — once per program, cached — the lock classes a function
@@ -184,11 +230,6 @@ var acquisitions = program.Property[lockClass]{
 	},
 }
 
-// callee resolves a call to a program function with a known summary, or nil.
-func (st *state) callee(call *ast.CallExpr) *program.Func {
-	return st.pass.Prog.Callee(st.info, call)
-}
-
 // classifyLockCall recognizes a Lock/Unlock-family call on a configured
 // lock class, resolving names through the type info of the package the
 // call appears in. Mutexes outside the table are not classified.
@@ -203,265 +244,4 @@ func classifyLockCall(info *types.Info, call *ast.CallExpr) (lockOp, bool) {
 		return lockOp{}, false
 	}
 	return lockOp{class: lockClass{name: name, rank: rank}, acquire: acquire}, true
-}
-
-// held is the abstract held-set: class → first acquisition position.
-type held map[lockClass]token.Pos
-
-func newHeld() held { return make(held) }
-
-func (h held) clone() held {
-	c := make(held, len(h))
-	for k, v := range h {
-		c[k] = v
-	}
-	return c
-}
-
-func (h held) union(o held) held {
-	u := h.clone()
-	for k, v := range o {
-		if _, ok := u[k]; !ok {
-			u[k] = v
-		}
-	}
-	return u
-}
-
-// walker interprets one function body.
-type walker struct {
-	st       *state
-	funcLits []*ast.FuncLit
-	reported map[token.Pos]bool
-}
-
-func (w *walker) reportOnce(pos token.Pos, format string, args ...any) {
-	if w.reported == nil {
-		w.reported = make(map[token.Pos]bool)
-	}
-	if w.reported[pos] {
-		return
-	}
-	w.reported[pos] = true
-	w.st.pass.Reportf(pos, format, args...)
-}
-
-// checkAcquire validates acquiring class c while h is held.
-func (w *walker) checkAcquire(pos token.Pos, c lockClass, h held, via string) {
-	for hc := range h {
-		switch {
-		case hc == c:
-			w.reportOnce(pos, "%sacquires %s while a %s is already held (%s)",
-				via, c, hc, "at most one lock of a class may be held")
-		case hc.leaf():
-			w.reportOnce(pos, "%sacquires %s while holding leaf lock %s (leaves are terminal: nothing may be acquired under them)",
-				via, c, hc)
-		case c.rank < hc.rank:
-			w.reportOnce(pos, "%sacquires %s while holding %s, against the order (%s)",
-				via, c, hc, orderDoc)
-		}
-	}
-}
-
-// exprCalls processes every call in an expression tree in inspection order:
-// lock operations mutate the held-set, same-package calls are checked
-// against their summaries. Function literals are queued for separate
-// analysis with an empty held-set (they run on their own goroutine or at a
-// later time; §8 violations inside them still surface).
-func (w *walker) exprCalls(e ast.Expr, h held) {
-	if e == nil {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.FuncLit:
-			w.funcLits = append(w.funcLits, x)
-			return false
-		case *ast.CallExpr:
-			if op, ok := classifyLockCall(w.st.info, x); ok {
-				if op.acquire {
-					w.checkAcquire(x.Pos(), op.class, h, "")
-					h[op.class] = x.Pos()
-				} else {
-					delete(h, op.class)
-				}
-				return true
-			}
-			if callee := w.st.callee(x); callee != nil {
-				for c := range w.st.summaries[callee] {
-					w.checkAcquire(x.Pos(), c, h, "call to "+callee.Name()+" ")
-				}
-				for c, holds := range w.st.handoffs[callee] {
-					if holds {
-						h[c] = x.Pos()
-					} else {
-						delete(h, c)
-					}
-				}
-			}
-		}
-		return true
-	})
-}
-
-// block interprets a statement list, returning the exit held-set and
-// whether every path through the list terminates (returns/panics) before
-// falling off the end.
-func (w *walker) block(stmts []ast.Stmt, h held) (held, bool) {
-	for _, s := range stmts {
-		var terminated bool
-		h, terminated = w.stmt(s, h)
-		if terminated {
-			return h, true
-		}
-	}
-	return h, false
-}
-
-// stmt interprets one statement.
-func (w *walker) stmt(s ast.Stmt, h held) (held, bool) {
-	switch x := s.(type) {
-	case *ast.ExprStmt:
-		w.exprCalls(x.X, h)
-	case *ast.AssignStmt:
-		for _, e := range x.Rhs {
-			w.exprCalls(e, h)
-		}
-		for _, e := range x.Lhs {
-			w.exprCalls(e, h)
-		}
-	case *ast.DeclStmt:
-		if gd, ok := x.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						w.exprCalls(v, h)
-					}
-				}
-			}
-		}
-	case *ast.DeferStmt:
-		// A deferred Unlock keeps the lock held for the remainder of the
-		// body (correct: later acquisitions happen under it). A deferred
-		// anonymous function is analyzed separately.
-		if op, ok := classifyLockCall(w.st.info, x.Call); ok && op.acquire {
-			// defer mu.Lock() — acquisition at exit; check against the
-			// current held-set as an approximation.
-			w.checkAcquire(x.Call.Pos(), op.class, h, "deferred ")
-		}
-		if fl, ok := x.Call.Fun.(*ast.FuncLit); ok {
-			w.funcLits = append(w.funcLits, fl)
-		}
-	case *ast.GoStmt:
-		if fl, ok := x.Call.Fun.(*ast.FuncLit); ok {
-			w.funcLits = append(w.funcLits, fl)
-		} else {
-			w.exprCalls(x.Call, h)
-		}
-	case *ast.ReturnStmt:
-		for _, e := range x.Results {
-			w.exprCalls(e, h)
-		}
-		return h, true
-	case *ast.IfStmt:
-		if x.Init != nil {
-			h, _ = w.stmt(x.Init, h)
-		}
-		w.exprCalls(x.Cond, h)
-		thenH, thenTerm := w.block(x.Body.List, h.clone())
-		elseH, elseTerm := h, false
-		if x.Else != nil {
-			switch e := x.Else.(type) {
-			case *ast.BlockStmt:
-				elseH, elseTerm = w.block(e.List, h.clone())
-			case *ast.IfStmt:
-				var eh held
-				eh, elseTerm = w.stmt(e, h.clone())
-				elseH = eh
-			}
-		}
-		switch {
-		case thenTerm && elseTerm:
-			return h, true
-		case thenTerm:
-			return elseH, false
-		case elseTerm:
-			return thenH, false
-		default:
-			return thenH.union(elseH), false
-		}
-	case *ast.BlockStmt:
-		return w.block(x.List, h)
-	case *ast.ForStmt:
-		if x.Init != nil {
-			h, _ = w.stmt(x.Init, h)
-		}
-		w.exprCalls(x.Cond, h)
-		bodyH := w.loopBody(x.Body.List, h)
-		if x.Post != nil {
-			w.stmt(x.Post, bodyH)
-		}
-		// The body runs zero or more times; merge both possibilities.
-		return h.union(bodyH), false
-	case *ast.RangeStmt:
-		w.exprCalls(x.X, h)
-		bodyH := w.loopBody(x.Body.List, h)
-		return h.union(bodyH), false
-	case *ast.SwitchStmt:
-		if x.Init != nil {
-			h, _ = w.stmt(x.Init, h)
-		}
-		w.exprCalls(x.Tag, h)
-		return w.caseBodies(x.Body, h)
-	case *ast.TypeSwitchStmt:
-		if x.Init != nil {
-			h, _ = w.stmt(x.Init, h)
-		}
-		return w.caseBodies(x.Body, h)
-	case *ast.SelectStmt:
-		return w.caseBodies(x.Body, h)
-	case *ast.LabeledStmt:
-		return w.stmt(x.Stmt, h)
-	case *ast.SendStmt:
-		w.exprCalls(x.Chan, h)
-		w.exprCalls(x.Value, h)
-	case *ast.IncDecStmt:
-		w.exprCalls(x.X, h)
-	}
-	return h, false
-}
-
-// loopBody interprets a loop body twice: once from the loop-entry state and
-// once from the merged back-edge state, so a lock acquired in iteration N
-// and still held when iteration N+1 re-acquires it is caught (the
-// stop-the-world sweep shape). reportOnce dedups the double visit.
-func (w *walker) loopBody(stmts []ast.Stmt, h held) held {
-	first, _ := w.block(stmts, h.clone())
-	again, _ := w.block(stmts, h.union(first))
-	return first.union(again)
-}
-
-// caseBodies merges the clause bodies of a switch/select.
-func (w *walker) caseBodies(body *ast.BlockStmt, h held) (held, bool) {
-	out := h.clone()
-	for _, cs := range body.List {
-		var stmts []ast.Stmt
-		switch c := cs.(type) {
-		case *ast.CaseClause:
-			for _, e := range c.List {
-				w.exprCalls(e, h)
-			}
-			stmts = c.Body
-		case *ast.CommClause:
-			if c.Comm != nil {
-				w.stmt(c.Comm, h.clone())
-			}
-			stmts = c.Body
-		}
-		ch, terminated := w.block(stmts, h.clone())
-		if !terminated {
-			out = out.union(ch)
-		}
-	}
-	return out, false
 }

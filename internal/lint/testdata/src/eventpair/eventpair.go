@@ -116,3 +116,26 @@ func badWrongActivity(a, q *activity, k uintptr, err bool) {
 	}
 	a.event(k, Unhold)
 }
+
+// badHoldAcrossBreak: the break leaves the loop with the Hold open.
+func badHoldAcrossBreak(a *activity, k uintptr, ch chan int) {
+	for {
+		a.event(k, Hold) // want `Hold emitted here is not matched by Unhold`
+		if <-ch > 0 {
+			break
+		}
+		a.event(k, Unhold)
+	}
+}
+
+// badHoldAcrossContinue: the continue carries the open Hold to the back
+// edge, and from there out of the loop.
+func badHoldAcrossContinue(a *activity, k uintptr, ch chan int) {
+	for len(ch) > 0 {
+		a.event(k, Hold) // want `Hold emitted here is not matched by Unhold`
+		if <-ch > 0 {
+			continue
+		}
+		a.event(k, Unhold)
+	}
+}

@@ -322,3 +322,79 @@ func goodAfterHandBack(m *Manager, s *shard) {
 	m.verdictMu.Unlock()
 	s.mu.Unlock()
 }
+
+// badHeldAcrossBreak: the break leaves the loop with p.mu still held.
+func badHeldAcrossBreak(m *Manager, p *PBox, done func() bool) {
+	for {
+		p.mu.Lock()
+		if done() {
+			break
+		}
+		p.mu.Unlock()
+	}
+	m.reg.Lock() // want `acquires Manager\.reg while holding PBox\.mu`
+	m.reg.Unlock()
+	p.mu.Unlock()
+}
+
+// badLabeledBreak: a labeled break leaves the loop from inside a select.
+func badLabeledBreak(m *Manager, p *PBox, ch chan int) {
+outer:
+	for {
+		p.mu.Lock()
+		select {
+		case <-ch:
+			break outer
+		default:
+		}
+		p.mu.Unlock()
+	}
+	m.reg.Lock() // want `acquires Manager\.reg while holding PBox\.mu`
+	m.reg.Unlock()
+	p.mu.Unlock()
+}
+
+// goodSwitchArmsRelease: every arm of a switch with a default releases p.mu,
+// so the switch does not join its entry state. Clean.
+func goodSwitchArmsRelease(m *Manager, p *PBox, k int) {
+	p.mu.Lock()
+	switch k {
+	case 0:
+		p.mu.Unlock()
+	default:
+		p.mu.Unlock()
+	}
+	m.reg.Lock()
+	m.reg.Unlock()
+}
+
+// badNestedClosure: a closure inside a closure is a body of its own.
+func badNestedClosure(m *Manager, s *shard) func() func() {
+	return func() func() {
+		return func() {
+			s.mu.Lock()
+			m.reg.Lock() // want `acquires Manager\.reg while holding shard\.mu`
+			m.reg.Unlock()
+			s.mu.Unlock()
+		}
+	}
+}
+
+// badAgainstTwoHeld breaks the order against two held classes: the message
+// names the lower-ranked one, on every run.
+func badAgainstTwoHeld(m *Manager, p *PBox, s *shard) {
+	p.mu.Lock()
+	s.mu.Lock()
+	m.reg.Lock() // want `acquires Manager\.reg while holding PBox\.mu,`
+	m.reg.Unlock()
+	s.mu.Unlock()
+	p.mu.Unlock()
+}
+
+// goodGoUnderLeaf: a go statement's call runs on its own goroutine, not
+// under the leaf. Clean.
+func goodGoUnderLeaf(m *Manager, p *PBox) {
+	p.actMu.Lock()
+	go takeVerdict(m)
+	p.actMu.Unlock()
+}
