@@ -6,12 +6,12 @@
 // It is a front-end over the same loading and reporting stack as
 // cmd/pboxlint: arguments are package patterns resolved by the pboxlint
 // loader, and the analysis itself is the waitloop pass, run per package
-// (each package is parsed and type-checked on its own).
+// (over one whole-program view, so wrappers cross the loaded packages).
 //
 // Usage:
 //
 //	pboxanalyze ./internal/vres ./internal/apps/...
-//	pboxanalyze -waitfuncs time.Sleep,mylib.Backoff ./...
+//	pboxanalyze -waitfuncs 'time.Sleep,(*sync.Cond).Wait,example.com/lib.Backoff' ./...
 package main
 
 import (
@@ -24,7 +24,7 @@ import (
 )
 
 func main() {
-	waitList := flag.String("waitfuncs", "", "comma-separated waiting functions (default: the built-in Go list)")
+	waitList := flag.String("waitfuncs", "", "comma-separated waiting functions by full name, like (*sync.Cond).Wait (default: the built-in Go list)")
 	verbose := flag.Bool("v", false, "also print detected wrapper functions")
 	flag.Parse()
 

@@ -17,7 +17,6 @@ package driver
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
 	"io"
 	"sort"
@@ -197,12 +196,4 @@ func (s *suppressions) matches(fset *token.FileSet, d analysis.Diagnostic) bool 
 		}
 	}
 	return matched
-}
-
-// InspectFiles walks every file of a pass with ast.Inspect — a convenience
-// shared by the passes.
-func InspectFiles(files []*ast.File, fn func(ast.Node) bool) {
-	for _, f := range files {
-		ast.Inspect(f, fn)
-	}
 }

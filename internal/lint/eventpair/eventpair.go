@@ -10,11 +10,11 @@
 // derives a pairing key from the callee and the remaining arguments (so
 // r.event(a, core.Hold) pairs with r.event(a, core.Unhold) but not with
 // q.event(a, core.Unhold)), and then checks that a matching closer call is
-// reached on every path that leaves the function, honoring defers. The
-// paths are program.Interpret's (DESIGN.md §14): a break or continue carries
-// the open pairs out of the loop, a switch with a default clause and a
-// select end a path when every clause does, and a function literal is a
-// body of its own.
+// reached on every path that leaves the function, honoring the defers each
+// path passed. The paths are program.Interpret's (DESIGN.md §14): a break or
+// continue carries the open pairs out of the loop, a switch with a default
+// clause and a select end a path when every clause does, and a function
+// literal is a body of its own.
 //
 // Split-phase APIs are the one legitimate exception: Mutex.Lock emits Hold
 // and returns, with Unhold emitted later by Mutex.Unlock. The pass
@@ -120,63 +120,86 @@ func checkBody(pass *analysis.Pass, body *ast.BlockStmt, sums map[*program.Func]
 	if len(enforced) == 0 {
 		return
 	}
-	apply := func(ec eventCall, open program.Facts[pair]) {
-		if _, ok := pairs[ec.event]; ok {
-			if p := (pair{ec.key, ec.event}); enforced[p] {
-				open[p] = ec.pos
-			}
-		} else {
-			delete(open, pair{ec.key, closers[ec.event]})
+	// pairOf names the enforced pair an event opens or closes.
+	pairOf := func(ec eventCall) (pair, bool) {
+		p := pair{ec.key, ec.event}
+		if opener, ok := closers[ec.event]; ok {
+			p.opener = opener
 		}
+		return p, enforced[p]
 	}
-	var deferred []eventCall // the events of the defers passed so far: they run at every later exit
-	program.Interpret(body, program.Paths[pair]{
-		Call: func(call *ast.CallExpr, open program.Facts[pair]) {
+	entry := program.Facts[state]{}
+	for p := range enforced {
+		entry[state{pair: p}] = body.Pos()
+	}
+	program.Interpret(body, program.Paths[state]{
+		Entry: entry,
+		Call: func(call *ast.CallExpr, facts program.Facts[state]) {
 			for _, ec := range expand(call) {
-				apply(ec, open)
+				if p, ok := pairOf(ec); ok {
+					step(facts, p, ec.pos, func(s *state) { s.open = ec.event == p.opener })
+				}
 			}
 		},
-		Defer: func(d *ast.DeferStmt, _ program.Facts[pair]) {
-			// defer func(){ emit(Unhold) }(): the closers inside run at
-			// exit; openers inside a deferred closure are its own business.
-			if fl, ok := d.Call.Fun.(*ast.FuncLit); ok {
-				program.Calls(fl.Body, func(call *ast.CallExpr) {
-					for _, ec := range expand(call) {
-						if _, isCloser := closers[ec.event]; isCloser {
-							deferred = append(deferred, ec)
-						}
+		Defer: func(d *ast.DeferStmt, facts program.Facts[state]) {
+			// The closers a defer emits, itself or in its closure, run at
+			// exit. Its openers run after the function, like a
+			// split-phase API's, and are left alone.
+			closeAtExit := func(call *ast.CallExpr) {
+				for _, ec := range expand(call) {
+					if p, ok := pairOf(ec); ok && ec.event != p.opener {
+						step(facts, p, ec.pos, func(s *state) { s.closing = true })
 					}
-				})
-				return
+				}
 			}
-			// defer emit(Unhold), or a helper with an emission summary:
-			// all its events run at exit.
-			deferred = append(deferred, expand(d.Call)...)
+			if fl, ok := d.Call.Fun.(*ast.FuncLit); ok {
+				program.Calls(fl.Body, closeAtExit)
+			} else {
+				closeAtExit(d.Call)
+			}
 		},
-		Exit: func(open program.Facts[pair], ret *ast.ReturnStmt) {
-			for i := len(deferred) - 1; i >= 0; i-- { // defers run last first
-				apply(deferred[i], open)
-			}
+		Exit: func(facts program.Facts[state], ret *ast.ReturnStmt) {
 			how := "function returns"
 			if ret != nil {
 				how = "returns"
 			}
-			still := make([]pair, 0, len(open))
-			for p := range open {
-				still = append(still, p)
-			}
-			sort.Slice(still, func(i, j int) bool {
-				if still[i].opener != still[j].opener {
-					return still[i].opener < still[j].opener
+			var still []state
+			for s := range facts {
+				if s.open && !s.closing {
+					still = append(still, s)
 				}
-				return still[i].key < still[j].key
-			})
-			for _, p := range still {
-				reportf(open[p], "%s emitted here is not matched by %s on every path (%s with the pair still open)",
-					p.opener, pairs[p.opener], how)
+			}
+			sort.Slice(still, func(i, j int) bool { return facts[still[i]] < facts[still[j]] })
+			for _, s := range still {
+				reportf(facts[s], "%s emitted here is not matched by %s on every path (%s with the pair still open)",
+					s.opener, pairs[s.opener], how)
 			}
 		},
 	})
+}
+
+// state is one path's standing on one enforced pair: whether the pair is
+// open, and whether a defer the path passed closes it at exit. Paths join by
+// union, so the states at a point are those of the paths reaching it.
+type state struct {
+	pair
+	open, closing bool
+}
+
+// step moves every state of p in facts through f, to position at: the
+// opener's, where f opens the pair.
+func step(facts program.Facts[state], p pair, at token.Pos, f func(*state)) {
+	var moved []state
+	for s := range facts {
+		if s.pair == p {
+			delete(facts, s)
+			f(&s)
+			moved = append(moved, s)
+		}
+	}
+	for _, s := range moved {
+		facts[s] = at
+	}
 }
 
 // classify recognizes a call that passes a lifecycle-event constant and

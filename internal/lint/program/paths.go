@@ -44,6 +44,9 @@ func join[K comparable](a, b Facts[K]) Facts[K] {
 // Paths are a pass's hooks into Interpret. Each may change the facts it is
 // handed, which are that path's own.
 type Paths[K comparable] struct {
+	// Entry, when set, is the fact set a body starts from; it is copied,
+	// never changed.
+	Entry Facts[K]
 	// Call applies one call a path evaluates. The calls of an expression
 	// come in ast.Inspect order; calls inside function literals do not
 	// come (a literal is interpreted as its own body).
@@ -101,8 +104,8 @@ func ReportOnce(report func(token.Pos, string, ...any)) func(token.Pos, string, 
 	}
 }
 
-// Interpret runs p's hooks along every path through body from an empty
-// fact set. The rules:
+// Interpret runs p's hooks along every path through body from p.Entry
+// (empty when unset). The rules:
 //   - an if joins its arms; a switch without a default clause also joins
 //     the state it was entered with, while a switch with one, and a select,
 //     do not, and end the path when every clause does;
@@ -115,7 +118,7 @@ func ReportOnce(report func(token.Pos, string, ...any)) func(token.Pos, string, 
 //     return end the path.
 func Interpret[K comparable](body *ast.BlockStmt, p Paths[K]) {
 	in := &interp[K]{Paths: p}
-	if end := in.block(body.List, Facts[K]{}); end != nil && p.Exit != nil {
+	if end := in.block(body.List, p.Entry.clone()); end != nil && p.Exit != nil {
 		p.Exit(end, nil)
 	}
 }

@@ -64,6 +64,18 @@ func TestInterpret(t *testing.T) {
 	}
 }
 
+// TestInterpretEntry starts a body from a fact set of its own, which
+// Interpret copies, never changes.
+func TestInterpretEntry(t *testing.T) {
+	entry := program.Facts[string]{"a": token.NoPos}
+	if got, want := interpretFrom(t, `if c { off("a") }; on("b")`, entry), []string{"end{a,b}"}; !slices.Equal(got, want) {
+		t.Errorf("exits %q, want %q", got, want)
+	}
+	if len(entry) != 1 {
+		t.Errorf("entry changed to %v", entry)
+	}
+}
+
 // TestEachBody counts a declared function's body and its nested literals.
 func TestEachBody(t *testing.T) {
 	f, err := parser.ParseFile(token.NewFileSet(), "x.go",
@@ -80,6 +92,11 @@ func TestEachBody(t *testing.T) {
 
 func interpret(t *testing.T, body string) []string {
 	t.Helper()
+	return interpretFrom(t, body, nil)
+}
+
+func interpretFrom(t *testing.T, body string, entry program.Facts[string]) []string {
+	t.Helper()
 	src := "package x\nfunc f(c, d bool, ch chan int) {\n" + body + "\n}\n"
 	file, err := parser.ParseFile(token.NewFileSet(), "x.go", src, 0)
 	if err != nil {
@@ -87,6 +104,7 @@ func interpret(t *testing.T, body string) []string {
 	}
 	var exits []string
 	program.Interpret(file.Decls[0].(*ast.FuncDecl).Body, program.Paths[string]{
+		Entry: entry,
 		Call: func(call *ast.CallExpr, facts program.Facts[string]) {
 			id, _ := call.Fun.(*ast.Ident)
 			if id == nil || len(call.Args) != 1 {

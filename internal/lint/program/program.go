@@ -130,14 +130,14 @@ func (p *Program) linkCalls() {
 	}
 }
 
-// FuncOf resolves a types.Func — from source checking or export data — to
-// its program Func, or nil when the function is outside the program (stdlib,
-// bodyless).
+// FuncOf resolves a types.Func — from source checking or export data, or a
+// method of an instantiated generic type, by its origin — to its program
+// Func, or nil when the function is outside the program (stdlib, bodyless).
 func (p *Program) FuncOf(obj *types.Func) *Func {
 	if obj == nil {
 		return nil
 	}
-	return p.funcs[obj.FullName()]
+	return p.funcs[obj.Origin().FullName()]
 }
 
 // FuncObj resolves the function or method a call names under info — a plain

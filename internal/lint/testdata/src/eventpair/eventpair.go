@@ -51,6 +51,32 @@ func goodDeferClosure(a *activity, k uintptr, err bool) {
 	}
 }
 
+// badConditionalDefer defers the closer on one branch only: the !c path
+// returns with the Hold open.
+func badConditionalDefer(a *activity, k uintptr, c bool) {
+	a.event(k, Hold) // want `Hold emitted here is not matched by Unhold`
+	if c {
+		defer a.event(k, Unhold)
+	}
+}
+
+// goodConditionalDefer opens and defers the closer on the same branch.
+func goodConditionalDefer(a *activity, k uintptr, c bool) {
+	if c {
+		a.event(k, Hold)
+		defer a.event(k, Unhold)
+	}
+	if !c {
+		a.event(k, Unhold)
+	}
+}
+
+// goodDeferFirst defers the closer before it opens.
+func goodDeferFirst(a *activity, k uintptr) {
+	defer a.event(k, Unhold)
+	a.event(k, Hold)
+}
+
 // splitPhaseLock only opens: a split-phase API (like Mutex.Lock), left to
 // the dynamic checks.
 func splitPhaseLock(a *activity, k uintptr) {
