@@ -1,17 +1,57 @@
+// Package analyzer holds the acceptance cases of the paper's Algorithm 2
+// (§4.5), the companion static analyzer. The algorithm itself is the
+// waitloop pass of internal/lint, which cmd/pboxanalyze fronts; each case
+// here type-checks a small package and runs it through that pass.
 package analyzer
 
 import (
+	"go/token"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"pbox/internal/lint/analysis"
+	"pbox/internal/lint/driver"
+	"pbox/internal/lint/loader"
+	"pbox/internal/lint/waitloop"
 )
 
-func analyze(t *testing.T, src string) *Result {
+// analyze runs the waitloop pass over package p, whose one file imports
+// time and holds src (which may begin with imports of its own). deps are
+// further packages by import path, one file each, that p may import.
+func analyze(t *testing.T, src string, deps map[string]string) *waitloop.Result {
 	t.Helper()
-	res, err := New(nil).AnalyzeSource("test.go", "package p\n\nimport \"time\"\n\nvar _ = time.Now\n"+src)
-	if err != nil {
-		t.Fatalf("AnalyzeSource: %v", err)
+	root := t.TempDir()
+	files := map[string]string{"p": "package p\n\nimport \"time\"\n" + src + "\nvar _ = time.Now\n"}
+	for path, dep := range deps {
+		files[path] = dep
 	}
-	return res
+	for path, text := range files {
+		dir := filepath.Join(root, filepath.FromSlash(path))
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, filepath.Base(dir)+".go"), []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, pkgs, err := loader.CheckSourceDeps(root, filepath.Join(root, "p"), token.NewFileSet())
+	if err != nil {
+		t.Fatalf("loading: %v", err)
+	}
+	passes := []*analysis.Analyzer{waitloop.Analyzer}
+	res, err := driver.Run(pkgs, passes, passes)
+	if err != nil {
+		t.Fatalf("running waitloop: %v", err)
+	}
+	for _, ret := range res.Returns {
+		if ret.ImportPath == "p" {
+			return ret.Value.(*waitloop.Result)
+		}
+	}
+	t.Fatal("waitloop returned no result for p")
+	return nil
 }
 
 func TestFindsWaitInLoopWithSharedVar(t *testing.T) {
@@ -27,7 +67,7 @@ func (g *gate) enter() {
 		time.Sleep(time.Millisecond)
 	}
 }
-`)
+`, nil)
 	if len(res.Locations) != 1 {
 		t.Fatalf("locations = %d, want 1: %v", len(res.Locations), res.Locations)
 	}
@@ -47,7 +87,7 @@ func periodic() {
 		time.Sleep(time.Millisecond)
 	}
 }
-`)
+`, nil)
 	if len(res.Locations) != 0 {
 		t.Fatalf("self-waiting loop flagged: %v", res.Locations)
 	}
@@ -62,7 +102,7 @@ func busy() {
 		shared++
 	}
 }
-`)
+`, nil)
 	if len(res.Locations) != 0 {
 		t.Fatalf("non-waiting loop flagged: %v", res.Locations)
 	}
@@ -81,7 +121,7 @@ func take() {
 		backoff()
 	}
 }
-`)
+`, nil)
 	if len(res.Wrappers) != 1 || res.Wrappers[0] != "backoff" {
 		t.Fatalf("wrappers = %v, want [backoff]", res.Wrappers)
 	}
@@ -105,7 +145,7 @@ func waiter() {
 		middle()
 	}
 }
-`)
+`, nil)
 	if len(res.Wrappers) != 2 {
 		t.Fatalf("wrappers = %v, want inner and middle", res.Wrappers)
 	}
@@ -121,7 +161,7 @@ func maybeSleep(x bool) {
 		time.Sleep(time.Millisecond)
 	}
 }
-`)
+`, nil)
 	if len(res.Wrappers) != 0 {
 		t.Fatalf("conditional sleeper classified wrapper: %v", res.Wrappers)
 	}
@@ -136,7 +176,7 @@ func wait() {
 		time.Sleep(time.Millisecond)
 	}
 }
-`)
+`, nil)
 	if len(res.Locations) != 1 {
 		t.Fatalf("locations = %d, want 1", len(res.Locations))
 	}
@@ -159,7 +199,7 @@ func (x *s) enter() {
 		time.Sleep(time.Millisecond)
 	}
 }
-`)
+`, nil)
 	if len(res.Locations) != 1 {
 		t.Fatalf("nested-break loop not found: %v", res.Locations)
 	}
@@ -177,7 +217,7 @@ func wait() {
 		time.Sleep(time.Millisecond)
 	}
 }
-`)
+`, nil)
 	if len(res.Locations) != 1 {
 		t.Fatalf("atomic-load loop not found: %v", res.Locations)
 	}
@@ -187,27 +227,29 @@ func wait() {
 	}
 }
 
+// TestCustomWaitFuncs replaces the wait list, as pboxanalyze -waitfuncs
+// does, with a function of an imported package, named by its full name.
 func TestCustomWaitFuncs(t *testing.T) {
-	a := New([]string{"mylib.Backoff"})
-	res, err := a.AnalyzeSource("x.go", `package p
+	defer func(list []string) { waitloop.WaitFuncs = list }(waitloop.WaitFuncs)
+	waitloop.WaitFuncs = []string{"mylib.Backoff"}
+	res := analyze(t, `
 import "mylib"
+
 var busy bool
+
 func wait() {
 	for busy {
 		mylib.Backoff()
 	}
 }
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
+`, map[string]string{"mylib": "package mylib\n\nfunc Backoff() {}\n"})
 	if len(res.Locations) != 1 {
 		t.Fatalf("locations = %d, want 1 via custom wait func", len(res.Locations))
 	}
 }
 
 func TestLocationStringFormat(t *testing.T) {
-	l := Location{File: "f.go", Line: 10, Func: "g", WaitCall: "time.Sleep", SharedVars: []string{"x"}}
+	l := waitloop.Location{File: "f.go", Line: 10, Func: "g", WaitCall: "time.Sleep", SharedVars: []string{"x"}}
 	s := l.String()
 	for _, part := range []string{"f.go:10", "g", "time.Sleep", "x"} {
 		if !strings.Contains(s, part) {
